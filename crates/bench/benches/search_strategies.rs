@@ -8,13 +8,9 @@
 //! pure policy cost. Periods achieved are printed once at setup so the
 //! time-to-quality trade-off is visible next to the timings.
 //!
-//! `bnb_nodes/*` measures branch-and-bound node throughput with a fixed
-//! node budget: `evaluator` scores nodes through the staged
-//! [`PartialAssignmentEvaluator`] (`O(log m)` placement, `O(1)` bound);
-//! `legacy_scan` re-enables the pre-refactor `O(m)` max-load scan via
-//! [`BnbConfig::legacy_bounds`]. Both explore the bit-identical tree (pinned
-//! by a test in `mf-exact`), so the delta is exactly the per-node scoring
-//! cost.
+//! `bnb_nodes/evaluator` measures branch-and-bound node throughput with a
+//! fixed node budget: nodes are scored through the staged
+//! [`PartialAssignmentEvaluator`] (`O(log m)` placement, `O(1)` bound).
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use mf_bench::standard_instance;
@@ -82,42 +78,18 @@ fn strategy_polish(c: &mut Criterion) {
 }
 
 fn bnb_nodes(c: &mut Criterion) {
-    // Big enough that the node budget is the binding constraint, so both
-    // variants explore exactly the same number of nodes; wide enough
-    // (m = 24) that the legacy `O(m)` scan is a visible share of node cost.
+    // Big enough that the node budget is the binding constraint, so every
+    // run explores exactly the same number of nodes.
     let instance = standard_instance(20, 24, 5, 3);
     let budget = 100_000u64;
-    let fast = branch_and_bound(&instance, BnbConfig::with_node_budget(budget)).unwrap();
-    let legacy = branch_and_bound(
-        &instance,
-        BnbConfig {
-            legacy_bounds: true,
-            ..BnbConfig::with_node_budget(budget)
-        },
-    )
-    .unwrap();
-    assert_eq!(fast.nodes, legacy.nodes, "variants must explore one tree");
-    eprintln!("bnb_nodes: {} nodes per run", fast.nodes);
+    let outcome = branch_and_bound(&instance, BnbConfig::with_node_budget(budget)).unwrap();
+    eprintln!("bnb_nodes: {} nodes per run", outcome.nodes);
 
     let mut group = c.benchmark_group("bnb_nodes");
     group.sample_size(20);
     group.bench_function("evaluator", |b| {
         b.iter(|| {
             black_box(branch_and_bound(&instance, BnbConfig::with_node_budget(budget)).unwrap())
-        })
-    });
-    group.bench_function("legacy_scan", |b| {
-        b.iter(|| {
-            black_box(
-                branch_and_bound(
-                    &instance,
-                    BnbConfig {
-                        legacy_bounds: true,
-                        ..BnbConfig::with_node_budget(budget)
-                    },
-                )
-                .unwrap(),
-            )
         })
     });
     group.finish();

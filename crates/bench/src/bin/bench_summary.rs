@@ -370,42 +370,31 @@ fn main() {
         });
     }
 
-    // B&B node throughput: the evaluator and legacy-scan variants explore
-    // the bit-identical tree (pinned in mf-exact), so their delta is pure
-    // per-node scoring cost.
+    // B&B node throughput under a binding node budget.
     let bnb_instance = standard_instance(20, 24, 5, 3);
-    for (name, legacy) in [
-        ("bnb_nodes/evaluator", false),
-        ("bnb_nodes/legacy_scan", true),
-    ] {
-        let config = || BnbConfig {
-            legacy_bounds: legacy,
-            ..BnbConfig::with_node_budget(node_budget)
-        };
-        let outcome = branch_and_bound(&bnb_instance, config()).unwrap();
-        let measured = timing(time(iterations, || {
-            branch_and_bound(&bnb_instance, config()).unwrap()
-        }));
-        rows.push(Measurement {
-            name,
-            timing: measured,
-            iterations,
-            quality: Quality::Nodes {
-                count: outcome.nodes,
-                per_second: outcome.nodes as f64 / (measured.median_ns as f64 / 1e9),
-            },
-        });
-    }
+    let config = BnbConfig::with_node_budget(node_budget);
+    let outcome = branch_and_bound(&bnb_instance, config).unwrap();
+    let measured = timing(time(iterations, || {
+        branch_and_bound(&bnb_instance, config).unwrap()
+    }));
+    rows.push(Measurement {
+        name: "bnb_nodes/evaluator",
+        timing: measured,
+        iterations,
+        quality: Quality::Nodes {
+            count: outcome.nodes,
+            per_second: outcome.nodes as f64 / (measured.median_ns as f64 / 1e9),
+        },
+    });
 
     // LP-bound tree collapse: on a machine-rich shape (m ≫ p) both bound
     // variants prove the same optimum, so the `nodes` columns compare the
     // full proof trees — the LP row must visit ≤ 50 % of the packing row's
-    // nodes (the CI floor in mf-exact pins the same invariant). The LP
-    // relaxation costs ~ms per touched node, so this pair runs on its own
-    // small fixture with a reduced iteration count; the collapse ratio, not
-    // wall clock, is the headline here.
+    // nodes (the CI floor in mf-exact pins the same invariant; a test there
+    // pins both rows' exact node and LP counts). Each compact LP solve costs
+    // tens of µs — a few µs per LP-bounded node — so the wall-clock race
+    // between the two rows is the headline here.
     let lp_fixture = standard_instance(12, 16, 3, 7);
-    let lp_iterations = if quick { 2 } else { 3 };
     for (name, lp) in [("bnb_prove/packing", false), ("bnb_prove/lp_bound", true)] {
         let config = || BnbConfig {
             lp_bounds: lp,
@@ -416,13 +405,13 @@ fn main() {
             outcome.proven_optimal,
             "{name} must prove optimality on the m >> p fixture"
         );
-        let measured = timing(time(lp_iterations, || {
+        let measured = timing(time(iterations, || {
             branch_and_bound(&lp_fixture, config()).unwrap()
         }));
         rows.push(Measurement {
             name,
             timing: measured,
-            iterations: lp_iterations,
+            iterations,
             quality: Quality::Nodes {
                 count: outcome.nodes,
                 per_second: outcome.nodes as f64 / (measured.median_ns as f64 / 1e9),

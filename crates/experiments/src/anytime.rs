@@ -10,7 +10,7 @@
 //!    lower bound valid for *every* mapping. The first event carries both.
 //! 2. **Heuristic slice** — a configurable share of the budget goes to the
 //!    subtree-move LNS polishing the seed; every improvement is an event.
-//! 3. **Exact phase** — the remaining budget drives LP-warm-started
+//! 3. **Exact phase** — the remaining budget drives LP-bounded
 //!    branch-and-bound seeded with the heuristic incumbent. If it finishes,
 //!    the bound snaps to the incumbent and the gap closes to zero.
 //!
@@ -235,7 +235,6 @@ pub fn solve_anytime_observed(
             max_nodes: remaining,
             tolerance: config.tolerance,
             lp_bounds: config.lp_bounds,
-            ..BnbConfig::default()
         };
         let outcome: BnbOutcome = branch_and_bound_seeded(instance, bnb_config, &mapping)
             .map_err(HeuristicError::from)?;

@@ -9,7 +9,7 @@
 //! * given enough budget, the final mapping is **bit-identical** to the
 //!   offline branch-and-bound optimum, regardless of how often the run is
 //!   repeated or how many rayon workers are active around it;
-//! * total steps stay within the budget's accounting and, on the `m ≫ p`
+//! * total steps never exceed the budget and, on the `m ≫ p`
 //!   shapes the mode targets, close the gap within fewer steps than plain
 //!   branch-and-bound needs nodes.
 
@@ -125,6 +125,22 @@ fn steps_respect_the_budget_and_beat_plain_branch_and_bound() {
         plain.nodes
     );
     assert!(anytime.steps <= config.step_budget);
+}
+
+#[test]
+fn capped_runs_never_exceed_the_step_budget() {
+    // A few hundred steps cannot prove a 20×24 instance, so the exact phase
+    // runs into its node cap and must stop exactly on the budget.
+    let inst = instance(20, 24, 5, 0xCA9);
+    let config = AnytimeConfig {
+        step_budget: 300,
+        ..AnytimeConfig::default()
+    };
+    let outcome = solve_anytime(&inst, &config).unwrap();
+    assert!(!outcome.proven_optimal, "the budget must bind");
+    assert!(outcome.nodes > 0, "the exact phase must run");
+    assert_eq!(outcome.steps, config.step_budget);
+    assert!(outcome.events.iter().all(|e| e.steps <= config.step_budget));
 }
 
 #[test]

@@ -37,4 +37,4 @@ pub mod simplex;
 pub use error::{LpError, LpResult};
 pub use mip::{BranchRule, MipProblem, MipSolution, MipStatus, SolverBudget};
 pub use problem::{ConstraintSense, LpProblem, Objective, VariableId};
-pub use simplex::{resolve_tightened, solve, LpSolution, WarmSolution};
+pub use simplex::{solve, LpSolution};

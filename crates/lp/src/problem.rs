@@ -130,8 +130,7 @@ impl LpProblem {
     }
 
     /// Adds a constraint. Duplicate variables in `terms` are summed. Returns
-    /// the constraint's index (usable with
-    /// [`set_constraint_rhs`](Self::set_constraint_rhs)).
+    /// the constraint's index.
     pub fn add_constraint(
         &mut self,
         terms: Vec<(VariableId, f64)>,
@@ -140,17 +139,6 @@ impl LpProblem {
     ) -> usize {
         self.constraints.push(Constraint { terms, sense, rhs });
         self.constraints.len() - 1
-    }
-
-    /// Replaces the right-hand side of an existing constraint — the cheap
-    /// re-tightening primitive incremental users (the branch-and-bound LP
-    /// bound) rely on: the constraint matrix is untouched, only `b` moves.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `index` is out of range.
-    pub fn set_constraint_rhs(&mut self, index: usize, rhs: f64) {
-        self.constraints[index].rhs = rhs;
     }
 
     /// Number of decision variables.

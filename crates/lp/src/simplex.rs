@@ -342,53 +342,6 @@ pub fn solve(problem: &LpProblem) -> LpResult<LpSolution> {
     })
 }
 
-/// Outcome of [`resolve_tightened`]: the optimal solution and whether the
-/// previous optimum was reused without any simplex work.
-#[derive(Debug, Clone, PartialEq)]
-pub struct WarmSolution {
-    /// The optimal solution of the (tightened) problem.
-    pub solution: LpSolution,
-    /// `true` when the previous optimum was still feasible and was returned
-    /// as-is (zero pivots); `false` when a full re-solve ran.
-    pub reused: bool,
-}
-
-/// Re-solves a *tightened* problem, warm-started from the previous optimum.
-///
-/// # Contract
-///
-/// `problem` must be a **pure tightening** of the problem `previous` solved:
-/// the same variables, the same objective, and a feasible region that is a
-/// subset of the previous one (bounds narrowed, `≤` right-hand sides
-/// lowered / `≥` raised, constraints added). Under that contract the warm
-/// start is exact, not heuristic: when `previous.values` still satisfies the
-/// tightened problem, it remains optimal — every tightened-feasible point
-/// was feasible before, so nothing can beat the previous optimum — and it is
-/// returned without any simplex work. Otherwise the problem is re-solved
-/// from scratch.
-///
-/// Callers that tighten in steps (branch-and-bound walking down a search
-/// path) get the common case — the branched variable was already integral /
-/// the correction already slack — for the price of one feasibility scan.
-pub fn resolve_tightened(problem: &LpProblem, previous: &LpSolution) -> LpResult<WarmSolution> {
-    if previous.values.len() == problem.variable_count()
-        && problem.is_feasible(&previous.values, EPS)
-    {
-        return Ok(WarmSolution {
-            solution: LpSolution {
-                objective: problem.objective_value(&previous.values),
-                values: previous.values.clone(),
-                iterations: 0,
-            },
-            reused: true,
-        });
-    }
-    Ok(WarmSolution {
-        solution: solve(problem)?,
-        reused: false,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -521,53 +474,6 @@ mod tests {
         lp.add_constraint(vec![(x, 1.0), (x, 1.0)], CS::LessEqual, 4.0);
         let sol = solve(&lp).unwrap();
         assert_close(sol.values[x.index()], 2.0);
-    }
-
-    #[test]
-    fn warm_resolve_reuses_a_still_feasible_optimum() {
-        // minimize 2x + 3y s.t. x + y >= 10, x <= 15  ->  x=10, y=0.
-        let mut lp = LpProblem::new(Objective::Minimize);
-        let x = lp.add_variable("x");
-        let y = lp.add_variable("y");
-        lp.set_objective_coefficient(x, 2.0);
-        lp.set_objective_coefficient(y, 3.0);
-        lp.add_constraint(vec![(x, 1.0), (y, 1.0)], CS::GreaterEqual, 10.0);
-        let cap = lp.add_constraint(vec![(x, 1.0)], CS::LessEqual, 15.0);
-        let first = solve(&lp).unwrap();
-        assert_close(first.objective, 20.0);
-
-        // Tighten a slack constraint: the optimum survives and is reused.
-        lp.set_constraint_rhs(cap, 12.0);
-        let warm = resolve_tightened(&lp, &first).unwrap();
-        assert!(warm.reused);
-        assert_eq!(warm.solution.iterations, 0);
-        assert_close(warm.solution.objective, 20.0);
-        assert_eq!(warm.solution.values, first.values);
-
-        // Tighten past the optimum: a full re-solve runs and both paths
-        // agree with solving from scratch.
-        lp.set_constraint_rhs(cap, 6.0);
-        let warm = resolve_tightened(&lp, &first).unwrap();
-        assert!(!warm.reused);
-        let cold = solve(&lp).unwrap();
-        assert_close(warm.solution.objective, cold.objective);
-        assert_close(warm.solution.objective, 24.0); // x=6, y=4
-    }
-
-    #[test]
-    fn warm_resolve_rejects_dimension_mismatches_with_a_full_solve() {
-        let mut lp = LpProblem::new(Objective::Minimize);
-        let x = lp.add_variable("x");
-        lp.set_objective_coefficient(x, 1.0);
-        lp.add_constraint(vec![(x, 1.0)], CS::GreaterEqual, 2.0);
-        let stale = LpSolution {
-            objective: 0.0,
-            values: vec![0.0, 0.0],
-            iterations: 0,
-        };
-        let warm = resolve_tightened(&lp, &stale).unwrap();
-        assert!(!warm.reused);
-        assert_close(warm.solution.objective, 2.0);
     }
 
     #[test]

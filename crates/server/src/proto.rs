@@ -220,7 +220,7 @@ pub enum SolveMethod {
     /// The parallel search portfolio on the server's shared pool.
     Portfolio,
     /// The anytime incumbent/bound race (v3): seed heuristic, LNS slice and
-    /// LP-warm-started branch-and-bound under one step budget, answered by
+    /// LP-bounded branch-and-bound under one step budget, answered by
     /// a streaming `ok solve-anytime` block.
     Anytime {
         /// Step budget (heuristic evaluations + branch-and-bound nodes);
