@@ -12,11 +12,17 @@
 //!   snapshot guarantees it even though the walk itself goes uphill);
 //! * steepest descent halts at a genuine local optimum: no admissible move
 //!   or swap improves its result (when its budget wasn't the stopper);
-//! * all three strategies preserve the specialized rule.
+//! * all three strategies preserve the specialized rule;
+//! * steepest descent and tabu search commit pinned step sequences (task,
+//!   machine and period bits of every commit) on chains and forests at
+//!   m = 20 and m = 64.
 
 use mf_core::prelude::*;
-use mf_heuristics::search::{polish_with, SearchEngine, SteepestDescent, TabuConfig, TabuSearch};
+use mf_heuristics::search::{
+    polish_with, CommitStep, SearchEngine, SearchStrategy, SteepestDescent, TabuConfig, TabuSearch,
+};
 use mf_heuristics::{H4wFastestMachine, H6LocalSearch, Heuristic, LocalSearchConfig};
+use mf_sim::{GeneratorConfig, InstanceGenerator};
 
 fn instance(n: usize, m: usize, p: usize, seed: u64) -> Instance {
     let types: Vec<usize> = (0..n).map(|i| i % p).collect();
@@ -269,4 +275,84 @@ fn tabu_escapes_local_optima_that_stop_steepest_descent() {
         tabu_strictly_better > 0,
         "tabu never escaped a steepest-descent local optimum on 24 instances"
     );
+}
+
+/// FNV-1a over a commit trace: step kind, indices and period bits, in order.
+fn trace_fingerprint(steps: &[CommitStep]) -> u64 {
+    let mut hash = 0xcbf2_9ce4_8422_2325u64;
+    let mut eat = |word: u64| {
+        for byte in word.to_le_bytes() {
+            hash = (hash ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    };
+    for step in steps {
+        match *step {
+            CommitStep::Move { task, to, period } => {
+                eat(0);
+                eat(task as u64);
+                eat(to as u64);
+                eat(period);
+            }
+            CommitStep::Swap { a, b, period } => {
+                eat(1);
+                eat(a as u64);
+                eat(b as u64);
+                eat(period);
+            }
+        }
+    }
+    hash
+}
+
+#[test]
+fn steepest_descent_and_tabu_commit_pinned_step_sequences() {
+    let generate = |config: GeneratorConfig, seed: u64| {
+        InstanceGenerator::new(config)
+            .generate(seed)
+            .expect("the generator produces valid instances")
+    };
+    let instances = [
+        (
+            "chain n=40 m=64",
+            generate(GeneratorConfig::paper_standard(40, 64, 6), 0x64C),
+        ),
+        (
+            "forest n=40 m=64",
+            generate(GeneratorConfig::standard_in_forest(40, 64, 6), 0x64F),
+        ),
+        (
+            "chain n=30 m=20",
+            generate(GeneratorConfig::paper_standard(30, 20, 4), 0x20C),
+        ),
+    ];
+    let strategies: [(&str, &dyn SearchStrategy); 2] = [
+        ("SD", &SteepestDescent::default()),
+        ("TS", &TabuSearch::default()),
+    ];
+    // (commits, trace fingerprint, best period bits), in instance-major order.
+    let expected: [(usize, u64, u64); 6] = [
+        (24, 0xca19_52ba_4485_8401, 0x4072_1d8b_f85a_5aa3),
+        (56, 0x1e45_28f6_c0ec_b329, 0x4072_1d8b_f85a_5aa3),
+        (8, 0xaf33_43d3_5a74_3fec, 0x406f_d66e_9a8b_6eda),
+        (55, 0x4421_442c_897b_d5a3, 0x406e_57fa_1764_371c),
+        (14, 0xbbc9_e85c_f058_35fd, 0x4086_6c0b_3916_35e6),
+        (118, 0x1b02_3ea8_4b77_4d7e, 0x4083_9b5f_fc1b_8e2c),
+    ];
+    let mut observed = Vec::new();
+    for (label, instance) in &instances {
+        let seed = H4wFastestMachine.map(instance).unwrap();
+        for (name, strategy) in strategies {
+            let mut engine = SearchEngine::new(instance, &seed, 200_000).unwrap();
+            engine.enable_commit_trace();
+            strategy.run(&mut engine).unwrap();
+            let trace = engine.commit_trace();
+            assert!(!trace.is_empty(), "{name} on {label} committed nothing");
+            observed.push((
+                trace.len(),
+                trace_fingerprint(trace),
+                engine.best_period().to_bits(),
+            ));
+        }
+    }
+    assert_eq!(observed, expected, "observed: {observed:#x?}");
 }
