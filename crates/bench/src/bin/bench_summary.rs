@@ -8,10 +8,8 @@
 //! `bnb_prove/*` pair proving one m ≫ p fixture under the packing vs the
 //! LP-warm-started bound — the node collapse is the point), what-if cost on a
 //! tree-shaped instance (the forest variant of the dense fast path vs a
-//! full recompute), the steepest-descent sweep with and without the
-//! dirty-candidate cache on both the forest and the chain shape (periods
-//! identical by construction; the `evaluator_calls` column is the point —
-//! the chain rows pin the delta-transfer rescaling win), LNS restage
+//! full recompute), the steepest-descent sweep on both the forest and the
+//! chain shape (with its deterministic `evaluator_calls` count), LNS restage
 //! probes (staged subtree tear-out vs full candidate recompute), and a
 //! portfolio run under the barrier vs the work-stealing round executor
 //! (outcomes identical by construction; the delta is wall clock) — with plain
@@ -50,7 +48,7 @@ struct Measurement {
     timing: Timing,
     iterations: usize,
     /// Achieved period (strategy rows), explored nodes (B&B rows), probe
-    /// throughput (what-if rows) or sweep-cache effect (sweep rows).
+    /// throughput (what-if rows) or evaluator calls (sweep rows).
     quality: Quality,
 }
 
@@ -240,28 +238,21 @@ fn main() {
         });
     }
 
-    // Steepest descent, full sweeps vs the dirty-candidate cache, on both
-    // the forest and the chain shape: identical committed steps and final
-    // period by construction (pinned by the sweep_cache differential); the
-    // delta is wall time and — budget-independent — the number of
-    // evaluator calls per run. The chain rows were flat before the
-    // delta-transfer rescaling (every commit's span reaches tour position
-    // 0 on a chain, so spans-only invalidation evicted everything); their
-    // evaluator-call gap is the number the CI hard floor pins.
-    for (name, shape, shape_seed, cached) in [
-        ("sd_sweep_forest/full", &forest, &forest_seed, false),
-        ("sd_sweep_forest/dirty_cache", &forest, &forest_seed, true),
-        ("sd_sweep_chain/full", &instance, &seed, false),
-        ("sd_sweep_chain/dirty_cache", &instance, &seed, true),
+    // Steepest descent full sweeps on both the forest and the chain shape:
+    // wall time plus the deterministic number of evaluator calls per run
+    // (every probed candidate is one what-if, so probes == calls).
+    for (name, shape, shape_seed) in [
+        ("sd_sweep_forest/full", &forest, &forest_seed),
+        ("sd_sweep_chain/full", &instance, &seed),
     ] {
         let strategy = SteepestDescent::default();
         let run = |record: bool| {
             let mut engine = SearchEngine::new(shape, shape_seed, sweep_budget).unwrap();
-            engine.set_sweep_cache(cached);
             strategy.run(&mut engine).unwrap();
             if record {
-                let stats = engine.sweep_stats();
-                Some((engine.best_period(), stats.evaluations, stats.probes))
+                let counters = engine.evaluator_counters();
+                let calls = counters.dense_what_ifs + counters.exact_what_ifs;
+                Some((engine.best_period(), calls, calls))
             } else {
                 None
             }

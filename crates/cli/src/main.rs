@@ -14,14 +14,11 @@ use mf_core::prelude::*;
 use mf_core::textio;
 use mf_exact::{branch_and_bound, BnbConfig};
 use mf_experiments::anytime::{solve_anytime_observed, AnytimeConfig};
-use mf_experiments::portfolio::{
-    run_portfolio, run_portfolio_traced, PortfolioConfig, TRACE_CACHE_EVENT_CAP,
-};
+use mf_experiments::portfolio::{run_portfolio, run_portfolio_traced, PortfolioConfig};
 use mf_experiments::runner::BatchRunner;
 use mf_heuristics::{all_paper_heuristics, Heuristic};
 use mf_obs::{
-    events_from_text, events_to_text, Clock, MonotonicClock, SamplingSink, SharedTraceWriter,
-    TraceEvent,
+    events_from_text, events_to_text, Clock, MonotonicClock, SharedTraceWriter, TraceEvent,
 };
 use mf_sim::{FactorySimulation, GeneratorConfig, InstanceGenerator, SimulationConfig};
 use std::process::ExitCode;
@@ -86,13 +83,13 @@ COMMANDS:
              workers; deterministic for any thread count); --trace PATH
              writes an mf-trace v1 log of the solve: every committed
              search step (with the period it reached and whether it
-             improved the incumbent), per-round cell summaries and
-             sweep-cache outcomes — the mapping printed is bit-identical
-             with or without the flag; --anytime runs the incumbent/bound
-             race (H4w seed, subtree-move LNS slice, LP-warm-started
-             branch-and-bound) under a --budget of deterministic steps
-             (default 200000), printing every improvement and the live
-             optimality gap to stderr
+             improved the incumbent) and per-round cell summaries — the
+             mapping printed is bit-identical with or without the flag;
+             --anytime runs the incumbent/bound race (H4w seed,
+             subtree-move LNS slice, LP-warm-started branch-and-bound)
+             under a --budget of deterministic steps (default 200000),
+             printing every improvement and the live optimality gap to
+             stderr
   evaluate   print the period, throughput and per-machine loads of a mapping
   simulate   run the discrete-event simulation of a mapping
   serve      run the long-lived mf-proto solve/evaluate server: resident
@@ -236,7 +233,7 @@ fn solve(args: &Arguments) -> std::result::Result<(), String> {
         let runner = BatchRunner::new(threads);
         let config = PortfolioConfig::default();
         let outcome = if trace_path.is_some() {
-            let traced = run_portfolio_traced(&instance, &config, &runner, TRACE_CACHE_EVENT_CAP);
+            let traced = run_portfolio_traced(&instance, &config, &runner);
             trace_events.extend(traced.to_trace_events());
             traced.outcome
         } else {
@@ -285,7 +282,7 @@ fn solve(args: &Arguments) -> std::result::Result<(), String> {
             "{:<5} {:>10} {:>12} {:>12} {:>8}",
             "phase", "step", "period(ms)", "bound(ms)", "gap"
         );
-        let mut sink = SamplingSink::new(TRACE_CACHE_EVENT_CAP);
+        let mut sink = Vec::new();
         let outcome = solve_anytime_observed(
             &instance,
             &config,
@@ -304,14 +301,7 @@ fn solve(args: &Arguments) -> std::result::Result<(), String> {
         )
         .map_err(|e| format!("anytime solve failed: {e}"))?;
         if trace_path.is_some() {
-            let (events, dropped) = sink.into_parts();
-            trace_events.extend(events.into_iter().map(|event| event.into_trace(0, 0)));
-            if dropped > 0 {
-                trace_events.push(TraceEvent::Dropped {
-                    class: "cache".to_string(),
-                    count: dropped,
-                });
-            }
+            trace_events.extend(sink.into_iter().map(|event| event.into_trace(0, 0)));
         }
         let label = if outcome.proven_optimal {
             format!("anytime proven optimum in {} step(s)", outcome.steps)
@@ -331,18 +321,11 @@ fn solve(args: &Arguments) -> std::result::Result<(), String> {
         let mapping = if trace_path.is_some() {
             // A one-shot heuristic has no portfolio grid: its search steps
             // are traced as cell 0, round 0.
-            let mut sink = SamplingSink::new(TRACE_CACHE_EVENT_CAP);
+            let mut sink = Vec::new();
             let mapping = heuristic
                 .map_with_progress(&instance, &mut sink)
                 .map_err(|e| format!("{} failed: {e}", heuristic.name()))?;
-            let (events, dropped) = sink.into_parts();
-            trace_events.extend(events.into_iter().map(|event| event.into_trace(0, 0)));
-            if dropped > 0 {
-                trace_events.push(TraceEvent::Dropped {
-                    class: "cache".to_string(),
-                    count: dropped,
-                });
-            }
+            trace_events.extend(sink.into_iter().map(|event| event.into_trace(0, 0)));
             mapping
         } else {
             heuristic

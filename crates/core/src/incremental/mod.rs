@@ -74,7 +74,7 @@ pub struct Evaluation {
 
 /// Monotone diagnostics counters of one evaluator (carried through
 /// snapshots). Deltas between reads quantify fast-path coverage and cache
-/// churn — the search sweep caches and the bench harness read them; they
+/// churn — the search telemetry and the bench harness read them; they
 /// never influence results.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct EvalCounters {
@@ -108,32 +108,6 @@ impl EvalCounters {
                 .saturating_sub(earlier.mass_rows_invalidated),
         }
     }
-}
-
-/// What the last committed operation touched — the invalidation footprint
-/// search sweep caches key on.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct CommitFootprint {
-    /// Inclusive tour spans of the committed tasks' subtrees (the tasks
-    /// whose demands, contributions or assignments changed). One entry per
-    /// changed task; a nested swap's spans overlap, which is fine — an
-    /// overlap test against both stays exact.
-    pub spans: [Option<(usize, usize)>; 2],
-    /// Demand-rescale ratio of each changed task, index-aligned with
-    /// `spans`: the new over the old failure factor `F_{i,to} / F_{i,from}`.
-    /// Every task *strictly upstream* of the changed task had its demand
-    /// multiplied by exactly this ratio (in real arithmetic), which is what
-    /// lets a sweep cache rescale a cached candidate score instead of
-    /// invalidating it. Unused slots hold `1.0`.
-    pub ratios: [f64; 2],
-    /// The committed system period immediately *before* this commit — an
-    /// upper bound on every machine load at that point, needed to bound the
-    /// rescale transform when a ratio exceeds one.
-    pub prior_period: f64,
-    /// The most negative per-machine committed load change (`0.0` when no
-    /// load decreased) — a lower bound on how far this commit can drop any
-    /// machine's load, and therefore any cached candidate score.
-    pub min_load_delta: f64,
 }
 
 /// Incremental evaluator for single-task moves and two-task swaps.
@@ -196,7 +170,6 @@ pub struct IncrementalEvaluator<'a> {
     /// when the cache caps rule the dense storage out.
     scratch_row: Vec<f64>,
     counters: EvalCounters,
-    last_commit: Option<CommitFootprint>,
 }
 
 /// Machine-count bound under which the dense what-if (prefix mass rows plus
@@ -261,7 +234,6 @@ impl<'a> IncrementalEvaluator<'a> {
             mass: MassRows::default(),
             scratch_row: Vec::new(),
             counters: EvalCounters::default(),
-            last_commit: None,
         })
     }
 
@@ -289,7 +261,6 @@ impl<'a> IncrementalEvaluator<'a> {
             mass: self.mass,
             scratch_row: self.scratch_row,
             counters: self.counters,
-            last_commit: self.last_commit,
         }
     }
 
@@ -338,7 +309,6 @@ impl<'a> IncrementalEvaluator<'a> {
             mass: snapshot.mass,
             scratch_row: snapshot.scratch_row,
             counters: snapshot.counters,
-            last_commit: snapshot.last_commit,
         })
     }
 
@@ -368,16 +338,6 @@ impl<'a> IncrementalEvaluator<'a> {
     #[inline]
     pub fn counters(&self) -> EvalCounters {
         self.counters
-    }
-
-    /// The invalidation footprint of the most recent committed operation
-    /// (`None` before the first commit). No-op applies (moving a task to its
-    /// current machine, swapping within one machine) do not commit and leave
-    /// the footprint untouched — pair reads with
-    /// [`counters`](Self::counters)`().commits` to detect fresh commits.
-    #[inline]
-    pub fn last_commit(&self) -> Option<&CommitFootprint> {
-        self.last_commit.as_ref()
     }
 
     /// The per-machine committed contribution mass of `task`'s strict
@@ -551,17 +511,6 @@ impl<'a> IncrementalEvaluator<'a> {
     fn operate(&mut self, changes: &[(TaskId, MachineId)], commit: bool) -> Evaluation {
         self.epoch = self.epoch.wrapping_add(1);
         self.dirty.clear();
-        // Capture the demand-rescale ratios and the pre-commit period for the
-        // footprint *before* `walk` overwrites the cached factors (and before
-        // the tournament tree absorbs the new loads).
-        let mut ratios = [1.0f64; 2];
-        let mut prior_period = 0.0f64;
-        if commit {
-            for (k, &(task, to)) in changes.iter().enumerate() {
-                ratios[k] = self.instance.factor(task, to) / self.factor[task.index()];
-            }
-            prior_period = self.tree.root().0;
-        }
         match *changes {
             [(root, _)] => self.walk(root, changes, commit),
             [(a, _), (b, _)] => {
@@ -582,39 +531,24 @@ impl<'a> IncrementalEvaluator<'a> {
             _ => unreachable!("moves touch one task, swaps touch two"),
         }
         if commit {
-            let mut min_delta = 0.0f64;
             for k in 0..self.dirty.len() {
                 let u = self.dirty[k];
-                if self.delta[u] < min_delta {
-                    min_delta = self.delta[u];
-                }
                 self.load[u] += self.delta[u];
                 self.tree.update(u, self.load[u]);
             }
             // Committed contributions changed exactly for the subtrees of
             // the changed tasks: evict the mass rows overlapping those tour
             // spans, leaving every other branch's rows warm.
-            let mut spans = [None, None];
-            let mut flat = [(0usize, 0usize); 2];
-            let mut count = 0usize;
+            let mut spans = [(0usize, 0usize); 2];
             for (k, &(task, _)) in changes.iter().enumerate() {
-                let span = self.topology.subtree_span(task);
-                spans[k] = Some(span);
-                flat[count] = span;
-                count += 1;
+                spans[k] = self.topology.subtree_span(task);
             }
             self.mass.invalidate_overlapping(
                 &self.topology,
-                &flat[..count],
+                &spans[..changes.len()],
                 &mut self.counters.mass_rows_invalidated,
             );
             self.counters.commits += 1;
-            self.last_commit = Some(CommitFootprint {
-                spans,
-                ratios,
-                prior_period,
-                min_load_delta: min_delta,
-            });
             self.current()
         } else {
             self.candidate_max()
@@ -1011,28 +945,17 @@ mod tests {
     }
 
     #[test]
-    fn commit_footprints_report_spans_and_load_drops() {
+    fn commit_counter_skips_no_op_applies() {
         let instance = forest_instance();
         let mapping = Mapping::from_indices(&[0, 1, 2, 1, 0, 2], 3).unwrap();
         let mut eval = IncrementalEvaluator::new(&instance, &mapping).unwrap();
-        assert!(eval.last_commit().is_none());
-        eval.apply_move(TaskId(3), MachineId(0)).unwrap();
-        let footprint = *eval.last_commit().unwrap();
-        assert_eq!(
-            footprint.spans[0],
-            Some(eval.topology().subtree_span(TaskId(3)))
-        );
-        assert_eq!(footprint.spans[1], None);
-        // The move drained T4's old machine: some load went down.
-        assert!(footprint.min_load_delta < 0.0);
-        assert_eq!(eval.counters().commits, 1);
-        // A no-op apply neither commits nor clobbers the footprint.
+        assert_eq!(eval.counters().commits, 0);
         eval.apply_move(TaskId(3), MachineId(0)).unwrap();
         assert_eq!(eval.counters().commits, 1);
-        assert_eq!(*eval.last_commit().unwrap(), footprint);
+        // A no-op apply does not commit.
+        eval.apply_move(TaskId(3), MachineId(0)).unwrap();
+        assert_eq!(eval.counters().commits, 1);
         eval.apply_swap(TaskId(0), TaskId(2)).unwrap();
-        let swap_footprint = eval.last_commit().unwrap();
-        assert!(swap_footprint.spans[0].is_some() && swap_footprint.spans[1].is_some());
         assert_eq!(eval.counters().commits, 2);
     }
 

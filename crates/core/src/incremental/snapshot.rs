@@ -3,7 +3,7 @@
 use super::dense::MassRows;
 use super::topology::Topology;
 use super::tournament::TournamentTree;
-use super::{CommitFootprint, EvalCounters};
+use super::EvalCounters;
 use crate::ids::{MachineId, TaskId};
 use crate::mapping::Mapping;
 
@@ -47,7 +47,6 @@ pub struct EvaluatorSnapshot {
     pub(super) mass: MassRows,
     pub(super) scratch_row: Vec<f64>,
     pub(super) counters: EvalCounters,
-    pub(super) last_commit: Option<CommitFootprint>,
 }
 
 impl EvaluatorSnapshot {

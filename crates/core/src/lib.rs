@@ -64,8 +64,8 @@ pub use error::{ModelError, Result};
 pub use failure::{FailureModel, FailureRate};
 pub use ids::{MachineId, TaskId, TaskTypeId};
 pub use incremental::{
-    CommitFootprint, EvalCounters, Evaluation, EvaluatorSnapshot, IncrementalEvaluator,
-    PartialAssignmentEvaluator, Topology, TopologyKind,
+    EvalCounters, Evaluation, EvaluatorSnapshot, IncrementalEvaluator, PartialAssignmentEvaluator,
+    Topology, TopologyKind,
 };
 pub use instance::Instance;
 pub use mapping::{Mapping, MappingKind};

@@ -12,8 +12,8 @@ pub use crate::error::{ModelError, Result};
 pub use crate::failure::{FailureModel, FailureRate};
 pub use crate::ids::{MachineId, TaskId, TaskTypeId};
 pub use crate::incremental::{
-    CommitFootprint, EvalCounters, Evaluation, EvaluatorSnapshot, IncrementalEvaluator,
-    PartialAssignmentEvaluator, Topology, TopologyKind,
+    EvalCounters, Evaluation, EvaluatorSnapshot, IncrementalEvaluator, PartialAssignmentEvaluator,
+    Topology, TopologyKind,
 };
 pub use crate::instance::Instance;
 pub use crate::mapping::{Mapping, MappingKind};

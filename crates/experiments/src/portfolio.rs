@@ -35,7 +35,7 @@ use mf_heuristics::search::{
     polish_with, polish_with_progress, SearchEngine, SearchStrategy, SteepestDescent, TabuSearch,
 };
 use mf_heuristics::{paper_heuristic, H6LocalSearch, LocalSearchConfig, DEFAULT_SEARCH_BUDGET};
-use mf_obs::{ProgressEvent, SamplingSink, TraceEvent};
+use mf_obs::{ProgressEvent, TraceEvent};
 use std::sync::Mutex;
 
 /// Tuning knobs of the portfolio runner.
@@ -136,11 +136,6 @@ impl PortfolioOutcome {
     }
 }
 
-/// Default per-(cell, round) retention cap for cache-outcome progress
-/// events in a traced run. Commit events are never capped — a trace must
-/// reconstruct the exact committed step sequence.
-pub const TRACE_CACHE_EVENT_CAP: usize = 64;
-
 /// Progress events harvested from one (cell, round) execution.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CellRoundRecord {
@@ -148,11 +143,8 @@ pub struct CellRoundRecord {
     pub cell: usize,
     /// Round index.
     pub round: usize,
-    /// The retained events, in emission order (commits lossless,
-    /// cache outcomes capped).
+    /// The events, in emission order.
     pub events: Vec<ProgressEvent>,
-    /// Cache-outcome events the cap discarded.
-    pub dropped: u64,
 }
 
 /// One cell's state after one round, as the stopping rule saw it.
@@ -171,22 +163,14 @@ pub struct CellRoundSummary {
 
 /// Thread-safe collector the work-stealing workers push per-(cell, round)
 /// progress into. Collection order depends on scheduling; consumers sort.
+#[derive(Default)]
 struct PortfolioProgress {
-    cache_event_cap: usize,
     collected: Mutex<Vec<CellRoundRecord>>,
 }
 
 impl PortfolioProgress {
-    fn new(cache_event_cap: usize) -> Self {
-        PortfolioProgress {
-            cache_event_cap,
-            collected: Mutex::new(Vec::new()),
-        }
-    }
-
-    fn collect(&self, cell: usize, round: usize, sink: SamplingSink) {
-        let (events, dropped) = sink.into_parts();
-        if events.is_empty() && dropped == 0 {
+    fn collect(&self, cell: usize, round: usize, events: Vec<ProgressEvent>) {
+        if events.is_empty() {
             return;
         }
         self.collected
@@ -196,7 +180,6 @@ impl PortfolioProgress {
                 cell,
                 round,
                 events,
-                dropped,
             });
     }
 }
@@ -221,12 +204,10 @@ pub struct TracedPortfolio {
 
 impl TracedPortfolio {
     /// Serializes the run as `mf-trace v1` events: for each round in
-    /// order, each cell's commit/cache events followed by its `round`
-    /// summary record, then one `dropped` record if any cache events were
-    /// capped. Deterministic for a given (instance, config).
+    /// order, each cell's commit events followed by its `round` summary
+    /// record. Deterministic for a given (instance, config).
     pub fn to_trace_events(&self) -> Vec<TraceEvent> {
         let mut events = Vec::new();
-        let mut dropped_total = 0u64;
         let mut records = self.records.iter().peekable();
         for summary in &self.summaries {
             while let Some(record) = records.peek() {
@@ -243,19 +224,12 @@ impl TracedPortfolio {
                 for event in &record.events {
                     events.push(event.into_trace(record.cell as u64, record.round as u64));
                 }
-                dropped_total += record.dropped;
             }
             events.push(TraceEvent::Round {
                 cell: summary.cell as u64,
                 round: summary.round as u64,
                 period_bits: summary.period_bits,
                 done: summary.done,
-            });
-        }
-        if dropped_total > 0 {
-            events.push(TraceEvent::Dropped {
-                class: "cache".to_string(),
-                count: dropped_total,
             });
         }
         events
@@ -315,7 +289,7 @@ fn advance_cell(
     config: &PortfolioConfig,
     seed: u64,
     round: usize,
-    progress: Option<&mut SamplingSink>,
+    progress: Option<&mut Vec<ProgressEvent>>,
 ) -> CellState {
     if state.done {
         return state.clone();
@@ -423,7 +397,7 @@ fn sweep_to_optimum(
     instance: &Instance,
     mapping: &Mapping,
     budget: usize,
-    progress: Option<&mut SamplingSink>,
+    progress: Option<&mut Vec<ProgressEvent>>,
 ) -> mf_heuristics::HeuristicResult<(Mapping, bool)> {
     if instance.task_count() == 0 || instance.machine_count() < 2 || budget == 0 {
         return Ok((mapping.clone(), true));
@@ -694,7 +668,7 @@ fn portfolio_worker(
                 guard = ready.wait(guard).expect("portfolio scheduler poisoned");
             }
         };
-        let mut sink = progress.map(|p| SamplingSink::new(p.cache_event_cap));
+        let mut sink = progress.map(|_| Vec::new());
         let next = advance_cell(
             instance,
             &specs[cell],
@@ -737,20 +711,19 @@ pub fn run_portfolio(
 }
 
 /// [`run_portfolio`], additionally harvesting solver progress: every
-/// committed step of every cell (with the incumbent-improved verdict),
-/// capped cache outcomes, and per-round cell summaries. The outcome is
-/// **bit-identical** to the untraced run — progress sinks observe, they
-/// never steer — and the harvested records are deterministic at every
-/// thread count: each (cell, round)'s events are a pure function of its
-/// grid coordinates, and the collection is sorted into `(round, cell)`
-/// order with speculative rounds past the stopping decision discarded.
+/// committed step of every cell (with the incumbent-improved verdict) and
+/// per-round cell summaries. The outcome is **bit-identical** to the
+/// untraced run — progress sinks observe, they never steer — and the
+/// harvested records are deterministic at every thread count: each
+/// (cell, round)'s events are a pure function of its grid coordinates, and
+/// the collection is sorted into `(round, cell)` order with speculative
+/// rounds past the stopping decision discarded.
 pub fn run_portfolio_traced(
     instance: &Instance,
     config: &PortfolioConfig,
     runner: &BatchRunner,
-    cache_event_cap: usize,
 ) -> TracedPortfolio {
-    let progress = PortfolioProgress::new(cache_event_cap);
+    let progress = PortfolioProgress::default();
     let (outcome, scheduler) = run_portfolio_inner(instance, config, runner, Some(&progress));
     let final_round = outcome.rounds - 1;
     let mut records = progress
@@ -909,10 +882,8 @@ mod tests {
         let inst = instance(11);
         let config = quick_config();
         let untraced = run_portfolio(&inst, &config, &BatchRunner::new(2));
-        let traced_1 =
-            run_portfolio_traced(&inst, &config, &BatchRunner::new(1), TRACE_CACHE_EVENT_CAP);
-        let traced_4 =
-            run_portfolio_traced(&inst, &config, &BatchRunner::new(4), TRACE_CACHE_EVENT_CAP);
+        let traced_1 = run_portfolio_traced(&inst, &config, &BatchRunner::new(1));
+        let traced_4 = run_portfolio_traced(&inst, &config, &BatchRunner::new(4));
         // Attaching progress sinks changes nothing about the result…
         assert_eq!(traced_1.outcome, untraced);
         // …and the harvested progress is scheduling-independent.
@@ -934,8 +905,7 @@ mod tests {
 
         let inst = instance(7);
         let config = quick_config();
-        let traced =
-            run_portfolio_traced(&inst, &config, &BatchRunner::new(4), TRACE_CACHE_EVENT_CAP);
+        let traced = run_portfolio_traced(&inst, &config, &BatchRunner::new(4));
         let cell = traced
             .outcome
             .cells

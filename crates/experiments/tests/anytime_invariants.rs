@@ -16,7 +16,7 @@
 use mf_exact::{branch_and_bound, BnbConfig};
 use mf_experiments::anytime::{solve_anytime, solve_anytime_observed, AnytimeConfig, AnytimePhase};
 use mf_experiments::runner::BatchRunner;
-use mf_obs::{ProgressEvent, SamplingSink, TraceEvent};
+use mf_obs::{ProgressEvent, TraceEvent};
 use mf_sim::{GeneratorConfig, InstanceGenerator};
 
 fn instance(tasks: usize, machines: usize, types: usize, seed: u64) -> mf_core::prelude::Instance {
@@ -150,16 +150,15 @@ fn observers_see_every_event_and_change_nothing() {
     let silent = solve_anytime(&inst, &config).unwrap();
 
     let mut seen = Vec::new();
-    let mut sink = SamplingSink::new(0);
+    let mut incumbents: Vec<ProgressEvent> = Vec::new();
     let observed =
-        solve_anytime_observed(&inst, &config, &mut |e| seen.push(*e), &mut sink).unwrap();
+        solve_anytime_observed(&inst, &config, &mut |e| seen.push(*e), &mut incumbents).unwrap();
 
     assert_eq!(observed.events, silent.events, "observers steered the run");
     assert_eq!(seen, silent.events, "callback missed events");
 
     // Every event is mirrored into the sink as an Incumbent record that
     // traces as a Round.
-    let incumbents: Vec<ProgressEvent> = sink.events().to_vec();
     assert_eq!(incumbents.len(), silent.events.len());
     for (progress, event) in incumbents.iter().zip(&silent.events) {
         match *progress {

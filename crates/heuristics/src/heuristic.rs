@@ -60,7 +60,7 @@ pub trait Heuristic {
     fn map(&self, instance: &Instance) -> HeuristicResult<Mapping>;
 
     /// Like [`map`](Self::map), additionally reporting search telemetry
-    /// (sweep-cache and evaluator counters) when the heuristic drives a
+    /// (evaluator counters) when the heuristic drives a
     /// [`SearchEngine`](crate::search::SearchEngine) under the hood. The
     /// default — every constructive heuristic — returns `None`; the
     /// returned mapping is always bit-identical to [`map`](Self::map)'s.

@@ -15,7 +15,6 @@
 //!   meters work in *candidate evaluations*, the unit every strategy shares.
 
 use crate::heuristic::HeuristicResult;
-use crate::search::sweep_cache::{CacheAnswer, SweepCache, SweepCacheStats};
 use mf_core::incremental::EvalCounters;
 use mf_core::prelude::*;
 use mf_obs::{ProgressEvent, ProgressSink};
@@ -25,16 +24,6 @@ use rand::Rng;
 /// Relative slack below which a new period does not count as an improvement
 /// (guards against accumulating no-op "improvements" from float noise).
 pub const IMPROVEMENT_EPSILON: f64 = 1e-12;
-
-/// Machine count from which the dirty-candidate sweep cache defaults **on**
-/// for dense-fast-path evaluators. Below this, a dense what-if (an `O(m)`
-/// load scan) is cheaper than the cache's probe bookkeeping, so caching
-/// costs wall-clock even while it saves evaluator calls; above it, the scan
-/// dominates and the saved calls win. Evaluators off the dense fast path
-/// (exact ancestor walks) always default on. Calibrated on the
-/// `bench_summary` steepest-descent rows; [`SearchEngine::set_sweep_cache`]
-/// overrides the default either way.
-pub const SWEEP_CACHE_MIN_MACHINES: usize = 48;
 
 /// Metropolis acceptance: always take improvements, take uphill steps with
 /// probability `exp(−Δ/T)` while the temperature is positive.
@@ -75,8 +64,7 @@ pub struct CommitOutcome {
 }
 
 /// One committed step, as recorded by the (opt-in) commit trace — the
-/// observable the sweep-cache differential pins: dirty-candidate sweeps must
-/// produce the identical step sequence a full sweep does.
+/// observable the search determinism tests pin.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CommitStep {
     /// A committed single-task move and the bits of the resulting period.
@@ -119,11 +107,8 @@ pub struct SearchEngine<'a> {
     best_mapping: Mapping,
     steps: usize,
     max_steps: usize,
-    /// Per-candidate score cache driving the dirty-candidate sweeps.
-    sweep: SweepCache,
-    sweep_enabled: bool,
-    /// Evaluator commit count at the last footprint sync (no-op applies do
-    /// not commit, so the count — not the call — is the commit signal).
+    /// Evaluator commit count after the last commit attempt (no-op applies
+    /// do not commit, so the count — not the call — is the commit signal).
     commit_count: u64,
     /// Opt-in record of every committed step (for differential pinning).
     trace: Option<Vec<CommitStep>>,
@@ -153,22 +138,6 @@ impl<'a> SearchEngine<'a> {
             machine_type[u] = Some(task.ty);
         }
         let current = eval.period().value();
-        let spans: Vec<(u32, u32)> = (0..instance.task_count())
-            .map(|t| {
-                let (start, end) = eval.topology().subtree_span(TaskId(t));
-                (start as u32, end as u32)
-            })
-            .collect();
-        let sweep = SweepCache::new(instance.task_count(), m, spans);
-        // The cache only pays when an evaluator call costs more than a probe's
-        // bookkeeping (slot read + transform walk). On the dense fast path a
-        // what-if is an O(m) scan, so for small machine counts the probe
-        // overhead exceeds the calls it saves — default the cache off there
-        // and on everywhere the evaluator is genuinely expensive (the exact
-        // ancestor walk, or wide instances). `set_sweep_cache` still
-        // overrides either way, and chosen steps are bit-identical
-        // regardless (the cache never changes which move a sweep picks).
-        let sweep_enabled = !eval.is_dense_fast_path() || m >= SWEEP_CACHE_MIN_MACHINES;
         Ok(SearchEngine {
             instance,
             eval,
@@ -180,8 +149,6 @@ impl<'a> SearchEngine<'a> {
             best_mapping: mapping.clone(),
             steps: 0,
             max_steps,
-            sweep,
-            sweep_enabled,
             commit_count: 0,
             trace: None,
             progress: None,
@@ -299,34 +266,6 @@ impl<'a> SearchEngine<'a> {
         Ok(self.eval.evaluate_swap(a, b)?.period.value())
     }
 
-    /// Turns the dirty-candidate sweep cache on or off, overriding the
-    /// construction-time default (on exactly when an evaluator call costs
-    /// more than a probe: off the dense fast path, or at
-    /// [`SWEEP_CACHE_MIN_MACHINES`]+ machines). Turning it off makes
-    /// [`probe_move`](Self::probe_move)/[`probe_swap`](Self::probe_swap)
-    /// evaluate every candidate — the pre-cache full-sweep behavior the
-    /// differential tests compare against. Either setting picks the
-    /// bit-identical step sequence; only evaluator-call counts differ.
-    pub fn set_sweep_cache(&mut self, enabled: bool) {
-        if enabled != self.sweep_enabled {
-            self.sweep.reset();
-        }
-        self.sweep_enabled = enabled;
-    }
-
-    /// `true` when the dirty-candidate sweep cache is active.
-    #[inline]
-    pub fn sweep_cache_enabled(&self) -> bool {
-        self.sweep_enabled
-    }
-
-    /// Hit/miss counters of the sweep cache (probes, evaluator calls, skips,
-    /// exact reuses).
-    #[inline]
-    pub fn sweep_stats(&self) -> SweepCacheStats {
-        self.sweep.stats
-    }
-
     /// The underlying evaluator's diagnostics counters (dense/exact what-if
     /// split, commits, mass-row churn).
     #[inline]
@@ -335,7 +274,7 @@ impl<'a> SearchEngine<'a> {
     }
 
     /// Starts recording every committed step (see [`CommitStep`]); used by
-    /// the differential tests that pin cached sweeps against full sweeps.
+    /// the tests that pin search determinism.
     pub fn enable_commit_trace(&mut self) {
         self.trace = Some(Vec::new());
     }
@@ -349,71 +288,10 @@ impl<'a> SearchEngine<'a> {
 
     /// Attaches a live progress observer: every real commit is reported as
     /// a [`ProgressEvent::Commit`] (mirroring the commit trace, plus the
-    /// incumbent-improved verdict) followed by a cumulative
-    /// [`ProgressEvent::CacheOutcome`]. The sink is write-only — search
+    /// incumbent-improved verdict). The sink is write-only — search
     /// decisions, budgets and results are bit-identical with or without it.
     pub fn set_progress_sink(&mut self, sink: &'a mut dyn ProgressSink) {
         self.progress = Some(sink);
-    }
-
-    /// Sweep-cached what-if of moving `task` to `to`: returns the exact
-    /// candidate period, or `None` when the cache certifies the candidate
-    /// cannot score strictly below `bound` (in which case a sweep that
-    /// tie-breaks by scan order can ignore it without changing its choice).
-    ///
-    /// Callers [`charge`](Self::charge) per *probe*, exactly as the full
-    /// sweep charged per evaluation, so budget accounting — and therefore
-    /// strategy behavior — is unchanged by cache hits.
-    pub fn probe_move(
-        &mut self,
-        task: TaskId,
-        to: MachineId,
-        bound: f64,
-    ) -> HeuristicResult<Option<f64>> {
-        if !self.sweep_enabled {
-            self.sweep.stats.probes += 1;
-            self.sweep.stats.evaluations += 1;
-            return Ok(Some(self.eval.evaluate_move(task, to)?.period.value()));
-        }
-        // The candidate's own demand-rescale ratio, computed lazily from the
-        // immutable instance factors: valid whenever the cache can certify
-        // anything, because any commit of `task` itself classifies as
-        // Unknown (and forces an evaluation) before the machine could drift.
-        let from = self.eval.machine_of(task);
-        let ratio = self.instance.factor(task, to) / self.instance.factor(task, from);
-        match self.sweep.probe_move(task, to, ratio, bound) {
-            CacheAnswer::Reuse(score) => Ok(Some(score)),
-            CacheAnswer::Skip => Ok(None),
-            CacheAnswer::Evaluate => {
-                let score = self.eval.evaluate_move(task, to)?.period.value();
-                self.sweep.store_move(task, to, score);
-                Ok(Some(score))
-            }
-        }
-    }
-
-    /// Sweep-cached what-if of swapping `a` and `b`; see
-    /// [`probe_move`](Self::probe_move).
-    pub fn probe_swap(&mut self, a: TaskId, b: TaskId, bound: f64) -> HeuristicResult<Option<f64>> {
-        if !self.sweep_enabled {
-            self.sweep.stats.probes += 1;
-            self.sweep.stats.evaluations += 1;
-            return Ok(Some(self.eval.evaluate_swap(a, b)?.period.value()));
-        }
-        let (ua, ub) = (self.eval.machine_of(a), self.eval.machine_of(b));
-        let ratios = (
-            self.instance.factor(a, ub) / self.instance.factor(a, ua),
-            self.instance.factor(b, ua) / self.instance.factor(b, ub),
-        );
-        match self.sweep.probe_swap(a, b, ratios, bound) {
-            CacheAnswer::Reuse(score) => Ok(Some(score)),
-            CacheAnswer::Skip => Ok(None),
-            CacheAnswer::Evaluate => {
-                let score = self.eval.evaluate_swap(a, b)?.period.value();
-                self.sweep.store_swap(a, b, score);
-                Ok(Some(score))
-            }
-        }
     }
 
     /// Number of tasks strictly upstream of `task` — the size of the subtree
@@ -561,27 +439,22 @@ impl<'a> SearchEngine<'a> {
         }
     }
 
-    /// Syncs the sweep cache (and the opt-in trace) with the evaluator after
-    /// a commit attempt; `step` builds the trace record lazily. Returns
-    /// whether a real commit happened (no-op applies return `false`).
+    /// Records a commit attempt in the opt-in trace; `step` builds the trace
+    /// record lazily. Returns whether a real commit happened (no-op applies
+    /// return `false`).
     fn after_commit(&mut self, step: impl FnOnce() -> CommitStep) -> bool {
         let commits = self.eval.counters().commits;
         if commits == self.commit_count {
-            // A no-op apply: nothing changed, nothing to invalidate.
             return false;
         }
         self.commit_count = commits;
-        if let Some(footprint) = self.eval.last_commit().copied() {
-            self.sweep.note_commit(&footprint);
-        }
         if let Some(trace) = &mut self.trace {
             trace.push(step());
         }
         true
     }
 
-    /// Reports a real commit (and the cumulative sweep-cache counters) to
-    /// the attached progress sink, if any.
+    /// Reports a real commit to the attached progress sink, if any.
     fn emit_progress(&mut self, swap: bool, a: usize, b: usize, outcome: &CommitOutcome) {
         let Some(sink) = self.progress.as_deref_mut() else {
             return;
@@ -592,14 +465,6 @@ impl<'a> SearchEngine<'a> {
             b: b as u64,
             period_bits: outcome.period.to_bits(),
             improved: outcome.improved_best,
-        });
-        let stats = self.sweep.stats;
-        sink.emit(ProgressEvent::CacheOutcome {
-            probes: stats.probes,
-            evaluations: stats.evaluations,
-            skips: stats.skips,
-            reuses: stats.reuses,
-            rescales: stats.rescales,
         });
     }
 
@@ -669,8 +534,7 @@ impl<'a> SearchEngine<'a> {
     /// Rewinds the current mapping to the best-so-far snapshot — the restart
     /// primitive behind [`AnnealedClimb`](crate::search::AnnealedClimb)'s
     /// restart waves. Rebuilds the evaluator and the type bookkeeping from
-    /// the best mapping and resets the sweep cache (its certificates
-    /// describe the abandoned trajectory). The budget, the best period and
+    /// the best mapping. The budget, the best period and
     /// the best mapping are untouched, so the never-worse-than-seed
     /// guarantee survives any number of rewinds.
     pub fn rewind_to_best(&mut self) -> HeuristicResult<()> {
@@ -685,7 +549,6 @@ impl<'a> SearchEngine<'a> {
             self.machine_type[u] = Some(task.ty);
         }
         self.current = self.eval.period().value();
-        self.sweep.reset();
         self.commit_count = self.eval.counters().commits;
         Ok(())
     }
@@ -783,7 +646,7 @@ mod tests {
     fn progress_sink_mirrors_the_commit_trace_and_changes_nothing() {
         use crate::search::SearchStrategy;
         use crate::search::SteepestDescent;
-        use mf_obs::{ProgressEvent, SamplingSink};
+        use mf_obs::ProgressEvent;
 
         let inst = instance();
         let seed = H4wFastestMachine.map(&inst).unwrap();
@@ -794,7 +657,7 @@ mod tests {
         let steps: Vec<CommitStep> = reference.commit_trace().to_vec();
         let reference_best = reference.into_best();
 
-        let mut sink = SamplingSink::new(usize::MAX);
+        let mut sink = Vec::new();
         let mut observed = SearchEngine::new(&inst, &seed, 10_000).unwrap();
         observed.set_progress_sink(&mut sink);
         SteepestDescent::default().run(&mut observed).unwrap();
@@ -805,7 +668,6 @@ mod tests {
 
         // Every commit event mirrors the commit-trace step exactly.
         let commits: Vec<(bool, u64, u64, u64)> = sink
-            .events()
             .iter()
             .filter_map(|event| match *event {
                 ProgressEvent::Commit {

@@ -19,9 +19,9 @@
 //!    consumers before producers so every rechained demand is exact,
 //!    each on the staged-period-minimising admissible machine;
 //! 4. commit whichever candidate (compound plan or plain root move)
-//!    improves the incumbent, as ordinary engine moves — so the sweep
-//!    cache, the commit trace and the progress sink all see LNS commits
-//!    exactly like SD/H6 ones.
+//!    improves the incumbent, as ordinary engine moves — so the commit
+//!    trace and the progress sink see LNS commits exactly like SD/H6
+//!    ones.
 //!
 //! Determinism: one seeded RNG stream, ties broken by scan order, budget
 //! metered through [`SearchEngine::charge`] in candidate evaluations. The

@@ -10,13 +10,7 @@
 //!   (so one candidate costs `O(affected tasks + log m)` instead of a full
 //!   recompute), enforces the specialized rule on every proposal, tracks the
 //!   best mapping seen (a strategy can therefore never return worse than its
-//!   seed), meters the evaluation budget, and runs the **dirty-candidate
-//!   sweep cache**: each commit's
-//!   [`CommitFootprint`](mf_core::incremental::CommitFootprint) (touched
-//!   machines + invalidated tour spans) lets the next sweep re-evaluate only the
-//!   candidates the commit could have helped, reusing certified scores for
-//!   the rest — bit-identical chosen moves, measurably fewer evaluator
-//!   calls ([`SweepCacheStats`]);
+//!   seed) and meters the evaluation budget;
 //! * [`SearchStrategy`] — the policy layer: which neighbors to look at, in
 //!   what order, and which one to take;
 //! * three strategies:
@@ -54,19 +48,16 @@ pub mod engine;
 pub mod lns;
 pub mod steepest;
 pub mod strategy;
-mod sweep_cache;
 pub mod tabu;
 
 pub use annealed::{AnnealedClimb, LocalSearchConfig};
 pub use engine::{
     metropolis, CommitOutcome, CommitStep, RestageProbe, SearchEngine, IMPROVEMENT_EPSILON,
-    SWEEP_CACHE_MIN_MACHINES,
 };
 pub use lns::{LnsConfig, SubtreeMoveLns};
 pub use steepest::{SteepestDescent, SteepestDescentConfig};
 pub use strategy::{
     polish_with, polish_with_progress, polish_with_telemetry, SearchHeuristic, SearchStrategy,
-    SearchTelemetry,
+    SearchTelemetry, SweepCounters,
 };
-pub use sweep_cache::SweepCacheStats;
 pub use tabu::{TabuConfig, TabuSearch};

@@ -60,13 +60,6 @@ impl SteepestDescent {
     /// Scores the full neighborhood and returns the best candidate with its
     /// what-if period (scan-order tie-break). `None` when no candidate is
     /// admissible.
-    ///
-    /// Candidates are probed through the engine's dirty-candidate sweep
-    /// cache: a candidate whose cached score certifies it cannot score
-    /// strictly below the incumbent-so-far is skipped without an evaluator
-    /// call. Ties break to the earlier candidate in scan order, so the
-    /// chosen neighbor — and the whole descent — is bit-identical to an
-    /// uncached full sweep.
     fn best_neighbor(
         &self,
         engine: &mut SearchEngine<'_>,
@@ -82,10 +75,7 @@ impl SteepestDescent {
                     continue;
                 }
                 engine.charge(1);
-                let bound = best.map_or(f64::INFINITY, |(period, _)| period);
-                let Some(period) = engine.probe_move(task, to, bound)? else {
-                    continue;
-                };
+                let period = engine.evaluate_move(task, to)?;
                 if better_than(period, &best) {
                     best = Some((period, Candidate::Move(task, to)));
                 }
@@ -99,10 +89,7 @@ impl SteepestDescent {
                         continue;
                     }
                     engine.charge(1);
-                    let bound = best.map_or(f64::INFINITY, |(period, _)| period);
-                    let Some(period) = engine.probe_swap(a, b, bound)? else {
-                        continue;
-                    };
+                    let period = engine.evaluate_swap(a, b)?;
                     if better_than(period, &best) {
                         best = Some((period, Candidate::Swap(a, b)));
                     }

@@ -4,22 +4,31 @@
 
 use crate::heuristic::{Heuristic, HeuristicResult};
 use crate::search::engine::SearchEngine;
-use crate::search::sweep_cache::SweepCacheStats;
 use mf_core::incremental::EvalCounters;
 use mf_core::prelude::*;
 use mf_obs::ProgressSink;
 
-/// Telemetry harvested from one search-driven solve: the sweep-cache
-/// probe/skip/rescale counters and the evaluator's what-if/mass-row
-/// counters. Surfaced through [`Heuristic::map_traced`] so callers (the
-/// serving tier's `stats` keys, for one) can report evaluator-call savings
-/// without re-running the search.
+/// Telemetry harvested from one search-driven solve: the evaluator's
+/// what-if/mass-row counters. Surfaced through [`Heuristic::map_traced`] so
+/// callers (the serving tier's `stats` keys, for one) can report evaluator
+/// work without re-running the search.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SearchTelemetry {
-    /// Sweep-cache effectiveness of the run.
-    pub sweep: SweepCacheStats,
+    /// Retired sweep-cache counters, always zero.
+    pub sweep: SweepCounters,
     /// Evaluator counters accumulated over the run.
     pub eval: EvalCounters,
+}
+
+/// Retired sweep-cache counters: the cache is gone, so both are always
+/// zero. Kept only because the repository benchmark's traced replay
+/// (`perfbench/src/replay.rs`) still reads them.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct SweepCounters {
+    /// Candidate probes routed through the cache (always 0).
+    pub probes: u64,
+    /// Probes skipped without an evaluator call (always 0).
+    pub skips: u64,
 }
 
 /// A search policy over the move/swap neighborhoods.
@@ -67,15 +76,14 @@ pub fn polish_with_telemetry(
     let mut engine = SearchEngine::new(instance, mapping, budget)?;
     strategy.run(&mut engine)?;
     let telemetry = SearchTelemetry {
-        sweep: engine.sweep_stats(),
+        sweep: SweepCounters::default(),
         eval: engine.evaluator_counters(),
     };
     Ok((engine.into_best(), Some(telemetry)))
 }
 
-/// [`polish_with`], additionally streaming every committed step and the
-/// cumulative cache outcomes into `sink` (see
-/// [`SearchEngine::set_progress_sink`]). The returned mapping is
+/// [`polish_with`], additionally streaming every committed step into
+/// `sink` (see [`SearchEngine::set_progress_sink`]). The returned mapping is
 /// bit-identical to [`polish_with`]'s — the sink is write-only, it cannot
 /// steer the search. The degenerate-shape short-circuit emits nothing.
 pub fn polish_with_progress(
@@ -92,7 +100,7 @@ pub fn polish_with_progress(
     engine.set_progress_sink(sink);
     strategy.run(&mut engine)?;
     let telemetry = SearchTelemetry {
-        sweep: engine.sweep_stats(),
+        sweep: SweepCounters::default(),
         eval: engine.evaluator_counters(),
     };
     Ok((engine.into_best(), Some(telemetry)))

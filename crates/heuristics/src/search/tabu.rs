@@ -124,20 +124,8 @@ impl SearchStrategy for TabuSearch {
                         continue;
                     }
                     engine.charge(1);
-                    // A tabu candidate is only usable when it aspires (beats
-                    // the global best), so the sweep-cache bound tightens to
-                    // the smaller of incumbent and global best: anything
-                    // certified at or above it can be skipped unevaluated
-                    // without changing the choice.
-                    let forbidden = tabu.forbidden(task, to, iteration);
-                    let mut bound = chosen.map_or(f64::INFINITY, |(period, _)| period);
-                    if forbidden {
-                        bound = bound.min(best_period);
-                    }
-                    let Some(period) = engine.probe_move(task, to, bound)? else {
-                        continue;
-                    };
-                    if forbidden && !aspired(period) {
+                    let period = engine.evaluate_move(task, to)?;
+                    if tabu.forbidden(task, to, iteration) && !aspired(period) {
                         continue;
                     }
                     if better_than(period, &chosen) {
@@ -156,15 +144,9 @@ impl SearchStrategy for TabuSearch {
                         // versa — both targets must be non-tabu.
                         let (ua, ub) = (engine.machine_of(a), engine.machine_of(b));
                         engine.charge(1);
+                        let period = engine.evaluate_swap(a, b)?;
                         let forbidden =
                             tabu.forbidden(a, ub, iteration) || tabu.forbidden(b, ua, iteration);
-                        let mut bound = chosen.map_or(f64::INFINITY, |(period, _)| period);
-                        if forbidden {
-                            bound = bound.min(best_period);
-                        }
-                        let Some(period) = engine.probe_swap(a, b, bound)? else {
-                            continue;
-                        };
                         if forbidden && !aspired(period) {
                             continue;
                         }

@@ -13,31 +13,23 @@
 //! * [`hist`] — fixed-bucket log2 latency [`Histogram`](hist::Histogram)s:
 //!   lock-free recording, mergeable bucket-wise across worker engines,
 //!   deterministic exposition, p50/p90/p99/max derivable from a snapshot.
-//! * [`registry`] — a [`Registry`](registry::Registry) of named counters,
-//!   gauges, and histograms with deterministic (sorted) exposition order.
-//! * [`span`] — scoped RAII timers ([`ScopedSpan`](span::ScopedSpan), the
-//!   [`span!`](crate::span!) macro) reporting to a [`SpanSink`](span::SpanSink).
 //! * [`trace`] — the append-only `mf-trace v1` event log, styled after
 //!   `mf-report v1`: versioned header, one event per line, counted `end`
 //!   footer, write→parse→write byte-identity.
 //! * [`progress`] — solver progress events
-//!   ([`ProgressEvent`](progress::ProgressEvent)) and the sampling-capped
-//!   [`SamplingSink`](progress::SamplingSink) the search engine and the
+//!   ([`ProgressEvent`](progress::ProgressEvent)) and the
+//!   [`ProgressSink`](progress::ProgressSink) the search engine and the
 //!   portfolio emit through, so a traced solve shows when each strategy
 //!   found each incumbent.
 
 pub mod clock;
 pub mod hist;
 pub mod progress;
-pub mod registry;
-pub mod span;
 pub mod trace;
 
 pub use clock::{Clock, ManualClock, MonotonicClock};
 pub use hist::{Histogram, HistogramSnapshot, BUCKET_COUNT};
-pub use progress::{NullSink, ProgressEvent, ProgressSink, SamplingSink};
-pub use registry::{Counter, Exposition, Gauge, Registry};
-pub use span::{ScopedSpan, SpanSink, SpanTimer};
+pub use progress::{NullSink, ProgressEvent, ProgressSink};
 pub use trace::{
     events_from_text, events_to_text, SharedTraceWriter, TraceError, TraceEvent, TraceWriter,
     TRACE_FORMAT,

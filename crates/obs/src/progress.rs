@@ -7,10 +7,9 @@
 //! [`TraceEvent`](crate::trace::TraceEvent)s via
 //! [`ProgressEvent::into_trace`].
 //!
-//! [`SamplingSink`] is the standard collector: commit events are recorded
-//! losslessly (a traced solve must reconstruct the exact committed step
-//! sequence), while high-volume cache-outcome events are capped and the
-//! overflow counted, so tracing a long solve cannot balloon memory.
+//! A `Vec<ProgressEvent>` is the standard collector: it records every event
+//! in emission order, so a traced solve reconstructs the exact committed
+//! step sequence.
 
 use crate::trace::TraceEvent;
 
@@ -42,19 +41,6 @@ pub enum ProgressEvent {
         steps: u64,
         /// Whether the incumbent is proven optimal (gap closed).
         proven: bool,
-    },
-    /// Cumulative sweep-cache counters at some point in the run.
-    CacheOutcome {
-        /// Candidates considered by sweeps.
-        probes: u64,
-        /// Candidates re-evaluated.
-        evaluations: u64,
-        /// Candidates skipped via certified cached scores.
-        skips: u64,
-        /// Cached scores reused verbatim.
-        reuses: u64,
-        /// Cached deltas rescaled by the chain fast path.
-        rescales: u64,
     },
 }
 
@@ -88,21 +74,6 @@ impl ProgressEvent {
                 period_bits: Some(period_bits),
                 done: proven,
             },
-            ProgressEvent::CacheOutcome {
-                probes,
-                evaluations,
-                skips,
-                reuses,
-                rescales,
-            } => TraceEvent::Cache {
-                cell,
-                round,
-                probes,
-                evaluations,
-                skips,
-                reuses,
-                rescales,
-            },
         }
     }
 }
@@ -124,59 +95,10 @@ impl ProgressSink for NullSink {
     fn emit(&mut self, _event: ProgressEvent) {}
 }
 
-/// Collects commit events losslessly and cache-outcome events up to a
-/// cap, counting overflow. Order within the sink is emission order.
-#[derive(Debug)]
-pub struct SamplingSink {
-    events: Vec<ProgressEvent>,
-    cache_cap: usize,
-    cache_recorded: usize,
-    dropped: u64,
-}
-
-impl SamplingSink {
-    /// A sink retaining at most `cache_cap` cache-outcome events
-    /// (commits are never dropped).
-    pub fn new(cache_cap: usize) -> Self {
-        SamplingSink {
-            events: Vec::new(),
-            cache_cap,
-            cache_recorded: 0,
-            dropped: 0,
-        }
-    }
-
-    /// The retained events, in emission order.
-    pub fn events(&self) -> &[ProgressEvent] {
-        &self.events
-    }
-
-    /// How many cache-outcome events the cap discarded.
-    pub fn dropped(&self) -> u64 {
-        self.dropped
-    }
-
-    /// Consumes the sink, returning `(retained events, dropped count)`.
-    pub fn into_parts(self) -> (Vec<ProgressEvent>, u64) {
-        (self.events, self.dropped)
-    }
-}
-
-impl ProgressSink for SamplingSink {
+/// Collects every event, in emission order.
+impl ProgressSink for Vec<ProgressEvent> {
     fn emit(&mut self, event: ProgressEvent) {
-        match event {
-            ProgressEvent::Commit { .. } | ProgressEvent::Incumbent { .. } => {
-                self.events.push(event)
-            }
-            ProgressEvent::CacheOutcome { .. } => {
-                if self.cache_recorded < self.cache_cap {
-                    self.cache_recorded += 1;
-                    self.events.push(event);
-                } else {
-                    self.dropped += 1;
-                }
-            }
-        }
+        self.push(event);
     }
 }
 
@@ -194,49 +116,25 @@ mod tests {
         }
     }
 
-    fn cache(probes: u64) -> ProgressEvent {
-        ProgressEvent::CacheOutcome {
-            probes,
-            evaluations: 0,
-            skips: 0,
-            reuses: 0,
-            rescales: 0,
-        }
-    }
-
     #[test]
-    fn commits_are_lossless_and_cache_outcomes_are_capped() {
-        let mut sink = SamplingSink::new(2);
+    fn a_vec_collects_every_event_in_order() {
+        let mut sink = Vec::new();
         for i in 0..5 {
             sink.emit(commit(i));
-            sink.emit(cache(i));
         }
-        let commits = sink
-            .events()
-            .iter()
-            .filter(|e| matches!(e, ProgressEvent::Commit { .. }))
-            .count();
-        let caches = sink
-            .events()
-            .iter()
-            .filter(|e| matches!(e, ProgressEvent::CacheOutcome { .. }))
-            .count();
-        assert_eq!(commits, 5);
-        assert_eq!(caches, 2);
-        assert_eq!(sink.dropped(), 3);
+        assert_eq!(sink, (0..5).map(commit).collect::<Vec<_>>());
     }
 
     #[test]
     fn incumbents_are_lossless_and_map_to_round_records() {
-        let mut sink = SamplingSink::new(0);
+        let mut sink = Vec::new();
         let event = ProgressEvent::Incumbent {
             period_bits: 40.25_f64.to_bits(),
             steps: 1234,
             proven: true,
         };
         sink.emit(event);
-        assert_eq!(sink.events(), &[event]);
-        assert_eq!(sink.dropped(), 0);
+        assert_eq!(sink, [event]);
         assert_eq!(
             event.into_trace(5, 0),
             crate::trace::TraceEvent::Round {

@@ -16,6 +16,9 @@
 //! end <event-count>
 //! ```
 //!
+//! `cache` and `dropped` records are no longer written (the sweep cache and
+//! its sampling cap are gone) but still parse, so older traces read.
+//!
 //! `<name>`/`<command>`/`<class>` are single tokens (non-empty, no
 //! whitespace or control characters). Periods travel as the IEEE-754 bit
 //! pattern of the `f64` (`<period-bits>`), exactly like the search
@@ -83,7 +86,8 @@ pub enum TraceEvent {
         /// Whether the cell is done (seed failed or converged).
         done: bool,
     },
-    /// Sweep-cache outcome counters for one search run.
+    /// Sweep-cache outcome counters for one search run. Nothing writes
+    /// these any more; they still parse so older trace files read.
     Cache {
         /// Portfolio cell.
         cell: u64,
@@ -100,7 +104,8 @@ pub enum TraceEvent {
         /// Cached deltas rescaled by the chain fast path.
         rescales: u64,
     },
-    /// Events withheld by a sampling cap.
+    /// Events withheld by a sampling cap. Nothing writes these any more;
+    /// they still parse so older trace files read.
     Dropped {
         /// Which event class was capped (single token).
         class: String,

@@ -46,6 +46,16 @@ pub const DEFAULT_HEURISTIC_SEED: u64 = 1;
 /// would grow with every instance a long-lived dashboard session touches).
 pub const SESSION_SNAPSHOT_CAP: usize = 8;
 
+/// The `stats` v2 keys of the deleted sweep cache, in presentation order.
+/// They always answer 0; retiring them needs a stats version bump.
+const RETIRED_SWEEP_KEYS: [&str; 5] = [
+    "sweep-probes",
+    "sweep-evaluations",
+    "sweep-skips",
+    "sweep-reuses",
+    "sweep-rescales",
+];
+
 #[derive(Debug, Default)]
 struct Counters {
     loads: AtomicU64,
@@ -81,15 +91,6 @@ struct Counters {
     /// Mass rows (re)built by the dense path — what the per-tour-range
     /// invalidation and warm resident snapshots save.
     mass_row_builds: AtomicU64,
-    /// Sweep-cache counters of search-driven solves (SD/TS/H6 registry
-    /// names): probes routed through the cache, probes that had to call
-    /// the evaluator, bound-certified skips, exact-score reuses, and skips
-    /// certified through a ratio-rescaled (delta-transfer) bound.
-    sweep_probes: AtomicU64,
-    sweep_evaluations: AtomicU64,
-    sweep_skips: AtomicU64,
-    sweep_reuses: AtomicU64,
-    sweep_rescales: AtomicU64,
 }
 
 impl Counters {
@@ -707,14 +708,8 @@ impl Engine {
                     Ok((mapping, telemetry)) => {
                         Counters::bump(&self.counters.solves_heuristic);
                         if let Some(telemetry) = telemetry {
-                            // Search-driven solve: fold its sweep-cache and
-                            // evaluator counters into the server totals.
-                            let c = &self.counters;
-                            Counters::add(&c.sweep_probes, telemetry.sweep.probes);
-                            Counters::add(&c.sweep_evaluations, telemetry.sweep.evaluations);
-                            Counters::add(&c.sweep_skips, telemetry.sweep.skips);
-                            Counters::add(&c.sweep_reuses, telemetry.sweep.reuses);
-                            Counters::add(&c.sweep_rescales, telemetry.sweep.rescales);
+                            // Search-driven solve: fold its evaluator
+                            // counters into the server totals.
                             self.counters
                                 .add_eval_delta(telemetry.eval, EvalCounters::default());
                         }
@@ -847,8 +842,9 @@ impl Engine {
     /// The statistics counters a session of `version` sees, in fixed
     /// presentation order: the 16 v1 keys, plus — on v2 sessions — the
     /// evaluator-build and keyed evaluate-cache counters, followed by the
-    /// evaluator what-if/mass-row counters and the search sweep-cache
-    /// counters harvested from traced solves, plus — on v3 sessions — the
+    /// evaluator what-if/mass-row counters and the five retired `sweep-*`
+    /// keys (the sweep cache is gone; they always answer 0 so the v2 list
+    /// keeps its shape), plus — on v3 sessions — the
     /// anytime-solve counters (solves, streamed reports, proven runs, and
     /// the exact phase's node/LP work). Every key is a plain sum over the
     /// work done, so a router can aggregate worker lists index-aligned and
@@ -868,11 +864,9 @@ impl Engine {
             entries.push(("whatif-dense".to_string(), read(&c.whatif_dense)));
             entries.push(("whatif-exact".to_string(), read(&c.whatif_exact)));
             entries.push(("mass-row-builds".to_string(), read(&c.mass_row_builds)));
-            entries.push(("sweep-probes".to_string(), read(&c.sweep_probes)));
-            entries.push(("sweep-evaluations".to_string(), read(&c.sweep_evaluations)));
-            entries.push(("sweep-skips".to_string(), read(&c.sweep_skips)));
-            entries.push(("sweep-reuses".to_string(), read(&c.sweep_reuses)));
-            entries.push(("sweep-rescales".to_string(), read(&c.sweep_rescales)));
+            for key in RETIRED_SWEEP_KEYS {
+                entries.push((key.to_string(), 0));
+            }
         }
         if version >= ProtoVersion::V3 {
             let read = |counter: &AtomicU64| counter.load(Ordering::Relaxed);
@@ -1683,5 +1677,25 @@ mod tests {
         let report = engine.status_report();
         assert_eq!(report.global, v3);
         assert_eq!(report.workers, vec![v3]);
+
+        // The retired sweep-cache keys answer 0 even after a search-driven
+        // solve on an instance wide enough (m = 64) for the old cache to run.
+        let mut session = engine.begin_session();
+        engine.dispatch(&mut session, Request::Hello { requested: 2 });
+        load(&engine, &mut session, "wide", &instance_text(30, 64, 4, 5));
+        let solved = engine.dispatch(
+            &mut session,
+            Request::Solve {
+                name: "wide".into(),
+                method: SolveMethod::Heuristic("SD".into()),
+                seed: None,
+            },
+        );
+        assert!(matches!(solved, Response::Solved { .. }), "{solved:?}");
+        let stats = v2_stats(&engine, &mut session);
+        assert!(stat_of(&stats, "whatif-dense") > 0, "SD must have searched");
+        for key in RETIRED_SWEEP_KEYS {
+            assert_eq!(stat_of(&stats, key), 0, "{key}");
+        }
     }
 }

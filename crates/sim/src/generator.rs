@@ -97,8 +97,7 @@ impl GeneratorConfig {
 
     /// A tree-shaped workload: standard times, the Figure-8 failure range
     /// (`f ∈ [0, 10%]`) and a random in-forest application with ~15% roots —
-    /// the shape the evaluator's forest fast path and the sweep caches are
-    /// exercised on.
+    /// the shape the evaluator's forest fast path is exercised on.
     pub fn standard_in_forest(tasks: usize, machines: usize, types: usize) -> Self {
         GeneratorConfig {
             failure_range: (0.0, 0.10),
