@@ -4,11 +4,11 @@
 //! Criterion's interactive harness is great locally but awkward to archive;
 //! this binary re-runs the same measurements — strategy polish cost
 //! (H6 / steepest descent / tabu over the shared H4w seed), branch-and-bound
-//! node throughput (staged evaluator vs legacy scan, plus the
+//! node throughput (the staged evaluator under a node budget, plus the
 //! `bnb_prove/*` pair proving one m ≫ p fixture under the packing vs the
-//! LP-warm-started bound — the node collapse is the point), what-if cost on a
-//! tree-shaped instance (the forest variant of the dense fast path vs a
-//! full recompute), the steepest-descent sweep on both the forest and the
+//! LP bound, with simplex pivots per node and nanoseconds per pivot),
+//! what-if cost on a tree-shaped instance (the forest variant of the dense
+//! fast path vs a full recompute), the steepest-descent sweep on both the forest and the
 //! chain shape (with its deterministic `evaluator_calls` count), LNS restage
 //! probes (staged subtree tear-out vs full candidate recompute), and a
 //! portfolio run under the barrier vs the work-stealing round executor
@@ -73,6 +73,13 @@ enum Quality {
     Nodes {
         count: u64,
         per_second: f64,
+    },
+    /// A full proof: its nodes plus the simplex pivots the LP bound spent.
+    Proof {
+        nodes: u64,
+        per_second: f64,
+        lp_pivots: u64,
+        ns_per_pivot: Option<f64>,
     },
     Sweep {
         period_ms: f64,
@@ -380,10 +387,11 @@ fn main() {
 
     // LP-bound tree collapse: on a machine-rich shape (m ≫ p) both bound
     // variants prove the same optimum, so the `nodes` columns compare the
-    // full proof trees — the LP row must visit ≤ 50 % of the packing row's
-    // nodes (the CI floor in mf-exact pins the same invariant; a test there
-    // pins both rows' exact node and LP counts). Each compact LP solve costs
-    // tens of µs — a few µs per LP-bounded node — so the wall-clock race
+    // full proof trees (a test in mf-exact pins both rows' exact node, LP
+    // solve, reuse and pivot counts). The per-layer columns split the LP
+    // row's price: `pivots_per_node` is the simplex work per node, and
+    // `ns_per_pivot` divides the whole proof's median wall clock by its
+    // pivots (an upper bound on one pivot's cost). The wall-clock race
     // between the two rows is the headline here.
     let lp_fixture = standard_instance(12, 16, 3, 7);
     for (name, lp) in [("bnb_prove/packing", false), ("bnb_prove/lp_bound", true)] {
@@ -399,13 +407,16 @@ fn main() {
         let measured = timing(time(iterations, || {
             branch_and_bound(&lp_fixture, config()).unwrap()
         }));
+        let median_ns = measured.median_ns as f64;
         rows.push(Measurement {
             name,
             timing: measured,
             iterations,
-            quality: Quality::Nodes {
-                count: outcome.nodes,
-                per_second: outcome.nodes as f64 / (measured.median_ns as f64 / 1e9),
+            quality: Quality::Proof {
+                nodes: outcome.nodes,
+                per_second: outcome.nodes as f64 / (median_ns / 1e9),
+                lp_pivots: outcome.lp_pivots,
+                ns_per_pivot: (outcome.lp_pivots > 0).then(|| median_ns / outcome.lp_pivots as f64),
             },
         });
     }
@@ -425,6 +436,18 @@ fn main() {
             Quality::Nodes { count, per_second } => {
                 format!("\"nodes\": {count}, \"nodes_per_second\": {per_second}")
             }
+            Quality::Proof {
+                nodes,
+                per_second,
+                lp_pivots,
+                ns_per_pivot,
+            } => format!(
+                "\"nodes\": {nodes}, \"nodes_per_second\": {per_second}, \
+                 \"lp_pivots\": {lp_pivots}, \"pivots_per_node\": {}, \
+                 \"ns_per_pivot\": {}",
+                *lp_pivots as f64 / *nodes as f64,
+                ns_per_pivot.map_or("null".to_string(), |ns| ns.to_string())
+            ),
             Quality::Sweep {
                 period_ms,
                 evaluator_calls,

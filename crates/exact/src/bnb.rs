@@ -25,7 +25,7 @@
 
 use mf_core::prelude::*;
 use mf_heuristics::{H4wFastestMachine, Heuristic};
-use mf_lp::{solve as lp_solve, ConstraintSense, LpError, LpProblem, Objective, VariableId};
+use mf_lp::{solve as lp_solve, ConstraintSense, LpProblem, Objective, VariableId};
 
 /// Feasibility tolerance of the warm-reuse test on an ancestor's optimum.
 const REUSE_TOLERANCE: f64 = 1e-9;
@@ -86,6 +86,8 @@ pub struct BnbOutcome {
     /// LP bounds answered by reusing the nearest ancestor's still-feasible
     /// optimum (zero simplex pivots).
     pub lp_reuses: u64,
+    /// Simplex pivots summed over the `lp_solves` relaxations.
+    pub lp_pivots: u64,
 }
 
 /// The filtered load-splitting LP relaxation driving
@@ -121,7 +123,11 @@ pub struct BnbOutcome {
 /// seated tasks leave the LP and their exact staged load (`c` plus the
 /// clamped correction) moves into their machine row's right-hand side, and
 /// fixed-to-zero placements are dropped. The tableau therefore shrinks with
-/// depth instead of growing a bound row per fixed variable. Optima are
+/// depth instead of growing a bound row per fixed variable. The compact
+/// problem is also rewritten around each task's cheapest free placement and
+/// the reference assignment's makespan (see [`bound`](Self::bound)) so that
+/// every row is a `≤` with a non-negative right-hand side: the simplex
+/// starts from the all-slack basis and never runs phase 1. Optima are
 /// mapped back to the full `n·m + 1` space, where the warm-reuse test runs:
 /// walking down the search path only tightens the relaxation (loads only
 /// grow and the threshold only drops, so ancestors' filters stay valid), so
@@ -140,6 +146,7 @@ struct LpBoundState {
     machines: usize,
     solves: u64,
     reuses: u64,
+    pivots: u64,
 }
 
 /// Verdict of one [`LpBoundState::bound`] call.
@@ -183,6 +190,7 @@ impl LpBoundState {
             machines: m,
             solves: 0,
             reuses: 0,
+            pivots: 0,
         })
     }
 
@@ -288,6 +296,18 @@ impl LpBoundState {
     /// Bounds the current node: reuses `hint` — the nearest ancestor's
     /// full-space optimum — when it is still feasible, otherwise solves the
     /// compact relaxation over the free placements from scratch.
+    ///
+    /// The compact relaxation is stated so that every row is a `≤` with a
+    /// non-negative right-hand side, which lets the simplex start from the
+    /// all-slack basis without a phase 1. Each unseated task `i` takes its
+    /// cheapest free placement `r(i)` as a reference (lowest index on
+    /// ties), and `x_r(i) = 1 − Σ x_j` over its other free placements turns
+    /// the task row into `Σ x_j ≤ 1` (dropped when `r(i)` is the only one).
+    /// With `L_u` the seated plus reference load of machine `u` and
+    /// `K̄ = max_u L_u` — the reference assignment's makespan, so capping
+    /// `K` there loses nothing — `K = K̄ − s` turns machine row `u` into
+    /// `Σ_j (c_j on u) x_j − Σ_j (c_r(i) on u) x_j + s ≤ K̄ − L_u`, and the
+    /// bound is `K̄` minus the largest feasible `s`.
     fn bound(&mut self, hint: Option<&[f64]>) -> LpVerdict {
         if let Some(values) = hint.filter(|values| self.admits(values)) {
             self.reuses += 1;
@@ -297,62 +317,78 @@ impl LpBoundState {
             };
         }
         let (n, m) = (self.seats.len(), self.machines);
-        // Free placements in row-major order, and each unseated task's range
-        // of them; seated loads fold into the machine rows' right-hand sides.
-        let mut columns = Vec::new();
+        // Non-reference free placements in row-major order, each with its
+        // task's reference placement; every machine starts from its seated
+        // and reference loads, and those placements start at 1 in the
+        // full-space optimum.
+        let mut columns: Vec<(usize, usize)> = Vec::new();
         let mut task_ranges = Vec::new();
-        let mut seated_load = self.corrections.clone();
+        let mut ones = Vec::new();
+        let mut loads = self.corrections.clone();
         for (i, seat) in self.seats.iter().enumerate() {
             if let Some((w, _)) = *seat {
-                seated_load[w] += self.costs[i * m + w];
+                loads[w] += self.costs[i * m + w];
+                ones.push(i * m + w);
                 continue;
             }
-            let start = columns.len();
-            columns.extend((i * m..(i + 1) * m).filter(|&j| !self.filtered[j]));
-            if columns.len() == start {
+            let free = (i * m..(i + 1) * m).filter(|&j| !self.filtered[j]);
+            let reference = free
+                .clone()
+                .reduce(|r, j| if self.costs[j] < self.costs[r] { j } else { r });
+            let Some(r) = reference else {
                 return LpVerdict::Infeasible;
+            };
+            loads[r % m] += self.costs[r];
+            ones.push(r);
+            let start = columns.len();
+            columns.extend(free.filter(|&j| j != r).map(|j| (j, r)));
+            if columns.len() > start {
+                task_ranges.push(start..columns.len());
             }
-            task_ranges.push(start..columns.len());
         }
+        let k_bar = loads.iter().copied().fold(0.0, f64::max);
 
-        let mut problem = LpProblem::new(Objective::Minimize);
+        let mut problem = LpProblem::new(Objective::Maximize);
         for _ in 0..=columns.len() {
             problem.add_variable("");
         }
-        let k = VariableId(columns.len());
-        problem.set_objective_coefficient(k, 1.0);
+        let s = VariableId(columns.len());
+        problem.set_objective_coefficient(s, 1.0);
         let mut machine_terms = vec![Vec::new(); m];
-        for (c, &j) in columns.iter().enumerate() {
+        for (c, &(j, r)) in columns.iter().enumerate() {
             machine_terms[j % m].push((VariableId(c), self.costs[j]));
+            machine_terms[r % m].push((VariableId(c), -self.costs[r]));
         }
-        for (mut terms, load) in machine_terms.into_iter().zip(seated_load) {
-            terms.push((k, -1.0));
-            problem.add_constraint(terms, ConstraintSense::LessEqual, -load);
+        for (mut terms, load) in machine_terms.into_iter().zip(loads) {
+            terms.push((s, 1.0));
+            problem.add_constraint(terms, ConstraintSense::LessEqual, k_bar - load);
         }
         for range in task_ranges {
             let terms = range.map(|c| (VariableId(c), 1.0)).collect();
-            problem.add_constraint(terms, ConstraintSense::Equal, 1.0);
+            problem.add_constraint(terms, ConstraintSense::LessEqual, 1.0);
         }
 
         match lp_solve(&problem) {
             Ok(solution) => {
                 self.solves += 1;
+                self.pivots += solution.iterations as u64;
                 let mut values = vec![0.0; n * m + 1];
-                for (i, seat) in self.seats.iter().enumerate() {
-                    if let Some((w, _)) = *seat {
-                        values[i * m + w] = 1.0;
-                    }
+                for j in ones {
+                    values[j] = 1.0;
                 }
-                for (&j, &x) in columns.iter().zip(&solution.values) {
+                for (&(j, r), &x) in columns.iter().zip(&solution.values) {
                     values[j] = x;
+                    values[r] -= x;
                 }
-                values[n * m] = solution.values[k.index()];
+                let objective = k_bar - solution.objective;
+                values[n * m] = objective;
                 LpVerdict::Bound {
-                    objective: solution.objective,
+                    objective,
                     values: Some(values),
                 }
             }
-            Err(LpError::Infeasible) => LpVerdict::Infeasible,
+            // Every row starts feasible at the all-slack basis, so the only
+            // failures left are numerical ones.
             Err(_) => LpVerdict::Unavailable,
         }
     }
@@ -669,10 +705,10 @@ pub fn branch_and_bound_seeded(
         .expect("seeded with a feasible mapping");
     let mapping = Mapping::new(assignment, instance.machine_count())?;
     let period = instance.period(&mapping)?;
-    let (lp_solves, lp_reuses) = context
+    let (lp_solves, lp_reuses, lp_pivots) = context
         .lp
         .as_ref()
-        .map_or((0, 0), |lp| (lp.solves, lp.reuses));
+        .map_or((0, 0, 0), |lp| (lp.solves, lp.reuses, lp.pivots));
     Ok(BnbOutcome {
         mapping,
         period,
@@ -680,6 +716,7 @@ pub fn branch_and_bound_seeded(
         nodes: context.nodes,
         lp_solves,
         lp_reuses,
+        lp_pivots,
     })
 }
 
@@ -703,6 +740,7 @@ pub fn lp_root_bound(instance: &Instance) -> Option<f64> {
 mod tests {
     use super::*;
     use crate::brute_force::brute_force_specialized;
+    use mf_lp::LpError;
     use mf_sim::{GeneratorConfig, InstanceGenerator};
 
     fn random_instance(n: usize, m: usize, p: usize, seed: u64) -> Instance {
@@ -803,21 +841,30 @@ mod tests {
     /// `bnb_prove/*` bench fixture — an `m ≫ p` shape, where dividing by the
     /// many machines washes out the packing bound — both variants prove the
     /// same optimum with pinned node and LP counts (the LP tree is under an
-    /// eighth of the packing tree).
+    /// eighth of the packing tree). Counts are `(nodes, lp_solves,
+    /// lp_reuses, lp_pivots)`; the pivots gate the simplex's work per solve.
     #[test]
     fn lp_bound_counts_on_the_bnb_prove_fixture_are_pinned() {
         let fixture = InstanceGenerator::new(GeneratorConfig::paper_standard(12, 16, 3))
             .generate(7)
             .unwrap();
         let mut periods = Vec::new();
-        for (lp_bounds, pinned) in [(false, (120_120, 0, 0)), (true, (14_076, 1_731, 166))] {
+        for (lp_bounds, pinned) in [
+            (false, (120_120, 0, 0, 0)),
+            (true, (14_076, 1_528, 369, 7_858)),
+        ] {
             let config = BnbConfig {
                 lp_bounds,
                 ..BnbConfig::default()
             };
             let outcome = branch_and_bound(&fixture, config).unwrap();
             assert!(outcome.proven_optimal);
-            let counts = (outcome.nodes, outcome.lp_solves, outcome.lp_reuses);
+            let counts = (
+                outcome.nodes,
+                outcome.lp_solves,
+                outcome.lp_reuses,
+                outcome.lp_pivots,
+            );
             assert_eq!(counts, pinned, "lp_bounds = {lp_bounds}");
             periods.push(outcome.period.value().to_bits());
         }
@@ -925,21 +972,84 @@ mod tests {
         lp_solve(&problem).map(|solution| solution.objective)
     }
 
-    /// Random seat / filter / backtrack walks on seeded chains and forests:
-    /// after every tightening the compact bound (reused or solved) must give
-    /// the full formulation's verdict and optimum.
-    #[test]
-    fn compact_bound_matches_the_full_formulation() {
-        let (mut solved, mut reused, mut infeasible) = (0, 0, 0);
-        for seed in 0..8u64 {
-            let shape = if seed % 2 == 0 {
-                GeneratorConfig::paper_standard(7, 5, 2)
-            } else {
-                GeneratorConfig::standard_in_forest(7, 5, 2)
-            };
-            let inst = InstanceGenerator::new(shape).generate(seed).unwrap();
-            let (n, m) = (inst.task_count(), inst.machine_count());
-            let mut lp = LpBoundState::new(&inst).unwrap();
+    /// What one differential check saw: the verdicts, and the edge cases of
+    /// the reference substitution in the node's compact problem.
+    #[derive(Default)]
+    struct WalkCounts {
+        solved: u64,
+        reused: u64,
+        infeasible: u64,
+        /// A task with exactly one free placement (its task row is dropped).
+        single_free: u64,
+        /// A task whose cheapest free cost is attained more than once.
+        tied_reference: u64,
+        /// A machine that is no unseated task's reference.
+        unreferenced_machine: u64,
+        /// Every machine row's right-hand side `K̄ − L_u` is zero.
+        all_rows_at_k_bar: u64,
+    }
+
+    impl WalkCounts {
+        /// Records the substitution edge cases of the current node.
+        fn record_shape(&mut self, lp: &LpBoundState) {
+            let m = lp.machines;
+            let mut loads = lp.corrections.clone();
+            let mut referenced = vec![false; m];
+            for (i, seat) in lp.seats.iter().enumerate() {
+                if let Some((w, _)) = *seat {
+                    loads[w] += lp.costs[i * m + w];
+                    continue;
+                }
+                let free: Vec<usize> = (i * m..(i + 1) * m).filter(|&j| !lp.filtered[j]).collect();
+                let Some(&r) = free
+                    .iter()
+                    .min_by(|&&a, &&b| lp.costs[a].total_cmp(&lp.costs[b]))
+                else {
+                    return;
+                };
+                loads[r % m] += lp.costs[r];
+                referenced[r % m] = true;
+                self.single_free += u64::from(free.len() == 1);
+                let ties = free.iter().filter(|&&j| lp.costs[j] == lp.costs[r]).count();
+                self.tied_reference += u64::from(ties > 1);
+            }
+            self.unreferenced_machine += u64::from(referenced.contains(&false));
+            let k_bar = loads.iter().copied().fold(0.0, f64::max);
+            self.all_rows_at_k_bar += u64::from(loads.iter().all(|&load| load == k_bar));
+        }
+
+        /// Bounds the current node and checks it against the full
+        /// formulation; returns the hint valid below the node.
+        fn check(
+            &mut self,
+            lp: &mut LpBoundState,
+            hint: Option<Vec<f64>>,
+            at: &str,
+        ) -> Option<Vec<f64>> {
+            self.record_shape(lp);
+            let reuses = lp.reuses;
+            match (lp.bound(hint.as_deref()), full_formulation(lp)) {
+                (LpVerdict::Bound { objective, values }, Ok(full)) => {
+                    assert!(
+                        (objective - full).abs() <= 1e-9 * full.abs(),
+                        "{at}: compact {objective} != full {full}"
+                    );
+                    self.solved += u64::from(values.is_some());
+                    self.reused += lp.reuses - reuses;
+                    values.or(hint)
+                }
+                (LpVerdict::Infeasible, Err(LpError::Infeasible)) => {
+                    self.infeasible += 1;
+                    hint
+                }
+                (_, full) => panic!("{at}: verdicts differ, full {full:?}"),
+            }
+        }
+
+        /// A random seat / filter / backtrack walk from the current node,
+        /// checking the bound after every tightening.
+        fn walk(&mut self, lp: &mut LpBoundState, seed: u64, root_hint: Option<Vec<f64>>) {
+            let (n, m) = (lp.seats.len(), lp.machines);
             let mut s = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
             let mut next = move |bound: usize| {
                 s ^= s << 13;
@@ -950,7 +1060,7 @@ mod tests {
             // Undo records of the current path, and the hint valid below each
             // of its nodes (an ancestor optimum, as in the search).
             let mut path: Vec<std::result::Result<TaskId, Vec<usize>>> = Vec::new();
-            let mut hints: Vec<Option<Vec<f64>>> = vec![None];
+            let mut hints: Vec<Option<Vec<f64>>> = vec![root_hint];
             for step in 0..60 {
                 if !path.is_empty() && next(4) == 0 {
                     match path.pop().unwrap() {
@@ -978,29 +1088,73 @@ mod tests {
                     path.push(Err(filters));
                 }
                 let hint = hints.last().cloned().flatten();
-                let below = match (lp.bound(hint.as_deref()), full_formulation(&lp)) {
-                    (LpVerdict::Bound { objective, values }, Ok(full)) => {
-                        assert!(
-                            (objective - full).abs() <= 1e-9 * full.abs(),
-                            "seed {seed} step {step}: compact {objective} != full {full}"
-                        );
-                        solved += u64::from(values.is_some());
-                        values.or(hint)
-                    }
-                    (LpVerdict::Infeasible, Err(LpError::Infeasible)) => {
-                        infeasible += 1;
-                        hint
-                    }
-                    (_, full) => panic!("seed {seed} step {step}: verdicts differ, full {full:?}"),
-                };
+                let below = self.check(lp, hint, &format!("seed {seed} step {step}"));
                 hints.push(below);
             }
-            reused += lp.reuses;
         }
+    }
+
+    /// Random seat / filter / backtrack walks on seeded chains and forests:
+    /// after every tightening the compact bound (reused or solved) must give
+    /// the full formulation's verdict and optimum. A crafted node with
+    /// uniform costs and staircase filters adds the substitution's edge
+    /// cases the random costs never produce: tied references, a task with a
+    /// single free placement, and every machine row at `K̄`.
+    #[test]
+    fn compact_bound_matches_the_full_formulation() {
+        let mut counts = WalkCounts::default();
+        for seed in 0..8u64 {
+            let shape = if seed % 2 == 0 {
+                GeneratorConfig::paper_standard(7, 5, 2)
+            } else {
+                GeneratorConfig::standard_in_forest(7, 5, 2)
+            };
+            let inst = InstanceGenerator::new(shape).generate(seed).unwrap();
+            let mut lp = LpBoundState::new(&inst).unwrap();
+            counts.walk(&mut lp, seed, None);
+        }
+
+        // Ten tasks on five machines at unit cost, task `i` free only on
+        // machines `i mod 5` and up: every reference is a tie broken to
+        // machine `i mod 5`, tasks 4 and 9 keep a single placement, and
+        // each machine carries two references, so every row sits at `K̄`.
+        let inst = InstanceGenerator::new(GeneratorConfig::paper_standard(10, 5, 2))
+            .generate(11)
+            .unwrap();
+        let mut lp = LpBoundState::new(&inst).unwrap();
+        lp.costs.fill(1.0);
+        for i in 0..10 {
+            for u in 0..i % 5 {
+                lp.filtered[i * 5 + u] = true;
+            }
+        }
+        let (tied, all_at_k_bar) = (counts.tied_reference, counts.all_rows_at_k_bar);
+        let hint = counts.check(&mut lp, None, "crafted node");
+        assert!(counts.tied_reference > tied && counts.all_rows_at_k_bar > all_at_k_bar);
+        counts.walk(&mut lp, 11, hint);
+
+        let WalkCounts {
+            solved,
+            reused,
+            infeasible,
+            single_free,
+            tied_reference,
+            unreferenced_machine,
+            all_rows_at_k_bar,
+        } = counts;
         assert!(
             solved > 0 && reused > 0 && infeasible > 0,
             "walks must exercise every verdict: {solved} solved, {reused} reused, \
              {infeasible} infeasible"
+        );
+        assert!(
+            single_free > 0
+                && tied_reference > 0
+                && unreferenced_machine > 0
+                && all_rows_at_k_bar > 0,
+            "walks must exercise every substitution edge case: {single_free} single-placement \
+             tasks, {tied_reference} tied references, {unreferenced_machine} unreferenced \
+             machines, {all_rows_at_k_bar} nodes with every row at K̄"
         );
     }
 }

@@ -131,6 +131,8 @@ pub struct AnytimeOutcome {
     pub lp_solves: u64,
     /// See [`BnbOutcome::lp_reuses`].
     pub lp_reuses: u64,
+    /// See [`BnbOutcome::lp_pivots`].
+    pub lp_pivots: u64,
     /// Every event emitted, in order.
     pub events: Vec<AnytimeEvent>,
 }
@@ -229,6 +231,7 @@ pub fn solve_anytime_observed(
     let mut nodes = 0;
     let mut lp_solves = 0;
     let mut lp_reuses = 0;
+    let mut lp_pivots = 0;
     let remaining = config.step_budget.saturating_sub(steps);
     if !proven && remaining > 0 {
         let bnb_config = BnbConfig {
@@ -241,6 +244,7 @@ pub fn solve_anytime_observed(
         nodes = outcome.nodes;
         lp_solves = outcome.lp_solves;
         lp_reuses = outcome.lp_reuses;
+        lp_pivots = outcome.lp_pivots;
         steps += outcome.nodes;
         let improved = outcome.period.value() < incumbent;
         if improved {
@@ -276,6 +280,7 @@ pub fn solve_anytime_observed(
         nodes,
         lp_solves,
         lp_reuses,
+        lp_pivots,
         events,
     })
 }

@@ -8,7 +8,10 @@
 //!
 //! The solver targets the problem sizes of the paper's exact experiments
 //! (tens of binary variables); it is a dense tableau implementation with
-//! Bland's anti-cycling rule, not a sparse revised simplex.
+//! Dantzig pricing that falls back to Bland's anti-cycling rule after a long
+//! run of degenerate pivots, not a sparse revised simplex. A problem whose
+//! rows are all `≤` with non-negative right-hand sides starts from the
+//! all-slack basis and skips phase 1.
 //!
 //! ```
 //! use mf_lp::problem::{ConstraintSense, LpProblem, Objective};

@@ -8,13 +8,18 @@
 //! 2. every constraint receives a slack, surplus and/or artificial column so
 //!    that an identity basis is available;
 //! 3. **phase 1** minimises the sum of artificial variables (infeasible if the
-//!    minimum is positive);
+//!    minimum is positive); it is skipped when no row needs an artificial,
+//!    i.e. every row is a `≤` with a non-negative right-hand side;
 //! 4. **phase 2** minimises (or maximises) the user objective with artificial
 //!    columns barred from entering.
 //!
-//! Bland's rule is used for both the entering and the leaving variable, which
-//! guarantees termination; an iteration cap protects against numerical
-//! pathologies.
+//! The entering column is chosen by Dantzig's rule (the most negative reduced
+//! cost, lowest index on ties) and the leaving row by the ratio test with
+//! Bland's tie-break on the basic variable. Dantzig pricing can cycle on
+//! degenerate vertices, so once a run of degenerate pivots grows longer than
+//! the row count the phase falls back to Bland's rule for both choices,
+//! which guarantees termination; an iteration cap protects against
+//! numerical pathologies.
 
 use crate::dense::DenseMatrix;
 use crate::error::{LpError, LpResult};
@@ -85,16 +90,31 @@ impl Tableau {
         allow: impl Fn(usize) -> bool,
         max_iterations: usize,
     ) -> LpResult<()> {
+        // Length of the current run of degenerate pivots; once it exceeds the
+        // row count, Bland's rule takes over for the rest of the phase.
+        let mut degenerate_run = 0;
+        let mut bland = false;
         loop {
             if self.iterations > max_iterations {
                 return Err(LpError::IterationLimit {
                     limit: max_iterations,
                 });
             }
-            // Bland's rule: smallest-index column with a negative reduced cost.
-            let entering =
-                (0..self.cols).find(|&j| allow(j) && self.matrix.get(objective_row, j) < -EPS);
-            let Some(col) = entering else {
+            let mut candidates = (0..self.cols)
+                .filter(|&j| allow(j))
+                .map(|j| (j, self.matrix.get(objective_row, j)))
+                .filter(|&(_, reduced_cost)| reduced_cost < -EPS);
+            let entering = if bland {
+                // Bland's rule: smallest-index column with a negative reduced cost.
+                candidates.next()
+            } else {
+                // Dantzig's rule: most negative reduced cost, lowest index on ties.
+                candidates.fold(None, |best: Option<(usize, f64)>, candidate| match best {
+                    Some((_, best_cost)) if best_cost <= candidate.1 => best,
+                    _ => Some(candidate),
+                })
+            };
+            let Some((col, _)) = entering else {
                 return Ok(());
             };
             // Ratio test, Bland tie-break on the basic variable index.
@@ -116,9 +136,11 @@ impl Tableau {
                     }
                 }
             }
-            let Some((row, _)) = best else {
+            let Some((row, ratio)) = best else {
                 return Err(LpError::Unbounded);
             };
+            degenerate_run = if ratio <= EPS { degenerate_run + 1 } else { 0 };
+            bland |= degenerate_run > self.rows;
             self.pivot(row, col);
         }
     }
@@ -450,7 +472,7 @@ mod tests {
 
     #[test]
     fn degenerate_problem_terminates() {
-        // A classic degenerate LP; Bland's rule must terminate.
+        // A classic degenerate LP; the pricing must terminate.
         let mut lp = LpProblem::new(Objective::Maximize);
         let x1 = lp.add_variable("x1");
         let x2 = lp.add_variable("x2");
@@ -463,6 +485,36 @@ mod tests {
         lp.add_constraint(vec![(x1, 1.0)], CS::LessEqual, 1.0);
         let sol = solve(&lp).unwrap();
         assert_close(sol.objective, 1.0);
+    }
+
+    #[test]
+    fn beales_example_terminates_through_the_bland_fallback() {
+        // Beale's example cycles under Dantzig pricing alone; the fallback to
+        // Bland's rule after a long degenerate run must break the cycle.
+        let mut lp = LpProblem::new(Objective::Maximize);
+        let x4 = lp.add_variable("x4");
+        let x5 = lp.add_variable("x5");
+        let x6 = lp.add_variable("x6");
+        let x7 = lp.add_variable("x7");
+        lp.set_objective_coefficient(x4, 0.75);
+        lp.set_objective_coefficient(x5, -20.0);
+        lp.set_objective_coefficient(x6, 0.5);
+        lp.set_objective_coefficient(x7, -6.0);
+        lp.add_constraint(
+            vec![(x4, 0.25), (x5, -8.0), (x6, -1.0), (x7, 9.0)],
+            CS::LessEqual,
+            0.0,
+        );
+        lp.add_constraint(
+            vec![(x4, 0.5), (x5, -12.0), (x6, -0.5), (x7, 3.0)],
+            CS::LessEqual,
+            0.0,
+        );
+        lp.add_constraint(vec![(x6, 1.0)], CS::LessEqual, 1.0);
+        let sol = solve(&lp).unwrap();
+        assert_close(sol.objective, 1.25);
+        assert!(lp.is_feasible(&sol.values, 1e-6));
+        assert!(sol.iterations < 50, "{} pivots", sol.iterations);
     }
 
     #[test]
