@@ -8,12 +8,12 @@
 //! `bnb_prove/*` pair proving one m ≫ p fixture under the packing vs the
 //! LP bound, with simplex pivots per node and nanoseconds per pivot),
 //! what-if cost on a tree-shaped instance (the forest variant of the dense
-//! fast path vs a full recompute), the steepest-descent sweep on both the forest and the
-//! chain shape (with its deterministic `evaluator_calls` count), LNS restage
-//! probes (staged subtree tear-out vs full candidate recompute), and a
-//! portfolio run under the barrier vs the work-stealing round executor
-//! (outcomes identical by construction; the delta is wall clock) — with plain
-//! `Instant` timing and writes median nanoseconds per run to
+//! fast path vs a full recompute), the steepest-descent sweep on both the
+//! forest and the chain shape (with its deterministic `evaluator_calls`
+//! count), LNS restage probes (staged subtree tear-out vs full candidate
+//! recompute), and a portfolio run under the barrier vs the work-stealing
+//! round executor (outcomes identical by construction; the delta is wall
+//! clock) — with plain `Instant` timing and writes median nanoseconds per run to
 //! `BENCH_core.json`, so the perf trajectory accumulates commit over
 //! commit (CI uploads the file as an artifact).
 //!
@@ -79,7 +79,6 @@ enum Quality {
         nodes: u64,
         per_second: f64,
         lp_pivots: u64,
-        ns_per_pivot: Option<f64>,
     },
     Sweep {
         period_ms: f64,
@@ -407,16 +406,14 @@ fn main() {
         let measured = timing(time(iterations, || {
             branch_and_bound(&lp_fixture, config()).unwrap()
         }));
-        let median_ns = measured.median_ns as f64;
         rows.push(Measurement {
             name,
             timing: measured,
             iterations,
             quality: Quality::Proof {
                 nodes: outcome.nodes,
-                per_second: outcome.nodes as f64 / (median_ns / 1e9),
+                per_second: outcome.nodes as f64 / (measured.median_ns as f64 / 1e9),
                 lp_pivots: outcome.lp_pivots,
-                ns_per_pivot: (outcome.lp_pivots > 0).then(|| median_ns / outcome.lp_pivots as f64),
             },
         });
     }
@@ -440,14 +437,18 @@ fn main() {
                 nodes,
                 per_second,
                 lp_pivots,
-                ns_per_pivot,
-            } => format!(
-                "\"nodes\": {nodes}, \"nodes_per_second\": {per_second}, \
-                 \"lp_pivots\": {lp_pivots}, \"pivots_per_node\": {}, \
-                 \"ns_per_pivot\": {}",
-                *lp_pivots as f64 / *nodes as f64,
-                ns_per_pivot.map_or("null".to_string(), |ns| ns.to_string())
-            ),
+            } => {
+                let ns_per_pivot = match *lp_pivots {
+                    0 => "null".to_string(),
+                    pivots => (row.timing.median_ns as f64 / pivots as f64).to_string(),
+                };
+                format!(
+                    "\"nodes\": {nodes}, \"nodes_per_second\": {per_second}, \
+                     \"lp_pivots\": {lp_pivots}, \"pivots_per_node\": {}, \
+                     \"ns_per_pivot\": {ns_per_pivot}",
+                    *lp_pivots as f64 / *nodes as f64
+                )
+            }
             Quality::Sweep {
                 period_ms,
                 evaluator_calls,
