@@ -8,7 +8,7 @@
 //! any scheduling-dependent reduction order would fail them.
 
 use mf_experiments::figures::{ext_localsearch, ext_portfolio, fig5, fig7, fig9};
-use mf_experiments::portfolio::{run_portfolio, run_portfolio_barrier, PortfolioConfig};
+use mf_experiments::portfolio::{run_portfolio, run_portfolio_traced, PortfolioConfig};
 use mf_experiments::runner::{BatchGrid, BatchRunner, ScenarioSpec};
 use mf_experiments::ExperimentConfig;
 use mf_sim::{GeneratorConfig, InstanceGenerator};
@@ -170,57 +170,137 @@ fn portfolio_outcome_is_thread_count_invariant_and_equals_the_cell_min() {
     );
 }
 
+/// One pinned portfolio run: the fixture, its configuration, and the values
+/// recorded for it — identical at every thread count.
+struct PortfolioPin {
+    name: &'static str,
+    generator: GeneratorConfig,
+    seed: u64,
+    config: PortfolioConfig,
+    rounds: usize,
+    winner: Option<&'static str>,
+    best_period_bits: Option<u64>,
+    /// FNV-1a-64 of the run's `mf-trace v1` text.
+    trace_digest: u64,
+    /// Number of `mf-trace v1` events.
+    events: usize,
+}
+
+fn fnv1a64(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325u64, |hash, &byte| {
+        (hash ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+fn portfolio_pins() -> Vec<PortfolioPin> {
+    vec![
+        // Round skew: steepest-descent cells go done after a round or two,
+        // tabu cells stall and stop, the annealed cells stay live to the
+        // round cap, so done cells' states are carried across round edges.
+        PortfolioPin {
+            name: "skew",
+            generator: GeneratorConfig::paper_standard(24, 8, 3),
+            seed: 0xBA11AD,
+            config: PortfolioConfig {
+                annealed_streams: 2,
+                round_steps: 400,
+                sweep_budget: 6_000,
+                max_rounds: 5,
+                patience: 3,
+                ..PortfolioConfig::default()
+            },
+            rounds: 4,
+            winner: Some("TS-H2"),
+            best_period_bits: Some(4654772424956686908),
+            trace_digest: 0x4ca9_ee59_2dd2_8d35,
+            events: 2313,
+        },
+        PortfolioPin {
+            name: "30x10",
+            generator: GeneratorConfig::paper_standard(30, 10, 3),
+            seed: 20100607,
+            config: PortfolioConfig {
+                annealed_streams: 2,
+                round_steps: 800,
+                sweep_budget: 20_000,
+                max_rounds: 3,
+                ..PortfolioConfig::default()
+            },
+            rounds: 3,
+            winner: Some("TS-H2"),
+            best_period_bits: Some(4651524814062110143),
+            trace_digest: 0x83d1_25f8_d300_f16b,
+            events: 2623,
+        },
+        PortfolioPin {
+            name: "8x4 default",
+            generator: GeneratorConfig::paper_standard(8, 4, 2),
+            seed: 3,
+            config: PortfolioConfig::default(),
+            rounds: 3,
+            winner: Some("H6-H1#0"),
+            best_period_bits: Some(4653290307329160305),
+            trace_digest: 0x2204_a946_7c4d_0557,
+            events: 2301,
+        },
+        // 5 types on 3 machines: every cell fails its seed in round 0.
+        PortfolioPin {
+            name: "infeasible",
+            generator: GeneratorConfig::paper_standard(10, 3, 5),
+            seed: 1,
+            config: PortfolioConfig::default(),
+            rounds: 1,
+            winner: None,
+            best_period_bits: None,
+            trace_digest: 0x9dbf_4802_bbe0_d98a,
+            events: 24,
+        },
+    ]
+}
+
 #[test]
-fn workstealing_portfolio_matches_the_barrier_under_round_skew() {
-    // Skew stress for the work-stealing round executor: a cell mix whose
-    // members converge at very different rounds — steepest-descent cells
-    // finish (done) after a round or two, tabu cells stall and stop, the
-    // annealed cells stay live to the round cap — so workers speculate past
-    // slow cells, replay stopping decisions out of completion order, and
-    // carry done cells' states forward. The outcome must still be
-    // bit-identical to the barrier reference at every thread count; any
-    // scheduling leak (a claim order reaching an RNG stream, a decision
-    // replayed out of round order, a speculative round surviving the stop)
-    // would break `==` on the full outcome.
-    let instance = InstanceGenerator::new(GeneratorConfig::paper_standard(24, 8, 3))
-        .generate(0xBA11AD)
-        .unwrap();
-    let config = PortfolioConfig {
-        annealed_streams: 2,
-        round_steps: 400,
-        sweep_budget: 6_000,
-        max_rounds: 5,
-        patience: 3,
-        ..PortfolioConfig::default()
-    };
-    let reference = run_portfolio_barrier(&instance, &config, &BatchRunner::new(1));
-    assert!(
-        reference.rounds > 1,
-        "the skew workload must survive past round 0 to exercise round edges"
-    );
-    for threads in [1usize, 2, 8] {
-        let worksteal = run_portfolio(&instance, &config, &BatchRunner::new(threads));
-        assert_eq!(
-            worksteal, reference,
-            "work-stealing outcome diverged from the barrier at {threads} threads"
-        );
-        let barrier = run_portfolio_barrier(&instance, &config, &BatchRunner::new(threads));
-        assert_eq!(
-            barrier, reference,
-            "barrier outcome changed with {threads} threads"
-        );
+fn portfolio_outcomes_and_traces_are_pinned_at_every_thread_count() {
+    // Every cell's round is a pure function of (instance, cell, round,
+    // carried state), so the outcome and the serialized trace are fixed
+    // numbers: any scheduling leak (a thread count reaching an RNG stream,
+    // an out-of-order stopping decision, a speculative round surviving the
+    // stop) would move a pin.
+    for pin in portfolio_pins() {
+        let instance = InstanceGenerator::new(pin.generator)
+            .generate(pin.seed)
+            .unwrap();
+        let reference = run_portfolio(&instance, &pin.config, &BatchRunner::new(1));
+        for threads in [1usize, 2, 8] {
+            let runner = BatchRunner::new(threads);
+            let traced = run_portfolio_traced(&instance, &pin.config, &runner);
+            let outcome = &traced.outcome;
+            let name = pin.name;
+            assert_eq!(
+                *outcome,
+                run_portfolio(&instance, &pin.config, &runner),
+                "{name}: traced and untraced outcomes differ at {threads} threads"
+            );
+            assert_eq!(
+                *outcome, reference,
+                "{name}: outcome changed with {threads} threads"
+            );
+            assert_eq!(outcome.rounds, pin.rounds, "{name}: rounds");
+            assert_eq!(outcome.winner_label(), pin.winner, "{name}: winner");
+            assert_eq!(
+                outcome.best_period.map(f64::to_bits),
+                pin.best_period_bits,
+                "{name}: best period bits"
+            );
+            let events = traced.to_trace_events();
+            assert_eq!(events.len(), pin.events, "{name}: trace events");
+            let text = mf_obs::events_to_text(&events).unwrap();
+            assert_eq!(
+                fnv1a64(text.as_bytes()),
+                pin.trace_digest,
+                "{name}: trace digest at {threads} threads"
+            );
+        }
     }
-    // The mix really is skewed: some cell converged (went done) while
-    // another was still improving — otherwise this test exercises nothing.
-    let done_spread = reference
-        .cells
-        .iter()
-        .filter_map(|c| c.period)
-        .collect::<Vec<_>>();
-    assert!(
-        done_spread.len() >= 3,
-        "portfolio cells must mostly succeed"
-    );
 }
 
 #[test]
