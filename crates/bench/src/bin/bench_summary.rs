@@ -11,11 +11,10 @@
 //! fast path vs a full recompute), the steepest-descent sweep on both the
 //! forest and the chain shape (with its deterministic `evaluator_calls`
 //! count), LNS restage probes (staged subtree tear-out vs full candidate
-//! recompute), and a portfolio run under the barrier vs the work-stealing
-//! round executor (outcomes identical by construction; the delta is wall
-//! clock) — with plain `Instant` timing and writes median nanoseconds per run to
-//! `BENCH_core.json`, so the perf trajectory accumulates commit over
-//! commit (CI uploads the file as an artifact).
+//! recompute), and a full portfolio run — with plain `Instant` timing and
+//! writes median nanoseconds per run to `BENCH_core.json`, so the perf
+//! trajectory accumulates commit over commit (CI uploads the file as an
+//! artifact).
 //!
 //! ```sh
 //! cargo run --release -p mf-bench --bin bench_summary -- --out BENCH_core.json
@@ -34,7 +33,7 @@
 use mf_bench::{forest_instance, standard_instance};
 use mf_core::prelude::*;
 use mf_exact::{branch_and_bound, BnbConfig};
-use mf_experiments::portfolio::{run_portfolio, run_portfolio_barrier, PortfolioConfig};
+use mf_experiments::portfolio::{run_portfolio, PortfolioConfig};
 use mf_experiments::runner::BatchRunner;
 use mf_heuristics::search::{
     polish_with, SearchEngine, SearchStrategy, SteepestDescent, TabuSearch,
@@ -329,10 +328,9 @@ fn main() {
         });
     }
 
-    // Portfolio rounds: the barrier reference vs the work-stealing round
-    // executor, same config and auto thread count. Outcomes are
-    // bit-identical by construction (pinned in batch_determinism); the
-    // delta is wall clock — the work-stealing side must never be worse.
+    // Portfolio rounds at the auto thread count. The outcome is
+    // bit-identical at every thread count (pinned in batch_determinism),
+    // so the row's period is a fixed number and only the wall clock moves.
     {
         let portfolio_config = PortfolioConfig {
             annealed_streams: 1,
@@ -342,23 +340,10 @@ fn main() {
             ..PortfolioConfig::default()
         };
         let runner = BatchRunner::new(0);
-        let barrier = run_portfolio_barrier(&instance, &portfolio_config, &runner);
-        let worksteal = run_portfolio(&instance, &portfolio_config, &runner);
-        assert_eq!(
-            barrier, worksteal,
-            "the two portfolio executors must produce identical outcomes"
-        );
-        let period = barrier.best_period.expect("feasible bench instance");
+        let outcome = run_portfolio(&instance, &portfolio_config, &runner);
+        let period = outcome.best_period.expect("feasible bench instance");
         rows.push(Measurement {
-            name: "portfolio_rounds/barrier",
-            timing: timing(time(iterations, || {
-                run_portfolio_barrier(&instance, &portfolio_config, &runner)
-            })),
-            iterations,
-            quality: Quality::PeriodMs(period),
-        });
-        rows.push(Measurement {
-            name: "portfolio_rounds/worksteal",
+            name: "portfolio_rounds",
             timing: timing(time(iterations, || {
                 run_portfolio(&instance, &portfolio_config, &runner)
             })),

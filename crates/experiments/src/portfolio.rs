@@ -12,21 +12,14 @@
 //! [`PortfolioConfig::patience`] consecutive rounds, or at
 //! [`PortfolioConfig::max_rounds`].
 //!
-//! Two executors share that round semantics. [`run_portfolio_barrier`] is
-//! the reference: a full thread-pool barrier between rounds, results
-//! collected in cell order. [`run_portfolio`] is the production
-//! work-stealing executor: idle workers pull the lowest outstanding
-//! (round, cell) pair instead of waiting at the barrier, running ahead of
-//! the round-stopping decision by a bounded lookahead, so one slow cell
-//! (tabu on a hard instance, say) no longer serializes every round edge.
-//!
-//! Because each cell's work is a pure function of (instance, cell index,
-//! round, its carried state) — the per-round RNG stream is a *logical
-//! clock* derived from the grid coordinates, never from scheduling — and
-//! the stopping rule is replayed in strict round order from the recorded
-//! per-round states, both executors produce **bit-identical outcomes at
-//! every thread count** — the same guarantee the batch grid gives, pinned
-//! in `batch_determinism.rs`.
+//! Each round is one [`BatchRunner::map`] over the cells, and the pool
+//! joins before the stopping rule runs: a barrier per round. Each cell's
+//! work is a pure function of (instance, cell index, round, its carried
+//! state) — the per-round RNG stream is a *logical clock* derived from the
+//! grid coordinates, never from scheduling — and `map` collects results in
+//! cell order, so the outcome and the harvested trace are **bit-identical
+//! at every thread count** — the same guarantee the batch grid gives,
+//! pinned in `batch_determinism.rs`.
 
 use crate::runner::BatchRunner;
 use mf_core::prelude::*;
@@ -36,7 +29,6 @@ use mf_heuristics::search::{
 };
 use mf_heuristics::{paper_heuristic, H6LocalSearch, LocalSearchConfig, DEFAULT_SEARCH_BUDGET};
 use mf_obs::{ProgressEvent, TraceEvent};
-use std::sync::Mutex;
 
 /// Tuning knobs of the portfolio runner.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -161,29 +153,6 @@ pub struct CellRoundSummary {
     pub done: bool,
 }
 
-/// Thread-safe collector the work-stealing workers push per-(cell, round)
-/// progress into. Collection order depends on scheduling; consumers sort.
-#[derive(Default)]
-struct PortfolioProgress {
-    collected: Mutex<Vec<CellRoundRecord>>,
-}
-
-impl PortfolioProgress {
-    fn collect(&self, cell: usize, round: usize, events: Vec<ProgressEvent>) {
-        if events.is_empty() {
-            return;
-        }
-        self.collected
-            .lock()
-            .expect("portfolio progress collector poisoned")
-            .push(CellRoundRecord {
-                cell,
-                round,
-                events,
-            });
-    }
-}
-
 /// A portfolio run plus everything a trace consumer needs: per-(cell,
 /// round) progress records and per-round cell summaries, both in
 /// deterministic `(round, cell)` order regardless of thread count.
@@ -192,13 +161,12 @@ pub struct TracedPortfolio {
     /// The run's outcome — bit-identical to an untraced [`run_portfolio`]
     /// of the same configuration.
     pub outcome: PortfolioOutcome,
-    /// Progress records of every executed (cell, round) up to the stopping
-    /// round, sorted by `(round, cell)`; cell-rounds that emitted nothing
-    /// (done cells, failed seeds) are omitted.
+    /// Progress records of every executed (cell, round), in `(round, cell)`
+    /// order; cell-rounds that emitted nothing (done cells, failed seeds)
+    /// are omitted.
     pub records: Vec<CellRoundRecord>,
-    /// Every cell's effective state after every round up to the stopping
-    /// round, sorted by `(round, cell)` — the data the stopping rule
-    /// replayed.
+    /// Every cell's state after every round, in `(round, cell)` order —
+    /// the data the stopping rule saw.
     pub summaries: Vec<CellRoundSummary>,
 }
 
@@ -210,17 +178,8 @@ impl TracedPortfolio {
         let mut events = Vec::new();
         let mut records = self.records.iter().peekable();
         for summary in &self.summaries {
-            while let Some(record) = records.peek() {
-                if (record.round, record.cell) < (summary.round, summary.cell) {
-                    // Defensive: records for unknown summaries (cannot
-                    // happen — every record's round is ≤ the final round).
-                    records.next();
-                    continue;
-                }
-                if (record.round, record.cell) != (summary.round, summary.cell) {
-                    break;
-                }
-                let record = records.next().expect("peeked");
+            let key = (summary.round, summary.cell);
+            if let Some(record) = records.next_if(|r| (r.round, r.cell) == key) {
                 for event in &record.events {
                     events.push(event.into_trace(record.cell as u64, record.round as u64));
                 }
@@ -429,19 +388,42 @@ fn incumbent(states: &[CellState]) -> Option<(usize, f64)> {
     best
 }
 
-/// Runs a full portfolio over one instance with a thread-pool barrier
-/// between rounds — the reference executor.
+/// Runs a full portfolio over one instance.
 ///
-/// The outcome is bit-identical for every thread count of `runner`, and
-/// bit-identical to [`run_portfolio`] (pinned in `batch_determinism.rs`).
-/// Kept public as the A/B baseline for the `portfolio_rounds` bench rows;
-/// production callers want [`run_portfolio`], which does the same work
-/// without idling every worker at each round edge.
-pub fn run_portfolio_barrier(
+/// The outcome is bit-identical for every thread count of `runner`
+/// (pinned in `batch_determinism.rs`).
+pub fn run_portfolio(
     instance: &Instance,
     config: &PortfolioConfig,
     runner: &BatchRunner,
 ) -> PortfolioOutcome {
+    run_rounds(instance, config, runner, false).outcome
+}
+
+/// [`run_portfolio`], additionally harvesting solver progress: every
+/// committed step of every cell (with the incumbent-improved verdict) and
+/// per-round cell summaries. The outcome is **bit-identical** to the
+/// untraced run — progress sinks observe, they never steer — and the
+/// harvested records are deterministic at every thread count: each
+/// (cell, round)'s events are a pure function of its grid coordinates.
+pub fn run_portfolio_traced(
+    instance: &Instance,
+    config: &PortfolioConfig,
+    runner: &BatchRunner,
+) -> TracedPortfolio {
+    run_rounds(instance, config, runner, true)
+}
+
+/// The round loop behind [`run_portfolio`] and [`run_portfolio_traced`]:
+/// one `runner.map` over the cells per round, then the incumbent/patience
+/// bookkeeping. With `traced` off no progress sink is attached, so
+/// `records` stays empty.
+fn run_rounds(
+    instance: &Instance,
+    config: &PortfolioConfig,
+    runner: &BatchRunner,
+    traced: bool,
+) -> TracedPortfolio {
     let specs = cell_specs(config);
     let mut states: Vec<CellState> = vec![
         CellState {
@@ -451,23 +433,43 @@ pub fn run_portfolio_barrier(
         };
         specs.len()
     ];
+    let mut records = Vec::new();
+    let mut summaries = Vec::new();
     let mut best: Option<(usize, f64)> = None;
     let mut stagnant = 0usize;
     let mut rounds = 0usize;
 
     for round in 0..config.max_rounds.max(1) {
         let advanced = runner.map(specs.len(), |cell| {
-            advance_cell(
+            let mut sink = traced.then(Vec::new);
+            let state = advance_cell(
                 instance,
                 &specs[cell],
                 &states[cell],
                 config,
                 cell_seed(config, cell, round),
                 round,
-                None,
-            )
+                sink.as_mut(),
+            );
+            (state, sink.unwrap_or_default())
         });
-        states = advanced;
+        states.clear();
+        for (cell, (state, events)) in advanced.into_iter().enumerate() {
+            if !events.is_empty() {
+                records.push(CellRoundRecord {
+                    cell,
+                    round,
+                    events,
+                });
+            }
+            summaries.push(CellRoundSummary {
+                cell,
+                round,
+                period_bits: state.period.map(f64::to_bits),
+                done: state.done,
+            });
+            states.push(state);
+        }
         rounds = round + 1;
 
         let current = incumbent(&states);
@@ -488,12 +490,11 @@ pub fn run_portfolio_barrier(
     }
 
     // Harvest: the incumbent mapping comes from the winning cell's state.
-    let final_best = incumbent(&states);
-    let (winner, best_period, best_mapping) = match final_best {
+    let (winner, best_period, best_mapping) = match incumbent(&states) {
         Some((index, period)) => (Some(index), Some(period), states[index].mapping.clone()),
         None => (None, None, None),
     };
-    PortfolioOutcome {
+    let outcome = PortfolioOutcome {
         best_mapping,
         best_period,
         winner,
@@ -506,314 +507,12 @@ pub fn run_portfolio_barrier(
                 period: state.period,
             })
             .collect(),
-    }
-}
-
-/// How many rounds past the last *decided* round a worker may speculate.
-///
-/// Lookahead `0` would re-create the barrier (no cell may start round
-/// `r + 1` before round `r`'s stopping decision); a small positive value
-/// lets fast cells absorb the skew of slow ones. Speculative rounds past
-/// the final decision are discarded unread, so the value affects wasted
-/// work on stop — never the outcome.
-const ROUND_LOOKAHEAD: usize = 2;
-
-/// Shared state of the work-stealing round executor.
-///
-/// `history[cell]` records the cell's state after each computed round, so
-/// the stopping rule can be replayed in strict round order — round `r` is
-/// decided exactly when every cell either has a recorded state at `r` or
-/// converged earlier (a done cell's state is carried forward unchanged,
-/// which is also what [`advance_cell`] does with it) — making the decision
-/// sequence, and hence the outcome, independent of completion order.
-struct RoundScheduler {
-    history: Vec<Vec<CellState>>,
-    in_flight: Vec<bool>,
-    /// The next round index awaiting a stopping decision.
-    decided: usize,
-    /// The round the run stops at, once decided.
-    final_round: Option<usize>,
-    best: Option<(usize, f64)>,
-    stagnant: usize,
-    round_cap: usize,
-    patience: usize,
-}
-
-impl RoundScheduler {
-    fn new(cells: usize, config: &PortfolioConfig) -> Self {
-        RoundScheduler {
-            history: vec![Vec::new(); cells],
-            in_flight: vec![false; cells],
-            decided: 0,
-            final_round: None,
-            best: None,
-            stagnant: 0,
-            round_cap: config.max_rounds.max(1),
-            patience: config.patience.max(1),
-        }
-    }
-
-    /// The cell's state as of round `r` (its last computed state once done).
-    fn effective(&self, cell: usize, round: usize) -> &CellState {
-        let h = &self.history[cell];
-        &h[round.min(h.len() - 1)]
-    }
-
-    /// Claims the lowest outstanding (round, cell) pair, if any: the cell's
-    /// next round, within the lookahead window of the decision frontier.
-    /// Lowest-round-first means a single worker executes exactly the
-    /// barrier schedule — no speculation, identical work.
-    fn claim(&mut self) -> Option<(usize, usize, CellState)> {
-        let mut pick: Option<(usize, usize)> = None;
-        for cell in 0..self.history.len() {
-            if self.in_flight[cell] {
-                continue;
-            }
-            let round = self.history[cell].len();
-            if round >= self.round_cap || round > self.decided + ROUND_LOOKAHEAD {
-                continue;
-            }
-            if round > 0 && self.history[cell][round - 1].done {
-                continue;
-            }
-            if pick.map_or(true, |(r, _)| round < r) {
-                pick = Some((round, cell));
-            }
-        }
-        let (round, cell) = pick?;
-        self.in_flight[cell] = true;
-        let state = if round == 0 {
-            CellState {
-                mapping: None,
-                period: None,
-                done: false,
-            }
-        } else {
-            self.history[cell][round - 1].clone()
-        };
-        Some((cell, round, state))
-    }
-
-    /// Records a finished round of one cell and replays every stopping
-    /// decision that is now unblocked, in round order.
-    fn complete(&mut self, cell: usize, state: CellState) {
-        self.history[cell].push(state);
-        self.in_flight[cell] = false;
-        while self.final_round.is_none() {
-            let round = self.decided;
-            let ready = (0..self.history.len()).all(|c| {
-                let h = &self.history[c];
-                h.len() > round || h.last().is_some_and(|s| s.done)
-            });
-            if !ready {
-                return;
-            }
-            // The same incumbent/patience bookkeeping the barrier loop runs
-            // after round `round`, over the same per-cell states.
-            let mut current: Option<(usize, f64)> = None;
-            let mut all_done = true;
-            for c in 0..self.history.len() {
-                let state = self.effective(c, round);
-                all_done &= state.done;
-                if let Some(period) = state.period {
-                    if current.map_or(true, |(_, p)| period < p) {
-                        current = Some((c, period));
-                    }
-                }
-            }
-            let improved = match (self.best, current) {
-                (None, Some(_)) => true,
-                (Some((_, old)), Some((_, new))) => new < old - 1e-12,
-                _ => false,
-            };
-            if improved {
-                self.best = current;
-                self.stagnant = 0;
-            } else {
-                self.stagnant += 1;
-            }
-            if all_done || self.stagnant >= self.patience || round + 1 == self.round_cap {
-                self.final_round = Some(round);
-                return;
-            }
-            self.decided = round + 1;
-        }
-    }
-}
-
-/// One worker of the work-stealing executor: claim the lowest outstanding
-/// (round, cell), advance it outside the lock, record the result, repeat
-/// until the stopping round is decided.
-fn portfolio_worker(
-    instance: &Instance,
-    specs: &[CellSpec],
-    config: &PortfolioConfig,
-    scheduler: &Mutex<RoundScheduler>,
-    ready: &std::sync::Condvar,
-    progress: Option<&PortfolioProgress>,
-) {
-    loop {
-        let (cell, round, state) = {
-            let mut guard = scheduler.lock().expect("portfolio scheduler poisoned");
-            loop {
-                if guard.final_round.is_some() {
-                    return;
-                }
-                if let Some(claim) = guard.claim() {
-                    break claim;
-                }
-                // Nothing claimable: every outstanding cell is in flight.
-                // Their completions (under the lock) either open new work
-                // or decide the final round, and notify us either way.
-                guard = ready.wait(guard).expect("portfolio scheduler poisoned");
-            }
-        };
-        let mut sink = progress.map(|_| Vec::new());
-        let next = advance_cell(
-            instance,
-            &specs[cell],
-            &state,
-            config,
-            cell_seed(config, cell, round),
-            round,
-            sink.as_mut(),
-        );
-        if let (Some(collector), Some(sink)) = (progress, sink) {
-            collector.collect(cell, round, sink);
-        }
-        let mut guard = scheduler.lock().expect("portfolio scheduler poisoned");
-        guard.complete(cell, next);
-        drop(guard);
-        ready.notify_all();
-    }
-}
-
-/// Runs a full portfolio over one instance with the work-stealing round
-/// executor — same rounds, incumbent rule and stopping conditions as
-/// [`run_portfolio_barrier`], without a barrier at round edges: idle
-/// workers steal the next round of fast cells (up to [`ROUND_LOOKAHEAD`]
-/// rounds past the decision frontier) while slow cells finish.
-///
-/// The outcome is bit-identical for every thread count of `runner`, and
-/// bit-identical to the barrier executor: per-cell work is pure in
-/// (instance, cell, round, carried state) with RNG streams derived from
-/// those coordinates alone, and the stopping rule is replayed in strict
-/// round order from recorded per-round states, so scheduling cannot leak
-/// into any number. `runner` only contributes its thread count — with one
-/// thread the loop runs inline on the caller and executes exactly the
-/// barrier schedule.
-pub fn run_portfolio(
-    instance: &Instance,
-    config: &PortfolioConfig,
-    runner: &BatchRunner,
-) -> PortfolioOutcome {
-    run_portfolio_inner(instance, config, runner, None).0
-}
-
-/// [`run_portfolio`], additionally harvesting solver progress: every
-/// committed step of every cell (with the incumbent-improved verdict) and
-/// per-round cell summaries. The outcome is **bit-identical** to the
-/// untraced run — progress sinks observe, they never steer — and the
-/// harvested records are deterministic at every thread count: each
-/// (cell, round)'s events are a pure function of its grid coordinates, and
-/// the collection is sorted into `(round, cell)` order with speculative
-/// rounds past the stopping decision discarded.
-pub fn run_portfolio_traced(
-    instance: &Instance,
-    config: &PortfolioConfig,
-    runner: &BatchRunner,
-) -> TracedPortfolio {
-    let progress = PortfolioProgress::default();
-    let (outcome, scheduler) = run_portfolio_inner(instance, config, runner, Some(&progress));
-    let final_round = outcome.rounds - 1;
-    let mut records = progress
-        .collected
-        .into_inner()
-        .expect("portfolio progress collector poisoned");
-    records.retain(|record| record.round <= final_round);
-    records.sort_by_key(|record| (record.round, record.cell));
-    let cells = scheduler.history.len();
-    let mut summaries = Vec::with_capacity((final_round + 1) * cells);
-    for round in 0..=final_round {
-        for cell in 0..cells {
-            let state = scheduler.effective(cell, round);
-            summaries.push(CellRoundSummary {
-                cell,
-                round,
-                period_bits: state.period.map(f64::to_bits),
-                done: state.done,
-            });
-        }
-    }
+    };
     TracedPortfolio {
         outcome,
         records,
         summaries,
     }
-}
-
-fn run_portfolio_inner(
-    instance: &Instance,
-    config: &PortfolioConfig,
-    runner: &BatchRunner,
-    progress: Option<&PortfolioProgress>,
-) -> (PortfolioOutcome, RoundScheduler) {
-    let specs = cell_specs(config);
-    let threads = runner.threads().clamp(1, specs.len());
-    let scheduler = Mutex::new(RoundScheduler::new(specs.len(), config));
-    let ready = std::sync::Condvar::new();
-
-    if threads == 1 {
-        portfolio_worker(instance, &specs, config, &scheduler, &ready, progress);
-    } else {
-        std::thread::scope(|scope| {
-            for _ in 0..threads {
-                scope.spawn(|| {
-                    portfolio_worker(instance, &specs, config, &scheduler, &ready, progress)
-                });
-            }
-        });
-    }
-
-    let scheduler = scheduler
-        .into_inner()
-        .expect("portfolio scheduler poisoned");
-    let final_round = scheduler
-        .final_round
-        .expect("the executor always decides a final round");
-    // Harvest the effective per-cell states at the stopping round — the
-    // exact states the barrier loop holds when it breaks; speculative
-    // rounds past it are dropped unread.
-    let states: Vec<&CellState> = (0..specs.len())
-        .map(|cell| scheduler.effective(cell, final_round))
-        .collect();
-    let mut final_best: Option<(usize, f64)> = None;
-    for (index, state) in states.iter().enumerate() {
-        if let Some(period) = state.period {
-            if final_best.map_or(true, |(_, p)| period < p) {
-                final_best = Some((index, period));
-            }
-        }
-    }
-    let (winner, best_period, best_mapping) = match final_best {
-        Some((index, period)) => (Some(index), Some(period), states[index].mapping.clone()),
-        None => (None, None, None),
-    };
-    let outcome = PortfolioOutcome {
-        best_mapping,
-        best_period,
-        winner,
-        rounds: final_round + 1,
-        cells: specs
-            .iter()
-            .zip(&states)
-            .map(|(spec, state)| PortfolioCellReport {
-                label: spec.label.clone(),
-                period: state.period,
-            })
-            .collect(),
-    };
-    (outcome, scheduler)
 }
 
 #[cfg(test)]

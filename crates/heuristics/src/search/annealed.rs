@@ -34,19 +34,6 @@ pub struct LocalSearchConfig {
     /// [`splitmix64`], the same derivation the batch runner uses for its
     /// per-cell streams).
     pub seed: u64,
-    /// Additional restart waves after the first climb stalls (`0` — the
-    /// default — is the classic single-wave H6, bit-identical to the
-    /// pre-restart behavior). Each wave rewinds to the best-so-far mapping,
-    /// reheats the temperature and climbs again on a fresh RNG stream; all
-    /// waves share the one evaluation budget, and the engine's best-so-far
-    /// snapshot makes extra waves never worse than fewer.
-    pub restarts: usize,
-    /// Reheat factor of a restart wave: wave `w > 0` starts at
-    /// `reheat × initial_temperature × best_period`. The factor adapts to
-    /// the landscape: after a wave that found no new best it doubles (capped
-    /// at 8× this base) to push the climb over higher barriers — the rugged
-    /// high-failure regime — and a productive wave resets it.
-    pub reheat: f64,
 }
 
 impl Default for LocalSearchConfig {
@@ -58,15 +45,9 @@ impl Default for LocalSearchConfig {
             cooling: 0.995,
             swap_probability: 0.4,
             seed: 0x4853_6C0C,
-            restarts: 0,
-            reheat: 0.5,
         }
     }
 }
-
-/// Stream salt decorrelating each restart wave's RNG from the first wave's
-/// (wave 0 keeps the historical `splitmix64(seed)` stream untouched).
-const RESTART_STREAM_SALT: u64 = 0xA11E_A7ED_5EED_0B61;
 
 /// Seeded move/swap proposals with Metropolis acceptance and annealing.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -104,83 +85,46 @@ impl SearchStrategy for AnnealedClimb {
             return Ok(());
         }
         let config = &self.config;
-        let base_stream = splitmix64(config.seed);
-        let base_scale = config.initial_temperature.max(0.0);
-        let base_reheat = config.reheat.max(0.0);
-        let mut reheat = base_reheat;
+        let mut rng = StdRng::seed_from_u64(splitmix64(config.seed));
+        let mut temperature = config.initial_temperature.max(0.0) * engine.current_period();
+        let mut stale = 0usize;
 
-        for wave in 0..=config.restarts {
-            if engine.exhausted() {
+        // One budget unit per proposal, drawn or filtered — the same
+        // accounting the pre-refactor H6 loop used for `max_steps`.
+        while !engine.exhausted() {
+            if stale >= config.stale_limit {
                 break;
             }
-            // Wave 0 is the historical climb on the historical stream —
-            // bit-identical to the pre-restart H6 (pinned by
-            // `h6_regression`). Restart waves rewind to the best-so-far
-            // mapping, reheat and climb on a decorrelated stream.
-            let scale = if wave == 0 {
-                base_scale
-            } else {
-                engine.rewind_to_best()?;
-                reheat * base_scale
-            };
-            let stream = if wave == 0 {
-                base_stream
-            } else {
-                splitmix64(base_stream ^ (wave as u64).wrapping_mul(RESTART_STREAM_SALT))
-            };
-            let mut rng = StdRng::seed_from_u64(stream);
-            let mut temperature = scale * engine.current_period();
-            let mut stale = 0usize;
-            let mut wave_improved = false;
+            engine.charge(1);
+            stale += 1;
+            temperature *= config.cooling;
 
-            // One budget unit per proposal, drawn or filtered — the same
-            // accounting the pre-refactor H6 loop used for `max_steps`.
-            while !engine.exhausted() {
-                if stale >= config.stale_limit {
-                    break;
+            let improved = if rng.gen_bool(config.swap_probability) {
+                let a = TaskId(rng.gen_range(0..n));
+                let b = TaskId(rng.gen_range(0..n));
+                if !engine.allows_swap(a, b) {
+                    continue;
                 }
-                engine.charge(1);
-                stale += 1;
-                temperature *= config.cooling;
-
-                let improved = if rng.gen_bool(config.swap_probability) {
-                    let a = TaskId(rng.gen_range(0..n));
-                    let b = TaskId(rng.gen_range(0..n));
-                    if !engine.allows_swap(a, b) {
-                        continue;
-                    }
-                    let period = engine.evaluate_swap(a, b)?;
-                    if !metropolis(period - engine.current_period(), temperature, &mut rng) {
-                        continue;
-                    }
-                    engine.commit_swap(a, b)?.improved_best
-                } else {
-                    let t = TaskId(rng.gen_range(0..n));
-                    let to = MachineId(rng.gen_range(0..m));
-                    if !engine.allows_move(t, to) {
-                        continue;
-                    }
-                    let period = engine.evaluate_move(t, to)?;
-                    if !metropolis(period - engine.current_period(), temperature, &mut rng) {
-                        continue;
-                    }
-                    engine.commit_move(t, to)?.improved_best
-                };
-                if improved {
-                    stale = 0;
-                    wave_improved = true;
+                let period = engine.evaluate_swap(a, b)?;
+                if !metropolis(period - engine.current_period(), temperature, &mut rng) {
+                    continue;
                 }
+                engine.commit_swap(a, b)?.improved_best
+            } else {
+                let t = TaskId(rng.gen_range(0..n));
+                let to = MachineId(rng.gen_range(0..m));
+                if !engine.allows_move(t, to) {
+                    continue;
+                }
+                let period = engine.evaluate_move(t, to)?;
+                if !metropolis(period - engine.current_period(), temperature, &mut rng) {
+                    continue;
+                }
+                engine.commit_move(t, to)?.improved_best
+            };
+            if improved {
+                stale = 0;
             }
-
-            // Adaptive reheat: a barren wave doubles the next wave's starting
-            // temperature (up to 8× the configured base) so the climb can
-            // cross higher barriers on rugged landscapes; a productive wave
-            // resets the escalation.
-            reheat = if wave_improved {
-                base_reheat
-            } else {
-                (reheat * 2.0).min(base_reheat * 8.0)
-            };
         }
         Ok(())
     }

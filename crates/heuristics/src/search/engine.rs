@@ -531,28 +531,6 @@ impl<'a> SearchEngine<'a> {
         }
     }
 
-    /// Rewinds the current mapping to the best-so-far snapshot — the restart
-    /// primitive behind [`AnnealedClimb`](crate::search::AnnealedClimb)'s
-    /// restart waves. Rebuilds the evaluator and the type bookkeeping from
-    /// the best mapping. The budget, the best period and
-    /// the best mapping are untouched, so the never-worse-than-seed
-    /// guarantee survives any number of rewinds.
-    pub fn rewind_to_best(&mut self) -> HeuristicResult<()> {
-        let mapping = self.best_mapping.clone();
-        self.eval = IncrementalEvaluator::new(self.instance, &mapping)?;
-        let app = self.instance.application();
-        self.machine_type.iter_mut().for_each(|ty| *ty = None);
-        self.tasks_on.iter_mut().for_each(|count| *count = 0);
-        for task in app.tasks() {
-            let u = mapping.machine_of(task.id).index();
-            self.tasks_on[u] += 1;
-            self.machine_type[u] = Some(task.ty);
-        }
-        self.current = self.eval.period().value();
-        self.commit_count = self.eval.counters().commits;
-        Ok(())
-    }
-
     /// Materialises the current (last committed) assignment — which may be
     /// worse than [`into_best`](Self::into_best) when the strategy accepted
     /// uphill steps.

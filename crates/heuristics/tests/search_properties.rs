@@ -6,7 +6,7 @@
 //! * steepest descent (polishing H6's result) ≤ the H6 annealed climb ≤ the
 //!   seed period — the full-neighborhood descent can only lower what H6
 //!   hands it, and this chain holds *by construction* on every instance
-//!   (H6's random restarts can beat SD-from-seed on rugged landscapes, so
+//!   (H6's uphill moves can beat SD-from-seed on rugged landscapes, so
 //!   the chain is anchored on a shared starting point);
 //! * tabu search never returns worse than its seed (the engine's best-so-far
 //!   snapshot guarantees it even though the walk itself goes uphill);
@@ -151,107 +151,6 @@ fn tabu_search_never_returns_worse_than_its_seed() {
         );
         assert!(inst.is_specialized(&polished), "case {case}");
     }
-}
-
-/// A rugged landscape: same chain family but with high, widely spread
-/// failure rates, where the effective times vary steeply across machines
-/// and single-move basins are deep.
-fn rugged_instance(n: usize, m: usize, p: usize, seed: u64) -> Instance {
-    let types: Vec<usize> = (0..n).map(|i| i % p).collect();
-    let app = Application::linear_chain(&types).unwrap();
-    let mut state = seed;
-    let mut draw = |lo: f64, hi: f64| {
-        state = mf_core::splitmix64(state);
-        lo + (state >> 11) as f64 / (1u64 << 53) as f64 * (hi - lo)
-    };
-    let platform = Platform::from_type_times(
-        m,
-        (0..p)
-            .map(|_| (0..m).map(|_| draw(100.0, 1000.0)).collect())
-            .collect(),
-    )
-    .unwrap();
-    let failures = FailureModel::from_matrix(
-        (0..n)
-            .map(|_| (0..m).map(|_| draw(0.05, 0.35)).collect())
-            .collect(),
-        m,
-    )
-    .unwrap();
-    Instance::new(app, platform, failures).unwrap()
-}
-
-#[test]
-fn h6_restarts_are_deterministic_and_never_worse_than_a_single_wave() {
-    for case in 0u64..8 {
-        let (n, m, p) = [(12, 4, 2), (20, 6, 3)][case as usize % 2];
-        let inst = rugged_instance(n, m, p, 0xAB5E ^ (case * 2477));
-        let seeded = H4wFastestMachine.map(&inst).unwrap();
-        let seed_period = inst.period(&seeded).unwrap().value();
-
-        let single = LocalSearchConfig {
-            max_steps: 20_000,
-            stale_limit: 400,
-            seed: case,
-            ..LocalSearchConfig::default()
-        };
-        let restarted = LocalSearchConfig {
-            restarts: 6,
-            ..single
-        };
-        let base = H6LocalSearch::polish(&inst, &seeded, &single).unwrap();
-        let first = H6LocalSearch::polish(&inst, &seeded, &restarted).unwrap();
-        let second = H6LocalSearch::polish(&inst, &seeded, &restarted).unwrap();
-        assert_eq!(first, second, "case {case}: restarts non-deterministic");
-
-        let base_period = inst.period(&base).unwrap().value();
-        let restarted_period = inst.period(&first).unwrap().value();
-        // Wave 0 replays the single-wave stream exactly, and extra waves can
-        // only improve the engine's best-so-far snapshot.
-        assert!(
-            restarted_period <= base_period + 1e-9,
-            "case {case}: restarts degraded {base_period} to {restarted_period}"
-        );
-        assert!(
-            restarted_period <= seed_period + 1e-9,
-            "case {case}: restarts worse than the seed"
-        );
-        assert!(inst.is_specialized(&first), "case {case}");
-    }
-}
-
-#[test]
-fn h6_restarts_escape_local_optima_on_rugged_landscapes() {
-    // Across a family of rugged high-failure instances, the restarted climb
-    // must strictly beat the single wave somewhere — otherwise the rewind /
-    // reheat machinery is dead weight.
-    let mut strictly_better = 0usize;
-    for case in 0u64..24 {
-        let inst = rugged_instance(18, 6, 3, 0xD1CE ^ (case * 48271));
-        let seeded = H4wFastestMachine.map(&inst).unwrap();
-        let single = LocalSearchConfig {
-            max_steps: 20_000,
-            stale_limit: 400,
-            seed: case,
-            ..LocalSearchConfig::default()
-        };
-        let restarted = LocalSearchConfig {
-            restarts: 6,
-            ..single
-        };
-        let base = H6LocalSearch::polish(&inst, &seeded, &single).unwrap();
-        let multi = H6LocalSearch::polish(&inst, &seeded, &restarted).unwrap();
-        let base_period = inst.period(&base).unwrap().value();
-        let multi_period = inst.period(&multi).unwrap().value();
-        assert!(multi_period <= base_period + 1e-9, "case {case}");
-        if multi_period < base_period - 1e-9 {
-            strictly_better += 1;
-        }
-    }
-    assert!(
-        strictly_better > 0,
-        "restart waves never escaped a single-wave optimum on 24 rugged instances"
-    );
 }
 
 #[test]
