@@ -36,11 +36,16 @@
 //!
 //! The journal is **write-behind**: an in-memory shadow map of the live
 //! instances is updated first, then the record is appended and flushed.
-//! Every [`COMPACT_EVERY`] appends — and once on every boot — the file is
-//! rewritten from the shadow as one snapshot (`mark` + one `load` per live
-//! instance, in load order, oldest first), atomically via a temp file and
-//! `rename`, so the file stays proportional to the live set instead of the
-//! full history. Keeping load order through compaction and replay lets a
+//! The shadow holds each live instance's `load` record already encoded —
+//! one string, byte for byte as the file holds it — so a load is encoded
+//! once, and the payload is never copied line by line. Every
+//! [`COMPACT_EVERY`] appends — and once on every boot — the file is
+//! rewritten from the shadow as one snapshot: the header and `mark`, then
+//! the live records concatenated in load order, oldest first. The rewrite
+//! goes through a temp file and `rename`, so it is atomic, and the file
+//! stays proportional to the live set instead of the full history. Only
+//! [`Journal::live_instances`], on the boot path, splits records back into
+//! payload lines. Keeping load order through compaction and replay lets a
 //! restarted store approximate its pre-crash LRU recency (`get` touches are
 //! not journaled, so eviction parity under byte-cap pressure is approximate,
 //! not exact).
@@ -62,18 +67,24 @@
 //! retries the rewrite first — so acknowledged records can never end up
 //! stranded behind a tear that replay would discard.
 //!
+//! A thread that panics while appending (the lock held, the tail perhaps
+//! torn) does not take the journal with it: the next caller recovers the
+//! lock and finds the writer poisoned, so its append heals by compaction
+//! the same way.
+//!
 //! One process per data directory is enforced with an advisory `flock` on a
 //! sibling [`LOCK_FILE`]: a second `Journal::open` on a locked directory
 //! fails fast with [`JournalError::Locked`] instead of silently interleaving
 //! appends. The lock follows the file description, so it releases the
 //! moment the holder dies — `SIGKILL` included — and can never go stale.
 
+use crate::proto::line_separators;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::fs::{File, OpenOptions};
 use std::io::{BufWriter, Write};
 use std::path::{Path, PathBuf};
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard};
 
 /// Format magic — the first line of every journal file.
 pub const JOURNAL_FORMAT: &str = "mf-journal v1";
@@ -200,37 +211,58 @@ fn check_payload_line(line: &str) -> JournalResult<&str> {
     Ok(line)
 }
 
+/// Decimal digits of `value` — sizes a record head before writing it.
+fn decimal_len(value: u64) -> usize {
+    value.checked_ilog10().map_or(1, |log| log as usize + 1)
+}
+
+/// The canonical `load` record: the head line plus the counted payload
+/// lines, each newline-terminated, built in one buffer reserved to its exact
+/// length. Rejects an unencodable name or payload line instead of
+/// corrupting the framing.
+fn encode_load(name: &str, generation: u64, payload: &[String]) -> JournalResult<String> {
+    let name = check_name(name)?;
+    let head_len = "load   \n".len()
+        + name.len()
+        + decimal_len(generation)
+        + decimal_len(payload.len() as u64);
+    let payload_len: usize = payload.iter().map(|line| line.len() + 1).sum();
+    let mut out = String::with_capacity(head_len + payload_len);
+    let _ = writeln!(out, "load {name} {generation} {}", payload.len());
+    for line in payload {
+        out.push_str(line);
+        out.push('\n');
+    }
+    debug_assert_eq!(out.len(), head_len + payload_len);
+    // One pass over the block validates every line at once: it holds one
+    // separator per line unless some line carries its own `\n` or `\r`.
+    if line_separators(&out[head_len..]) != payload.len() {
+        for line in payload {
+            check_payload_line(line)?;
+        }
+    }
+    Ok(out)
+}
+
+/// The canonical `unload` record.
+fn encode_unload(name: &str) -> JournalResult<String> {
+    Ok(format!("unload {}\n", check_name(name)?))
+}
+
 impl JournalRecord {
     /// The canonical text of this record (head line plus counted payload
     /// lines, each newline-terminated). Rejects unencodable names and
     /// payload lines instead of corrupting the framing.
     pub fn to_text(&self) -> JournalResult<String> {
-        let mut out = String::new();
         match self {
-            JournalRecord::Mark { generation } => {
-                let _ = writeln!(out, "mark {generation}");
-            }
+            JournalRecord::Mark { generation } => Ok(format!("mark {generation}\n")),
             JournalRecord::Load {
                 name,
                 generation,
                 payload,
-            } => {
-                let _ = writeln!(
-                    out,
-                    "load {} {generation} {}",
-                    check_name(name)?,
-                    payload.len()
-                );
-                for line in payload {
-                    out.push_str(check_payload_line(line)?);
-                    out.push('\n');
-                }
-            }
-            JournalRecord::Unload { name } => {
-                let _ = writeln!(out, "unload {}", check_name(name)?);
-            }
+            } => encode_load(name, *generation, payload),
+            JournalRecord::Unload { name } => encode_unload(name),
         }
-        Ok(out)
     }
 }
 
@@ -385,17 +417,48 @@ pub struct RecoveredInstance {
 #[derive(Debug)]
 struct LiveEntry {
     generation: u64,
-    payload: Vec<String>,
+    /// The encoded `load` record, byte for byte as the journal file holds
+    /// it: compaction writes it back unchanged.
+    record: String,
     /// Load-order stamp (bumped on every load, including same-name
     /// reloads): compaction and replay emit live instances in this order,
     /// so a restarted store approximates its pre-crash LRU recency.
     seq: u64,
 }
 
+/// The live shadow, keyed by store name.
+type Shadow = BTreeMap<String, LiveEntry>;
+
+/// Fault injection for the unit tests: tear the next appends mid-write,
+/// fail the next compactions, or panic mid-append while the lock is held.
+#[cfg(test)]
+#[derive(Debug, Default)]
+struct Faults {
+    tear_appends: u64,
+    fail_compactions: u64,
+    panic_appends: u64,
+}
+
+/// The file side of the journal: the append handle and the compaction
+/// schedule.
 #[derive(Debug)]
-struct Inner {
+struct Writer {
     path: PathBuf,
     file: BufWriter<File>,
+    appends_since_compact: u64,
+    /// Set when an append failed mid-write (or panicked with the lock
+    /// held): the file tail may be torn, so nothing may be appended until a
+    /// compaction rewrites the file from the shadow (compaction clears the
+    /// flag).
+    poisoned: bool,
+    compactions: u64,
+    #[cfg(test)]
+    faults: Faults,
+}
+
+#[derive(Debug)]
+struct Inner {
+    writer: Writer,
     /// Held for the journal's lifetime: the advisory `flock` on
     /// [`LOCK_FILE`]. Releases automatically when the process dies,
     /// `SIGKILL` included, so it can never go stale.
@@ -404,47 +467,30 @@ struct Inner {
     /// snapshot from — deliberately independent of the engine stores, so a
     /// shared multi-worker journal needs no cross-shard coordination to
     /// compact.
-    live: BTreeMap<String, LiveEntry>,
+    live: Shadow,
     /// The next [`LiveEntry::seq`] stamp.
     next_seq: u64,
     /// Generation floor (see [`JournalRecord::Mark`]).
     mark: u64,
-    appends_since_compact: u64,
-    /// Set when an append failed mid-write: the file tail may be torn, so
-    /// nothing may be appended until a compaction rewrites the file from
-    /// the shadow (compaction clears the flag).
-    poisoned: bool,
     entries_replayed: u64,
     bytes_replayed: u64,
-    compactions: u64,
     torn_tail: bool,
-    #[cfg(test)]
-    fail_appends: u64,
-    #[cfg(test)]
-    fail_compactions: u64,
 }
 
 /// Writes a compacted snapshot of `live` to `path` (atomically, via a temp
-/// file and rename) and returns a fresh append handle on it. Loads are
-/// emitted oldest-first so replay reconstructs load-order recency.
-fn write_snapshot(
-    path: &Path,
-    mark: u64,
-    live: &BTreeMap<String, LiveEntry>,
-) -> JournalResult<BufWriter<File>> {
-    let mut records = vec![JournalRecord::Mark { generation: mark }];
-    let mut ordered: Vec<(&String, &LiveEntry)> = live.iter().collect();
-    ordered.sort_by_key(|(_, entry)| entry.seq);
-    for (name, entry) in ordered {
-        records.push(JournalRecord::Load {
-            name: name.clone(),
-            generation: entry.generation,
-            payload: entry.payload.clone(),
-        });
-    }
-    let text = records_to_text(&records)?;
+/// file and rename) and returns a fresh append handle on it: the header,
+/// `mark <floor>`, then the encoded load records, oldest first, so replay
+/// reconstructs load-order recency.
+fn write_snapshot(path: &Path, mark: u64, live: &Shadow) -> JournalResult<BufWriter<File>> {
+    let mut ordered: Vec<&LiveEntry> = live.values().collect();
+    ordered.sort_by_key(|entry| entry.seq);
     let tmp = path.with_extension("mfj.tmp");
-    std::fs::write(&tmp, text)?;
+    let mut file = BufWriter::new(File::create(&tmp)?);
+    write!(file, "{JOURNAL_FORMAT}\nmark {mark}\n")?;
+    for entry in ordered {
+        file.write_all(entry.record.as_bytes())?;
+    }
+    file.into_inner().map_err(|error| error.into_error())?;
     std::fs::rename(&tmp, path)?;
     Ok(BufWriter::new(OpenOptions::new().append(true).open(path)?))
 }
@@ -475,16 +521,16 @@ fn try_lock_exclusive(_file: &File) -> std::io::Result<()> {
     Ok(())
 }
 
-impl Inner {
-    fn compact(&mut self) -> JournalResult<()> {
+impl Writer {
+    fn compact(&mut self, mark: u64, live: &Shadow) -> JournalResult<()> {
         #[cfg(test)]
-        if self.fail_compactions > 0 {
-            self.fail_compactions -= 1;
+        if self.faults.fail_compactions > 0 {
+            self.faults.fail_compactions -= 1;
             return Err(JournalError::Io {
                 detail: "injected compaction failure".to_string(),
             });
         }
-        self.file = write_snapshot(&self.path, self.mark, &self.live)?;
+        self.file = write_snapshot(&self.path, mark, live)?;
         self.appends_since_compact = 0;
         self.poisoned = false;
         self.compactions += 1;
@@ -494,16 +540,48 @@ impl Inner {
     /// Appends one encoded record to the file and flushes it to the OS.
     fn write_record(&mut self, text: &str) -> std::io::Result<()> {
         #[cfg(test)]
-        if self.fail_appends > 0 {
-            self.fail_appends -= 1;
+        if self.faults.tear_appends > 0 || self.faults.panic_appends > 0 {
             // A crash-grade failure: half the record reaches the file,
-            // then the write errors out.
+            // then the write errors out (or the thread panics).
             let _ = self.file.write_all(&text.as_bytes()[..text.len() / 2]);
             let _ = self.file.flush();
+            if self.faults.panic_appends > 0 {
+                self.faults.panic_appends -= 1;
+                panic!("injected append panic");
+            }
+            self.faults.tear_appends -= 1;
             return Err(std::io::Error::other("injected append failure"));
         }
         self.file.write_all(text.as_bytes())?;
         self.file.flush()
+    }
+
+    /// Makes one record durable. The shadow already reflects it, so when a
+    /// compaction is due — periodically, or because the writer is poisoned
+    /// and must never append after possibly-torn bytes — rewriting the file
+    /// from the shadow carries the record instead of appending it.
+    fn append(&mut self, record: &str, mark: u64, live: &Shadow) -> JournalResult<()> {
+        self.appends_since_compact += 1;
+        if self.poisoned || self.appends_since_compact >= COMPACT_EVERY {
+            return self.compact(mark, live);
+        }
+        match self.write_record(record) {
+            Ok(()) => Ok(()),
+            Err(error) => {
+                // The tail may now hold a torn record, and replay stops at
+                // the first undecodable byte — appending after it would
+                // silently discard acknowledged records on the next boot.
+                // Heal immediately by rewriting from the shadow; if that
+                // also fails, stay poisoned so the next append compacts
+                // before anything else touches the file.
+                self.poisoned = true;
+                if self.compact(mark, live).is_ok() {
+                    Ok(())
+                } else {
+                    Err(error.into())
+                }
+            }
+        }
     }
 }
 
@@ -535,7 +613,7 @@ impl Journal {
             dir: dir.display().to_string(),
         })?;
         let path = dir.join(JOURNAL_FILE);
-        let mut live = BTreeMap::new();
+        let mut live = Shadow::new();
         let mut next_seq = 0u64;
         let mut mark = 0u64;
         let mut entries_replayed = 0u64;
@@ -577,13 +655,17 @@ impl Journal {
                                         payload,
                                     } => {
                                         mark = mark.max(generation + 1);
+                                        // Re-encoded, so the shadow holds
+                                        // the canonical bytes whatever the
+                                        // file spelled.
+                                        let record = encode_load(&name, generation, &payload)?;
                                         let seq = next_seq;
                                         next_seq += 1;
                                         live.insert(
                                             name,
                                             LiveEntry {
                                                 generation,
-                                                payload,
+                                                record,
                                                 seq,
                                             },
                                         );
@@ -607,82 +689,41 @@ impl Journal {
         let file = write_snapshot(&path, mark, &live)?;
         Ok(Journal {
             inner: Mutex::new(Inner {
-                path,
-                file,
+                writer: Writer {
+                    path,
+                    file,
+                    appends_since_compact: 0,
+                    poisoned: false,
+                    // The boot snapshot of a pre-existing journal is a
+                    // compaction (it rewrote history); creating a fresh file
+                    // is not.
+                    compactions: u64::from(existed),
+                    #[cfg(test)]
+                    faults: Faults::default(),
+                },
                 _lock: lock,
                 live,
                 next_seq,
                 mark,
-                appends_since_compact: 0,
-                poisoned: false,
                 entries_replayed,
                 bytes_replayed,
-                // The boot snapshot of a pre-existing journal is a
-                // compaction (it rewrote history); creating a fresh file is
-                // not.
-                compactions: u64::from(existed),
                 torn_tail,
-                #[cfg(test)]
-                fail_appends: 0,
-                #[cfg(test)]
-                fail_compactions: 0,
             }),
         })
     }
 
-    fn append(&self, record: JournalRecord) -> JournalResult<()> {
-        // Validate before touching the shadow, so an unencodable record
-        // cannot leave the shadow and the file disagreeing.
-        let text = record.to_text()?;
-        let mut inner = self.inner.lock().expect("journal lock poisoned");
-        match record {
-            JournalRecord::Mark { generation } => inner.mark = inner.mark.max(generation),
-            JournalRecord::Load {
-                name,
-                generation,
-                payload,
-            } => {
-                inner.mark = inner.mark.max(generation + 1);
-                let seq = inner.next_seq;
-                inner.next_seq += 1;
-                inner.live.insert(
-                    name,
-                    LiveEntry {
-                        generation,
-                        payload,
-                        seq,
-                    },
-                );
-            }
-            JournalRecord::Unload { name } => {
-                inner.live.remove(&name);
-            }
-        }
-        inner.appends_since_compact += 1;
-        if inner.poisoned || inner.appends_since_compact >= COMPACT_EVERY {
-            // A poisoned writer must never append after possibly-torn
-            // bytes; rewriting from the shadow heals the tear and carries
-            // this record (the shadow is already updated). The periodic
-            // compaction rides the same path.
-            return inner.compact();
-        }
-        match inner.write_record(&text) {
-            Ok(()) => Ok(()),
-            Err(error) => {
-                // The tail may now hold a torn record, and replay stops at
-                // the first undecodable byte — appending after it would
-                // silently discard acknowledged records on the next boot.
-                // Heal immediately by rewriting from the shadow; if that
-                // also fails, stay poisoned so the next append compacts
-                // before anything else touches the file.
-                inner.poisoned = true;
-                if inner.compact().is_ok() {
-                    Ok(())
-                } else {
-                    Err(error.into())
-                }
-            }
-        }
+    /// Locks the journal state. A panic while the lock was held (a worker
+    /// thread dying mid-append) does not take the journal down with it:
+    /// the state is recovered and the writer marked poisoned, so the next
+    /// append rewrites the file from the shadow instead of appending after
+    /// bytes the panic may have torn.
+    fn lock(&self) -> MutexGuard<'_, Inner> {
+        self.inner.lock().unwrap_or_else(|poison| {
+            self.inner.clear_poison();
+            let mut inner = poison.into_inner();
+            inner.writer.poisoned = true;
+            inner
+        })
     }
 
     /// Journals a `load`: `name` now holds `payload` under `generation`.
@@ -692,25 +733,45 @@ impl Journal {
         generation: u64,
         payload: &[String],
     ) -> JournalResult<()> {
-        self.append(JournalRecord::Load {
-            name: name.to_string(),
+        // Encode (and validate) before touching the shadow, so an
+        // unencodable record cannot leave the shadow and the file
+        // disagreeing.
+        let record = encode_load(name, generation, payload)?;
+        let mut guard = self.lock();
+        let inner = &mut *guard;
+        inner.mark = inner.mark.max(generation + 1);
+        let entry = LiveEntry {
             generation,
-            payload: payload.to_vec(),
-        })
+            record,
+            seq: inner.next_seq,
+        };
+        inner.next_seq += 1;
+        // A same-name reload reuses the key; the old record is dropped here.
+        match inner.live.get_mut(name) {
+            Some(slot) => *slot = entry,
+            None => {
+                inner.live.insert(name.to_string(), entry);
+            }
+        }
+        inner
+            .writer
+            .append(&inner.live[name].record, inner.mark, &inner.live)
     }
 
     /// Journals an `unload` (or byte-cap eviction) of `name`.
     pub fn record_unload(&self, name: &str) -> JournalResult<()> {
-        self.append(JournalRecord::Unload {
-            name: name.to_string(),
-        })
+        let record = encode_unload(name)?;
+        let mut guard = self.lock();
+        let inner = &mut *guard;
+        inner.live.remove(name);
+        inner.writer.append(&record, inner.mark, &inner.live)
     }
 
     /// The generation floor: every generation ever issued through this
     /// journal is strictly below it. A replayed store must resume its
     /// counter at least here.
     pub fn mark(&self) -> u64 {
-        self.inner.lock().expect("journal lock poisoned").mark
+        self.lock().mark
     }
 
     /// The recovered live instances in original load order (oldest load
@@ -718,9 +779,10 @@ impl Journal {
     /// each router shard, after hashing the names) re-inserts. Adopting
     /// them in this order stamps store recency the way the pre-crash loads
     /// did, so byte-cap eviction after a restart approximates the
-    /// uninterrupted schedule.
+    /// uninterrupted schedule. Splits each encoded record back into its
+    /// payload lines, so it belongs on the boot path only.
     pub fn live_instances(&self) -> Vec<RecoveredInstance> {
-        let inner = self.inner.lock().expect("journal lock poisoned");
+        let inner = self.lock();
         let mut entries: Vec<(&String, &LiveEntry)> = inner.live.iter().collect();
         entries.sort_by_key(|(_, entry)| entry.seq);
         entries
@@ -728,7 +790,14 @@ impl Journal {
             .map(|(name, entry)| RecoveredInstance {
                 name: name.clone(),
                 generation: entry.generation,
-                payload: entry.payload.clone(),
+                // Skip the head line; every payload line is
+                // newline-terminated.
+                payload: entry
+                    .record
+                    .split_terminator('\n')
+                    .skip(1)
+                    .map(str::to_string)
+                    .collect(),
             })
             .collect()
     }
@@ -737,14 +806,21 @@ impl Journal {
     /// the next `compactions` compaction attempts fail.
     #[cfg(test)]
     fn inject_failures(&self, appends: u64, compactions: u64) {
-        let mut inner = self.inner.lock().expect("journal lock poisoned");
-        inner.fail_appends = appends;
-        inner.fail_compactions = compactions;
+        let mut inner = self.lock();
+        inner.writer.faults.tear_appends = appends;
+        inner.writer.faults.fail_compactions = compactions;
+    }
+
+    /// Test hook: makes the next record write tear mid-write and then panic
+    /// with the journal lock held.
+    #[cfg(test)]
+    fn inject_panic(&self) {
+        self.lock().writer.faults.panic_appends = 1;
     }
 
     /// Number of live instances in the shadow map.
     pub fn len(&self) -> usize {
-        self.inner.lock().expect("journal lock poisoned").live.len()
+        self.lock().live.len()
     }
 
     /// `true` when no instance is live.
@@ -755,16 +831,12 @@ impl Journal {
     /// `true` when the boot replay stopped at a torn or undecodable record
     /// (which the boot snapshot then healed).
     pub fn recovered_torn_tail(&self) -> bool {
-        self.inner.lock().expect("journal lock poisoned").torn_tail
+        self.lock().torn_tail
     }
 
     /// Path of the journal file.
     pub fn path(&self) -> PathBuf {
-        self.inner
-            .lock()
-            .expect("journal lock poisoned")
-            .path
-            .clone()
+        self.lock().writer.path.clone()
     }
 
     /// The recovery counters, in fixed presentation order — the `recovery`
@@ -772,14 +844,14 @@ impl Journal {
     /// fixed at open; `journal-compactions` and `journal-live-instances`
     /// keep moving with the workload.
     pub fn status_counters(&self) -> Vec<(String, u64)> {
-        let inner = self.inner.lock().expect("journal lock poisoned");
+        let inner = self.lock();
         vec![
             (
                 "journal-entries-replayed".to_string(),
                 inner.entries_replayed,
             ),
             ("journal-bytes-replayed".to_string(), inner.bytes_replayed),
-            ("journal-compactions".to_string(), inner.compactions),
+            ("journal-compactions".to_string(), inner.writer.compactions),
             (
                 "journal-live-instances".to_string(),
                 inner.live.len() as u64,
@@ -842,15 +914,21 @@ mod tests {
                 "{name:?}"
             );
         }
-        let record = JournalRecord::Load {
-            name: "ok".to_string(),
-            generation: 0,
-            payload: vec!["fine".to_string(), "torn\nline".to_string()],
-        };
-        assert!(matches!(
-            record.to_text(),
-            Err(JournalError::UnencodableText { .. })
-        ));
+        for bad in ["torn\nline", "carriage\rreturn"] {
+            let mut payload: Vec<String> = (0..400).map(|k| format!("line {k}")).collect();
+            payload[300] = bad.to_string();
+            let record = JournalRecord::Load {
+                name: "ok".to_string(),
+                generation: 0,
+                payload,
+            };
+            assert_eq!(
+                record.to_text(),
+                Err(JournalError::UnencodableText {
+                    text: bad.to_string()
+                })
+            );
+        }
     }
 
     #[test]
@@ -996,6 +1074,41 @@ mod tests {
         // memory (the shadow mirrors the store), so the healing compaction
         // legitimately persists it alongside the acknowledged records.
         assert_eq!(names, ["alpha", "beta", "gamma"]);
+    }
+
+    /// A panic mid-append with the journal lock held must not take the
+    /// journal down with the thread: the next append recovers the lock,
+    /// rewrites the torn tail away from the shadow, and later appends go
+    /// back to plain appends. The shadow took the panicking load before the
+    /// write, so — like the store — it keeps `beta` live.
+    #[test]
+    fn an_append_after_a_panicking_append_succeeds() {
+        let dir = tempdir("panicked");
+        let journal = Journal::open(&dir).unwrap();
+        journal.record_load("alpha", 0, &payload()).unwrap();
+        journal.inject_panic();
+        let panicked = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            journal.record_load("beta", 1, &payload())
+        }));
+        assert!(panicked.is_err(), "the injected panic must unwind");
+        assert!(journal.inner.is_poisoned());
+        let compactions = |journal: &Journal| journal.status_counters()[2].1;
+        assert_eq!(compactions(&journal), 0);
+        journal.record_load("gamma", 2, &payload()).unwrap();
+        assert!(!journal.inner.is_poisoned(), "recovery clears the poison");
+        assert_eq!(compactions(&journal), 1, "recovery rewrites the file");
+        journal.record_unload("alpha").unwrap();
+        assert_eq!(compactions(&journal), 1, "then appends resume");
+        drop(journal);
+        let journal = Journal::open(&dir).unwrap();
+        assert!(!journal.recovered_torn_tail(), "no torn bytes survive");
+        let names: Vec<String> = journal
+            .live_instances()
+            .into_iter()
+            .map(|r| r.name)
+            .collect();
+        assert_eq!(names, ["beta", "gamma"]);
+        assert_eq!(journal.mark(), 3);
     }
 
     /// Compaction and replay preserve load order (oldest first, reload

@@ -201,6 +201,22 @@ fn check_name(name: &str) -> ProtoResult<&str> {
     }
 }
 
+/// Counts the `\n` and `\r` bytes of `text`. The count runs in chunks of
+/// 255 bytes with a `u8` tally, which cannot overflow and which the
+/// compiler vectorizes — so validating a payload costs one fast pass over
+/// its bytes.
+pub(crate) fn line_separators(text: &str) -> usize {
+    text.as_bytes()
+        .chunks(255)
+        .map(|chunk| {
+            let tally = chunk.iter().fold(0u8, |tally, &byte| {
+                tally + u8::from((byte == b'\n') | (byte == b'\r'))
+            });
+            usize::from(tally)
+        })
+        .sum()
+}
+
 /// A payload line must not itself be a line separator.
 fn check_payload_line(line: &str) -> ProtoResult<&str> {
     if line.contains('\n') || line.contains('\r') {
@@ -523,6 +539,35 @@ impl Response {
 // Writing
 // ---------------------------------------------------------------------------
 
+/// Appends `<command> <name> <N>` and the `N` checked payload lines to
+/// `out`, reserving the whole block once: a load payload runs to thousands
+/// of lines, so each is copied with `push_str` rather than formatted.
+fn push_counted(
+    out: &mut String,
+    command: &str,
+    name: &str,
+    payload: &[String],
+) -> ProtoResult<()> {
+    let name = check_name(name)?;
+    let payload_len: usize = payload.iter().map(|line| line.len() + 1).sum();
+    // The head: command, name, a count of at most 20 digits, 2 spaces, `\n`.
+    out.reserve(command.len() + name.len() + 23 + payload_len);
+    let _ = writeln!(out, "{command} {name} {}", payload.len());
+    let block = out.len();
+    for line in payload {
+        out.push_str(line);
+        out.push('\n');
+    }
+    // One pass over the block validates every line at once: it holds one
+    // separator per line unless some line carries its own `\n` or `\r`.
+    if line_separators(&out[block..]) != payload.len() {
+        for line in payload {
+            check_payload_line(line)?;
+        }
+    }
+    Ok(())
+}
+
 /// Serializes a request in canonical wire form (trailing newline included).
 pub fn request_to_text(request: &Request) -> ProtoResult<String> {
     let mut out = String::new();
@@ -544,24 +589,14 @@ pub fn request_to_text(request: &Request) -> ProtoResult<String> {
         Request::StatusExport => {
             let _ = writeln!(out, "status-export");
         }
-        Request::Load { name, payload } => {
-            let _ = writeln!(out, "load {} {}", check_name(name)?, payload.len());
-            for line in payload {
-                let _ = writeln!(out, "{}", check_payload_line(line)?);
-            }
-        }
+        Request::Load { name, payload } => push_counted(&mut out, "load", name, payload)?,
         Request::Unload { name } => {
             let _ = writeln!(out, "unload {}", check_name(name)?);
         }
         Request::List => {
             let _ = writeln!(out, "list");
         }
-        Request::Evaluate { name, payload } => {
-            let _ = writeln!(out, "evaluate {} {}", check_name(name)?, payload.len());
-            for line in payload {
-                let _ = writeln!(out, "{}", check_payload_line(line)?);
-            }
-        }
+        Request::Evaluate { name, payload } => push_counted(&mut out, "evaluate", name, payload)?,
         Request::WhatIf { name, probe } => match probe {
             Probe::Move { task, machine } => {
                 let _ = writeln!(out, "whatif {} move {task} {machine}", check_name(name)?);
@@ -1819,5 +1854,36 @@ mod tests {
             }),
             Err(ProtoError::UnencodableText { .. })
         ));
+    }
+
+    /// The one-pass payload check finds a separator anywhere in a long
+    /// payload — across its 255-byte chunks, at either end — and names the
+    /// offending line.
+    #[test]
+    fn a_separator_deep_in_a_long_payload_is_named() {
+        for (index, bad) in [(0, "\rfirst"), (417, "mid\rdle"), (599, "last\n")] {
+            let mut payload: Vec<String> =
+                (0..600).map(|k| format!("failure {k} 3 0.01")).collect();
+            payload[index] = bad.to_string();
+            for request in [
+                Request::Load {
+                    name: "a".into(),
+                    payload: payload.clone(),
+                },
+                Request::Evaluate {
+                    name: "a".into(),
+                    payload: payload.clone(),
+                },
+            ] {
+                assert_eq!(
+                    request_to_text(&request),
+                    Err(ProtoError::UnencodableText {
+                        text: bad.to_string()
+                    })
+                );
+            }
+        }
+        assert_eq!(line_separators("a\rb\n\r\nc"), 4);
+        assert_eq!(line_separators(&"x\n".repeat(1000)), 1000);
     }
 }
