@@ -94,6 +94,105 @@ pub fn mapping_to_text(mapping: &Mapping) -> String {
     out
 }
 
+/// Byte classes of the record scanner.
+const TOKEN: u8 = 0;
+const SPACE: u8 = 1;
+const NEWLINE: u8 = 2;
+const WIDE: u8 = 3;
+
+/// The class of every byte: the ASCII bytes `char::is_whitespace` accepts
+/// (space, `\t`, `\x0B`, `\x0C`, `\r`) are spaces, `\n` ends a line,
+/// the other ASCII bytes belong to tokens, and a byte of a multi-byte UTF-8
+/// sequence is wide.
+const CLASS: [u8; 256] = {
+    let mut class = [WIDE; 256];
+    let mut byte = 0;
+    while byte < 0x80 {
+        class[byte] = match byte as u8 {
+            b'\n' => NEWLINE,
+            b' ' | b'\t' | 0x0B | 0x0C | b'\r' => SPACE,
+            _ => TOKEN,
+        };
+        byte += 1;
+    }
+    class
+};
+
+/// A one-pass scanner over the records of a text file: the lines holding a
+/// token that is not a `#` comment, split into whitespace-separated tokens
+/// exactly as `str::lines`, `str::trim` and `str::split_whitespace` split
+/// them. ASCII is classified byte by byte; at the first non-ASCII byte of a
+/// line the rest of that line goes to `split_whitespace`, so Unicode
+/// whitespace (U+00A0, U+3000, …) still separates tokens. The hand-over
+/// happens at a token start, where both splits agree.
+struct Records<'a> {
+    text: &'a str,
+    /// Byte offset of the scan.
+    pos: usize,
+    /// 1-based number of the current line (0 before the first).
+    line: usize,
+    /// The rest of the current line, once it turned out to hold non-ASCII.
+    unicode: Option<std::str::SplitWhitespace<'a>>,
+}
+
+impl<'a> Records<'a> {
+    fn new(text: &'a str) -> Self {
+        Records {
+            text,
+            pos: 0,
+            line: 0,
+            unicode: None,
+        }
+    }
+
+    /// Moves to the next record and returns its keyword (its first token),
+    /// skipping blank and comment lines and the unread tokens of the
+    /// current one; `None` at the end of the text.
+    fn next_record(&mut self) -> Option<&'a str> {
+        loop {
+            if self.line > 0 {
+                let rest = &self.text.as_bytes()[self.pos..];
+                self.pos += rest.iter().position(|&byte| byte == b'\n')? + 1;
+            }
+            self.line += 1;
+            self.unicode = None;
+            match self.token() {
+                Some(keyword) if !keyword.starts_with('#') => return Some(keyword),
+                _ => {}
+            }
+        }
+    }
+
+    /// The next token of the current record; `None` at the end of the line.
+    fn token(&mut self) -> Option<&'a str> {
+        if let Some(words) = &mut self.unicode {
+            return words.next();
+        }
+        let bytes = self.text.as_bytes();
+        let mut end = self.pos;
+        while end < bytes.len() && CLASS[usize::from(bytes[end])] == SPACE {
+            end += 1;
+        }
+        let start = end;
+        while end < bytes.len() && CLASS[usize::from(bytes[end])] == TOKEN {
+            end += 1;
+        }
+        if end < bytes.len() && CLASS[usize::from(bytes[end])] == WIDE {
+            let line_end = bytes[end..]
+                .iter()
+                .position(|&byte| byte == b'\n')
+                .map_or(bytes.len(), |offset| end + offset);
+            let mut words = self.text[start..line_end].split_whitespace();
+            let token = words.next();
+            self.unicode = Some(words);
+            self.pos = line_end;
+            return token;
+        }
+        self.pos = end;
+        (end > start).then(|| &self.text[start..end])
+    }
+}
+
 fn parse_error(line_number: usize, detail: impl Into<String>) -> ModelError {
     ModelError::RuleViolation {
         kind: crate::mapping::MappingKind::General,
@@ -123,46 +222,41 @@ pub fn instance_from_text(text: &str) -> Result<Instance> {
     let mut times: Vec<Vec<Option<f64>>> = Vec::new();
     let mut failures: Vec<Vec<Option<f64>>> = Vec::new();
 
-    for (index, raw_line) in text.lines().enumerate() {
-        let line_number = index + 1;
-        let line = raw_line.trim();
-        if line.is_empty() || line.starts_with('#') {
-            continue;
-        }
-        let mut tokens = line.split_whitespace();
-        let keyword = tokens.next().expect("non-empty line has a first token");
+    let mut records = Records::new(text);
+    while let Some(keyword) = records.next_record() {
+        let line_number = records.line;
         match keyword {
             "tasks" => {
-                let n = parse_usize(tokens.next(), line_number, "task count")?;
+                let n = parse_usize(records.token(), line_number, "task count")?;
                 task_count = Some(n);
                 task_types = vec![None; n];
                 successors = vec![None; n];
                 failures = vec![Vec::new(); n];
             }
             "machines" => {
-                machine_count = Some(parse_usize(tokens.next(), line_number, "machine count")?);
+                machine_count = Some(parse_usize(records.token(), line_number, "machine count")?);
             }
             "types" => {
-                let p = parse_usize(tokens.next(), line_number, "type count")?;
+                let p = parse_usize(records.token(), line_number, "type count")?;
                 type_count = Some(p);
                 times = vec![Vec::new(); p];
             }
             "task" => {
                 let n = task_count
                     .ok_or_else(|| parse_error(line_number, "`tasks` must come first"))?;
-                let id = parse_usize(tokens.next(), line_number, "task index")?;
+                let id = parse_usize(records.token(), line_number, "task index")?;
                 if id >= n {
                     return Err(parse_error(
                         line_number,
                         format!("task index {id} out of range"),
                     ));
                 }
-                let ty = parse_usize(tokens.next(), line_number, "task type")?;
+                let ty = parse_usize(records.token(), line_number, "task type")?;
                 task_types[id] = Some(ty);
-                match tokens.next() {
+                match records.token() {
                     None => {}
                     Some("successor") => {
-                        let succ = parse_usize(tokens.next(), line_number, "successor index")?;
+                        let succ = parse_usize(records.token(), line_number, "successor index")?;
                         successors[id] = Some(succ);
                     }
                     Some(other) => {
@@ -178,9 +272,9 @@ pub fn instance_from_text(text: &str) -> Result<Instance> {
                     .ok_or_else(|| parse_error(line_number, "`types` must come first"))?;
                 let m = machine_count
                     .ok_or_else(|| parse_error(line_number, "`machines` must come first"))?;
-                let ty = parse_usize(tokens.next(), line_number, "type index")?;
-                let machine = parse_usize(tokens.next(), line_number, "machine index")?;
-                let value = parse_f64(tokens.next(), line_number, "processing time")?;
+                let ty = parse_usize(records.token(), line_number, "type index")?;
+                let machine = parse_usize(records.token(), line_number, "machine index")?;
+                let value = parse_f64(records.token(), line_number, "processing time")?;
                 if ty >= p || machine >= m {
                     return Err(parse_error(line_number, "time entry out of range"));
                 }
@@ -194,9 +288,9 @@ pub fn instance_from_text(text: &str) -> Result<Instance> {
                     .ok_or_else(|| parse_error(line_number, "`tasks` must come first"))?;
                 let m = machine_count
                     .ok_or_else(|| parse_error(line_number, "`machines` must come first"))?;
-                let task = parse_usize(tokens.next(), line_number, "task index")?;
-                let machine = parse_usize(tokens.next(), line_number, "machine index")?;
-                let value = parse_f64(tokens.next(), line_number, "failure probability")?;
+                let task = parse_usize(records.token(), line_number, "task index")?;
+                let machine = parse_usize(records.token(), line_number, "machine index")?;
+                let value = parse_f64(records.token(), line_number, "failure probability")?;
                 if task >= n || machine >= m {
                     return Err(parse_error(line_number, "failure entry out of range"));
                 }
@@ -280,20 +374,16 @@ pub fn instance_from_text(text: &str) -> Result<Instance> {
 pub fn mapping_from_text(text: &str) -> Result<Mapping> {
     let mut machine_count: Option<usize> = None;
     let mut assignments: Vec<(usize, usize)> = Vec::new();
-    for (index, raw_line) in text.lines().enumerate() {
-        let line_number = index + 1;
-        let line = raw_line.trim();
-        if line.is_empty() || line.starts_with('#') {
-            continue;
-        }
-        let mut tokens = line.split_whitespace();
-        match tokens.next().expect("non-empty line") {
+    let mut records = Records::new(text);
+    while let Some(keyword) = records.next_record() {
+        let line_number = records.line;
+        match keyword {
             "machines" => {
-                machine_count = Some(parse_usize(tokens.next(), line_number, "machine count")?);
+                machine_count = Some(parse_usize(records.token(), line_number, "machine count")?);
             }
             "assign" => {
-                let task = parse_usize(tokens.next(), line_number, "task index")?;
-                let machine = parse_usize(tokens.next(), line_number, "machine index")?;
+                let task = parse_usize(records.token(), line_number, "task index")?;
+                let machine = parse_usize(records.token(), line_number, "machine index")?;
                 assignments.push((task, machine));
             }
             other => {
@@ -342,6 +432,56 @@ mod tests {
             FailureModel::from_matrix(vec![vec![0.01, 0.02], vec![0.03, 0.04], vec![0.0, 0.05]], 2)
                 .unwrap();
         Instance::new(app, platform, failures).unwrap()
+    }
+
+    /// The `str::lines` → `str::trim` → `str::split_whitespace` split the
+    /// scanner replaces: each non-blank, non-comment line as its number and
+    /// tokens.
+    fn reference_records(text: &str) -> Vec<(usize, Vec<&str>)> {
+        text.lines()
+            .enumerate()
+            .filter_map(|(index, line)| {
+                let line = line.trim();
+                (!line.is_empty() && !line.starts_with('#'))
+                    .then(|| (index + 1, line.split_whitespace().collect()))
+            })
+            .collect()
+    }
+
+    /// The scanner agrees with the reference split on seeded random texts
+    /// over ASCII and Unicode whitespace, line ends, comment marks and token
+    /// bytes — also when a record's tokens are only partly read before the
+    /// scanner moves on.
+    #[test]
+    fn records_split_like_the_reference() {
+        const ALPHABET: [&str; 18] = [
+            "a", "7", ".", "#", " ", "\t", "\x0B", "\x0C", "\r", "\n", "\r\n", "\u{A0}",
+            "\u{3000}", "\u{85}", "\u{2028}", "é", "\x1F", "☃",
+        ];
+        for seed in 0..4000u64 {
+            let mut state = seed;
+            let mut next = || {
+                state = crate::seed::splitmix64(state);
+                state
+            };
+            let len = next() % 48;
+            let text: String = (0..len)
+                .map(|_| ALPHABET[(next() % ALPHABET.len() as u64) as usize])
+                .collect();
+            let read = (next() % 4) as usize;
+            let expected: Vec<(usize, Vec<&str>)> = reference_records(&text)
+                .into_iter()
+                .map(|(line, tokens)| (line, tokens.into_iter().take(1 + read).collect()))
+                .collect();
+            let mut records = Records::new(&text);
+            let mut actual = Vec::new();
+            while let Some(keyword) = records.next_record() {
+                let mut tokens = vec![keyword];
+                tokens.extend(std::iter::from_fn(|| records.token()).take(read));
+                actual.push((records.line, tokens));
+            }
+            assert_eq!(actual, expected, "seed {seed}: {text:?}");
+        }
     }
 
     #[test]
