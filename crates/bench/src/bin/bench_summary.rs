@@ -11,10 +11,11 @@
 //! fast path vs a full recompute), the steepest-descent sweep on both the
 //! forest and the chain shape (with its deterministic `evaluator_calls`
 //! count), LNS restage probes (staged subtree tear-out vs full candidate
-//! recompute), and a full portfolio run — with plain `Instant` timing and
-//! writes median nanoseconds per run to `BENCH_core.json`, so the perf
-//! trajectory accumulates commit over commit (CI uploads the file as an
-//! artifact).
+//! recompute), a full portfolio run, and the `load` path (parsing the
+//! fixture's instance text, and a journal churn across two compactions) —
+//! with plain `Instant` timing and writes median nanoseconds per run to
+//! `BENCH_core.json`, so the perf trajectory accumulates commit over commit
+//! (CI uploads the file as an artifact).
 //!
 //! ```sh
 //! cargo run --release -p mf-bench --bin bench_summary -- --out BENCH_core.json
@@ -39,6 +40,7 @@ use mf_heuristics::search::{
     polish_with, SearchEngine, SearchStrategy, SteepestDescent, TabuSearch,
 };
 use mf_heuristics::{H4wFastestMachine, H6LocalSearch, Heuristic, LocalSearchConfig};
+use mf_server::{Journal, COMPACT_EVERY};
 use std::time::Instant;
 
 /// One timed measurement.
@@ -84,6 +86,8 @@ enum Quality {
         evaluator_calls: u64,
         probes: u64,
     },
+    /// Deterministic counts of the work one run does, as named columns.
+    Counts(Vec<(&'static str, u64)>),
 }
 
 fn median_ns(mut samples: Vec<u128>) -> u128 {
@@ -403,6 +407,57 @@ fn main() {
         });
     }
 
+    // The serving path of a `load`, layer by layer: parsing the instance
+    // text of the bench fixture, and journaling it — a churn of
+    // `2 × COMPACT_EVERY` reloads over four names into a fresh data
+    // directory, so each run crosses two compactions.
+    {
+        let text = mf_core::textio::instance_to_text(&instance);
+        let lines = text.lines().count() as u64;
+        rows.push(Measurement {
+            name: "load_path/parse",
+            timing: timing(time(iterations, || {
+                mf_core::textio::instance_from_text(&text).unwrap()
+            })),
+            iterations,
+            quality: Quality::Counts(vec![("lines", lines)]),
+        });
+
+        let payload: Vec<String> = text.lines().map(str::to_string).collect();
+        let dir = std::env::temp_dir().join(format!("mf-bench-journal-{}", std::process::id()));
+        let appends = 2 * COMPACT_EVERY;
+        let churn = || {
+            let _ = std::fs::remove_dir_all(&dir);
+            let journal = Journal::open(&dir).expect("temp data directory");
+            for generation in 0..appends {
+                let name = ["n0", "n1", "n2", "n3"][(generation % 4) as usize];
+                journal
+                    .record_load(name, generation, &payload)
+                    .expect("journal append");
+            }
+            journal
+        };
+        let journal = churn();
+        let compactions = journal
+            .status_counters()
+            .into_iter()
+            .find(|(key, _)| key == "journal-compactions")
+            .map_or(0, |(_, count)| count);
+        let bytes = std::fs::metadata(journal.path()).map_or(0, |meta| meta.len());
+        drop(journal);
+        rows.push(Measurement {
+            name: "load_path/journal",
+            timing: timing(time(iterations, churn)),
+            iterations,
+            quality: Quality::Counts(vec![
+                ("appends", appends),
+                ("compactions", compactions),
+                ("bytes", bytes),
+            ]),
+        });
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
     let mut json = String::new();
     json.push_str("{\n");
     json.push_str("  \"schema\": \"mf-bench-summary v1\",\n");
@@ -442,6 +497,11 @@ fn main() {
                 "\"period_ms\": {period_ms}, \"evaluator_calls\": {evaluator_calls}, \
                  \"probes\": {probes}"
             ),
+            Quality::Counts(counts) => counts
+                .iter()
+                .map(|(name, count)| format!("\"{name}\": {count}"))
+                .collect::<Vec<_>>()
+                .join(", "),
         };
         json.push_str(&format!(
             "    {{\"name\": \"{}\", \"median_ns\": {}, \"elapsed_ns\": {}, \
