@@ -410,7 +410,9 @@ fn main() {
     // The serving path of a `load`, layer by layer: parsing the instance
     // text of the bench fixture, and journaling it — a churn of
     // `2 × COMPACT_EVERY` reloads over four names into a fresh data
-    // directory, so each run crosses two compactions.
+    // directory, so each run crosses two compactions. Each timed churn
+    // also clears the previous run's directory; `bytes` is the journal's
+    // size when the churn ends.
     {
         let text = mf_core::textio::instance_to_text(&instance);
         let lines = text.lines().count() as u64;
