@@ -1,20 +1,9 @@
-//! # mf-bench — shared fixtures for the Criterion benchmark harness
+//! # mf-bench — shared fixtures for the wall-clock probes and `bench_summary`
 //!
-//! The benches themselves live in `benches/`:
-//!
-//! * `figures` — one Criterion group per paper figure, each running a reduced
-//!   sweep of the corresponding experiment;
-//! * `heuristic_scaling` — runtime of each heuristic as the task count grows;
-//! * `substrates` — simplex, Hungarian, bottleneck assignment and the
-//!   discrete-event simulator;
-//! * `ablations` — the design-choice ablations listed in DESIGN.md
-//!   (H4 scoring rule, binary-search tolerance, exact-solver choice);
-//! * `incremental` — incremental move/swap evaluation vs. a full recompute
-//!   (the ≥ 10× bar itself is pinned by the ignored `incremental_speedup`
-//!   integration test, probed non-blocking in CI).
-//!
-//! This library crate only provides deterministic instance fixtures shared by
-//! those benches.
+//! Deterministic instance fixtures shared by the ignored wall-clock probe
+//! tests in `tests/` (`incremental_speedup` pins the ≥ 10× / ≥ 5× what-if
+//! bars) and by the headless `bench_summary` binary, which records
+//! `BENCH_core.json`.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
@@ -27,21 +16,6 @@ pub fn standard_instance(tasks: usize, machines: usize, types: usize, seed: u64)
     InstanceGenerator::new(GeneratorConfig::paper_standard(tasks, machines, types))
         .generate(seed)
         .expect("the standard generator always produces valid instances")
-}
-
-/// A deterministic instance with failures attached to tasks only (Figure 9
-/// setting).
-pub fn task_failure_instance(tasks: usize, machines: usize, types: usize, seed: u64) -> Instance {
-    InstanceGenerator::new(GeneratorConfig::paper_task_failures(tasks, machines, types))
-        .generate(seed)
-        .expect("the task-failure generator always produces valid instances")
-}
-
-/// A deterministic high-failure instance (Figure 8 setting).
-pub fn high_failure_instance(tasks: usize, machines: usize, types: usize, seed: u64) -> Instance {
-    InstanceGenerator::new(GeneratorConfig::paper_high_failure(tasks, machines, types))
-        .generate(seed)
-        .expect("the high-failure generator always produces valid instances")
 }
 
 /// A deterministic random **in-forest** instance (mixed fan-in, several
@@ -64,10 +38,6 @@ mod tests {
         let inst = standard_instance(20, 8, 3, 1);
         assert_eq!(inst.task_count(), 20);
         assert_eq!(inst.machine_count(), 8);
-        let inst = task_failure_instance(10, 10, 2, 2);
-        assert!(inst.failures().is_task_dependent_only());
-        let inst = high_failure_instance(10, 5, 2, 3);
-        assert_eq!(inst.machine_count(), 5);
     }
 
     #[test]

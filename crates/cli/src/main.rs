@@ -93,16 +93,17 @@ COMMANDS:
   evaluate   print the period, throughput and per-machine loads of a mapping
   simulate   run the discrete-event simulation of a mapping
   serve      run the long-lived mf-proto solve/evaluate server: resident
-             named instances, session whatif probes, shared solver pool,
+             named instances, session whatif probes, per-shard solver pools,
              keyed evaluate cache (--port 0 picks a free port; --stdio
              serves one pipe session; --workers W shards the store across
-             W engines behind a router — byte-identical to --workers 1;
+             W engines behind the router, default 1 — answers are
+             byte-identical for any W;
              --data-dir PATH journals loads/unloads to PATH/journal.mfj
              and replays them on boot, so instances — and their store
              generations — survive a restart or crash; --trace-dir PATH
-             appends every request's latency span to
-             PATH/server.mf-trace; --slow-ms N logs requests slower than
-             N ms to stderr — default 1000)
+             appends every instance command's latency span to
+             PATH/server.mf-trace; --slow-ms N logs instance commands
+             slower than N ms to stderr — default 1000)
   client     connect to a server and run the script on stdin (load/evaluate
              take client-side file paths; everything else is raw protocol)
   stats      fetch a running server's counters (one `key value` per line);
@@ -387,18 +388,6 @@ fn evaluate(args: &Arguments) -> std::result::Result<(), String> {
     Ok(())
 }
 
-fn build_serve_engine(
-    threads: usize,
-    data_dir: Option<&str>,
-    obs: mf_server::ObsConfig,
-) -> std::result::Result<mf_server::Engine, String> {
-    match data_dir {
-        Some(dir) => mf_server::Engine::open_with_observability(threads, dir, obs)
-            .map_err(|e| format!("cannot open data dir `{dir}`: {e}")),
-        None => Ok(mf_server::Engine::with_observability(threads, obs)),
-    }
-}
-
 fn build_serve_router(
     workers: usize,
     threads: usize,
@@ -413,7 +402,7 @@ fn build_serve_router(
 }
 
 /// The serving tier's observability wiring from `--trace-dir` / `--slow-ms`:
-/// the config every engine (or worker shard) shares, plus the trace writer
+/// the config every worker shard shares, plus the trace writer
 /// to finish once the serve loop ends.
 fn serve_observability(
     args: &Arguments,
@@ -461,47 +450,30 @@ fn serve_with(
     obs: mf_server::ObsConfig,
 ) -> std::result::Result<(), String> {
     if args.has_flag("stdio") {
+        let router = build_serve_router(workers, threads, data_dir, obs)?;
         let stdin = std::io::stdin();
         let stdout = std::io::stdout();
-        // Router answers are pinned byte-identical to a single engine for
-        // any worker count, so the fork here is invisible on the wire.
-        if workers > 1 {
-            let router = build_serve_router(workers, threads, data_dir, obs)?;
-            mf_server::serve_stdio(&router, stdin.lock(), stdout.lock())
-        } else {
-            let engine = build_serve_engine(threads, data_dir, obs)?;
-            mf_server::serve_stdio(&engine, stdin.lock(), stdout.lock())
-        }
-        .map_err(|e| format!("stdio session failed: {e}"))
-    } else {
-        let port = match args.string_flag("port") {
-            Some(raw) => raw
-                .parse::<u16>()
-                .map_err(|_| format!("invalid --port `{raw}` (expected 0..=65535)"))?,
-            None => 0,
-        };
-        if workers > 1 {
-            let router = Arc::new(build_serve_router(workers, threads, data_dir, obs)?);
-            let server = mf_server::Server::with_handler(("127.0.0.1", port), router)
-                .map_err(|e| format!("cannot bind 127.0.0.1:{port}: {e}"))?;
-            let addr = server.local_addr().map_err(|e| e.to_string())?;
-            eprintln!(
-                "mf-server listening on {addr} ({} worker shard(s)); send `shutdown` to stop",
-                server.router().workers()
-            );
-            server.run().map_err(|e| format!("server loop failed: {e}"))
-        } else {
-            let engine = Arc::new(build_serve_engine(threads, data_dir, obs)?);
-            let server = mf_server::Server::with_engine(("127.0.0.1", port), engine)
-                .map_err(|e| format!("cannot bind 127.0.0.1:{port}: {e}"))?;
-            let addr = server.local_addr().map_err(|e| e.to_string())?;
-            eprintln!(
-                "mf-server listening on {addr} ({} solver thread(s)); send `shutdown` to stop",
-                server.engine().runner().threads()
-            );
-            server.run().map_err(|e| format!("server loop failed: {e}"))
-        }
+        return mf_server::serve_stdio(&router, stdin.lock(), stdout.lock())
+            .map_err(|e| format!("stdio session failed: {e}"));
     }
+    let port = match args.string_flag("port") {
+        Some(raw) => raw
+            .parse::<u16>()
+            .map_err(|_| format!("invalid --port `{raw}` (expected 0..=65535)"))?,
+        None => 0,
+    };
+    let router = Arc::new(build_serve_router(workers, threads, data_dir, obs)?);
+    let server = mf_server::Server::with_handler(("127.0.0.1", port), router)
+        .map_err(|e| format!("cannot bind 127.0.0.1:{port}: {e}"))?;
+    let addr = server.local_addr().map_err(|e| e.to_string())?;
+    let router = server.router();
+    eprintln!(
+        "mf-server listening on {addr} ({} worker shard(s), {} solver thread(s) each); \
+         send `shutdown` to stop",
+        router.workers(),
+        router.engines()[0].runner().threads()
+    );
+    server.run().map_err(|e| format!("server loop failed: {e}"))
 }
 
 fn connect_client(args: &Arguments) -> std::result::Result<mf_server::Client, String> {

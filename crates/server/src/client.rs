@@ -399,7 +399,7 @@ mod tests {
 
     #[test]
     fn typed_round_trip_against_a_live_server() {
-        let server = Server::bind("127.0.0.1:0", 1).unwrap();
+        let server = Server::bind_router("127.0.0.1:0", 1, 1).unwrap();
         let addr = server.local_addr().unwrap();
         let handle = std::thread::spawn(move || server.run().unwrap());
         let mut client = Client::connect(addr).unwrap();

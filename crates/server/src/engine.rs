@@ -1,9 +1,13 @@
-//! Request dispatch: the bridge between `mf-proto v1` and the solver stack.
+//! Instance-command dispatch: the bridge between `mf-proto` and the solver
+//! stack, one shard at a time.
 //!
-//! One [`Engine`] is shared by every session of a server process. It owns the
-//! resident [`InstanceStore`], the shared [`BatchRunner`] rayon pool the
-//! portfolio races on, and the statistics counters. Each connection gets its
-//! own [`Session`], which carries the **resident evaluator state**: after an
+//! An [`Engine`] is one shard worker of a [`Router`](crate::router::Router),
+//! shared by every session the router forwards to it. It owns the shard's
+//! resident [`InstanceStore`], the [`BatchRunner`] rayon pool the portfolio
+//! races on, and the shard's statistics counters. It answers `hello` and the
+//! five instance commands (`load`, `unload`, `evaluate`, `whatif`, `solve`);
+//! the router answers everything else. Each connection gets one [`Session`]
+//! per touched shard, which carries the **resident evaluator state**: after an
 //! `evaluate` or `solve` on an instance, the session keeps the committed
 //! [`EvaluatorSnapshot`] of that mapping, and later `whatif` probes resume it
 //! in `O(1)` — no demand walk, no load rebuild — answering move/swap
@@ -23,8 +27,7 @@ use crate::cache::{CachedEvaluation, EvaluateCache};
 use crate::errors::EngineError;
 use crate::journal::{Journal, JournalResult, RecoveredInstance};
 use crate::obs::{ObsConfig, ObsState};
-use crate::proto::{GapReport, InstanceInfo, Probe, ProtoVersion, Request, Response, SolveMethod};
-use crate::stats::StatsReport;
+use crate::proto::{GapReport, Probe, ProtoVersion, Request, Response, SolveMethod};
 use crate::store::{InstanceStore, StoredInstance};
 use mf_core::prelude::*;
 use mf_core::textio;
@@ -32,7 +35,6 @@ use mf_experiments::anytime::{solve_anytime_observed, AnytimeConfig};
 use mf_experiments::portfolio::{run_portfolio, PortfolioConfig};
 use mf_experiments::runner::BatchRunner;
 use std::collections::HashMap;
-use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 
@@ -170,7 +172,8 @@ pub(crate) fn hello_response(requested: u32, slot: &mut ProtoVersion) -> Respons
 }
 
 /// Rejects a v2-only command on a v1 session with the stable
-/// version-required error (shared by the engine and the router).
+/// version-required error (the router's gate for `batch` and
+/// `status-export`).
 pub(crate) fn gate_v2(
     version: ProtoVersion,
     command: &'static str,
@@ -187,7 +190,7 @@ pub(crate) fn gate_v2(
 }
 
 /// Rejects a v3-only command on an older session with the stable
-/// version-required error (shared by the engine and the router).
+/// version-required error.
 pub(crate) fn gate_v3(
     version: ProtoVersion,
     command: &'static str,
@@ -203,7 +206,7 @@ pub(crate) fn gate_v3(
     }
 }
 
-/// The shared dispatch engine of a server process.
+/// One shard worker of the serving tier.
 pub struct Engine {
     store: InstanceStore,
     runner: BatchRunner,
@@ -222,47 +225,10 @@ pub struct Engine {
 }
 
 impl Engine {
-    /// An engine whose portfolio pool uses `threads` workers (`0` = one per
-    /// CPU, capped at 16 — the workspace-wide convention).
-    pub fn new(threads: usize) -> Self {
-        Engine::with_observability(threads, ObsConfig::default())
-    }
-
-    /// [`Engine::new`] with explicit observability wiring: an injected
-    /// clock, an optional `mf-trace v1` writer, and the slow-request
-    /// threshold. Observability never changes a response byte.
-    pub fn with_observability(threads: usize, obs: ObsConfig) -> Self {
-        Engine::with_journal(threads, None, obs)
-    }
-
-    /// A durable engine: opens (or creates) the `mf-journal v1` under
-    /// `data_dir`, replays every live instance into the store, and resumes
-    /// the generation counter strictly above every generation ever issued —
-    /// so a keyed evaluate-cache entry can never alias a pre-restart
-    /// instance.
-    pub fn open(threads: usize, data_dir: impl AsRef<Path>) -> JournalResult<Engine> {
-        Engine::open_with_observability(threads, data_dir, ObsConfig::default())
-    }
-
-    /// [`Engine::open`] with explicit observability wiring.
-    pub fn open_with_observability(
-        threads: usize,
-        data_dir: impl AsRef<Path>,
-        obs: ObsConfig,
-    ) -> JournalResult<Engine> {
-        let journal = Arc::new(Journal::open(data_dir)?);
-        let engine = Engine::with_journal(threads, Some(Arc::clone(&journal)), obs);
-        for recovered in journal.live_instances() {
-            engine.adopt(recovered)?;
-        }
-        engine.finish_replay();
-        Ok(engine)
-    }
-
-    /// An engine wired to an already-open journal — shared by [`Engine::open`]
-    /// and the router's durable constructor (which hands one journal to many
-    /// worker shards). The caller is responsible for replaying
-    /// [`Journal::live_instances`] via [`Engine::adopt`] and then calling
+    /// A shard engine wired to the tier's journal (when the tier is
+    /// durable) and observability config. The router is the only caller:
+    /// it builds one engine per shard and, on a durable tier, replays
+    /// [`Journal::live_instances`] via [`Engine::adopt`] and then calls
     /// [`Engine::finish_replay`].
     pub(crate) fn with_journal(
         threads: usize,
@@ -353,70 +319,23 @@ impl Engine {
     }
 
     /// Dispatches one request against the shared store and the session's
-    /// resident state.
+    /// resident state. A shard serves the five instance commands — exactly
+    /// what can ride a `batch` envelope — plus `hello`; anything else
+    /// answers the stable not-batchable error. Every call counts as one
+    /// request (one error when it answers an error) and is timed as its own
+    /// command.
     pub fn dispatch(&self, session: &mut Session, request: Request) -> Response {
         Counters::bump(&self.counters.requests);
         let keyword = request.keyword();
         let start_ns = self.obs.now_ns();
-        let response = self.handle(session, request);
-        self.obs.observe_request(keyword, start_ns);
-        if matches!(response, Response::Error { .. }) {
-            Counters::bump(&self.counters.errors);
-        }
-        response
-    }
-
-    fn handle(&self, session: &mut Session, request: Request) -> Response {
-        match request {
+        let response = match request {
             Request::Hello { requested } => hello_response(requested, &mut session.version),
-            Request::Batch(items) => match gate_v2(session.version, "batch") {
-                Ok(()) => Response::Batch(
-                    items
-                        .into_iter()
-                        .map(|item| self.dispatch_batch_item(session, item))
-                        .collect(),
-                ),
-                Err(response) => response,
-            },
-            Request::StatusExport => match gate_v2(session.version, "status-export") {
-                Ok(()) => Response::StatusExport(self.status_report().json_lines()),
-                Err(response) => response,
-            },
             Request::Load { name, payload } => self.load(session, &name, &payload),
             Request::Unload { name } => self.unload(session, &name),
-            Request::List => Response::List(
-                self.store
-                    .snapshot()
-                    .iter()
-                    .map(|stored| InstanceInfo {
-                        name: stored.name.clone(),
-                        tasks: stored.tasks(),
-                        machines: stored.machines(),
-                        types: stored.types(),
-                    })
-                    .collect(),
-            ),
             Request::Evaluate { name, payload } => self.evaluate(session, &name, &payload),
             Request::WhatIf { name, probe } => self.what_if(session, &name, probe),
             Request::Solve { name, method, seed } => self.solve(session, &name, &method, seed),
-            Request::Stats => Response::Stats(self.stats_for(session.version)),
-            Request::Shutdown => Response::Shutdown,
-        }
-    }
-
-    /// Dispatches one command riding a `batch` envelope. Every item counts
-    /// as a request (the envelope itself counted separately), non-instance
-    /// commands answer the stable not-batchable error, and error answers
-    /// count as errors — so a batched script moves the counters exactly as
-    /// the same commands sent one per round trip.
-    pub(crate) fn dispatch_batch_item(&self, session: &mut Session, item: Request) -> Response {
-        Counters::bump(&self.counters.requests);
-        let keyword = item.keyword();
-        let start_ns = self.obs.now_ns();
-        let response = if item.instance_name().is_none() {
-            EngineError::NotBatchable { command: keyword }.into_response()
-        } else {
-            self.handle(session, item)
+            _ => EngineError::NotBatchable { command: keyword }.into_response(),
         };
         self.obs.observe_request(keyword, start_ns);
         if matches!(response, Response::Error { .. }) {
@@ -847,8 +766,8 @@ impl Engine {
     /// keeps its shape), plus — on v3 sessions — the
     /// anytime-solve counters (solves, streamed reports, proven runs, and
     /// the exact phase's node/LP work). Every key is a plain sum over the
-    /// work done, so a router can aggregate worker lists index-aligned and
-    /// stay byte-identical to a single-process server.
+    /// work done, so the router aggregates worker lists index-aligned and
+    /// its answer is the same for any worker count.
     pub fn stats_for(&self, version: ProtoVersion) -> Vec<(String, u64)> {
         let mut entries = self.stats();
         if version >= ProtoVersion::V2 {
@@ -879,24 +798,6 @@ impl Engine {
             entries.push(("lp-reuses".to_string(), read(&c.lp_reuses)));
         }
         entries
-    }
-
-    /// The full machine-readable report: the complete (v3) counter list as
-    /// both the global and the single worker's list (a one-engine server
-    /// **is** its only worker), plus — on durable engines — the journal's
-    /// recovery counters.
-    pub fn status_report(&self) -> StatsReport {
-        let stats = self.stats_for(ProtoVersion::V3);
-        StatsReport {
-            recovery: self
-                .journal
-                .as_ref()
-                .map(|journal| journal.status_counters())
-                .unwrap_or_default(),
-            global: stats.clone(),
-            histograms: self.histograms(),
-            workers: vec![stats],
-        }
     }
 
     /// Snapshots the per-command request-latency histograms, in
@@ -961,6 +862,7 @@ impl mf_obs::ProgressSink for TraceIncumbentSink<'_> {
 mod tests {
     use super::*;
     use crate::proto::{text_payload, ErrorCode};
+    use crate::router::{Router, RouterSession};
     use mf_heuristics::{H4wFastestMachine, Heuristic};
     use mf_sim::{GeneratorConfig, InstanceGenerator};
 
@@ -972,8 +874,8 @@ mod tests {
         textio::instance_to_text(&instance)
     }
 
-    fn load(engine: &Engine, session: &mut Session, name: &str, text: &str) {
-        let response = engine.dispatch(
+    fn load(router: &Router, session: &mut RouterSession, name: &str, text: &str) {
+        let response = router.dispatch(
             session,
             Request::Load {
                 name: name.into(),
@@ -985,12 +887,12 @@ mod tests {
 
     #[test]
     fn load_list_solve_evaluate_whatif_flow() {
-        let engine = Engine::new(1);
-        let mut session = engine.begin_session();
+        let router = Router::new(1, 1);
+        let mut session = router.begin_session();
         let text = instance_text(8, 4, 2, 3);
-        load(&engine, &mut session, "a", &text);
+        load(&router, &mut session, "a", &text);
 
-        let Response::List(entries) = engine.dispatch(&mut session, Request::List) else {
+        let Response::List(entries) = router.dispatch(&mut session, Request::List) else {
             panic!("list failed");
         };
         assert_eq!(entries.len(), 1);
@@ -1004,7 +906,7 @@ mod tests {
             period,
             machines,
             assignment,
-        } = engine.dispatch(
+        } = router.dispatch(
             &mut session,
             Request::Solve {
                 name: "a".into(),
@@ -1038,7 +940,7 @@ mod tests {
             period: evaluated,
             critical,
             loads,
-        } = engine.dispatch(
+        } = router.dispatch(
             &mut session,
             Request::Evaluate {
                 name: "a".into(),
@@ -1062,7 +964,7 @@ mod tests {
         let Response::WhatIf {
             period: probed,
             critical: probed_critical,
-        } = engine.dispatch(
+        } = router.dispatch(
             &mut session,
             Request::WhatIf {
                 name: "a".into(),
@@ -1081,7 +983,7 @@ mod tests {
         assert_eq!(probed_critical, expected.critical_machine.index());
 
         // The stats counters saw all of it.
-        let Response::Stats(stats) = engine.dispatch(&mut session, Request::Stats) else {
+        let Response::Stats(stats) = router.dispatch(&mut session, Request::Stats) else {
             panic!("stats failed");
         };
         let get = |key: &str| {
@@ -1109,10 +1011,10 @@ mod tests {
 
     #[test]
     fn anytime_solves_need_a_v3_hello_and_stream_monotone_reports() {
-        let engine = Engine::new(1);
-        let mut session = engine.begin_session();
+        let router = Router::new(1, 1);
+        let mut session = router.begin_session();
         let text = instance_text(10, 5, 2, 7);
-        load(&engine, &mut session, "a", &text);
+        load(&router, &mut session, "a", &text);
         let anytime = |budget| Request::Solve {
             name: "a".into(),
             method: SolveMethod::Anytime { budget },
@@ -1123,11 +1025,11 @@ mod tests {
         for requested in [1, 2] {
             if requested > 1 {
                 assert!(matches!(
-                    engine.dispatch(&mut session, Request::Hello { requested }),
+                    router.dispatch(&mut session, Request::Hello { requested }),
                     Response::Hello { .. }
                 ));
             }
-            let Response::Error { code, detail } = engine.dispatch(&mut session, anytime(None))
+            let Response::Error { code, detail } = router.dispatch(&mut session, anytime(None))
             else {
                 panic!("anytime must be gated below v3");
             };
@@ -1136,7 +1038,7 @@ mod tests {
         }
 
         assert!(matches!(
-            engine.dispatch(&mut session, Request::Hello { requested: 3 }),
+            router.dispatch(&mut session, Request::Hello { requested: 3 }),
             Response::Hello {
                 version: ProtoVersion::V3
             }
@@ -1146,7 +1048,7 @@ mod tests {
             period,
             machines,
             assignment,
-        } = engine.dispatch(&mut session, anytime(None))
+        } = router.dispatch(&mut session, anytime(None))
         else {
             panic!("anytime solve failed");
         };
@@ -1180,7 +1082,7 @@ mod tests {
 
         // The solved mapping is resident: whatif probes work immediately.
         assert!(matches!(
-            engine.dispatch(
+            router.dispatch(
                 &mut session,
                 Request::WhatIf {
                     name: "a".into(),
@@ -1191,7 +1093,7 @@ mod tests {
         ));
 
         // The v3 counters saw the run.
-        let stats = v2_stats(&engine, &mut session);
+        let stats = v2_stats(&router, &mut session);
         assert_eq!(stat_of(&stats, "solves-anytime"), 1);
         assert_eq!(stat_of(&stats, "anytime-reports"), reports.len() as u64);
         assert_eq!(
@@ -1205,18 +1107,18 @@ mod tests {
 
     #[test]
     fn session_snapshot_cache_is_capped_by_recency() {
-        let engine = Engine::new(1);
-        let mut session = engine.begin_session();
+        let router = Router::new(1, 1);
+        let mut session = router.begin_session();
         // One more instance than the cap; evaluating each in turn parks one
         // snapshot per name.
         let count = SESSION_SNAPSHOT_CAP + 1;
         for k in 0..count {
             let text = instance_text(6, 3, 2, k as u64 + 1);
             let name = format!("inst{k}");
-            load(&engine, &mut session, &name, &text);
+            load(&router, &mut session, &name, &text);
             let instance = textio::instance_from_text(&text).unwrap();
             let mapping = H4wFastestMachine.map(&instance).unwrap();
-            let response = engine.dispatch(
+            let response = router.dispatch(
                 &mut session,
                 Request::Evaluate {
                     name: name.clone(),
@@ -1230,8 +1132,8 @@ mod tests {
         }
         // The first (coldest) snapshot was evicted: whatif has no resident
         // state for it. The most recent one still answers.
-        let probe = |session: &mut Session, name: &str| {
-            engine.dispatch(
+        let probe = |session: &mut RouterSession, name: &str| {
+            router.dispatch(
                 session,
                 Request::WhatIf {
                     name: name.into(),
@@ -1255,7 +1157,7 @@ mod tests {
         );
         let warm = probe(&mut session, &format!("inst{}", count - 1));
         assert!(matches!(warm, Response::WhatIf { .. }), "{warm:?}");
-        let Response::Stats(stats) = engine.dispatch(&mut session, Request::Stats) else {
+        let Response::Stats(stats) = router.dispatch(&mut session, Request::Stats) else {
             panic!("stats failed");
         };
         let get = |key: &str| {
@@ -1271,11 +1173,11 @@ mod tests {
 
     #[test]
     fn whatif_requires_resident_state_and_survives_bad_probes() {
-        let engine = Engine::new(1);
-        let mut session = engine.begin_session();
-        load(&engine, &mut session, "a", &instance_text(6, 3, 2, 1));
+        let router = Router::new(1, 1);
+        let mut session = router.begin_session();
+        load(&router, &mut session, "a", &instance_text(6, 3, 2, 1));
         // No evaluate/solve yet.
-        let response = engine.dispatch(
+        let response = router.dispatch(
             &mut session,
             Request::WhatIf {
                 name: "a".into(),
@@ -1297,7 +1199,7 @@ mod tests {
         );
         // Solve creates resident state; an out-of-range probe errors but the
         // state stays usable.
-        let solved = engine.dispatch(
+        let solved = router.dispatch(
             &mut session,
             Request::Solve {
                 name: "a".into(),
@@ -1306,7 +1208,7 @@ mod tests {
             },
         );
         assert!(matches!(solved, Response::Solved { .. }), "{solved:?}");
-        let bad = engine.dispatch(
+        let bad = router.dispatch(
             &mut session,
             Request::WhatIf {
                 name: "a".into(),
@@ -1326,7 +1228,7 @@ mod tests {
             ),
             "{bad:?}"
         );
-        let good = engine.dispatch(
+        let good = router.dispatch(
             &mut session,
             Request::WhatIf {
                 name: "a".into(),
@@ -1335,8 +1237,8 @@ mod tests {
         );
         assert!(matches!(good, Response::WhatIf { .. }), "{good:?}");
         // Reloading the instance invalidates the resident snapshot.
-        load(&engine, &mut session, "a", &instance_text(6, 3, 2, 2));
-        let stale = engine.dispatch(
+        load(&router, &mut session, "a", &instance_text(6, 3, 2, 2));
+        let stale = router.dispatch(
             &mut session,
             Request::WhatIf {
                 name: "a".into(),
@@ -1357,9 +1259,9 @@ mod tests {
 
     #[test]
     fn error_paths_are_typed() {
-        let engine = Engine::new(1);
-        let mut session = engine.begin_session();
-        let unknown = engine.dispatch(
+        let router = Router::new(1, 1);
+        let mut session = router.begin_session();
+        let unknown = router.dispatch(
             &mut session,
             Request::Solve {
                 name: "missing".into(),
@@ -1374,7 +1276,7 @@ mod tests {
                 ..
             }
         ));
-        let garbage = engine.dispatch(
+        let garbage = router.dispatch(
             &mut session,
             Request::Load {
                 name: "bad".into(),
@@ -1388,8 +1290,8 @@ mod tests {
                 ..
             }
         ));
-        load(&engine, &mut session, "a", &instance_text(6, 3, 2, 1));
-        let typo = engine.dispatch(
+        load(&router, &mut session, "a", &instance_text(6, 3, 2, 1));
+        let typo = router.dispatch(
             &mut session,
             Request::Solve {
                 name: "a".into(),
@@ -1406,9 +1308,9 @@ mod tests {
         }
         // 5 types on 3 machines: every solver fails feasibly.
         let infeasible_text = instance_text(10, 3, 5, 1);
-        load(&engine, &mut session, "tight", &infeasible_text);
+        load(&router, &mut session, "tight", &infeasible_text);
         for method in [SolveMethod::Heuristic("H4w".into()), SolveMethod::Portfolio] {
-            let response = engine.dispatch(
+            let response = router.dispatch(
                 &mut session,
                 Request::Solve {
                     name: "tight".into(),
@@ -1427,7 +1329,7 @@ mod tests {
                 "{response:?}"
             );
         }
-        let Response::Stats(stats) = engine.dispatch(&mut session, Request::Stats) else {
+        let Response::Stats(stats) = router.dispatch(&mut session, Request::Stats) else {
             panic!("stats failed");
         };
         let errors = stats.iter().find(|(k, _)| k == "errors").unwrap().1;
@@ -1436,10 +1338,10 @@ mod tests {
 
     #[test]
     fn per_request_seeds_change_seeded_answers_deterministically() {
-        let engine = Engine::new(1);
-        let mut session = engine.begin_session();
-        load(&engine, &mut session, "a", &instance_text(12, 5, 3, 7));
-        let solve = |session: &mut Session, seed: Option<u64>| match engine.dispatch(
+        let router = Router::new(1, 1);
+        let mut session = router.begin_session();
+        load(&router, &mut session, "a", &instance_text(12, 5, 3, 7));
+        let solve = |session: &mut RouterSession, seed: Option<u64>| match router.dispatch(
             session,
             Request::Solve {
                 name: "a".into(),
@@ -1466,8 +1368,8 @@ mod tests {
             .1
     }
 
-    fn v2_stats(engine: &Engine, session: &mut Session) -> Vec<(String, u64)> {
-        match engine.dispatch(session, Request::Stats) {
+    fn v2_stats(router: &Router, session: &mut RouterSession) -> Vec<(String, u64)> {
+        match router.dispatch(session, Request::Stats) {
             Response::Stats(stats) => stats,
             other => panic!("stats failed: {other:?}"),
         }
@@ -1475,19 +1377,19 @@ mod tests {
 
     #[test]
     fn repeated_evaluates_hit_the_keyed_cache_without_rebuilding() {
-        let engine = Engine::new(1);
-        let mut session = engine.begin_session();
+        let router = Router::new(1, 1);
+        let mut session = router.begin_session();
         assert!(matches!(
-            engine.dispatch(&mut session, Request::Hello { requested: 2 }),
+            router.dispatch(&mut session, Request::Hello { requested: 2 }),
             Response::Hello {
                 version: ProtoVersion::V2
             }
         ));
         let text = instance_text(10, 4, 2, 5);
-        load(&engine, &mut session, "a", &text);
+        load(&router, &mut session, "a", &text);
         let instance = textio::instance_from_text(&text).unwrap();
         let mapping = H4wFastestMachine.map(&instance).unwrap();
-        let evaluate = |session: &mut Session| match engine.dispatch(
+        let evaluate = |session: &mut RouterSession| match router.dispatch(
             session,
             Request::Evaluate {
                 name: "a".into(),
@@ -1503,7 +1405,7 @@ mod tests {
         };
 
         let cold = evaluate(&mut session);
-        let stats = v2_stats(&engine, &mut session);
+        let stats = v2_stats(&router, &mut session);
         assert_eq!(stat_of(&stats, "evaluator-builds"), 1);
         assert_eq!(stat_of(&stats, "evaluate-cache-misses"), 1);
         assert_eq!(stat_of(&stats, "evaluate-cache-hits"), 0);
@@ -1512,7 +1414,7 @@ mod tests {
         // from the cache — no evaluator build — and bit-identical.
         let warm = evaluate(&mut session);
         assert_eq!(warm, cold);
-        let stats = v2_stats(&engine, &mut session);
+        let stats = v2_stats(&router, &mut session);
         assert_eq!(stat_of(&stats, "evaluator-builds"), 1, "hit must not build");
         assert_eq!(stat_of(&stats, "evaluate-cache-hits"), 1);
         assert_eq!(
@@ -1522,7 +1424,7 @@ mod tests {
         );
 
         // The cached snapshot backs `whatif` exactly like a fresh build.
-        let Response::WhatIf { period, critical } = engine.dispatch(
+        let Response::WhatIf { period, critical } = router.dispatch(
             &mut session,
             Request::WhatIf {
                 name: "a".into(),
@@ -1538,9 +1440,9 @@ mod tests {
 
         // Reloading the instance bumps the store generation: the old entry is
         // unreachable and the next evaluate is a miss again.
-        load(&engine, &mut session, "a", &text);
+        load(&router, &mut session, "a", &text);
         evaluate(&mut session);
-        let stats = v2_stats(&engine, &mut session);
+        let stats = v2_stats(&router, &mut session);
         assert_eq!(
             stat_of(&stats, "evaluator-builds"),
             2,
@@ -1551,20 +1453,24 @@ mod tests {
 
         // Unload purges the instance's entries outright.
         assert!(matches!(
-            engine.dispatch(&mut session, Request::Unload { name: "a".into() }),
+            router.dispatch(&mut session, Request::Unload { name: "a".into() }),
             Response::Unloaded { .. }
         ));
-        assert_eq!(engine.cache().len(), 0, "unload must purge the cache");
+        assert_eq!(
+            router.engines()[0].cache().len(),
+            0,
+            "unload must purge the cache"
+        );
     }
 
     #[test]
     fn batches_need_a_v2_hello_and_answer_item_by_item() {
-        let engine = Engine::new(1);
-        let mut session = engine.begin_session();
+        let router = Router::new(1, 1);
+        let mut session = router.begin_session();
         let text = instance_text(8, 4, 2, 3);
 
         // v1 sessions cannot batch.
-        let response = engine.dispatch(&mut session, Request::Batch(vec![Request::List]));
+        let response = router.dispatch(&mut session, Request::Batch(vec![Request::List]));
         let Response::Error { code, detail } = response else {
             panic!("expected an error");
         };
@@ -1574,12 +1480,12 @@ mod tests {
         // After a v2 hello, a mixed batch answers in order, with errors and
         // non-batchable commands answered in place.
         assert!(matches!(
-            engine.dispatch(&mut session, Request::Hello { requested: 2 }),
+            router.dispatch(&mut session, Request::Hello { requested: 2 }),
             Response::Hello {
                 version: ProtoVersion::V2
             }
         ));
-        let requests_before = stat_of(&v2_stats(&engine, &mut session), "requests");
+        let requests_before = stat_of(&v2_stats(&router, &mut session), "requests");
         let batch = Request::Batch(vec![
             Request::Load {
                 name: "a".into(),
@@ -1595,7 +1501,7 @@ mod tests {
                 name: "missing".into(),
             },
         ]);
-        let Response::Batch(answers) = engine.dispatch(&mut session, batch) else {
+        let Response::Batch(answers) = router.dispatch(&mut session, batch) else {
             panic!("batch failed");
         };
         assert_eq!(answers.len(), 4);
@@ -1624,7 +1530,7 @@ mod tests {
 
         // Counter parity with the serial script: the envelope plus one
         // request per item, and one error per error answer.
-        let stats = v2_stats(&engine, &mut session);
+        let stats = v2_stats(&router, &mut session);
         assert_eq!(stat_of(&stats, "requests"), requests_before + 1 + 4 + 1);
         // The v1 batch rejection above, the in-envelope `list`, and the
         // unknown-instance unload.
@@ -1635,7 +1541,8 @@ mod tests {
 
     #[test]
     fn v2_stats_extend_v1_stats_with_the_cache_counters() {
-        let engine = Engine::new(1);
+        let router = Router::new(1, 1);
+        let engine = &router.engines()[0];
         let v1 = engine.stats_for(ProtoVersion::V1);
         let v2 = engine.stats_for(ProtoVersion::V2);
         let v3 = engine.stats_for(ProtoVersion::V3);
@@ -1674,16 +1581,16 @@ mod tests {
         );
         // status-export reports the complete (v3) counter list as the
         // global block.
-        let report = engine.status_report();
+        let report = router.status_report();
         assert_eq!(report.global, v3);
         assert_eq!(report.workers, vec![v3]);
 
         // The retired sweep-cache keys answer 0 even after a search-driven
         // solve on an instance wide enough (m = 64) for the old cache to run.
-        let mut session = engine.begin_session();
-        engine.dispatch(&mut session, Request::Hello { requested: 2 });
-        load(&engine, &mut session, "wide", &instance_text(30, 64, 4, 5));
-        let solved = engine.dispatch(
+        let mut session = router.begin_session();
+        router.dispatch(&mut session, Request::Hello { requested: 2 });
+        load(&router, &mut session, "wide", &instance_text(30, 64, 4, 5));
+        let solved = router.dispatch(
             &mut session,
             Request::Solve {
                 name: "wide".into(),
@@ -1692,7 +1599,7 @@ mod tests {
             },
         );
         assert!(matches!(solved, Response::Solved { .. }), "{solved:?}");
-        let stats = v2_stats(&engine, &mut session);
+        let stats = v2_stats(&router, &mut session);
         assert!(stat_of(&stats, "whatif-dense") > 0, "SD must have searched");
         for key in RETIRED_SWEEP_KEYS {
             assert_eq!(stat_of(&stats, key), 0, "{key}");

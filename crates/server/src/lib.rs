@@ -13,24 +13,24 @@
 //! order), the `status-export` JSON report, and the keyed-cache counters in
 //! `stats`. Each engine serves repeated `evaluate`s of an unchanged
 //! instance from a keyed [`EvaluateCache`] — (store name, load generation,
-//! mapping fingerprint) → full breakdown plus pristine evaluator snapshot —
-//! and a
-//! sharded [`Router`] tier (`mf serve --workers N`) hashes instance names
-//! across `N` worker engines behind the same [`Handler`] interface.
+//! mapping fingerprint) → full breakdown plus pristine evaluator snapshot.
+//! A [`Router`] serves every session: it hashes instance names across `N`
+//! worker engines (`mf serve --workers N`, one by default) and answers the
+//! aggregate commands itself.
 //!
 //! Answers are **bit-identical to the equivalent one-shot CLI run**: solve
 //! requests use the same default seeds as `microfactory solve`, and the
 //! portfolio outcome is bit-identical for every thread count, so a resident
 //! server is a pure performance upgrade, never a numerical fork — and the
-//! router is pinned byte-identical to a single engine for any worker count.
+//! router's answers are pinned byte-identical across worker counts.
 //!
 //! ```
-//! use mf_server::engine::Engine;
+//! use mf_server::router::Router;
 //! use mf_server::server::serve_stdio;
 //!
-//! let engine = Engine::new(1);
+//! let router = Router::new(1, 1);
 //! let mut output = Vec::new();
-//! serve_stdio(&engine, "list\nshutdown\n".as_bytes(), &mut output).unwrap();
+//! serve_stdio(&router, "list\nshutdown\n".as_bytes(), &mut output).unwrap();
 //! let text = String::from_utf8(output).unwrap();
 //! assert!(text.starts_with("mf-proto v1\n"));
 //! assert!(text.contains("ok shutdown"));
@@ -66,6 +66,6 @@ pub use proto::{
     Request, Response, SolveMethod, CURRENT_VERSION, GREETING, PROTO_NAME,
 };
 pub use router::{Router, RouterSession};
-pub use server::{run_session, serve_stdio, Handler, Server, MAX_ACCEPT_FAILURES};
+pub use server::{run_session, serve_stdio, Server, MAX_ACCEPT_FAILURES};
 pub use stats::{StatsReport, STATS_FORMAT};
 pub use store::{InstanceStore, StoredInstance};

@@ -16,9 +16,10 @@ use mf_obs::{Clock, Histogram, HistogramSnapshot, MonotonicClock, SharedTraceWri
 /// Default slow-request threshold: 1 s.
 pub const DEFAULT_SLOW_THRESHOLD_NS: u64 = 1_000_000_000;
 
-/// Every request keyword the engine tracks a latency histogram for, in the
-/// fixed exposition order of the `histograms` block (the wire keywords of
-/// `mf-proto v2`, in the dispatch table's order).
+/// Every request keyword with a latency histogram slot, in the fixed
+/// exposition order of the `histograms` block (the wire keywords of
+/// `mf-proto v2`, in the dispatch table's order). Served through a router,
+/// only the instance commands a shard answers ever record a sample.
 pub const TRACKED_COMMANDS: &[&str] = &[
     "hello",
     "batch",

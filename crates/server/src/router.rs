@@ -1,33 +1,36 @@
-//! The sharded serving tier: a router in front of a pool of worker engines.
+//! The serving tier: a router in front of a pool of worker engines.
 //!
-//! A [`Router`] owns `N` independent [`Engine`]s — each with its **own**
+//! A [`Router`] is the one thing that serves a session, at any worker count
+//! (`--workers 1` is a router over one shard). It owns `N` independent
+//! [`Engine`]s — each with its **own**
 //! [`InstanceStore`](crate::store::InstanceStore), its own solver pool and
 //! its own keyed evaluate cache — and hashes every instance name onto one of
 //! them. Heavy `solve … portfolio` traffic on one shard therefore cannot
 //! stall cheap `evaluate` traffic on another, and each shard's caches stay
 //! private to the names it owns.
 //!
-//! # Byte-identical to a single engine
+//! The router answers `hello`, `list`, `stats`, `status-export`, `shutdown`
+//! and the `batch` envelope itself; the five instance commands go to the
+//! owning shard, which times each one as its own command.
 //!
-//! The router is a drop-in [`Handler`](crate::server::Handler): for the same
-//! session script, a router with **any** worker count produces responses
-//! byte-identical to a single-process [`Engine`] —
+//! # Byte-identical across worker counts
+//!
+//! For the same session script, a router with **any** worker count
+//! produces byte-identical responses —
 //!
 //! * every answer is a pure function of (instance, request, seed), and a
 //!   name's requests always land on the same worker in order;
 //! * `list` is the name-sorted merge of the worker stores (one store's
 //!   `BTreeMap` order is the same sort);
 //! * `stats` keys are all plain sums of work done, so the index-aligned sum
-//!   of the worker lists equals the single-engine list — with the
+//!   of the worker lists does not depend on how names spread — with the
 //!   session-level counters (`sessions`, `requests`, `errors`) kept by the
 //!   router itself, since workers only see forwarded traffic;
-//! * `batch` envelopes run their shards **in parallel** (one scoped thread
-//!   per worker with items) and reassemble answers in request order, so the
-//!   concurrency is invisible in the transcript.
+//! * `batch` items run inline, in request order, each on its own shard.
 //!
 //! The one caveat: each worker bounds its store bytes independently, so
 //! under byte-cap pressure the *eviction* schedule (not any answer to a
-//! resident name) can differ from a single process.
+//! resident name) can differ between worker counts.
 
 use crate::engine::{gate_v2, hello_response, Engine, Session};
 use crate::errors::EngineError;
@@ -163,7 +166,7 @@ impl Router {
 
     /// Dispatches one request: instance commands forward to the owning
     /// shard, aggregate commands (`list`, `stats`, `status-export`) merge
-    /// over all workers, and `batch` fans its shards out in parallel.
+    /// over all workers, and `batch` forwards its items one by one.
     pub fn dispatch(&self, session: &mut RouterSession, request: Request) -> Response {
         self.requests.fetch_add(1, Ordering::Relaxed);
         let response = self.route(session, request);
@@ -187,84 +190,34 @@ impl Router {
             Request::List => self.list(),
             Request::Stats => Response::Stats(self.stats_for(session.version)),
             Request::Shutdown => Response::Shutdown,
-            request => {
-                let name = request
-                    .instance_name()
-                    .expect("non-instance requests are routed above");
-                let shard = self.shard_of(name);
-                let worker = &self.workers[shard];
-                worker.dispatch(session.worker(shard, worker), request)
-            }
+            request => self.forward(session, request),
         }
     }
 
-    /// Runs a batch envelope: items are bucketed by shard (preserving
-    /// request order within each bucket), each non-empty bucket runs on its
-    /// worker in one scoped thread, and the answers are scattered back into
-    /// request order. Items on the same instance stay ordered on one
-    /// worker, items on different instances are independent — so the
-    /// parallel schedule cannot change any answer.
+    /// Hands an instance command to the shard that owns its name. Anything
+    /// else cannot ride a `batch` envelope and answers the stable
+    /// not-batchable error.
+    fn forward(&self, session: &mut RouterSession, request: Request) -> Response {
+        let Some(shard) = request.instance_name().map(|name| self.shard_of(name)) else {
+            return EngineError::NotBatchable {
+                command: request.keyword(),
+            }
+            .into_response();
+        };
+        let worker = &self.workers[shard];
+        worker.dispatch(session.worker(shard, worker), request)
+    }
+
+    /// Runs a batch envelope: each item is forwarded inline, in request
+    /// order, on this session's thread.
     fn batch(&self, session: &mut RouterSession, items: Vec<Request>) -> Response {
-        let mut answers: Vec<Option<Response>> = items.iter().map(|_| None).collect();
-        let mut buckets: Vec<Vec<(usize, Request)>> =
-            self.workers.iter().map(|_| Vec::new()).collect();
-        for (index, item) in items.into_iter().enumerate() {
-            match item.instance_name() {
-                Some(name) => {
-                    let shard = self.shard_of(name);
-                    buckets[shard].push((index, item));
-                }
-                None => {
-                    answers[index] = Some(
-                        EngineError::NotBatchable {
-                            command: item.keyword(),
-                        }
-                        .into_response(),
-                    );
-                }
-            }
-        }
-        // Materialize the worker sessions before the scoped threads borrow
-        // the slots mutably.
-        for (shard, bucket) in buckets.iter().enumerate() {
-            if !bucket.is_empty() {
-                session.worker(shard, &self.workers[shard]);
-            }
-        }
-        let outcomes: Vec<Vec<(usize, Response)>> = std::thread::scope(|scope| {
-            let mut handles = Vec::new();
-            for ((worker, slot), bucket) in self
-                .workers
-                .iter()
-                .zip(session.workers.iter_mut())
-                .zip(buckets)
-            {
-                if bucket.is_empty() {
-                    continue;
-                }
-                handles.push(scope.spawn(move || {
-                    let worker_session = slot.as_mut().expect("materialized above");
-                    bucket
-                        .into_iter()
-                        .map(|(index, item)| (index, worker.dispatch(worker_session, item)))
-                        .collect::<Vec<_>>()
-                }));
-            }
-            handles
-                .into_iter()
-                .map(|handle| handle.join().expect("batch shard thread panicked"))
-                .collect()
-        });
-        for (index, response) in outcomes.into_iter().flatten() {
-            answers[index] = Some(response);
-        }
-        let answers: Vec<Response> = answers
+        let answers: Vec<Response> = items
             .into_iter()
-            .map(|answer| answer.expect("every batch item is answered"))
+            .map(|item| self.forward(session, item))
             .collect();
-        // Counter parity with a single engine: every item is one request,
-        // every error answer one error (the envelope itself was counted by
-        // `dispatch` and is never an error).
+        // Counter parity with the same commands sent one per round trip:
+        // every item is one request, every error answer one error (the
+        // envelope itself was counted by `dispatch` and is never an error).
         self.requests
             .fetch_add(answers.len() as u64, Ordering::Relaxed);
         let errors = answers
@@ -343,7 +296,8 @@ impl Router {
     /// every worker's snapshot (the lists are index-aligned by
     /// construction — every engine tracks the same commands in the same
     /// order). The router forwards without timing of its own, so this sum
-    /// **is** the tier's request-latency distribution.
+    /// is the tier's instance-command latency distribution; the commands
+    /// the router answers itself record no sample.
     pub fn histograms(&self) -> Vec<(String, HistogramSnapshot)> {
         let mut totals = self.workers[0].histograms();
         for worker in &self.workers[1..] {

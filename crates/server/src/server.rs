@@ -1,63 +1,23 @@
 //! The serve loops: a thread-per-connection TCP listener and a pipe-driven
-//! stdio mode, both speaking `mf-proto` against one shared [`Handler`] —
-//! a single [`Engine`] or a sharded [`Router`](crate::router::Router).
+//! stdio mode, both speaking `mf-proto` against one shared [`Router`] — the
+//! one thing that serves a session, at any worker count.
 //!
 //! The server is std-only — `std::net::TcpListener` plus `std::thread` — so
 //! it runs in the offline build environment; the parallelism that matters
-//! (the portfolio race, the router's batch fan-out) happens inside the
-//! handler, which every session borrows per request.
+//! comes from concurrent sessions and from the portfolio race on a shard's
+//! solver pool, while the router dispatches each request (and each `batch`
+//! item) on its session's own thread.
 //!
 //! Shutdown is cooperative: a `shutdown` request answers `ok shutdown`, ends
 //! its own session, and stops the accept loop (already-open sessions run to
 //! completion; new connections are refused by the closed listener).
 
-use crate::engine::Engine;
 use crate::proto::{ProtoError, ProtoReader, Request, Response, GREETING};
 use crate::router::Router;
 use std::io::{BufRead, BufReader, BufWriter, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-
-/// Anything a serve loop can put behind the protocol: one shared dispatcher
-/// handing out per-connection session state. [`Engine`] is the
-/// single-process implementation, [`Router`] the sharded one — and the
-/// router is pinned byte-identical to the engine for any worker count.
-pub trait Handler: Send + Sync {
-    /// Per-connection state (resident evaluator snapshots, negotiated
-    /// protocol version, …).
-    type Session: Send;
-
-    /// Starts a session (counted in `stats`).
-    fn begin_session(&self) -> Self::Session;
-
-    /// Answers one request against the shared state and this session.
-    fn dispatch(&self, session: &mut Self::Session, request: Request) -> Response;
-}
-
-impl Handler for Engine {
-    type Session = crate::engine::Session;
-
-    fn begin_session(&self) -> Self::Session {
-        Engine::begin_session(self)
-    }
-
-    fn dispatch(&self, session: &mut Self::Session, request: Request) -> Response {
-        Engine::dispatch(self, session, request)
-    }
-}
-
-impl Handler for Router {
-    type Session = crate::router::RouterSession;
-
-    fn begin_session(&self) -> Self::Session {
-        Router::begin_session(self)
-    }
-
-    fn dispatch(&self, session: &mut Self::Session, request: Request) -> Response {
-        Router::dispatch(self, session, request)
-    }
-}
 
 /// Runs one session: greeting, then a request/response loop until EOF or
 /// `shutdown`. Returns `true` when the session ended with a `shutdown`
@@ -66,12 +26,12 @@ impl Handler for Router {
 /// Malformed request lines answer `err bad-request …` and the session
 /// continues; an input that ends mid-payload answers the error and closes
 /// the session (the stream offset is no longer trustworthy).
-pub fn run_session<H: Handler>(
-    handler: &H,
+pub fn run_session(
+    router: &Router,
     input: impl BufRead,
     mut output: impl Write,
 ) -> std::io::Result<bool> {
-    let mut session = handler.begin_session();
+    let mut session = router.begin_session();
     let mut reader = ProtoReader::new(input);
     writeln!(output, "{GREETING}")?;
     output.flush()?;
@@ -98,7 +58,7 @@ pub fn run_session<H: Handler>(
             }
         };
         let shutdown = matches!(request, Request::Shutdown);
-        let response = handler.dispatch(&mut session, request);
+        let response = router.dispatch(&mut session, request);
         write_response(&mut output, &response)?;
         if shutdown {
             return Ok(true);
@@ -115,12 +75,12 @@ fn write_response(output: &mut impl Write, response: &Response) -> std::io::Resu
 
 /// Serves a single session over arbitrary byte streams — the `--stdio` mode
 /// used by pipe-driven tests and the CI golden transcript.
-pub fn serve_stdio<H: Handler>(
-    handler: &H,
+pub fn serve_stdio(
+    router: &Router,
     input: impl BufRead,
     output: impl Write,
 ) -> std::io::Result<()> {
-    run_session(handler, input, output).map(|_| ())
+    run_session(router, input, output).map(|_| ())
 }
 
 /// Consecutive accept failures after which [`Server::run`] gives up and
@@ -157,55 +117,31 @@ impl AcceptRetry {
 }
 
 /// A TCP server: one accept loop, one thread per connection, one shared
-/// [`Handler`] (an [`Engine`] by default, a [`Router`] for `--workers N`).
-pub struct Server<H: Handler = Engine> {
-    handler: Arc<H>,
+/// [`Router`].
+pub struct Server {
+    router: Arc<Router>,
     listener: TcpListener,
     shutdown: Arc<AtomicBool>,
 }
 
-impl Server<Engine> {
+impl Server {
     /// Binds a listener (`port 0` picks an ephemeral port) over a fresh
-    /// engine with `threads` solver workers.
-    pub fn bind(addr: impl ToSocketAddrs, threads: usize) -> std::io::Result<Server> {
-        Server::with_handler(addr, Arc::new(Engine::new(threads)))
-    }
-
-    /// Binds a listener over an existing engine (lets tests pre-load the
-    /// store).
-    pub fn with_engine(addr: impl ToSocketAddrs, engine: Arc<Engine>) -> std::io::Result<Server> {
-        Server::with_handler(addr, engine)
-    }
-
-    /// The shared engine.
-    pub fn engine(&self) -> &Arc<Engine> {
-        &self.handler
-    }
-}
-
-impl Server<Router> {
-    /// Binds a listener over a fresh [`Router`] with `workers` shard
-    /// engines of `threads` solver workers each.
+    /// [`Router`] with `workers` shard engines of `threads` solver workers
+    /// each.
     pub fn bind_router(
         addr: impl ToSocketAddrs,
         workers: usize,
         threads: usize,
-    ) -> std::io::Result<Server<Router>> {
+    ) -> std::io::Result<Server> {
         Server::with_handler(addr, Arc::new(Router::new(workers, threads)))
     }
 
-    /// The shared router.
-    pub fn router(&self) -> &Arc<Router> {
-        &self.handler
-    }
-}
-
-impl<H: Handler + 'static> Server<H> {
-    /// Binds a listener over any shared handler.
-    pub fn with_handler(addr: impl ToSocketAddrs, handler: Arc<H>) -> std::io::Result<Server<H>> {
+    /// Binds a listener over an existing router (lets callers pre-load the
+    /// store or attach a data directory).
+    pub fn with_handler(addr: impl ToSocketAddrs, router: Arc<Router>) -> std::io::Result<Server> {
         let listener = TcpListener::bind(addr)?;
         Ok(Server {
-            handler,
+            router,
             listener,
             shutdown: Arc::new(AtomicBool::new(false)),
         })
@@ -216,9 +152,9 @@ impl<H: Handler + 'static> Server<H> {
         self.listener.local_addr()
     }
 
-    /// The shared handler.
-    pub fn handler(&self) -> &Arc<H> {
-        &self.handler
+    /// The shared router.
+    pub fn router(&self) -> &Arc<Router> {
+        &self.router
     }
 
     /// Runs the accept loop until a session requests `shutdown`, then joins
@@ -250,10 +186,10 @@ impl<H: Handler + 'static> Server<H> {
                     continue;
                 }
             };
-            let handler = Arc::clone(&self.handler);
+            let router = Arc::clone(&self.router);
             let shutdown = Arc::clone(&self.shutdown);
             handles.push(std::thread::spawn(move || {
-                if let Ok(true) = handle_connection(&*handler, stream) {
+                if let Ok(true) = handle_connection(&router, stream) {
                     shutdown.store(true, Ordering::SeqCst);
                     // Unblock the accept loop with a throwaway connection.
                     let _ = TcpStream::connect(addr);
@@ -267,10 +203,10 @@ impl<H: Handler + 'static> Server<H> {
     }
 }
 
-fn handle_connection<H: Handler>(handler: &H, stream: TcpStream) -> std::io::Result<bool> {
+fn handle_connection(router: &Router, stream: TcpStream) -> std::io::Result<bool> {
     let reader = BufReader::new(stream.try_clone()?);
     let writer = BufWriter::new(stream);
-    run_session(handler, reader, writer)
+    run_session(router, reader, writer)
 }
 
 #[cfg(test)]
@@ -279,9 +215,9 @@ mod tests {
 
     #[test]
     fn stdio_session_greets_and_answers() {
-        let engine = Engine::new(1);
+        let router = Router::new(1, 1);
         let mut output = Vec::new();
-        serve_stdio(&engine, "list\nstats\n".as_bytes(), &mut output).unwrap();
+        serve_stdio(&router, "list\nstats\n".as_bytes(), &mut output).unwrap();
         let text = String::from_utf8(output).unwrap();
         assert!(text.starts_with("mf-proto v1\n"), "{text}");
         assert!(text.contains("ok list 0"), "{text}");
@@ -290,10 +226,10 @@ mod tests {
 
     #[test]
     fn malformed_lines_answer_errors_without_killing_the_session() {
-        let engine = Engine::new(1);
+        let router = Router::new(1, 1);
         let mut output = Vec::new();
         serve_stdio(
-            &engine,
+            &router,
             "frobnicate\nlist\nshutdown\n".as_bytes(),
             &mut output,
         )
@@ -308,10 +244,10 @@ mod tests {
     fn bad_load_head_closes_the_session_instead_of_executing_payload() {
         // `5x` is not a count, so the 2 would-be payload lines are still in
         // the stream; executing them as commands would desync the protocol.
-        let engine = Engine::new(1);
+        let router = Router::new(1, 1);
         let mut output = Vec::new();
         serve_stdio(
-            &engine,
+            &router,
             "load a 5x\ntasks 1\nlist\nshutdown\n".as_bytes(),
             &mut output,
         )
@@ -326,9 +262,9 @@ mod tests {
 
     #[test]
     fn truncated_payload_ends_the_session_with_an_error() {
-        let engine = Engine::new(1);
+        let router = Router::new(1, 1);
         let mut output = Vec::new();
-        serve_stdio(&engine, "load a 5\ntasks 1\n".as_bytes(), &mut output).unwrap();
+        serve_stdio(&router, "load a 5\ntasks 1\n".as_bytes(), &mut output).unwrap();
         let text = String::from_utf8(output).unwrap();
         assert!(text.contains("err bad-request"), "{text}");
     }
@@ -376,9 +312,9 @@ mod tests {
 
     #[test]
     fn v1_sessions_cannot_batch_and_torn_batches_close_the_session() {
-        let engine = Engine::new(1);
+        let router = Router::new(1, 1);
         let mut output = Vec::new();
-        serve_stdio(&engine, "batch 1\nlist\nshutdown\n".as_bytes(), &mut output).unwrap();
+        serve_stdio(&router, "batch 1\nlist\nshutdown\n".as_bytes(), &mut output).unwrap();
         let text = String::from_utf8(output).unwrap();
         assert!(
             text.contains("err bad-request `batch` requires mf-proto v2"),
@@ -388,7 +324,7 @@ mod tests {
         // A batch whose envelope tears mid-parse desyncs and closes.
         let mut output = Vec::new();
         serve_stdio(
-            &engine,
+            &router,
             "hello mf-proto v2\nbatch 2\nlist\n".as_bytes(),
             &mut output,
         )

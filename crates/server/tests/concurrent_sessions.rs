@@ -8,7 +8,7 @@
 
 use mf_core::textio;
 use mf_server::client::Solution;
-use mf_server::{Client, ClientError, ErrorCode, Probe, Server, SolveMethod};
+use mf_server::{Client, ClientError, ErrorCode, Probe, ProtoVersion, Server, SolveMethod};
 use mf_sim::{GeneratorConfig, InstanceGenerator};
 use std::sync::Arc;
 
@@ -40,9 +40,9 @@ fn assert_bit_identical(left: &Solution, right: &Solution) {
 
 #[test]
 fn two_concurrent_sessions_share_the_pool_and_stay_bit_identical() {
-    let server = Server::bind("127.0.0.1:0", 0).unwrap();
+    let server = Server::bind_router("127.0.0.1:0", 1, 0).unwrap();
     let addr = server.local_addr().unwrap();
-    let engine = Arc::clone(server.engine());
+    let router = Arc::clone(server.router());
     let server_thread = std::thread::spawn(move || server.run().unwrap());
 
     // Serial reference answers, asked before any concurrency.
@@ -71,8 +71,8 @@ fn two_concurrent_sessions_share_the_pool_and_stay_bit_identical() {
         .collect();
     assert_eq!(names, vec!["conc-a", "conc-b", "ref-a", "ref-b"]);
 
-    // The engine counted all five sessions (4 workloads + this one).
-    let stats = engine.stats();
+    // The router counted all five sessions (4 workloads + this one).
+    let stats = router.stats_for(ProtoVersion::V1);
     let sessions = stats.iter().find(|(k, _)| k == "sessions").unwrap().1;
     assert_eq!(sessions, 5);
 
@@ -85,7 +85,7 @@ fn two_concurrent_sessions_share_the_pool_and_stay_bit_identical() {
 /// per-session, while the store is shared.
 #[test]
 fn whatif_state_is_session_scoped() {
-    let server = Server::bind("127.0.0.1:0", 1).unwrap();
+    let server = Server::bind_router("127.0.0.1:0", 1, 1).unwrap();
     let addr = server.local_addr().unwrap();
     let server_thread = std::thread::spawn(move || server.run().unwrap());
 

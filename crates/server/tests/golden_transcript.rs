@@ -15,7 +15,7 @@
 //! UPDATE_GOLDEN=1 cargo test -p mf-server --test golden_transcript
 //! ```
 
-use mf_server::{serve_stdio, Engine, Router};
+use mf_server::{serve_stdio, Router};
 
 #[test]
 fn stdio_session_matches_the_golden_transcript() {
@@ -24,9 +24,9 @@ fn stdio_session_matches_the_golden_transcript() {
         env!("CARGO_MANIFEST_DIR"),
         "/tests/golden/smoke_session.out"
     );
-    let engine = Engine::new(1);
+    let router = Router::new(1, 1);
     let mut output = Vec::new();
-    serve_stdio(&engine, input.as_bytes(), &mut output).unwrap();
+    serve_stdio(&router, input.as_bytes(), &mut output).unwrap();
     let actual = String::from_utf8(output).expect("protocol output is UTF-8");
     if std::env::var_os("UPDATE_GOLDEN").is_some() {
         std::fs::write(expected_path, &actual).expect("write golden transcript");
@@ -40,7 +40,7 @@ fn stdio_session_matches_the_golden_transcript() {
     );
 }
 
-/// The transcript must be independent of the engine's thread count — the
+/// The transcript must be independent of the solver thread count — the
 /// portfolio determinism guarantee, observed end-to-end at the protocol
 /// layer.
 #[test]
@@ -48,9 +48,9 @@ fn transcript_is_thread_count_independent() {
     let input = include_str!("golden/smoke_session.in");
     let mut outputs = Vec::new();
     for threads in [1usize, 4] {
-        let engine = Engine::new(threads);
+        let router = Router::new(1, threads);
         let mut output = Vec::new();
-        serve_stdio(&engine, input.as_bytes(), &mut output).unwrap();
+        serve_stdio(&router, input.as_bytes(), &mut output).unwrap();
         outputs.push(output);
     }
     assert_eq!(
@@ -71,9 +71,9 @@ fn batched_v2_session_matches_the_golden_transcript() {
         env!("CARGO_MANIFEST_DIR"),
         "/tests/golden/batched_session.out"
     );
-    let engine = Engine::new(1);
+    let router = Router::new(1, 1);
     let mut output = Vec::new();
-    serve_stdio(&engine, input.as_bytes(), &mut output).unwrap();
+    serve_stdio(&router, input.as_bytes(), &mut output).unwrap();
     let actual = String::from_utf8(output).expect("protocol output is UTF-8");
     if std::env::var_os("UPDATE_GOLDEN").is_some() {
         std::fs::write(expected_path, &actual).expect("write golden transcript");
@@ -109,9 +109,9 @@ fn anytime_v3_session_matches_the_golden_transcript() {
         env!("CARGO_MANIFEST_DIR"),
         "/tests/golden/anytime_session.out"
     );
-    let engine = Engine::new(1);
+    let router = Router::new(1, 1);
     let mut output = Vec::new();
-    serve_stdio(&engine, input.as_bytes(), &mut output).unwrap();
+    serve_stdio(&router, input.as_bytes(), &mut output).unwrap();
     let actual = String::from_utf8(output).expect("protocol output is UTF-8");
     if std::env::var_os("UPDATE_GOLDEN").is_some() {
         std::fs::write(expected_path, &actual).expect("write golden transcript");
@@ -131,25 +131,32 @@ fn anytime_v3_session_matches_the_golden_transcript() {
     assert!(actual.contains("stat anytime-proven 2"), "{actual}");
 }
 
-/// All three golden scripts produce the same bytes from a plain engine and
-/// from routers of 1, 2 and 4 workers — the sharded tier is a pure
-/// deployment choice, never a protocol fork.
+/// All three golden scripts produce their committed bytes from routers of
+/// 1, 2 and 4 workers — the worker count is a pure deployment choice, never
+/// a protocol fork.
 #[test]
 fn transcripts_are_worker_count_independent() {
-    for input in [
-        include_str!("golden/smoke_session.in"),
-        include_str!("golden/batched_session.in"),
-        include_str!("golden/anytime_session.in"),
+    for (input, expected) in [
+        (
+            include_str!("golden/smoke_session.in"),
+            include_str!("golden/smoke_session.out"),
+        ),
+        (
+            include_str!("golden/batched_session.in"),
+            include_str!("golden/batched_session.out"),
+        ),
+        (
+            include_str!("golden/anytime_session.in"),
+            include_str!("golden/anytime_session.out"),
+        ),
     ] {
-        let mut reference = Vec::new();
-        serve_stdio(&Engine::new(1), input.as_bytes(), &mut reference).unwrap();
         for workers in [1usize, 2, 4] {
             let router = Router::new(workers, 1);
             let mut output = Vec::new();
             serve_stdio(&router, input.as_bytes(), &mut output).unwrap();
             assert_eq!(
                 String::from_utf8(output).unwrap(),
-                String::from_utf8(reference.clone()).unwrap(),
+                expected,
                 "{workers} router workers changed the transcript"
             );
         }

@@ -1,13 +1,15 @@
 //! Deterministic request-latency observability: with an injected
 //! [`ManualClock`] every measured duration — and therefore every histogram
 //! bucket, quantile, trace span and slow-request record — is an exact,
-//! pinnable value. The router test pins the acceptance invariant of the
-//! sharded tier: the router's exposed histograms are the **bucket-wise sum**
-//! of its workers' histograms, for any worker count.
+//! pinnable value. Every instance command — sent alone or riding a `batch`
+//! envelope — is timed by its shard as its own command; the commands the
+//! router answers itself record nothing. The router's exposed histograms
+//! are the **bucket-wise sum** of its workers' histograms, for any worker
+//! count.
 
 use mf_obs::{events_from_text, Histogram, ManualClock, SharedTraceWriter, TraceEvent};
 use mf_server::proto::{text_payload, Request, Response};
-use mf_server::{Engine, ObsConfig, Router, TRACKED_COMMANDS};
+use mf_server::{ObsConfig, Router, TRACKED_COMMANDS};
 use std::path::PathBuf;
 use std::sync::Arc;
 
@@ -62,66 +64,92 @@ fn expected(samples_ns: &[u64]) -> mf_obs::HistogramSnapshot {
     histogram.snapshot()
 }
 
-/// A ticking manual clock advances by its step on **every** reading, and a
-/// plain dispatch reads it exactly twice (start, end) — so every non-batch
-/// request measures exactly one step, pinning the whole histogram.
-#[test]
-fn manual_clock_pins_every_latency_bucket() {
+fn clocked_router(workers: usize) -> Router {
     let clock = Arc::new(ManualClock::ticking(1000));
-    let engine = Engine::with_observability(1, ObsConfig::new().with_clock(clock));
-    let mut session = engine.begin_session();
-    engine.dispatch(&mut session, Request::Hello { requested: 2 });
-    engine.dispatch(&mut session, load("alpha", 1));
-    engine.dispatch(&mut session, Request::List);
-    engine.dispatch(&mut session, Request::List);
-    engine.dispatch(&mut session, Request::Stats);
-
-    let histograms = engine.histograms();
-    let order: Vec<&str> = histograms.iter().map(|(name, _)| name.as_str()).collect();
-    assert_eq!(order, TRACKED_COMMANDS, "fixed exposition order");
-    assert_eq!(get(&histograms, "hello"), &expected(&[1000]));
-    assert_eq!(get(&histograms, "load"), &expected(&[1000]));
-    assert_eq!(get(&histograms, "list"), &expected(&[1000, 1000]));
-    assert_eq!(get(&histograms, "stats"), &expected(&[1000]));
-    for untouched in [
-        "batch",
-        "status-export",
-        "unload",
-        "evaluate",
-        "whatif",
-        "solve",
-        "shutdown",
-    ] {
-        assert_eq!(get(&histograms, untouched).count(), 0, "{untouched}");
-    }
-    let list = get(&histograms, "list");
-    assert_eq!(list.sum_ns(), 2000);
-    assert_eq!(list.max_ns(), 1000);
-    assert_eq!(list.p50_ns(), 1000);
-    assert_eq!(list.p99_ns(), 1000);
+    Router::with_observability(workers, 1, ObsConfig::new().with_clock(clock))
 }
 
-/// A `batch` envelope times each item (two clock readings apiece) plus its
-/// own start/end readings: `N` items measure `(2N + 1)` steps exactly.
+/// A ticking manual clock advances by its step on **every** reading, and a
+/// shard reads it exactly twice (start, end) per instance command — so
+/// every instance command measures exactly one step, pinning the whole
+/// histogram. `hello`, `list` and `stats` are answered by the router and
+/// record no sample.
 #[test]
-fn batch_envelope_latency_includes_its_items() {
-    let clock = Arc::new(ManualClock::ticking(1000));
-    let engine = Engine::with_observability(1, ObsConfig::new().with_clock(clock));
-    let mut session = engine.begin_session();
-    engine.dispatch(&mut session, Request::Hello { requested: 2 });
-    engine.dispatch(&mut session, load("alpha", 1));
-    let items = vec![
-        Request::Unload {
-            name: "alpha".into(),
-        },
-        Request::List, // not batchable: answers an error, still timed
-    ];
-    engine.dispatch(&mut session, Request::Batch(items));
+fn manual_clock_pins_every_latency_bucket() {
+    for workers in [1usize, 3] {
+        let router = clocked_router(workers);
+        let mut session = router.begin_session();
+        router.dispatch(&mut session, Request::Hello { requested: 2 });
+        router.dispatch(&mut session, load("alpha", 1));
+        router.dispatch(&mut session, load("bravo", 2));
+        router.dispatch(&mut session, Request::List);
+        router.dispatch(&mut session, Request::List);
+        router.dispatch(&mut session, Request::Stats);
+        router.dispatch(
+            &mut session,
+            Request::Unload {
+                name: "alpha".into(),
+            },
+        );
 
-    let histograms = engine.histograms();
-    assert_eq!(get(&histograms, "batch"), &expected(&[5000]));
-    assert_eq!(get(&histograms, "unload"), &expected(&[1000]));
-    assert_eq!(get(&histograms, "list"), &expected(&[1000]));
+        let histograms = router.histograms();
+        let order: Vec<&str> = histograms.iter().map(|(name, _)| name.as_str()).collect();
+        assert_eq!(order, TRACKED_COMMANDS, "fixed exposition order");
+        assert_eq!(get(&histograms, "load"), &expected(&[1000, 1000]));
+        assert_eq!(get(&histograms, "unload"), &expected(&[1000]));
+        for untouched in [
+            "hello",
+            "batch",
+            "status-export",
+            "list",
+            "evaluate",
+            "whatif",
+            "solve",
+            "stats",
+            "shutdown",
+        ] {
+            assert_eq!(
+                get(&histograms, untouched).count(),
+                0,
+                "{untouched} at {workers} workers"
+            );
+        }
+        let loads = get(&histograms, "load");
+        assert_eq!(loads.sum_ns(), 2000);
+        assert_eq!(loads.max_ns(), 1000);
+        assert_eq!(loads.p50_ns(), 1000);
+        assert_eq!(loads.p99_ns(), 1000);
+    }
+}
+
+/// A `batch` envelope is answered by the router and records no sample of
+/// its own; each instance item is timed by its shard as its own command
+/// (one step), and a non-batchable item is refused in place, untimed.
+#[test]
+fn batch_items_are_timed_as_their_own_commands() {
+    for workers in [1usize, 3] {
+        let router = clocked_router(workers);
+        let mut session = router.begin_session();
+        router.dispatch(&mut session, Request::Hello { requested: 2 });
+        router.dispatch(&mut session, load("alpha", 1));
+        let items = vec![
+            Request::Unload {
+                name: "alpha".into(),
+            },
+            Request::List, // not batchable: answers an error in place
+            load("bravo", 2),
+        ];
+        let Response::Batch(answers) = router.dispatch(&mut session, Request::Batch(items)) else {
+            panic!("batch failed");
+        };
+        assert!(matches!(answers[1], Response::Error { .. }), "{answers:?}");
+
+        let histograms = router.histograms();
+        assert_eq!(get(&histograms, "batch").count(), 0, "{workers} workers");
+        assert_eq!(get(&histograms, "list").count(), 0, "{workers} workers");
+        assert_eq!(get(&histograms, "unload"), &expected(&[1000]));
+        assert_eq!(get(&histograms, "load"), &expected(&[1000, 1000]));
+    }
 }
 
 /// The acceptance invariant of the sharded tier, pinned: the histograms a
@@ -129,8 +157,7 @@ fn batch_envelope_latency_includes_its_items() {
 /// bucket-wise sum of its workers' histograms.
 #[test]
 fn router_histograms_are_the_bucketwise_sum_of_workers() {
-    let clock = Arc::new(ManualClock::ticking(1000));
-    let router = Router::with_observability(3, 1, ObsConfig::new().with_clock(clock));
+    let router = clocked_router(3);
     let mut session = router.begin_session();
     for k in 0..8 {
         let response = router.dispatch(&mut session, load(&format!("inst{k}"), k));
@@ -165,10 +192,11 @@ fn router_histograms_are_the_bucketwise_sum_of_workers() {
         .all(|worker| get(&worker.histograms(), "load").count() < 8));
 }
 
-/// With a trace writer attached every request appends a span, and requests
-/// past the slow threshold also append a slow record and hit the stderr
-/// log. The trace file round-trips through the `mf-trace v1` parser, and
-/// the responses are byte-identical to an untraced engine's.
+/// With a trace writer attached every instance command appends a span,
+/// and commands past the slow threshold also append a slow record and hit
+/// the stderr log; router-answered commands (`hello`, `list`) trace
+/// nothing. The trace file round-trips through the `mf-trace v1` parser,
+/// and the responses are byte-identical to an untraced router's.
 #[test]
 fn traced_requests_append_spans_and_slow_records() {
     let dir = TempDir::new("spans");
@@ -179,17 +207,20 @@ fn traced_requests_append_spans_and_slow_records() {
         .with_clock(clock)
         .with_trace(Arc::clone(&trace))
         .with_slow_threshold_ns(1000); // every 1000 ns request is "slow"
-    let engine = Engine::with_observability(1, obs);
-    let plain = Engine::new(1);
+    let router = Router::with_observability(1, 1, obs);
+    let plain = Router::new(1, 1);
 
-    let mut session = engine.begin_session();
+    let mut session = router.begin_session();
     let mut plain_session = plain.begin_session();
     for request in [
         Request::Hello { requested: 2 },
         load("alpha", 1),
         Request::List,
+        Request::Unload {
+            name: "alpha".into(),
+        },
     ] {
-        let traced = engine.dispatch(&mut session, request.clone());
+        let traced = router.dispatch(&mut session, request.clone());
         let untraced = plain.dispatch(&mut plain_session, request);
         assert_eq!(traced, untraced, "tracing never changes a response");
     }
@@ -208,12 +239,10 @@ fn traced_requests_append_spans_and_slow_records() {
             _ => None,
         })
         .collect();
-    // Start marks advance by 1000 per reading: request k starts at 2k·1000
-    // plus the slow-check readings' drift — the durations are what's pinned.
-    assert_eq!(spans.len(), 3);
-    assert_eq!(spans[0].0, "hello");
-    assert_eq!(spans[1].0, "load");
-    assert_eq!(spans[2].0, "list");
+    // Start marks advance by 1000 per reading plus the slow-check
+    // readings' drift — the durations are what's pinned.
+    let names: Vec<&str> = spans.iter().map(|&(name, _, _)| name).collect();
+    assert_eq!(names, ["load", "unload"]);
     assert!(spans.iter().all(|&(_, _, duration)| duration == 1000));
     let slow: Vec<&str> = events
         .iter()
@@ -222,5 +251,5 @@ fn traced_requests_append_spans_and_slow_records() {
             _ => None,
         })
         .collect();
-    assert_eq!(slow, ["hello", "load", "list"], "all at the threshold");
+    assert_eq!(slow, ["load", "unload"], "all at the threshold");
 }

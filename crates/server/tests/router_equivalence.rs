@@ -1,12 +1,10 @@
 //! Acceptance for the sharded serving tier: a router over any worker count
-//! answers **byte-identically** to a single-process engine — for scripted
-//! stdio sessions, for batch envelopes, and for the aggregated stats block —
-//! and repeated evaluates are served from the keyed cache on both.
+//! answers **byte-identically** to a one-worker router — for scripted stdio
+//! sessions, for batch envelopes, and for the aggregated stats block — and
+//! repeated evaluates are served from the keyed cache at any worker count.
 
 use mf_core::textio;
-use mf_server::{
-    request_to_text, serve_stdio, Client, Engine, Request, Router, Server, SolveMethod,
-};
+use mf_server::{request_to_text, serve_stdio, Client, Request, Router, Server, SolveMethod};
 use mf_sim::{GeneratorConfig, InstanceGenerator};
 
 fn instance_text(seed: u64) -> String {
@@ -82,10 +80,10 @@ fn script() -> String {
 }
 
 #[test]
-fn routed_sessions_are_byte_identical_to_a_single_engine() {
+fn routed_sessions_are_byte_identical_to_a_single_worker() {
     let input = script();
     let mut reference = Vec::new();
-    serve_stdio(&Engine::new(1), input.as_bytes(), &mut reference).unwrap();
+    serve_stdio(&Router::new(1, 1), input.as_bytes(), &mut reference).unwrap();
     let reference = String::from_utf8(reference).unwrap();
     // The script is a real workout, not a trivially-empty transcript.
     assert!(reference.contains("ok batch 8"), "{reference}");
@@ -97,14 +95,14 @@ fn routed_sessions_are_byte_identical_to_a_single_engine() {
     assert!(reference.contains("ok solve-anytime"), "{reference}");
     assert!(reference.contains("gap seed 0 "), "{reference}");
     assert!(reference.contains("stat solves-anytime 2"), "{reference}");
-    for (workers, threads) in [(1usize, 1usize), (2, 2), (4, 1), (16, 1)] {
+    for (workers, threads) in [(1usize, 2usize), (2, 2), (4, 1), (16, 1)] {
         let router = Router::new(workers, threads);
         let mut output = Vec::new();
         serve_stdio(&router, input.as_bytes(), &mut output).unwrap();
         assert_eq!(
             String::from_utf8(output).unwrap(),
             reference,
-            "router({workers} workers, {threads} threads) diverged from the engine"
+            "router({workers} workers, {threads} threads) diverged from one worker"
         );
     }
 }

@@ -1,11 +1,11 @@
 //! Pins the README's `stats` key table to the code: the keys documented
-//! between the `stats-keys` markers must equal `Engine::stats_for(V3)` —
+//! between the `stats-keys` markers must equal `Router::stats_for(V3)` —
 //! same names, same wire order, nothing missing, nothing extra — and the
 //! `Since` column's v1/v2 rows must be exactly the v1/v2 wire prefixes.
 //! The table replaced stale prose once; this test makes that class of
 //! drift impossible to reintroduce.
 
-use mf_server::{Engine, ProtoVersion};
+use mf_server::{ProtoVersion, Router};
 
 /// Extracts the backticked key from each table row between the
 /// `<!-- stats-keys:begin -->` / `<!-- stats-keys:end -->` markers.
@@ -31,7 +31,7 @@ fn documented_keys(readme: &str) -> Vec<String> {
 fn readme_stats_key_table_matches_the_wire_order() {
     let readme = include_str!("../../../README.md");
     let documented = documented_keys(readme);
-    let actual: Vec<String> = Engine::new(1)
+    let actual: Vec<String> = Router::new(1, 1)
         .stats_for(ProtoVersion::V3)
         .into_iter()
         .map(|(key, _)| key)
@@ -42,7 +42,7 @@ fn readme_stats_key_table_matches_the_wire_order() {
     );
     assert_eq!(
         documented, actual,
-        "README stats-key table drifted from Engine::stats_for(V3); \
+        "README stats-key table drifted from Router::stats_for(V3); \
          update the table between the stats-keys markers"
     );
 }
@@ -65,14 +65,14 @@ fn readme_documents_each_version_prefix_in_order() {
                 (tag <= tag_limit).then(|| key.to_string())
             })
             .collect();
-        let actual: Vec<String> = Engine::new(1)
+        let actual: Vec<String> = Router::new(1, 1)
             .stats_for(version)
             .into_iter()
             .map(|(key, _)| key)
             .collect();
         assert_eq!(
             documented, actual,
-            "the table's ≤{tag_limit} rows drifted from Engine::stats_for({tag_limit})"
+            "the table's ≤{tag_limit} rows drifted from Router::stats_for({tag_limit})"
         );
     }
 }
@@ -93,13 +93,13 @@ fn readme_documents_the_v1_prefix_in_order() {
             rest.starts_with(" | v1 |").then(|| key.to_string())
         })
         .collect();
-    let v1_actual: Vec<String> = Engine::new(1)
+    let v1_actual: Vec<String> = Router::new(1, 1)
         .stats_for(ProtoVersion::V1)
         .into_iter()
         .map(|(key, _)| key)
         .collect();
     assert_eq!(
         v1_documented, v1_actual,
-        "the table's v1-tagged rows drifted from Engine::stats_for(V1)"
+        "the table's v1-tagged rows drifted from Router::stats_for(V1)"
     );
 }

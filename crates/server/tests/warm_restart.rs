@@ -1,4 +1,4 @@
-//! Kill-and-resume warm restarts: a durable engine (or router) that is
+//! Kill-and-resume warm restarts: a durable router that is
 //! dropped mid-conversation — no shutdown, no flushes beyond the journal's
 //! own per-append flush — and reopened over the same data directory must
 //! continue the conversation **byte-identically** to one process that never
@@ -19,7 +19,7 @@
 use mf_core::textio;
 use mf_heuristics::{H4wFastestMachine, Heuristic};
 use mf_server::proto::{text_payload, Request, Response};
-use mf_server::{serve_stdio, Engine, Handler, Router};
+use mf_server::{serve_stdio, Router};
 use mf_sim::{GeneratorConfig, InstanceGenerator};
 use std::path::{Path, PathBuf};
 
@@ -107,18 +107,18 @@ fn session_b() -> String {
     script
 }
 
-fn transcript<H: Handler>(handler: &H, script: &str) -> String {
+fn transcript(router: &Router, script: &str) -> String {
     let mut output = Vec::new();
-    serve_stdio(handler, script.as_bytes(), &mut output).unwrap();
+    serve_stdio(router, script.as_bytes(), &mut output).unwrap();
     String::from_utf8(output).unwrap()
 }
 
 /// Both sessions against one process that never dies — the reference every
 /// kill-and-resume variant must reproduce byte for byte.
 fn uninterrupted_reference() -> String {
-    let engine = Engine::new(1);
-    let mut full = transcript(&engine, &session_a());
-    full.push_str(&transcript(&engine, &session_b()));
+    let router = Router::new(1, 1);
+    let mut full = transcript(&router, &session_a());
+    full.push_str(&transcript(&router, &session_b()));
     full
 }
 
@@ -149,29 +149,16 @@ fn restart_scripts_and_transcript_are_pinned() {
 
 /// The tentpole pin: kill a durable server after session A (drop without
 /// shutdown), reopen the data directory, run session B — the concatenated
-/// transcript equals the uninterrupted run, for a single engine and for a
-/// sharded router alike.
+/// transcript equals the uninterrupted run, at any worker count.
 #[test]
 fn kill_and_resume_matches_the_uninterrupted_run() {
     let reference = uninterrupted_reference();
-    // Single durable engine.
-    {
-        let dir = TempDir::new("engine");
-        let mut full = {
-            let engine = Engine::open(1, dir.path()).unwrap();
-            transcript(&engine, &session_a())
-        }; // dropped here: the "kill"
-        let engine = Engine::open(1, dir.path()).unwrap();
-        full.push_str(&transcript(&engine, &session_b()));
-        assert_eq!(full, reference, "durable engine restart changed the bytes");
-    }
-    // Sharded durable routers.
     for workers in [1usize, 2] {
         let dir = TempDir::new(&format!("router{workers}"));
         let mut full = {
             let router = Router::with_data_dir(workers, 1, dir.path()).unwrap();
             transcript(&router, &session_a())
-        };
+        }; // dropped here: the "kill"
         let router = Router::with_data_dir(workers, 1, dir.path()).unwrap();
         full.push_str(&transcript(&router, &session_b()));
         assert_eq!(
@@ -181,23 +168,25 @@ fn kill_and_resume_matches_the_uninterrupted_run() {
     }
 }
 
-/// One shared journal serves any worker count: a session served by a single
-/// durable engine can be resumed by a 2-worker router (each shard replays
-/// only the names that hash to it) and vice versa.
+/// One shared journal serves any worker count: a session served by one
+/// worker count can be resumed by another (each shard replays only the
+/// names that hash to it), in both directions.
 #[test]
 fn restarts_recover_across_worker_counts() {
     let reference = uninterrupted_reference();
-    let dir = TempDir::new("cross");
-    let mut full = {
-        let engine = Engine::open(1, dir.path()).unwrap();
-        transcript(&engine, &session_a())
-    };
-    let router = Router::with_data_dir(2, 1, dir.path()).unwrap();
-    full.push_str(&transcript(&router, &session_b()));
-    assert_eq!(
-        full, reference,
-        "engine-to-router restart changed the bytes"
-    );
+    for (before, after) in [(1usize, 2usize), (2, 1)] {
+        let dir = TempDir::new(&format!("cross{before}to{after}"));
+        let mut full = {
+            let router = Router::with_data_dir(before, 1, dir.path()).unwrap();
+            transcript(&router, &session_a())
+        };
+        let router = Router::with_data_dir(after, 1, dir.path()).unwrap();
+        full.push_str(&transcript(&router, &session_b()));
+        assert_eq!(
+            full, reference,
+            "{before}-to-{after}-worker restart changed the bytes"
+        );
+    }
 }
 
 /// The restart-generation bugfix, observed at the store: generations issued
@@ -208,10 +197,11 @@ fn restarts_recover_across_worker_counts() {
 fn restart_resumes_generations_strictly_above_the_journal_mark() {
     let dir = TempDir::new("generations");
     {
-        let engine = Engine::open(1, dir.path()).unwrap();
-        let mut session = engine.begin_session();
+        let router = Router::with_data_dir(1, 1, dir.path()).unwrap();
+        let engine = &router.engines()[0];
+        let mut session = router.begin_session();
         for (name, text) in [("alpha", alpha_text()), ("beta", beta_text())] {
-            let response = engine.dispatch(
+            let response = router.dispatch(
                 &mut session,
                 Request::Load {
                     name: name.into(),
@@ -221,7 +211,7 @@ fn restart_resumes_generations_strictly_above_the_journal_mark() {
             assert!(matches!(response, Response::Loaded { .. }), "{response:?}");
         }
         // beta took generation 1; unloading it must not surrender the mark.
-        let response = engine.dispatch(
+        let response = router.dispatch(
             &mut session,
             Request::Unload {
                 name: "beta".into(),
@@ -233,14 +223,15 @@ fn restart_resumes_generations_strictly_above_the_journal_mark() {
         );
         assert_eq!(engine.store().get("alpha").unwrap().generation, 0);
     }
-    let engine = Engine::open(1, dir.path()).unwrap();
-    let mut session = engine.begin_session();
+    let router = Router::with_data_dir(1, 1, dir.path()).unwrap();
+    let engine = &router.engines()[0];
+    let mut session = router.begin_session();
     assert_eq!(
         engine.store().get("alpha").unwrap().generation,
         0,
         "replay must pin the journaled generation"
     );
-    let response = engine.dispatch(
+    let response = router.dispatch(
         &mut session,
         Request::Load {
             name: "gamma".into(),
@@ -258,7 +249,7 @@ fn restart_resumes_generations_strictly_above_the_journal_mark() {
 /// The high-severity restart-aliasing regression: shard engines issue
 /// generations from independent counters, so a shared journal written at
 /// `--workers 2` pins both shards' first loads at generation 0. Restarting
-/// at `--workers 1` replays both into ONE engine, in front of ONE evaluate
+/// at `--workers 1` replays both into ONE shard, in front of ONE evaluate
 /// cache — and evaluating both with the same mapping bytes (same
 /// fingerprint) must answer each instance's own period, which only holds
 /// because the cache key carries the instance name.
@@ -320,10 +311,10 @@ fn same_generation_instances_replayed_into_one_engine_do_not_alias_the_cache() {
         assert_eq!(generation_of(&name_b), 0);
     }
 
-    // Restart as a single engine: both live in one store at generation 0.
-    let engine = Engine::open(1, dir.path()).unwrap();
-    let mut session = engine.begin_session();
-    let mut evaluate = |name: &str| match engine.dispatch(
+    // Restart with a single worker: both live in one store at generation 0.
+    let router = Router::with_data_dir(1, 1, dir.path()).unwrap();
+    let mut session = router.begin_session();
+    let mut evaluate = |name: &str| match router.dispatch(
         &mut session,
         Request::Evaluate {
             name: name.to_string(),
@@ -351,26 +342,26 @@ fn same_generation_instances_replayed_into_one_engine_do_not_alias_the_cache() {
 }
 
 /// The recovery counter block: after session A the journal holds the boot
-/// mark plus two loads; a reopening engine reports exactly that replay in
-/// `status_report` — and in-memory engines keep an empty block (their JSON
-/// is unchanged).
+/// mark plus two loads; a reopening router reports exactly that replay in
+/// `status_report`, at any worker count — and in-memory routers keep an
+/// empty block (their JSON is unchanged).
 #[test]
 fn recovery_counters_surface_the_replay_in_the_status_report() {
     let dir = TempDir::new("counters");
     {
-        let engine = Engine::open(1, dir.path()).unwrap();
+        let router = Router::with_data_dir(1, 1, dir.path()).unwrap();
         assert!(
-            engine
+            router
                 .status_report()
                 .recovery
                 .iter()
                 .any(|(key, value)| key == "journal-entries-replayed" && *value == 0),
             "a fresh journal replays nothing"
         );
-        transcript(&engine, &session_a());
+        transcript(&router, &session_a());
     }
-    let engine = Engine::open(1, dir.path()).unwrap();
-    let report = engine.status_report();
+    let router = Router::with_data_dir(1, 1, dir.path()).unwrap();
+    let report = router.status_report();
     let get = |key: &str| {
         report
             .recovery
@@ -386,14 +377,13 @@ fn recovery_counters_surface_the_replay_in_the_status_report() {
     assert_eq!(get("journal-generation-mark"), 2);
     let json = report.to_json();
     assert!(json.contains("\"journal-entries-replayed\": 3"), "{json}");
-    // A durable router over the same directory reports the same block.
-    drop(engine);
+    // A 2-worker router over the same directory reports the same block.
+    drop(router);
     let router = Router::with_data_dir(2, 1, dir.path()).unwrap();
-    let router_report = router.status_report();
-    assert_eq!(router_report.recovery, report.recovery);
+    assert_eq!(router.status_report().recovery, report.recovery);
     // In-memory servers never grow the block.
-    assert!(Engine::new(1).status_report().recovery.is_empty());
-    assert!(!Engine::new(1)
+    assert!(Router::new(1, 1).status_report().recovery.is_empty());
+    assert!(!Router::new(1, 1)
         .status_report()
         .to_json()
         .contains("recovery"));
