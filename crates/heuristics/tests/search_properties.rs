@@ -15,7 +15,8 @@
 //! * all three strategies preserve the specialized rule;
 //! * steepest descent and tabu search commit pinned step sequences (task,
 //!   machine and period bits of every commit) on chains and forests at
-//!   m = 20 and m = 64.
+//!   m = 20 and m = 64, and the dense what-ifs, mass-row builds and budget
+//!   steps each of those runs spends.
 
 use mf_core::prelude::*;
 use mf_heuristics::search::{
@@ -254,4 +255,53 @@ fn steepest_descent_and_tabu_commit_pinned_step_sequences() {
         }
     }
     assert_eq!(observed, expected, "observed: {observed:#x?}");
+}
+
+/// The work behind the pinned commit sequences: per run, the dense what-ifs
+/// the evaluator answered, the mass rows it (re)built and the budget units
+/// the engine charged. A sweep that settles candidates early must still
+/// count every call, so all three stay fixed.
+#[test]
+fn steepest_descent_and_tabu_evaluator_counts_are_pinned() {
+    let generate = |config: GeneratorConfig, seed: u64| {
+        InstanceGenerator::new(config)
+            .generate(seed)
+            .expect("the generator produces valid instances")
+    };
+    let instances = [
+        generate(GeneratorConfig::paper_standard(40, 64, 6), 0x64C),
+        generate(GeneratorConfig::standard_in_forest(40, 64, 6), 0x64F),
+        generate(GeneratorConfig::paper_standard(30, 20, 4), 0x20C),
+    ];
+    let strategies: [&dyn SearchStrategy; 2] =
+        [&SteepestDescent::default(), &TabuSearch::default()];
+    // (dense what-ifs, mass-row builds, engine steps), in instance-major
+    // order, SD before TS.
+    let expected: [(u64, u64, usize); 6] = [
+        (45_891, 976, 45_891),
+        (102_916, 2_185, 102_916),
+        (17_502, 81, 17_502),
+        (105_588, 163, 105_588),
+        (4_171, 436, 4_171),
+        (33_625, 3_423, 33_625),
+    ];
+    let mut observed = Vec::new();
+    for instance in &instances {
+        let seed = H4wFastestMachine.map(instance).unwrap();
+        for strategy in strategies {
+            let mut engine = SearchEngine::new(instance, &seed, 200_000).unwrap();
+            strategy.run(&mut engine).unwrap();
+            let counters = engine.evaluator_counters();
+            assert_eq!(
+                counters.exact_what_ifs, 0,
+                "both shapes ride the dense path"
+            );
+            observed.push((
+                counters.dense_what_ifs,
+                counters.mass_row_builds,
+                engine.steps(),
+            ));
+        }
+    }
+    assert_eq!(observed, expected, "observed: {observed:?}");
 }
