@@ -1,8 +1,7 @@
-//! Headless perf summary: the `search_strategies` measurements as a
-//! machine-readable JSON file.
+//! Headless perf summary: the core measurements as a machine-readable JSON
+//! file.
 //!
-//! Criterion's interactive harness is great locally but awkward to archive;
-//! this binary re-runs the same measurements — strategy polish cost
+//! This binary times, with plain `Instant`, the strategy polish cost
 //! (H6 / steepest descent / tabu over the shared H4w seed), branch-and-bound
 //! node throughput (the staged evaluator under a node budget, plus the
 //! `bnb_prove/*` pair proving one m ≫ p fixture under the packing vs the
@@ -10,12 +9,12 @@
 //! what-if cost on a tree-shaped instance (the forest variant of the dense
 //! fast path vs a full recompute), the steepest-descent sweep on both the
 //! forest and the chain shape (with its deterministic `evaluator_calls`
-//! count), LNS restage probes (staged subtree tear-out vs full candidate
-//! recompute), a full portfolio run, and the `load` path (parsing the
-//! fixture's instance text, and a journal churn across two compactions) —
-//! with plain `Instant` timing and writes median nanoseconds per run to
-//! `BENCH_core.json`, so the perf trajectory accumulates commit over commit
-//! (CI uploads the file as an artifact).
+//! count and, as `probes`, the full machine scans among those calls), LNS
+//! restage probes (staged subtree tear-out vs full candidate recompute), a
+//! full portfolio run, and the `load` path (parsing the fixture's instance
+//! text, and a journal churn across two compactions). It writes median
+//! nanoseconds per run to `BENCH_core.json`, so the perf trajectory
+//! accumulates commit over commit (CI uploads the file as an artifact).
 //!
 //! ```sh
 //! cargo run --release -p mf-bench --bin bench_summary -- --out BENCH_core.json
@@ -137,8 +136,8 @@ fn main() {
         }
     }
 
-    // The search_strategies bench shape: evaluation-scale for the full run,
-    // a reduced grid for `--quick` CI smoke.
+    // The strategy-polish shape: evaluation-scale for the full run, a
+    // reduced grid for `--quick` CI smoke.
     let (tasks, machines, sweep_budget, node_budget) = if quick {
         (40usize, 10usize, 10_000usize, 10_000u64)
     } else {
@@ -249,7 +248,8 @@ fn main() {
 
     // Steepest descent full sweeps on both the forest and the chain shape:
     // wall time plus the deterministic number of evaluator calls per run
-    // (every probed candidate is one what-if, so probes == calls).
+    // (every candidate is one what-if) and of full machine scans among them
+    // (`probes`: the calls the critical-machine probe did not settle).
     for (name, shape, shape_seed) in [
         ("sd_sweep_forest/full", &forest, &forest_seed),
         ("sd_sweep_chain/full", &instance, &seed),
@@ -261,7 +261,11 @@ fn main() {
             if record {
                 let counters = engine.evaluator_counters();
                 let calls = counters.dense_what_ifs + counters.exact_what_ifs;
-                Some((engine.best_period(), calls, calls))
+                Some((
+                    engine.best_period(),
+                    calls,
+                    calls - counters.pruned_what_ifs,
+                ))
             } else {
                 None
             }

@@ -21,6 +21,17 @@
 //! strict subtree overlaps the committed influence span(s), so on join-heavy
 //! forests a commit in one branch leaves every other branch's rows warm
 //! (the `mass_row_builds` counter pins that in a regression test).
+//!
+//! Every kernel takes an optional **bound**. Before the scan it computes
+//! the candidate value of the committed critical machine — with the very
+//! expression the scan evaluates there — and when that value already
+//! reaches the bound it answers "cannot beat the bound" (`None`) without
+//! scanning. The candidate period is the scan's maximum, which is at least
+//! that value bit for bit, so a caller that only keeps candidates strictly
+//! below the bound loses nothing. A sweep passes its incumbent: most
+//! candidates leave the bottleneck machine as loaded as before, so the
+//! probe settles them in `O(1)`. A NaN probe compares false and falls
+//! through to the scan.
 
 use super::topology::{Topology, TopologyKind};
 use super::{Evaluation, IncrementalEvaluator};
@@ -177,7 +188,15 @@ impl<'a> IncrementalEvaluator<'a> {
     /// full recompute by a few ulp — comfortably within the 1e-9 differential
     /// bound, and irrelevant for committed state (commits always take the
     /// exact walk).
-    pub(super) fn dense_move_what_if(&mut self, task: TaskId, to: MachineId) -> Evaluation {
+    ///
+    /// `None` when the critical-machine probe reaches `bound` (see the
+    /// module docs); the answer is then at least `bound`.
+    pub(super) fn dense_move_what_if(
+        &mut self,
+        task: TaskId,
+        to: MachineId,
+        bound: Option<f64>,
+    ) -> Option<Evaluation> {
         let i = task.index();
         let row = self.ensure_mass_row(i);
         let m = self.load.len();
@@ -192,27 +211,43 @@ impl<'a> IncrementalEvaluator<'a> {
         // then restore the all-zero scratch invariant.
         self.mass.adjust[from] = -removed;
         self.mass.adjust[to.index()] = added;
-        let best = scan_one_row(&self.load, &self.mass.rows[row], scale, &self.mass.adjust);
+        let best = scan_one_row(
+            &self.load,
+            &self.mass.rows[row],
+            scale,
+            &self.mass.adjust,
+            self.probe(bound),
+        );
         self.mass.adjust[from] = 0.0;
         self.mass.adjust[to.index()] = 0.0;
-        Evaluation {
-            period: Period::new(best.0),
-            critical_machine: MachineId(best.1),
-        }
+        best.map(evaluation)
     }
 
     /// Dense what-if of a swap: nested pairs (one task upstream of the
     /// other) compose their ratios along the shared ancestry; disjoint pairs
     /// (distinct branches or trees — impossible on a chain) scale
-    /// independent ranges.
-    pub(super) fn dense_swap_what_if(&mut self, a: TaskId, b: TaskId) -> Evaluation {
+    /// independent ranges. `None` when the critical-machine probe reaches
+    /// `bound`.
+    pub(super) fn dense_swap_what_if(
+        &mut self,
+        a: TaskId,
+        b: TaskId,
+        bound: Option<f64>,
+    ) -> Option<Evaluation> {
         if self.topology.is_upstream(a, b) {
-            self.dense_nested_swap_what_if(a, b)
+            self.dense_nested_swap_what_if(a, b, bound)
         } else if self.topology.is_upstream(b, a) {
-            self.dense_nested_swap_what_if(b, a)
+            self.dense_nested_swap_what_if(b, a, bound)
         } else {
-            self.dense_disjoint_swap_what_if(a, b)
+            self.dense_disjoint_swap_what_if(a, b, bound)
         }
+    }
+
+    /// The critical-machine probe of a bounded what-if: the committed
+    /// critical machine paired with the bound.
+    #[inline]
+    fn probe(&self, bound: Option<f64>) -> Option<(usize, f64)> {
+        bound.map(|bound| (self.tree.root().1, bound))
     }
 
     /// Nested swap: `lo` is strictly upstream of `hi`, so the downstream
@@ -220,7 +255,12 @@ impl<'a> IncrementalEvaluator<'a> {
     /// the upstream task's ratio additionally scales everything upstream of
     /// *it* — two mass rows, one scan. On a chain `lo` is simply the
     /// lower-indexed task and this is the pre-forest code path, bit for bit.
-    fn dense_nested_swap_what_if(&mut self, lo: TaskId, hi: TaskId) -> Evaluation {
+    fn dense_nested_swap_what_if(
+        &mut self,
+        lo: TaskId,
+        hi: TaskId,
+        bound: Option<f64>,
+    ) -> Option<Evaluation> {
         let row_lo = self.ensure_mass_row(lo.index());
         let row_hi = self.ensure_mass_row(hi.index());
         let m = self.load.len();
@@ -253,19 +293,22 @@ impl<'a> IncrementalEvaluator<'a> {
             &self.mass.rows[row_hi],
             scale_hi,
             &self.mass.adjust,
+            self.probe(bound),
         );
         self.mass.adjust[u_lo] = 0.0;
         self.mass.adjust[u_hi] = 0.0;
-        Evaluation {
-            period: Period::new(best.0),
-            critical_machine: MachineId(best.1),
-        }
+        best.map(evaluation)
     }
 
     /// Disjoint swap: neither task is upstream of the other, so the two
     /// ratios scale disjoint subtree ranges independently and the machine
     /// adjustments exchange the two tasks' own contributions.
-    fn dense_disjoint_swap_what_if(&mut self, a: TaskId, b: TaskId) -> Evaluation {
+    fn dense_disjoint_swap_what_if(
+        &mut self,
+        a: TaskId,
+        b: TaskId,
+        bound: Option<f64>,
+    ) -> Option<Evaluation> {
         let row_a = self.ensure_mass_row(a.index());
         let row_b = self.ensure_mass_row(b.index());
         let m = self.load.len();
@@ -293,18 +336,49 @@ impl<'a> IncrementalEvaluator<'a> {
             &self.mass.rows[row_b],
             scale_b,
             &self.mass.adjust,
+            self.probe(bound),
         );
         self.mass.adjust[u_a] = 0.0;
         self.mass.adjust[u_b] = 0.0;
-        Evaluation {
-            period: Period::new(best.0),
-            critical_machine: MachineId(best.1),
-        }
+        best.map(evaluation)
     }
+}
+
+/// A scan's `(max, argmax)` as an [`Evaluation`].
+#[inline]
+fn evaluation((period, machine): (f64, usize)) -> Evaluation {
+    Evaluation {
+        period: Period::new(period),
+        critical_machine: MachineId(machine),
+    }
+}
+
+/// Candidate value of one machine under a one-row what-if — the single
+/// expression both the probe and the scan evaluate.
+#[inline(always)]
+fn one_row_value(load: f64, mass: f64, scale: f64, adjust: f64) -> f64 {
+    load + scale * mass + adjust
+}
+
+/// Candidate value of one machine under a two-row what-if.
+#[inline(always)]
+fn two_row_value(
+    load: f64,
+    mass_a: f64,
+    scale_a: f64,
+    mass_b: f64,
+    scale_b: f64,
+    adjust: f64,
+) -> f64 {
+    load + scale_a * mass_a + scale_b * mass_b + adjust
 }
 
 /// Max/argmax over one mass row: the candidate value of machine `w` is
 /// `load[w] + scale·mass[w] + adjust[w]`.
+///
+/// With `probe = Some((c, bound))` the value of machine `c` is computed
+/// first, and a value `>= bound` returns `None` without scanning — the
+/// maximum could only be larger.
 ///
 /// One flat pass over three parallel slices. The value computation is
 /// branch-free — the sparse from/to machine deltas ride the `adjust` row
@@ -314,15 +388,26 @@ impl<'a> IncrementalEvaluator<'a> {
 /// (NaN values lose every comparison, so an all-NaN row yields the
 /// `(−∞, usize::MAX)` sentinel).
 #[inline]
-fn scan_one_row(load: &[f64], mass: &[f64], scale: f64, adjust: &[f64]) -> (f64, usize) {
+fn scan_one_row(
+    load: &[f64],
+    mass: &[f64],
+    scale: f64,
+    adjust: &[f64],
+    probe: Option<(usize, f64)>,
+) -> Option<(f64, usize)> {
+    if let Some((c, bound)) = probe {
+        if one_row_value(load[c], mass[c], scale, adjust[c]) >= bound {
+            return None;
+        }
+    }
     let mut best = (f64::NEG_INFINITY, usize::MAX);
     for (w, ((&load, &mass), &adjust)) in load.iter().zip(mass).zip(adjust).enumerate() {
-        let value = load + scale * mass + adjust;
+        let value = one_row_value(load, mass, scale, adjust);
         if value > best.0 {
             best = (value, w);
         }
     }
-    best
+    Some(best)
 }
 
 /// Max/argmax over two mass rows (the swap scans):
@@ -333,7 +418,8 @@ fn scan_one_row(load: &[f64], mass: &[f64], scale: f64, adjust: &[f64]) -> (f64,
 /// the running best keeps the first machine on exact ties — the same
 /// lowest-index tie-break, and the same returned bits, as the historical
 /// `if value > best.0` tracking loop (NaN values lose every comparison, so
-/// an all-NaN row yields the `(−∞, usize::MAX)` sentinel).
+/// an all-NaN row yields the `(−∞, usize::MAX)` sentinel). `probe` settles
+/// the scan early exactly as in [`scan_one_row`].
 #[inline]
 fn scan_two_rows(
     load: &[f64],
@@ -342,15 +428,191 @@ fn scan_two_rows(
     mass_b: &[f64],
     scale_b: f64,
     adjust: &[f64],
-) -> (f64, usize) {
+    probe: Option<(usize, f64)>,
+) -> Option<(f64, usize)> {
+    if let Some((c, bound)) = probe {
+        let value = two_row_value(load[c], mass_a[c], scale_a, mass_b[c], scale_b, adjust[c]);
+        if value >= bound {
+            return None;
+        }
+    }
     let mut best = (f64::NEG_INFINITY, usize::MAX);
     for (w, (((&load, &mass_a), &mass_b), &adjust)) in
         load.iter().zip(mass_a).zip(mass_b).zip(adjust).enumerate()
     {
-        let value = load + scale_a * mass_a + scale_b * mass_b + adjust;
+        let value = two_row_value(load, mass_a, scale_a, mass_b, scale_b, adjust);
         if value > best.0 {
             best = (value, w);
         }
     }
-    best
+    Some(best)
+}
+
+#[cfg(test)]
+mod tests {
+    use crate::application::Application;
+    use crate::failure::FailureModel;
+    use crate::ids::{MachineId, TaskId};
+    use crate::incremental::{Evaluation, IncrementalEvaluator};
+    use crate::instance::Instance;
+    use crate::mapping::Mapping;
+    use crate::platform::Platform;
+    use crate::seed::splitmix64;
+
+    /// A splitmix64 stream: uniform `u64` draws and `[lo, hi)` floats.
+    struct Draws(u64);
+
+    impl Draws {
+        fn next(&mut self) -> u64 {
+            self.0 = splitmix64(self.0);
+            self.0
+        }
+
+        fn below(&mut self, n: usize) -> usize {
+            (self.next() % n as u64) as usize
+        }
+
+        fn float(&mut self, lo: f64, hi: f64) -> f64 {
+            lo + (self.next() >> 11) as f64 / (1u64 << 53) as f64 * (hi - lo)
+        }
+    }
+
+    /// A seeded instance over `successors` (a chain or an in-forest) with
+    /// random per-type times and per-task failure rates.
+    fn dress(successors: &[Option<usize>], m: usize, draws: &mut Draws) -> Instance {
+        let n = successors.len();
+        let types: Vec<usize> = (0..n).map(|i| i % 4).collect();
+        let app = Application::from_successors(&types, successors).unwrap();
+        let times = (0..4)
+            .map(|_| (0..m).map(|_| draws.float(100.0, 1000.0)).collect())
+            .collect();
+        let platform = Platform::from_type_times(m, times).unwrap();
+        let rates = (0..n)
+            .map(|_| (0..m).map(|_| draws.float(0.0, 0.08)).collect())
+            .collect();
+        let failures = FailureModel::from_matrix(rates, m).unwrap();
+        Instance::new(app, platform, failures).unwrap()
+    }
+
+    fn chain(n: usize) -> Vec<Option<usize>> {
+        (0..n).map(|i| (i + 1 < n).then_some(i + 1)).collect()
+    }
+
+    /// An in-forest: every task feeds a random later task, or is a root.
+    fn forest(n: usize, draws: &mut Draws) -> Vec<Option<usize>> {
+        (0..n)
+            .map(|i| (i + 1 < n && draws.below(8) != 0).then(|| i + 1 + draws.below(n - i - 1)))
+            .collect()
+    }
+
+    fn same_bits(a: Evaluation, b: Evaluation) -> bool {
+        a.period.value().to_bits() == b.period.value().to_bits()
+            && a.critical_machine == b.critical_machine
+    }
+
+    /// Bounds below, at and above the true period (±1 ulp included), plus
+    /// the committed period a sweep would pass as its incumbent.
+    fn bounds(period: f64, committed: f64, draws: &mut Draws) -> [f64; 8] {
+        let ulp = |value: f64, up: bool| match (value > 0.0, up) {
+            (true, true) => f64::from_bits(value.to_bits() + 1),
+            (true, false) => f64::from_bits(value.to_bits() - 1),
+            _ => value,
+        };
+        [
+            period * 0.5,
+            ulp(period, false),
+            period,
+            ulp(period, true),
+            period * 2.0,
+            period * draws.float(0.9, 1.1),
+            committed,
+            ulp(committed, false),
+        ]
+    }
+
+    /// Bounded what-ifs agree with the unbounded kernels: `None` only when
+    /// the unbounded period reaches the bound, `Some` bit-identical to the
+    /// unbounded answer; every call counts one dense what-if and rebuilds
+    /// no row the unbounded call did not.
+    #[test]
+    fn bounded_what_ifs_agree_with_the_unbounded_kernels() {
+        let mut draws = Draws(0xB0_0D5);
+        for (shape, m) in [("chain", 20), ("chain", 64), ("forest", 20), ("forest", 64)] {
+            let n = 36;
+            let successors = if shape == "chain" {
+                chain(n)
+            } else {
+                forest(n, &mut draws)
+            };
+            let instance = dress(&successors, m, &mut draws);
+            let assignment: Vec<usize> = (0..n).map(|_| draws.below(m)).collect();
+            let mapping = Mapping::from_indices(&assignment, m).unwrap();
+            let mut eval = IncrementalEvaluator::new(&instance, &mapping).unwrap();
+            assert!(eval.is_dense_fast_path());
+            let start = eval.counters();
+            let (mut nested, mut disjoint) = (0usize, 0usize);
+            for step in 0..1_500 {
+                let a = TaskId(draws.below(n));
+                let to = MachineId(draws.below(m));
+                let b = TaskId(draws.below(n));
+                let swap = step % 2 == 1;
+                if swap && a != b && eval.machine_of(a) != eval.machine_of(b) {
+                    let topology = eval.topology();
+                    if topology.is_upstream(a, b) || topology.is_upstream(b, a) {
+                        nested += 1;
+                    } else {
+                        disjoint += 1;
+                    }
+                }
+                let unbounded = if swap {
+                    eval.evaluate_swap(a, b).unwrap()
+                } else {
+                    eval.evaluate_move(a, to).unwrap()
+                };
+                let period = unbounded.period.value();
+                let committed = eval.period().value();
+                for bound in bounds(period, committed, &mut draws) {
+                    let before = eval.counters();
+                    let bounded = if swap {
+                        eval.evaluate_swap_below(a, b, Some(bound)).unwrap()
+                    } else {
+                        eval.evaluate_move_below(a, to, Some(bound)).unwrap()
+                    };
+                    let after = eval.counters().since(&before);
+                    match bounded {
+                        None => assert!(
+                            period >= bound,
+                            "{shape} m={m} step {step}: settled below {bound}, period {period}"
+                        ),
+                        Some(evaluation) => assert!(
+                            same_bits(evaluation, unbounded),
+                            "{shape} m={m} step {step}: {evaluation:?} vs {unbounded:?}"
+                        ),
+                    }
+                    let real = swap && eval.machine_of(a) != eval.machine_of(b)
+                        || !swap && eval.machine_of(a) != to;
+                    assert_eq!(after.dense_what_ifs, u64::from(real));
+                    assert_eq!(after.pruned_what_ifs, u64::from(bounded.is_none()));
+                    assert_eq!(
+                        after.mass_row_builds, 0,
+                        "the unbounded call warmed the rows"
+                    );
+                }
+                if step % 50 == 49 {
+                    eval.apply_move(a, to).unwrap();
+                }
+            }
+            let counters = eval.counters().since(&start);
+            if m == 64 {
+                assert!(
+                    counters.pruned_what_ifs > 0,
+                    "{shape} m={m}: nothing settled"
+                );
+            }
+            assert!(nested > 0, "{shape} m={m}: no nested swap");
+            if shape == "forest" {
+                assert!(disjoint > 0, "{shape} m={m}: no disjoint swap");
+            }
+        }
+    }
 }

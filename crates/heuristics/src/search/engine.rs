@@ -266,6 +266,34 @@ impl<'a> SearchEngine<'a> {
         Ok(self.eval.evaluate_swap(a, b)?.period.value())
     }
 
+    /// What-if period of moving `task` to `to`, or `None` when it is
+    /// `>= bound` — for sweeps that only keep candidates strictly below
+    /// their incumbent. Most losing candidates are settled without a
+    /// machine scan (see [`IncrementalEvaluator::evaluate_move_below`]); a
+    /// `Some` period is bit-identical to [`evaluate_move`](Self::evaluate_move).
+    /// Callers charge for the evaluation as for an unbounded one.
+    pub fn evaluate_move_below(
+        &mut self,
+        task: TaskId,
+        to: MachineId,
+        bound: Option<f64>,
+    ) -> HeuristicResult<Option<f64>> {
+        let evaluation = self.eval.evaluate_move_below(task, to, bound)?;
+        Ok(evaluation.map(|e| e.period.value()))
+    }
+
+    /// What-if period of swapping the machines of `a` and `b`, or `None`
+    /// when it is `>= bound` (see [`evaluate_move_below`](Self::evaluate_move_below)).
+    pub fn evaluate_swap_below(
+        &mut self,
+        a: TaskId,
+        b: TaskId,
+        bound: Option<f64>,
+    ) -> HeuristicResult<Option<f64>> {
+        let evaluation = self.eval.evaluate_swap_below(a, b, bound)?;
+        Ok(evaluation.map(|e| e.period.value()))
+    }
+
     /// The underlying evaluator's diagnostics counters (dense/exact what-if
     /// split, commits, mass-row churn).
     #[inline]

@@ -14,6 +14,12 @@
 //! The engine snapshots the best mapping seen, so tabu search — like every
 //! strategy — never returns worse than its seed. The walk itself is fully
 //! deterministic (no RNG; scan-order tie-breaks).
+//!
+//! Every what-if is bounded by the period a candidate must beat to be
+//! chosen — the current choice's, lowered to the aspiration level for a
+//! tabu candidate — so the evaluator settles most candidates from the
+//! critical machine alone, without a machine scan. The commits are the
+//! same as with unbounded what-ifs, bit for bit.
 
 use crate::search::candidate::{better_than, Candidate};
 use crate::search::engine::{SearchEngine, IMPROVEMENT_EPSILON};
@@ -110,10 +116,21 @@ impl SearchStrategy for TabuSearch {
             if engine.exhausted() || stale >= config.stale_limit {
                 break;
             }
-            let best_period = engine.best_period();
             // Aspiration: a candidate beating the global best is admissible
             // no matter what the tabu list says.
-            let aspired = |period: f64| period < best_period - IMPROVEMENT_EPSILON;
+            let aspiration = engine.best_period() - IMPROVEMENT_EPSILON;
+            let aspired = |period: f64| period < aspiration;
+            // A candidate is only chosen strictly below `chosen`'s period,
+            // and a forbidden one only strictly below the aspiration level,
+            // so what-ifs that reach that bound are settled unscored.
+            let bound = |chosen: &Option<(f64, Candidate)>, forbidden: bool| {
+                let chosen = chosen.map(|(period, _)| period);
+                match (chosen, forbidden) {
+                    (chosen, false) => chosen,
+                    (None, true) => Some(aspiration),
+                    (Some(period), true) => Some(period.min(aspiration)),
+                }
+            };
 
             let mut chosen: Option<(f64, Candidate)> = None;
             for t in 0..n {
@@ -124,8 +141,12 @@ impl SearchStrategy for TabuSearch {
                         continue;
                     }
                     engine.charge(1);
-                    let period = engine.evaluate_move(task, to)?;
-                    if tabu.forbidden(task, to, iteration) && !aspired(period) {
+                    let forbidden = tabu.forbidden(task, to, iteration);
+                    let bound = bound(&chosen, forbidden);
+                    let Some(period) = engine.evaluate_move_below(task, to, bound)? else {
+                        continue;
+                    };
+                    if forbidden && !aspired(period) {
                         continue;
                     }
                     if better_than(period, &chosen) {
@@ -144,9 +165,12 @@ impl SearchStrategy for TabuSearch {
                         // versa — both targets must be non-tabu.
                         let (ua, ub) = (engine.machine_of(a), engine.machine_of(b));
                         engine.charge(1);
-                        let period = engine.evaluate_swap(a, b)?;
                         let forbidden =
                             tabu.forbidden(a, ub, iteration) || tabu.forbidden(b, ua, iteration);
+                        let bound = bound(&chosen, forbidden);
+                        let Some(period) = engine.evaluate_swap_below(a, b, bound)? else {
+                            continue;
+                        };
                         if forbidden && !aspired(period) {
                             continue;
                         }

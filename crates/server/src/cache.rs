@@ -22,11 +22,16 @@
 //!
 //! Entries are evicted least-recently-used past [`EVALUATE_CACHE_CAP`], and
 //! hits/misses/evictions are counted for `stats` (v2) and `status-export`.
+//!
+//! A request that panics while holding the cache lock does not take the
+//! cache down with it: the next caller recovers the lock and empties the
+//! map (the panic may have left it half-updated), so every later evaluate
+//! misses once and rebuilds. The counters keep counting.
 
 use mf_core::EvaluatorSnapshot;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard};
 
 /// Most cached evaluations kept per engine; least-recently-used entries are
 /// dropped past this (an entry holds the instance-sized snapshot vectors, so
@@ -96,6 +101,26 @@ impl EvaluateCache {
         }
     }
 
+    /// Locks the map. A lock poisoned by a panicking holder is recovered
+    /// with every entry dropped — the panic may have interrupted an insert
+    /// or an eviction — so the cache only ever forgets and never serves a
+    /// torn entry.
+    fn lock(&self) -> MutexGuard<'_, CacheInner> {
+        self.inner.lock().unwrap_or_else(|poison| {
+            self.inner.clear_poison();
+            let mut inner = poison.into_inner();
+            inner.entries.clear();
+            inner
+        })
+    }
+
+    /// Test hook: panics with the map lock held, poisoning it.
+    #[cfg(test)]
+    pub(crate) fn panic_with_lock_held(&self) {
+        let _guard = self.lock();
+        panic!("injected panic with the evaluate cache locked");
+    }
+
     /// Looks up a finished evaluation; counts a hit or a miss either way.
     pub fn lookup(
         &self,
@@ -103,7 +128,7 @@ impl EvaluateCache {
         generation: u64,
         fingerprint: u64,
     ) -> Option<CachedEvaluation> {
-        let mut inner = self.inner.lock().expect("evaluate cache poisoned");
+        let mut inner = self.lock();
         inner.clock += 1;
         let clock = inner.clock;
         match inner
@@ -128,7 +153,7 @@ impl EvaluateCache {
         if self.cap == 0 {
             return;
         }
-        let mut inner = self.inner.lock().expect("evaluate cache poisoned");
+        let mut inner = self.lock();
         inner.clock += 1;
         let clock = inner.clock;
         let key = (name.to_string(), generation, fingerprint);
@@ -158,17 +183,13 @@ impl EvaluateCache {
     /// purging on `load`/`unload` just frees their memory eagerly instead
     /// of waiting for the LRU cap to age them out.
     pub fn purge(&self, name: &str) {
-        let mut inner = self.inner.lock().expect("evaluate cache poisoned");
+        let mut inner = self.lock();
         inner.entries.retain(|key, _| key.0 != name);
     }
 
     /// Resident entry count.
     pub fn len(&self) -> usize {
-        self.inner
-            .lock()
-            .expect("evaluate cache poisoned")
-            .entries
-            .len()
+        self.lock().entries.len()
     }
 
     /// `true` when no evaluation is cached.
@@ -274,6 +295,29 @@ mod tests {
         assert_eq!(cache.len(), 1);
         assert!(cache.lookup("b", 2, 10).is_some());
         assert!(cache.lookup("a", 1, 10).is_none());
+    }
+
+    /// A panic with the lock held poisons the mutex; the next caller
+    /// recovers it with the map emptied, and every operation works again.
+    #[test]
+    fn a_panic_with_the_lock_held_empties_the_cache_and_recovers() {
+        let cache = EvaluateCache::new();
+        let (period, snapshot) = snapshot_for(1);
+        cache.insert("a", 1, 10, cached(period, snapshot.clone()));
+        assert!(cache.lookup("a", 1, 10).is_some());
+        let panicked = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            cache.panic_with_lock_held()
+        }));
+        assert!(panicked.is_err(), "the injected panic must unwind");
+        assert!(cache.inner.is_poisoned());
+        assert!(cache.lookup("a", 1, 10).is_none(), "recovery drops entries");
+        assert!(!cache.inner.is_poisoned(), "recovery clears the poison");
+        cache.insert("a", 1, 10, cached(period, snapshot.clone()));
+        cache.insert("b", 2, 10, cached(period, snapshot));
+        assert!(cache.lookup("a", 1, 10).is_some());
+        cache.purge("a");
+        assert_eq!(cache.len(), 1);
+        assert_eq!((cache.hits(), cache.misses()), (2, 1));
     }
 
     #[test]

@@ -1463,6 +1463,51 @@ mod tests {
         );
     }
 
+    /// A request that panicked with the evaluate cache locked leaves the
+    /// engine serving: the next evaluate misses, rebuilds the evaluator and
+    /// answers bit-identically, and the one after it hits again.
+    #[test]
+    fn evaluates_after_a_panic_in_the_cache_rebuild_and_match() {
+        let router = Router::new(1, 1);
+        let mut session = router.begin_session();
+        router.dispatch(&mut session, Request::Hello { requested: 2 });
+        let text = instance_text(10, 4, 2, 5);
+        load(&router, &mut session, "a", &text);
+        let instance = textio::instance_from_text(&text).unwrap();
+        let mapping = H4wFastestMachine.map(&instance).unwrap();
+        let evaluate = |session: &mut RouterSession| match router.dispatch(
+            session,
+            Request::Evaluate {
+                name: "a".into(),
+                payload: text_payload(&textio::mapping_to_text(&mapping)),
+            },
+        ) {
+            Response::Evaluated {
+                period,
+                critical,
+                loads,
+            } => (period.to_bits(), critical, loads),
+            other => panic!("evaluate failed: {other:?}"),
+        };
+        let cold = evaluate(&mut session);
+        assert_eq!(evaluate(&mut session), cold);
+        let cache = router.engines()[0].cache();
+        let panicked = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            cache.panic_with_lock_held()
+        }));
+        assert!(panicked.is_err(), "the injected panic must unwind");
+
+        assert_eq!(evaluate(&mut session), cold);
+        let stats = v2_stats(&router, &mut session);
+        assert_eq!(stat_of(&stats, "evaluator-builds"), 2, "the miss rebuilds");
+        assert_eq!(stat_of(&stats, "evaluate-cache-misses"), 2);
+        assert_eq!(stat_of(&stats, "evaluate-cache-hits"), 1);
+        assert_eq!(evaluate(&mut session), cold);
+        let stats = v2_stats(&router, &mut session);
+        assert_eq!(stat_of(&stats, "evaluate-cache-hits"), 2);
+        assert_eq!(stat_of(&stats, "evaluator-builds"), 2);
+    }
+
     #[test]
     fn batches_need_a_v2_hello_and_answer_item_by_item() {
         let router = Router::new(1, 1);

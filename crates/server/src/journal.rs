@@ -36,14 +36,19 @@
 //!
 //! The journal is **write-behind**: an in-memory shadow map of the live
 //! instances is updated first, then the record is appended and flushed.
-//! The shadow holds each live instance's `load` record already encoded —
-//! one string, byte for byte as the file holds it — so a load is encoded
-//! once, and the payload is never copied line by line. Every
+//! A load is encoded once, into one exactly-sized string, and the shadow
+//! holds that string only while the record is **pending** — until its
+//! append succeeds. From then on the shadow keeps just the record's span
+//! (offset and length) in the current file, so the server never holds a
+//! second copy of the instance text its store already holds parsed. Every
 //! [`COMPACT_EVERY`] appends — and once on every boot — the file is
 //! rewritten from the shadow as one snapshot: the header and `mark`, then
-//! the live records concatenated in load order, oldest first. The rewrite
-//! goes through a temp file and `rename`, so it is atomic, and the file
-//! stays proportional to the live set instead of the full history. Only
+//! the live records in load order, oldest first. Durable records are read
+//! back from the old file one at a time (seek plus `read_exact` into one
+//! reused buffer), pending ones come from memory, and every entry takes its
+//! span in the new file once the rewrite is in place. The rewrite goes
+//! through a temp file and `rename`, so it is atomic, and the file stays
+//! proportional to the live set instead of the full history. Only
 //! [`Journal::live_instances`], on the boot path, splits records back into
 //! payload lines. Keeping load order through compaction and replay lets a
 //! restarted store approximate its pre-crash LRU recency (`get` touches are
@@ -61,16 +66,19 @@
 //!
 //! A *runtime* append failure (disk full mid-`write`) can tear the tail the
 //! same way while the process lives on. The writer is then **poisoned**:
-//! nothing is ever appended after possibly-torn bytes. The journal
-//! immediately tries to heal by rewriting the file from the shadow (which
-//! already carries the record); if that also fails, every subsequent append
-//! retries the rewrite first — so acknowledged records can never end up
-//! stranded behind a tear that replay would discard.
+//! nothing is ever appended after possibly-torn bytes. The failed record
+//! stays pending in the shadow, and the journal immediately tries to heal
+//! by rewriting the file from the shadow: the pending record from memory,
+//! every durable record from its span, all of which lie before the torn
+//! bytes. If that also fails, the old file and its spans stay as they were,
+//! and every subsequent append retries the rewrite first — so acknowledged
+//! records can never end up stranded behind a tear that replay would
+//! discard.
 //!
 //! A thread that panics while appending (the lock held, the tail perhaps
 //! torn) does not take the journal with it: the next caller recovers the
-//! lock and finds the writer poisoned, so its append heals by compaction
-//! the same way.
+//! lock and finds the writer poisoned and the record still pending, so its
+//! append heals by compaction the same way.
 //!
 //! One process per data directory is enforced with an advisory `flock` on a
 //! sibling [`LOCK_FILE`]: a second `Journal::open` on a locked directory
@@ -82,7 +90,7 @@ use crate::proto::line_separators;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::fs::{File, OpenOptions};
-use std::io::{BufWriter, Write};
+use std::io::{BufWriter, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 use std::sync::{Mutex, MutexGuard};
 
@@ -413,13 +421,22 @@ pub struct RecoveredInstance {
     pub payload: Vec<String>,
 }
 
+/// Where a live instance's encoded `load` record is.
+#[derive(Debug)]
+enum RecordText {
+    /// Not yet durable: the encoded record, byte for byte as the file will
+    /// hold it, kept until an append or a compaction writes it.
+    Pending(String),
+    /// Durable: `len` bytes at `offset` in the current journal file.
+    Durable { offset: u64, len: u64 },
+}
+
 /// One live instance in the write-behind shadow.
 #[derive(Debug)]
 struct LiveEntry {
     generation: u64,
-    /// The encoded `load` record, byte for byte as the journal file holds
-    /// it: compaction writes it back unchanged.
-    record: String,
+    /// The `load` record: compaction copies it into the new file unchanged.
+    record: RecordText,
     /// Load-order stamp (bumped on every load, including same-name
     /// reloads): compaction and replay emit live instances in this order,
     /// so a restarted store approximates its pre-crash LRU recency.
@@ -445,6 +462,9 @@ struct Faults {
 struct Writer {
     path: PathBuf,
     file: BufWriter<File>,
+    /// Length of the journal file: the offset of the next append (stale
+    /// while poisoned, until a compaction resets it).
+    len: u64,
     appends_since_compact: u64,
     /// Set when an append failed mid-write (or panicked with the lock
     /// held): the file tail may be torn, so nothing may be appended until a
@@ -463,10 +483,10 @@ struct Inner {
     /// [`LOCK_FILE`]. Releases automatically when the process dies,
     /// `SIGKILL` included, so it can never go stale.
     _lock: File,
-    /// Shadow of the live instance set. The single source compactions
-    /// snapshot from — deliberately independent of the engine stores, so a
-    /// shared multi-worker journal needs no cross-shard coordination to
-    /// compact.
+    /// Shadow of the live instance set: what compactions snapshot, with
+    /// each durable record's bytes read back from the file — deliberately
+    /// independent of the engine stores, so a shared multi-worker journal
+    /// needs no cross-shard coordination to compact.
     live: Shadow,
     /// The next [`LiveEntry::seq`] stamp.
     next_seq: u64,
@@ -478,21 +498,72 @@ struct Inner {
 }
 
 /// Writes a compacted snapshot of `live` to `path` (atomically, via a temp
-/// file and rename) and returns a fresh append handle on it: the header,
-/// `mark <floor>`, then the encoded load records, oldest first, so replay
-/// reconstructs load-order recency.
-fn write_snapshot(path: &Path, mark: u64, live: &Shadow) -> JournalResult<BufWriter<File>> {
-    let mut ordered: Vec<&LiveEntry> = live.values().collect();
+/// file and rename) and returns a fresh append handle on it with the new
+/// file length: the header, `mark <floor>`, then the encoded load records,
+/// oldest first, so replay reconstructs load-order recency. Durable records
+/// are copied from the file being replaced, one at a time; once the rename
+/// lands, every entry is durable at its span in the new file. A failure
+/// before the rename leaves the old file and every entry untouched.
+fn write_snapshot(
+    path: &Path,
+    mark: u64,
+    live: &mut Shadow,
+) -> JournalResult<(BufWriter<File>, u64)> {
+    let mut ordered: Vec<&mut LiveEntry> = live.values_mut().collect();
     ordered.sort_by_key(|entry| entry.seq);
     let tmp = path.with_extension("mfj.tmp");
     let mut file = BufWriter::new(File::create(&tmp)?);
-    write!(file, "{JOURNAL_FORMAT}\nmark {mark}\n")?;
-    for entry in ordered {
-        file.write_all(entry.record.as_bytes())?;
+    let head = format!("{JOURNAL_FORMAT}\nmark {mark}\n");
+    file.write_all(head.as_bytes())?;
+    let mut old = None;
+    let mut buf = Vec::new();
+    let mut spans = Vec::with_capacity(ordered.len());
+    let mut end = head.len() as u64;
+    for entry in &ordered {
+        let bytes = match &entry.record {
+            RecordText::Pending(text) => text.as_bytes(),
+            RecordText::Durable { offset, len } => {
+                read_span(&mut old, path, *offset, *len, &mut buf)?;
+                &buf[..]
+            }
+        };
+        file.write_all(bytes)?;
+        spans.push((end, bytes.len() as u64));
+        end += bytes.len() as u64;
     }
     file.into_inner().map_err(|error| error.into_error())?;
     std::fs::rename(&tmp, path)?;
-    Ok(BufWriter::new(OpenOptions::new().append(true).open(path)?))
+    for (entry, (offset, len)) in ordered.into_iter().zip(spans) {
+        entry.record = RecordText::Durable { offset, len };
+    }
+    let file = BufWriter::new(OpenOptions::new().append(true).open(path)?);
+    Ok((file, end))
+}
+
+/// Reads the `len` bytes at `offset` of the journal file at `path` into
+/// `buf`, opening `file` on first use so a run of reads shares one handle.
+fn read_span(
+    file: &mut Option<File>,
+    path: &Path,
+    offset: u64,
+    len: u64,
+    buf: &mut Vec<u8>,
+) -> std::io::Result<()> {
+    if file.is_none() {
+        *file = Some(File::open(path)?);
+    }
+    let file = file.as_mut().expect("opened above");
+    file.seek(SeekFrom::Start(offset))?;
+    buf.resize(len as usize, 0);
+    file.read_exact(buf)
+}
+
+/// What one append makes durable.
+enum Append<'a> {
+    /// The pending `load` record of the named live entry.
+    Load(&'a str),
+    /// A record the shadow does not keep (an `unload`).
+    Record(&'a str),
 }
 
 /// Takes the advisory exclusive lock, failing fast (`LOCK_NB`) when another
@@ -522,7 +593,7 @@ fn try_lock_exclusive(_file: &File) -> std::io::Result<()> {
 }
 
 impl Writer {
-    fn compact(&mut self, mark: u64, live: &Shadow) -> JournalResult<()> {
+    fn compact(&mut self, mark: u64, live: &mut Shadow) -> JournalResult<()> {
         #[cfg(test)]
         if self.faults.fail_compactions > 0 {
             self.faults.fail_compactions -= 1;
@@ -530,7 +601,7 @@ impl Writer {
                 detail: "injected compaction failure".to_string(),
             });
         }
-        self.file = write_snapshot(&self.path, mark, live)?;
+        (self.file, self.len) = write_snapshot(&self.path, mark, live)?;
         self.appends_since_compact = 0;
         self.poisoned = false;
         self.compactions += 1;
@@ -553,19 +624,35 @@ impl Writer {
             return Err(std::io::Error::other("injected append failure"));
         }
         self.file.write_all(text.as_bytes())?;
-        self.file.flush()
+        self.file.flush()?;
+        self.len += text.len() as u64;
+        Ok(())
     }
 
     /// Makes one record durable. The shadow already reflects it, so when a
     /// compaction is due — periodically, or because the writer is poisoned
     /// and must never append after possibly-torn bytes — rewriting the file
-    /// from the shadow carries the record instead of appending it.
-    fn append(&mut self, record: &str, mark: u64, live: &Shadow) -> JournalResult<()> {
+    /// from the shadow carries the record instead of appending it. A load
+    /// record that is appended becomes durable at its span; one whose
+    /// append fails stays pending for the healing compaction.
+    fn append(&mut self, record: Append<'_>, mark: u64, live: &mut Shadow) -> JournalResult<()> {
         self.appends_since_compact += 1;
         if self.poisoned || self.appends_since_compact >= COMPACT_EVERY {
             return self.compact(mark, live);
         }
-        match self.write_record(record) {
+        let written = match record {
+            Append::Record(text) => self.write_record(text),
+            Append::Load(name) => {
+                let entry = live.get_mut(name).expect("a journaled load is live");
+                let RecordText::Pending(text) = &entry.record else {
+                    unreachable!("a fresh load record is pending");
+                };
+                let (offset, len) = (self.len, text.len() as u64);
+                self.write_record(text)
+                    .map(|()| entry.record = RecordText::Durable { offset, len })
+            }
+        };
+        match written {
             Ok(()) => Ok(()),
             Err(error) => {
                 // The tail may now hold a torn record, and replay stops at
@@ -655,10 +742,12 @@ impl Journal {
                                         payload,
                                     } => {
                                         mark = mark.max(generation + 1);
-                                        // Re-encoded, so the shadow holds
-                                        // the canonical bytes whatever the
-                                        // file spelled.
-                                        let record = encode_load(&name, generation, &payload)?;
+                                        // Re-encoded, so the boot snapshot
+                                        // writes the canonical bytes
+                                        // whatever the file spelled.
+                                        let record = RecordText::Pending(encode_load(
+                                            &name, generation, &payload,
+                                        )?);
                                         let seq = next_seq;
                                         next_seq += 1;
                                         live.insert(
@@ -686,12 +775,13 @@ impl Journal {
                 }
             }
         }
-        let file = write_snapshot(&path, mark, &live)?;
+        let (file, len) = write_snapshot(&path, mark, &mut live)?;
         Ok(Journal {
             inner: Mutex::new(Inner {
                 writer: Writer {
                     path,
                     file,
+                    len,
                     appends_since_compact: 0,
                     poisoned: false,
                     // The boot snapshot of a pre-existing journal is a
@@ -742,7 +832,7 @@ impl Journal {
         inner.mark = inner.mark.max(generation + 1);
         let entry = LiveEntry {
             generation,
-            record,
+            record: RecordText::Pending(record),
             seq: inner.next_seq,
         };
         inner.next_seq += 1;
@@ -755,7 +845,7 @@ impl Journal {
         }
         inner
             .writer
-            .append(&inner.live[name].record, inner.mark, &inner.live)
+            .append(Append::Load(name), inner.mark, &mut inner.live)
     }
 
     /// Journals an `unload` (or byte-cap eviction) of `name`.
@@ -764,7 +854,9 @@ impl Journal {
         let mut guard = self.lock();
         let inner = &mut *guard;
         inner.live.remove(name);
-        inner.writer.append(&record, inner.mark, &inner.live)
+        inner
+            .writer
+            .append(Append::Record(&record), inner.mark, &mut inner.live)
     }
 
     /// The generation floor: every generation ever issued through this
@@ -779,27 +871,40 @@ impl Journal {
     /// each router shard, after hashing the names) re-inserts. Adopting
     /// them in this order stamps store recency the way the pre-crash loads
     /// did, so byte-cap eviction after a restart approximates the
-    /// uninterrupted schedule. Splits each encoded record back into its
-    /// payload lines, so it belongs on the boot path only.
-    pub fn live_instances(&self) -> Vec<RecoveredInstance> {
+    /// uninterrupted schedule. Reads each durable record back from the file
+    /// and splits it into its payload lines, so it belongs on the boot path
+    /// only.
+    pub fn live_instances(&self) -> JournalResult<Vec<RecoveredInstance>> {
         let inner = self.lock();
         let mut entries: Vec<(&String, &LiveEntry)> = inner.live.iter().collect();
         entries.sort_by_key(|(_, entry)| entry.seq);
-        entries
-            .into_iter()
-            .map(|(name, entry)| RecoveredInstance {
+        let mut file = None;
+        let mut buf = Vec::new();
+        let mut recovered = Vec::with_capacity(entries.len());
+        for (name, entry) in entries {
+            let text = match &entry.record {
+                RecordText::Pending(text) => text.as_str(),
+                RecordText::Durable { offset, len } => {
+                    read_span(&mut file, &inner.writer.path, *offset, *len, &mut buf)?;
+                    std::str::from_utf8(&buf).map_err(|_| JournalError::Malformed {
+                        line: 0,
+                        detail: format!("the load record of `{name}` is not UTF-8"),
+                    })?
+                }
+            };
+            recovered.push(RecoveredInstance {
                 name: name.clone(),
                 generation: entry.generation,
                 // Skip the head line; every payload line is
                 // newline-terminated.
-                payload: entry
-                    .record
+                payload: text
                     .split_terminator('\n')
                     .skip(1)
                     .map(str::to_string)
                     .collect(),
-            })
-            .collect()
+            });
+        }
+        Ok(recovered)
     }
 
     /// Test hook: makes the next `appends` record writes tear mid-write and
@@ -816,6 +921,20 @@ impl Journal {
     #[cfg(test)]
     fn inject_panic(&self) {
         self.lock().writer.faults.panic_appends = 1;
+    }
+
+    /// Test hook: bytes of record text the shadow still holds (the pending
+    /// records).
+    #[cfg(test)]
+    fn pending_bytes(&self) -> usize {
+        self.lock()
+            .live
+            .values()
+            .map(|entry| match &entry.record {
+                RecordText::Pending(text) => text.len(),
+                RecordText::Durable { .. } => 0,
+            })
+            .sum()
     }
 
     /// Number of live instances in the shadow map.
@@ -965,7 +1084,7 @@ mod tests {
         }
         let journal = Journal::open(&dir).unwrap();
         assert_eq!(journal.mark(), 2, "the floor survives the unload");
-        let live = journal.live_instances();
+        let live = journal.live_instances().unwrap();
         assert_eq!(live.len(), 1);
         assert_eq!(live[0].name, "beta");
         assert_eq!(live[0].generation, 1);
@@ -991,7 +1110,7 @@ mod tests {
         drop(journal);
         let journal = Journal::open(&dir).unwrap();
         assert_eq!(journal.status_counters()[0].1, 2);
-        assert_eq!(journal.live_instances().len(), 1);
+        assert_eq!(journal.live_instances().unwrap().len(), 1);
     }
 
     #[test]
@@ -1009,7 +1128,7 @@ mod tests {
         drop(file);
         let journal = Journal::open(&dir).unwrap();
         assert!(journal.recovered_torn_tail());
-        let live = journal.live_instances();
+        let live = journal.live_instances().unwrap();
         assert_eq!(live.len(), 1, "the torn load must not survive");
         assert_eq!(live[0].name, "alpha");
         assert_eq!(
@@ -1021,7 +1140,7 @@ mod tests {
         // The boot snapshot healed the file: re-opening sees no tear.
         let journal = Journal::open(&dir).unwrap();
         assert!(!journal.recovered_torn_tail());
-        assert_eq!(journal.live_instances().len(), 1);
+        assert_eq!(journal.live_instances().unwrap().len(), 1);
     }
 
     /// A torn runtime append whose immediate heal succeeds: the record is
@@ -1043,6 +1162,7 @@ mod tests {
         );
         let names: Vec<String> = journal
             .live_instances()
+            .unwrap()
             .into_iter()
             .map(|r| r.name)
             .collect();
@@ -1067,6 +1187,7 @@ mod tests {
         assert!(!journal.recovered_torn_tail(), "the healing compaction");
         let names: Vec<String> = journal
             .live_instances()
+            .unwrap()
             .into_iter()
             .map(|r| r.name)
             .collect();
@@ -1104,11 +1225,55 @@ mod tests {
         assert!(!journal.recovered_torn_tail(), "no torn bytes survive");
         let names: Vec<String> = journal
             .live_instances()
+            .unwrap()
             .into_iter()
             .map(|r| r.name)
             .collect();
         assert_eq!(names, ["beta", "gamma"]);
         assert_eq!(journal.mark(), 3);
+    }
+
+    /// Once an append succeeds, the shadow keeps only the record's span:
+    /// no live instance's text stays in memory, through plain appends,
+    /// periodic compactions and reloads alike.
+    #[test]
+    fn appended_records_leave_no_text_in_memory() {
+        let dir = tempdir("pending");
+        let journal = Journal::open(&dir).unwrap();
+        for k in 0..(COMPACT_EVERY + 10) {
+            let name = ["alpha", "beta", "gamma"][(k % 3) as usize];
+            journal.record_load(name, k, &payload()).unwrap();
+            assert_eq!(journal.pending_bytes(), 0, "after load {k}");
+        }
+        journal.record_unload("beta").unwrap();
+        assert_eq!(journal.pending_bytes(), 0);
+        assert_eq!(journal.status_counters()[2].1, 1, "one periodic compaction");
+        let live = journal.live_instances().unwrap();
+        let names: Vec<&str> = live.iter().map(|r| r.name.as_str()).collect();
+        assert_eq!(names, ["gamma", "alpha"]);
+        assert!(live.iter().all(|r| r.payload == payload()));
+    }
+
+    /// A torn append whose heal fails keeps its record pending — the only
+    /// copy of it — and the next append heals the file with it.
+    #[test]
+    fn a_torn_record_stays_pending_until_a_compaction_lands_it() {
+        let dir = tempdir("pending-torn");
+        let journal = Journal::open(&dir).unwrap();
+        journal.record_load("alpha", 0, &payload()).unwrap();
+        journal.inject_failures(1, 1);
+        journal.record_load("beta", 1, &payload()).unwrap_err();
+        let beta_len = encode_load("beta", 1, &payload()).unwrap().len();
+        assert_eq!(journal.pending_bytes(), beta_len);
+        journal.record_unload("alpha").unwrap();
+        assert_eq!(journal.pending_bytes(), 0, "the heal made beta durable");
+        drop(journal);
+        let journal = Journal::open(&dir).unwrap();
+        assert!(!journal.recovered_torn_tail());
+        let live = journal.live_instances().unwrap();
+        assert_eq!(live.len(), 1);
+        assert_eq!((live[0].name.as_str(), live[0].generation), ("beta", 1));
+        assert_eq!(live[0].payload, payload());
     }
 
     /// Compaction and replay preserve load order (oldest first, reload
@@ -1128,6 +1293,7 @@ mod tests {
         let order = |journal: &Journal| -> Vec<String> {
             journal
                 .live_instances()
+                .unwrap()
                 .into_iter()
                 .map(|r| r.name)
                 .collect()
@@ -1206,7 +1372,7 @@ mod tests {
         // And the compacted file replays to exactly the last load.
         drop(journal);
         let journal = Journal::open(&dir).unwrap();
-        let live = journal.live_instances();
+        let live = journal.live_instances().unwrap();
         assert_eq!(live.len(), 1);
         assert_eq!(live[0].generation, 3 * COMPACT_EVERY - 1);
         assert_eq!(journal.mark(), 3 * COMPACT_EVERY);

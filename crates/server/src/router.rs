@@ -106,7 +106,7 @@ impl Router {
     ) -> Result<Router, JournalError> {
         let journal = Arc::new(Journal::open(data_dir)?);
         let router = Router::build(workers, threads, Some(Arc::clone(&journal)), obs);
-        for recovered in journal.live_instances() {
+        for recovered in journal.live_instances()? {
             let shard = router.shard_of(&recovered.name);
             router.workers[shard].adopt(recovered)?;
         }

@@ -124,7 +124,7 @@ fn journal_bytes_are_pinned_across_loads_churn_and_reopen() {
     }
     let journal = Journal::open(dir.path()).unwrap();
     digests.push(("reopen", file_digest(dir.path())));
-    let live = journal.live_instances();
+    let live = journal.live_instances().unwrap();
     let names: Vec<(&str, u64)> = live
         .iter()
         .map(|entry| (entry.name.as_str(), entry.generation))
