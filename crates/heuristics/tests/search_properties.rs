@@ -16,11 +16,14 @@
 //! * steepest descent and tabu search commit pinned step sequences (task,
 //!   machine and period bits of every commit) on chains and forests at
 //!   m = 20 and m = 64, and the dense what-ifs, mass-row builds and budget
-//!   steps each of those runs spends.
+//!   steps each of those runs spends;
+//! * the same runs from non-specialized seeds, and subtree-move LNS runs,
+//!   are pinned the same way.
 
 use mf_core::prelude::*;
 use mf_heuristics::search::{
-    polish_with, CommitStep, SearchEngine, SearchStrategy, SteepestDescent, TabuConfig, TabuSearch,
+    polish_with, CommitStep, LnsConfig, SearchEngine, SearchStrategy, SteepestDescent,
+    SubtreeMoveLns, TabuConfig, TabuSearch,
 };
 use mf_heuristics::{H4wFastestMachine, H6LocalSearch, Heuristic, LocalSearchConfig};
 use mf_sim::{GeneratorConfig, InstanceGenerator};
@@ -275,15 +278,15 @@ fn steepest_descent_and_tabu_evaluator_counts_are_pinned() {
     ];
     let strategies: [&dyn SearchStrategy; 2] =
         [&SteepestDescent::default(), &TabuSearch::default()];
-    // (dense what-ifs, mass-row builds, engine steps), in instance-major
-    // order, SD before TS.
-    let expected: [(u64, u64, usize); 6] = [
-        (45_891, 976, 45_891),
-        (102_916, 2_185, 102_916),
-        (17_502, 81, 17_502),
-        (105_588, 163, 105_588),
-        (4_171, 436, 4_171),
-        (33_625, 3_423, 33_625),
+    // (dense what-ifs, pruned what-ifs, mass-row builds, engine steps), in
+    // instance-major order, SD before TS.
+    let expected: [(u64, u64, u64, usize); 6] = [
+        (45_891, 42_548, 976, 45_891),
+        (102_916, 90_563, 2_185, 102_916),
+        (17_502, 16_591, 81, 17_502),
+        (105_588, 95_827, 163, 105_588),
+        (4_171, 3_780, 436, 4_171),
+        (33_625, 23_293, 3_423, 33_625),
     ];
     let mut observed = Vec::new();
     for instance in &instances {
@@ -298,10 +301,154 @@ fn steepest_descent_and_tabu_evaluator_counts_are_pinned() {
             );
             observed.push((
                 counters.dense_what_ifs,
+                counters.pruned_what_ifs,
                 counters.mass_row_builds,
                 engine.steps(),
             ));
         }
     }
     assert_eq!(observed, expected, "observed: {observed:?}");
+}
+
+/// A seeded uniform-random mapping of `instance` that breaks the specialized
+/// rule, so the engine searches it without the type filter.
+fn general_seed(instance: &Instance, seed: u64) -> Mapping {
+    let m = instance.machine_count();
+    let mut state = seed;
+    let machines: Vec<usize> = (0..instance.task_count())
+        .map(|_| {
+            state = mf_core::splitmix64(state);
+            (state % m as u64) as usize
+        })
+        .collect();
+    let mapping = Mapping::from_indices(&machines, m).unwrap();
+    assert!(
+        !instance.is_specialized(&mapping),
+        "the general seed must break the specialized rule"
+    );
+    mapping
+}
+
+/// Steepest descent and tabu search from non-specialized seeds, where every
+/// move and swap is admissible: per run, the dense and pruned what-ifs, the
+/// mass-row builds, the budget steps, the best period bits and the commit
+/// trace fingerprint.
+#[test]
+fn steepest_descent_and_tabu_from_general_seeds_are_pinned() {
+    let generate = |config: GeneratorConfig, seed: u64| {
+        InstanceGenerator::new(config)
+            .generate(seed)
+            .expect("the generator produces valid instances")
+    };
+    let instances = [
+        generate(GeneratorConfig::paper_standard(30, 20, 4), 0x20C),
+        generate(GeneratorConfig::standard_in_forest(40, 64, 6), 0x64F),
+    ];
+    let strategies: [&dyn SearchStrategy; 2] =
+        [&SteepestDescent::default(), &TabuSearch::default()];
+    // (dense, pruned, mass-row builds, steps, best period bits, trace
+    // fingerprint), in instance-major order, SD before TS.
+    let expected: [(u64, u64, u64, usize, u64, u64); 4] = [
+        (
+            29_554,
+            27_424,
+            871,
+            29_554,
+            0x4089_dcd5_33c4_d95c,
+            0x7e8b_70d4_8a43_643e,
+        ),
+        (
+            126_487,
+            91_816,
+            3_713,
+            126_487,
+            0x4083_a7a5_b78a_03aa,
+            0x94f8_7b2d_aa6d_4676,
+        ),
+        (
+            200_673,
+            192_074,
+            211,
+            200_673,
+            0x4077_23dd_944f_97ff,
+            0xc863_f1b6_495e_62a5,
+        ),
+        (
+            200_673,
+            192_094,
+            211,
+            200_673,
+            0x4077_23dd_944f_97ff,
+            0xc863_f1b6_495e_62a5,
+        ),
+    ];
+    let mut observed = Vec::new();
+    for (k, instance) in instances.iter().enumerate() {
+        let seed = general_seed(instance, 0x6E4E_0000 + k as u64);
+        for strategy in strategies {
+            let mut engine = SearchEngine::new(instance, &seed, 200_000).unwrap();
+            assert!(!engine.preserves_specialization());
+            engine.enable_commit_trace();
+            strategy.run(&mut engine).unwrap();
+            let counters = engine.evaluator_counters();
+            observed.push((
+                counters.dense_what_ifs,
+                counters.pruned_what_ifs,
+                counters.mass_row_builds,
+                engine.steps(),
+                engine.best_period().to_bits(),
+                trace_fingerprint(engine.commit_trace()),
+            ));
+        }
+    }
+    assert_eq!(observed, expected, "observed: {observed:#x?}");
+}
+
+/// Subtree-move LNS runs on chains and forests at m = 20 and m = 64, two
+/// RNG seeds each: the commit trace fingerprint, the best period bits and
+/// the budget steps.
+#[test]
+fn subtree_lns_runs_are_pinned() {
+    let generate = |config: GeneratorConfig, seed: u64| {
+        InstanceGenerator::new(config)
+            .generate(seed)
+            .expect("the generator produces valid instances")
+    };
+    let instances = [
+        generate(GeneratorConfig::paper_standard(30, 20, 4), 0x20C),
+        generate(GeneratorConfig::standard_in_forest(30, 20, 4), 0x20F),
+        generate(GeneratorConfig::paper_standard(40, 64, 6), 0x64C),
+        generate(GeneratorConfig::standard_in_forest(40, 64, 6), 0x64F),
+    ];
+    // (trace fingerprint, best period bits, steps), instance-major, RNG
+    // seed 1 before seed 2.
+    let expected: [(u64, u64, usize); 8] = [
+        (0x132c_bb28_f176_f073, 0x4086_b115_1b91_134c, 11_476),
+        (0xce9e_4007_6e3e_9f45, 0x408c_25fb_2d79_46cd, 12_144),
+        (0x1955_f2b1_391e_5ce3, 0x408b_ed6e_7c27_c3d2, 3_974),
+        (0xda1a_c78b_e103_178f, 0x408b_addb_bcd4_ddd6, 4_107),
+        (0x4e47_8cd9_2f26_07bb, 0x4076_ee28_e9ba_b0c1, 83_946),
+        (0x6d44_4172_ecbe_c581, 0x4075_62b2_07e8_d794, 102_317),
+        (0xa522_50a5_f812_ee4e, 0x4071_de9b_2557_2ecd, 12_569),
+        (0xa522_50a5_f812_ee4e, 0x4071_de9b_2557_2ecd, 14_255),
+    ];
+    let mut observed = Vec::new();
+    for instance in &instances {
+        let seed = H4wFastestMachine.map(instance).unwrap();
+        for rng_seed in [1u64, 2] {
+            let lns = SubtreeMoveLns::new(LnsConfig {
+                seed: rng_seed,
+                ..LnsConfig::default()
+            });
+            let mut engine = SearchEngine::new(instance, &seed, 200_000).unwrap();
+            engine.enable_commit_trace();
+            lns.run(&mut engine).unwrap();
+            observed.push((
+                trace_fingerprint(engine.commit_trace()),
+                engine.best_period().to_bits(),
+                engine.steps(),
+            ));
+        }
+    }
+    assert_eq!(observed, expected, "observed: {observed:#x?}");
 }
