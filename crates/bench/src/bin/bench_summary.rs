@@ -10,7 +10,8 @@
 //! fast path vs a full recompute), the steepest-descent sweep on both the
 //! forest and the chain shape (with its deterministic `evaluator_calls`
 //! count and, as `probes`, the full machine scans among those calls), LNS
-//! restage probes (staged subtree tear-out vs full candidate recompute), a
+//! restage probes (staged subtree tear-out vs full candidate recompute, and
+//! the full greedy member restage with its staged placements as `nodes`), a
 //! full portfolio run, and the `load` path (parsing the fixture's instance
 //! text, and a journal churn across two compactions). It writes median
 //! nanoseconds per run to `BENCH_core.json`, so the perf trajectory
@@ -283,8 +284,8 @@ fn main() {
         });
     }
 
-    // LNS restage probes: the staged subtree tear-out (torn loads plus one
-    // partial-assignment evaluator) vs rebuilding the candidate mapping and
+    // LNS restage probes: the staged subtree tear-out (one flat pass over
+    // the torn loads) vs rebuilding the candidate mapping and
     // recomputing the period from scratch. Same (root, target) stream on
     // both sides; the staged path is what `SubtreeMoveLns` pays per probe.
     {
@@ -313,6 +314,30 @@ fn main() {
             quality: Quality::Nodes {
                 count: restage_count as u64,
                 per_second: restage_count as f64 / (staged.median_ns as f64 / 1e9),
+            },
+        });
+        // The full greedy restage over the same stream: tear-out, root
+        // landing and every member re-placed; `nodes` counts the staged
+        // placements tried.
+        let mut plan = Vec::new();
+        let mut greedy_run = |engine: &mut SearchEngine<'_>| {
+            let (mut acc, mut trials) = (0.0f64, 0u64);
+            for &(root, to) in &restages {
+                let probe = engine.restage_greedy(root, to, &mut plan);
+                acc += probe.period;
+                trials += probe.trials as u64;
+            }
+            (acc, trials)
+        };
+        let (_, greedy_trials) = greedy_run(&mut engine);
+        let greedy = timing(time(iterations, || greedy_run(&mut engine)));
+        rows.push(Measurement {
+            name: "lns_restage/greedy",
+            timing: greedy,
+            iterations,
+            quality: Quality::Nodes {
+                count: greedy_trials,
+                per_second: greedy_trials as f64 / (greedy.median_ns as f64 / 1e9),
             },
         });
         let full = timing(time(iterations, || {

@@ -353,8 +353,7 @@ impl<'a> IncrementalEvaluator<'a> {
     /// subtree (the tasks strictly upstream of it) — the row the dense
     /// what-if path scales. Served from the row cache when the dense caps
     /// allow, recomputed into a scratch buffer otherwise, so staged searches
-    /// ([`PartialAssignmentEvaluator::place_row`]) can reuse tour masses on
-    /// any instance shape.
+    /// can reuse tour masses on any instance shape.
     ///
     /// # Panics
     ///
@@ -1043,7 +1042,12 @@ mod tests {
         }
         torn[eval.machine_of(TaskId(3)).index()] -= own;
         let mut staged = PartialAssignmentEvaluator::from_loads(&torn);
-        let placed = staged.place_row(&row);
+        for (u, &mass) in row.iter().enumerate() {
+            if mass != 0.0 {
+                staged.place(MachineId(u), mass);
+            }
+        }
+        let placed = staged.depth();
         staged.place(eval.machine_of(TaskId(3)), own);
         for u in 0..3 {
             let full = eval.load_of(MachineId(u));

@@ -21,15 +21,10 @@ use crate::period::Period;
 /// recomputation would (`mf-exact` pins that on its brute-force-validated
 /// instances).
 ///
-/// Two entry points let a search stage work *on top of committed evaluator
-/// state* instead of from zero: [`from_loads`](Self::from_loads) seeds the
-/// staged loads with a committed load vector (e.g.
-/// [`IncrementalEvaluator::loads`](super::IncrementalEvaluator::loads)), and
-/// [`place_row`](Self::place_row) stages a whole per-machine contribution
-/// row — such as a subtree mass row from
-/// [`IncrementalEvaluator::subtree_mass_row`](super::IncrementalEvaluator::subtree_mass_row)
-/// — in one call, so "tear out this subtree and re-place it" bounds cost
-/// `O(m·log m)` instead of one placement per member task.
+/// A search can stage work *on top of committed evaluator state* instead of
+/// from zero: [`from_loads`](Self::from_loads) seeds the staged loads with a
+/// committed load vector (e.g.
+/// [`IncrementalEvaluator::loads`](super::IncrementalEvaluator::loads)).
 ///
 /// ```
 /// use mf_core::prelude::*;
@@ -90,44 +85,6 @@ impl PartialAssignmentEvaluator {
         self.total += contribution;
         self.tree.update(u, self.load[u]);
         self.trail.push((u, contribution));
-    }
-
-    /// Stages a whole per-machine contribution row (one
-    /// [`place`](Self::place) per machine with a non-zero entry, in machine
-    /// order) and returns the number of placements staged — call
-    /// [`unplace`](Self::unplace) that many times to revert.
-    ///
-    /// Runs in two flat passes rather than interleaving: first the load,
-    /// total and trail updates straight over the row slice (the same `+=`s
-    /// in the same machine order as per-entry [`place`](Self::place) calls,
-    /// so the staged floats are bit-identical), then one tournament-tree
-    /// update per *touched* machine against its final load — each leaf is
-    /// distinct, so the tree ends in the same state while the hot first pass
-    /// stays free of `O(log m)` pointer-chasing per entry.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `row` is longer than the machine count.
-    pub fn place_row(&mut self, row: &[f64]) -> usize {
-        assert!(
-            row.len() <= self.load.len(),
-            "row covers {} machines but only {} exist",
-            row.len(),
-            self.load.len()
-        );
-        let base = self.trail.len();
-        for (u, &mass) in row.iter().enumerate() {
-            if mass != 0.0 {
-                self.load[u] += mass;
-                self.total += mass;
-                self.trail.push((u, mass));
-            }
-        }
-        for k in base..self.trail.len() {
-            let u = self.trail[k].0;
-            self.tree.update(u, self.load[u]);
-        }
-        self.trail.len() - base
     }
 
     /// Reverts the most recent [`place`](Self::place) (exact float inverse of
@@ -239,21 +196,6 @@ mod tests {
         assert_eq!(staged.period().value(), 40.0);
         assert_eq!(staged.critical_machine(), MachineId(1));
         assert_eq!(staged.total_load(), 75.0);
-    }
-
-    #[test]
-    fn place_row_stages_non_zero_entries_and_unwinds() {
-        let mut staged = PartialAssignmentEvaluator::from_loads(&[5.0, 0.0, 1.0, 0.0]);
-        let placed = staged.place_row(&[0.0, 2.5, 7.0, 0.0]);
-        assert_eq!(placed, 2);
-        assert_eq!(staged.depth(), 2);
-        assert_eq!(staged.period().value(), 8.0);
-        assert_eq!(staged.critical_machine(), MachineId(2));
-        for _ in 0..placed {
-            staged.unplace();
-        }
-        assert_eq!(staged.period().value(), 5.0);
-        assert_eq!(staged.total_load().to_bits(), 6.0f64.to_bits());
     }
 
     #[test]

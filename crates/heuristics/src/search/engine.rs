@@ -15,6 +15,7 @@
 //!   meters work in *candidate evaluations*, the unit every strategy shares.
 
 use crate::heuristic::HeuristicResult;
+use crate::search::sweep::SweepIndex;
 use mf_core::incremental::EvalCounters;
 use mf_core::prelude::*;
 use mf_obs::{ProgressEvent, ProgressSink};
@@ -116,6 +117,29 @@ pub struct SearchEngine<'a> {
     /// [`set_progress_sink`](Self::set_progress_sink)). Never consulted for
     /// decisions, so an attached sink cannot change search results.
     progress: Option<&'a mut dyn ProgressSink>,
+    /// The admissible-candidate index of the sweeping strategies, kept
+    /// between sweeps so its buffers are reused.
+    sweep: SweepIndex,
+    /// Restage scratch, reused across probes: staged machine loads, their
+    /// suffix maxima, rechained task demands and type claims.
+    stage_load: Vec<f64>,
+    stage_suffix: Vec<f64>,
+    stage_demand: Vec<f64>,
+    stage_claimed: Vec<Option<TaskTypeId>>,
+}
+
+/// The first maximum of `loads` in index order — the value the evaluators'
+/// tournament trees report (they keep the lower index on ties, which only
+/// shows in the sign of a zero). `NEG_INFINITY` when `loads` is empty.
+#[inline]
+fn first_max(loads: &[f64]) -> f64 {
+    let mut max = f64::NEG_INFINITY;
+    for &load in loads {
+        if load > max {
+            max = load;
+        }
+    }
+    max
 }
 
 impl<'a> SearchEngine<'a> {
@@ -152,6 +176,11 @@ impl<'a> SearchEngine<'a> {
             commit_count: 0,
             trace: None,
             progress: None,
+            sweep: SweepIndex::default(),
+            stage_load: Vec::new(),
+            stage_suffix: Vec::new(),
+            stage_demand: Vec::new(),
+            stage_claimed: Vec::new(),
         })
     }
 
@@ -214,6 +243,33 @@ impl<'a> SearchEngine<'a> {
     #[inline]
     pub fn exhausted(&self) -> bool {
         self.steps >= self.max_steps
+    }
+
+    /// Number of tasks the committed mapping puts on `machine`.
+    #[inline]
+    pub(crate) fn tasks_on(&self, machine: MachineId) -> usize {
+        self.tasks_on[machine.index()]
+    }
+
+    /// The task type `machine` serves in the committed mapping (`None` when
+    /// idle; meaningful for specialized seeds only).
+    #[inline]
+    pub(crate) fn machine_type(&self, machine: MachineId) -> Option<TaskTypeId> {
+        self.machine_type[machine.index()]
+    }
+
+    /// Rebuilds the admissible-candidate index from the committed state and
+    /// hands it to `walk` together with the engine. The index describes the
+    /// state at the call, so `walk` must not commit.
+    pub(crate) fn with_sweep_index<R>(
+        &mut self,
+        walk: impl FnOnce(&mut Self, &SweepIndex) -> R,
+    ) -> R {
+        let mut index = std::mem::take(&mut self.sweep);
+        index.rebuild(self);
+        let result = walk(self, &index);
+        self.sweep = index;
+        result
     }
 
     /// `true` when moving `task` to `to` is admissible: a real change, and —
@@ -335,29 +391,44 @@ impl<'a> SearchEngine<'a> {
     /// task's own contribution out of the committed loads, then restages the
     /// whole span on the same machines with `task` itself on `to`: every
     /// upstream demand rescales by the one factor ratio the move induces, so
-    /// the restage is one ratio-scaled [`place_row`] over the torn loads —
-    /// `O(m log m)` instead of a full re-evaluate. Returns the staged period
-    /// (within 1e-9 of a full recompute; the LNS differential test pins
-    /// this). `to == machine_of(task)` restages in place and returns the
-    /// current period up to staging noise.
-    ///
-    /// [`place_row`]: mf_core::incremental::PartialAssignmentEvaluator::place_row
+    /// the restage is one flat `O(m)` pass adding the ratio-scaled row (its
+    /// non-zero entries) to the torn loads instead of a full re-evaluate.
+    /// Returns the staged period (within 1e-9 of a full recompute; the LNS
+    /// differential test pins this). `to == machine_of(task)` restages in
+    /// place and returns the current period up to staging noise.
     pub fn restage_move(&mut self, task: TaskId, to: MachineId) -> f64 {
         let inst = self.instance;
-        let from = self.eval.machine_of(task);
-        let ratio = inst.factor(task, to) / inst.factor(task, from);
-        let row = self.eval.subtree_mass_row(task).to_vec();
-        let mut torn = self.eval.loads().to_vec();
-        for (u, &mass) in row.iter().enumerate() {
-            torn[u] -= mass;
+        let from = self.eval.machine_of(task).index();
+        let demand = self.eval.demand_of(task);
+        let ratio = inst.factor(task, to) / inst.factor(task, MachineId(from));
+        let own_old = demand * inst.time(task, MachineId(from));
+        let own_new = demand * ratio * inst.time(task, to);
+        let to = to.index();
+        let loads = &mut self.stage_load;
+        loads.clear();
+        loads.extend_from_slice(self.eval.loads());
+        let row = self.eval.subtree_mass_row(task);
+        // Per machine, the same float operations in the same order as
+        // tearing the row and the root out, then staging the scaled row and
+        // the root on `to`.
+        let mut period = f64::NEG_INFINITY;
+        for (u, (&load, &mass)) in loads.iter().zip(row).enumerate() {
+            let mut staged = load - mass;
+            if u == from {
+                staged -= own_old;
+            }
+            let scaled = mass * ratio;
+            if scaled != 0.0 {
+                staged += scaled;
+            }
+            if u == to {
+                staged += own_new;
+            }
+            if staged > period {
+                period = staged;
+            }
         }
-        let own_old = self.eval.demand_of(task) * inst.time(task, from);
-        torn[from.index()] -= own_old;
-        let mut staged = PartialAssignmentEvaluator::from_loads(&torn);
-        let scaled: Vec<f64> = row.iter().map(|&mass| mass * ratio).collect();
-        staged.place_row(&scaled);
-        staged.place(to, self.eval.demand_of(task) * ratio * inst.time(task, to));
-        staged.period().value()
+        period.max(0.0)
     }
 
     /// The full large-neighborhood probe: tears `root`'s strict subtree out
@@ -368,6 +439,13 @@ impl<'a> SearchEngine<'a> {
     /// machine)` moves that differ from the committed mapping, in a commit
     /// order that keeps demands consistent; the probe itself never mutates
     /// engine state.
+    ///
+    /// Each member costs two flat `O(m)` passes over the staged loads: one
+    /// right-to-left for suffix maxima, then one left-to-right trying every
+    /// admissible machine, whose staged period is the larger of the prefix
+    /// maximum, its own loaded value and the suffix maximum after it. A
+    /// trial leaves its machine at `(load + c) − c`, exactly as a staged
+    /// place/unplace pair would.
     ///
     /// Specialized seeds stay specialized: members only land on machines
     /// already dedicated to their type (including ones the plan itself
@@ -384,85 +462,102 @@ impl<'a> SearchEngine<'a> {
         let app = inst.application();
         let m = inst.machine_count();
         let from = self.eval.machine_of(root);
-        let row = self.eval.subtree_mass_row(root).to_vec();
-        let mut torn = self.eval.loads().to_vec();
-        for (u, &mass) in row.iter().enumerate() {
-            torn[u] -= mass;
+        let demand_root = self.eval.demand_of(root);
+        let own_old = demand_root * inst.time(root, from);
+        let loads = &mut self.stage_load;
+        loads.clear();
+        loads.extend_from_slice(self.eval.loads());
+        let row = self.eval.subtree_mass_row(root);
+        for (load, &mass) in loads.iter_mut().zip(row) {
+            *load -= mass;
         }
-        let own_old = self.eval.demand_of(root) * inst.time(root, from);
-        torn[from.index()] -= own_old;
-        let mut staged = PartialAssignmentEvaluator::from_loads(&torn);
+        loads[from.index()] -= own_old;
         let mut trials = 0usize;
 
         // The root lands on `to`; its demand rescales by the factor ratio.
-        let out_demand_root = self.eval.demand_of(root) / inst.factor(root, from);
-        staged.place(to, out_demand_root * inst.effective_time(root, to));
+        let out_demand_root = demand_root / inst.factor(root, from);
+        loads[to.index()] += out_demand_root * inst.effective_time(root, to);
         trials += 1;
         if to != from {
             plan.push((root, to));
         }
 
-        // Members in consumer-first order (reversed tour slice: every task's
-        // successor has a later tour position, so it is processed first and
-        // its rechained demand is available).
-        let members: Vec<TaskId> = self
-            .eval
-            .topology()
-            .strict_subtree(root)
-            .iter()
-            .rev()
-            .map(|&t| TaskId(t as usize))
-            .collect();
         // Rechained demand of the already-placed tasks (root + members).
-        let mut demand_new = vec![0.0f64; inst.task_count()];
+        let demand_new = &mut self.stage_demand;
+        demand_new.resize(inst.task_count(), 0.0);
         demand_new[root.index()] = out_demand_root * inst.factor(root, to);
         // Type claims the plan has made so far, seeded from the committed
         // dedication map — the conservative specialized filter.
-        let mut claimed = self.machine_type.clone();
+        let claimed = &mut self.stage_claimed;
+        claimed.clone_from(&self.machine_type);
         if self.specialized {
             claimed[to.index()] = Some(app.task_type(root));
         }
-        for &s in &members {
+        let suffix = &mut self.stage_suffix;
+        suffix.resize(m + 1, f64::NEG_INFINITY);
+        // Members in consumer-first order (reversed tour slice: every task's
+        // successor has a later tour position, so it is processed first and
+        // its rechained demand is available).
+        for &s in self.eval.topology().strict_subtree(root).iter().rev() {
+            let s = TaskId(s as usize);
             let ty = app.task_type(s);
             let succ = app
                 .successor(s)
                 .expect("strict-subtree members have a successor");
             let out_demand = demand_new[succ.index()];
-            let here = self.eval.machine_of(s);
-            let mut best: Option<(f64, MachineId, f64)> = None;
-            for (u, claim) in claimed.iter().enumerate().take(m) {
-                let v = MachineId(u);
-                if self.specialized && claim.is_some() && *claim != Some(ty) {
-                    continue;
-                }
-                let contribution = out_demand * inst.effective_time(s, v);
-                staged.place(v, contribution);
-                let period = staged.period().value();
-                staged.unplace();
-                trials += 1;
-                let better = match best {
-                    None => true,
-                    Some((incumbent, _, _)) => period < incumbent - IMPROVEMENT_EPSILON,
+            // `suffix[u]`: the first maximum of `loads[u..]`.
+            for u in (0..m).rev() {
+                suffix[u] = if loads[u] >= suffix[u + 1] {
+                    loads[u]
+                } else {
+                    suffix[u + 1]
                 };
-                if better {
-                    best = Some((period, v, contribution));
+            }
+            let mut prefix = f64::NEG_INFINITY;
+            let mut best: Option<(f64, MachineId, f64)> = None;
+            for u in 0..m {
+                let claim = claimed[u];
+                if !(self.specialized && claim.is_some() && claim != Some(ty)) {
+                    let v = MachineId(u);
+                    let contribution = out_demand * inst.effective_time(s, v);
+                    let placed = loads[u] + contribution;
+                    let mut period = prefix;
+                    if placed > period {
+                        period = placed;
+                    }
+                    if suffix[u + 1] > period {
+                        period = suffix[u + 1];
+                    }
+                    let period = period.max(0.0);
+                    loads[u] = placed - contribution;
+                    trials += 1;
+                    let better = match best {
+                        None => true,
+                        Some((incumbent, _, _)) => period < incumbent - IMPROVEMENT_EPSILON,
+                    };
+                    if better {
+                        best = Some((period, v, contribution));
+                    }
+                }
+                if loads[u] > prefix {
+                    prefix = loads[u];
                 }
             }
             // An admissible machine always exists: the member's own machine
             // is dedicated to its type.
             let (_, v, contribution) =
                 best.expect("the member's current machine is always admissible");
-            staged.place(v, contribution);
+            loads[v.index()] += contribution;
             demand_new[s.index()] = out_demand * inst.factor(s, v);
             if self.specialized {
                 claimed[v.index()] = Some(ty);
             }
-            if v != here {
+            if v != self.eval.machine_of(s) {
                 plan.push((s, v));
             }
         }
         RestageProbe {
-            period: staged.period().value(),
+            period: first_max(loads).max(0.0),
             trials,
         }
     }

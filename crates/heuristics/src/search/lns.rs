@@ -10,14 +10,15 @@
 //! 2. rank every admissible landing machine for the root with
 //!    [`SearchEngine::restage_move`] — tear the subtree's Euler-tour mass
 //!    row plus the root's own contribution out of the committed loads, then
-//!    restage the ratio-scaled row with one
-//!    [`place_row`](mf_core::incremental::PartialAssignmentEvaluator::place_row)
-//!    over the torn loads, `O(m log m)` per probe instead of a full
+//!    add the ratio-scaled row and the moved root back, one flat `O(m)`
+//!    pass over engine-owned buffers per probe instead of a full
 //!    re-evaluate;
 //! 3. on the best landing spot, run the full greedy restage
 //!    ([`SearchEngine::restage_greedy`]): members re-place one by one,
 //!    consumers before producers so every rechained demand is exact,
-//!    each on the staged-period-minimising admissible machine;
+//!    each on the staged-period-minimising admissible machine, found with
+//!    two flat `O(m)` passes (suffix maxima, then a prefix-maximum scan over
+//!    the admissible machines) per member;
 //! 4. commit whichever candidate (compound plan or plain root move)
 //!    improves the incumbent, as ordinary engine moves — so the commit
 //!    trace and the progress sink see LNS commits exactly like SD/H6

@@ -16,7 +16,7 @@
 //! * three strategies:
 //!   [`AnnealedClimb`] (the H6 hill climb with mild annealing, bit-identical
 //!   to the pre-refactor `H6` for the same seeds),
-//!   [`SteepestDescent`] (full `n·m` move + swap sweep per iteration,
+//!   [`SteepestDescent`] (full admissible move + swap sweep per iteration,
 //!   descending until a local optimum), and
 //!   [`TabuSearch`] (steepest admissible neighbor even when uphill, with a
 //!   recency-keyed tabu list and aspiration);
@@ -48,6 +48,7 @@ pub mod engine;
 pub mod lns;
 pub mod steepest;
 pub mod strategy;
+mod sweep;
 pub mod tabu;
 
 pub use annealed::{AnnealedClimb, LocalSearchConfig};

@@ -1,11 +1,14 @@
 //! Steepest descent: full-neighborhood sweeps until a local optimum.
 //!
-//! Each iteration scores **every** admissible move (`n·m` candidates) and —
-//! optionally — every admissible swap (`n·(n−1)/2` candidates) through the
-//! engine's incremental evaluator, then commits the single best improving
-//! neighbor. The evaluator answers each what-if from its prefix-mass row
-//! cache, so a whole sweep costs `O(n·m)` row work amortized plus at most
-//! one `O(m)` scan per candidate. Each candidate is scored against the
+//! Each iteration scores **every** admissible move (at most `n·m`
+//! candidates) and — optionally — every admissible swap (at most
+//! `n·(n−1)/2` candidates) through the engine's incremental evaluator, then
+//! commits the single best improving neighbor. Only admissible candidates
+//! are visited: the sweep walks an index of the pairs the specialized rule
+//! allows, rebuilt from the committed state once per sweep, instead of
+//! testing every pair. The evaluator answers each what-if from its
+//! prefix-mass row cache, so a whole sweep costs `O(n·m)` row work amortized
+//! plus at most one `O(m)` scan per candidate. Each candidate is scored against the
 //! sweep's incumbent: one that already loads the critical machine at least
 //! as much as the incumbent's period cannot win, and the evaluator settles
 //! it from that one machine without a scan. That keeps sweeping the full
@@ -28,7 +31,7 @@ pub struct SteepestDescentConfig {
     /// Maximum number of sweep-and-commit iterations (the search usually
     /// stops earlier, at a local optimum).
     pub max_sweeps: usize,
-    /// Also sweep the two-task swap neighborhood (`n·(n−1)/2` extra
+    /// Also sweep the two-task swap neighborhood (at most `n·(n−1)/2` extra
     /// candidates per iteration). Swaps escape the "both machines full"
     /// plateaus that moves alone cannot.
     pub include_swaps: bool,
@@ -70,43 +73,37 @@ impl SteepestDescent {
         &self,
         engine: &mut SearchEngine<'_>,
     ) -> HeuristicResult<Option<(f64, Candidate)>> {
-        let n = engine.tasks();
-        let m = engine.machines();
-        let mut best: Option<(f64, Candidate)> = None;
-        for t in 0..n {
-            let task = TaskId(t);
-            for u in 0..m {
-                let to = MachineId(u);
-                if !engine.allows_move(task, to) {
-                    continue;
-                }
-                engine.charge(1);
-                let bound = best.map(|(period, _)| period);
-                if let Some(period) = engine.evaluate_move_below(task, to, bound)? {
-                    if better_than(period, &best) {
-                        best = Some((period, Candidate::Move(task, to)));
-                    }
-                }
-            }
-        }
-        if self.config.include_swaps {
-            for a in 0..n {
-                for b in (a + 1)..n {
-                    let (a, b) = (TaskId(a), TaskId(b));
-                    if !engine.allows_swap(a, b) {
-                        continue;
-                    }
+        engine.with_sweep_index(|engine, index| {
+            let n = engine.tasks();
+            let mut best: Option<(f64, Candidate)> = None;
+            for t in 0..n {
+                let task = TaskId(t);
+                for to in index.move_targets(task) {
                     engine.charge(1);
                     let bound = best.map(|(period, _)| period);
-                    if let Some(period) = engine.evaluate_swap_below(a, b, bound)? {
+                    if let Some(period) = engine.evaluate_move_below(task, to, bound)? {
                         if better_than(period, &best) {
-                            best = Some((period, Candidate::Swap(a, b)));
+                            best = Some((period, Candidate::Move(task, to)));
                         }
                     }
                 }
             }
-        }
-        Ok(best)
+            if self.config.include_swaps {
+                for a in 0..n {
+                    let a = TaskId(a);
+                    for b in index.swap_partners(a) {
+                        engine.charge(1);
+                        let bound = best.map(|(period, _)| period);
+                        if let Some(period) = engine.evaluate_swap_below(a, b, bound)? {
+                            if better_than(period, &best) {
+                                best = Some((period, Candidate::Swap(a, b)));
+                            }
+                        }
+                    }
+                }
+            }
+            Ok(best)
+        })
     }
 }
 

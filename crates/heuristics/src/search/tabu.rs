@@ -15,6 +15,10 @@
 //! strategy — never returns worse than its seed. The walk itself is fully
 //! deterministic (no RNG; scan-order tie-breaks).
 //!
+//! Each iteration scores only admissible candidates — at most `n·m` moves
+//! and `n·(n−1)/2` swaps — by walking the same per-sweep candidate index as
+//! steepest descent.
+//!
 //! Every what-if is bounded by the period a candidate must beat to be
 //! chosen — the current choice's, lowered to the aspiration level for a
 //! tabu candidate — so the evaluator settles most candidates from the
@@ -132,54 +136,50 @@ impl SearchStrategy for TabuSearch {
                 }
             };
 
-            let mut chosen: Option<(f64, Candidate)> = None;
-            for t in 0..n {
-                let task = TaskId(t);
-                for u in 0..m {
-                    let to = MachineId(u);
-                    if !engine.allows_move(task, to) {
-                        continue;
-                    }
-                    engine.charge(1);
-                    let forbidden = tabu.forbidden(task, to, iteration);
-                    let bound = bound(&chosen, forbidden);
-                    let Some(period) = engine.evaluate_move_below(task, to, bound)? else {
-                        continue;
-                    };
-                    if forbidden && !aspired(period) {
-                        continue;
-                    }
-                    if better_than(period, &chosen) {
-                        chosen = Some((period, Candidate::Move(task, to)));
-                    }
-                }
-            }
-            if config.include_swaps {
-                for a in 0..n {
-                    for b in (a + 1)..n {
-                        let (a, b) = (TaskId(a), TaskId(b));
-                        if !engine.allows_swap(a, b) {
-                            continue;
-                        }
-                        // After the swap, `a` runs on `b`'s machine and vice
-                        // versa — both targets must be non-tabu.
-                        let (ua, ub) = (engine.machine_of(a), engine.machine_of(b));
+            let chosen = engine.with_sweep_index(|engine, index| {
+                let mut chosen: Option<(f64, Candidate)> = None;
+                for t in 0..n {
+                    let task = TaskId(t);
+                    for to in index.move_targets(task) {
                         engine.charge(1);
-                        let forbidden =
-                            tabu.forbidden(a, ub, iteration) || tabu.forbidden(b, ua, iteration);
+                        let forbidden = tabu.forbidden(task, to, iteration);
                         let bound = bound(&chosen, forbidden);
-                        let Some(period) = engine.evaluate_swap_below(a, b, bound)? else {
+                        let Some(period) = engine.evaluate_move_below(task, to, bound)? else {
                             continue;
                         };
                         if forbidden && !aspired(period) {
                             continue;
                         }
                         if better_than(period, &chosen) {
-                            chosen = Some((period, Candidate::Swap(a, b)));
+                            chosen = Some((period, Candidate::Move(task, to)));
                         }
                     }
                 }
-            }
+                if config.include_swaps {
+                    for a in 0..n {
+                        let a = TaskId(a);
+                        for b in index.swap_partners(a) {
+                            // After the swap, `a` runs on `b`'s machine and
+                            // vice versa — both targets must be non-tabu.
+                            let (ua, ub) = (engine.machine_of(a), engine.machine_of(b));
+                            engine.charge(1);
+                            let forbidden = tabu.forbidden(a, ub, iteration)
+                                || tabu.forbidden(b, ua, iteration);
+                            let bound = bound(&chosen, forbidden);
+                            let Some(period) = engine.evaluate_swap_below(a, b, bound)? else {
+                                continue;
+                            };
+                            if forbidden && !aspired(period) {
+                                continue;
+                            }
+                            if better_than(period, &chosen) {
+                                chosen = Some((period, Candidate::Swap(a, b)));
+                            }
+                        }
+                    }
+                }
+                HeuristicResult::Ok(chosen)
+            })?;
 
             let Some((_, candidate)) = chosen else {
                 // Everything admissible is tabu: the walk is stuck.
