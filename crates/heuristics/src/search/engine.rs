@@ -398,12 +398,12 @@ impl<'a> SearchEngine<'a> {
     /// place and returns the current period up to staging noise.
     pub fn restage_move(&mut self, task: TaskId, to: MachineId) -> f64 {
         let inst = self.instance;
-        let from = self.eval.machine_of(task).index();
+        let from = self.eval.machine_of(task);
         let demand = self.eval.demand_of(task);
-        let ratio = inst.factor(task, to) / inst.factor(task, MachineId(from));
-        let own_old = demand * inst.time(task, MachineId(from));
+        let ratio = inst.factor(task, to) / inst.factor(task, from);
+        let own_old = demand * inst.time(task, from);
         let own_new = demand * ratio * inst.time(task, to);
-        let to = to.index();
+        let (from, to) = (from.index(), to.index());
         let loads = &mut self.stage_load;
         loads.clear();
         loads.extend_from_slice(self.eval.loads());
