@@ -7,11 +7,11 @@
 //! are visited: the sweep walks an index of the pairs the specialized rule
 //! allows, rebuilt from the committed state once per sweep, instead of
 //! testing every pair. The evaluator answers each what-if from its
-//! prefix-mass row cache, so a whole sweep costs `O(n·m)` row work amortized
-//! plus at most one `O(m)` scan per candidate. Each candidate is scored against the
-//! sweep's incumbent: one that already loads the critical machine at least
-//! as much as the incumbent's period cannot win, and the evaluator settles
-//! it from that one machine without a scan. That keeps sweeping the full
+//! prefix-mass row cache, so a whole sweep costs `O(n·m)` row work
+//! amortized plus at most one `O(m)` scan per candidate. Each candidate is
+//! scored against the sweep's incumbent: one that already loads the
+//! critical machine at least as much as the incumbent's period cannot win,
+//! and the evaluator settles it from that one machine without a scan. That keeps sweeping the full
 //! neighborhood competitive with H6's random probing (`bench_summary`'s
 //! `strategy_polish` and `sd_sweep_*` rows and the ignored `sweep_scaling`
 //! probe measure this).

@@ -29,8 +29,6 @@ pub(crate) struct SweepIndex {
     /// `bucket_tasks[bucket_start[k]..bucket_start[k + 1]]`. Fixed.
     bucket_tasks: Vec<usize>,
     bucket_start: Vec<usize>,
-    /// Position of each task in its bucket's slice of `bucket_tasks`. Fixed.
-    position: Vec<usize>,
     /// Committed machine of each task.
     machine: Vec<usize>,
     /// Tasks alone on their machine, ascending.
@@ -60,14 +58,10 @@ impl SweepIndex {
             }));
             self.bucket_tasks.clear();
             self.bucket_start.clear();
-            self.position.clear();
-            self.position.resize(n, 0);
             for k in 0..buckets {
                 self.bucket_start.push(self.bucket_tasks.len());
-                for t in (0..n).filter(|&t| self.bucket[t] == k) {
-                    self.position[t] = self.bucket_tasks.len() - self.bucket_start[k];
-                    self.bucket_tasks.push(t);
-                }
+                self.bucket_tasks
+                    .extend((0..n).filter(|&t| self.bucket[t] == k));
             }
             self.bucket_start.push(self.bucket_tasks.len());
         }
@@ -125,7 +119,7 @@ impl SweepIndex {
             index: self,
             bucket: k,
             machine,
-            same: &same[self.position[a] + 1..],
+            same: &same[same.partition_point(|&b| b <= a)..],
             lone,
         }
     }
