@@ -24,6 +24,15 @@
 //!
 //! Every `time` and `failure` entry must be present (the format is explicit
 //! rather than defaulted, so a missing number is an error, not a silent 0).
+//!
+//! Each document has two parse entries over one parser:
+//! [`instance_from_text`] takes the whole text, and [`instance_from_lines`]
+//! takes it as lines, one item each — the form a protocol payload or a
+//! journal record already holds, parsed where it sits without joining it
+//! into a second copy. The scanner reads the items as if joined with `\n`,
+//! so `instance_from_lines(lines)` and `instance_from_text(&joined)` give
+//! the same outcome, line numbers in errors included; mappings likewise
+//! ([`mapping_from_text`], [`mapping_from_lines`]).
 
 use crate::application::{Application, ApplicationBuilder};
 use crate::error::{ModelError, Result};
@@ -121,13 +130,17 @@ const CLASS: [u8; 256] = {
 /// A one-pass scanner over the records of a text file: the lines holding a
 /// token that is not a `#` comment, split into whitespace-separated tokens
 /// exactly as `str::lines`, `str::trim` and `str::split_whitespace` split
-/// them. ASCII is classified byte by byte; at the first non-ASCII byte of a
-/// line the rest of that line goes to `split_whitespace`, so Unicode
-/// whitespace (U+00A0, U+3000, …) still separates tokens. The hand-over
-/// happens at a token start, where both splits agree.
-struct Records<'a> {
+/// them. The text arrives as pieces that are read as if joined with `\n`:
+/// the end of a piece ends a line, and so does a `\n` inside one. ASCII is
+/// classified byte by byte; at the first non-ASCII byte of a line the rest
+/// of that line goes to `split_whitespace`, so Unicode whitespace (U+00A0,
+/// U+3000, …) still separates tokens. The hand-over happens at a token
+/// start, where both splits agree.
+struct Records<'a, I> {
+    pieces: I,
+    /// The current piece.
     text: &'a str,
-    /// Byte offset of the scan.
+    /// Byte offset of the scan in the current piece.
     pos: usize,
     /// 1-based number of the current line (0 before the first).
     line: usize,
@@ -135,10 +148,11 @@ struct Records<'a> {
     unicode: Option<std::str::SplitWhitespace<'a>>,
 }
 
-impl<'a> Records<'a> {
-    fn new(text: &'a str) -> Self {
+impl<'a, I: Iterator<Item = &'a str>> Records<'a, I> {
+    fn new(pieces: I) -> Self {
         Records {
-            text,
+            pieces,
+            text: "",
             pos: 0,
             line: 0,
             unicode: None,
@@ -147,12 +161,16 @@ impl<'a> Records<'a> {
 
     /// Moves to the next record and returns its keyword (its first token),
     /// skipping blank and comment lines and the unread tokens of the
-    /// current one; `None` at the end of the text.
+    /// current one; `None` after the last line.
     fn next_record(&mut self) -> Option<&'a str> {
         loop {
-            if self.line > 0 {
-                let rest = &self.text.as_bytes()[self.pos..];
-                self.pos += rest.iter().position(|&byte| byte == b'\n')? + 1;
+            let rest = &self.text.as_bytes()[self.pos..];
+            match rest.iter().position(|&byte| byte == b'\n') {
+                Some(offset) => self.pos += offset + 1,
+                None => {
+                    self.text = self.pieces.next()?;
+                    self.pos = 0;
+                }
             }
             self.line += 1;
             self.unicode = None;
@@ -214,6 +232,15 @@ fn parse_f64(token: Option<&str>, line: usize, what: &str) -> Result<f64> {
 
 /// Parses an instance from the text format.
 pub fn instance_from_text(text: &str) -> Result<Instance> {
+    instance_from_lines([text])
+}
+
+/// Parses an instance from a text-format document given as lines — usually
+/// one line per item, as a protocol payload or a journal record holds them,
+/// though an item may hold several. The items parse exactly as their join
+/// with `\n` does under [`instance_from_text`], line numbers in errors
+/// included, without building the joined copy.
+pub fn instance_from_lines<'a>(lines: impl IntoIterator<Item = &'a str>) -> Result<Instance> {
     let mut task_count: Option<usize> = None;
     let mut machine_count: Option<usize> = None;
     let mut type_count: Option<usize> = None;
@@ -222,7 +249,7 @@ pub fn instance_from_text(text: &str) -> Result<Instance> {
     let mut times: Vec<Vec<Option<f64>>> = Vec::new();
     let mut failures: Vec<Vec<Option<f64>>> = Vec::new();
 
-    let mut records = Records::new(text);
+    let mut records = Records::new(lines.into_iter());
     while let Some(keyword) = records.next_record() {
         let line_number = records.line;
         match keyword {
@@ -372,9 +399,16 @@ pub fn instance_from_text(text: &str) -> Result<Instance> {
 
 /// Parses a mapping from the text format.
 pub fn mapping_from_text(text: &str) -> Result<Mapping> {
+    mapping_from_lines([text])
+}
+
+/// Parses a mapping from a text-format document given as lines, exactly as
+/// their join with `\n` parses under [`mapping_from_text`] (see
+/// [`instance_from_lines`]).
+pub fn mapping_from_lines<'a>(lines: impl IntoIterator<Item = &'a str>) -> Result<Mapping> {
     let mut machine_count: Option<usize> = None;
     let mut assignments: Vec<(usize, usize)> = Vec::new();
-    let mut records = Records::new(text);
+    let mut records = Records::new(lines.into_iter());
     while let Some(keyword) = records.next_record() {
         let line_number = records.line;
         match keyword {
@@ -448,10 +482,27 @@ mod tests {
             .collect()
     }
 
+    /// The scanner's records over `lines`: each record's line number, its
+    /// keyword and at most `read` more tokens.
+    fn scanned_records<'a>(
+        lines: impl Iterator<Item = &'a str>,
+        read: usize,
+    ) -> Vec<(usize, Vec<&'a str>)> {
+        let mut records = Records::new(lines);
+        let mut actual = Vec::new();
+        while let Some(keyword) = records.next_record() {
+            let mut tokens = vec![keyword];
+            tokens.extend(std::iter::from_fn(|| records.token()).take(read));
+            actual.push((records.line, tokens));
+        }
+        actual
+    }
+
     /// The scanner agrees with the reference split on seeded random texts
     /// over ASCII and Unicode whitespace, line ends, comment marks and token
     /// bytes — also when a record's tokens are only partly read before the
-    /// scanner moves on.
+    /// scanner moves on — whether it reads the text whole, split at `\n`,
+    /// as its `str::lines`, or regrouped into pieces of several lines.
     #[test]
     fn records_split_like_the_reference() {
         const ALPHABET: [&str; 18] = [
@@ -473,14 +524,27 @@ mod tests {
                 .into_iter()
                 .map(|(line, tokens)| (line, tokens.into_iter().take(1 + read).collect()))
                 .collect();
-            let mut records = Records::new(&text);
-            let mut actual = Vec::new();
-            while let Some(keyword) = records.next_record() {
-                let mut tokens = vec![keyword];
-                tokens.extend(std::iter::from_fn(|| records.token()).take(read));
-                actual.push((records.line, tokens));
+            // Whole, line by line, and regrouped into multi-line pieces.
+            let lines: Vec<&str> = text.split('\n').collect();
+            let mut pieces = Vec::new();
+            let mut rest = &lines[..];
+            while !rest.is_empty() {
+                let take = 1 + (next() % 3) as usize;
+                let (piece, tail) = rest.split_at(take.min(rest.len()));
+                pieces.push(piece.join("\n"));
+                rest = tail;
             }
-            assert_eq!(actual, expected, "seed {seed}: {text:?}");
+            for (walk, actual) in [
+                ("whole", scanned_records([text.as_str()].into_iter(), read)),
+                ("split", scanned_records(lines.iter().copied(), read)),
+                ("lines", scanned_records(text.lines(), read)),
+                (
+                    "pieces",
+                    scanned_records(pieces.iter().map(String::as_str), read),
+                ),
+            ] {
+                assert_eq!(actual, expected, "seed {seed}, {walk}: {text:?}");
+            }
         }
     }
 

@@ -1,7 +1,8 @@
 //! Outcome pins of the text parsers: every row feeds one text to
-//! `instance_from_text` or `mapping_from_text` and pins either the FNV-1a-64
-//! digest of the canonical text of the result or the exact `Display` of
-//! the error. The rows cover the instance and mapping payloads of the
+//! `instance_from_text` or `mapping_from_text`, and its `str::lines` to
+//! `instance_from_lines` or `mapping_from_lines`, and pins either the
+//! FNV-1a-64 digest of the canonical text of the result or the exact
+//! `Display` of the error — the same pin for both entries. The rows cover the instance and mapping payloads of the
 //! server's golden sessions, generated chains and forests, and the corners
 //! of the accepted set: line ends, Unicode whitespace, non-ASCII comments,
 //! number spellings the standard parsers accept or refuse, trailing tokens
@@ -17,8 +18,8 @@ fn fnv1a64(bytes: &[u8]) -> u64 {
     })
 }
 
-fn instance_outcome(text: &str) -> String {
-    match textio::instance_from_text(text) {
+fn instance_outcome(parsed: Result<Instance>) -> String {
+    match parsed {
         Ok(instance) => format!(
             "ok {:016x}",
             fnv1a64(textio::instance_to_text(&instance).as_bytes())
@@ -27,8 +28,8 @@ fn instance_outcome(text: &str) -> String {
     }
 }
 
-fn mapping_outcome(text: &str) -> String {
-    match textio::mapping_from_text(text) {
+fn mapping_outcome(parsed: Result<Mapping>) -> String {
+    match parsed {
         Ok(mapping) => format!(
             "ok {:016x}",
             fnv1a64(textio::mapping_to_text(&mapping).as_bytes())
@@ -491,18 +492,42 @@ const MAPPING_PINS: &[&str] = &[
 
 #[test]
 fn instance_parser_outcomes_are_pinned() {
-    let actual: Vec<String> = instance_rows()
+    let rows = instance_rows();
+    let from_text: Vec<String> = rows
         .iter()
-        .map(|(label, text)| format!("{label} => {}", instance_outcome(text)))
+        .map(|(label, text)| {
+            let outcome = instance_outcome(textio::instance_from_text(text));
+            format!("{label} => {outcome}")
+        })
         .collect();
-    check(&actual, INSTANCE_PINS);
+    check(&from_text, INSTANCE_PINS);
+    let from_lines: Vec<String> = rows
+        .iter()
+        .map(|(label, text)| {
+            let outcome = instance_outcome(textio::instance_from_lines(text.lines()));
+            format!("{label} => {outcome}")
+        })
+        .collect();
+    check(&from_lines, INSTANCE_PINS);
 }
 
 #[test]
 fn mapping_parser_outcomes_are_pinned() {
-    let actual: Vec<String> = mapping_rows()
+    let rows = mapping_rows();
+    let from_text: Vec<String> = rows
         .iter()
-        .map(|(label, text)| format!("{label} => {}", mapping_outcome(text)))
+        .map(|(label, text)| {
+            let outcome = mapping_outcome(textio::mapping_from_text(text));
+            format!("{label} => {outcome}")
+        })
         .collect();
-    check(&actual, MAPPING_PINS);
+    check(&from_text, MAPPING_PINS);
+    let from_lines: Vec<String> = rows
+        .iter()
+        .map(|(label, text)| {
+            let outcome = mapping_outcome(textio::mapping_from_lines(text.lines()));
+            format!("{label} => {outcome}")
+        })
+        .collect();
+    check(&from_lines, MAPPING_PINS);
 }
