@@ -27,7 +27,9 @@ use crate::cache::{CachedEvaluation, EvaluateCache};
 use crate::errors::EngineError;
 use crate::journal::{Journal, JournalResult, RecoveredInstance};
 use crate::obs::{ObsConfig, ObsState};
-use crate::proto::{GapReport, Probe, ProtoVersion, Request, Response, SolveMethod};
+use crate::proto::{
+    recycle_payload, GapReport, Probe, ProtoVersion, Request, Response, SolveMethod,
+};
 use crate::store::{InstanceStore, StoredInstance};
 use mf_core::prelude::*;
 use mf_core::textio;
@@ -257,7 +259,7 @@ impl Engine {
             generation,
             payload,
         } = recovered;
-        match textio::instance_from_text(&payload.join("\n")) {
+        match textio::instance_from_lines(payload.iter().map(String::as_str)) {
             Ok(instance) => {
                 let (_, evicted) = self.store.insert_pinned(&name, instance, generation);
                 if let Some(journal) = &self.journal {
@@ -330,9 +332,17 @@ impl Engine {
         let start_ns = self.obs.now_ns();
         let response = match request {
             Request::Hello { requested } => hello_response(requested, &mut session.version),
-            Request::Load { name, payload } => self.load(session, &name, &payload),
+            Request::Load { name, payload } => {
+                let response = self.load(session, &name, &payload);
+                recycle_payload(payload);
+                response
+            }
             Request::Unload { name } => self.unload(session, &name),
-            Request::Evaluate { name, payload } => self.evaluate(session, &name, &payload),
+            Request::Evaluate { name, payload } => {
+                let response = self.evaluate(session, &name, &payload);
+                recycle_payload(payload);
+                response
+            }
             Request::WhatIf { name, probe } => self.what_if(session, &name, probe),
             Request::Solve { name, method, seed } => self.solve(session, &name, &method, seed),
             _ => EngineError::NotBatchable { command: keyword }.into_response(),
@@ -345,8 +355,7 @@ impl Engine {
     }
 
     fn load(&self, session: &mut Session, name: &str, payload: &[String]) -> Response {
-        let text = payload.join("\n");
-        let instance = match textio::instance_from_text(&text) {
+        let instance = match textio::instance_from_lines(payload.iter().map(String::as_str)) {
             Ok(instance) => instance,
             Err(e) => {
                 return EngineError::InvalidPayload {
@@ -495,8 +504,7 @@ impl Engine {
             Ok(stored) => stored,
             Err(response) => return response,
         };
-        let text = payload.join("\n");
-        let mapping = match textio::mapping_from_text(&text) {
+        let mapping = match textio::mapping_from_lines(payload.iter().map(String::as_str)) {
             Ok(mapping) => mapping,
             Err(e) => {
                 return EngineError::InvalidPayload {

@@ -58,6 +58,7 @@
 //! byte — the round-trip property `proto_roundtrip.rs` pins for every
 //! variant. Malformed input produces a typed [`ProtoError`], never a panic.
 
+use std::cell::Cell;
 use std::fmt::Write as _;
 use std::io::BufRead;
 
@@ -780,6 +781,76 @@ pub fn response_to_text(response: &Response) -> ProtoResult<String> {
 /// Real counts above this still parse — they just grow by pushing.
 const WIRE_CAPACITY_CAP: usize = 1024;
 
+/// The most a thread keeps in spare payload lines, each line counted at its
+/// capacity plus its `String` header. The largest benchmark payload needs
+/// about 90 KiB and a 200×64 instance about 0.5 MiB.
+const SPARE_LINE_BYTES: usize = 1 << 20;
+
+/// Payload line `String`s handed back after their request was answered,
+/// kept for the next counted-payload read on the same thread. The router
+/// answers every instance command on the session thread that read it, so a
+/// serving thread gets back every line it hands out; a thread that never
+/// hands lines back (a client) reads into fresh `String`s.
+#[derive(Debug, Default)]
+struct SpareLines {
+    /// The next line to hand out is the last.
+    lines: Vec<String>,
+    /// What `lines` counts against [`SPARE_LINE_BYTES`].
+    bytes: usize,
+}
+
+thread_local! {
+    static SPARE_LINES: Cell<SpareLines> = const {
+        Cell::new(SpareLines {
+            lines: Vec::new(),
+            bytes: 0,
+        })
+    };
+}
+
+impl SpareLines {
+    fn cost(line: &String) -> usize {
+        line.capacity() + std::mem::size_of::<String>()
+    }
+
+    /// A spare line (not cleared), or a fresh one when none is left.
+    fn pop(&mut self) -> String {
+        match self.lines.pop() {
+            Some(line) => {
+                self.bytes -= Self::cost(&line);
+                line
+            }
+            None => String::new(),
+        }
+    }
+
+    /// Keeps the longest prefix of `payload` that fits the byte cap, so the
+    /// next reads pop its lines in the order they were read; drops the rest.
+    fn keep(&mut self, mut payload: Vec<String>) {
+        let mut fits = 0;
+        for line in &payload {
+            let bytes = self.bytes + Self::cost(line);
+            if bytes > SPARE_LINE_BYTES {
+                break;
+            }
+            self.bytes = bytes;
+            fits += 1;
+        }
+        payload.truncate(fits);
+        self.lines.extend(payload.into_iter().rev());
+    }
+}
+
+/// Hands the lines of an answered `load`/`evaluate` payload back to this
+/// thread's spare list, for the next payload [`ProtoReader`] reads here.
+pub(crate) fn recycle_payload(payload: Vec<String>) {
+    let _ = SPARE_LINES.try_with(|spare| {
+        let mut lines = spare.take();
+        lines.keep(payload);
+        spare.set(lines);
+    });
+}
+
 /// A line source over any [`BufRead`], tracking EOF and stream desync.
 #[derive(Debug)]
 pub struct ProtoReader<R> {
@@ -805,17 +876,23 @@ impl<R: BufRead> ProtoReader<R> {
         self.desynced
     }
 
-    /// The next line without its terminator; `None` at EOF.
-    fn next_line(&mut self) -> ProtoResult<Option<String>> {
-        let mut line = String::new();
-        let read = self.reader.read_line(&mut line)?;
-        if read == 0 {
-            return Ok(None);
+    /// Reads the next line into `line`, replacing its contents, without
+    /// the terminator; `false` at EOF.
+    fn read_line_into(&mut self, line: &mut String) -> ProtoResult<bool> {
+        line.clear();
+        if self.reader.read_line(line)? == 0 {
+            return Ok(false);
         }
         while line.ends_with('\n') || line.ends_with('\r') {
             line.pop();
         }
-        Ok(Some(line))
+        Ok(true)
+    }
+
+    /// The next line without its terminator; `None` at EOF.
+    fn next_line(&mut self) -> ProtoResult<Option<String>> {
+        let mut line = String::new();
+        Ok(self.read_line_into(&mut line)?.then_some(line))
     }
 
     /// The next non-empty line; `None` at EOF.
@@ -830,19 +907,32 @@ impl<R: BufRead> ProtoReader<R> {
     }
 
     /// Reads exactly `count` payload lines (payload lines may be blank-ish
-    /// comment lines of the embedded text format, so no blank skipping).
+    /// comment lines of the embedded text format, so no blank skipping),
+    /// each into a line taken from this thread's spare list.
     fn payload(&mut self, count: usize, context: &'static str) -> ProtoResult<Vec<String>> {
         // Counts come off the wire: cap the pre-allocation so a hostile
         // header cannot request petabytes before a single line is read
         // (growth beyond the cap is amortized push).
         let mut lines = Vec::with_capacity(count.min(WIRE_CAPACITY_CAP));
-        for _ in 0..count {
-            match self.next_line()? {
-                Some(line) => lines.push(line),
-                None => return Err(ProtoError::UnexpectedEof { context }),
+        let mut spare = SPARE_LINES.take();
+        let read = (0..count).try_for_each(|_| {
+            let mut line = spare.pop();
+            if self.read_line_into(&mut line)? {
+                lines.push(line);
+                Ok(())
+            } else {
+                Err(ProtoError::UnexpectedEof { context })
             }
-        }
-        Ok(lines)
+        });
+        let read = match read {
+            Ok(()) => Ok(lines),
+            Err(error) => {
+                spare.keep(lines);
+                Err(error)
+            }
+        };
+        SPARE_LINES.set(spare);
+        read
     }
 
     /// Reads the server greeting line (`None` at EOF). The caller compares
@@ -1357,8 +1447,9 @@ fn reject_extra(token: Option<&str>, line: &str) -> ProtoResult<()> {
     }
 }
 
-/// Splits a `mf_core::textio` document into protocol payload lines (the
-/// inverse of joining a payload with `\n` before parsing it).
+/// Splits a `mf_core::textio` document into protocol payload lines, the
+/// lines the engine hands to `textio::instance_from_lines` or
+/// `textio::mapping_from_lines` as they arrived.
 pub fn text_payload(text: &str) -> Vec<String> {
     text.lines().map(str::to_string).collect()
 }
@@ -1885,5 +1976,153 @@ mod tests {
         }
         assert_eq!(line_separators("a\rb\n\r\nc"), 4);
         assert_eq!(line_separators(&"x\n".repeat(1000)), 1000);
+    }
+
+    /// The bytes this thread's spare list counts, checked against its lines.
+    fn spare_bytes() -> usize {
+        SPARE_LINES.with(|spare| {
+            let lines = spare.take();
+            let bytes = lines.bytes;
+            let counted: usize = lines.lines.iter().map(SpareLines::cost).sum();
+            spare.set(lines);
+            assert_eq!(bytes, counted);
+            bytes
+        })
+    }
+
+    /// Reads one request from `bytes` through a fresh reader; when
+    /// `recycle`, hands the lines of a `load`/`evaluate` payload back, as
+    /// the engine does, and returns a copy.
+    fn read_one(bytes: &[u8], recycle: bool) -> ProtoResult<Option<Request>> {
+        let mut read = ProtoReader::new(bytes).read_request();
+        if let Ok(Some(Request::Load { payload, .. } | Request::Evaluate { payload, .. })) =
+            &mut read
+        {
+            if recycle {
+                let lines = std::mem::take(payload);
+                payload.clone_from(&lines);
+                recycle_payload(lines);
+            }
+        }
+        read
+    }
+
+    /// Seeded `load`/`evaluate` requests: long lines first, then short
+    /// ones, `\n` or `\r\n` endings, blank lines and non-ASCII text.
+    fn seeded_payload_requests(seed: u64, count: usize) -> Vec<Vec<u8>> {
+        const WORDS: [&str; 8] = ["failure", "0.0125", "#", "☃", "é", "機械", "\u{A0}", "x"];
+        let mut state = seed;
+        let mut next = move || {
+            state = mf_core::seed::splitmix64(state);
+            state
+        };
+        (0..count)
+            .map(|k| {
+                let lines = next() % 48;
+                let command = if next() % 2 == 0 { "load" } else { "evaluate" };
+                let mut text = format!("{command} p{k} {lines}\n");
+                for line in 0..lines {
+                    let words = if line < lines / 3 {
+                        20 + next() % 40
+                    } else {
+                        next() % 4
+                    };
+                    for word in 0..words {
+                        if word > 0 {
+                            text.push(' ');
+                        }
+                        text.push_str(WORDS[(next() % WORDS.len() as u64) as usize]);
+                    }
+                    text.push_str(if next() % 3 == 0 { "\r\n" } else { "\n" });
+                }
+                text.into_bytes()
+            })
+            .collect()
+    }
+
+    /// Reads through a warm spare list, recycling after every request, give
+    /// what fresh reads on a thread that never recycles give — payloads and
+    /// errors alike.
+    #[test]
+    fn reads_through_recycled_lines_match_fresh_reads() {
+        let requests = seeded_payload_requests(17, 400);
+        let failures: [&[u8]; 3] = [
+            b"load a 3\nonly one line\n",
+            b"evaluate a 3\nok\n\xff\xfe not utf-8\nlast\n",
+            b"load a 2\nab\rcd\nlast\n",
+        ];
+        let read_all = move |recycle: bool| {
+            if recycle {
+                recycle_payload((0..64).map(|k| "z".repeat(300 + k)).collect());
+            }
+            let mut reads: Vec<ProtoResult<Option<Request>>> = requests
+                .iter()
+                .map(|bytes| read_one(bytes, recycle))
+                .collect();
+            reads.extend(failures.iter().map(|bytes| read_one(bytes, recycle)));
+            assert!(spare_bytes() <= SPARE_LINE_BYTES);
+            reads
+        };
+        let fresh = std::thread::spawn({
+            let read_all = read_all.clone();
+            move || read_all(false)
+        })
+        .join()
+        .unwrap();
+        let warm = std::thread::spawn(move || read_all(true)).join().unwrap();
+        assert_eq!(warm, fresh);
+        let errors: Vec<&ProtoError> = fresh[400..]
+            .iter()
+            .map(|read| read.as_ref().unwrap_err())
+            .collect();
+        assert!(matches!(errors[0], ProtoError::UnexpectedEof { .. }));
+        assert!(matches!(errors[1], ProtoError::Io(_)));
+        assert_eq!(
+            errors[2],
+            &ProtoError::UnencodableText {
+                text: "ab\rcd".into()
+            }
+        );
+        assert!(fresh[..400]
+            .iter()
+            .all(|read| read.as_ref().unwrap().is_some()));
+    }
+
+    /// The next read pops recycled lines in the order they were read, and a
+    /// thread never keeps more than the byte cap — not even of blank lines.
+    #[test]
+    fn spare_lines_come_back_in_order_within_the_byte_cap() {
+        std::thread::spawn(|| {
+            recycle_payload((1..=5).map(|k| String::with_capacity(100 * k)).collect());
+            let Ok(Some(Request::Load { payload, .. })) =
+                read_one(b"load a 5\n1\n2\n3\n4\n5\n", false)
+            else {
+                panic!("the load reads");
+            };
+            let capacities: Vec<usize> = payload.iter().map(String::capacity).collect();
+            assert_eq!(capacities, [100, 200, 300, 400, 500]);
+            assert_eq!(spare_bytes(), 0);
+
+            recycle_payload(vec![String::new(); 100_000]);
+            let bytes = spare_bytes();
+            assert!(bytes <= SPARE_LINE_BYTES, "{bytes}");
+            assert!(
+                bytes > SPARE_LINE_BYTES - std::mem::size_of::<String>(),
+                "{bytes}"
+            );
+
+            let blank = format!("load a 100000\n{}", "\n".repeat(100_000));
+            let Ok(Some(Request::Load { payload, .. })) = read_one(blank.as_bytes(), true) else {
+                panic!("the load reads");
+            };
+            assert_eq!(payload.len(), 100_000);
+            assert!(spare_bytes() <= SPARE_LINE_BYTES);
+            for _ in 0..3 {
+                recycle_payload(vec!["y".repeat(1000); 2000]);
+                assert!(spare_bytes() <= SPARE_LINE_BYTES);
+            }
+        })
+        .join()
+        .unwrap();
     }
 }
