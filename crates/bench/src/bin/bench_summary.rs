@@ -13,7 +13,8 @@
 //! restage probes (staged subtree tear-out vs full candidate recompute, and
 //! the full greedy member restage with its staged placements as `nodes`), a
 //! full portfolio run, and the `load` path (parsing the fixture's instance
-//! text, and a journal churn across two compactions). It writes median
+//! text, a journal churn across two compactions, and a whole stdio session
+//! of loads and evaluates through the protocol reader, router and engine). It writes median
 //! nanoseconds per run to `BENCH_core.json`, so the perf trajectory
 //! accumulates commit over commit (CI uploads the file as an artifact).
 //!
@@ -40,7 +41,7 @@ use mf_heuristics::search::{
     polish_with, SearchEngine, SearchStrategy, SteepestDescent, TabuSearch,
 };
 use mf_heuristics::{H4wFastestMachine, H6LocalSearch, Heuristic, LocalSearchConfig};
-use mf_server::{Journal, COMPACT_EVERY};
+use mf_server::{serve_stdio, Journal, Router, COMPACT_EVERY};
 use std::time::Instant;
 
 /// One timed measurement.
@@ -487,6 +488,37 @@ fn main() {
             ]),
         });
         let _ = std::fs::remove_dir_all(&dir);
+
+        // The whole serving path of a payload: one stdio session reading
+        // 64 `load`s of the fixture under four names, each followed by an
+        // `evaluate` of its H4w mapping (a cache miss), through the real
+        // protocol reader, router and engine.
+        let mapping_text = mf_core::textio::mapping_to_text(&seed);
+        let mut script = String::new();
+        let mut payload_lines = 0u64;
+        for k in 0..64 {
+            let name = ["n0", "n1", "n2", "n3"][k % 4];
+            for (command, text) in [("load", &text), ("evaluate", &mapping_text)] {
+                let count = text.lines().count();
+                script.push_str(&format!("{command} {name} {count}\n"));
+                script.push_str(text);
+                payload_lines += count as u64;
+            }
+        }
+        let router = Router::new(1, 1);
+        let mut transcript = Vec::new();
+        serve_stdio(&router, script.as_bytes(), &mut transcript).expect("in-memory session");
+        let answers = String::from_utf8(transcript).expect("protocol output is UTF-8");
+        assert_eq!(answers.matches("\nok load ").count(), 64, "{answers}");
+        assert_eq!(answers.matches("\nok evaluate ").count(), 64, "{answers}");
+        rows.push(Measurement {
+            name: "load_path/session",
+            timing: timing(time(iterations, || {
+                serve_stdio(&router, script.as_bytes(), std::io::sink()).expect("in-memory session")
+            })),
+            iterations,
+            quality: Quality::Counts(vec![("requests", 128), ("payload_lines", payload_lines)]),
+        });
     }
 
     let mut json = String::new();
