@@ -13,9 +13,8 @@
 
 use mf_bench::{forest_instance, standard_instance};
 use mf_core::prelude::*;
+use mf_core::rng::StdRng;
 use mf_heuristics::{H4wFastestMachine, Heuristic};
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 use std::time::Instant;
 
 const TASKS: usize = 100;

@@ -23,7 +23,8 @@
 //!   of the paper (one-to-one, specialized, general);
 //! * [`demand`] — the expected number of products each task must start
 //!   (`xᵢ` in the paper);
-//! * [`period`] — machine periods, system period, critical machines, throughput.
+//! * [`period`] — machine periods, system period, critical machines, throughput;
+//! * [`rng`] — the seeded generator every randomized component draws from.
 //!
 //! ```
 //! use mf_core::prelude::*;
@@ -54,6 +55,7 @@ pub mod mapping;
 pub mod period;
 pub mod platform;
 pub mod prelude;
+pub mod rng;
 pub mod seed;
 pub mod split;
 pub mod textio;

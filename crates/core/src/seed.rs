@@ -11,7 +11,8 @@
 /// Mixes a 64-bit value into a well-dispersed seed.
 ///
 /// This is the SplitMix64 finalizer (Steele, Lea, Flood — the same step
-/// `rand` documents for `seed_from_u64`): an odd-constant add followed by two
+/// [`StdRng::seed_from_u64`](crate::rng::StdRng::seed_from_u64) expands its
+/// state with): an odd-constant add followed by two
 /// xor-shift-multiply rounds and a closing xor-shift. It is bijective, so
 /// distinct inputs can never collide, and it avalanches: flipping any input
 /// bit flips each output bit with probability ~1/2.

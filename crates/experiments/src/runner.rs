@@ -1,9 +1,9 @@
-//! The rayon-parallel batch-evaluation engine.
+//! The parallel batch-evaluation engine.
 //!
 //! Every experiment of §7 boils down to evaluating a grid of independent
 //! **cells** — (failure scenario × instance seed × heuristic) — and
 //! aggregating the measured periods. [`BatchRunner`] fans those cells out on
-//! a rayon thread pool; [`BatchGrid`] describes the grid; [`BatchReport`]
+//! scoped worker threads; [`BatchGrid`] describes the grid; [`BatchReport`]
 //! holds the per-cell outcomes and aggregates them into the existing
 //! [`Stats`] / [`FigureReport`](crate::report::FigureReport) layer.
 //!
@@ -26,19 +26,13 @@ use crate::report::{FigureReport, Series};
 use crate::stats::Stats;
 use mf_core::seed::splitmix64;
 use mf_sim::{GeneratorConfig, InstanceGenerator};
-use rayon::prelude::*;
-use rayon::ThreadPoolBuilder;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
-/// Fans independent work items out across a rayon thread pool and collects
+/// Fans independent work items out across scoped worker threads and collects
 /// the results in item order.
-///
-/// The pool is built once per runner and reused across [`BatchRunner::map`]
-/// calls, so repeated sweeps (e.g. the summary tables) don't pay per-call
-/// thread spawn costs with a real rayon backend.
 #[derive(Debug, Clone)]
 pub struct BatchRunner {
     threads: usize,
-    pool: std::sync::Arc<rayon::ThreadPool>,
 }
 
 impl BatchRunner {
@@ -46,14 +40,8 @@ impl BatchRunner {
     /// capped at 16 — the same convention as
     /// [`ExperimentConfig::effective_threads`]).
     pub fn new(threads: usize) -> Self {
-        let threads = crate::config::resolve_threads(threads);
-        let pool = ThreadPoolBuilder::new()
-            .num_threads(threads)
-            .build()
-            .expect("building a rayon pool cannot fail");
         BatchRunner {
-            threads,
-            pool: std::sync::Arc::new(pool),
+            threads: crate::config::resolve_threads(threads),
         }
     }
 
@@ -67,22 +55,49 @@ impl BatchRunner {
         self.threads
     }
 
-    /// Runs `work(i)` for every `i < items` on the runner's pool and collects
-    /// the results in index order — the output is identical for every thread
-    /// count as long as `work` is a pure function of `i`.
+    /// Runs `work(i)` for every `i < items` and collects the results in index
+    /// order — the output is identical for every thread count as long as
+    /// `work` is a pure function of `i`.
+    ///
+    /// Up to [`threads`](Self::threads) scoped workers each claim the next
+    /// unclaimed index from one shared counter, so uneven items balance
+    /// themselves; results are put back by index, not completion order.
+    ///
+    /// # Panics
+    ///
+    /// Re-raises the first panic of `work` once every worker has stopped.
     pub fn map<T, F>(&self, items: usize, work: F) -> Vec<T>
     where
         T: Send,
         F: Fn(usize) -> T + Sync,
     {
-        if items == 0 {
-            return Vec::new();
-        }
-        if self.threads == 1 || items == 1 {
+        let workers = self.threads.min(items);
+        if workers <= 1 {
             return (0..items).map(work).collect();
         }
-        self.pool
-            .install(|| (0..items).into_par_iter().map(work).collect())
+        let next = AtomicUsize::new(0);
+        let claim = || {
+            std::iter::from_fn(|| Some(next.fetch_add(1, Ordering::Relaxed)))
+                .take_while(|&i| i < items)
+                .map(|i| (i, work(i)))
+                .collect::<Vec<_>>()
+        };
+        let mut slots: Vec<Option<T>> = (0..items).map(|_| None).collect();
+        std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..workers).map(|_| scope.spawn(claim)).collect();
+            for handle in handles {
+                let done = handle
+                    .join()
+                    .unwrap_or_else(|panic| std::panic::resume_unwind(panic));
+                for (i, value) in done {
+                    slots[i] = Some(value);
+                }
+            }
+        });
+        slots
+            .into_iter()
+            .map(|slot| slot.expect("every index is claimed by exactly one worker"))
+            .collect()
     }
 
     /// Evaluates a full (scenario × seed × heuristic) grid.
@@ -343,6 +358,23 @@ mod tests {
         assert_eq!(
             BatchRunner::new(16).map(3, |i| i as f64 * 0.5),
             vec![0.0, 0.5, 1.0]
+        );
+    }
+
+    #[test]
+    fn map_propagates_a_worker_panic() {
+        let outcome = std::panic::catch_unwind(|| {
+            BatchRunner::new(4).map(64, |i| {
+                if i == 37 {
+                    panic!("item {i} fails");
+                }
+                i
+            })
+        });
+        let panic = outcome.expect_err("a panicking item must fail the whole map");
+        assert_eq!(
+            panic.downcast_ref::<String>().map(String::as_str),
+            Some("item 37 fails")
         );
     }
 

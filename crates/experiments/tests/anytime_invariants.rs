@@ -8,7 +8,7 @@
 //!   decrease, and a `proven` event (if any) is the last one with gap 0;
 //! * given enough budget, the final mapping is **bit-identical** to the
 //!   offline branch-and-bound optimum, regardless of how often the run is
-//!   repeated or how many rayon workers are active around it;
+//!   repeated or how many batch-runner workers are active around it;
 //! * total steps never exceed the budget and, on the `m ≫ p`
 //!   shapes the mode targets, close the gap within fewer steps than plain
 //!   branch-and-bound needs nodes.
@@ -91,7 +91,7 @@ fn runs_are_deterministic_and_worker_count_invariant() {
         "re-run diverged"
     );
 
-    // Running under rayon pools of different widths changes nothing: the
+    // Running under batch runners of different widths changes nothing: the
     // anytime pipeline is a single logical thread by design.
     for threads in [1usize, 2, 4] {
         let runner = BatchRunner::new(threads);

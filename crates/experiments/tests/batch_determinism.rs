@@ -1,6 +1,6 @@
 //! Thread-count invariance of the batch-evaluation engine.
 //!
-//! The acceptance bar for the rayon runner: a fixed seed set must produce
+//! The acceptance bar for the batch runner: a fixed seed set must produce
 //! **bit-identical** aggregate statistics whether the grid is evaluated on 1
 //! thread or N. These tests exercise both entry points — the figure sweeps
 //! ([`mf_experiments::figures::run_sweep`] via a fig7-class workload) and the

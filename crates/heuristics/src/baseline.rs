@@ -10,9 +10,7 @@
 use crate::context::AssignmentState;
 use crate::heuristic::{Heuristic, HeuristicError, HeuristicResult};
 use mf_core::prelude::*;
-use rand::rngs::StdRng;
-use rand::seq::SliceRandom;
-use rand::SeedableRng;
+use mf_core::rng::StdRng;
 
 /// Uniformly random specialized mapping.
 #[derive(Debug, Clone)]
@@ -43,7 +41,7 @@ impl Heuristic for RandomMapping {
         let mut state = AssignmentState::new(instance);
         for task in state.backward_order() {
             let candidates = state.admissible_machines(task);
-            match candidates.choose(&mut rng) {
+            match rng.choose(&candidates) {
                 Some(&machine) => {
                     state.assign(task, machine)?;
                 }

@@ -10,9 +10,7 @@
 use crate::context::AssignmentState;
 use crate::heuristic::{Heuristic, HeuristicError, HeuristicResult};
 use mf_core::prelude::*;
-use rand::rngs::StdRng;
-use rand::seq::SliceRandom;
-use rand::SeedableRng;
+use mf_core::rng::StdRng;
 
 /// The random heuristic H1.
 #[derive(Debug, Clone)]
@@ -57,15 +55,15 @@ impl Heuristic for H1Random {
                 .filter(|&u| state.machine_type(u).is_none())
                 .collect();
             let choice = if dedicated.is_empty() {
-                free.choose(&mut rng).copied()
+                rng.choose(&free).copied()
             } else if !free.is_empty() && rng.gen_bool(0.5) {
                 // The pseudo-code opens a new group whenever
                 // nbFreeMachines > nbTypesToGo; drawing at random between
                 // "new group" and "existing group" keeps the same admissible
                 // set while exploring both branches.
-                free.choose(&mut rng).copied()
+                rng.choose(&free).copied()
             } else {
-                dedicated.choose(&mut rng).copied()
+                rng.choose(&dedicated).copied()
             };
             match choice {
                 Some(machine) => {
@@ -86,9 +84,6 @@ impl Heuristic for H1Random {
         state.into_mapping()
     }
 }
-
-// `rng.gen_bool` needs the Rng trait in scope.
-use rand::Rng;
 
 #[cfg(test)]
 mod tests {

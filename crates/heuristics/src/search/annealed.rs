@@ -12,9 +12,8 @@ use crate::search::engine::{metropolis, SearchEngine};
 use crate::search::strategy::SearchStrategy;
 use crate::HeuristicResult;
 use mf_core::prelude::*;
+use mf_core::rng::StdRng;
 use mf_core::seed::splitmix64;
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 
 /// Tuning knobs of the annealed hill climb (and therefore of H6).
 #[derive(Debug, Clone, Copy, PartialEq)]

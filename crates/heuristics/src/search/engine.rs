@@ -18,9 +18,8 @@ use crate::heuristic::HeuristicResult;
 use crate::search::sweep::SweepIndex;
 use mf_core::incremental::EvalCounters;
 use mf_core::prelude::*;
+use mf_core::rng::StdRng;
 use mf_obs::{ProgressEvent, ProgressSink};
-use rand::rngs::StdRng;
-use rand::Rng;
 
 /// Relative slack below which a new period does not count as an improvement
 /// (guards against accumulating no-op "improvements" from float noise).
@@ -672,7 +671,6 @@ mod tests {
     use super::*;
     use crate::h4_family::H4wFastestMachine;
     use crate::Heuristic;
-    use rand::SeedableRng;
 
     fn instance() -> Instance {
         let app = Application::linear_chain(&[0, 1, 0, 1]).unwrap();

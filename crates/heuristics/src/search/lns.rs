@@ -33,9 +33,8 @@ use crate::search::engine::{SearchEngine, IMPROVEMENT_EPSILON};
 use crate::search::strategy::SearchStrategy;
 use crate::HeuristicResult;
 use mf_core::prelude::*;
+use mf_core::rng::StdRng;
 use mf_core::seed::splitmix64;
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 
 /// Tuning knobs of the subtree-move LNS.
 #[derive(Debug, Clone, Copy, PartialEq)]

@@ -173,9 +173,8 @@ mod tests {
     use crate::search::SearchEngine;
     use crate::Heuristic;
     use mf_core::prelude::*;
+    use mf_core::rng::StdRng;
     use mf_sim::{GeneratorConfig, InstanceGenerator};
-    use rand::rngs::StdRng;
-    use rand::{Rng, SeedableRng};
 
     /// Admissible `(task, machine)` moves and `(a, b)` swaps, in scan order.
     type Pairs = (Vec<(usize, usize)>, Vec<(usize, usize)>);

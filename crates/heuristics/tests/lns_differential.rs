@@ -13,11 +13,10 @@
 
 use mf_core::incremental::IncrementalEvaluator;
 use mf_core::prelude::*;
+use mf_core::rng::StdRng;
 use mf_heuristics::search::{RestageProbe, SearchEngine, IMPROVEMENT_EPSILON};
 use mf_heuristics::{all_paper_heuristics, paper_heuristic};
 use mf_sim::{GeneratorConfig, InstanceGenerator};
-use rand::rngs::StdRng;
-use rand::{RngCore, SeedableRng};
 
 fn chain_instance(tasks: usize, machines: usize, types: usize, seed: u64) -> Instance {
     InstanceGenerator::new(GeneratorConfig::paper_standard(tasks, machines, types))

@@ -3,8 +3,7 @@
 //!
 //! An [`Engine`] is one shard worker of a [`Router`](crate::router::Router),
 //! shared by every session the router forwards to it. It owns the shard's
-//! resident [`InstanceStore`], the [`BatchRunner`] rayon pool the portfolio
-//! races on, and the shard's statistics counters. It answers `hello` and the
+//! resident [`InstanceStore`], the [`BatchRunner`] the portfolio races on, and the shard's statistics counters. It answers `hello` and the
 //! five instance commands (`load`, `unload`, `evaluate`, `whatif`, `solve`);
 //! the router answers everything else. Each connection gets one [`Session`]
 //! per touched shard, which carries the **resident evaluator state**: after an

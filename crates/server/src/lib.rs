@@ -1,12 +1,14 @@
 //! # mf-server — a long-lived solve/evaluate server
 //!
-//! The one-shot CLI pays instance parsing, evaluator construction and thread
-//! pool spin-up on every invocation. This crate keeps all three **resident**:
-//! a server process owns an [`InstanceStore`](store::InstanceStore) of named
-//! instances, a shared rayon pool for the portfolio race, and per-session
-//! [`EvaluatorSnapshot`](mf_core::EvaluatorSnapshot) state that `whatif`
-//! probes resume in `O(1)` — and answers queries over a line-delimited text
-//! protocol, [`proto`], via TCP (thread per connection) or a stdio pipe.
+//! The one-shot CLI pays process start-up, instance parsing and evaluator
+//! construction on every invocation. This crate keeps the last two
+//! **resident**: a server process owns an
+//! [`InstanceStore`](store::InstanceStore) of named instances, a shared
+//! [`BatchRunner`](mf_experiments::runner::BatchRunner) for the portfolio
+//! race, and per-session [`EvaluatorSnapshot`](mf_core::EvaluatorSnapshot)
+//! state that `whatif` probes resume in `O(1)` — and answers queries over a
+//! line-delimited text protocol, [`proto`], via TCP (thread per connection)
+//! or a stdio pipe.
 //!
 //! Sessions start in `mf-proto v1`; a `hello mf-proto v2` handshake unlocks
 //! `batch N` envelopes (many requests, one round trip, answers in request

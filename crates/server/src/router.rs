@@ -44,7 +44,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// Most workers a router will spin up (matches the workspace-wide thread
-/// cap; each worker owns a full store byte budget and a rayon pool).
+/// cap; each worker owns a full store byte budget and a batch runner).
 pub const MAX_WORKERS: usize = 16;
 
 /// A shard router over a pool of worker [`Engine`]s.

@@ -23,8 +23,7 @@
 //! inverse of the analytic period for long enough runs.
 
 use mf_core::prelude::*;
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use mf_core::rng::StdRng;
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 

@@ -7,8 +7,7 @@
 //! reproducible.
 
 use mf_core::prelude::*;
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use mf_core::rng::StdRng;
 
 /// The precedence shape of generated applications.
 #[derive(Debug, Clone, Copy, PartialEq)]

@@ -10,9 +10,8 @@
 //! cargo run --release --example capacity_planning
 //! ```
 
+use mf_core::rng::StdRng;
 use microfactory::prelude::*;
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 
 const TARGET_PERIOD_MS: f64 = 400.0;
 

@@ -15,9 +15,8 @@
 //! past the dense scan limit (the exact ancestor walk, with both the
 //! tournament-tree and the linear-scan what-if branches).
 
+use mf_core::rng::StdRng;
 use microfactory::prelude::*;
-use rand::rngs::StdRng;
-use rand::{Rng, RngCore, SeedableRng};
 
 /// Total committed + what-if operations across all instances.
 const TOTAL_STEPS: usize = 10_000;

@@ -5,10 +5,9 @@
 //! seeded generator — fully deterministic, shrink-free, but covering the same
 //! invariants over the same instance distribution.
 
+use mf_core::rng::StdRng;
 use microfactory::heuristics::{H6LocalSearch, LocalSearchConfig};
 use microfactory::prelude::*;
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 
 /// Number of random cases per property (proptest used 48).
 const CASES: u64 = 48;

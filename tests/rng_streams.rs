@@ -6,9 +6,7 @@
 //! transcript. These values were recorded from the xoshiro256++ generator the
 //! workspace has always used.
 
-use rand::rngs::StdRng;
-use rand::seq::SliceRandom;
-use rand::{Rng, RngCore, SeedableRng};
+use mf_core::rng::StdRng;
 
 #[test]
 fn streams_are_pinned() {
@@ -49,6 +47,6 @@ fn streams_are_pinned() {
     let hits: Vec<usize> = (0..16).filter(|_| rng.gen_bool(0.3)).collect();
     assert_eq!(hits, [5, 6, 7, 9, 11]);
     let xs = [10, 20, 30, 40, 50, 60, 70];
-    let picks: Vec<i32> = (0..8).map(|_| *xs.choose(&mut rng).unwrap()).collect();
+    let picks: Vec<i32> = (0..8).map(|_| *rng.choose(&xs).unwrap()).collect();
     assert_eq!(picks, [20, 50, 60, 60, 70, 50, 10, 30]);
 }

@@ -41,8 +41,7 @@ fn chain_demand_formula_matches_closed_form() {
 /// instances large enough to be non-trivial).
 #[test]
 fn theorem1_hungarian_reduction_is_optimal() {
-    use rand::rngs::StdRng;
-    use rand::{Rng, SeedableRng};
+    use mf_core::rng::StdRng;
 
     for seed in 0..4u64 {
         let mut rng = StdRng::seed_from_u64(seed);
