@@ -289,9 +289,12 @@ fn main() {
     // the torn loads) vs rebuilding the candidate mapping and
     // recomputing the period from scratch. Same (root, target) stream on
     // both sides; the staged path is what `SubtreeMoveLns` pays per probe.
+    // Like `SubtreeMoveLns`, the stream keeps only targets the root may
+    // move to (or its current machine), the precondition of both restages.
     {
         let restage_count = if quick { 500usize } else { 2_000 };
-        let restages: Vec<(TaskId, MachineId)> = (0..restage_count as u64)
+        let mut engine = SearchEngine::new(&forest, &forest_seed, sweep_budget).unwrap();
+        let restages: Vec<(TaskId, MachineId)> = (0u64..)
             .map(|k| {
                 let r = mf_core::seed::splitmix64(0x1A45_u64.wrapping_add(k));
                 (
@@ -299,8 +302,9 @@ fn main() {
                     MachineId(((r >> 32) % machines as u64) as usize),
                 )
             })
+            .filter(|&(root, to)| to == engine.machine_of(root) || engine.allows_move(root, to))
+            .take(restage_count)
             .collect();
-        let mut engine = SearchEngine::new(&forest, &forest_seed, sweep_budget).unwrap();
         let staged = timing(time(iterations, || {
             let mut acc = 0.0f64;
             for &(root, to) in &restages {

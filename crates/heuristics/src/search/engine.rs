@@ -395,6 +395,10 @@ impl<'a> SearchEngine<'a> {
     /// Returns the staged period (within 1e-9 of a full recompute; the LNS
     /// differential test pins this). `to == machine_of(task)` restages in
     /// place and returns the current period up to staging noise.
+    ///
+    /// `to` must be `task`'s current machine or a target
+    /// [`allows_move`](Self::allows_move) accepts; the staged period of any
+    /// other target describes a mapping the search may not commit.
     pub fn restage_move(&mut self, task: TaskId, to: MachineId) -> f64 {
         let inst = self.instance;
         let from = self.eval.machine_of(task);
@@ -450,6 +454,13 @@ impl<'a> SearchEngine<'a> {
     /// already dedicated to their type (including ones the plan itself
     /// dedicates) or on idle machines, the same rule
     /// [`allows_move`](Self::allows_move) enforces at commit time.
+    ///
+    /// # Panics
+    ///
+    /// `to` must be `root`'s current machine or a target
+    /// [`allows_move`](Self::allows_move) accepts. Any other target may
+    /// claim the only machine a member is admissible on, and the probe
+    /// panics when it finds no machine for that member.
     pub fn restage_greedy(
         &mut self,
         root: TaskId,
