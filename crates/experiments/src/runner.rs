@@ -75,6 +75,9 @@ impl BatchRunner {
         if workers <= 1 {
             return (0..items).map(work).collect();
         }
+        // The counter only hands out indices; results travel back through
+        // `join`, which orders them after the worker's writes, so `Relaxed`
+        // suffices.
         let next = AtomicUsize::new(0);
         let claim = || {
             std::iter::from_fn(|| Some(next.fetch_add(1, Ordering::Relaxed)))

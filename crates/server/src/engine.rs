@@ -3,8 +3,9 @@
 //!
 //! An [`Engine`] is one shard worker of a [`Router`](crate::router::Router),
 //! shared by every session the router forwards to it. It owns the shard's
-//! resident [`InstanceStore`], the [`BatchRunner`] the portfolio races on, and the shard's statistics counters. It answers `hello` and the
-//! five instance commands (`load`, `unload`, `evaluate`, `whatif`, `solve`);
+//! resident [`InstanceStore`], the [`BatchRunner`] the portfolio races on,
+//! and the shard's statistics counters. It answers `hello` and the five
+//! instance commands (`load`, `unload`, `evaluate`, `whatif`, `solve`);
 //! the router answers everything else. Each connection gets one [`Session`]
 //! per touched shard, which carries the **resident evaluator state**: after an
 //! `evaluate` or `solve` on an instance, the session keeps the committed
