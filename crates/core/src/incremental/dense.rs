@@ -450,10 +450,11 @@ fn scan_two_rows(
 
 #[cfg(test)]
 mod tests {
+    use super::{one_row_value, two_row_value};
     use crate::application::Application;
     use crate::failure::FailureModel;
     use crate::ids::{MachineId, TaskId};
-    use crate::incremental::{Evaluation, IncrementalEvaluator};
+    use crate::incremental::{EvalCounters, Evaluation, IncrementalEvaluator};
     use crate::instance::Instance;
     use crate::mapping::Mapping;
     use crate::platform::Platform;
@@ -510,30 +511,154 @@ mod tests {
             && a.critical_machine == b.critical_machine
     }
 
-    /// Bounds below, at and above the true period (±1 ulp included), plus
-    /// the committed period a sweep would pass as its incumbent.
-    fn bounds(period: f64, committed: f64, draws: &mut Draws) -> [f64; 8] {
-        let ulp = |value: f64, up: bool| match (value > 0.0, up) {
-            (true, true) => f64::from_bits(value.to_bits() + 1),
-            (true, false) => f64::from_bits(value.to_bits() - 1),
-            _ => value,
-        };
-        [
-            period * 0.5,
-            ulp(period, false),
-            period,
-            ulp(period, true),
-            period * 2.0,
-            period * draws.float(0.9, 1.1),
-            committed,
-            ulp(committed, false),
-        ]
+    /// The float one ulp above (`up`) or below a finite `value`.
+    fn ulp(value: f64, up: bool) -> f64 {
+        assert!(value.is_finite(), "{value}");
+        if value == 0.0 {
+            let tiny = f64::from_bits(1);
+            return if up { tiny } else { -tiny };
+        }
+        f64::from_bits(if (value > 0.0) == up {
+            value.to_bits() + 1
+        } else {
+            value.to_bits() - 1
+        })
     }
 
-    /// Bounded what-ifs agree with the unbounded kernels: `None` only when
-    /// the unbounded period reaches the bound, `Some` bit-identical to the
-    /// unbounded answer; every call counts one dense what-if and rebuilds
-    /// no row the unbounded call did not.
+    /// One bounded what-if: a move, or a swap in the order given.
+    #[derive(Debug, Clone, Copy)]
+    enum Case {
+        Move(TaskId, MachineId),
+        Swap(TaskId, TaskId),
+    }
+
+    fn unbounded(eval: &mut IncrementalEvaluator<'_>, case: Case) -> Evaluation {
+        match case {
+            Case::Move(task, to) => eval.evaluate_move(task, to).unwrap(),
+            Case::Swap(a, b) => eval.evaluate_swap(a, b).unwrap(),
+        }
+    }
+
+    /// The bounded entry point under test.
+    fn bounded(eval: &mut IncrementalEvaluator<'_>, case: Case, bound: f64) -> Option<Evaluation> {
+        match case {
+            Case::Move(task, to) => eval.evaluate_move_below(task, to, Some(bound)).unwrap(),
+            Case::Swap(a, b) => eval.evaluate_swap_below(a, b, Some(bound)).unwrap(),
+        }
+    }
+
+    /// The machines a case takes its first task from and lands it on.
+    fn from_to(eval: &IncrementalEvaluator<'_>, case: Case) -> (usize, usize) {
+        match case {
+            Case::Move(task, to) => (eval.machine_of(task).index(), to.index()),
+            Case::Swap(a, b) => (eval.machine_of(a).index(), eval.machine_of(b).index()),
+        }
+    }
+
+    /// The candidate value of the committed critical machine, with the
+    /// expression the dense scan evaluates there: a bounded what-if settles
+    /// (`None`) exactly when this value reaches its bound.
+    fn critical_value(eval: &mut IncrementalEvaluator<'_>, case: Case) -> f64 {
+        let m = eval.load.len();
+        let c = eval.critical_machine().index();
+        let ratio = |eval: &IncrementalEvaluator<'_>, t: TaskId, u: usize| {
+            eval.mass.factors[t.index() * m + u] / eval.factor[t.index()]
+        };
+        let time = |eval: &IncrementalEvaluator<'_>, t: TaskId, u: usize| {
+            eval.mass.times[t.index() * m + u]
+        };
+        match case {
+            Case::Move(task, to) => {
+                let i = task.index();
+                let row = eval.ensure_mass_row(i);
+                let (from, to) = (eval.assignment[i].index(), to.index());
+                let r = ratio(eval, task, to);
+                let adjust = if c == from {
+                    -eval.contribution[i]
+                } else if c == to {
+                    r * eval.demand[i] * time(eval, task, to)
+                } else {
+                    0.0
+                };
+                one_row_value(eval.load[c], eval.mass.rows[row][c], r - 1.0, adjust)
+            }
+            Case::Swap(a, b) => {
+                let (lo, hi, nested) = if eval.topology.is_upstream(a, b) {
+                    (a, b, true)
+                } else if eval.topology.is_upstream(b, a) {
+                    (b, a, true)
+                } else {
+                    (a, b, false)
+                };
+                let row_lo = eval.ensure_mass_row(lo.index());
+                let row_hi = eval.ensure_mass_row(hi.index());
+                let u_lo = eval.assignment[lo.index()].index();
+                let u_hi = eval.assignment[hi.index()].index();
+                let (c_lo, c_hi) = (eval.contribution[lo.index()], eval.contribution[hi.index()]);
+                let r_lo = ratio(eval, lo, u_hi);
+                let r_hi = ratio(eval, hi, u_lo);
+                let (scale_lo, scale_hi, adj_lo, adj_hi) = if nested {
+                    let x_lo = r_lo * r_hi * eval.demand[lo.index()];
+                    let x_hi = r_hi * eval.demand[hi.index()];
+                    let scale_both = r_lo * r_hi - 1.0;
+                    let scale_hi = r_hi - 1.0;
+                    (
+                        scale_both - scale_hi,
+                        scale_hi,
+                        x_hi * time(eval, hi, u_lo) - c_lo - scale_hi * c_lo,
+                        x_lo * time(eval, lo, u_hi) - c_hi,
+                    )
+                } else {
+                    let x_lo = r_lo * eval.demand[lo.index()];
+                    let x_hi = r_hi * eval.demand[hi.index()];
+                    (
+                        r_lo - 1.0,
+                        r_hi - 1.0,
+                        x_hi * time(eval, hi, u_lo) - c_lo,
+                        x_lo * time(eval, lo, u_hi) - c_hi,
+                    )
+                };
+                let adjust = if c == u_lo {
+                    adj_lo
+                } else if c == u_hi {
+                    adj_hi
+                } else {
+                    0.0
+                };
+                two_row_value(
+                    eval.load[c],
+                    eval.mass.rows[row_lo][c],
+                    scale_lo,
+                    eval.mass.rows[row_hi][c],
+                    scale_hi,
+                    adjust,
+                )
+            }
+        }
+    }
+
+    /// A task on `machine`, if any.
+    fn task_on(
+        eval: &IncrementalEvaluator<'_>,
+        machine: MachineId,
+        draws: &mut Draws,
+    ) -> Option<TaskId> {
+        let n = eval.assignment.len();
+        let first = draws.below(n);
+        (0..n)
+            .map(|k| TaskId((first + k) % n))
+            .find(|&t| eval.machine_of(t) == machine)
+    }
+
+    /// Bounded what-ifs settle exactly when the committed critical
+    /// machine's candidate value reaches the bound, and otherwise answer
+    /// the unbounded kernels' bits. Covers chains and forests at m = 20 and
+    /// m = 64; bounds below, at and one ulp either side of the critical
+    /// value, at and above the unbounded period, and the committed period a
+    /// sweep would pass; a critical machine that is the candidate's source,
+    /// its target, or neither; nested swaps in both orders and disjoint
+    /// swaps. Every real call counts one dense what-if, one pruned what-if
+    /// when it settles, and no row build (the unbounded call warmed them).
     #[test]
     fn bounded_what_ifs_agree_with_the_unbounded_kernels() {
         let mut draws = Draws(0xB0_0D5);
@@ -550,68 +675,154 @@ mod tests {
             let mut eval = IncrementalEvaluator::new(&instance, &mapping).unwrap();
             assert!(eval.is_dense_fast_path());
             let start = eval.counters();
+            // [move, swap] × [critical machine is the source, the target,
+            // another machine] × [settled, scanned].
+            let mut seen = [[[0usize; 2]; 3]; 2];
             let (mut nested, mut disjoint) = (0usize, 0usize);
-            for step in 0..1_500 {
-                let a = TaskId(draws.below(n));
-                let to = MachineId(draws.below(m));
-                let b = TaskId(draws.below(n));
-                let swap = step % 2 == 1;
-                if swap && a != b && eval.machine_of(a) != eval.machine_of(b) {
-                    let topology = eval.topology();
-                    if topology.is_upstream(a, b) || topology.is_upstream(b, a) {
-                        nested += 1;
-                    } else {
-                        disjoint += 1;
-                    }
-                }
-                let unbounded = if swap {
-                    eval.evaluate_swap(a, b).unwrap()
+            for step in 0..1_200 {
+                let critical = eval.critical_machine();
+                let random = TaskId(draws.below(n));
+                let on_critical = task_on(&eval, critical, &mut draws).unwrap_or(random);
+                let a = if step % 3 == 1 { on_critical } else { random };
+                let b = if step % 3 == 2 {
+                    on_critical
                 } else {
-                    eval.evaluate_move(a, to).unwrap()
+                    TaskId(draws.below(n))
                 };
-                let period = unbounded.period.value();
-                let committed = eval.period().value();
-                for bound in bounds(period, committed, &mut draws) {
-                    let before = eval.counters();
-                    let bounded = if swap {
-                        eval.evaluate_swap_below(a, b, Some(bound)).unwrap()
-                    } else {
-                        eval.evaluate_move_below(a, to, Some(bound)).unwrap()
-                    };
-                    let after = eval.counters().since(&before);
-                    match bounded {
-                        None => assert!(
-                            period >= bound,
-                            "{shape} m={m} step {step}: settled below {bound}, period {period}"
-                        ),
-                        Some(evaluation) => assert!(
-                            same_bits(evaluation, unbounded),
-                            "{shape} m={m} step {step}: {evaluation:?} vs {unbounded:?}"
-                        ),
+                let to = if step % 5 == 2 {
+                    critical
+                } else {
+                    MachineId(draws.below(m))
+                };
+                let cases = if step % 2 == 0 {
+                    vec![Case::Move(a, to)]
+                } else {
+                    vec![Case::Swap(a, b), Case::Swap(b, a)]
+                };
+                for case in cases {
+                    let (from, target) = from_to(&eval, case);
+                    let real = from != target && !matches!(case, Case::Swap(a, b) if a == b);
+                    let reference = unbounded(&mut eval, case);
+                    if !real {
+                        let (before, bound) = (eval.counters(), eval.period().value() * 0.5);
+                        let answer = bounded(&mut eval, case, bound);
+                        assert!(same_bits(answer.unwrap(), reference));
+                        assert_eq!(eval.counters(), before, "a no-op what-if counts nothing");
+                        continue;
                     }
-                    let real = swap && eval.machine_of(a) != eval.machine_of(b)
-                        || !swap && eval.machine_of(a) != to;
-                    assert_eq!(after.dense_what_ifs, u64::from(real));
-                    assert_eq!(after.pruned_what_ifs, u64::from(bounded.is_none()));
-                    assert_eq!(
-                        after.mass_row_builds, 0,
-                        "the unbounded call warmed the rows"
-                    );
+                    if let Case::Swap(a, b) = case {
+                        let topology = eval.topology();
+                        if topology.is_upstream(a, b) || topology.is_upstream(b, a) {
+                            nested += 1;
+                        } else {
+                            disjoint += 1;
+                        }
+                    }
+                    let value = critical_value(&mut eval, case);
+                    let period = reference.period.value();
+                    let class = match critical.index() {
+                        c if c == from => 0,
+                        c if c == target => 1,
+                        _ => 2,
+                    };
+                    let kind = usize::from(matches!(case, Case::Swap(..)));
+                    let committed = eval.period().value();
+                    let bounds = [
+                        value * 0.5,
+                        ulp(value, false),
+                        value,
+                        ulp(value, true),
+                        period,
+                        ulp(period, true),
+                        period * draws.float(0.9, 1.1),
+                        period * 2.0,
+                        committed,
+                        ulp(committed, false),
+                    ];
+                    for bound in bounds {
+                        let before = eval.counters();
+                        let answer = bounded(&mut eval, case, bound);
+                        let after = eval.counters().since(&before);
+                        let settles = value >= bound;
+                        assert_eq!(
+                            answer.is_none(),
+                            settles,
+                            "{shape} m={m} step {step} {case:?}: bound {bound}, critical {value}"
+                        );
+                        if let Some(evaluation) = answer {
+                            assert!(
+                                same_bits(evaluation, reference),
+                                "{shape} m={m} step {step} {case:?}: {evaluation:?} vs {reference:?}"
+                            );
+                        }
+                        assert!(!settles || period >= bound);
+                        assert_eq!(
+                            after,
+                            EvalCounters {
+                                dense_what_ifs: 1,
+                                pruned_what_ifs: u64::from(settles),
+                                ..EvalCounters::default()
+                            },
+                            "{shape} m={m} step {step} {case:?}: counter deltas"
+                        );
+                        seen[kind][class][usize::from(!settles)] += 1;
+                    }
                 }
-                if step % 50 == 49 {
+                if step % 40 == 39 {
                     eval.apply_move(a, to).unwrap();
                 }
             }
             let counters = eval.counters().since(&start);
-            if m == 64 {
-                assert!(
-                    counters.pruned_what_ifs > 0,
-                    "{shape} m={m}: nothing settled"
-                );
-            }
+            assert!(counters.commits > 0, "{shape} m={m}: nothing committed");
+            assert!(
+                seen.iter().flatten().flatten().all(|&count| count > 0),
+                "{shape} m={m}: uncovered (kind, critical class, outcome): {seen:?}"
+            );
             assert!(nested > 0, "{shape} m={m}: no nested swap");
             if shape == "forest" {
                 assert!(disjoint > 0, "{shape} m={m}: no disjoint swap");
+            }
+        }
+    }
+
+    /// Past the machine-scan limit bounded what-ifs take the exact walk:
+    /// always answered, bit-identical to the unbounded walk, counted as
+    /// exact what-ifs and never pruned.
+    #[test]
+    fn bounded_what_ifs_past_the_scan_limit_take_the_exact_walk() {
+        let mut draws = Draws(0x00E8_AC07);
+        let (n, m) = (10, super::super::DENSE_SCAN_LIMIT + 8);
+        let instance = dress(&chain(n), m, &mut draws);
+        let assignment: Vec<usize> = (0..n).map(|_| draws.below(m)).collect();
+        let mapping = Mapping::from_indices(&assignment, m).unwrap();
+        let mut eval = IncrementalEvaluator::new(&instance, &mapping).unwrap();
+        assert!(!eval.is_dense_fast_path());
+        for step in 0..200 {
+            let (a, b) = (TaskId(draws.below(n)), TaskId(draws.below(n)));
+            let case = if step % 2 == 0 {
+                Case::Move(a, MachineId(draws.below(m)))
+            } else {
+                Case::Swap(a, b)
+            };
+            let (from, target) = from_to(&eval, case);
+            let real = from != target && !matches!(case, Case::Swap(a, b) if a == b);
+            let reference = unbounded(&mut eval, case);
+            let period = reference.period.value();
+            let committed = eval.period().value();
+            for bound in [period * 0.5, period, ulp(period, true), committed] {
+                let before = eval.counters();
+                let answer = bounded(&mut eval, case, bound).expect("the exact walk answers");
+                assert!(same_bits(answer, reference), "step {step} {case:?}");
+                assert_eq!(
+                    eval.counters().since(&before),
+                    EvalCounters {
+                        exact_what_ifs: u64::from(real),
+                        ..EvalCounters::default()
+                    }
+                );
+            }
+            if step % 20 == 19 {
+                eval.apply_swap(a, b).unwrap();
             }
         }
     }
