@@ -8,7 +8,8 @@
 //! LP bound, with simplex pivots per node and nanoseconds per pivot),
 //! what-if cost on a tree-shaped instance (the forest variant of the dense
 //! fast path vs a full recompute), the steepest-descent sweep on both the
-//! forest and the chain shape (with its deterministic `evaluator_calls`
+//! forest and the chain shape, at m = 20 and at the repository benchmark's
+//! m = 64 `search` shape (with its deterministic `evaluator_calls`
 //! count and, as `probes`, the full machine scans among those calls), LNS
 //! restage probes (staged subtree tear-out vs full candidate recompute, and
 //! the full greedy member restage with its staged placements as `nodes`), a
@@ -40,7 +41,9 @@ use mf_experiments::runner::BatchRunner;
 use mf_heuristics::search::{
     polish_with, SearchEngine, SearchStrategy, SteepestDescent, TabuSearch,
 };
-use mf_heuristics::{H4wFastestMachine, H6LocalSearch, Heuristic, LocalSearchConfig};
+use mf_heuristics::{
+    H4wFastestMachine, H6LocalSearch, Heuristic, LocalSearchConfig, DEFAULT_SEARCH_BUDGET,
+};
 use mf_server::{serve_stdio, Journal, Router, COMPACT_EVERY};
 use std::time::Instant;
 
@@ -251,14 +254,41 @@ fn main() {
     // Steepest descent full sweeps on both the forest and the chain shape:
     // wall time plus the deterministic number of evaluator calls per run
     // (every candidate is one what-if) and of full machine scans among them
-    // (`probes`: the calls the critical-machine probe did not settle).
-    for (name, shape, shape_seed) in [
-        ("sd_sweep_forest/full", &forest, &forest_seed),
-        ("sd_sweep_chain/full", &instance, &seed),
+    // (`probes`: the calls the critical-machine probe did not settle). The
+    // `_m64` rows repeat both shapes at the repository benchmark's larger
+    // `search` shape (200×64 under the registry's SD budget; a reduced
+    // shape under `--quick`).
+    let (wide_tasks, wide_machines, wide_budget) = if quick {
+        (80usize, 32usize, sweep_budget)
+    } else {
+        (200, 64, DEFAULT_SEARCH_BUDGET)
+    };
+    let wide_chain = standard_instance(wide_tasks, wide_machines, 5, 42);
+    let wide_forest = forest_instance(wide_tasks, wide_machines, 5, 42);
+    let [wide_chain_seed, wide_forest_seed] = [&wide_chain, &wide_forest].map(|shape| {
+        H4wFastestMachine
+            .map(shape)
+            .expect("m >= p so H4w succeeds")
+    });
+    for (name, shape, shape_seed, budget) in [
+        ("sd_sweep_forest/full", &forest, &forest_seed, sweep_budget),
+        ("sd_sweep_chain/full", &instance, &seed, sweep_budget),
+        (
+            "sd_sweep_forest_m64/full",
+            &wide_forest,
+            &wide_forest_seed,
+            wide_budget,
+        ),
+        (
+            "sd_sweep_chain_m64/full",
+            &wide_chain,
+            &wide_chain_seed,
+            wide_budget,
+        ),
     ] {
         let strategy = SteepestDescent::default();
         let run = |record: bool| {
-            let mut engine = SearchEngine::new(shape, shape_seed, sweep_budget).unwrap();
+            let mut engine = SearchEngine::new(shape, shape_seed, budget).unwrap();
             strategy.run(&mut engine).unwrap();
             if record {
                 let counters = engine.evaluator_counters();
