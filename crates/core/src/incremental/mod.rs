@@ -28,11 +28,11 @@
 //!   ([`TopologyKind::Chain`], the original, bit-identical path) and general
 //!   in-forests ([`TopologyKind::Forest`]) alike; degenerate shapes (machine
 //!   counts past the scan limit, row caches past the memory cap) fall back
-//!   to the exact ancestor walk. The bounded what-ifs
-//!   ([`evaluate_move_below`](IncrementalEvaluator::evaluate_move_below),
-//!   [`evaluate_swap_below`](IncrementalEvaluator::evaluate_swap_below))
-//!   first probe the committed critical machine and skip the scan when
-//!   that machine alone already reaches the caller's bound;
+//!   to the exact ancestor walk. Sweeps score bounded what-ifs through a
+//!   per-task [`TaskProbe`] ([`probe_task`](IncrementalEvaluator::probe_task)),
+//!   which computes the committed critical machine's candidate value first
+//!   and skips staging and scanning when that machine alone already
+//!   reaches the caller's bound;
 //! * the staged [`PartialAssignmentEvaluator`] for tree searches, and the
 //!   instance-detached [`EvaluatorSnapshot`] that long-lived processes use
 //!   to park committed state and [`resume`](IncrementalEvaluator::resume) it
@@ -54,6 +54,7 @@ mod staged;
 pub mod topology;
 mod tournament;
 
+pub use dense::TaskProbe;
 pub use snapshot::EvaluatorSnapshot;
 pub use staged::PartialAssignmentEvaluator;
 pub use topology::{Topology, TopologyKind};
@@ -93,8 +94,7 @@ pub struct EvalCounters {
     /// Mass rows evicted by per-range commit invalidation.
     pub mass_rows_invalidated: u64,
     /// Bounded dense what-ifs the critical-machine probe settled without a
-    /// machine scan (a subset of `dense_what_ifs`; see
-    /// [`IncrementalEvaluator::evaluate_move_below`]).
+    /// machine scan (a subset of `dense_what_ifs`; see [`TaskProbe`]).
     pub pruned_what_ifs: u64,
 }
 
@@ -418,63 +418,30 @@ impl<'a> IncrementalEvaluator<'a> {
     /// What-if evaluation of moving `task` to machine `to`. The evaluator
     /// state is left untouched.
     pub fn evaluate_move(&mut self, task: TaskId, to: MachineId) -> Result<Evaluation> {
-        let evaluation = self.evaluate_move_below(task, to, None)?;
-        Ok(evaluation.expect("an unbounded what-if always evaluates"))
-    }
-
-    /// [`evaluate_move`](Self::evaluate_move) for callers that only keep
-    /// candidates strictly below `bound`: `Ok(None)` means the candidate
-    /// period is `>= bound`, `Ok(Some(e))` is bit-identical to the unbounded
-    /// answer. On the dense path the committed critical machine is probed
-    /// first and settles most losing candidates without a machine scan;
-    /// the call counts as a dense what-if either way. The exact walk, and
-    /// `bound = None`, always evaluate in full.
-    pub fn evaluate_move_below(
-        &mut self,
-        task: TaskId,
-        to: MachineId,
-        bound: Option<f64>,
-    ) -> Result<Option<Evaluation>> {
         self.check(task, to)?;
         if self.assignment[task.index()] == to {
-            return Ok(Some(self.current()));
+            return Ok(self.current());
         }
         if self.is_dense_fast_path() {
             self.counters.dense_what_ifs += 1;
-            let evaluation = self.dense_move_what_if(task, to, bound);
-            self.counters.pruned_what_ifs += u64::from(evaluation.is_none());
-            return Ok(evaluation);
+            return Ok(self.dense_move_what_if(task, to));
         }
         self.counters.exact_what_ifs += 1;
-        Ok(Some(self.operate(&[(task, to)], false)))
+        Ok(self.operate(&[(task, to)], false))
     }
 
     /// What-if evaluation of exchanging the machines of tasks `a` and `b`.
     /// The evaluator state is left untouched.
     pub fn evaluate_swap(&mut self, a: TaskId, b: TaskId) -> Result<Evaluation> {
-        let evaluation = self.evaluate_swap_below(a, b, None)?;
-        Ok(evaluation.expect("an unbounded what-if always evaluates"))
-    }
-
-    /// [`evaluate_swap`](Self::evaluate_swap) with a bound, exactly as in
-    /// [`evaluate_move_below`](Self::evaluate_move_below).
-    pub fn evaluate_swap_below(
-        &mut self,
-        a: TaskId,
-        b: TaskId,
-        bound: Option<f64>,
-    ) -> Result<Option<Evaluation>> {
         let Some((to_a, to_b)) = self.swap_machines(a, b)? else {
-            return Ok(Some(self.current()));
+            return Ok(self.current());
         };
         if self.is_dense_fast_path() {
             self.counters.dense_what_ifs += 1;
-            let evaluation = self.dense_swap_what_if(a, b, bound);
-            self.counters.pruned_what_ifs += u64::from(evaluation.is_none());
-            return Ok(evaluation);
+            return Ok(self.dense_swap_what_if(a, b));
         }
         self.counters.exact_what_ifs += 1;
-        Ok(Some(self.operate(&[(a, to_a), (b, to_b)], false)))
+        Ok(self.operate(&[(a, to_a), (b, to_b)], false))
     }
 
     /// Commits a move: `task` now runs on `to`. Returns the new period and

@@ -67,7 +67,7 @@ pub use failure::{FailureModel, FailureRate};
 pub use ids::{MachineId, TaskId, TaskTypeId};
 pub use incremental::{
     EvalCounters, Evaluation, EvaluatorSnapshot, IncrementalEvaluator, PartialAssignmentEvaluator,
-    Topology, TopologyKind,
+    TaskProbe, Topology, TopologyKind,
 };
 pub use instance::Instance;
 pub use mapping::{Mapping, MappingKind};

@@ -13,7 +13,7 @@ pub use crate::failure::{FailureModel, FailureRate};
 pub use crate::ids::{MachineId, TaskId, TaskTypeId};
 pub use crate::incremental::{
     EvalCounters, Evaluation, EvaluatorSnapshot, IncrementalEvaluator, PartialAssignmentEvaluator,
-    Topology, TopologyKind,
+    TaskProbe, Topology, TopologyKind,
 };
 pub use crate::instance::Instance;
 pub use crate::mapping::{Mapping, MappingKind};

@@ -10,7 +10,9 @@
 //! cell index on ties — is recomputed; the run stops when every cell has
 //! converged, when the incumbent has not improved for
 //! [`PortfolioConfig::patience`] consecutive rounds, or at
-//! [`PortfolioConfig::max_rounds`].
+//! [`PortfolioConfig::max_rounds`]. The seed mappings of the bases that
+//! ignore their RNG seed (all but H1) are built once per run, before round
+//! 0, and shared by all of each base's cells.
 //!
 //! Each round is one [`BatchRunner::map`] over the cells, and the pool
 //! joins before the stopping rule runs: a barrier per round. Each cell's
@@ -27,7 +29,9 @@ use mf_core::seed::splitmix64;
 use mf_heuristics::search::{
     polish_with, polish_with_progress, SearchEngine, SearchStrategy, SteepestDescent, TabuSearch,
 };
-use mf_heuristics::{paper_heuristic, H6LocalSearch, LocalSearchConfig, DEFAULT_SEARCH_BUDGET};
+use mf_heuristics::{
+    paper_heuristic, H6LocalSearch, HeuristicResult, LocalSearchConfig, DEFAULT_SEARCH_BUDGET,
+};
 use mf_obs::{ProgressEvent, TraceEvent};
 
 /// Tuning knobs of the portfolio runner.
@@ -79,8 +83,8 @@ enum CellStrategy {
 /// Static description of one cell.
 #[derive(Debug, Clone)]
 struct CellSpec {
-    /// Constructive seed heuristic registry name (`"H1"` … `"H4f"`).
-    base: String,
+    /// Index into [`SEED_BASES`] of the constructive seed heuristic.
+    base: usize,
     strategy: CellStrategy,
     label: String,
 }
@@ -204,26 +208,49 @@ const PORTFOLIO_SALT: u64 = 0x9E3_17F0_9791_0A10;
 
 fn cell_specs(config: &PortfolioConfig) -> Vec<CellSpec> {
     let mut specs = Vec::new();
-    for base in SEED_BASES {
+    for (index, base) in SEED_BASES.into_iter().enumerate() {
         for stream in 0..config.annealed_streams.max(1) {
             specs.push(CellSpec {
-                base: base.to_string(),
+                base: index,
                 strategy: CellStrategy::Annealed { stream },
                 label: format!("H6-{base}#{stream}"),
             });
         }
         specs.push(CellSpec {
-            base: base.to_string(),
+            base: index,
             strategy: CellStrategy::Steepest,
             label: format!("SD-{base}"),
         });
         specs.push(CellSpec {
-            base: base.to_string(),
+            base: index,
             strategy: CellStrategy::Tabu,
             label: format!("TS-{base}"),
         });
     }
     specs
+}
+
+/// `true` for the seed bases whose mapping ignores the RNG seed — every
+/// base but H1, whose random mapping draws from each cell's stream.
+fn shares_seed(base: &str) -> bool {
+    base != "H1"
+}
+
+/// Builds the seed mapping of a base heuristic.
+fn seed_mapping(base: &str, seed: u64, instance: &Instance) -> HeuristicResult<Mapping> {
+    let Some(heuristic) = paper_heuristic(base, seed) else {
+        unreachable!("SEED_BASES only lists registry names");
+    };
+    heuristic.map(instance)
+}
+
+/// The seed mappings of the bases that ignore their RNG seed, built once
+/// per run and shared by all of each base's cells; `None` at H1's index.
+fn shared_seed_mappings(instance: &Instance) -> Vec<Option<HeuristicResult<Mapping>>> {
+    SEED_BASES
+        .into_iter()
+        .map(|base| shares_seed(base).then(|| seed_mapping(base, 0, instance)))
+        .collect()
 }
 
 /// The RNG seed of a cell at a round — a pure function of the grid
@@ -238,41 +265,42 @@ fn cell_seed(config: &PortfolioConfig, cell: usize, round: usize) -> u64 {
     )
 }
 
-/// One cell's round: seed in round 0, then continue its strategy from the
-/// carried mapping. Pure in (instance, spec, state, seed); an attached
-/// progress sink is write-only and cannot change the returned state.
+/// One cell's round: seed in round 0 (a live cell without a mapping),
+/// then continue its strategy from the carried mapping. Pure in
+/// (instance, spec, state, seed, shared seeds); an attached progress sink
+/// is write-only and cannot change the returned state.
 fn advance_cell(
     instance: &Instance,
     spec: &CellSpec,
     state: &CellState,
     config: &PortfolioConfig,
     seed: u64,
-    round: usize,
+    shared_seeds: &[Option<HeuristicResult<Mapping>>],
     progress: Option<&mut Vec<ProgressEvent>>,
 ) -> CellState {
     if state.done {
         return state.clone();
     }
-    let mapping = if round == 0 {
-        // Construct the seed mapping (H1 draws from the cell's stream).
-        let Some(heuristic) = paper_heuristic(&spec.base, seed) else {
-            unreachable!("SEED_BASES only lists registry names");
-        };
-        match heuristic.map(instance) {
-            Ok(mapping) => mapping,
-            Err(_) => {
-                return CellState {
-                    mapping: None,
-                    period: None,
-                    done: true,
+    let mapping = match &state.mapping {
+        Some(mapping) => mapping.clone(),
+        // Round 0: the base's shared seed mapping, or H1's draw from the
+        // cell's stream.
+        None => {
+            let seeded = match &shared_seeds[spec.base] {
+                Some(shared) => shared.clone(),
+                None => seed_mapping(SEED_BASES[spec.base], seed, instance),
+            };
+            match seeded {
+                Ok(mapping) => mapping,
+                Err(_) => {
+                    return CellState {
+                        mapping: None,
+                        period: None,
+                        done: true,
+                    }
                 }
             }
         }
-    } else {
-        state
-            .mapping
-            .clone()
-            .expect("live cells past round 0 carry a mapping")
     };
 
     // `converged` is the strategy's own verdict: steepest descent that
@@ -337,11 +365,9 @@ fn advance_cell(
     // to stop it.
     let deterministic = !matches!(spec.strategy, CellStrategy::Annealed { .. });
     let stalled = deterministic
-        && round > 0
         && state
             .period
-            .map(|previous| period >= previous - 1e-12)
-            .unwrap_or(false);
+            .is_some_and(|previous| period >= previous - 1e-12);
     CellState {
         mapping: Some(polished),
         period: Some(period),
@@ -425,6 +451,7 @@ fn run_rounds(
     traced: bool,
 ) -> TracedPortfolio {
     let specs = cell_specs(config);
+    let shared_seeds = shared_seed_mappings(instance);
     let mut states: Vec<CellState> = vec![
         CellState {
             mapping: None,
@@ -448,7 +475,7 @@ fn run_rounds(
                 &states[cell],
                 config,
                 cell_seed(config, cell, round),
-                round,
+                &shared_seeds,
                 sink.as_mut(),
             );
             (state, sink.unwrap_or_default())
@@ -684,6 +711,23 @@ mod tests {
                 .any(|r| r.cell == cell && r.round == 0 && !r.events.is_empty()),
             "round 0 of SD-H2 must commit at least one step"
         );
+    }
+
+    /// The precondition of building the seeds once per run: every base but
+    /// H1 maps an instance the same way whatever its RNG seed, on chains
+    /// and forests alike (and H1 does not, or sharing it would be safe too).
+    #[test]
+    fn every_base_but_h1_ignores_its_seed() {
+        let forest = InstanceGenerator::new(GeneratorConfig::standard_in_forest(30, 10, 3))
+            .generate(5)
+            .unwrap();
+        for inst in [instance(7), forest] {
+            for base in SEED_BASES {
+                let maps = [0, 1, u64::MAX].map(|seed| seed_mapping(base, seed, &inst).unwrap());
+                let same = maps.iter().all(|mapping| *mapping == maps[0]);
+                assert_eq!(same, shares_seed(base), "{base}");
+            }
+        }
     }
 
     #[test]

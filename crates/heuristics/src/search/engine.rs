@@ -321,31 +321,41 @@ impl<'a> SearchEngine<'a> {
         Ok(self.eval.evaluate_swap(a, b)?.period.value())
     }
 
-    /// What-if period of moving `task` to `to`, or `None` when it is
-    /// `>= bound` — for sweeps that only keep candidates strictly below
-    /// their incumbent. Most losing candidates are settled without a
-    /// machine scan (see [`IncrementalEvaluator::evaluate_move_below`]); a
-    /// `Some` period is bit-identical to [`evaluate_move`](Self::evaluate_move).
-    /// Callers charge for the evaluation as for an unbounded one.
-    pub fn evaluate_move_below(
+    /// Takes the bounded-what-if probe of `task` (see [`TaskProbe`]) for
+    /// [`probe_move`](Self::probe_move) and [`probe_swap`](Self::probe_swap).
+    /// It stays valid until the next commit. Taking it warms the task's mass
+    /// row, so sweeps take it at the task's first candidate.
+    pub fn probe_task(&mut self, task: TaskId) -> HeuristicResult<TaskProbe> {
+        Ok(self.eval.probe_task(task)?)
+    }
+
+    /// What-if period of moving the probed task to `to`, or `None` when it
+    /// is `>= bound` — for sweeps that only keep candidates strictly below
+    /// their incumbent. Most losing candidates are settled from the
+    /// critical machine alone, without a machine scan; a `Some` period is
+    /// bit-identical to [`evaluate_move`](Self::evaluate_move). Callers
+    /// charge for the evaluation as for an unbounded one.
+    #[inline]
+    pub fn probe_move(
         &mut self,
-        task: TaskId,
+        probe: &TaskProbe,
         to: MachineId,
         bound: Option<f64>,
     ) -> HeuristicResult<Option<f64>> {
-        let evaluation = self.eval.evaluate_move_below(task, to, bound)?;
+        let evaluation = probe.move_below(&mut self.eval, to, bound)?;
         Ok(evaluation.map(|e| e.period.value()))
     }
 
-    /// What-if period of swapping the machines of `a` and `b`, or `None`
-    /// when it is `>= bound` (see [`evaluate_move_below`](Self::evaluate_move_below)).
-    pub fn evaluate_swap_below(
+    /// What-if period of swapping the machines of the probed task and `b`,
+    /// or `None` when it is `>= bound` (see [`probe_move`](Self::probe_move)).
+    #[inline]
+    pub fn probe_swap(
         &mut self,
-        a: TaskId,
+        probe: &TaskProbe,
         b: TaskId,
         bound: Option<f64>,
     ) -> HeuristicResult<Option<f64>> {
-        let evaluation = self.eval.evaluate_swap_below(a, b, bound)?;
+        let evaluation = probe.swap_below(&mut self.eval, b, bound)?;
         Ok(evaluation.map(|e| e.period.value()))
     }
 

@@ -8,7 +8,10 @@
 //! * [`SearchEngine`] — the shared machinery every strategy drives: it owns
 //!   the [`IncrementalEvaluator`](mf_core::incremental::IncrementalEvaluator)
 //!   (so one candidate costs `O(affected tasks + log m)` instead of a full
-//!   recompute), enforces the specialized rule on every proposal, tracks the
+//!   recompute, and a sweep candidate scored against an incumbent through
+//!   its task's [`TaskProbe`](mf_core::incremental::TaskProbe) is usually
+//!   settled from the critical machine alone), enforces the specialized
+//!   rule on every proposal, tracks the
 //!   best mapping seen (a strategy can therefore never return worse than its
 //!   seed) and meters the evaluation budget;
 //! * [`SearchStrategy`] — the policy layer: which neighbors to look at, in

@@ -9,9 +9,11 @@
 //! testing every pair. The evaluator answers each what-if from its
 //! prefix-mass row cache, so a whole sweep costs `O(n·m)` row work
 //! amortized plus at most one `O(m)` scan per candidate. Each candidate is
-//! scored against the sweep's incumbent: one that already loads the
-//! critical machine at least as much as the incumbent's period cannot win,
-//! and the evaluator settles it from that one machine without a scan. That keeps sweeping the full
+//! scored against the sweep's incumbent through its task's probe
+//! ([`SearchEngine::probe_task`], taken once at the task's first
+//! candidate): one that already loads the critical machine at least as much
+//! as the incumbent's period cannot win, and the probe settles it from that
+//! one machine without staging or scanning. That keeps sweeping the full
 //! neighborhood competitive with H6's random probing (`bench_summary`'s
 //! `strategy_polish` and `sd_sweep_*` rows and the ignored `sweep_scaling`
 //! probe measure this).
@@ -78,10 +80,15 @@ impl SteepestDescent {
             let mut best: Option<(f64, Candidate)> = None;
             for t in 0..n {
                 let task = TaskId(t);
-                for to in index.move_targets(task) {
+                let mut targets = index.move_targets(task).peekable();
+                if targets.peek().is_none() {
+                    continue;
+                }
+                let probe = engine.probe_task(task)?;
+                for to in targets {
                     engine.charge(1);
                     let bound = best.map(|(period, _)| period);
-                    if let Some(period) = engine.evaluate_move_below(task, to, bound)? {
+                    if let Some(period) = engine.probe_move(&probe, to, bound)? {
                         if better_than(period, &best) {
                             best = Some((period, Candidate::Move(task, to)));
                         }
@@ -91,10 +98,15 @@ impl SteepestDescent {
             if self.config.include_swaps {
                 for a in 0..n {
                     let a = TaskId(a);
-                    for b in index.swap_partners(a) {
+                    let mut partners = index.swap_partners(a).peekable();
+                    if partners.peek().is_none() {
+                        continue;
+                    }
+                    let probe = engine.probe_task(a)?;
+                    for b in partners {
                         engine.charge(1);
                         let bound = best.map(|(period, _)| period);
-                        if let Some(period) = engine.evaluate_swap_below(a, b, bound)? {
+                        if let Some(period) = engine.probe_swap(&probe, b, bound)? {
                             if better_than(period, &best) {
                                 best = Some((period, Candidate::Swap(a, b)));
                             }

@@ -21,9 +21,11 @@
 //!
 //! Every what-if is bounded by the period a candidate must beat to be
 //! chosen — the current choice's, lowered to the aspiration level for a
-//! tabu candidate — so the evaluator settles most candidates from the
-//! critical machine alone, without a machine scan. The commits are the
-//! same as with unbounded what-ifs, bit for bit.
+//! tabu candidate — and scored through its task's probe
+//! ([`SearchEngine::probe_task`], taken once at the task's first
+//! candidate), which settles most candidates from the critical machine
+//! alone, without staging or scanning. The commits are the same as with
+//! unbounded what-ifs, bit for bit.
 
 use crate::search::candidate::{better_than, Candidate};
 use crate::search::engine::{SearchEngine, IMPROVEMENT_EPSILON};
@@ -140,11 +142,16 @@ impl SearchStrategy for TabuSearch {
                 let mut chosen: Option<(f64, Candidate)> = None;
                 for t in 0..n {
                     let task = TaskId(t);
-                    for to in index.move_targets(task) {
+                    let mut targets = index.move_targets(task).peekable();
+                    if targets.peek().is_none() {
+                        continue;
+                    }
+                    let probe = engine.probe_task(task)?;
+                    for to in targets {
                         engine.charge(1);
                         let forbidden = tabu.forbidden(task, to, iteration);
                         let bound = bound(&chosen, forbidden);
-                        let Some(period) = engine.evaluate_move_below(task, to, bound)? else {
+                        let Some(period) = engine.probe_move(&probe, to, bound)? else {
                             continue;
                         };
                         if forbidden && !aspired(period) {
@@ -158,15 +165,21 @@ impl SearchStrategy for TabuSearch {
                 if config.include_swaps {
                     for a in 0..n {
                         let a = TaskId(a);
-                        for b in index.swap_partners(a) {
+                        let mut partners = index.swap_partners(a).peekable();
+                        if partners.peek().is_none() {
+                            continue;
+                        }
+                        let probe = engine.probe_task(a)?;
+                        let ua = engine.machine_of(a);
+                        for b in partners {
                             // After the swap, `a` runs on `b`'s machine and
                             // vice versa — both targets must be non-tabu.
-                            let (ua, ub) = (engine.machine_of(a), engine.machine_of(b));
+                            let ub = engine.machine_of(b);
                             engine.charge(1);
                             let forbidden = tabu.forbidden(a, ub, iteration)
                                 || tabu.forbidden(b, ua, iteration);
                             let bound = bound(&chosen, forbidden);
-                            let Some(period) = engine.evaluate_swap_below(a, b, bound)? else {
+                            let Some(period) = engine.probe_swap(&probe, b, bound)? else {
                                 continue;
                             };
                             if forbidden && !aspired(period) {
