@@ -10,7 +10,7 @@ use crate::period::Period;
 /// recurses, and un-places it on backtrack. Recomputing the maximum machine
 /// load from scratch at every node costs `O(m)`; this evaluator maintains the
 /// per-machine loads, their running total and the load maximum (in the same
-/// [`TournamentTree`] the full
+/// `TournamentTree` the full
 /// [`IncrementalEvaluator`](super::IncrementalEvaluator) uses) so a node pays
 /// `O(log m)` per placement and answers both the current period bound and the
 /// critical machine in `O(1)`.

@@ -39,7 +39,7 @@ pub struct BnbConfig {
     /// better than `incumbent · (1 − tolerance)`.
     pub tolerance: f64,
     /// Prune with the load-splitting LP relaxation on top of the packing
-    /// bound (see [`LpBoundState`]'s module comments): each node that the
+    /// bound (see `LpBoundState`'s module comments): each node that the
     /// packing bound fails to prune solves an LP over its free placements
     /// whose optimum certifiably dominates it, or reuses the nearest
     /// ancestor's optimum when that is still feasible. The explored tree

@@ -4,7 +4,7 @@
 //! search (powered by the incremental evaluator of `mf-core`) improves each
 //! constructive heuristic across the five §7 scenario families (the fig5–fig9
 //! platform shapes). Raw and polished variants run as one
-//! [`BatchGrid`](crate::runner::BatchGrid), so every cell keeps the runner's
+//! [`BatchGrid`], so every cell keeps the runner's
 //! per-cell SplitMix64 determinism: results are bit-identical for any thread
 //! count, and raw/polished pairs are evaluated on the *same* instance (the
 //! instance seed only depends on (scenario, repetition)).

@@ -5,7 +5,7 @@
 //! aggregating the measured periods. [`BatchRunner`] fans those cells out on
 //! scoped worker threads; [`BatchGrid`] describes the grid; [`BatchReport`]
 //! holds the per-cell outcomes and aggregates them into the existing
-//! [`Stats`] / [`FigureReport`](crate::report::FigureReport) layer.
+//! [`Stats`] / [`FigureReport`] layer.
 //!
 //! # Determinism
 //!

@@ -2,7 +2,7 @@
 //!
 //! The paper's six heuristics build one mapping and stop. H6 takes any of
 //! them as a *seed* and polishes it with the
-//! [`AnnealedClimb`](crate::search::AnnealedClimb) strategy on the shared
+//! [`AnnealedClimb`] strategy on the shared
 //! [`SearchEngine`](crate::search::SearchEngine): seeded stochastic hill
 //! climbing (with optional simulated annealing) over the move/swap
 //! neighborhoods, scored incrementally so one proposal costs

@@ -5,7 +5,7 @@
 //! Every name the workspace accepts — [`registry_names`],
 //! [`paper_heuristic`], the CLI's `--heuristic`/`--all` parsing and the batch
 //! runner's grid validation — is driven from **one table** here
-//! ([`BASE_TABLE`] for the constructive heuristics, [`STRATEGY_PREFIXES`]
+//! (`BASE_TABLE` for the constructive heuristics, [`STRATEGY_PREFIXES`]
 //! for the search strategies), so the list and the constructors cannot
 //! drift apart.
 

@@ -1,7 +1,7 @@
 //! Two-phase primal simplex on a dense tableau.
 //!
 //! The solver handles general linear programs built with
-//! [`LpProblem`](crate::problem::LpProblem):
+//! [`LpProblem`]:
 //!
 //! 1. variables are shifted so that every lower bound becomes 0, and finite
 //!    upper bounds are turned into explicit `≤` rows;

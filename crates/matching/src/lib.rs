@@ -5,7 +5,7 @@
 //!
 //! * Theorem 1 turns the optimal one-to-one mapping of a linear chain on
 //!   homogeneous machines into a **minimum-weight perfect matching** with edge
-//!   costs `−log(1 − f_{j,u})`, solved here by the [`hungarian`] algorithm;
+//!   costs `−log(1 − f_{j,u})`, solved here by the [`hungarian`](mod@hungarian) algorithm;
 //! * the optimal one-to-one mapping used as the reference in Figure 9
 //!   (failures attached to tasks only, `f_{i,u} = f_i`) is a **bottleneck
 //!   assignment** — minimise the largest `xᵢ · w_{i,u}` over the matching —

@@ -6,19 +6,19 @@
 //! found the incumbent?". This crate supplies the missing layer, std-only
 //! and dependency-free so every workspace crate can use it without cycles:
 //!
-//! * [`clock`] — the injectable [`Clock`](clock::Clock) trait.
-//!   Production code uses [`MonotonicClock`](clock::MonotonicClock);
-//!   tests inject [`ManualClock`](clock::ManualClock) so latency-bearing
+//! * [`clock`] — the injectable [`Clock`] trait.
+//!   Production code uses [`MonotonicClock`];
+//!   tests inject [`ManualClock`] so latency-bearing
 //!   output stays byte-identical run to run.
-//! * [`hist`] — fixed-bucket log2 latency [`Histogram`](hist::Histogram)s:
+//! * [`hist`] — fixed-bucket log2 latency [`Histogram`]s:
 //!   lock-free recording, mergeable bucket-wise across worker engines,
 //!   deterministic exposition, p50/p90/p99/max derivable from a snapshot.
 //! * [`trace`] — the append-only `mf-trace v1` event log, styled after
 //!   `mf-report v1`: versioned header, one event per line, counted `end`
 //!   footer, write→parse→write byte-identity.
 //! * [`progress`] — solver progress events
-//!   ([`ProgressEvent`](progress::ProgressEvent)) and the
-//!   [`ProgressSink`](progress::ProgressSink) the search engine and the
+//!   ([`ProgressEvent`]) and the
+//!   [`ProgressSink`] the search engine and the
 //!   portfolio emit through, so a traced solve shows when each strategy
 //!   found each incumbent.
 

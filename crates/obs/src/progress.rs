@@ -4,7 +4,7 @@
 //! a [`ProgressSink`]; events are context-free (no cell/round) so the
 //! emitting layer stays ignorant of who is listening, and the collector
 //! stamps portfolio coordinates when converting to
-//! [`TraceEvent`](crate::trace::TraceEvent)s via
+//! [`TraceEvent`]s via
 //! [`ProgressEvent::into_trace`].
 //!
 //! A `Vec<ProgressEvent>` is the standard collector: it records every event

@@ -3,7 +3,7 @@
 //! The one-shot CLI pays process start-up, instance parsing and evaluator
 //! construction on every invocation. This crate keeps the last two
 //! **resident**: a server process owns an
-//! [`InstanceStore`](store::InstanceStore) of named instances, a shared
+//! [`InstanceStore`] of named instances, a shared
 //! [`BatchRunner`](mf_experiments::runner::BatchRunner) for the portfolio
 //! race, and per-session [`EvaluatorSnapshot`](mf_core::EvaluatorSnapshot)
 //! state that `whatif` probes resume in `O(1)` — and answers queries over a
