@@ -392,12 +392,6 @@ pub struct TaskProbe {
 }
 
 impl TaskProbe {
-    /// The probed task.
-    #[inline]
-    pub fn task(&self) -> TaskId {
-        self.task
-    }
-
     /// Bounded what-if of moving the probed task to `to` (see the type
     /// docs). `eval` must be the evaluator the probe was taken from, with
     /// no commit since.
