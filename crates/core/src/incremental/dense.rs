@@ -208,119 +208,100 @@ impl<'a> IncrementalEvaluator<'a> {
     /// bound, and irrelevant for committed state (commits always take the
     /// exact walk).
     pub(super) fn dense_move_what_if(&mut self, task: TaskId, to: MachineId) -> Evaluation {
-        let i = task.index();
-        let row = self.ensure_mass_row(i);
-        let m = self.load.len();
-        let from = self.assignment[i].index();
-        let ratio = self.mass.factors[i * m + to.index()] / self.factor[i];
-        let removed = self.contribution[i];
-        let added = ratio * self.demand[i] * self.mass.times[i * m + to.index()];
-        let scale = ratio - 1.0;
-        // Stage the two sparse machine adjustments (`from` loses the task's
-        // old contribution, `to` gains the rescaled one — the machines are
+        let row = self.ensure_mass_row(task.index());
+        let terms = self.move_terms(task.index(), to.index());
+        let (from, to) = (terms.from, terms.to);
+        // Stage the two sparse machine adjustments (the machines are
         // distinct, callers reject same-machine moves), scan branch-free,
         // then restore the all-zero scratch invariant.
-        self.mass.adjust[from] = -removed;
-        self.mass.adjust[to.index()] = added;
-        let best = scan_one_row(&self.load, &self.mass.rows[row], scale, &self.mass.adjust);
+        self.mass.adjust[from] = terms.adjust(self, from);
+        self.mass.adjust[to] = terms.adjust(self, to);
+        let best = scan_one_row(
+            &self.load,
+            &self.mass.rows[row],
+            terms.scale(),
+            &self.mass.adjust,
+        );
         self.mass.adjust[from] = 0.0;
-        self.mass.adjust[to.index()] = 0.0;
+        self.mass.adjust[to] = 0.0;
         evaluation(best)
     }
 
     /// Dense what-if of a swap: nested pairs (one task upstream of the
     /// other) compose their ratios along the shared ancestry; disjoint pairs
     /// (distinct branches or trees — impossible on a chain) scale
-    /// independent ranges.
+    /// independent ranges (see [`SwapTerms`]). Two mass rows, one scan.
     pub(super) fn dense_swap_what_if(&mut self, a: TaskId, b: TaskId) -> Evaluation {
-        if self.topology.is_upstream(a, b) {
-            self.dense_nested_swap_what_if(a, b)
-        } else if self.topology.is_upstream(b, a) {
-            self.dense_nested_swap_what_if(b, a)
-        } else {
-            self.dense_disjoint_swap_what_if(a, b)
+        // The terms read the factor table; the rows are then built in the
+        // terms' order.
+        if self.mass.rows.is_empty() {
+            self.init_dense_tables();
+        }
+        let terms = self.swap_terms(a, b);
+        let row_0 = self.ensure_mass_row(terms.tasks[0]);
+        let row_1 = self.ensure_mass_row(terms.tasks[1]);
+        let [u_0, u_1] = terms.machines;
+        self.mass.adjust[u_0] = terms.adjust(self, u_0);
+        self.mass.adjust[u_1] = terms.adjust(self, u_1);
+        let best = scan_two_rows(
+            &self.load,
+            &self.mass.rows[row_0],
+            terms.scales[0],
+            &self.mass.rows[row_1],
+            terms.scales[1],
+            &self.mass.adjust,
+        );
+        self.mass.adjust[u_0] = 0.0;
+        self.mass.adjust[u_1] = 0.0;
+        evaluation(best)
+    }
+
+    /// The scalar terms of moving task `i` to machine `to`.
+    #[inline]
+    fn move_terms(&self, i: usize, to: usize) -> MoveTerms {
+        let m = self.load.len();
+        MoveTerms {
+            task: i,
+            from: self.assignment[i].index(),
+            to,
+            ratio: self.mass.factors[i * m + to] / self.factor[i],
         }
     }
 
-    /// Nested swap: `lo` is strictly upstream of `hi`, so the downstream
-    /// task's ratio scales everything upstream of it (including `lo`), and
-    /// the upstream task's ratio additionally scales everything upstream of
-    /// *it* — two mass rows, one scan. On a chain `lo` is simply the
-    /// lower-indexed task and this is the pre-forest code path, bit for bit.
-    fn dense_nested_swap_what_if(&mut self, lo: TaskId, hi: TaskId) -> Evaluation {
-        let row_lo = self.ensure_mass_row(lo.index());
-        let row_hi = self.ensure_mass_row(hi.index());
+    /// The scalar terms of exchanging the machines of `a` and `b`: a nested
+    /// pair in upstream-first order, a disjoint pair as given.
+    #[inline]
+    fn swap_terms(&self, a: TaskId, b: TaskId) -> SwapTerms {
+        let (first, second, nested) = if self.topology.is_upstream(a, b) {
+            (a, b, true)
+        } else if self.topology.is_upstream(b, a) {
+            (b, a, true)
+        } else {
+            (a, b, false)
+        };
         let m = self.load.len();
-        let u_lo = self.assignment[lo.index()].index();
-        let u_hi = self.assignment[hi.index()].index();
-        // After the swap: `lo` runs on `u_hi`, `hi` runs on `u_lo`.
-        let r_lo = self.mass.factors[lo.index() * m + u_hi] / self.factor[lo.index()];
-        let r_hi = self.mass.factors[hi.index() * m + u_lo] / self.factor[hi.index()];
-        let x_lo = r_lo * r_hi * self.demand[lo.index()];
-        let x_hi = r_hi * self.demand[hi.index()];
-        let scale_both = r_lo * r_hi - 1.0;
-        let scale_hi = r_hi - 1.0;
-        // Net adjustment of the two machines exchanging tasks. Tasks strictly
-        // between `lo` and `hi` scale by `r_hi` and are counted through
-        // `row_hi − row_lo`; that difference wrongly includes `lo` itself, so
-        // `lo`'s machine compensates with `−scale_hi·c(lo)`.
-        let adj_lo = x_hi * self.mass.times[hi.index() * m + u_lo]
-            - self.contribution[lo.index()]
-            - scale_hi * self.contribution[lo.index()];
-        let adj_hi = x_lo * self.mass.times[lo.index() * m + u_hi] - self.contribution[hi.index()];
-        // value = load + scale_both·mass(sub lo) + scale_hi·mass(lo..hi)
-        //       = load + (scale_both − scale_hi)·row_lo + scale_hi·row_hi + …
-        let scale_lo = scale_both - scale_hi;
-        self.mass.adjust[u_lo] = adj_lo;
-        self.mass.adjust[u_hi] = adj_hi;
-        let best = scan_two_rows(
-            &self.load,
-            &self.mass.rows[row_lo],
-            scale_lo,
-            &self.mass.rows[row_hi],
-            scale_hi,
-            &self.mass.adjust,
-        );
-        self.mass.adjust[u_lo] = 0.0;
-        self.mass.adjust[u_hi] = 0.0;
-        evaluation(best)
-    }
-
-    /// Disjoint swap: neither task is upstream of the other, so the two
-    /// ratios scale disjoint subtree ranges independently and the machine
-    /// adjustments exchange the two tasks' own contributions.
-    fn dense_disjoint_swap_what_if(&mut self, a: TaskId, b: TaskId) -> Evaluation {
-        let row_a = self.ensure_mass_row(a.index());
-        let row_b = self.ensure_mass_row(b.index());
-        let m = self.load.len();
-        let u_a = self.assignment[a.index()].index();
-        let u_b = self.assignment[b.index()].index();
-        // After the swap: `a` runs on `u_b`, `b` runs on `u_a`. The demand
-        // of each task scales only by its *own* new factor (the other task
-        // is not on its successor path).
-        let r_a = self.mass.factors[a.index() * m + u_b] / self.factor[a.index()];
-        let r_b = self.mass.factors[b.index() * m + u_a] / self.factor[b.index()];
-        let x_a = r_a * self.demand[a.index()];
-        let x_b = r_b * self.demand[b.index()];
-        let scale_a = r_a - 1.0;
-        let scale_b = r_b - 1.0;
-        // `a` leaves `u_a` (taking its old contribution) and `b` arrives
-        // with its rescaled demand on `a`'s old times — and vice versa.
-        let adj_a = x_b * self.mass.times[b.index() * m + u_a] - self.contribution[a.index()];
-        let adj_b = x_a * self.mass.times[a.index() * m + u_b] - self.contribution[b.index()];
-        self.mass.adjust[u_a] = adj_a;
-        self.mass.adjust[u_b] = adj_b;
-        let best = scan_two_rows(
-            &self.load,
-            &self.mass.rows[row_a],
-            scale_a,
-            &self.mass.rows[row_b],
-            scale_b,
-            &self.mass.adjust,
-        );
-        self.mass.adjust[u_a] = 0.0;
-        self.mass.adjust[u_b] = 0.0;
-        evaluation(best)
+        let tasks = [first.index(), second.index()];
+        let machines = tasks.map(|t| self.assignment[t].index());
+        // After the swap each task runs on the other's machine.
+        let ratio_0 = self.mass.factors[tasks[0] * m + machines[1]] / self.factor[tasks[0]];
+        let ratio_1 = self.mass.factors[tasks[1] * m + machines[0]] / self.factor[tasks[1]];
+        let scale_1 = ratio_1 - 1.0;
+        // Nested, the downstream ratio also scales the upstream task and
+        // its whole subtree: that subtree's mass sits in both rows, so the
+        // upstream row carries the composed scale less `scale_1`.
+        let (growth_0, scale_0) = if nested {
+            let both = ratio_0 * ratio_1;
+            (both, (both - 1.0) - scale_1)
+        } else {
+            (ratio_0, ratio_0 - 1.0)
+        };
+        SwapTerms {
+            tasks,
+            machines,
+            growth: [growth_0, ratio_1],
+            scales: [scale_0, scale_1],
+            nested,
+        }
     }
 
     /// Takes the bounded-what-if probe of `task` from the committed state
@@ -345,14 +326,97 @@ impl<'a> IncrementalEvaluator<'a> {
         Ok(TaskProbe {
             task,
             from: self.assignment[i].index(),
-            factor: self.factor[i],
-            span: self.topology.subtree_span(task),
             critical,
             critical_load,
             critical_mass,
             dense,
             commits: self.counters.commits,
         })
+    }
+}
+
+/// The scalar terms of a dense move what-if, shared by the staging kernel
+/// and [`TaskProbe::move_below`] so that the probe's critical-machine value
+/// is the scan's, bit for bit.
+#[derive(Clone, Copy)]
+struct MoveTerms {
+    task: usize,
+    from: usize,
+    to: usize,
+    /// `F_{task,to}/F_{task,from}`, the factor the subtree's demand scales by.
+    ratio: f64,
+}
+
+impl MoveTerms {
+    /// The scale of the task's mass row in the scan.
+    #[inline]
+    fn scale(&self) -> f64 {
+        self.ratio - 1.0
+    }
+
+    /// The adjustment of machine `w`: `from` loses the task's old
+    /// contribution, `to` gains the rescaled one, the rest nothing.
+    #[inline]
+    fn adjust(&self, eval: &IncrementalEvaluator<'_>, w: usize) -> f64 {
+        if w == self.from {
+            -eval.contribution[self.task]
+        } else if w == self.to {
+            let m = eval.load.len();
+            self.ratio * eval.demand[self.task] * eval.mass.times[self.task * m + self.to]
+        } else {
+            0.0
+        }
+    }
+}
+
+/// The scalar terms of a dense swap what-if, shared by the staging kernel
+/// and [`TaskProbe::swap_below`] like [`MoveTerms`].
+///
+/// `tasks[k]` runs on `machines[k]` and moves to the other machine; the
+/// scan reads the mass row of `tasks[k]` at `scales[k]`. A nested pair lists
+/// the upstream task first: the downstream task's ratio scales everything
+/// upstream of it (the upstream task included), the upstream task's ratio
+/// additionally everything upstream of *it*. On a chain that is the
+/// lower-indexed task first, the pre-forest code path bit for bit. A
+/// disjoint pair (distinct branches or trees) scales the two ranges
+/// independently.
+#[derive(Clone, Copy)]
+struct SwapTerms {
+    tasks: [usize; 2],
+    machines: [usize; 2],
+    /// The factor each task's own demand scales by.
+    growth: [f64; 2],
+    scales: [f64; 2],
+    nested: bool,
+}
+
+impl SwapTerms {
+    /// The adjustment of machine `w`: each of the two machines loses its
+    /// task's old contribution and gains the other task's, rescaled, on its
+    /// own times; the rest nothing.
+    #[inline]
+    fn adjust(&self, eval: &IncrementalEvaluator<'_>, w: usize) -> f64 {
+        let m = eval.load.len();
+        let [t_0, t_1] = self.tasks;
+        let [u_0, u_1] = self.machines;
+        if w == u_0 {
+            let adjust = self.growth[1] * eval.demand[t_1] * eval.mass.times[t_1 * m + u_0]
+                - eval.contribution[t_0];
+            // Nested, the tasks strictly between the two scale by
+            // `scales[1]` through row 1 minus row 0; that difference
+            // wrongly includes the upstream task itself, so its machine
+            // compensates.
+            if self.nested {
+                adjust - self.scales[1] * eval.contribution[t_0]
+            } else {
+                adjust
+            }
+        } else if w == u_1 {
+            self.growth[0] * eval.demand[t_0] * eval.mass.times[t_0 * m + u_1]
+                - eval.contribution[t_1]
+        } else {
+            0.0
+        }
     }
 }
 
@@ -370,16 +434,16 @@ impl<'a> IncrementalEvaluator<'a> {
 /// module docs); the call counts as a dense what-if either way, and a
 /// settled one also as a pruned what-if. The exact walk, and
 /// `bound = None`, always evaluate in full.
+///
+/// # Panics
+///
+/// The what-if methods panic when the evaluator has committed since the
+/// probe was taken: the cached state would answer for a stale mapping.
 #[derive(Debug, Clone, Copy)]
 pub struct TaskProbe {
     task: TaskId,
     /// The task's committed machine.
     from: usize,
-    /// Its committed failure factor `F_{i,from}`.
-    factor: f64,
-    /// Its inclusive subtree span (the tour position at `.1`), for the
-    /// nested/disjoint swap test.
-    span: (usize, usize),
     /// The committed critical machine, its load and the task's row mass on
     /// it (dense path only).
     critical: usize,
@@ -402,16 +466,15 @@ impl TaskProbe {
         to: MachineId,
         bound: Option<f64>,
     ) -> Result<Option<Evaluation>> {
-        debug_assert_eq!(self.commits, eval.counters.commits, "stale probe");
+        self.check_fresh(eval);
         let m = eval.load.len();
-        let to_index = to.index();
-        if to_index >= m {
+        if to.index() >= m {
             return Err(ModelError::UnknownMachine {
-                machine: to_index,
+                machine: to.index(),
                 machine_count: m,
             });
         }
-        if to_index == self.from {
+        if to.index() == self.from {
             return Ok(Some(eval.current()));
         }
         if !self.dense {
@@ -420,18 +483,14 @@ impl TaskProbe {
         }
         eval.counters.dense_what_ifs += 1;
         if let Some(bound) = bound {
-            // The critical machine's term of `dense_move_what_if`'s scan.
-            let i = self.task.index();
-            let c = self.critical;
-            let ratio = eval.mass.factors[i * m + to_index] / self.factor;
-            let adjust = if c == self.from {
-                -eval.contribution[i]
-            } else if c == to_index {
-                ratio * eval.demand[i] * eval.mass.times[i * m + to_index]
-            } else {
-                0.0
-            };
-            if one_row_value(self.critical_load, self.critical_mass, ratio - 1.0, adjust) >= bound {
+            let terms = eval.move_terms(self.task.index(), to.index());
+            let value = one_row_value(
+                self.critical_load,
+                self.critical_mass,
+                terms.scale(),
+                terms.adjust(eval, self.critical),
+            );
+            if value >= bound {
                 eval.counters.pruned_what_ifs += 1;
                 return Ok(None);
             }
@@ -448,7 +507,7 @@ impl TaskProbe {
         b: TaskId,
         bound: Option<f64>,
     ) -> Result<Option<Evaluation>> {
-        debug_assert_eq!(self.commits, eval.counters.commits, "stale probe");
+        self.check_fresh(eval);
         let n = eval.assignment.len();
         if b.index() >= n {
             return Err(ModelError::UnknownTask {
@@ -467,7 +526,23 @@ impl TaskProbe {
         }
         eval.counters.dense_what_ifs += 1;
         if let Some(bound) = bound {
-            if self.swap_critical_value(eval, b, u_b) >= bound {
+            let terms = eval.swap_terms(self.task, b);
+            let row_b = eval.ensure_mass_row(b.index());
+            let mass_b = eval.mass.rows[row_b][self.critical];
+            let [mass_0, mass_1] = if terms.tasks[0] == self.task.index() {
+                [self.critical_mass, mass_b]
+            } else {
+                [mass_b, self.critical_mass]
+            };
+            let value = two_row_value(
+                self.critical_load,
+                mass_0,
+                terms.scales[0],
+                mass_1,
+                terms.scales[1],
+                terms.adjust(eval, self.critical),
+            );
+            if value >= bound {
                 eval.counters.pruned_what_ifs += 1;
                 return Ok(None);
             }
@@ -475,103 +550,14 @@ impl TaskProbe {
         Ok(Some(eval.dense_swap_what_if(self.task, b)))
     }
 
-    /// The critical machine's term of `dense_swap_what_if`'s scan for the
-    /// swap with `b` (on machine `u_b`): the same dispatch, ratios, scales
-    /// and adjustment expressions, evaluated for that one machine.
+    /// Panics unless `eval` is at the commit the probe was taken at.
     #[inline]
-    fn swap_critical_value(
-        &self,
-        eval: &mut IncrementalEvaluator<'_>,
-        b: TaskId,
-        u_b: usize,
-    ) -> f64 {
-        let m = eval.load.len();
-        let row_b = eval.ensure_mass_row(b.index());
-        let a = Side {
-            task: self.task.index(),
-            machine: self.from,
-            ratio: eval.mass.factors[self.task.index() * m + u_b] / self.factor,
-            mass: self.critical_mass,
-        };
-        let b = Side {
-            task: b.index(),
-            machine: u_b,
-            ratio: eval.mass.factors[b.index() * m + self.from] / eval.factor[b.index()],
-            mass: eval.mass.rows[row_b][self.critical],
-        };
-        let (start_a, pos_a) = self.span;
-        let (start_b, pos_b) = eval.topology.subtree_span(TaskId(b.task));
-        if start_b <= pos_a && pos_a < pos_b {
-            self.nested_value(eval, a, b)
-        } else if start_a <= pos_b && pos_b < pos_a {
-            self.nested_value(eval, b, a)
-        } else {
-            self.disjoint_value(eval, a, b)
-        }
+    fn check_fresh(&self, eval: &IncrementalEvaluator<'_>) {
+        assert_eq!(
+            self.commits, eval.counters.commits,
+            "TaskProbe used after a commit: take a new probe"
+        );
     }
-
-    /// `dense_nested_swap_what_if`'s value of the critical machine.
-    #[inline]
-    fn nested_value(&self, eval: &IncrementalEvaluator<'_>, lo: Side, hi: Side) -> f64 {
-        let m = eval.load.len();
-        let c = self.critical;
-        let scale_both = lo.ratio * hi.ratio - 1.0;
-        let scale_hi = hi.ratio - 1.0;
-        let adjust = if c == lo.machine {
-            let x_hi = hi.ratio * eval.demand[hi.task];
-            x_hi * eval.mass.times[hi.task * m + lo.machine]
-                - eval.contribution[lo.task]
-                - scale_hi * eval.contribution[lo.task]
-        } else if c == hi.machine {
-            let x_lo = lo.ratio * hi.ratio * eval.demand[lo.task];
-            x_lo * eval.mass.times[lo.task * m + hi.machine] - eval.contribution[hi.task]
-        } else {
-            0.0
-        };
-        two_row_value(
-            self.critical_load,
-            lo.mass,
-            scale_both - scale_hi,
-            hi.mass,
-            scale_hi,
-            adjust,
-        )
-    }
-
-    /// `dense_disjoint_swap_what_if`'s value of the critical machine.
-    #[inline]
-    fn disjoint_value(&self, eval: &IncrementalEvaluator<'_>, a: Side, b: Side) -> f64 {
-        let m = eval.load.len();
-        let c = self.critical;
-        let adjust = if c == a.machine {
-            let x_b = b.ratio * eval.demand[b.task];
-            x_b * eval.mass.times[b.task * m + a.machine] - eval.contribution[a.task]
-        } else if c == b.machine {
-            let x_a = a.ratio * eval.demand[a.task];
-            x_a * eval.mass.times[a.task * m + b.machine] - eval.contribution[b.task]
-        } else {
-            0.0
-        };
-        two_row_value(
-            self.critical_load,
-            a.mass,
-            a.ratio - 1.0,
-            b.mass,
-            b.ratio - 1.0,
-            adjust,
-        )
-    }
-}
-
-/// One task of a swap as the critical-machine value sees it: the task, its
-/// committed machine, its factor ratio after the swap and its row mass on
-/// the critical machine.
-#[derive(Clone, Copy)]
-struct Side {
-    task: usize,
-    machine: usize,
-    ratio: f64,
-    mass: f64,
 }
 
 /// A scan's `(max, argmax)` as an [`Evaluation`].
@@ -657,7 +643,7 @@ fn scan_two_rows(
 
 #[cfg(test)]
 mod tests {
-    use super::{one_row_value, two_row_value};
+    use super::{one_row_value, two_row_value, TaskProbe};
     use crate::application::Application;
     use crate::failure::FailureModel;
     use crate::ids::{MachineId, TaskId};
@@ -746,17 +732,24 @@ mod tests {
         }
     }
 
-    /// The bounded entry point under test: the first task's probe.
-    fn bounded(eval: &mut IncrementalEvaluator<'_>, case: Case, bound: f64) -> Option<Evaluation> {
+    /// The probe of a case's first task, as a sweep takes it.
+    fn probe(eval: &mut IncrementalEvaluator<'_>, case: Case) -> TaskProbe {
+        let task = match case {
+            Case::Move(task, _) | Case::Swap(task, _) => task,
+        };
+        eval.probe_task(task).unwrap()
+    }
+
+    /// The bounded entry point under test, through the first task's probe.
+    fn bounded(
+        probe: &TaskProbe,
+        eval: &mut IncrementalEvaluator<'_>,
+        case: Case,
+        bound: f64,
+    ) -> Option<Evaluation> {
         match case {
-            Case::Move(task, to) => {
-                let probe = eval.probe_task(task).unwrap();
-                probe.move_below(eval, to, Some(bound)).unwrap()
-            }
-            Case::Swap(a, b) => {
-                let probe = eval.probe_task(a).unwrap();
-                probe.swap_below(eval, b, Some(bound)).unwrap()
-            }
+            Case::Move(_, to) => probe.move_below(eval, to, Some(bound)).unwrap(),
+            Case::Swap(_, b) => probe.swap_below(eval, b, Some(bound)).unwrap(),
         }
     }
 
@@ -768,86 +761,52 @@ mod tests {
         }
     }
 
-    /// The candidate value of the committed critical machine, with the
-    /// expression the dense scan evaluates there: a bounded what-if settles
-    /// (`None`) exactly when this value reaches its bound.
+    /// The candidate value of the committed critical machine, from the
+    /// kernel's terms and the live load and rows: a bounded what-if
+    /// settles (`None`) exactly when this value reaches its bound.
     fn critical_value(eval: &mut IncrementalEvaluator<'_>, case: Case) -> f64 {
-        let m = eval.load.len();
         let c = eval.critical_machine().index();
-        let ratio = |eval: &IncrementalEvaluator<'_>, t: TaskId, u: usize| {
-            eval.mass.factors[t.index() * m + u] / eval.factor[t.index()]
-        };
-        let time = |eval: &IncrementalEvaluator<'_>, t: TaskId, u: usize| {
-            eval.mass.times[t.index() * m + u]
-        };
         match case {
             Case::Move(task, to) => {
-                let i = task.index();
-                let row = eval.ensure_mass_row(i);
-                let (from, to) = (eval.assignment[i].index(), to.index());
-                let r = ratio(eval, task, to);
-                let adjust = if c == from {
-                    -eval.contribution[i]
-                } else if c == to {
-                    r * eval.demand[i] * time(eval, task, to)
-                } else {
-                    0.0
-                };
-                one_row_value(eval.load[c], eval.mass.rows[row][c], r - 1.0, adjust)
+                let row = eval.ensure_mass_row(task.index());
+                let terms = eval.move_terms(task.index(), to.index());
+                let mass = eval.mass.rows[row][c];
+                one_row_value(eval.load[c], mass, terms.scale(), terms.adjust(eval, c))
             }
             Case::Swap(a, b) => {
-                let (lo, hi, nested) = if eval.topology.is_upstream(a, b) {
-                    (a, b, true)
-                } else if eval.topology.is_upstream(b, a) {
-                    (b, a, true)
-                } else {
-                    (a, b, false)
-                };
-                let row_lo = eval.ensure_mass_row(lo.index());
-                let row_hi = eval.ensure_mass_row(hi.index());
-                let u_lo = eval.assignment[lo.index()].index();
-                let u_hi = eval.assignment[hi.index()].index();
-                let (c_lo, c_hi) = (eval.contribution[lo.index()], eval.contribution[hi.index()]);
-                let r_lo = ratio(eval, lo, u_hi);
-                let r_hi = ratio(eval, hi, u_lo);
-                let (scale_lo, scale_hi, adj_lo, adj_hi) = if nested {
-                    let x_lo = r_lo * r_hi * eval.demand[lo.index()];
-                    let x_hi = r_hi * eval.demand[hi.index()];
-                    let scale_both = r_lo * r_hi - 1.0;
-                    let scale_hi = r_hi - 1.0;
-                    (
-                        scale_both - scale_hi,
-                        scale_hi,
-                        x_hi * time(eval, hi, u_lo) - c_lo - scale_hi * c_lo,
-                        x_lo * time(eval, lo, u_hi) - c_hi,
-                    )
-                } else {
-                    let x_lo = r_lo * eval.demand[lo.index()];
-                    let x_hi = r_hi * eval.demand[hi.index()];
-                    (
-                        r_lo - 1.0,
-                        r_hi - 1.0,
-                        x_hi * time(eval, hi, u_lo) - c_lo,
-                        x_lo * time(eval, lo, u_hi) - c_hi,
-                    )
-                };
-                let adjust = if c == u_lo {
-                    adj_lo
-                } else if c == u_hi {
-                    adj_hi
-                } else {
-                    0.0
-                };
+                let terms = eval.swap_terms(a, b);
+                let [mass_0, mass_1] = terms.tasks.map(|t| {
+                    let row = eval.ensure_mass_row(t);
+                    eval.mass.rows[row][c]
+                });
                 two_row_value(
                     eval.load[c],
-                    eval.mass.rows[row_lo][c],
-                    scale_lo,
-                    eval.mass.rows[row_hi][c],
-                    scale_hi,
-                    adjust,
+                    mass_0,
+                    terms.scales[0],
+                    mass_1,
+                    terms.scales[1],
+                    terms.adjust(eval, c),
                 )
             }
         }
+    }
+
+    /// The bounds a case is tried at: below, at and one ulp either side of
+    /// its critical value, at and above its unbounded period, at `near` it,
+    /// and at and below the committed period a sweep would pass.
+    fn bounds(value: f64, period: f64, committed: f64, near: f64) -> [f64; 10] {
+        [
+            value * 0.5,
+            ulp(value, false),
+            value,
+            ulp(value, true),
+            period,
+            ulp(period, true),
+            near,
+            period * 2.0,
+            committed,
+            ulp(committed, false),
+        ]
     }
 
     /// A task on `machine`, if any.
@@ -870,8 +829,11 @@ mod tests {
     /// value, at and above the unbounded period, and the committed period a
     /// sweep would pass; a critical machine that is the candidate's source,
     /// its target, or neither; nested swaps in both orders and disjoint
-    /// swaps. Every real call counts one dense what-if, one pruned what-if
-    /// when it settles, and no row build (the unbounded call warmed them).
+    /// swaps. Each case takes one probe and reuses it across its bounds, as
+    /// a sweep does. Every real call counts one dense what-if, one pruned
+    /// what-if when it settles, and no row build (the unbounded call warmed
+    /// them, so the probe builds none either); a no-op call counts nothing
+    /// at any bound.
     #[test]
     fn bounded_what_ifs_agree_with_the_unbounded_kernels() {
         let mut draws = Draws(0xB0_0D5);
@@ -916,19 +878,22 @@ mod tests {
                     let (from, target) = from_to(&eval, case);
                     let real = from != target && !matches!(case, Case::Swap(a, b) if a == b);
                     let reference = unbounded(&mut eval, case);
+                    let committed = eval.period().value();
+                    let taken = eval.counters();
+                    let probe = probe(&mut eval, case);
                     if !real {
-                        let (before, bound) = (eval.counters(), eval.period().value() * 0.5);
-                        let answer = bounded(&mut eval, case, bound);
-                        assert!(same_bits(answer.unwrap(), reference));
-                        // Taking the probe may warm the task's row; the
-                        // no-op itself counts nothing.
-                        let delta = EvalCounters {
-                            mass_row_builds: 0,
-                            ..eval.counters().since(&before)
-                        };
-                        assert_eq!(delta, EvalCounters::default(), "a no-op what-if");
+                        // The probe may warm the task's row; the no-op
+                        // itself counts nothing at any bound.
+                        let near = committed * 1.05;
+                        for bound in bounds(committed, committed, committed, near) {
+                            let before = eval.counters();
+                            let answer = bounded(&probe, &mut eval, case, bound);
+                            assert!(same_bits(answer.unwrap(), reference));
+                            assert_eq!(eval.counters(), before, "a no-op what-if counts nothing");
+                        }
                         continue;
                     }
+                    assert_eq!(eval.counters(), taken, "the probe found its row warm");
                     if let Case::Swap(a, b) = case {
                         let topology = eval.topology();
                         if topology.is_upstream(a, b) || topology.is_upstream(b, a) {
@@ -945,22 +910,10 @@ mod tests {
                         _ => 2,
                     };
                     let kind = usize::from(matches!(case, Case::Swap(..)));
-                    let committed = eval.period().value();
-                    let bounds = [
-                        value * 0.5,
-                        ulp(value, false),
-                        value,
-                        ulp(value, true),
-                        period,
-                        ulp(period, true),
-                        period * draws.float(0.9, 1.1),
-                        period * 2.0,
-                        committed,
-                        ulp(committed, false),
-                    ];
-                    for bound in bounds {
+                    let near = period * draws.float(0.9, 1.1);
+                    for bound in bounds(value, period, committed, near) {
                         let before = eval.counters();
-                        let answer = bounded(&mut eval, case, bound);
+                        let answer = bounded(&probe, &mut eval, case, bound);
                         let after = eval.counters().since(&before);
                         let settles = value >= bound;
                         assert_eq!(
@@ -1096,9 +1049,11 @@ mod tests {
             let reference = unbounded(&mut eval, case);
             let period = reference.period.value();
             let committed = eval.period().value();
+            let probe = probe(&mut eval, case);
             for bound in [period * 0.5, period, ulp(period, true), committed] {
                 let before = eval.counters();
-                let answer = bounded(&mut eval, case, bound).expect("the exact walk answers");
+                let answer =
+                    bounded(&probe, &mut eval, case, bound).expect("the exact walk answers");
                 assert!(same_bits(answer, reference), "step {step} {case:?}");
                 assert_eq!(
                     eval.counters().since(&before),
@@ -1112,5 +1067,21 @@ mod tests {
                 eval.apply_swap(a, b).unwrap();
             }
         }
+    }
+
+    /// A probe answers for the commit it was taken at; after a commit its
+    /// cached machine, critical load and row mass are stale, and using it
+    /// panics instead of answering for the old mapping.
+    #[test]
+    #[should_panic(expected = "TaskProbe used after a commit")]
+    fn a_probe_used_after_a_commit_panics() {
+        let mut draws = Draws(0x57A1E);
+        let (n, m) = (12, 6);
+        let instance = dress(&chain(n), m, &mut draws);
+        let mapping = Mapping::from_indices(&vec![0; n], m).unwrap();
+        let mut eval = IncrementalEvaluator::new(&instance, &mapping).unwrap();
+        let probe = eval.probe_task(TaskId(3)).unwrap();
+        eval.apply_move(TaskId(7), MachineId(2)).unwrap();
+        let _ = probe.move_below(&mut eval, MachineId(4), None);
     }
 }
