@@ -11,8 +11,9 @@
 //! converged, when the incumbent has not improved for
 //! [`PortfolioConfig::patience`] consecutive rounds, or at
 //! [`PortfolioConfig::max_rounds`]. The seed mappings of the bases that
-//! ignore their RNG seed (all but H1) are built once per run, before round
-//! 0, and shared by all of each base's cells.
+//! ignore their RNG seed (all but H1) are built once per run, by one
+//! [`BatchRunner::map`] before round 0, and shared by all of each base's
+//! cells.
 //!
 //! Each round is one [`BatchRunner::map`] over the cells, and the pool
 //! joins before the stopping rule runs: a barrier per round. Each cell's
@@ -30,7 +31,8 @@ use mf_heuristics::search::{
     polish_with, polish_with_progress, SearchEngine, SearchStrategy, SteepestDescent, TabuSearch,
 };
 use mf_heuristics::{
-    paper_heuristic, H6LocalSearch, HeuristicResult, LocalSearchConfig, DEFAULT_SEARCH_BUDGET,
+    base_uses_seed, paper_heuristic, H6LocalSearch, HeuristicResult, LocalSearchConfig,
+    DEFAULT_SEARCH_BUDGET,
 };
 use mf_obs::{ProgressEvent, TraceEvent};
 
@@ -230,12 +232,6 @@ fn cell_specs(config: &PortfolioConfig) -> Vec<CellSpec> {
     specs
 }
 
-/// `true` for the seed bases whose mapping ignores the RNG seed — every
-/// base but H1, whose random mapping draws from each cell's stream.
-fn shares_seed(base: &str) -> bool {
-    base != "H1"
-}
-
 /// Builds the seed mapping of a base heuristic.
 fn seed_mapping(base: &str, seed: u64, instance: &Instance) -> HeuristicResult<Mapping> {
     let Some(heuristic) = paper_heuristic(base, seed) else {
@@ -244,13 +240,18 @@ fn seed_mapping(base: &str, seed: u64, instance: &Instance) -> HeuristicResult<M
     heuristic.map(instance)
 }
 
-/// The seed mappings of the bases that ignore their RNG seed, built once
-/// per run and shared by all of each base's cells; `None` at H1's index.
-fn shared_seed_mappings(instance: &Instance) -> Vec<Option<HeuristicResult<Mapping>>> {
-    SEED_BASES
-        .into_iter()
-        .map(|base| shares_seed(base).then(|| seed_mapping(base, 0, instance)))
-        .collect()
+/// The seed mappings of the bases that ignore their RNG seed (see
+/// [`base_uses_seed`]), built once per run on the run's pool and shared by
+/// all of each base's cells; `None` at H1's index.
+fn shared_seed_mappings(
+    instance: &Instance,
+    runner: &BatchRunner,
+) -> Vec<Option<HeuristicResult<Mapping>>> {
+    runner.map(SEED_BASES.len(), |index| {
+        let base = SEED_BASES[index];
+        let uses_seed = base_uses_seed(base).expect("SEED_BASES only lists registry names");
+        (!uses_seed).then(|| seed_mapping(base, 0, instance))
+    })
 }
 
 /// The RNG seed of a cell at a round — a pure function of the grid
@@ -451,7 +452,7 @@ fn run_rounds(
     traced: bool,
 ) -> TracedPortfolio {
     let specs = cell_specs(config);
-    let shared_seeds = shared_seed_mappings(instance);
+    let shared_seeds = shared_seed_mappings(instance, runner);
     let mut states: Vec<CellState> = vec![
         CellState {
             mapping: None,
@@ -713,9 +714,10 @@ mod tests {
         );
     }
 
-    /// The precondition of building the seeds once per run: every base but
-    /// H1 maps an instance the same way whatever its RNG seed, on chains
-    /// and forests alike (and H1 does not, or sharing it would be safe too).
+    /// The precondition of building the seeds once per run: every base
+    /// that `BASE_TABLE` in `mf-heuristics` builds without a seed (all but
+    /// H1) maps an instance the same way whatever the seed, on chains and
+    /// forests alike, and H1 does not.
     #[test]
     fn every_base_but_h1_ignores_its_seed() {
         let forest = InstanceGenerator::new(GeneratorConfig::standard_in_forest(30, 10, 3))
@@ -725,7 +727,8 @@ mod tests {
             for base in SEED_BASES {
                 let maps = [0, 1, u64::MAX].map(|seed| seed_mapping(base, seed, &inst).unwrap());
                 let same = maps.iter().all(|mapping| *mapping == maps[0]);
-                assert_eq!(same, shares_seed(base), "{base}");
+                assert_eq!(same, base != "H1", "{base}");
+                assert_eq!(base_uses_seed(base), Some(!same), "{base}");
             }
         }
     }

@@ -96,21 +96,50 @@ pub trait Heuristic {
 /// A heuristic behind a name in the registry.
 pub type BoxedHeuristic = Box<dyn Heuristic + Send + Sync>;
 
-type Constructor = fn(u64) -> BoxedHeuristic;
+/// How a base heuristic is built: from the caller's RNG seed, or without
+/// one, when its mapping is a function of the instance alone.
+#[derive(Clone, Copy)]
+enum Constructor {
+    Seeded(fn(u64) -> BoxedHeuristic),
+    Unseeded(fn() -> BoxedHeuristic),
+}
+
+impl Constructor {
+    fn build(self, seed: u64) -> BoxedHeuristic {
+        match self {
+            Constructor::Seeded(build) => build(seed),
+            Constructor::Unseeded(build) => build(),
+        }
+    }
+}
 
 /// The constructive heuristics of the paper, in presentation order — the
 /// single source of truth for names *and* constructors.
 const BASE_TABLE: &[(&str, Constructor)] = &[
-    ("H1", |seed| Box::new(crate::h1_random::H1Random::new(seed))),
-    ("H2", |_| {
-        Box::new(crate::binary_search::H2BinaryPotential::default())
-    }),
-    ("H3", |_| {
-        Box::new(crate::binary_search::H3BinaryHeterogeneity::default())
-    }),
-    ("H4", |_| Box::new(crate::h4_family::H4BestPerformance)),
-    ("H4w", |_| Box::new(crate::h4_family::H4wFastestMachine)),
-    ("H4f", |_| Box::new(crate::h4_family::H4fReliableMachine)),
+    (
+        "H1",
+        Constructor::Seeded(|seed| Box::new(crate::h1_random::H1Random::new(seed))),
+    ),
+    (
+        "H2",
+        Constructor::Unseeded(|| Box::new(crate::binary_search::H2BinaryPotential::default())),
+    ),
+    (
+        "H3",
+        Constructor::Unseeded(|| Box::new(crate::binary_search::H3BinaryHeterogeneity::default())),
+    ),
+    (
+        "H4",
+        Constructor::Unseeded(|| Box::new(crate::h4_family::H4BestPerformance)),
+    ),
+    (
+        "H4w",
+        Constructor::Unseeded(|| Box::new(crate::h4_family::H4wFastestMachine)),
+    ),
+    (
+        "H4f",
+        Constructor::Unseeded(|| Box::new(crate::h4_family::H4fReliableMachine)),
+    ),
 ];
 
 /// Search-strategy prefixes registered over every base heuristic: the bare
@@ -145,7 +174,10 @@ const LNS_SEED_SALT: u64 = 0x7EA2_0C7B_5A15_9E11;
 /// The six heuristics evaluated in the paper, in presentation order
 /// (H1, H2, H3, H4, H4w, H4f), with the given seed for the random heuristic.
 pub fn all_paper_heuristics(seed: u64) -> Vec<BoxedHeuristic> {
-    BASE_TABLE.iter().map(|(_, build)| build(seed)).collect()
+    BASE_TABLE
+        .iter()
+        .map(|(_, build)| build.build(seed))
+        .collect()
 }
 
 fn base_constructor(name: &str) -> Option<Constructor> {
@@ -159,7 +191,15 @@ fn base_constructor(name: &str) -> Option<Constructor> {
 /// (`"H1"` … `"H4f"`). `None` for anything else — in particular the search
 /// strategy names, so a strategy can never recursively seed itself.
 pub(crate) fn base_paper_heuristic(name: &str, seed: u64) -> Option<BoxedHeuristic> {
-    base_constructor(name).map(|build| build(seed))
+    base_constructor(name).map(|build| build.build(seed))
+}
+
+/// Whether the constructive heuristic `name` (`"H1"` … `"H4f"`) takes its
+/// mapping from the RNG seed: `Some(false)` means every seed maps an
+/// instance the same way, so callers may build it once and share it.
+/// `None` for any other name.
+pub fn base_uses_seed(name: &str) -> Option<bool> {
+    base_constructor(name).map(|build| matches!(build, Constructor::Seeded(_)))
 }
 
 /// Splits a search-strategy registry name into `(prefix, base)`:

@@ -65,8 +65,9 @@ pub use h4_family::{
 pub use h5_split::H5WorkloadSplit;
 pub use h6_local_search::{H6LocalSearch, LocalSearchConfig};
 pub use heuristic::{
-    all_paper_heuristics, canonical_registry_name, paper_heuristic, registry_names, BoxedHeuristic,
-    Heuristic, HeuristicError, HeuristicResult, DEFAULT_SEARCH_BUDGET, STRATEGY_PREFIXES,
+    all_paper_heuristics, base_uses_seed, canonical_registry_name, paper_heuristic, registry_names,
+    BoxedHeuristic, Heuristic, HeuristicError, HeuristicResult, DEFAULT_SEARCH_BUDGET,
+    STRATEGY_PREFIXES,
 };
 pub use search::{
     AnnealedClimb, SearchEngine, SearchHeuristic, SearchStrategy, SearchTelemetry, SteepestDescent,
