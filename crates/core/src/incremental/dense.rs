@@ -27,9 +27,10 @@
 //! candidate, it holds the task's machine, factor and subtree span and the
 //! committed critical machine with its load and the task's row mass there.
 //! Each bounded move or swap first computes the candidate value of that
-//! machine — with the very expression the scan evaluates there — and when
-//! the value already reaches the bound it answers "cannot beat the bound"
-//! (`None`) without staging or scanning. The candidate period is the scan's
+//! machine — from the kernel's own terms (`MoveTerms`, `SwapTerms`) and
+//! with the very expression the scan evaluates there — and when the value
+//! already reaches the bound it answers "cannot beat the bound" (`None`)
+//! without staging or scanning. The candidate period is the scan's
 //! maximum, which is at least that value bit for bit, so a caller that only
 //! keeps candidates strictly below the bound loses nothing. Most candidates
 //! leave the bottleneck machine as loaded as before, so the probe settles
@@ -209,8 +210,8 @@ impl<'a> IncrementalEvaluator<'a> {
     /// exact walk).
     pub(super) fn dense_move_what_if(&mut self, task: TaskId, to: MachineId) -> Evaluation {
         let row = self.ensure_mass_row(task.index());
-        let terms = self.move_terms(task.index(), to.index());
-        let (from, to) = (terms.from, terms.to);
+        let terms = self.move_terms(self.task_state(task.index()), to.index());
+        let (from, to) = (terms.task.machine, terms.to);
         // Stage the two sparse machine adjustments (the machines are
         // distinct, callers reject same-machine moves), scan branch-free,
         // then restore the all-zero scratch invariant.
@@ -237,7 +238,7 @@ impl<'a> IncrementalEvaluator<'a> {
         if self.mass.rows.is_empty() {
             self.init_dense_tables();
         }
-        let terms = self.swap_terms(a, b);
+        let terms = self.swap_terms(self.task_state(a.index()), self.task_state(b.index()));
         let row_0 = self.ensure_mass_row(terms.tasks[0]);
         let row_1 = self.ensure_mass_row(terms.tasks[1]);
         let [u_0, u_1] = terms.machines;
@@ -256,51 +257,48 @@ impl<'a> IncrementalEvaluator<'a> {
         evaluation(best)
     }
 
-    /// The scalar terms of moving task `i` to machine `to`.
+    /// The committed state of task `i` the what-if terms read.
     #[inline]
-    fn move_terms(&self, i: usize, to: usize) -> MoveTerms {
+    fn task_state(&self, i: usize) -> TaskState {
+        TaskState {
+            task: i,
+            machine: self.assignment[i].index(),
+            factor: self.factor[i],
+            span: self.topology.subtree_span(TaskId(i)),
+        }
+    }
+
+    /// The scalar terms of moving `task` to machine `to`.
+    #[inline]
+    fn move_terms(&self, task: TaskState, to: usize) -> MoveTerms {
         let m = self.load.len();
         MoveTerms {
-            task: i,
-            from: self.assignment[i].index(),
+            task,
             to,
-            ratio: self.mass.factors[i * m + to] / self.factor[i],
+            ratio: self.mass.factors[task.task * m + to] / task.factor,
         }
     }
 
     /// The scalar terms of exchanging the machines of `a` and `b`: a nested
     /// pair in upstream-first order, a disjoint pair as given.
     #[inline]
-    fn swap_terms(&self, a: TaskId, b: TaskId) -> SwapTerms {
-        let (first, second, nested) = if self.topology.is_upstream(a, b) {
-            (a, b, true)
-        } else if self.topology.is_upstream(b, a) {
-            (b, a, true)
-        } else {
-            (a, b, false)
-        };
+    fn swap_terms(&self, a: TaskState, b: TaskState) -> SwapTerms {
         let m = self.load.len();
-        let tasks = [first.index(), second.index()];
-        let machines = tasks.map(|t| self.assignment[t].index());
         // After the swap each task runs on the other's machine.
-        let ratio_0 = self.mass.factors[tasks[0] * m + machines[1]] / self.factor[tasks[0]];
-        let ratio_1 = self.mass.factors[tasks[1] * m + machines[0]] / self.factor[tasks[1]];
-        let scale_1 = ratio_1 - 1.0;
-        // Nested, the downstream ratio also scales the upstream task and
-        // its whole subtree: that subtree's mass sits in both rows, so the
-        // upstream row carries the composed scale less `scale_1`.
-        let (growth_0, scale_0) = if nested {
-            let both = ratio_0 * ratio_1;
-            (both, (both - 1.0) - scale_1)
+        let r_a = self.mass.factors[a.task * m + b.machine] / a.factor;
+        let r_b = self.mass.factors[b.task * m + a.machine] / b.factor;
+        if Topology::span_is_upstream(a.span, b.span) {
+            SwapTerms::nested([a, b], [r_a, r_b])
+        } else if Topology::span_is_upstream(b.span, a.span) {
+            SwapTerms::nested([b, a], [r_b, r_a])
         } else {
-            (ratio_0, ratio_0 - 1.0)
-        };
-        SwapTerms {
-            tasks,
-            machines,
-            growth: [growth_0, ratio_1],
-            scales: [scale_0, scale_1],
-            nested,
+            SwapTerms {
+                tasks: [a.task, b.task],
+                machines: [a.machine, b.machine],
+                growth: [r_a, r_b],
+                scales: [r_a - 1.0, r_b - 1.0],
+                nested: false,
+            }
         }
     }
 
@@ -324,8 +322,7 @@ impl<'a> IncrementalEvaluator<'a> {
             (0, 0.0, 0.0)
         };
         Ok(TaskProbe {
-            task,
-            from: self.assignment[i].index(),
+            state: self.task_state(i),
             critical,
             critical_load,
             critical_mass,
@@ -335,13 +332,22 @@ impl<'a> IncrementalEvaluator<'a> {
     }
 }
 
+/// A task's committed machine, failure factor `F_{task,machine}` and
+/// inclusive subtree span: what the what-if terms read of it.
+#[derive(Debug, Clone, Copy)]
+struct TaskState {
+    task: usize,
+    machine: usize,
+    factor: f64,
+    span: (usize, usize),
+}
+
 /// The scalar terms of a dense move what-if, shared by the staging kernel
 /// and [`TaskProbe::move_below`] so that the probe's critical-machine value
 /// is the scan's, bit for bit.
 #[derive(Clone, Copy)]
 struct MoveTerms {
-    task: usize,
-    from: usize,
+    task: TaskState,
     to: usize,
     /// `F_{task,to}/F_{task,from}`, the factor the subtree's demand scales by.
     ratio: f64,
@@ -354,15 +360,16 @@ impl MoveTerms {
         self.ratio - 1.0
     }
 
-    /// The adjustment of machine `w`: `from` loses the task's old
+    /// The adjustment of machine `w`: the task's machine loses its old
     /// contribution, `to` gains the rescaled one, the rest nothing.
     #[inline]
     fn adjust(&self, eval: &IncrementalEvaluator<'_>, w: usize) -> f64 {
-        if w == self.from {
-            -eval.contribution[self.task]
+        let i = self.task.task;
+        if w == self.task.machine {
+            -eval.contribution[i]
         } else if w == self.to {
             let m = eval.load.len();
-            self.ratio * eval.demand[self.task] * eval.mass.times[self.task * m + self.to]
+            self.ratio * eval.demand[i] * eval.mass.times[i * m + self.to]
         } else {
             0.0
         }
@@ -391,6 +398,24 @@ struct SwapTerms {
 }
 
 impl SwapTerms {
+    /// The terms of a nested pair, upstream task first, with each task's
+    /// ratio in the same order.
+    #[inline]
+    fn nested([lo, hi]: [TaskState; 2], [r_lo, r_hi]: [f64; 2]) -> SwapTerms {
+        let scale_hi = r_hi - 1.0;
+        // The downstream ratio also scales the upstream task and its whole
+        // subtree: that subtree's mass sits in both rows, so the upstream
+        // row carries the composed scale less `scale_hi`.
+        let both = r_lo * r_hi;
+        SwapTerms {
+            tasks: [lo.task, hi.task],
+            machines: [lo.machine, hi.machine],
+            growth: [both, r_hi],
+            scales: [(both - 1.0) - scale_hi, scale_hi],
+            nested: true,
+        }
+    }
+
     /// The adjustment of machine `w`: each of the two machines loses its
     /// task's old contribution and gains the other task's, rescaled, on its
     /// own times; the rest nothing.
@@ -441,9 +466,8 @@ impl SwapTerms {
 /// probe was taken: the cached state would answer for a stale mapping.
 #[derive(Debug, Clone, Copy)]
 pub struct TaskProbe {
-    task: TaskId,
-    /// The task's committed machine.
-    from: usize,
+    /// The task's committed machine, factor and subtree span.
+    state: TaskState,
     /// The committed critical machine, its load and the task's row mass on
     /// it (dense path only).
     critical: usize,
@@ -474,16 +498,17 @@ impl TaskProbe {
                 machine_count: m,
             });
         }
-        if to.index() == self.from {
+        let task = TaskId(self.state.task);
+        if to.index() == self.state.machine {
             return Ok(Some(eval.current()));
         }
         if !self.dense {
             eval.counters.exact_what_ifs += 1;
-            return Ok(Some(eval.operate(&[(self.task, to)], false)));
+            return Ok(Some(eval.operate(&[(task, to)], false)));
         }
         eval.counters.dense_what_ifs += 1;
         if let Some(bound) = bound {
-            let terms = eval.move_terms(self.task.index(), to.index());
+            let terms = eval.move_terms(self.state, to.index());
             let value = one_row_value(
                 self.critical_load,
                 self.critical_mass,
@@ -495,7 +520,7 @@ impl TaskProbe {
                 return Ok(None);
             }
         }
-        Ok(Some(eval.dense_move_what_if(self.task, to)))
+        Ok(Some(eval.dense_move_what_if(task, to)))
     }
 
     /// Bounded what-if of exchanging the machines of the probed task and
@@ -515,21 +540,23 @@ impl TaskProbe {
                 task_count: n,
             });
         }
-        let u_b = eval.assignment[b.index()].index();
-        if b == self.task || u_b == self.from {
+        let (a, from) = (TaskId(self.state.task), self.state.machine);
+        let state_b = eval.task_state(b.index());
+        let u_b = state_b.machine;
+        if b == a || u_b == from {
             return Ok(Some(eval.current()));
         }
         if !self.dense {
             eval.counters.exact_what_ifs += 1;
-            let changes = [(self.task, MachineId(u_b)), (b, MachineId(self.from))];
+            let changes = [(a, MachineId(u_b)), (b, MachineId(from))];
             return Ok(Some(eval.operate(&changes, false)));
         }
         eval.counters.dense_what_ifs += 1;
         if let Some(bound) = bound {
-            let terms = eval.swap_terms(self.task, b);
             let row_b = eval.ensure_mass_row(b.index());
             let mass_b = eval.mass.rows[row_b][self.critical];
-            let [mass_0, mass_1] = if terms.tasks[0] == self.task.index() {
+            let terms = eval.swap_terms(self.state, state_b);
+            let [mass_0, mass_1] = if terms.tasks[0] == a.index() {
                 [self.critical_mass, mass_b]
             } else {
                 [mass_b, self.critical_mass]
@@ -547,17 +574,24 @@ impl TaskProbe {
                 return Ok(None);
             }
         }
-        Ok(Some(eval.dense_swap_what_if(self.task, b)))
+        Ok(Some(eval.dense_swap_what_if(a, b)))
     }
 
     /// Panics unless `eval` is at the commit the probe was taken at.
     #[inline]
     fn check_fresh(&self, eval: &IncrementalEvaluator<'_>) {
-        assert_eq!(
-            self.commits, eval.counters.commits,
-            "TaskProbe used after a commit: take a new probe"
-        );
+        if self.commits != eval.counters.commits {
+            stale_probe();
+        }
     }
+}
+
+/// The panic of a [`TaskProbe`] used after a commit, out of line so the
+/// check costs a what-if one compare.
+#[cold]
+#[inline(never)]
+fn stale_probe() -> ! {
+    panic!("TaskProbe used after a commit: take a new probe")
 }
 
 /// A scan's `(max, argmax)` as an [`Evaluation`].
@@ -769,12 +803,13 @@ mod tests {
         match case {
             Case::Move(task, to) => {
                 let row = eval.ensure_mass_row(task.index());
-                let terms = eval.move_terms(task.index(), to.index());
+                let terms = eval.move_terms(eval.task_state(task.index()), to.index());
                 let mass = eval.mass.rows[row][c];
                 one_row_value(eval.load[c], mass, terms.scale(), terms.adjust(eval, c))
             }
             Case::Swap(a, b) => {
-                let terms = eval.swap_terms(a, b);
+                let states = [a, b].map(|t| eval.task_state(t.index()));
+                let terms = eval.swap_terms(states[0], states[1]);
                 let [mass_0, mass_1] = terms.tasks.map(|t| {
                     let row = eval.ensure_mass_row(t);
                     eval.mass.rows[row][c]

@@ -145,9 +145,14 @@ impl Topology {
     /// `a` along successor links), `O(1)` from the tour spans.
     #[inline]
     pub fn is_upstream(&self, a: TaskId, b: TaskId) -> bool {
-        let (start, end) = self.subtree_span(b);
-        let p = self.pos[a.index()] as usize;
-        start <= p && p < end
+        Self::span_is_upstream(self.subtree_span(a), self.subtree_span(b))
+    }
+
+    /// [`is_upstream`](Self::is_upstream) from the two tasks' subtree spans:
+    /// `a`'s tour position lies in `b`'s strict subtree range.
+    #[inline]
+    pub fn span_is_upstream(a: (usize, usize), b: (usize, usize)) -> bool {
+        b.0 <= a.1 && a.1 < b.1
     }
 
     /// `true` when two inclusive tour spans share at least one position.
