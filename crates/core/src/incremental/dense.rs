@@ -738,6 +738,15 @@ mod tests {
             && a.critical_machine == b.critical_machine
     }
 
+    /// Both bounded answers settled, or both answered the same bits.
+    fn same_answer(a: Option<Evaluation>, b: Option<Evaluation>) -> bool {
+        match (a, b) {
+            (None, None) => true,
+            (Some(a), Some(b)) => same_bits(a, b),
+            _ => false,
+        }
+    }
+
     /// The float one ulp above (`up`) or below a finite `value`.
     fn ulp(value: f64, up: bool) -> f64 {
         assert!(value.is_finite(), "{value}");
@@ -988,6 +997,185 @@ mod tests {
             assert!(nested > 0, "{shape} m={m}: no nested swap");
             if shape == "forest" {
                 assert!(disjoint > 0, "{shape} m={m}: no disjoint swap");
+            }
+        }
+    }
+
+    /// Whether `case` changes the mapping (a no-op answers the committed
+    /// period without touching a row).
+    fn is_real(eval: &IncrementalEvaluator<'_>, case: Case) -> bool {
+        let (from, target) = from_to(eval, case);
+        from != target && !matches!(case, Case::Swap(a, b) if a == b)
+    }
+
+    /// The mass rows an unbounded real `case` reads that are not warm yet:
+    /// the builds a what-if on `eval` must count.
+    fn cold_rows(eval: &IncrementalEvaluator<'_>, case: Case) -> u64 {
+        if !is_real(eval, case) {
+            return 0;
+        }
+        let cold = |t: TaskId| eval.mass.rows.is_empty() || !eval.mass.valid[t.index()];
+        match case {
+            Case::Move(task, _) => u64::from(cold(task)),
+            Case::Swap(a, b) => u64::from(cold(a)) + u64::from(cold(b)),
+        }
+    }
+
+    /// Answers `case` unbounded on `cold` and on the all-warm `warm`: the
+    /// same bits, and the same counter deltas plus one build per cold row.
+    fn check_unbounded(
+        cold: &mut IncrementalEvaluator<'_>,
+        warm: &mut IncrementalEvaluator<'_>,
+        case: Case,
+        label: &str,
+    ) {
+        let builds = cold_rows(cold, case);
+        let (cold_before, warm_before) = (cold.counters(), warm.counters());
+        let theirs = unbounded(warm, case);
+        let ours = unbounded(cold, case);
+        assert!(
+            same_bits(ours, theirs),
+            "{label} {case:?}: cold {ours:?} vs warm {theirs:?}"
+        );
+        let warm_delta = warm.counters().since(&warm_before);
+        assert_eq!(
+            warm_delta.mass_row_builds, 0,
+            "{label}: warm rows stay warm"
+        );
+        assert_eq!(
+            cold.counters().since(&cold_before),
+            EvalCounters {
+                mass_row_builds: builds,
+                ..warm_delta
+            },
+            "{label} {case:?}: counter deltas"
+        );
+    }
+
+    /// What-ifs answered on a resumed clone of a freshly built snapshot (no
+    /// dense table allocated yet) agree bit for bit with an evaluator whose
+    /// rows are all warm, and count the same what-ifs plus one build per
+    /// cold row they read. Covers moves, nested swaps in both orders and
+    /// disjoint swaps, unbounded and bounded (through the first task's
+    /// probe), on chains and forests at m = 20 and m = 64: each case on its
+    /// own cold clone, and a swap whose partner was never touched after a
+    /// move warmed the first task's row alone.
+    #[test]
+    fn cold_snapshot_what_ifs_match_warm_rows() {
+        let mut draws = Draws(0xC01D_5EED);
+        for (shape, m) in [("chain", 20), ("chain", 64), ("forest", 20), ("forest", 64)] {
+            let n = 36;
+            let successors = if shape == "chain" {
+                chain(n)
+            } else {
+                forest(n, &mut draws)
+            };
+            let instance = dress(&successors, m, &mut draws);
+            let assignment: Vec<usize> = (0..n).map(|_| draws.below(m)).collect();
+            let mapping = Mapping::from_indices(&assignment, m).unwrap();
+            let fresh = IncrementalEvaluator::new(&instance, &mapping)
+                .unwrap()
+                .into_snapshot();
+            assert!(
+                fresh.mass.rows.is_empty(),
+                "{shape} m={m}: tables allocated"
+            );
+            let cold = || IncrementalEvaluator::resume(&instance, fresh.clone()).unwrap();
+            let mut warm = cold();
+            assert!(warm.is_dense_fast_path());
+            for t in 0..n {
+                warm.ensure_mass_row(t);
+            }
+            let committed = warm.period().value();
+            // [nested, disjoint] swaps with an untouched partner;
+            // [settled, scanned] bounded answers.
+            let (mut untouched, mut outcomes) = ([0usize; 2], [0usize; 2]);
+            for step in 0..150 {
+                let label = format!("{shape} m={m} step {step}");
+                let (a, b) = (TaskId(draws.below(n)), TaskId(draws.below(n)));
+                let to = MachineId(draws.below(m));
+                let nested = {
+                    let topology = warm.topology();
+                    topology.is_upstream(a, b) || topology.is_upstream(b, a)
+                };
+                for case in [Case::Move(a, to), Case::Swap(a, b), Case::Swap(b, a)] {
+                    check_unbounded(&mut cold(), &mut warm, case, &label);
+                    let reference = unbounded(&mut warm, case).period.value();
+                    let near = reference * draws.float(0.95, 1.05);
+                    for bound in [
+                        reference * 0.5,
+                        reference,
+                        ulp(reference, true),
+                        near,
+                        committed,
+                        committed * 2.0,
+                    ] {
+                        let real = is_real(&warm, case);
+                        let mut eval = cold();
+                        let cold_before = eval.counters();
+                        let ours = bounded(&probe(&mut eval, case), &mut eval, case, bound);
+                        let warm_before = warm.counters();
+                        let theirs = bounded(&probe(&mut warm, case), &mut warm, case, bound);
+                        assert!(
+                            same_answer(ours, theirs),
+                            "{label} {case:?} bound {bound}: {ours:?} vs {theirs:?}"
+                        );
+                        outcomes[usize::from(ours.is_some())] += 1;
+                        // The probe builds the first task's row, a real
+                        // swap the partner's.
+                        let builds = 1 + u64::from(real && matches!(case, Case::Swap(..)));
+                        let warm_delta = warm.counters().since(&warm_before);
+                        assert_eq!(warm_delta.mass_row_builds, 0);
+                        assert_eq!(
+                            eval.counters().since(&cold_before),
+                            EvalCounters {
+                                mass_row_builds: builds,
+                                ..warm_delta
+                            },
+                            "{label} {case:?} bound {bound}: counter deltas"
+                        );
+                    }
+                }
+                // A partner that was never touched: a move warms the first
+                // task's row alone before the swap reads both.
+                let mut eval = cold();
+                if !is_real(&eval, Case::Move(a, to)) || !is_real(&eval, Case::Swap(a, b)) {
+                    continue;
+                }
+                check_unbounded(&mut eval, &mut warm, Case::Move(a, to), &label);
+                assert_eq!(cold_rows(&eval, Case::Swap(a, b)), 1);
+                check_unbounded(&mut eval, &mut warm, Case::Swap(a, b), &label);
+                // The same through one probe, as a sweep takes it: the probe
+                // builds the first task's row, the swap its partner's.
+                let mut eval = cold();
+                let (cold_before, warm_before) = (eval.counters(), warm.counters());
+                let cold_probe = eval.probe_task(a).unwrap();
+                let warm_probe = warm.probe_task(a).unwrap();
+                for bound in [None, Some(committed)] {
+                    let ours = cold_probe.move_below(&mut eval, to, bound).unwrap();
+                    let theirs = warm_probe.move_below(&mut warm, to, bound).unwrap();
+                    assert!(same_answer(ours, theirs), "{label}: {ours:?} vs {theirs:?}");
+                    let ours = cold_probe.swap_below(&mut eval, b, bound).unwrap();
+                    let theirs = warm_probe.swap_below(&mut warm, b, bound).unwrap();
+                    assert!(same_answer(ours, theirs), "{label}: {ours:?} vs {theirs:?}");
+                }
+                assert_eq!(
+                    eval.counters().since(&cold_before),
+                    EvalCounters {
+                        mass_row_builds: 2,
+                        ..warm.counters().since(&warm_before)
+                    },
+                    "{label}: counter deltas through one probe"
+                );
+                untouched[usize::from(!nested)] += 1;
+            }
+            assert!(
+                outcomes.iter().all(|&count| count > 0),
+                "{shape} m={m}: uncovered [settled, scanned]: {outcomes:?}"
+            );
+            assert!(untouched[0] > 0, "{shape} m={m}: no nested swap");
+            if shape == "forest" {
+                assert!(untouched[1] > 0, "{shape} m={m}: no disjoint swap");
             }
         }
     }
