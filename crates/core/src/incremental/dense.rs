@@ -22,6 +22,15 @@
 //! forests a commit in one branch leaves every other branch's rows warm
 //! (the `mass_row_builds` counter pins that in a regression test).
 //!
+//! The failure-factor and processing-time tables the what-if terms read are
+//! allocated with the mass rows but filled per task: a task's first mass-row
+//! build fills its two table rows, and every what-if builds the mass rows of
+//! the tasks it reads before it reads their terms. A what-if on a fresh
+//! evaluator (a resumed `evaluate` snapshot, say) then pays `O(m)` divisions
+//! per task it touches instead of `O(n·m)`. The values are instance
+//! constants, so a filled row never goes stale and the check sits in the
+//! cold build path alone; a sweep fills each row once per evaluator.
+//!
 //! Sweeps only keep candidates strictly below an incumbent, so they score
 //! through a per-task [`TaskProbe`] instead: taken once at a task's first
 //! candidate, it holds the task's machine, factor and subtree span and the
@@ -70,16 +79,22 @@ pub(super) struct MassRows {
     /// branches so the autovectorizer can chew through it.
     adjust: Vec<f64>,
     /// Row-major `tasks × machines` failure-factor table
-    /// `F_{i,u} = 1/(1 − f_{i,u})`, precomputed once: the factors are
-    /// instance constants, and computing one on the fly costs a float
-    /// division sitting right on the what-if critical path (the candidate
-    /// ratio, the moved mass and the scan scale all chain off it).
+    /// `F_{i,u} = 1/(1 − f_{i,u})`: the factors are instance constants, and
+    /// computing one on the fly costs a float division sitting right on the
+    /// what-if critical path (the candidate ratio, the moved mass and the
+    /// scan scale all chain off it). Row `i` is filled the first time task
+    /// `i`'s mass row is built (see `filled`), so a what-if on a fresh
+    /// evaluator pays `O(m)` divisions per task it touches, not `O(n·m)`.
     factors: Vec<f64>,
     /// Row-major `tasks × machines` processing-time table `w_{i,u}`,
     /// flattening the per-type indirection of [`Instance::time`] for the
-    /// same reason. Both tables hold the bit-identical values the
-    /// [`Instance`] accessors return.
+    /// same reason, filled per task alongside `factors`. Both tables hold
+    /// the bit-identical values the [`Instance`] accessors return.
     times: Vec<f64>,
+    /// Per-task flag: row `i` of `factors` and `times` is filled. The
+    /// values are instance constants, so a filled row never goes stale;
+    /// only the cold row build reads the flag.
+    filled: Vec<bool>,
 }
 
 impl MassRows {
@@ -139,8 +154,10 @@ impl<'a> IncrementalEvaluator<'a> {
 
     /// One-time allocation of the dense-path SoA tables: the mass-row
     /// matrix, the zero adjustment scratch, and the instance-constant
-    /// factor/time tables (precomputed so the per-probe critical path pays
-    /// a table load instead of a float division and a type indirection).
+    /// factor/time tables (so the per-probe critical path pays a table load
+    /// instead of a float division and a type indirection). The tables are
+    /// left unfilled: [`build_mass_row`](Self::build_mass_row) fills a
+    /// task's rows the first time it builds that task's mass row.
     #[cold]
     fn init_dense_tables(&mut self) {
         let n = self.assignment.len();
@@ -148,22 +165,26 @@ impl<'a> IncrementalEvaluator<'a> {
         self.mass.rows = vec![0.0; n * m];
         self.mass.valid = vec![false; n];
         self.mass.adjust = vec![0.0; m];
-        let mut factors = Vec::with_capacity(n * m);
-        let mut times = Vec::with_capacity(n * m);
-        for i in 0..n {
-            for u in 0..m {
-                factors.push(self.instance.factor(TaskId(i), MachineId(u)));
-                times.push(self.instance.time(TaskId(i), MachineId(u)));
-            }
-        }
-        self.mass.factors = factors;
-        self.mass.times = times;
+        self.mass.factors = vec![0.0; n * m];
+        self.mass.times = vec![0.0; n * m];
+        self.mass.filled = vec![false; n];
     }
 
-    /// Rebuilds the (invalid) mass row of task `i` in place.
+    /// Rebuilds the (invalid) mass row of task `i` in place, filling the
+    /// task's factor and time rows first if no earlier build did.
     #[cold]
     fn build_mass_row(&mut self, i: usize) {
         let m = self.load.len();
+        if !self.mass.filled[i] {
+            let task = TaskId(i);
+            let factors = &mut self.mass.factors[i * m..(i + 1) * m];
+            let times = &mut self.mass.times[i * m..(i + 1) * m];
+            for (u, (factor, time)) in factors.iter_mut().zip(times).enumerate() {
+                *factor = self.instance.factor(task, MachineId(u));
+                *time = self.instance.time(task, MachineId(u));
+            }
+            self.mass.filled[i] = true;
+        }
         match self.topology.kind() {
             // Chain, warm predecessor: row `i − 1` sums `tasks 0..i−1` in
             // index order, so copying it and adding task `i − 1` performs
@@ -233,14 +254,19 @@ impl<'a> IncrementalEvaluator<'a> {
     /// (distinct branches or trees — impossible on a chain) scale
     /// independent ranges (see [`SwapTerms`]). Two mass rows, one scan.
     pub(super) fn dense_swap_what_if(&mut self, a: TaskId, b: TaskId) -> Evaluation {
-        // The terms read the factor table; the rows are then built in the
-        // terms' order.
-        if self.mass.rows.is_empty() {
-            self.init_dense_tables();
-        }
-        let terms = self.swap_terms(self.task_state(a.index()), self.task_state(b.index()));
-        let row_0 = self.ensure_mass_row(terms.tasks[0]);
-        let row_1 = self.ensure_mass_row(terms.tasks[1]);
+        let (a, b) = (self.task_state(a.index()), self.task_state(b.index()));
+        // The terms read both tasks' factor rows, which their mass-row
+        // builds fill: build the rows first, in the terms' order (a nested
+        // pair upstream first, a disjoint pair as given).
+        let [first, second] = if Topology::span_is_upstream(b.span, a.span) {
+            [b.task, a.task]
+        } else {
+            [a.task, b.task]
+        };
+        let row_0 = self.ensure_mass_row(first);
+        let row_1 = self.ensure_mass_row(second);
+        let terms = self.swap_terms(a, b);
+        debug_assert_eq!(terms.tasks, [first, second]);
         let [u_0, u_1] = terms.machines;
         self.mass.adjust[u_0] = terms.adjust(self, u_0);
         self.mass.adjust[u_1] = terms.adjust(self, u_1);
