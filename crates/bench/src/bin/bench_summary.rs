@@ -7,7 +7,8 @@
 //! `bnb_prove/*` pair proving one m ≫ p fixture under the packing vs the
 //! LP bound, with simplex pivots per node and nanoseconds per pivot),
 //! what-if cost on a tree-shaped instance (the forest variant of the dense
-//! fast path vs a full recompute), the steepest-descent sweep on both the
+//! fast path vs a full recompute), a resident what-if resumed from a fresh
+//! snapshot and from a warm one, the steepest-descent sweep on both the
 //! forest and the chain shape, at m = 20 and at the repository benchmark's
 //! m = 64 `search` shape (with its deterministic `evaluator_calls`
 //! count and, as `probes`, the full machine scans among those calls), LNS
@@ -249,6 +250,58 @@ fn main() {
                 per_second: probe_count as f64 / (full.median_ns as f64 / 1e9),
             },
         });
+    }
+
+    // A resident `whatif` as the server answers one: resume the session's
+    // snapshot, answer one move what-if, snapshot back. `cold` resumes a
+    // clone of a freshly built snapshot every probe (the state an
+    // `evaluate`, `solve` or `load` leaves resident), `warm` the previous
+    // probe's snapshot. Probes alternate between the chain and the forest.
+    {
+        let resume_count = if quick { 200usize } else { 2_000 };
+        let shapes = [(&instance, &seed), (&forest, &forest_seed)];
+        let fresh = shapes.map(|(shape, mapping)| {
+            IncrementalEvaluator::new(shape, mapping)
+                .unwrap()
+                .into_snapshot()
+        });
+        let mut resident = fresh.clone().map(Some);
+        let whatif = |k: usize, snapshot: EvaluatorSnapshot| {
+            let (task, to) = probes[k];
+            let mut eval = IncrementalEvaluator::resume(shapes[k % 2].0, snapshot).unwrap();
+            let period = eval.evaluate_move(task, to).unwrap().period.value();
+            (period, eval.into_snapshot())
+        };
+        let cold = timing(time(iterations, || {
+            let mut acc = 0.0f64;
+            for k in 0..resume_count {
+                let (period, snapshot) = whatif(k, fresh[k % 2].clone());
+                acc += period;
+                std::hint::black_box(snapshot);
+            }
+            acc
+        }));
+        let warm = timing(time(iterations, || {
+            let mut acc = 0.0f64;
+            for k in 0..resume_count {
+                let held = resident[k % 2].take().expect("a resident snapshot");
+                let (period, snapshot) = whatif(k, held);
+                acc += period;
+                resident[k % 2] = Some(snapshot);
+            }
+            acc
+        }));
+        for (name, measured) in [("whatif_resume/cold", cold), ("whatif_resume/warm", warm)] {
+            rows.push(Measurement {
+                name,
+                timing: measured,
+                iterations,
+                quality: Quality::Nodes {
+                    count: resume_count as u64,
+                    per_second: resume_count as f64 / (measured.median_ns as f64 / 1e9),
+                },
+            });
+        }
     }
 
     // Steepest descent full sweeps on both the forest and the chain shape:
