@@ -18,14 +18,18 @@
 //!   m = 20 and m = 64, and the dense what-ifs, mass-row builds and budget
 //!   steps each of those runs spends;
 //! * the same runs from non-specialized seeds, and subtree-move LNS runs,
-//!   are pinned the same way.
+//!   are pinned the same way;
+//! * steepest descent's commit trace is a prefix of tabu search's from the
+//!   same seed (tabu search repeats the descent, then walks on).
 
 use mf_core::prelude::*;
 use mf_heuristics::search::{
     polish_with, CommitStep, LnsConfig, SearchEngine, SearchStrategy, SteepestDescent,
     SubtreeMoveLns, TabuConfig, TabuSearch,
 };
-use mf_heuristics::{H4wFastestMachine, H6LocalSearch, Heuristic, LocalSearchConfig};
+use mf_heuristics::{
+    paper_heuristic, H4wFastestMachine, H6LocalSearch, Heuristic, LocalSearchConfig,
+};
 use mf_sim::{GeneratorConfig, InstanceGenerator};
 
 fn instance(n: usize, m: usize, p: usize, seed: u64) -> Instance {
@@ -402,6 +406,82 @@ fn steepest_descent_and_tabu_from_general_seeds_are_pinned() {
         }
     }
     assert_eq!(observed, expected, "observed: {observed:#x?}");
+}
+
+/// Steepest descent is tabu search's descent prefix: from the same seed
+/// and budget, both score the same candidates while the walk descends and
+/// commit the same best one, until SD stops at a local optimum and TS goes
+/// on uphill. So the shorter commit trace is a prefix of the longer, and
+/// SD's is the shorter unless SD committed at least TS's iteration cap.
+/// Seeds: the six constructive bases (H1 at three RNG seeds) on chains and
+/// forests at m = 20 and m = 64.
+#[test]
+fn steepest_descent_is_the_descent_prefix_of_tabu_search() {
+    let generate = |config: GeneratorConfig, seed: u64| {
+        InstanceGenerator::new(config)
+            .generate(seed)
+            .expect("the generator produces valid instances")
+    };
+    let instances = [
+        (
+            "chain n=30 m=20",
+            generate(GeneratorConfig::paper_standard(30, 20, 4), 0x20C),
+        ),
+        (
+            "forest n=30 m=20",
+            generate(GeneratorConfig::standard_in_forest(30, 20, 4), 0x20F),
+        ),
+        (
+            "chain n=40 m=64",
+            generate(GeneratorConfig::paper_standard(40, 64, 6), 0x64C),
+        ),
+        (
+            "forest n=40 m=64",
+            generate(GeneratorConfig::standard_in_forest(40, 64, 6), 0x64F),
+        ),
+    ];
+    let bases = [
+        ("H1", 1),
+        ("H1", 2),
+        ("H1", 3),
+        ("H2", 0),
+        ("H3", 0),
+        ("H4", 0),
+        ("H4w", 0),
+        ("H4f", 0),
+    ];
+    let cap = TabuConfig::default().max_iterations;
+    let trace = |instance: &Instance, seed: &Mapping, strategy: &dyn SearchStrategy| {
+        let mut engine = SearchEngine::new(instance, seed, 200_000).unwrap();
+        engine.enable_commit_trace();
+        strategy.run(&mut engine).unwrap();
+        engine.commit_trace().to_vec()
+    };
+    let mut ts_went_on = 0usize;
+    for (label, instance) in &instances {
+        for (base, rng_seed) in bases {
+            let seed = paper_heuristic(base, rng_seed)
+                .unwrap()
+                .map(instance)
+                .expect("every base maps the fixtures");
+            let sd = trace(instance, &seed, &SteepestDescent::default());
+            let ts = trace(instance, &seed, &TabuSearch::default());
+            let shared = sd.len().min(ts.len());
+            assert_eq!(
+                sd[..shared],
+                ts[..shared],
+                "{label} {base} seed {rng_seed}: the traces part before {shared} commits"
+            );
+            assert!(
+                sd.len() <= ts.len() || sd.len() >= cap,
+                "{label} {base} seed {rng_seed}: SD committed {} steps, TS {}",
+                sd.len(),
+                ts.len()
+            );
+            ts_went_on += usize::from(ts.len() > sd.len());
+        }
+    }
+    assert!(ts_went_on > 0, "TS never went past SD's local optimum");
 }
 
 /// Subtree-move LNS runs on chains and forests at m = 20 and m = 64, two
