@@ -18,7 +18,10 @@ and change first on odd ones. Each side's `perfbench/out` is emptied before
 every run (stale span files there skew `setup_s`). Every run's metrics and `failed`
 count are printed as they finish; at the end, for each metric: each side's
 median and quartiles, the change's median shift, the pairs the change won,
-and whether the median gap exceeds the parent's interquartile spread.
+whether the median gap exceeds the parent's interquartile spread, and
+`claim`: `yes` only when the change won at least nine tenths of all pairs
+run (a tie is a win for neither side) and the median gap exceeds that
+spread, the rule a claimed gain must meet.
 
 The default metrics are BENCHMARK.json's end-to-end list; `--metrics`
 picks any reported metric by name (for example the per-layer
@@ -145,7 +148,7 @@ def main():
 
     print()
     print(f"{'metric':<28} {'parent median (q1-q3)':>32} {'change median (q1-q3)':>32} "
-          f"{'shift':>8} {'wins':>6}  gap > parent IQR")
+          f"{'shift':>8} {'wins':>6}  {'gap > IQR':>9}  claim")
     for name in names:
         parent = [value(metrics, name) for metrics in runs["parent"]]
         change = [value(metrics, name) for metrics in runs["change"]]
@@ -160,10 +163,13 @@ def main():
         c1, cm, c3 = quartiles(change)
         shift = (cm - pm) / pm * 100 if pm else float("nan")
         gap = (cm - pm) if direction == "higher" else (pm - cm)
+        beats_spread = gap > p3 - p1
+        claim = beats_spread and 10 * wins >= 9 * len(parent)
         print(
             f"{name:<28} {f'{pm:.6g} ({p1:.6g}-{p3:.6g})':>32} "
             f"{f'{cm:.6g} ({c1:.6g}-{c3:.6g})':>32} {shift:>+7.1f}% "
-            f"{wins:>3}/{len(parent):<2}  {'yes' if gap > p3 - p1 else 'no'}"
+            f"{wins:>3}/{len(parent):<2}  {'yes' if beats_spread else 'no':>9}  "
+            f"{'yes' if claim else 'no'}"
         )
 
 
