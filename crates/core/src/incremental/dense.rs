@@ -79,21 +79,19 @@ pub(super) struct MassRows {
     /// branches so the autovectorizer can chew through it.
     adjust: Vec<f64>,
     /// Row-major `tasks × machines` failure-factor table
-    /// `F_{i,u} = 1/(1 − f_{i,u})`: the factors are instance constants, and
-    /// computing one on the fly costs a float division sitting right on the
-    /// what-if critical path (the candidate ratio, the moved mass and the
-    /// scan scale all chain off it). Row `i` is filled the first time task
-    /// `i`'s mass row is built (see `filled`), so a what-if on a fresh
-    /// evaluator pays `O(m)` divisions per task it touches, not `O(n·m)`.
+    /// `F_{i,u} = 1/(1 − f_{i,u})`, filled per task (see `filled`): the
+    /// factors are instance constants, and computing one on the fly costs a
+    /// float division sitting right on the what-if critical path (the
+    /// candidate ratio, the moved mass and the scan scale all chain off it).
     factors: Vec<f64>,
     /// Row-major `tasks × machines` processing-time table `w_{i,u}`,
     /// flattening the per-type indirection of [`Instance::time`] for the
     /// same reason, filled per task alongside `factors`. Both tables hold
     /// the bit-identical values the [`Instance`] accessors return.
     times: Vec<f64>,
-    /// Per-task flag: row `i` of `factors` and `times` is filled. The
-    /// values are instance constants, so a filled row never goes stale;
-    /// only the cold row build reads the flag.
+    /// Per-task flag: row `i` of `factors` and `times` is filled, by task
+    /// `i`'s first mass-row build. A filled row never goes stale; only the
+    /// cold row build reads the flag.
     filled: Vec<bool>,
 }
 
