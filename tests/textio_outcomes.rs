@@ -5,9 +5,11 @@
 //! `Display` of the error — the same pin for both entries. The rows cover the instance and mapping payloads of the
 //! server's golden sessions, generated chains and forests, and the corners
 //! of the accepted set: line ends, Unicode whitespace, non-ASCII comments,
-//! number spellings the standard parsers accept or refuse, trailing tokens
-//! and out-of-range indices. A parser rewrite must leave every row as it
-//! is.
+//! number spellings the standard parsers accept or refuse, trailing tokens,
+//! out-of-range indices, the shapes a `failure` record can take, and
+//! headers redeclared between entries. A seeded corpus of one-edit
+//! mutations of a generated instance adds about two thousand more outcomes,
+//! pinned as one digest. A parser rewrite must leave every row as it is.
 
 use microfactory::model::textio;
 use microfactory::prelude::*;
@@ -280,6 +282,131 @@ fn instance_rows() -> Vec<(String, String)> {
         ("missing machines header", edit("machines 2\n", "")),
         ("missing types header", edit("types 1\n", "")),
         ("zero tasks", "tasks 0\nmachines 1\ntypes 0\n".to_string()),
+        (
+            "plus failure index",
+            edit("failure 0 1 0.02", "failure +0 1 0.02"),
+        ),
+        (
+            "leading zeros failure",
+            edit("failure 1 1 0.5", "failure 001 01 0.5"),
+        ),
+        (
+            "overflowing failure task",
+            edit("failure 1 1 0.5", "failure 18446744073709551616 1 0.5"),
+        ),
+        (
+            "overflowing failure machine",
+            edit("failure 1 1 0.5", "failure 1 18446744073709551616 0.5"),
+        ),
+        (
+            "max failure index",
+            edit("failure 1 1 0.5", "failure 18446744073709551615 1 0.5"),
+        ),
+        (
+            "trailing space on failure",
+            edit("failure 0 0 0.01", "failure 0 0 0.01 "),
+        ),
+        (
+            "tab after failure keyword",
+            edit("failure 0 0 0.01", "failure\t0 0 0.01"),
+        ),
+        (
+            "tab before failure value",
+            edit("failure 0 0 0.01", "failure 0 0\t0.01"),
+        ),
+        (
+            "comment glued to failure value",
+            edit("failure 0 0 0.01", "failure 0 0 0.01#x"),
+        ),
+        (
+            "comment after failure value",
+            edit("failure 0 0 0.01", "failure 0 0 0.01 # first"),
+        ),
+        (
+            "non-ascii after failure value",
+            edit("failure 0 0 0.01", "failure 0 0 0.01\u{A0}"),
+        ),
+        (
+            "indented failure",
+            edit("failure 0 0 0.01", " failure 0 0 0.01"),
+        ),
+        (
+            "failures keyword",
+            edit("failure 0 0 0.01", "failures 0 0 0.1"),
+        ),
+        (
+            "glued failure keyword",
+            edit("failure 0 0 0.01", "failure0 0 0.1"),
+        ),
+        ("bare failure keyword", edit("failure 0 0 0.01", "failure")),
+        (
+            "repeated failure entry",
+            format!("{BASE}failure 1 1 0.25\n"),
+        ),
+        (
+            "machines redeclared, same value",
+            format!("{BASE}machines 2\n"),
+        ),
+        (
+            "machines redeclared between failures, same value",
+            edit("failure 1 0 0\n", "machines 2\nfailure 1 0 0\n"),
+        ),
+        (
+            "machines redeclared and restored",
+            format!("{BASE}machines 3\nmachines 2\n"),
+        ),
+        (
+            "machines redeclared between failures, different value",
+            edit("failure 1 0 0\n", "machines 3\nfailure 1 0 0\n"),
+        ),
+        (
+            "machines narrowed after failures",
+            "tasks 2\nmachines 3\ntypes 1\ntask 0 0 successor 1\ntask 1 0\n\
+             failure 0 0 0.01\nfailure 0 1 0.02\nfailure 0 2 0.03\nmachines 2\n\
+             time 0 0 120\ntime 0 1 80.5\nfailure 1 0 0\nfailure 1 1 0.5\n"
+                .to_string(),
+        ),
+        (
+            "machines widened after failures",
+            "tasks 2\nmachines 2\ntypes 1\ntask 0 0 successor 1\ntask 1 0\n\
+             failure 0 0 0.01\nfailure 0 1 0.02\nmachines 3\ntime 0 0 120\n\
+             time 0 1 80.5\ntime 0 2 90\nfailure 1 0 0\nfailure 1 1 0.5\n\
+             failure 1 2 0.5\n"
+                .to_string(),
+        ),
+        (
+            "machines widened then narrowed",
+            "tasks 2\nmachines 2\ntypes 1\ntask 0 0 successor 1\ntask 1 0\n\
+             failure 0 0 0.01\nmachines 3\nfailure 1 0 0\nfailure 1 1 0.5\n\
+             failure 1 2 0.5\nmachines 2\ntime 0 0 120\ntime 0 1 80.5\n"
+                .to_string(),
+        ),
+        (
+            "machines widened then narrowed, complete first row",
+            "tasks 2\nmachines 2\ntypes 1\ntask 0 0 successor 1\ntask 1 0\n\
+             failure 0 0 0.01\nmachines 3\nfailure 1 0 0\nfailure 1 1 0.5\n\
+             failure 1 2 0.5\nmachines 2\nfailure 0 1 0.02\ntime 0 0 120\n\
+             time 0 1 80.5\n"
+                .to_string(),
+        ),
+        (
+            "tasks redeclared between failures",
+            edit("failure 1 0 0\n", "tasks 2\nfailure 1 0 0\n"),
+        ),
+        (
+            "tasks and task lines redeclared between failures",
+            edit(
+                "failure 1 0 0\n",
+                "tasks 2\ntask 0 0 successor 1\ntask 1 0\nfailure 1 0 0\n",
+            ),
+        ),
+        (
+            "tasks redeclared, failures repeated",
+            format!(
+                "{BASE}tasks 2\ntask 0 0 successor 1\ntask 1 0\n{}",
+                &BASE[BASE.find("failure").unwrap()..]
+            ),
+        ),
     ];
     rows.extend(
         corners
@@ -459,6 +586,33 @@ const INSTANCE_PINS: &[&str] = &[
     "missing machines header => err mapping violates General rule: line 5: `machines` must come first",
     "missing types header => err mapping violates General rule: line 5: `types` must come first",
     "zero tasks => err application has no tasks",
+    "plus failure index => ok 36ebe091e9d0590c",
+    "leading zeros failure => ok 36ebe091e9d0590c",
+    "overflowing failure task => err mapping violates General rule: line 11: expected task index (unsigned integer)",
+    "overflowing failure machine => err mapping violates General rule: line 11: expected machine index (unsigned integer)",
+    "max failure index => err mapping violates General rule: line 11: failure entry out of range",
+    "trailing space on failure => ok 36ebe091e9d0590c",
+    "tab after failure keyword => ok 36ebe091e9d0590c",
+    "tab before failure value => ok 36ebe091e9d0590c",
+    "comment glued to failure value => err mapping violates General rule: line 8: expected failure probability (number)",
+    "comment after failure value => ok 36ebe091e9d0590c",
+    "non-ascii after failure value => ok 36ebe091e9d0590c",
+    "indented failure => ok 36ebe091e9d0590c",
+    "failures keyword => err mapping violates General rule: line 8: unknown keyword `failures`",
+    "glued failure keyword => err mapping violates General rule: line 8: unknown keyword `failure0`",
+    "bare failure keyword => err mapping violates General rule: line 8: expected task index (unsigned integer)",
+    "repeated failure entry => ok 3cfeb8f05b9f92d4",
+    "machines redeclared, same value => ok 36ebe091e9d0590c",
+    "machines redeclared between failures, same value => ok 36ebe091e9d0590c",
+    "machines redeclared and restored => ok 36ebe091e9d0590c",
+    "machines redeclared between failures, different value => err mapping violates General rule: line 0: missing `time` entries for type 0",
+    "machines narrowed after failures => err mapping violates General rule: line 0: missing `failure` entries for task 0",
+    "machines widened after failures => err mapping violates General rule: line 0: missing `failure` entries for task 0",
+    "machines widened then narrowed => err mapping violates General rule: line 0: missing `failure 0 1` entry",
+    "machines widened then narrowed, complete first row => err mapping violates General rule: line 0: missing `failure` entries for task 1",
+    "tasks redeclared between failures => err mapping violates General rule: line 0: task 0 is not declared",
+    "tasks and task lines redeclared between failures => err mapping violates General rule: line 0: missing `failure` entries for task 0",
+    "tasks redeclared, failures repeated => ok 36ebe091e9d0590c",
 ];
 
 const MAPPING_PINS: &[&str] = &[
@@ -509,6 +663,65 @@ fn instance_parser_outcomes_are_pinned() {
         })
         .collect();
     check(&from_lines, INSTANCE_PINS);
+}
+
+/// The bytes a mutation writes over one byte of the text: separators, a
+/// sign, digits, a line end, a comment mark, an exponent letter and a
+/// no-break space.
+const MUTATION_BYTES: [&str; 10] = [" ", "\t", "+", "-", "0", "9", "\n", "#", "e", "\u{A0}"];
+
+/// Cases of the mutation corpus.
+const MUTATIONS: u64 = 2_000;
+
+/// Case `case` of the mutation corpus: `base` (ASCII) with one byte
+/// replaced by a `MUTATION_BYTES` entry, one byte deleted, or one line
+/// copied to another line position, chosen by a splitmix64 stream.
+fn mutated(base: &str, case: u64) -> String {
+    let mut state = case;
+    let mut next = || {
+        state = microfactory::model::splitmix64(state);
+        state
+    };
+    let pick = |value: u64, len: usize| (value % len as u64) as usize;
+    match next() % 3 {
+        0 => {
+            let at = pick(next(), base.len());
+            let with = MUTATION_BYTES[pick(next(), MUTATION_BYTES.len())];
+            format!("{}{with}{}", &base[..at], &base[at + 1..])
+        }
+        1 => {
+            let at = pick(next(), base.len());
+            format!("{}{}", &base[..at], &base[at + 1..])
+        }
+        _ => {
+            let mut lines: Vec<&str> = base.lines().collect();
+            let line = lines[pick(next(), lines.len())];
+            let at = pick(next(), lines.len() + 1);
+            lines.insert(at, line);
+            lines.join("\n")
+        }
+    }
+}
+
+/// A seeded corpus of one-edit mutations of a generated 12×4 chain: the
+/// whole text and its `str::lines` parse to the same outcome on every case,
+/// and the outcomes, in case order, hash to one pinned digest.
+#[test]
+fn mutated_instance_outcomes_are_pinned() {
+    let base = generated(GeneratorConfig::paper_standard(12, 4, 3), 5);
+    let mut digest_input = String::new();
+    let mut accepted = 0;
+    for case in 0..MUTATIONS {
+        let text = mutated(&base, case);
+        let outcome = instance_outcome(textio::instance_from_text(&text));
+        let from_lines = instance_outcome(textio::instance_from_lines(text.lines()));
+        assert_eq!(outcome, from_lines, "case {case}: {text:?}");
+        accepted += usize::from(outcome.starts_with("ok "));
+        digest_input.push_str(&outcome);
+        digest_input.push('\n');
+    }
+    let digest = format!("{:016x}", fnv1a64(digest_input.as_bytes()));
+    assert_eq!((accepted, digest.as_str()), (1191, "fe7020ee2075084b"));
 }
 
 #[test]
