@@ -82,21 +82,41 @@ pub struct FailureModel {
 
 impl FailureModel {
     /// Builds a failure model from a full `n × m` matrix (row per task).
+    ///
+    /// The rows are flattened into [`FailureModel::from_flat`], which
+    /// validates every rate; rows up to the first one of the wrong length
+    /// are validated before that length is reported.
     pub fn from_matrix(rows: Vec<Vec<f64>>, machine_count: usize) -> Result<Self> {
-        let task_count = rows.len();
-        let mut rates = Vec::with_capacity(task_count * machine_count);
-        for row in &rows {
-            if row.len() != machine_count {
-                return Err(ModelError::DimensionMismatch {
-                    context: "FailureModel::from_matrix row",
-                    expected: machine_count,
-                    actual: row.len(),
-                });
-            }
-            for &value in row {
-                rates.push(FailureRate::new(value)?);
-            }
+        let well_formed = rows
+            .iter()
+            .position(|row| row.len() != machine_count)
+            .unwrap_or(rows.len());
+        let model = Self::from_flat(well_formed, machine_count, rows[..well_formed].concat())?;
+        match rows.get(well_formed) {
+            Some(row) => Err(ModelError::DimensionMismatch {
+                context: "FailureModel::from_matrix row",
+                expected: machine_count,
+                actual: row.len(),
+            }),
+            None => Ok(model),
         }
+    }
+
+    /// Builds a failure model from a row-major `task_count × machine_count`
+    /// buffer of probabilities, validating each one in task order and
+    /// reusing the buffer for the rates.
+    pub fn from_flat(task_count: usize, machine_count: usize, values: Vec<f64>) -> Result<Self> {
+        if task_count.checked_mul(machine_count) != Some(values.len()) {
+            return Err(ModelError::DimensionMismatch {
+                context: "FailureModel::from_flat buffer",
+                expected: task_count.saturating_mul(machine_count),
+                actual: values.len(),
+            });
+        }
+        let rates = values
+            .into_iter()
+            .map(FailureRate::new)
+            .collect::<Result<Vec<_>>>()?;
         Ok(FailureModel {
             task_count,
             machine_count,
@@ -255,6 +275,27 @@ mod tests {
         assert_eq!(model.rate(TaskId(1), MachineId(0)).value(), 0.3);
         assert!(!model.is_task_dependent_only());
         assert!(!model.is_machine_dependent_only());
+    }
+
+    #[test]
+    fn flat_model_matches_the_matrix_and_checks_its_length() {
+        let flat = FailureModel::from_flat(2, 2, vec![0.1, 0.2, 0.3, 0.4]).unwrap();
+        let matrix = FailureModel::from_matrix(vec![vec![0.1, 0.2], vec![0.3, 0.4]], 2).unwrap();
+        assert_eq!(flat, matrix);
+        let err = FailureModel::from_flat(2, 2, vec![0.1, 0.2, 0.3]).unwrap_err();
+        assert!(matches!(err, ModelError::DimensionMismatch { .. }));
+        let err = FailureModel::from_flat(1, 2, vec![0.1, 1.0]).unwrap_err();
+        assert!(matches!(err, ModelError::InvalidFailureRate { .. }));
+    }
+
+    /// The matrix wrapper keeps the row-by-row order of its checks: a bad
+    /// rate before the first ragged row is reported, one after it is not.
+    #[test]
+    fn matrix_model_reports_the_first_fault_in_row_order() {
+        let err = FailureModel::from_matrix(vec![vec![0.1, 1.5], vec![0.3]], 2).unwrap_err();
+        assert!(matches!(err, ModelError::InvalidFailureRate { .. }));
+        let err = FailureModel::from_matrix(vec![vec![0.1], vec![1.5, 0.3]], 2).unwrap_err();
+        assert!(matches!(err, ModelError::DimensionMismatch { .. }));
     }
 
     #[test]

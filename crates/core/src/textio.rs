@@ -33,6 +33,29 @@
 //! so `instance_from_lines(lines)` and `instance_from_text(&joined)` give
 //! the same outcome, line numbers in errors included; mappings likewise
 //! ([`mapping_from_text`], [`mapping_from_lines`]).
+//!
+//! The model attaches a failure rate to every (task, machine) pair, so
+//! `failure` records are nearly all of an instance (2 000 of the 2 204
+//! lines at 100 tasks × 20 machines), and the parser is shaped around
+//! them:
+//!
+//! - **A fast path.** A line that is exactly `failure <task> <machine>
+//!   <value>` — the keyword at the line start, single spaces, both indices
+//!   plain ASCII digits that fit a `usize`, a value that ends the line and
+//!   parses as `f64` — is read in one pass: the keyword by prefix, the
+//!   indices by one digit loop with an overflow check. Any other shape (a
+//!   sign, leading, extra or tab separators, a trailing token or comment,
+//!   non-ASCII, an overflowing index) reads nothing and falls back to the
+//!   general token path, so every outcome, error text and line number is
+//!   the general path's. Whole texts and per-line pieces both take it.
+//! - **Flat staging.** `time` and `failure` entries are staged in one
+//!   row-major buffer per record kind, with a presence mask, and the
+//!   failure buffer becomes the [`FailureModel`] through
+//!   [`FailureModel::from_flat`] without another copy. A row takes its
+//!   width from the `machines` count in force at its first entry, so a
+//!   document that redeclares that count between entries gets the same
+//!   `missing` error it always did; an entry beyond its row's width is
+//!   out of range.
 
 use crate::application::{Application, ApplicationBuilder};
 use crate::error::{ModelError, Result};
@@ -146,6 +169,9 @@ struct Records<'a, I> {
     line: usize,
     /// The rest of the current line, once it turned out to hold non-ASCII.
     unicode: Option<std::str::SplitWhitespace<'a>>,
+    /// The current record's task, machine and probability, when it is a
+    /// `failure` record that [`Records::failure_entry`] read whole.
+    failure: Option<(usize, usize, f64)>,
 }
 
 impl<'a, I: Iterator<Item = &'a str>> Records<'a, I> {
@@ -156,12 +182,14 @@ impl<'a, I: Iterator<Item = &'a str>> Records<'a, I> {
             pos: 0,
             line: 0,
             unicode: None,
+            failure: None,
         }
     }
 
     /// Moves to the next record and returns its keyword (its first token),
     /// skipping blank and comment lines and the unread tokens of the
-    /// current one; `None` after the last line.
+    /// current one; `None` after the last line. A `failure` record of the
+    /// fast path's shape comes back with its entry in `self.failure`.
     fn next_record(&mut self) -> Option<&'a str> {
         loop {
             let rest = &self.text.as_bytes()[self.pos..];
@@ -174,11 +202,45 @@ impl<'a, I: Iterator<Item = &'a str>> Records<'a, I> {
             }
             self.line += 1;
             self.unicode = None;
+            self.failure = self.failure_entry();
+            if self.failure.is_some() {
+                return Some("failure");
+            }
             match self.token() {
                 Some(keyword) if !keyword.starts_with('#') => return Some(keyword),
                 _ => {}
             }
         }
+    }
+
+    /// The fast path of the commonest record: reads the current line whole
+    /// when it is exactly `failure␠<task>␠<machine>␠<value>` — the keyword
+    /// at the line start, single spaces, both indices plain ASCII digits
+    /// that fit a `usize`, and a value of token bytes that ends the line and
+    /// that `str::parse::<f64>` accepts. Any other shape (a sign, leading
+    /// or extra whitespace, a tab, a trailing token or comment, non-ASCII,
+    /// an overflowing index, an unparsable value) reads nothing and returns
+    /// `None`, and the general token path reads the line, so it gives the
+    /// same outcome, error text and line number as before.
+    fn failure_entry(&mut self) -> Option<(usize, usize, f64)> {
+        const KEYWORD: &[u8] = b"failure ";
+        let bytes = self.text.as_bytes();
+        if !bytes[self.pos..].starts_with(KEYWORD) {
+            return None;
+        }
+        let mut at = self.pos + KEYWORD.len();
+        let task = index_then_space(bytes, &mut at)?;
+        let machine = index_then_space(bytes, &mut at)?;
+        let start = at;
+        while at < bytes.len() && CLASS[usize::from(bytes[at])] == TOKEN {
+            at += 1;
+        }
+        if at == start || bytes.get(at).is_some_and(|&byte| byte != b'\n') {
+            return None;
+        }
+        let value = self.text[start..at].parse::<f64>().ok()?;
+        self.pos = at;
+        Some((task, machine, value))
     }
 
     /// The next token of the current record; `None` at the end of the line.
@@ -208,6 +270,127 @@ impl<'a, I: Iterator<Item = &'a str>> Records<'a, I> {
         }
         self.pos = end;
         (end > start).then(|| &self.text[start..end])
+    }
+}
+
+/// Reads the ASCII digits at `*at` as a `usize` and the one space after
+/// them, moving `*at` past both; `None` when there is no digit, the value
+/// overflows or no space follows.
+fn index_then_space(bytes: &[u8], at: &mut usize) -> Option<usize> {
+    let start = *at;
+    let mut value = 0usize;
+    while let Some(digit) = bytes.get(*at).filter(|byte| byte.is_ascii_digit()) {
+        value = value
+            .checked_mul(10)?
+            .checked_add(usize::from(digit - b'0'))?;
+        *at += 1;
+    }
+    if *at == start || bytes.get(*at) != Some(&b' ') {
+        return None;
+    }
+    *at += 1;
+    Some(value)
+}
+
+/// The `time` or `failure` entries of a document as they are read: one row
+/// per type or task, staged row-major `stride` slots apart in one value
+/// buffer and one presence mask. A row takes its width from the `machines`
+/// count in force at its first entry (0 while it has none), as a document
+/// may redeclare that count; it is complete only when its width is the
+/// final count and all of its entries are present. The buffers are
+/// allocated at the first entry, and re-laid out only if a later row is
+/// wider, which a document can only do on its way to a `missing` error.
+struct Staging {
+    widths: Vec<usize>,
+    stride: usize,
+    values: Vec<f64>,
+    present: Vec<bool>,
+}
+
+impl Staging {
+    fn new(rows: usize) -> Self {
+        Staging {
+            widths: vec![0; rows],
+            stride: 0,
+            values: Vec::new(),
+            present: Vec::new(),
+        }
+    }
+
+    /// Stores entry `(row, column)`, read while `machine_count` machines
+    /// are declared, over any earlier one; `false` (nothing stored) when
+    /// `column` lies beyond a row that started under a smaller count.
+    fn set(&mut self, row: usize, column: usize, machine_count: usize, value: f64) -> bool {
+        let width = &mut self.widths[row];
+        if *width == 0 {
+            *width = machine_count;
+        }
+        let width = *width;
+        if column >= width {
+            return false;
+        }
+        if width > self.stride {
+            self.widen(width);
+        }
+        let slot = row * self.stride + column;
+        self.values[slot] = value;
+        self.present[slot] = true;
+        true
+    }
+
+    /// Re-lays the rows out `stride` slots apart, keeping every entry.
+    fn widen(&mut self, stride: usize) {
+        let len = self
+            .widths
+            .len()
+            .checked_mul(stride)
+            .expect("staged entries fit in memory");
+        let mut values = vec![0.0; len];
+        let mut present = vec![false; len];
+        if self.stride > 0 {
+            let old_rows = self
+                .values
+                .chunks(self.stride)
+                .zip(self.present.chunks(self.stride));
+            let new_rows = values.chunks_mut(stride).zip(present.chunks_mut(stride));
+            for ((old_values, old_present), (new_values, new_present)) in old_rows.zip(new_rows) {
+                new_values[..self.stride].copy_from_slice(old_values);
+                new_present[..self.stride].copy_from_slice(old_present);
+            }
+        }
+        self.stride = stride;
+        self.values = values;
+        self.present = present;
+    }
+
+    /// The complete rows as one row-major `rows × machine_count` buffer, or
+    /// the error naming the first incomplete row (`noun` and its index) or
+    /// its first missing entry (`keyword`, row and column).
+    fn finish(self, machine_count: usize, keyword: &str, noun: &str) -> Result<Vec<f64>> {
+        for (row, &width) in self.widths.iter().enumerate() {
+            if width != machine_count {
+                return Err(parse_error(
+                    0,
+                    format!("missing `{keyword}` entries for {noun} {row}"),
+                ));
+            }
+            let present = &self.present[row * self.stride..][..width];
+            if let Some(column) = present.iter().position(|&present| !present) {
+                return Err(parse_error(
+                    0,
+                    format!("missing `{keyword} {row} {column}` entry"),
+                ));
+            }
+        }
+        if self.stride == machine_count {
+            return Ok(self.values);
+        }
+        Ok(self
+            .values
+            .chunks(self.stride.max(1))
+            .flat_map(|row| &row[..machine_count])
+            .copied()
+            .collect())
     }
 }
 
@@ -246,8 +429,8 @@ pub fn instance_from_lines<'a>(lines: impl IntoIterator<Item = &'a str>) -> Resu
     let mut type_count: Option<usize> = None;
     let mut task_types: Vec<Option<usize>> = Vec::new();
     let mut successors: Vec<Option<usize>> = Vec::new();
-    let mut times: Vec<Vec<Option<f64>>> = Vec::new();
-    let mut failures: Vec<Vec<Option<f64>>> = Vec::new();
+    let mut times = Staging::new(0);
+    let mut failures = Staging::new(0);
 
     let mut records = Records::new(lines.into_iter());
     while let Some(keyword) = records.next_record() {
@@ -258,7 +441,7 @@ pub fn instance_from_lines<'a>(lines: impl IntoIterator<Item = &'a str>) -> Resu
                 task_count = Some(n);
                 task_types = vec![None; n];
                 successors = vec![None; n];
-                failures = vec![Vec::new(); n];
+                failures = Staging::new(n);
             }
             "machines" => {
                 machine_count = Some(parse_usize(records.token(), line_number, "machine count")?);
@@ -266,7 +449,7 @@ pub fn instance_from_lines<'a>(lines: impl IntoIterator<Item = &'a str>) -> Resu
             "types" => {
                 let p = parse_usize(records.token(), line_number, "type count")?;
                 type_count = Some(p);
-                times = vec![Vec::new(); p];
+                times = Staging::new(p);
             }
             "task" => {
                 let n = task_count
@@ -302,29 +485,26 @@ pub fn instance_from_lines<'a>(lines: impl IntoIterator<Item = &'a str>) -> Resu
                 let ty = parse_usize(records.token(), line_number, "type index")?;
                 let machine = parse_usize(records.token(), line_number, "machine index")?;
                 let value = parse_f64(records.token(), line_number, "processing time")?;
-                if ty >= p || machine >= m {
+                if ty >= p || machine >= m || !times.set(ty, machine, m, value) {
                     return Err(parse_error(line_number, "time entry out of range"));
                 }
-                if times[ty].is_empty() {
-                    times[ty] = vec![None; m];
-                }
-                times[ty][machine] = Some(value);
             }
             "failure" => {
                 let n = task_count
                     .ok_or_else(|| parse_error(line_number, "`tasks` must come first"))?;
                 let m = machine_count
                     .ok_or_else(|| parse_error(line_number, "`machines` must come first"))?;
-                let task = parse_usize(records.token(), line_number, "task index")?;
-                let machine = parse_usize(records.token(), line_number, "machine index")?;
-                let value = parse_f64(records.token(), line_number, "failure probability")?;
-                if task >= n || machine >= m {
+                let (task, machine, value) = match records.failure.take() {
+                    Some(entry) => entry,
+                    None => (
+                        parse_usize(records.token(), line_number, "task index")?,
+                        parse_usize(records.token(), line_number, "machine index")?,
+                        parse_f64(records.token(), line_number, "failure probability")?,
+                    ),
+                };
+                if task >= n || machine >= m || !failures.set(task, machine, m, value) {
                     return Err(parse_error(line_number, "failure entry out of range"));
                 }
-                if failures[task].is_empty() {
-                    failures[task] = vec![None; m];
-                }
-                failures[task][machine] = Some(value);
             }
             other => {
                 return Err(parse_error(
@@ -355,44 +535,10 @@ pub fn instance_from_lines<'a>(lines: impl IntoIterator<Item = &'a str>) -> Resu
     }
     let app = build_with_declared_types(builder, p)?;
 
-    // Platform.
-    let mut type_times = Vec::with_capacity(p);
-    for (ty, row) in times.into_iter().enumerate() {
-        if row.len() != m {
-            return Err(parse_error(
-                0,
-                format!("missing `time` entries for type {ty}"),
-            ));
-        }
-        let mut values = Vec::with_capacity(m);
-        for (u, value) in row.into_iter().enumerate() {
-            values.push(
-                value.ok_or_else(|| parse_error(0, format!("missing `time {ty} {u}` entry")))?,
-            );
-        }
-        type_times.push(values);
-    }
+    let times = times.finish(m, "time", "type")?;
+    let type_times = times.chunks(m.max(1)).map(<[f64]>::to_vec).collect();
     let platform = Platform::from_type_times(m, type_times)?;
-
-    // Failures.
-    let mut failure_rows = Vec::with_capacity(n);
-    for (task, row) in failures.into_iter().enumerate() {
-        if row.len() != m {
-            return Err(parse_error(
-                0,
-                format!("missing `failure` entries for task {task}"),
-            ));
-        }
-        let mut values = Vec::with_capacity(m);
-        for (u, value) in row.into_iter().enumerate() {
-            values
-                .push(value.ok_or_else(|| {
-                    parse_error(0, format!("missing `failure {task} {u}` entry"))
-                })?);
-        }
-        failure_rows.push(values);
-    }
-    let failure_model = FailureModel::from_matrix(failure_rows, m)?;
+    let failure_model = FailureModel::from_flat(n, m, failures.finish(m, "failure", "task")?)?;
 
     Instance::new(app, platform, failure_model)
 }
@@ -545,6 +691,46 @@ mod tests {
             ] {
                 assert_eq!(actual, expected, "seed {seed}, {walk}: {text:?}");
             }
+        }
+    }
+
+    #[test]
+    fn failure_records_take_the_fast_path_only_in_their_exact_shape() {
+        // `|` splits the text into pieces, as a payload's lines arrive.
+        let entries = |text: &str| {
+            let mut records = Records::new(text.split('|'));
+            let mut entries = Vec::new();
+            while records.next_record().is_some() {
+                entries.push(records.failure.take());
+            }
+            entries
+        };
+        assert_eq!(
+            entries("failure 12 3 0.25\nfailure 007 0 1e-3|failure 1 2 0.5"),
+            [Some((12, 3, 0.25)), Some((7, 0, 1e-3)), Some((1, 2, 0.5))]
+        );
+        for line in [
+            "failure +1 0 0.1",
+            "failure -1 0 0.1",
+            "failure 1 0 0.1 ",
+            "failure 1 0 0.1\r",
+            "failure\t1 0 0.1",
+            "failure 1\t0 0.1",
+            "failure 1  0 0.1",
+            " failure 1 0 0.1",
+            "failure 1 0 0.1 extra",
+            "failure 1 0 0.1#x",
+            "failure 1 0 0.1\u{A0}",
+            "failures 1 0 0.1",
+            "failure1 0 0.1",
+            "failure 18446744073709551616 0 0.1",
+            "failure 1 18446744073709551616 0.1",
+            "failure 1 0",
+            "failure 1 0 ",
+            "failure 1 0 x",
+            "failure",
+        ] {
+            assert_eq!(entries(line), [None], "{line:?}");
         }
     }
 

@@ -390,6 +390,18 @@ fn instance_rows() -> Vec<(String, String)> {
                 .to_string(),
         ),
         (
+            "failure beyond its row after machines widened",
+            "tasks 2\nmachines 2\ntypes 1\ntask 0 0 successor 1\ntask 1 0\n\
+             failure 0 0 0.01\nmachines 3\nfailure 0 2 0.1\n"
+                .to_string(),
+        ),
+        (
+            "time beyond its row after machines widened",
+            "tasks 2\nmachines 2\ntypes 1\ntask 0 0 successor 1\ntask 1 0\n\
+             time 0 0 120\nmachines 3\ntime 0 2 90\n"
+                .to_string(),
+        ),
+        (
             "tasks redeclared between failures",
             edit("failure 1 0 0\n", "tasks 2\nfailure 1 0 0\n"),
         ),
@@ -610,6 +622,8 @@ const INSTANCE_PINS: &[&str] = &[
     "machines widened after failures => err mapping violates General rule: line 0: missing `failure` entries for task 0",
     "machines widened then narrowed => err mapping violates General rule: line 0: missing `failure 0 1` entry",
     "machines widened then narrowed, complete first row => err mapping violates General rule: line 0: missing `failure` entries for task 1",
+    "failure beyond its row after machines widened => err mapping violates General rule: line 8: failure entry out of range",
+    "time beyond its row after machines widened => err mapping violates General rule: line 8: time entry out of range",
     "tasks redeclared between failures => err mapping violates General rule: line 0: task 0 is not declared",
     "tasks and task lines redeclared between failures => err mapping violates General rule: line 0: missing `failure` entries for task 0",
     "tasks redeclared, failures repeated => ok 36ebe091e9d0590c",
