@@ -26,8 +26,11 @@ pub struct Application {
     tasks: Vec<Task>,
     /// `successor[i]` is the unique successor of task `i`, if any.
     successor: Vec<Option<TaskId>>,
-    /// `predecessors[i]` are the tasks whose output is merged by task `i`.
-    predecessors: Vec<Vec<TaskId>>,
+    /// The tasks whose output each task merges, task by task in index
+    /// order: task `i`'s are `predecessors[predecessor_start[i]..
+    /// predecessor_start[i + 1]]`, in increasing index.
+    predecessor_start: Vec<usize>,
+    predecessors: Vec<TaskId>,
     /// Number of distinct task types (`p` in the paper).
     type_count: usize,
     /// Tasks in an order such that every task appears after all its
@@ -68,7 +71,8 @@ impl Application {
     /// The predecessors of a task (the tasks whose products it joins).
     #[inline]
     pub fn predecessors(&self, task: TaskId) -> &[TaskId] {
-        &self.predecessors[task.index()]
+        let i = task.index();
+        &self.predecessors[self.predecessor_start[i]..self.predecessor_start[i + 1]]
     }
 
     /// Tasks with no successor (the exits of the factory).
@@ -82,10 +86,10 @@ impl Application {
 
     /// Tasks with no predecessor (the entries of the factory).
     pub fn sources(&self) -> impl Iterator<Item = TaskId> + '_ {
-        self.predecessors
-            .iter()
+        self.predecessor_start
+            .windows(2)
             .enumerate()
-            .filter(|(_, p)| p.is_empty())
+            .filter(|(_, range)| range[0] == range[1])
             .map(|(i, _)| TaskId(i))
     }
 
@@ -120,8 +124,8 @@ impl Application {
         }
         (0..n - 1).all(|i| self.successor[i] == Some(TaskId(i + 1)))
             && self.successor[n - 1].is_none()
-            && (1..n).all(|i| self.predecessors[i] == vec![TaskId(i - 1)])
-            && self.predecessors[0].is_empty()
+            && (1..n).all(|i| self.predecessors(TaskId(i)) == [TaskId(i - 1)])
+            && self.predecessors(TaskId(0)).is_empty()
     }
 
     /// Builds a linear chain from the list of task types, task `i` preceding
@@ -275,15 +279,28 @@ impl ApplicationBuilder {
             })
             .collect();
 
-        let mut predecessors = vec![Vec::new(); n];
+        // Predecessor lists, flattened: count each task's, turn the counts
+        // into start offsets, then place every task in its successor's list
+        // in index order.
+        let mut indegree = vec![0usize; n];
+        for succ in self.successor.iter().flatten() {
+            indegree[succ.index()] += 1;
+        }
+        let mut predecessor_start = Vec::with_capacity(n + 1);
+        predecessor_start.push(0);
+        for &count in &indegree {
+            predecessor_start.push(predecessor_start[predecessor_start.len() - 1] + count);
+        }
+        let mut predecessors = vec![TaskId(0); predecessor_start[n]];
+        let mut next_slot = predecessor_start[..n].to_vec();
         for (i, succ) in self.successor.iter().enumerate() {
             if let Some(s) = succ {
-                predecessors[s.index()].push(TaskId(i));
+                predecessors[next_slot[s.index()]] = TaskId(i);
+                next_slot[s.index()] += 1;
             }
         }
 
         // Kahn's algorithm for a topological order; also detects cycles.
-        let mut indegree: Vec<usize> = predecessors.iter().map(Vec::len).collect();
         let mut queue: Vec<TaskId> = (0..n).filter(|&i| indegree[i] == 0).map(TaskId).collect();
         let mut topological = Vec::with_capacity(n);
         while let Some(task) = queue.pop() {
@@ -302,6 +319,7 @@ impl ApplicationBuilder {
         Ok(Application {
             tasks,
             successor: self.successor,
+            predecessor_start,
             predecessors,
             type_count,
             topological,
