@@ -58,13 +58,43 @@ struct CacheEntry {
     last_used: u64,
 }
 
-/// Cache key: store name, load generation, mapping fingerprint.
-type CacheKey = (String, u64, u64);
-
+/// Entries keyed by store name first, then by (load generation, mapping
+/// fingerprint), so a lookup borrows the name and a purge drops one map.
 #[derive(Default)]
 struct CacheInner {
-    entries: HashMap<CacheKey, CacheEntry>,
+    entries: HashMap<String, HashMap<(u64, u64), CacheEntry>>,
+    /// Entries over all names.
+    len: usize,
     clock: u64,
+}
+
+impl CacheInner {
+    /// Drops the least-recently-used entry, if any.
+    fn evict_coldest(&mut self) -> bool {
+        let coldest = self
+            .entries
+            .iter()
+            .flat_map(|(name, entries)| {
+                entries
+                    .iter()
+                    .map(move |(key, entry)| (entry.last_used, name, *key))
+            })
+            .min_by_key(|&(last_used, _, _)| last_used)
+            .map(|(_, name, key)| (name.clone(), key));
+        let Some((name, key)) = coldest else {
+            return false;
+        };
+        let entries = self
+            .entries
+            .get_mut(&name)
+            .expect("the coldest name is cached");
+        entries.remove(&key);
+        if entries.is_empty() {
+            self.entries.remove(&name);
+        }
+        self.len -= 1;
+        true
+    }
 }
 
 /// A keyed cache of finished evaluations, shared by all sessions of one
@@ -110,6 +140,7 @@ impl EvaluateCache {
             self.inner.clear_poison();
             let mut inner = poison.into_inner();
             inner.entries.clear();
+            inner.len = 0;
             inner
         })
     }
@@ -133,7 +164,8 @@ impl EvaluateCache {
         let clock = inner.clock;
         match inner
             .entries
-            .get_mut(&(name.to_string(), generation, fingerprint))
+            .get_mut(name)
+            .and_then(|entries| entries.get_mut(&(generation, fingerprint)))
         {
             Some(entry) => {
                 entry.last_used = clock;
@@ -156,25 +188,25 @@ impl EvaluateCache {
         let mut inner = self.lock();
         inner.clock += 1;
         let clock = inner.clock;
-        let key = (name.to_string(), generation, fingerprint);
-        if !inner.entries.contains_key(&key) && inner.entries.len() >= self.cap {
-            if let Some(coldest) = inner
-                .entries
-                .iter()
-                .min_by_key(|(_, entry)| entry.last_used)
-                .map(|(key, _)| key.clone())
-            {
-                inner.entries.remove(&coldest);
-                self.evictions.fetch_add(1, Ordering::Relaxed);
-            }
+        let key = (generation, fingerprint);
+        let cached = inner
+            .entries
+            .get(name)
+            .is_some_and(|entries| entries.contains_key(&key));
+        if !cached && inner.len >= self.cap && inner.evict_coldest() {
+            self.evictions.fetch_add(1, Ordering::Relaxed);
         }
-        inner.entries.insert(
-            key,
-            CacheEntry {
-                value,
-                last_used: clock,
-            },
-        );
+        let entry = CacheEntry {
+            value,
+            last_used: clock,
+        };
+        let entries = match inner.entries.get_mut(name) {
+            Some(entries) => entries,
+            None => inner.entries.entry(name.to_string()).or_default(),
+        };
+        if entries.insert(key, entry).is_none() {
+            inner.len += 1;
+        }
     }
 
     /// Drops every entry of one store name. A name's generation never
@@ -184,12 +216,14 @@ impl EvaluateCache {
     /// of waiting for the LRU cap to age them out.
     pub fn purge(&self, name: &str) {
         let mut inner = self.lock();
-        inner.entries.retain(|key, _| key.0 != name);
+        if let Some(entries) = inner.entries.remove(name) {
+            inner.len -= entries.len();
+        }
     }
 
     /// Resident entry count.
     pub fn len(&self) -> usize {
-        self.lock().entries.len()
+        self.lock().len
     }
 
     /// `true` when no evaluation is cached.
