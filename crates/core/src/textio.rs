@@ -319,18 +319,16 @@ impl Staging {
 
     /// Stores entry `(row, column)`, read while `machine_count` machines
     /// are declared, over any earlier one; `false` (nothing stored) when
-    /// `column` lies beyond a row that started under a smaller count.
+    /// `column` lies beyond a row that started under a smaller count, or
+    /// when the rows at this width would need more than `usize::MAX` slots.
     fn set(&mut self, row: usize, column: usize, machine_count: usize, value: f64) -> bool {
         let width = &mut self.widths[row];
         if *width == 0 {
             *width = machine_count;
         }
         let width = *width;
-        if column >= width {
+        if column >= width || (width > self.stride && !self.widen(width)) {
             return false;
-        }
-        if width > self.stride {
-            self.widen(width);
         }
         let slot = row * self.stride + column;
         self.values[slot] = value;
@@ -338,13 +336,12 @@ impl Staging {
         true
     }
 
-    /// Re-lays the rows out `stride` slots apart, keeping every entry.
-    fn widen(&mut self, stride: usize) {
-        let len = self
-            .widths
-            .len()
-            .checked_mul(stride)
-            .expect("staged entries fit in memory");
+    /// Re-lays the rows out `stride` slots apart, keeping every entry;
+    /// `false` (nothing changed) when that many slots overflow `usize`.
+    fn widen(&mut self, stride: usize) -> bool {
+        let Some(len) = self.widths.len().checked_mul(stride) else {
+            return false;
+        };
         let mut values = vec![0.0; len];
         let mut present = vec![false; len];
         if self.stride > 0 {
@@ -361,6 +358,7 @@ impl Staging {
         self.stride = stride;
         self.values = values;
         self.present = present;
+        true
     }
 
     /// The complete rows as one row-major `rows × machine_count` buffer, or
