@@ -320,7 +320,7 @@ impl Staging {
     /// Stores entry `(row, column)`, read while `machine_count` machines
     /// are declared, over any earlier one; `false` (nothing stored) when
     /// `column` lies beyond a row that started under a smaller count, or
-    /// when the rows at this width would need more than `usize::MAX` slots.
+    /// when the rows at this width cannot be allocated.
     fn set(&mut self, row: usize, column: usize, machine_count: usize, value: f64) -> bool {
         let width = &mut self.widths[row];
         if *width == 0 {
@@ -337,13 +337,18 @@ impl Staging {
     }
 
     /// Re-lays the rows out `stride` slots apart, keeping every entry;
-    /// `false` (nothing changed) when that many slots overflow `usize`.
+    /// `false` (nothing changed) when that many slots overflow `usize` or
+    /// the allocator refuses them, as a document's header counts can ask.
     fn widen(&mut self, stride: usize) -> bool {
         let Some(len) = self.widths.len().checked_mul(stride) else {
             return false;
         };
-        let mut values = vec![0.0; len];
-        let mut present = vec![false; len];
+        let (mut values, mut present) = (Vec::new(), Vec::new());
+        if values.try_reserve_exact(len).is_err() || present.try_reserve_exact(len).is_err() {
+            return false;
+        }
+        values.resize(len, 0.0);
+        present.resize(len, false);
         if self.stride > 0 {
             let old_rows = self
                 .values

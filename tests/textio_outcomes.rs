@@ -402,6 +402,14 @@ fn instance_rows() -> Vec<(String, String)> {
                 .to_string(),
         ),
         (
+            "time rows too large to stage",
+            edit("machines 2", "machines 18446744073709551615"),
+        ),
+        (
+            "failure rows too large to stage",
+            "tasks 2\nmachines 9223372036854775807\ntypes 1\nfailure 1 0 0.5\n".to_string(),
+        ),
+        (
             "tasks redeclared between failures",
             edit("failure 1 0 0\n", "tasks 2\nfailure 1 0 0\n"),
         ),
@@ -624,6 +632,8 @@ const INSTANCE_PINS: &[&str] = &[
     "machines widened then narrowed, complete first row => err mapping violates General rule: line 0: missing `failure` entries for task 1",
     "failure beyond its row after machines widened => err mapping violates General rule: line 8: failure entry out of range",
     "time beyond its row after machines widened => err mapping violates General rule: line 8: time entry out of range",
+    "time rows too large to stage => err mapping violates General rule: line 6: time entry out of range",
+    "failure rows too large to stage => err mapping violates General rule: line 4: failure entry out of range",
     "tasks redeclared between failures => err mapping violates General rule: line 0: task 0 is not declared",
     "tasks and task lines redeclared between failures => err mapping violates General rule: line 0: missing `failure` entries for task 0",
     "tasks redeclared, failures repeated => ok 36ebe091e9d0590c",
