@@ -16,7 +16,8 @@
 //! the full greedy member restage with its staged placements as `nodes`), a
 //! full portfolio run, and the `load` path (parsing the fixture's instance
 //! text, a journal churn across two compactions, and a whole stdio session
-//! of loads and evaluates through the protocol reader, router and engine). It writes median
+//! of loads and evaluates through the protocol reader, router and engine,
+//! both with the heap allocations one run makes). It writes median
 //! nanoseconds per run to `BENCH_core.json`, so the perf trajectory
 //! accumulates commit over commit (CI uploads the file as an artifact).
 //!
@@ -46,7 +47,63 @@ use mf_heuristics::{
     H4wFastestMachine, H6LocalSearch, Heuristic, LocalSearchConfig, DEFAULT_SEARCH_BUDGET,
 };
 use mf_server::{serve_stdio, Journal, Router, COMPACT_EVERY};
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
+
+/// The system allocator, counting every allocation, zeroed allocation and
+/// reallocation with its requested bytes, so rows can report the heap
+/// traffic of one run: a deterministic count, unlike wall clock. It lives
+/// in this binary only; the libraries keep the default allocator.
+struct CountingAllocator;
+
+static ALLOCS: AtomicU64 = AtomicU64::new(0);
+static ALLOC_BYTES: AtomicU64 = AtomicU64::new(0);
+
+fn count_allocation(bytes: usize) {
+    ALLOCS.fetch_add(1, Ordering::Relaxed);
+    ALLOC_BYTES.fetch_add(bytes as u64, Ordering::Relaxed);
+}
+
+// SAFETY: every call forwards to `System` with the caller's arguments; the
+// counters touch no allocator state.
+unsafe impl GlobalAlloc for CountingAllocator {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        count_allocation(layout.size());
+        System.alloc(layout)
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        count_allocation(layout.size());
+        System.alloc_zeroed(layout)
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        count_allocation(new_size);
+        System.realloc(ptr, layout, new_size)
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout)
+    }
+}
+
+#[global_allocator]
+static ALLOCATOR: CountingAllocator = CountingAllocator;
+
+/// The allocations and allocated bytes of one call of `run`, as the
+/// `allocs` and `alloc_bytes` columns.
+fn allocation_counts<R>(run: impl FnOnce() -> R) -> Vec<(&'static str, u64)> {
+    let (allocs, bytes) = (
+        ALLOCS.load(Ordering::Relaxed),
+        ALLOC_BYTES.load(Ordering::Relaxed),
+    );
+    std::hint::black_box(run());
+    vec![
+        ("allocs", ALLOCS.load(Ordering::Relaxed) - allocs),
+        ("alloc_bytes", ALLOC_BYTES.load(Ordering::Relaxed) - bytes),
+    ]
+}
 
 /// One timed measurement.
 struct Measurement {
@@ -525,7 +582,8 @@ fn main() {
     }
 
     // The serving path of a `load`, layer by layer: parsing the instance
-    // text of the bench fixture, and journaling it — a churn of
+    // text of the bench fixture (with the heap allocations of one parse),
+    // and journaling it — a churn of
     // `2 × COMPACT_EVERY` reloads over four names into a fresh data
     // directory, so each run crosses two compactions. Each timed churn
     // also clears the previous run's directory; `bytes` is the journal's
@@ -533,13 +591,14 @@ fn main() {
     {
         let text = mf_core::textio::instance_to_text(&instance);
         let lines = text.lines().count() as u64;
+        let parse = || mf_core::textio::instance_from_text(&text).unwrap();
+        let mut counts = vec![("lines", lines)];
+        counts.extend(allocation_counts(parse));
         rows.push(Measurement {
             name: "load_path/parse",
-            timing: timing(time(iterations, || {
-                mf_core::textio::instance_from_text(&text).unwrap()
-            })),
+            timing: timing(time(iterations, parse)),
             iterations,
-            quality: Quality::Counts(vec![("lines", lines)]),
+            quality: Quality::Counts(counts),
         });
 
         let payload: Vec<String> = text.lines().map(str::to_string).collect();
@@ -579,7 +638,8 @@ fn main() {
         // The whole serving path of a payload: one stdio session reading
         // 64 `load`s of the fixture under four names, each followed by an
         // `evaluate` of its H4w mapping (a cache miss), through the real
-        // protocol reader, router and engine.
+        // protocol reader, router and engine. Its allocations are counted
+        // on a session after the first, once the router holds the names.
         let mapping_text = mf_core::textio::mapping_to_text(&seed);
         let mut script = String::new();
         let mut payload_lines = 0u64;
@@ -598,13 +658,15 @@ fn main() {
         let answers = String::from_utf8(transcript).expect("protocol output is UTF-8");
         assert_eq!(answers.matches("\nok load ").count(), 64, "{answers}");
         assert_eq!(answers.matches("\nok evaluate ").count(), 64, "{answers}");
+        let session =
+            || serve_stdio(&router, script.as_bytes(), std::io::sink()).expect("in-memory session");
+        let mut counts = vec![("requests", 128), ("payload_lines", payload_lines)];
+        counts.extend(allocation_counts(session));
         rows.push(Measurement {
             name: "load_path/session",
-            timing: timing(time(iterations, || {
-                serve_stdio(&router, script.as_bytes(), std::io::sink()).expect("in-memory session")
-            })),
+            timing: timing(time(iterations, session)),
             iterations,
-            quality: Quality::Counts(vec![("requests", 128), ("payload_lines", payload_lines)]),
+            quality: Quality::Counts(counts),
         });
     }
 
