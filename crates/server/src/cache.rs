@@ -63,12 +63,15 @@ struct CacheEntry {
 #[derive(Default)]
 struct CacheInner {
     entries: HashMap<String, HashMap<(u64, u64), CacheEntry>>,
-    /// Entries over all names.
-    len: usize,
     clock: u64,
 }
 
 impl CacheInner {
+    /// Entries over all names.
+    fn len(&self) -> usize {
+        self.entries.values().map(HashMap::len).sum()
+    }
+
     /// Drops the least-recently-used entry, if any.
     fn evict_coldest(&mut self) -> bool {
         let coldest = self
@@ -92,7 +95,6 @@ impl CacheInner {
         if entries.is_empty() {
             self.entries.remove(&name);
         }
-        self.len -= 1;
         true
     }
 }
@@ -140,7 +142,6 @@ impl EvaluateCache {
             self.inner.clear_poison();
             let mut inner = poison.into_inner();
             inner.entries.clear();
-            inner.len = 0;
             inner
         })
     }
@@ -193,20 +194,16 @@ impl EvaluateCache {
             .entries
             .get(name)
             .is_some_and(|entries| entries.contains_key(&key));
-        if !cached && inner.len >= self.cap && inner.evict_coldest() {
+        if !cached && inner.len() >= self.cap && inner.evict_coldest() {
             self.evictions.fetch_add(1, Ordering::Relaxed);
         }
-        let entry = CacheEntry {
-            value,
-            last_used: clock,
-        };
-        let entries = match inner.entries.get_mut(name) {
-            Some(entries) => entries,
-            None => inner.entries.entry(name.to_string()).or_default(),
-        };
-        if entries.insert(key, entry).is_none() {
-            inner.len += 1;
-        }
+        inner.entries.entry(name.to_string()).or_default().insert(
+            key,
+            CacheEntry {
+                value,
+                last_used: clock,
+            },
+        );
     }
 
     /// Drops every entry of one store name. A name's generation never
@@ -215,15 +212,12 @@ impl EvaluateCache {
     /// purging on `load`/`unload` just frees their memory eagerly instead
     /// of waiting for the LRU cap to age them out.
     pub fn purge(&self, name: &str) {
-        let mut inner = self.lock();
-        if let Some(entries) = inner.entries.remove(name) {
-            inner.len -= entries.len();
-        }
+        self.lock().entries.remove(name);
     }
 
     /// Resident entry count.
     pub fn len(&self) -> usize {
-        self.lock().len
+        self.lock().len()
     }
 
     /// `true` when no evaluation is cached.
