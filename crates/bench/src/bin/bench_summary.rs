@@ -8,8 +8,9 @@
 //! LP bound, with simplex pivots per node and nanoseconds per pivot),
 //! what-if cost on a tree-shaped instance (the forest variant of the dense
 //! fast path vs a full recompute), a resident what-if resumed from a fresh
-//! snapshot and from a warm one, the steepest-descent sweep on both the
-//! forest and the chain shape, at m = 20 and at the repository benchmark's
+//! snapshot and from a warm one (with the heap allocations of one run of
+//! each), the steepest-descent sweep on both the forest and the chain
+//! shape, at m = 20 and at the repository benchmark's
 //! m = 64 `search` shape (with its deterministic `evaluator_calls`
 //! count and, as `probes`, the full machine scans among those calls), LNS
 //! restage probes (staged subtree tear-out vs full candidate recompute, and
@@ -99,10 +100,13 @@ fn allocation_counts<R>(run: impl FnOnce() -> R) -> Vec<(&'static str, u64)> {
         ALLOC_BYTES.load(Ordering::Relaxed),
     );
     std::hint::black_box(run());
-    vec![
-        ("allocs", ALLOCS.load(Ordering::Relaxed) - allocs),
-        ("alloc_bytes", ALLOC_BYTES.load(Ordering::Relaxed) - bytes),
-    ]
+    // Read both counters before the returned vector takes its own
+    // allocation.
+    let (allocs, bytes) = (
+        ALLOCS.load(Ordering::Relaxed) - allocs,
+        ALLOC_BYTES.load(Ordering::Relaxed) - bytes,
+    );
+    vec![("allocs", allocs), ("alloc_bytes", bytes)]
 }
 
 /// One timed measurement.
@@ -142,6 +146,13 @@ enum Quality {
         nodes: u64,
         per_second: f64,
         lp_pivots: u64,
+    },
+    /// Probe throughput with the heap allocations of one run after the
+    /// timed ones.
+    Probes {
+        count: u64,
+        per_second: f64,
+        allocs: Vec<(&'static str, u64)>,
     },
     Sweep {
         period_ms: f64,
@@ -314,6 +325,8 @@ fn main() {
     // clone of a freshly built snapshot every probe (the state an
     // `evaluate`, `solve` or `load` leaves resident), `warm` the previous
     // probe's snapshot. Probes alternate between the chain and the forest.
+    // Each row also counts the heap allocations of one run after its timed
+    // runs: the clone and the first what-if pay them on `cold`.
     {
         let resume_count = if quick { 200usize } else { 2_000 };
         let shapes = [(&instance, &seed), (&forest, &forest_seed)];
@@ -329,7 +342,7 @@ fn main() {
             let period = eval.evaluate_move(task, to).unwrap().period.value();
             (period, eval.into_snapshot())
         };
-        let cold = timing(time(iterations, || {
+        let mut cold_run = || {
             let mut acc = 0.0f64;
             for k in 0..resume_count {
                 let (period, snapshot) = whatif(k, fresh[k % 2].clone());
@@ -337,8 +350,10 @@ fn main() {
                 std::hint::black_box(snapshot);
             }
             acc
-        }));
-        let warm = timing(time(iterations, || {
+        };
+        let cold = timing(time(iterations, &mut cold_run));
+        let cold_allocs = allocation_counts(cold_run);
+        let mut warm_run = || {
             let mut acc = 0.0f64;
             for k in 0..resume_count {
                 let held = resident[k % 2].take().expect("a resident snapshot");
@@ -347,15 +362,21 @@ fn main() {
                 resident[k % 2] = Some(snapshot);
             }
             acc
-        }));
-        for (name, measured) in [("whatif_resume/cold", cold), ("whatif_resume/warm", warm)] {
+        };
+        let warm = timing(time(iterations, &mut warm_run));
+        let warm_allocs = allocation_counts(warm_run);
+        for (name, measured, allocs) in [
+            ("whatif_resume/cold", cold, cold_allocs),
+            ("whatif_resume/warm", warm, warm_allocs),
+        ] {
             rows.push(Measurement {
                 name,
                 timing: measured,
                 iterations,
-                quality: Quality::Nodes {
+                quality: Quality::Probes {
                     count: resume_count as u64,
                     per_second: resume_count as f64 / (measured.median_ns as f64 / 1e9),
+                    allocs,
                 },
             });
         }
@@ -685,6 +706,16 @@ fn main() {
             Quality::Nodes { count, per_second } => {
                 format!("\"nodes\": {count}, \"nodes_per_second\": {per_second}")
             }
+            Quality::Probes {
+                count,
+                per_second,
+                allocs,
+            } => std::iter::once(format!(
+                "\"nodes\": {count}, \"nodes_per_second\": {per_second}"
+            ))
+            .chain(allocs.iter().map(|(name, n)| format!("\"{name}\": {n}")))
+            .collect::<Vec<_>>()
+            .join(", "),
             Quality::Proof {
                 nodes,
                 per_second,
