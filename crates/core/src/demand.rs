@@ -104,7 +104,7 @@ pub fn demands(
             None => 1.0,
             Some(succ) => values[succ.index()],
         };
-        let factor = failures.factor(task, mapping.machine_of(task));
+        let factor = failures.rate(task, mapping.machine_of(task)).factor();
         values[task.index()] = factor * downstream;
     }
     Ok(DemandVector { values })
@@ -229,7 +229,7 @@ mod tests {
         assert_eq!(d.get(TaskId(0)), x.get(TaskId(1)));
         // And x_i = d_i * F_i.
         for t in app.tasks() {
-            let f = failures.factor(t.id, mapping.machine_of(t.id));
+            let f = failures.rate(t.id, mapping.machine_of(t.id)).factor();
             assert!((x.get(t.id) - d.get(t.id) * f).abs() < 1e-12);
         }
     }

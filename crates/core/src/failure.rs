@@ -183,10 +183,10 @@ impl FailureModel {
         self.rates[task.index() * self.machine_count + machine.index()]
     }
 
-    /// The failure factor `F_{i,u} = 1 / (1 − f_{i,u})`.
+    /// Every rate, row-major `task_count × machine_count`.
     #[inline]
-    pub fn factor(&self, task: TaskId, machine: MachineId) -> f64 {
-        self.rate(task, machine).factor()
+    pub(crate) fn rates(&self) -> &[FailureRate] {
+        &self.rates
     }
 
     /// `true` if `f_{i,u}` does not depend on the machine for any task.

@@ -22,14 +22,10 @@
 //! forests a commit in one branch leaves every other branch's rows warm
 //! (the `mass_row_builds` counter pins that in a regression test).
 //!
-//! The failure-factor and processing-time tables the what-if terms read are
-//! allocated with the mass rows but filled per task: a task's first mass-row
-//! build fills its two table rows, and every what-if builds the mass rows of
-//! the tasks it reads before it reads their terms. A what-if on a fresh
-//! evaluator (a resumed `evaluate` snapshot, say) then pays `O(m)` divisions
-//! per task it touches instead of `O(n·m)`. The values are instance
-//! constants, so a filled row never goes stale and the check sits in the
-//! cold build path alone; a sweep fills each row once per evaluator.
+//! The what-if terms read the failure factors and processing times from the
+//! [`Instance`](crate::instance::Instance), which lays the factor table out
+//! once: they are instance constants, so an evaluator (or a snapshot) holds
+//! only the mass rows, the one table that depends on the mapping.
 //!
 //! Sweeps only keep candidates strictly below an incumbent, so they score
 //! through a per-task [`TaskProbe`] instead: taken once at a task's first
@@ -78,21 +74,6 @@ pub(super) struct MassRows {
     /// the touched entries — keeping the hot loop free of per-machine
     /// branches so the autovectorizer can chew through it.
     adjust: Vec<f64>,
-    /// Row-major `tasks × machines` failure-factor table
-    /// `F_{i,u} = 1/(1 − f_{i,u})`, filled per task (see `filled`): the
-    /// factors are instance constants, and computing one on the fly costs a
-    /// float division sitting right on the what-if critical path (the
-    /// candidate ratio, the moved mass and the scan scale all chain off it).
-    factors: Vec<f64>,
-    /// Row-major `tasks × machines` processing-time table `w_{i,u}`,
-    /// flattening the per-type indirection of [`Instance::time`] for the
-    /// same reason, filled per task alongside `factors`. Both tables hold
-    /// the bit-identical values the [`Instance`] accessors return.
-    times: Vec<f64>,
-    /// Per-task flag: row `i` of `factors` and `times` is filled, by task
-    /// `i`'s first mass-row build. A filled row never goes stale; only the
-    /// cold row build reads the flag.
-    filled: Vec<bool>,
 }
 
 impl MassRows {
@@ -150,12 +131,8 @@ impl<'a> IncrementalEvaluator<'a> {
         i * m..(i + 1) * m
     }
 
-    /// One-time allocation of the dense-path SoA tables: the mass-row
-    /// matrix, the zero adjustment scratch, and the instance-constant
-    /// factor/time tables (so the per-probe critical path pays a table load
-    /// instead of a float division and a type indirection). The tables are
-    /// left unfilled: [`build_mass_row`](Self::build_mass_row) fills a
-    /// task's rows the first time it builds that task's mass row.
+    /// One-time allocation of the dense-path tables: the mass-row matrix
+    /// and the zero adjustment scratch.
     #[cold]
     fn init_dense_tables(&mut self) {
         let n = self.assignment.len();
@@ -163,27 +140,14 @@ impl<'a> IncrementalEvaluator<'a> {
         self.mass.rows = vec![0.0; n * m];
         self.mass.valid = vec![false; n];
         self.mass.adjust = vec![0.0; m];
-        self.mass.factors = vec![0.0; n * m];
-        self.mass.times = vec![0.0; n * m];
-        self.mass.filled = vec![false; n];
     }
 
-    /// Rebuilds the (invalid) mass row of task `i` in place, filling the
-    /// task's factor and time rows first if no earlier build did.
+    /// Rebuilds the (invalid) mass row of task `i` in place.
     #[cold]
     fn build_mass_row(&mut self, i: usize) {
         let m = self.load.len();
-        if !self.mass.filled[i] {
-            let task = TaskId(i);
-            let factors = &mut self.mass.factors[i * m..(i + 1) * m];
-            let times = &mut self.mass.times[i * m..(i + 1) * m];
-            for (u, (factor, time)) in factors.iter_mut().zip(times).enumerate() {
-                *factor = self.instance.factor(task, MachineId(u));
-                *time = self.instance.time(task, MachineId(u));
-            }
-            self.mass.filled[i] = true;
-        }
-        match self.topology.kind() {
+        let topology = self.instance.topology();
+        match topology.kind() {
             // Chain, warm predecessor: row `i − 1` sums `tasks 0..i−1` in
             // index order, so copying it and adding task `i − 1` performs
             // the prefix loop's additions in the prefix loop's order.
@@ -205,7 +169,7 @@ impl<'a> IncrementalEvaluator<'a> {
             TopologyKind::Forest => {
                 let row = &mut self.mass.rows[i * m..(i + 1) * m];
                 row.fill(0.0);
-                for &t in self.topology.strict_subtree(TaskId(i)) {
+                for &t in topology.strict_subtree(TaskId(i)) {
                     let t = t as usize;
                     row[self.assignment[t].index()] += self.contribution[t];
                 }
@@ -252,19 +216,9 @@ impl<'a> IncrementalEvaluator<'a> {
     /// (distinct branches or trees — impossible on a chain) scale
     /// independent ranges (see [`SwapTerms`]). Two mass rows, one scan.
     pub(super) fn dense_swap_what_if(&mut self, a: TaskId, b: TaskId) -> Evaluation {
-        let (a, b) = (self.task_state(a.index()), self.task_state(b.index()));
-        // The terms read both tasks' factor rows, which their mass-row
-        // builds fill: build the rows first, in the terms' order (a nested
-        // pair upstream first, a disjoint pair as given).
-        let [first, second] = if Topology::span_is_upstream(b.span, a.span) {
-            [b.task, a.task]
-        } else {
-            [a.task, b.task]
-        };
-        let row_0 = self.ensure_mass_row(first);
-        let row_1 = self.ensure_mass_row(second);
-        let terms = self.swap_terms(a, b);
-        debug_assert_eq!(terms.tasks, [first, second]);
+        let terms = self.swap_terms(self.task_state(a.index()), self.task_state(b.index()));
+        let row_0 = self.ensure_mass_row(terms.tasks[0]);
+        let row_1 = self.ensure_mass_row(terms.tasks[1]);
         let [u_0, u_1] = terms.machines;
         self.mass.adjust[u_0] = terms.adjust(self, u_0);
         self.mass.adjust[u_1] = terms.adjust(self, u_1);
@@ -288,18 +242,17 @@ impl<'a> IncrementalEvaluator<'a> {
             task: i,
             machine: self.assignment[i].index(),
             factor: self.factor[i],
-            span: self.topology.subtree_span(TaskId(i)),
+            span: self.instance.topology().subtree_span(TaskId(i)),
         }
     }
 
     /// The scalar terms of moving `task` to machine `to`.
     #[inline]
     fn move_terms(&self, task: TaskState, to: usize) -> MoveTerms {
-        let m = self.load.len();
         MoveTerms {
             task,
             to,
-            ratio: self.mass.factors[task.task * m + to] / task.factor,
+            ratio: self.instance.factor(TaskId(task.task), MachineId(to)) / task.factor,
         }
     }
 
@@ -307,10 +260,11 @@ impl<'a> IncrementalEvaluator<'a> {
     /// pair in upstream-first order, a disjoint pair as given.
     #[inline]
     fn swap_terms(&self, a: TaskState, b: TaskState) -> SwapTerms {
-        let m = self.load.len();
         // After the swap each task runs on the other's machine.
-        let r_a = self.mass.factors[a.task * m + b.machine] / a.factor;
-        let r_b = self.mass.factors[b.task * m + a.machine] / b.factor;
+        let ratio = |task: TaskState, machine| {
+            self.instance.factor(TaskId(task.task), MachineId(machine)) / task.factor
+        };
+        let (r_a, r_b) = (ratio(a, b.machine), ratio(b, a.machine));
         if Topology::span_is_upstream(a.span, b.span) {
             SwapTerms::nested([a, b], [r_a, r_b])
         } else if Topology::span_is_upstream(b.span, a.span) {
@@ -392,8 +346,7 @@ impl MoveTerms {
         if w == self.task.machine {
             -eval.contribution[i]
         } else if w == self.to {
-            let m = eval.load.len();
-            self.ratio * eval.demand[i] * eval.mass.times[i * m + self.to]
+            self.ratio * eval.demand[i] * eval.instance.time(TaskId(i), MachineId(w))
         } else {
             0.0
         }
@@ -445,12 +398,12 @@ impl SwapTerms {
     /// own times; the rest nothing.
     #[inline]
     fn adjust(&self, eval: &IncrementalEvaluator<'_>, w: usize) -> f64 {
-        let m = eval.load.len();
         let [t_0, t_1] = self.tasks;
         let [u_0, u_1] = self.machines;
+        let time = |task, machine| eval.instance.time(TaskId(task), MachineId(machine));
         if w == u_0 {
-            let adjust = self.growth[1] * eval.demand[t_1] * eval.mass.times[t_1 * m + u_0]
-                - eval.contribution[t_0];
+            let adjust =
+                self.growth[1] * eval.demand[t_1] * time(t_1, u_0) - eval.contribution[t_0];
             // Nested, the tasks strictly between the two scale by
             // `scales[1]` through row 1 minus row 0; that difference
             // wrongly includes the upstream task itself, so its machine
@@ -461,8 +414,7 @@ impl SwapTerms {
                 adjust
             }
         } else if w == u_1 {
-            self.growth[0] * eval.demand[t_0] * eval.mass.times[t_0 * m + u_1]
-                - eval.contribution[t_1]
+            self.growth[0] * eval.demand[t_0] * time(t_0, u_1) - eval.contribution[t_1]
         } else {
             0.0
         }

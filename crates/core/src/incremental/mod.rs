@@ -168,10 +168,6 @@ pub struct IncrementalEvaluator<'a> {
     /// Machines touched by the current operation.
     dirty: Vec<usize>,
     epoch: u64,
-    /// The Euler-tour layout of the in-forest: every task's influence set is
-    /// a contiguous tour range — what unlocks the dense what-if fast path
-    /// beyond linear chains.
-    topology: Topology,
     /// Lazily-built per-subtree mass rows for the dense path, invalidated
     /// per tour range on commit.
     mass: MassRows,
@@ -222,7 +218,6 @@ impl<'a> IncrementalEvaluator<'a> {
             load[machine.index()] += contribution[i];
         }
         let tree = TournamentTree::new(&load);
-        let topology = Topology::of(instance.application());
         Ok(IncrementalEvaluator {
             instance,
             assignment,
@@ -239,7 +234,6 @@ impl<'a> IncrementalEvaluator<'a> {
             machine_stamp: vec![0; m],
             dirty: Vec::with_capacity(m),
             epoch: 0,
-            topology,
             mass: MassRows::default(),
             scratch_row: Vec::new(),
             counters: EvalCounters::default(),
@@ -266,7 +260,6 @@ impl<'a> IncrementalEvaluator<'a> {
             machine_stamp: self.machine_stamp,
             dirty: self.dirty,
             epoch: self.epoch,
-            topology: self.topology,
             mass: self.mass,
             scratch_row: self.scratch_row,
             counters: self.counters,
@@ -274,8 +267,7 @@ impl<'a> IncrementalEvaluator<'a> {
     }
 
     /// Re-attaches a snapshot to the instance it was taken from, in `O(1)`:
-    /// no demand walk, no load rebuild, no tour rebuild (the topology rides
-    /// in the snapshot).
+    /// no demand walk and no load rebuild (the tour is the instance's own).
     ///
     /// The resumed evaluator is bit-identical to the evaluator
     /// [`IncrementalEvaluator::into_snapshot`] consumed. Returns a
@@ -314,7 +306,6 @@ impl<'a> IncrementalEvaluator<'a> {
             machine_stamp: snapshot.machine_stamp,
             dirty: snapshot.dirty,
             epoch: snapshot.epoch,
-            topology: snapshot.topology,
             mass: snapshot.mass,
             scratch_row: snapshot.scratch_row,
             counters: snapshot.counters,
@@ -337,10 +328,11 @@ impl<'a> IncrementalEvaluator<'a> {
         self.instance
     }
 
-    /// The Euler-tour topology of the instance's in-forest.
+    /// The Euler-tour topology of the instance's in-forest (see
+    /// [`Instance::topology`]).
     #[inline]
     pub fn topology(&self) -> &Topology {
-        &self.topology
+        self.instance.topology()
     }
 
     /// The diagnostics counters (monotone; see [`EvalCounters`]).
@@ -366,7 +358,7 @@ impl<'a> IncrementalEvaluator<'a> {
         let m = self.load.len();
         self.scratch_row.resize(m, 0.0);
         self.scratch_row.fill(0.0);
-        for &t in self.topology.strict_subtree(task) {
+        for &t in self.instance.topology().strict_subtree(task) {
             let t = t as usize;
             self.scratch_row[self.assignment[t].index()] += self.contribution[t];
         }
@@ -527,9 +519,10 @@ impl<'a> IncrementalEvaluator<'a> {
                 // shared ancestor's unique successor chain would have to pass
                 // through both tasks. Walk from the dominating root(s); the
                 // tour spans answer nesting in O(1).
-                if self.topology.is_upstream(a, b) {
+                let topology = self.instance.topology();
+                if topology.is_upstream(a, b) {
                     self.walk(b, changes, commit);
-                } else if self.topology.is_upstream(b, a) {
+                } else if topology.is_upstream(b, a) {
                     self.walk(a, changes, commit);
                 } else {
                     self.walk(a, changes, commit);
@@ -547,12 +540,13 @@ impl<'a> IncrementalEvaluator<'a> {
             // Committed contributions changed exactly for the subtrees of
             // the changed tasks: evict the mass rows overlapping those tour
             // spans, leaving every other branch's rows warm.
+            let topology = self.instance.topology();
             let mut spans = [(0usize, 0usize); 2];
             for (k, &(task, _)) in changes.iter().enumerate() {
-                spans[k] = self.topology.subtree_span(task);
+                spans[k] = topology.subtree_span(task);
             }
             self.mass.invalidate_overlapping(
-                &self.topology,
+                topology,
                 &spans[..changes.len()],
                 &mut self.counters.mass_rows_invalidated,
             );
@@ -1069,6 +1063,44 @@ mod tests {
                 );
             }
             assert_matches_full(&probe, &instance);
+        }
+    }
+
+    /// The tour and the factor table belong to the instance, not to the
+    /// snapshot: a snapshot resumed on a clone of its instance answers every
+    /// move and swap with the bits of one resumed on the original, on a
+    /// chain and on a forest.
+    #[test]
+    fn snapshots_resume_bit_identically_on_a_clone_of_their_instance() {
+        for (instance, indices) in [
+            (instance(), vec![0, 1, 2, 1]),
+            (forest_instance(), vec![0, 1, 2, 1, 0, 2]),
+        ] {
+            let n = indices.len();
+            let mapping = Mapping::from_indices(&indices, 3).unwrap();
+            let mut warm = IncrementalEvaluator::new(&instance, &mapping).unwrap();
+            warm.apply_move(TaskId(1), MachineId(2)).unwrap();
+            let _ = warm.evaluate_swap(TaskId(0), TaskId(n - 1)).unwrap();
+            let snapshot = warm.into_snapshot();
+            let copy = instance.clone();
+            let mut original = IncrementalEvaluator::resume(&instance, snapshot.clone()).unwrap();
+            let mut cloned = IncrementalEvaluator::resume(&copy, snapshot).unwrap();
+            let bits = |e: Evaluation| (e.period.value().to_bits(), e.critical_machine);
+            for task in (0..n).map(TaskId) {
+                for to in (0..3).map(MachineId) {
+                    assert_eq!(
+                        bits(original.evaluate_move(task, to).unwrap()),
+                        bits(cloned.evaluate_move(task, to).unwrap())
+                    );
+                }
+                for other in (0..n).map(TaskId) {
+                    assert_eq!(
+                        bits(original.evaluate_swap(task, other).unwrap()),
+                        bits(cloned.evaluate_swap(task, other).unwrap())
+                    );
+                }
+            }
+            assert_eq!(original.counters(), cloned.counters());
         }
     }
 

@@ -1,7 +1,6 @@
 //! Owned, instance-detached dumps of committed evaluator state.
 
 use super::dense::MassRows;
-use super::topology::Topology;
 use super::tournament::TournamentTree;
 use super::EvalCounters;
 use crate::ids::{MachineId, TaskId};
@@ -15,12 +14,16 @@ use crate::mapping::Mapping;
 /// cannot be stored next to the instance it evaluates. A snapshot can:
 /// [`IncrementalEvaluator::into_snapshot`](super::IncrementalEvaluator::into_snapshot)
 /// moves every committed cache (assignment, demands, factors, contributions,
-/// loads, the tournament tree, the tour topology and the per-subtree mass
-/// rows) and the reusable scratch buffers out of the evaluator, and
+/// loads, the tournament tree and the per-subtree mass rows) and the
+/// reusable scratch buffers out of the evaluator, and
 /// [`IncrementalEvaluator::resume`](super::IncrementalEvaluator::resume)
 /// re-attaches them to the instance in `O(1)` — no demand walk, no load
-/// rebuild, no tour rebuild. The resumed evaluator is **bit-identical** to
-/// the one the snapshot was taken from.
+/// rebuild. The snapshot holds only state that depends on the mapping: the
+/// Euler tour and the failure-factor table are the instance's own
+/// ([`Instance::topology`](crate::instance::Instance::topology),
+/// [`Instance::factor`](crate::instance::Instance::factor)), so resuming on
+/// the instance, or on any clone of it, reads the same ones. The resumed
+/// evaluator is **bit-identical** to the one the snapshot was taken from.
 ///
 /// The snapshot must be resumed against the *same* instance it was taken
 /// from (resume validates the task/machine dimensions, which catches honest
@@ -43,7 +46,6 @@ pub struct EvaluatorSnapshot {
     pub(super) machine_stamp: Vec<u64>,
     pub(super) dirty: Vec<usize>,
     pub(super) epoch: u64,
-    pub(super) topology: Topology,
     pub(super) mass: MassRows,
     pub(super) scratch_row: Vec<f64>,
     pub(super) counters: EvalCounters,

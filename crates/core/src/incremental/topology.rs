@@ -31,10 +31,9 @@ pub enum TopologyKind {
 
 /// The Euler-tour layout of an application in-forest.
 ///
-/// Owned data (no instance borrow), so it travels through
-/// [`EvaluatorSnapshot`](super::EvaluatorSnapshot) and keeps
-/// [`IncrementalEvaluator::resume`](super::IncrementalEvaluator::resume)
-/// `O(1)`.
+/// Laid out once per instance by [`Instance::new`](crate::instance::Instance::new)
+/// and read through [`Instance::topology`](crate::instance::Instance::topology),
+/// so evaluators and their snapshots carry no copy.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Topology {
     kind: TopologyKind,

@@ -5,6 +5,7 @@ use crate::demand::{self, DemandVector};
 use crate::error::{ModelError, Result};
 use crate::failure::{FailureModel, FailureRate};
 use crate::ids::{MachineId, TaskId};
+use crate::incremental::Topology;
 use crate::mapping::{Mapping, MappingKind};
 use crate::period::{MachinePeriods, Period};
 use crate::platform::Platform;
@@ -15,17 +16,26 @@ use crate::platform::Platform;
 /// (machines and processing times) and the [`FailureModel`] (per-(task,
 /// machine) failure rates) and checks their dimensions agree. All accessors
 /// used by the heuristics and exact solvers (`w(i,u)`, `f(i,u)`, `F(i,u)`,
-/// periods, demands) live here.
+/// periods, demands) live here, and so do the mapping-independent tables
+/// the evaluators read: the failure factors and the Euler tour of the
+/// in-forest, each laid out once per instance.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Instance {
     app: Application,
     platform: Platform,
     failures: FailureModel,
+    /// Row-major `tasks × machines` failure factors
+    /// `F_{i,u} = 1/(1 − f_{i,u})`: the division sits on the what-if
+    /// critical path, so it is paid once here instead.
+    factors: Vec<f64>,
+    /// The Euler-tour layout of the application in-forest.
+    topology: Topology,
 }
 
 impl Instance {
     /// Builds an instance, checking that the three components agree on the
-    /// number of tasks, types and machines.
+    /// number of tasks, types and machines, and lays out its failure-factor
+    /// table and its [`Topology`].
     pub fn new(app: Application, platform: Platform, failures: FailureModel) -> Result<Self> {
         if platform.type_count() < app.type_count() {
             return Err(ModelError::DimensionMismatch {
@@ -48,10 +58,14 @@ impl Instance {
                 actual: failures.machine_count(),
             });
         }
+        let factors = failures.rates().iter().map(|r| r.factor()).collect();
+        let topology = Topology::of(&app);
         Ok(Instance {
             app,
             platform,
             failures,
+            factors,
+            topology,
         })
     }
 
@@ -71,6 +85,13 @@ impl Instance {
     #[inline]
     pub fn failures(&self) -> &FailureModel {
         &self.failures
+    }
+
+    /// The Euler-tour layout of the application in-forest, which the
+    /// incremental evaluators share.
+    #[inline]
+    pub fn topology(&self) -> &Topology {
+        &self.topology
     }
 
     /// Number of tasks `n`.
@@ -103,10 +124,13 @@ impl Instance {
         self.failures.rate(task, machine)
     }
 
-    /// Failure factor `F_{i,u} = 1/(1 − f_{i,u})`.
+    /// Failure factor `F_{i,u} = 1/(1 − f_{i,u})`, read from the table
+    /// [`Instance::new`] lays out: the bits of [`FailureRate::factor`].
     #[inline]
     pub fn factor(&self, task: TaskId, machine: MachineId) -> f64 {
-        self.failures.factor(task, machine)
+        let m = self.machine_count();
+        debug_assert!(machine.index() < m);
+        self.factors[task.index() * m + machine.index()]
     }
 
     /// Effective time to obtain one *successful* product of task `i` on
@@ -221,6 +245,54 @@ mod tests {
         assert_eq!(inst.failure(TaskId(0), MachineId(1)).value(), 0.5);
         assert_eq!(inst.factor(TaskId(0), MachineId(1)), 2.0);
         assert_eq!(inst.effective_time(TaskId(0), MachineId(1)), 400.0);
+    }
+
+    /// The factor table holds the bits of `FailureRate::factor` for every
+    /// failure model constructor.
+    #[test]
+    fn factor_table_matches_the_rates_bit_for_bit() {
+        let app = Application::linear_chain(&[0, 1, 0]).unwrap();
+        let platform =
+            Platform::from_type_times(2, vec![vec![100.0, 200.0], vec![300.0, 150.0]]).unwrap();
+        let rates = [0.0, 0.013, 0.1, 0.3, 0.5, 0.999];
+        let rate = |k: usize| FailureRate::new(rates[k % rates.len()]).unwrap();
+        let models = [
+            FailureModel::from_flat(3, 2, (0..6).map(|k| rate(k).value()).collect()).unwrap(),
+            FailureModel::from_matrix(vec![vec![0.013, 0.3], vec![0.1, 0.0], vec![0.999, 0.5]], 2)
+                .unwrap(),
+            FailureModel::uniform(3, 2, rate(1)),
+            FailureModel::task_dependent(&[rate(2), rate(3), rate(5)], 2),
+            FailureModel::machine_dependent(&[rate(4), rate(1)], 3),
+        ];
+        for failures in models {
+            let inst = Instance::new(app.clone(), platform.clone(), failures).unwrap();
+            for task in (0..3).map(TaskId) {
+                for machine in (0..2).map(MachineId) {
+                    assert_eq!(
+                        inst.factor(task, machine).to_bits(),
+                        inst.failure(task, machine).factor().to_bits()
+                    );
+                }
+            }
+        }
+    }
+
+    /// The instance lays its tour out as `Topology::of` does, on a chain and
+    /// on a forest.
+    #[test]
+    fn topology_is_the_tour_of_the_application() {
+        let platform = Platform::from_type_times(2, vec![vec![1.0, 2.0], vec![3.0, 4.0]]).unwrap();
+        let chain = Application::linear_chain(&[0, 1, 0, 1]).unwrap();
+        let forest = Application::from_successors(
+            &[0, 1, 0, 1, 0],
+            &[Some(2), Some(2), Some(4), None, None],
+        )
+        .unwrap();
+        for app in [chain, forest] {
+            let failures = FailureModel::uniform(app.task_count(), 2, FailureRate::ZERO);
+            let inst = Instance::new(app.clone(), platform.clone(), failures).unwrap();
+            assert_eq!(inst.topology(), &Topology::of(&app));
+        }
     }
 
     #[test]

@@ -55,7 +55,9 @@
 //!   width from the `machines` count in force at its first entry, so a
 //!   document that redeclares that count between entries gets the same
 //!   `missing` error it always did; an entry beyond its row's width is
-//!   out of range.
+//!   out of range. A `tasks` or `types` header lays out at most
+//!   `PRESIZED_ROWS` (4 096) rows, and later rows are added as their
+//!   entries arrive, so a header count alone cannot exhaust memory.
 
 use crate::application::{Application, ApplicationBuilder};
 use crate::error::{ModelError, Result};
@@ -297,9 +299,11 @@ fn index_then_space(bytes: &[u8], at: &mut usize) -> Option<usize> {
 /// buffer and one presence mask. A row takes its width from the `machines`
 /// count in force at its first entry (0 while it has none), as a document
 /// may redeclare that count; it is complete only when its width is the
-/// final count and all of its entries are present. The buffers are
-/// allocated at the first entry, and re-laid out only if a later row is
-/// wider, which a document can only do on its way to a `missing` error.
+/// final count and all of its entries are present. The header count lays
+/// out at most [`PRESIZED_ROWS`] rows; later rows are added as their entries
+/// arrive. The buffers are allocated at the first entry, and re-laid out
+/// only if a later row is wider, which a document can only do on its way
+/// to a `missing` error.
 struct Staging {
     widths: Vec<usize>,
     stride: usize,
@@ -308,9 +312,10 @@ struct Staging {
 }
 
 impl Staging {
+    /// Staging for a header count of `rows` rows.
     fn new(rows: usize) -> Self {
         Staging {
-            widths: vec![0; rows],
+            widths: vec![0; rows.min(PRESIZED_ROWS)],
             stride: 0,
             values: Vec::new(),
             present: Vec::new(),
@@ -322,6 +327,9 @@ impl Staging {
     /// `column` lies beyond a row that started under a smaller count, or
     /// when the rows at this width cannot be allocated.
     fn set(&mut self, row: usize, column: usize, machine_count: usize, value: f64) -> bool {
+        if row >= self.widths.len() && !self.grow(row + 1) {
+            return false;
+        }
         let width = &mut self.widths[row];
         if *width == 0 {
             *width = machine_count;
@@ -333,6 +341,25 @@ impl Staging {
         let slot = row * self.stride + column;
         self.values[slot] = value;
         self.present[slot] = true;
+        true
+    }
+
+    /// Adds empty rows at the current stride until there are `rows`;
+    /// `false` (nothing changed) when the allocator refuses them.
+    fn grow(&mut self, rows: usize) -> bool {
+        let Some(len) = rows.checked_mul(self.stride) else {
+            return false;
+        };
+        let slots = len - self.values.len();
+        if self.widths.try_reserve(rows - self.widths.len()).is_err()
+            || self.values.try_reserve(slots).is_err()
+            || self.present.try_reserve(slots).is_err()
+        {
+            return false;
+        }
+        self.widths.resize(rows, 0);
+        self.values.resize(len, 0.0);
+        self.present.resize(len, false);
         true
     }
 
@@ -368,14 +395,20 @@ impl Staging {
 
     /// The complete rows as one row-major `rows × machine_count` buffer, or
     /// the error naming the first incomplete row (`noun` and its index) or
-    /// its first missing entry (`keyword`, row and column).
-    fn finish(self, machine_count: usize, keyword: &str, noun: &str) -> Result<Vec<f64>> {
+    /// its first missing entry (`keyword`, row and column). A row no entry
+    /// reached has width 0.
+    fn finish(
+        self,
+        rows: usize,
+        machine_count: usize,
+        keyword: &str,
+        noun: &str,
+    ) -> Result<Vec<f64>> {
+        let missing_row =
+            |row| parse_error(0, format!("missing `{keyword}` entries for {noun} {row}"));
         for (row, &width) in self.widths.iter().enumerate() {
             if width != machine_count {
-                return Err(parse_error(
-                    0,
-                    format!("missing `{keyword}` entries for {noun} {row}"),
-                ));
+                return Err(missing_row(row));
             }
             let present = &self.present[row * self.stride..][..width];
             if let Some(column) = present.iter().position(|&present| !present) {
@@ -385,11 +418,35 @@ impl Staging {
                 ));
             }
         }
+        if rows > self.widths.len() && machine_count != 0 {
+            return Err(missing_row(self.widths.len()));
+        }
         // Every row has the final width, and a row widens the stride to
         // its own width, so the stride is that width unless no entry came.
         debug_assert!(self.stride == machine_count || self.values.is_empty());
         Ok(self.values)
     }
+}
+
+/// The most rows a `tasks` or `types` header count lays out before their
+/// entries arrive. Each task and each type needs records of its own, so a
+/// larger count is only as good as the document behind it: rows past this
+/// one are added as their entries arrive, and a header alone stages at most
+/// this many, however large its count.
+const PRESIZED_ROWS: usize = 1 << 12;
+
+/// Grows `entries` with defaults until `index` is in range; `false`
+/// (nothing changed) when the allocator refuses the room, as an index under
+/// a huge header count can ask.
+fn grow_to<T: Clone + Default>(entries: &mut Vec<T>, index: usize) -> bool {
+    if index < entries.len() {
+        return true;
+    }
+    if entries.try_reserve(index + 1 - entries.len()).is_err() {
+        return false;
+    }
+    entries.resize(index + 1, T::default());
+    true
 }
 
 fn parse_error(line_number: usize, detail: impl Into<String>) -> ModelError {
@@ -425,8 +482,10 @@ pub fn instance_from_lines<'a>(lines: impl IntoIterator<Item = &'a str>) -> Resu
     let mut task_count: Option<usize> = None;
     let mut machine_count: Option<usize> = None;
     let mut type_count: Option<usize> = None;
-    let mut task_types: Vec<Option<usize>> = Vec::new();
-    let mut successors: Vec<Option<usize>> = Vec::new();
+    // The type and the successor of every task by index, laid out like the
+    // staging rows: at most `PRESIZED_ROWS` from the header, the rest as
+    // `task` records arrive.
+    let mut declared: Vec<(Option<usize>, Option<usize>)> = Vec::new();
     let mut times = Staging::new(0);
     let mut failures = Staging::new(0);
 
@@ -437,8 +496,7 @@ pub fn instance_from_lines<'a>(lines: impl IntoIterator<Item = &'a str>) -> Resu
             "tasks" => {
                 let n = parse_usize(records.token(), line_number, "task count")?;
                 task_count = Some(n);
-                task_types = vec![None; n];
-                successors = vec![None; n];
+                declared = vec![(None, None); n.min(PRESIZED_ROWS)];
                 failures = Staging::new(n);
             }
             "machines" => {
@@ -453,19 +511,19 @@ pub fn instance_from_lines<'a>(lines: impl IntoIterator<Item = &'a str>) -> Resu
                 let n = task_count
                     .ok_or_else(|| parse_error(line_number, "`tasks` must come first"))?;
                 let id = parse_usize(records.token(), line_number, "task index")?;
-                if id >= n {
+                if id >= n || !grow_to(&mut declared, id) {
                     return Err(parse_error(
                         line_number,
                         format!("task index {id} out of range"),
                     ));
                 }
                 let ty = parse_usize(records.token(), line_number, "task type")?;
-                task_types[id] = Some(ty);
+                declared[id].0 = Some(ty);
                 match records.token() {
                     None => {}
                     Some("successor") => {
                         let succ = parse_usize(records.token(), line_number, "successor index")?;
-                        successors[id] = Some(succ);
+                        declared[id].1 = Some(succ);
                     }
                     Some(other) => {
                         return Err(parse_error(
@@ -517,26 +575,31 @@ pub fn instance_from_lines<'a>(lines: impl IntoIterator<Item = &'a str>) -> Resu
     let m = machine_count.ok_or_else(|| parse_error(0, "missing `machines` header"))?;
     let p = type_count.ok_or_else(|| parse_error(0, "missing `types` header"))?;
 
-    // Application.
+    // Application. Task indices stay below `n`, so once every task is
+    // declared, `declared` holds exactly `n` entries.
     let mut builder = ApplicationBuilder::new();
-    for (i, ty) in task_types.iter().enumerate() {
-        let ty = ty.ok_or_else(|| parse_error(0, format!("task {i} is not declared")))?;
+    for i in 0..n {
+        let ty = declared
+            .get(i)
+            .and_then(|&(ty, _)| ty)
+            .ok_or_else(|| parse_error(0, format!("task {i} is not declared")))?;
         if ty >= p {
             return Err(ModelError::UnknownType { ty, type_count: p });
         }
         builder.add_task(ty);
     }
-    for (i, succ) in successors.iter().enumerate() {
+    for (i, &(_, succ)) in declared.iter().enumerate() {
         if let Some(succ) = succ {
-            builder.add_dependency(TaskId(i), TaskId(*succ))?;
+            builder.add_dependency(TaskId(i), TaskId(succ))?;
         }
     }
     let app = build_with_declared_types(builder, p)?;
 
-    let times = times.finish(m, "time", "type")?;
+    let times = times.finish(p, m, "time", "type")?;
     let type_times = times.chunks(m.max(1)).map(<[f64]>::to_vec).collect();
     let platform = Platform::from_type_times(m, type_times)?;
-    let failure_model = FailureModel::from_flat(n, m, failures.finish(m, "failure", "task")?)?;
+    let failures = failures.finish(n, m, "failure", "task")?;
+    let failure_model = FailureModel::from_flat(n, m, failures)?;
 
     Instance::new(app, platform, failure_model)
 }

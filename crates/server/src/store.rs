@@ -57,7 +57,10 @@ impl StoredInstance {
     /// allocator slop; the cap only needs relative proportionality, and
     /// without the edge term a deep forest (many predecessor lists) would
     /// be undercounted relative to a chain of the same task count, skewing
-    /// LRU eviction order.
+    /// LRU eviction order. The instance's `n×m` failure-factor table and
+    /// its Euler tour are not charged: they scale with the failure matrix
+    /// and the per-task vectors the formula already counts, and the golden
+    /// transcripts pin the `instance-bytes` it reports.
     pub fn approx_bytes(&self) -> u64 {
         let n = self.tasks() as u64;
         let m = self.machines() as u64;

@@ -131,9 +131,42 @@ fn anytime_v3_session_matches_the_golden_transcript() {
     assert!(actual.contains("stat anytime-proven 2"), "{actual}");
 }
 
-/// All three golden scripts produce their committed bytes from routers of
-/// 1, 2 and 4 workers — the worker count is a pure deployment choice, never
-/// a protocol fork.
+/// The hostile golden transcript: three two-line `load`s whose header
+/// counts (`tasks 2^40`, `types 2^40`, `tasks` at the `usize` maximum) no
+/// allocator could size a table for, each answered by a typed `err`, then
+/// a normal `load`, `evaluate`, `whatif` and `list` the same server
+/// answers as if nothing had come before.
+#[test]
+fn hostile_session_matches_the_golden_transcript() {
+    let input = include_str!("golden/hostile_session.in");
+    let expected_path = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/tests/golden/hostile_session.out"
+    );
+    let router = Router::new(1, 1);
+    let mut output = Vec::new();
+    serve_stdio(&router, input.as_bytes(), &mut output).unwrap();
+    let actual = String::from_utf8(output).expect("protocol output is UTF-8");
+    if std::env::var_os("UPDATE_GOLDEN").is_some() {
+        std::fs::write(expected_path, &actual).expect("write golden transcript");
+        return;
+    }
+    let expected = std::fs::read_to_string(expected_path).expect("golden transcript exists");
+    assert_eq!(
+        actual, expected,
+        "hostile transcript drifted from tests/golden/hostile_session.out; \
+         re-run with UPDATE_GOLDEN=1 if the change is intentional"
+    );
+    assert_eq!(
+        actual.matches("\nerr invalid-payload ").count(),
+        3,
+        "{actual}"
+    );
+}
+
+/// Every golden script produces its committed bytes from routers of 1, 2
+/// and 4 workers — the worker count is a pure deployment choice, never a
+/// protocol fork.
 #[test]
 fn transcripts_are_worker_count_independent() {
     for (input, expected) in [
@@ -148,6 +181,10 @@ fn transcripts_are_worker_count_independent() {
         (
             include_str!("golden/anytime_session.in"),
             include_str!("golden/anytime_session.out"),
+        ),
+        (
+            include_str!("golden/hostile_session.in"),
+            include_str!("golden/hostile_session.out"),
         ),
     ] {
         for workers in [1usize, 2, 4] {

@@ -6,8 +6,9 @@
 //! server's golden sessions, generated chains and forests, and the corners
 //! of the accepted set: line ends, Unicode whitespace, non-ASCII comments,
 //! number spellings the standard parsers accept or refuse, trailing tokens,
-//! out-of-range indices, the shapes a `failure` record can take, and
-//! headers redeclared between entries. A seeded corpus of one-edit
+//! out-of-range indices, the shapes a `failure` record can take, headers
+//! redeclared between entries, and header counts or indices too large to
+//! allocate for. A seeded corpus of one-edit
 //! mutations of a generated instance adds about two thousand more outcomes,
 //! pinned as one digest. A parser rewrite must leave every row as it is.
 
@@ -125,6 +126,11 @@ fn instance_rows() -> Vec<(String, String)> {
     rows.push((
         "high-failure chain 30x6x4 seed 3".to_string(),
         generated(GeneratorConfig::paper_high_failure(30, 6, 4), 3),
+    ));
+    // Task and type counts past what a header lays out before its entries.
+    rows.push((
+        "chain 4200x2x4200 seed 1".to_string(),
+        generated(GeneratorConfig::paper_standard(4200, 2, 4200), 1),
     ));
     let forest = generated(GeneratorConfig::standard_in_forest(20, 5, 3), 7);
 
@@ -409,6 +415,25 @@ fn instance_rows() -> Vec<(String, String)> {
             "failure rows too large to stage",
             "tasks 2\nmachines 9223372036854775807\ntypes 1\nfailure 1 0 0.5\n".to_string(),
         ),
+        // Header counts size nothing: every task and type needs records of
+        // its own, so the staging grows as they arrive.
+        (
+            "tasks header past memory",
+            edit("tasks 2", "tasks 1099511627776"),
+        ),
+        (
+            "types header past memory",
+            edit("types 1", "types 1099511627776"),
+        ),
+        (
+            "tasks header at the usize maximum",
+            edit("tasks 2", "tasks 18446744073709551615"),
+        ),
+        (
+            "task index too large to stage",
+            "tasks 18446744073709551615\nmachines 2\ntypes 1\ntask 1152921504606846976 0\n"
+                .to_string(),
+        ),
         (
             "tasks redeclared between failures",
             edit("failure 1 0 0\n", "tasks 2\nfailure 1 0 0\n"),
@@ -525,6 +550,7 @@ const INSTANCE_PINS: &[&str] = &[
     "forest 20x5x3 seed 2 => ok d119132125c610cb",
     "chain 100x20x5 seed 1 => ok 19fd4fafcd2f55de",
     "high-failure chain 30x6x4 seed 3 => ok af426d04b7e80926",
+    "chain 4200x2x4200 seed 1 => ok 48262213d10fef86",
     "base => ok 36ebe091e9d0590c",
     "no trailing newline => ok 36ebe091e9d0590c",
     "crlf => ok 36ebe091e9d0590c",
@@ -634,6 +660,10 @@ const INSTANCE_PINS: &[&str] = &[
     "time beyond its row after machines widened => err mapping violates General rule: line 8: time entry out of range",
     "time rows too large to stage => err mapping violates General rule: line 6: time entry out of range",
     "failure rows too large to stage => err mapping violates General rule: line 4: failure entry out of range",
+    "tasks header past memory => err mapping violates General rule: line 0: task 2 is not declared",
+    "types header past memory => err mapping violates General rule: line 0: missing `time` entries for type 1",
+    "tasks header at the usize maximum => err mapping violates General rule: line 0: task 2 is not declared",
+    "task index too large to stage => err mapping violates General rule: line 4: task index 1152921504606846976 out of range",
     "tasks redeclared between failures => err mapping violates General rule: line 0: task 0 is not declared",
     "tasks and task lines redeclared between failures => err mapping violates General rule: line 0: missing `failure` entries for task 0",
     "tasks redeclared, failures repeated => ok 36ebe091e9d0590c",
