@@ -261,10 +261,8 @@ impl<'a> IncrementalEvaluator<'a> {
     #[inline]
     fn swap_terms(&self, a: TaskState, b: TaskState) -> SwapTerms {
         // After the swap each task runs on the other's machine.
-        let ratio = |task: TaskState, machine| {
-            self.instance.factor(TaskId(task.task), MachineId(machine)) / task.factor
-        };
-        let (r_a, r_b) = (ratio(a, b.machine), ratio(b, a.machine));
+        let r_a = self.instance.factor(TaskId(a.task), MachineId(b.machine)) / a.factor;
+        let r_b = self.instance.factor(TaskId(b.task), MachineId(a.machine)) / b.factor;
         if Topology::span_is_upstream(a.span, b.span) {
             SwapTerms::nested([a, b], [r_a, r_b])
         } else if Topology::span_is_upstream(b.span, a.span) {

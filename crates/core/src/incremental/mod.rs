@@ -519,10 +519,9 @@ impl<'a> IncrementalEvaluator<'a> {
                 // shared ancestor's unique successor chain would have to pass
                 // through both tasks. Walk from the dominating root(s); the
                 // tour spans answer nesting in O(1).
-                let topology = self.instance.topology();
-                if topology.is_upstream(a, b) {
+                if self.instance.topology().is_upstream(a, b) {
                     self.walk(b, changes, commit);
-                } else if topology.is_upstream(b, a) {
+                } else if self.instance.topology().is_upstream(b, a) {
                     self.walk(a, changes, commit);
                 } else {
                     self.walk(a, changes, commit);
@@ -540,13 +539,12 @@ impl<'a> IncrementalEvaluator<'a> {
             // Committed contributions changed exactly for the subtrees of
             // the changed tasks: evict the mass rows overlapping those tour
             // spans, leaving every other branch's rows warm.
-            let topology = self.instance.topology();
             let mut spans = [(0usize, 0usize); 2];
             for (k, &(task, _)) in changes.iter().enumerate() {
-                spans[k] = topology.subtree_span(task);
+                spans[k] = self.instance.topology().subtree_span(task);
             }
             self.mass.invalidate_overlapping(
-                topology,
+                self.instance.topology(),
                 &spans[..changes.len()],
                 &mut self.counters.mass_rows_invalidated,
             );

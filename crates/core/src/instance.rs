@@ -58,14 +58,12 @@ impl Instance {
                 actual: failures.machine_count(),
             });
         }
-        let factors = failures.rates().iter().map(|r| r.factor()).collect();
-        let topology = Topology::of(&app);
         Ok(Instance {
+            factors: failures.rates().iter().map(|rate| rate.factor()).collect(),
+            topology: Topology::of(&app),
             app,
             platform,
             failures,
-            factors,
-            topology,
         })
     }
 
@@ -128,9 +126,8 @@ impl Instance {
     /// [`Instance::new`] lays out: the bits of [`FailureRate::factor`].
     #[inline]
     pub fn factor(&self, task: TaskId, machine: MachineId) -> f64 {
-        let m = self.machine_count();
-        debug_assert!(machine.index() < m);
-        self.factors[task.index() * m + machine.index()]
+        debug_assert!(machine.index() < self.machine_count());
+        self.factors[task.index() * self.machine_count() + machine.index()]
     }
 
     /// Effective time to obtain one *successful* product of task `i` on

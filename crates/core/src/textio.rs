@@ -299,12 +299,13 @@ fn index_then_space(bytes: &[u8], at: &mut usize) -> Option<usize> {
 /// buffer and one presence mask. A row takes its width from the `machines`
 /// count in force at its first entry (0 while it has none), as a document
 /// may redeclare that count; it is complete only when its width is the
-/// final count and all of its entries are present. The header count lays
-/// out at most [`PRESIZED_ROWS`] rows; later rows are added as their entries
-/// arrive. The buffers are allocated at the first entry, and re-laid out
-/// only if a later row is wider, which a document can only do on its way
-/// to a `missing` error.
+/// final count and all of its entries are present. The buffers are
+/// allocated at the first entry for at most [`PRESIZED_ROWS`] rows, grown
+/// as later rows' entries arrive, and re-laid out only if a later row is
+/// wider, which a document can only do on its way to a `missing` error.
 struct Staging {
+    /// The header's row count; rows past `widths` have no entry yet.
+    rows: usize,
     widths: Vec<usize>,
     stride: usize,
     values: Vec<f64>,
@@ -315,6 +316,7 @@ impl Staging {
     /// Staging for a header count of `rows` rows.
     fn new(rows: usize) -> Self {
         Staging {
+            rows,
             widths: vec![0; rows.min(PRESIZED_ROWS)],
             stride: 0,
             values: Vec::new(),
@@ -327,8 +329,15 @@ impl Staging {
     /// `column` lies beyond a row that started under a smaller count, or
     /// when the rows at this width cannot be allocated.
     fn set(&mut self, row: usize, column: usize, machine_count: usize, value: f64) -> bool {
-        if row >= self.widths.len() && !self.grow(row + 1) {
-            return false;
+        if row >= self.widths.len() {
+            let grown = (row + 1).checked_mul(self.stride).is_some_and(|len| {
+                grow_to(&mut self.widths, row + 1)
+                    && grow_to(&mut self.values, len)
+                    && grow_to(&mut self.present, len)
+            });
+            if !grown {
+                return false;
+            }
         }
         let width = &mut self.widths[row];
         if *width == 0 {
@@ -341,25 +350,6 @@ impl Staging {
         let slot = row * self.stride + column;
         self.values[slot] = value;
         self.present[slot] = true;
-        true
-    }
-
-    /// Adds empty rows at the current stride until there are `rows`;
-    /// `false` (nothing changed) when the allocator refuses them.
-    fn grow(&mut self, rows: usize) -> bool {
-        let Some(len) = rows.checked_mul(self.stride) else {
-            return false;
-        };
-        let slots = len - self.values.len();
-        if self.widths.try_reserve(rows - self.widths.len()).is_err()
-            || self.values.try_reserve(slots).is_err()
-            || self.present.try_reserve(slots).is_err()
-        {
-            return false;
-        }
-        self.widths.resize(rows, 0);
-        self.values.resize(len, 0.0);
-        self.present.resize(len, false);
         true
     }
 
@@ -397,13 +387,7 @@ impl Staging {
     /// the error naming the first incomplete row (`noun` and its index) or
     /// its first missing entry (`keyword`, row and column). A row no entry
     /// reached has width 0.
-    fn finish(
-        self,
-        rows: usize,
-        machine_count: usize,
-        keyword: &str,
-        noun: &str,
-    ) -> Result<Vec<f64>> {
+    fn finish(self, machine_count: usize, keyword: &str, noun: &str) -> Result<Vec<f64>> {
         let missing_row =
             |row| parse_error(0, format!("missing `{keyword}` entries for {noun} {row}"));
         for (row, &width) in self.widths.iter().enumerate() {
@@ -418,7 +402,7 @@ impl Staging {
                 ));
             }
         }
-        if rows > self.widths.len() && machine_count != 0 {
+        if self.rows > self.widths.len() && machine_count != 0 {
             return Err(missing_row(self.widths.len()));
         }
         // Every row has the final width, and a row widens the stride to
@@ -435,17 +419,15 @@ impl Staging {
 /// this many, however large its count.
 const PRESIZED_ROWS: usize = 1 << 12;
 
-/// Grows `entries` with defaults until `index` is in range; `false`
+/// Grows `entries` with defaults to at least `len` entries; `false`
 /// (nothing changed) when the allocator refuses the room, as an index under
 /// a huge header count can ask.
-fn grow_to<T: Clone + Default>(entries: &mut Vec<T>, index: usize) -> bool {
-    if index < entries.len() {
-        return true;
-    }
-    if entries.try_reserve(index + 1 - entries.len()).is_err() {
+fn grow_to<T: Clone + Default>(entries: &mut Vec<T>, len: usize) -> bool {
+    let additional = len.saturating_sub(entries.len());
+    if entries.try_reserve(additional).is_err() {
         return false;
     }
-    entries.resize(index + 1, T::default());
+    entries.resize(entries.len() + additional, T::default());
     true
 }
 
@@ -511,7 +493,7 @@ pub fn instance_from_lines<'a>(lines: impl IntoIterator<Item = &'a str>) -> Resu
                 let n = task_count
                     .ok_or_else(|| parse_error(line_number, "`tasks` must come first"))?;
                 let id = parse_usize(records.token(), line_number, "task index")?;
-                if id >= n || !grow_to(&mut declared, id) {
+                if id >= n || !grow_to(&mut declared, id + 1) {
                     return Err(parse_error(
                         line_number,
                         format!("task index {id} out of range"),
@@ -579,10 +561,8 @@ pub fn instance_from_lines<'a>(lines: impl IntoIterator<Item = &'a str>) -> Resu
     // declared, `declared` holds exactly `n` entries.
     let mut builder = ApplicationBuilder::new();
     for i in 0..n {
-        let ty = declared
-            .get(i)
-            .and_then(|&(ty, _)| ty)
-            .ok_or_else(|| parse_error(0, format!("task {i} is not declared")))?;
+        let ty = declared.get(i).and_then(|task| task.0);
+        let ty = ty.ok_or_else(|| parse_error(0, format!("task {i} is not declared")))?;
         if ty >= p {
             return Err(ModelError::UnknownType { ty, type_count: p });
         }
@@ -595,11 +575,10 @@ pub fn instance_from_lines<'a>(lines: impl IntoIterator<Item = &'a str>) -> Resu
     }
     let app = build_with_declared_types(builder, p)?;
 
-    let times = times.finish(p, m, "time", "type")?;
+    let times = times.finish(m, "time", "type")?;
     let type_times = times.chunks(m.max(1)).map(<[f64]>::to_vec).collect();
     let platform = Platform::from_type_times(m, type_times)?;
-    let failures = failures.finish(n, m, "failure", "task")?;
-    let failure_model = FailureModel::from_flat(n, m, failures)?;
+    let failure_model = FailureModel::from_flat(n, m, failures.finish(m, "failure", "task")?)?;
 
     Instance::new(app, platform, failure_model)
 }
