@@ -700,6 +700,13 @@ fn main() {
          \"quick\": {quick}}},\n"
     ));
     json.push_str("  \"measurements\": [\n");
+    let columns = |counts: &[(&str, u64)]| {
+        counts
+            .iter()
+            .map(|(name, count)| format!("\"{name}\": {count}"))
+            .collect::<Vec<_>>()
+            .join(", ")
+    };
     for (index, row) in rows.iter().enumerate() {
         let quality = match &row.quality {
             Quality::PeriodMs(period) => format!("\"period_ms\": {period}"),
@@ -710,12 +717,10 @@ fn main() {
                 count,
                 per_second,
                 allocs,
-            } => std::iter::once(format!(
-                "\"nodes\": {count}, \"nodes_per_second\": {per_second}"
-            ))
-            .chain(allocs.iter().map(|(name, n)| format!("\"{name}\": {n}")))
-            .collect::<Vec<_>>()
-            .join(", "),
+            } => format!(
+                "\"nodes\": {count}, \"nodes_per_second\": {per_second}, {}",
+                columns(allocs)
+            ),
             Quality::Proof {
                 nodes,
                 per_second,
@@ -740,11 +745,7 @@ fn main() {
                 "\"period_ms\": {period_ms}, \"evaluator_calls\": {evaluator_calls}, \
                  \"probes\": {probes}"
             ),
-            Quality::Counts(counts) => counts
-                .iter()
-                .map(|(name, count)| format!("\"{name}\": {count}"))
-                .collect::<Vec<_>>()
-                .join(", "),
+            Quality::Counts(counts) => columns(counts),
         };
         json.push_str(&format!(
             "    {{\"name\": \"{}\", \"median_ns\": {}, \"elapsed_ns\": {}, \
