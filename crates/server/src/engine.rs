@@ -30,6 +30,7 @@ use crate::obs::{ObsConfig, ObsState};
 use crate::proto::{
     recycle_payload, GapReport, Probe, ProtoVersion, Request, Response, SolveMethod,
 };
+use crate::stats::{self, Counters, Stat};
 use crate::store::{InstanceStore, StoredInstance};
 use mf_core::prelude::*;
 use mf_core::textio;
@@ -37,7 +38,6 @@ use mf_experiments::anytime::{solve_anytime_observed, AnytimeConfig};
 use mf_experiments::portfolio::{run_portfolio, PortfolioConfig};
 use mf_experiments::runner::BatchRunner;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 
 /// Default seed of `solve … heuristic` requests — the seed the CLI's
@@ -49,81 +49,6 @@ pub const DEFAULT_HEURISTIC_SEED: u64 = 1;
 /// instance's per-task vectors plus the mass-row cache, so an unbounded map
 /// would grow with every instance a long-lived dashboard session touches).
 pub const SESSION_SNAPSHOT_CAP: usize = 8;
-
-/// The `stats` v2 keys of the deleted sweep cache, in presentation order.
-/// They always answer 0; retiring them needs a stats version bump.
-const RETIRED_SWEEP_KEYS: [&str; 5] = [
-    "sweep-probes",
-    "sweep-evaluations",
-    "sweep-skips",
-    "sweep-reuses",
-    "sweep-rescales",
-];
-
-#[derive(Debug, Default)]
-struct Counters {
-    loads: AtomicU64,
-    unloads: AtomicU64,
-    evaluations: AtomicU64,
-    whatifs: AtomicU64,
-    resumes: AtomicU64,
-    snapshot_hits: AtomicU64,
-    snapshot_evictions: AtomicU64,
-    solves_heuristic: AtomicU64,
-    solves_portfolio: AtomicU64,
-    solves_anytime: AtomicU64,
-    /// `gap` lines streamed by anytime solves (incumbent/bound reports).
-    anytime_reports: AtomicU64,
-    /// Anytime solves that closed the gap (proven optimal within budget).
-    anytime_proven: AtomicU64,
-    /// Branch-and-bound nodes explored by anytime solves.
-    bnb_nodes: AtomicU64,
-    /// LP relaxations solved from scratch / warm-reused by anytime solves.
-    lp_solves: AtomicU64,
-    lp_reuses: AtomicU64,
-    sessions: AtomicU64,
-    requests: AtomicU64,
-    errors: AtomicU64,
-    /// `IncrementalEvaluator::new` calls — what the keyed evaluate cache
-    /// saves; a cache hit serves an `evaluate` without bumping this.
-    builds: AtomicU64,
-    /// What-ifs answered by the evaluator's dense prefix-mass fast path —
-    /// summed over resident `whatif` probes and search-driven solves.
-    whatif_dense: AtomicU64,
-    /// What-ifs answered by the exact ancestor walk (degenerate shapes).
-    whatif_exact: AtomicU64,
-    /// Mass rows (re)built by the dense path — what the per-tour-range
-    /// invalidation and warm resident snapshots save.
-    mass_row_builds: AtomicU64,
-}
-
-impl Counters {
-    fn bump(counter: &AtomicU64) -> u64 {
-        counter.fetch_add(1, Ordering::Relaxed) + 1
-    }
-
-    fn add(counter: &AtomicU64, n: u64) {
-        if n > 0 {
-            counter.fetch_add(n, Ordering::Relaxed);
-        }
-    }
-
-    /// Folds the evaluator-counter *delta* of one operation in.
-    fn add_eval_delta(&self, after: EvalCounters, before: EvalCounters) {
-        Counters::add(
-            &self.whatif_dense,
-            after.dense_what_ifs - before.dense_what_ifs,
-        );
-        Counters::add(
-            &self.whatif_exact,
-            after.exact_what_ifs - before.exact_what_ifs,
-        );
-        Counters::add(
-            &self.mass_row_builds,
-            after.mass_row_builds - before.mass_row_builds,
-        );
-    }
-}
 
 /// Session-scoped resident evaluator state for one instance.
 struct ResidentState {
@@ -240,7 +165,7 @@ impl Engine {
         Engine {
             store: InstanceStore::new(),
             runner: BatchRunner::new(threads),
-            counters: Counters::default(),
+            counters: Counters::new(),
             cache: EvaluateCache::new(),
             journal,
             durable: Mutex::new(()),
@@ -316,7 +241,7 @@ impl Engine {
 
     /// Starts a session (counted in `stats`).
     pub fn begin_session(&self) -> Session {
-        Counters::bump(&self.counters.sessions);
+        self.counters.bump(Stat::Sessions);
         Session::default()
     }
 
@@ -327,7 +252,7 @@ impl Engine {
     /// request (one error when it answers an error) and is timed as its own
     /// command.
     pub fn dispatch(&self, session: &mut Session, request: Request) -> Response {
-        Counters::bump(&self.counters.requests);
+        self.counters.bump(Stat::Requests);
         let keyword = request.keyword();
         let start_ns = self.obs.now_ns();
         let response = match request {
@@ -349,7 +274,7 @@ impl Engine {
         };
         self.obs.observe_request(keyword, start_ns);
         if matches!(response, Response::Error { .. }) {
-            Counters::bump(&self.counters.errors);
+            self.counters.bump(Stat::Errors);
         }
         response
     }
@@ -388,7 +313,7 @@ impl Engine {
         // The load counter tracks applied store mutations, so it moves even
         // when journaling the mutation fails (the load is live in memory —
         // only its durability is gone).
-        Counters::bump(&self.counters.loads);
+        self.counters.bump(Stat::Loads);
         if let Err(error) = journaled {
             return EngineError::JournalFailed {
                 detail: one_line(error),
@@ -417,7 +342,7 @@ impl Engine {
             session.resident.remove(name);
             self.cache.purge(name);
             // Counted on apply, not on durability — see `load`.
-            Counters::bump(&self.counters.unloads);
+            self.counters.bump(Stat::Unloads);
             if let Err(error) = journaled {
                 return EngineError::JournalFailed {
                     detail: one_line(error),
@@ -454,7 +379,7 @@ impl Engine {
                 .map(|(key, _)| key.clone())
             {
                 session.resident.remove(&coldest);
-                Counters::bump(&self.counters.snapshot_evictions);
+                self.counters.bump(Stat::SnapshotEvictions);
             }
         }
         session.resident.insert(
@@ -487,7 +412,7 @@ impl Engine {
         fingerprint: u64,
     ) -> std::result::Result<CachedEvaluation, String> {
         let evaluator = IncrementalEvaluator::new(&stored.instance, mapping).map_err(one_line)?;
-        Counters::bump(&self.counters.builds);
+        self.counters.bump(Stat::EvaluatorBuilds);
         let cached = CachedEvaluation {
             period: evaluator.period().value(),
             critical: evaluator.critical_machine().index(),
@@ -536,7 +461,7 @@ impl Engine {
                 Err(detail) => return EngineError::InvalidPayload { detail }.into_response(),
             },
         };
-        Counters::bump(&self.counters.evaluations);
+        self.counters.bump(Stat::Evaluations);
         let response = Response::Evaluated {
             period: evaluation.period,
             critical: evaluation.critical,
@@ -562,7 +487,7 @@ impl Engine {
             // The instance was reloaded since the snapshot was taken.
             return stale;
         }
-        Counters::bump(&self.counters.snapshot_hits);
+        self.counters.bump(Stat::SnapshotHits);
         let mut evaluator = match IncrementalEvaluator::resume(&stored.instance, state.snapshot) {
             Ok(evaluator) => evaluator,
             Err(e) => {
@@ -572,7 +497,7 @@ impl Engine {
                 .into_response()
             }
         };
-        Counters::bump(&self.counters.resumes);
+        self.counters.bump(Stat::EvaluatorResumes);
         // The evaluator's counters are cumulative and ride the snapshot, so
         // the probe's own cost is the delta across the call.
         let counters_before = evaluator.counters();
@@ -582,13 +507,12 @@ impl Engine {
             }
             Probe::Swap { a, b } => evaluator.evaluate_swap(TaskId(a), TaskId(b)),
         };
-        self.counters
-            .add_eval_delta(evaluator.counters(), counters_before);
+        self.add_eval_delta(evaluator.counters(), counters_before);
         // What-ifs never mutate committed state, so the snapshot stays valid
         // either way — keep it resident even when the probe was out of range.
         let response = match evaluation {
             Ok(evaluation) => {
-                Counters::bump(&self.counters.whatifs);
+                self.counters.bump(Stat::Whatifs);
                 Response::WhatIf {
                     period: evaluation.period.value(),
                     critical: evaluation.critical_machine.index(),
@@ -633,12 +557,11 @@ impl Engine {
                 .expect("canonical names are constructible");
                 match heuristic.map_traced(instance) {
                     Ok((mapping, telemetry)) => {
-                        Counters::bump(&self.counters.solves_heuristic);
+                        self.counters.bump(Stat::SolvesHeuristic);
                         if let Some(telemetry) = telemetry {
                             // Search-driven solve: fold its evaluator
                             // counters into the server totals.
-                            self.counters
-                                .add_eval_delta(telemetry.eval, EvalCounters::default());
+                            self.add_eval_delta(telemetry.eval, EvalCounters::default());
                         }
                         (canonical, mapping)
                     }
@@ -662,7 +585,7 @@ impl Engine {
                 else {
                     return EngineError::PortfolioEmpty.into_response();
                 };
-                Counters::bump(&self.counters.solves_portfolio);
+                self.counters.bump(Stat::SolvesPortfolio);
                 (winner.to_string(), mapping)
             }
             SolveMethod::Anytime { .. } => unreachable!("handled above"),
@@ -728,14 +651,12 @@ impl Engine {
                 }
             };
         let c = &self.counters;
-        Counters::bump(&c.solves_anytime);
-        Counters::add(&c.anytime_reports, outcome.events.len() as u64);
-        if outcome.proven_optimal {
-            Counters::bump(&c.anytime_proven);
-        }
-        Counters::add(&c.bnb_nodes, outcome.nodes);
-        Counters::add(&c.lp_solves, outcome.lp_solves);
-        Counters::add(&c.lp_reuses, outcome.lp_reuses);
+        c.bump(Stat::SolvesAnytime);
+        c.add(Stat::AnytimeReports, outcome.events.len() as u64);
+        c.add(Stat::AnytimeProven, u64::from(outcome.proven_optimal));
+        c.add(Stat::BnbNodes, outcome.nodes);
+        c.add(Stat::LpSolves, outcome.lp_solves);
+        c.add(Stat::LpReuses, outcome.lp_reuses);
         let reports = outcome
             .events
             .iter()
@@ -766,46 +687,44 @@ impl Engine {
         }
     }
 
-    /// The statistics counters a session of `version` sees, in fixed
-    /// presentation order: the 16 v1 keys, plus — on v2 sessions — the
-    /// evaluator-build and keyed evaluate-cache counters, followed by the
-    /// evaluator what-if/mass-row counters and the five retired `sweep-*`
-    /// keys (the sweep cache is gone; they always answer 0 so the v2 list
-    /// keeps its shape), plus — on v3 sessions — the
-    /// anytime-solve counters (solves, streamed reports, proven runs, and
-    /// the exact phase's node/LP work). Every key is a plain sum over the
-    /// work done, so the router aggregates worker lists index-aligned and
-    /// its answer is the same for any worker count.
+    /// The `stats` answer of a session of `version`, valued by
+    /// [`Engine::stat`].
     pub fn stats_for(&self, version: ProtoVersion) -> Vec<(String, u64)> {
-        let mut entries = self.stats();
-        if version >= ProtoVersion::V2 {
-            let read = |counter: &AtomicU64| counter.load(Ordering::Relaxed);
-            entries.push(("evaluator-builds".to_string(), read(&self.counters.builds)));
-            entries.push(("evaluate-cache-hits".to_string(), self.cache.hits()));
-            entries.push(("evaluate-cache-misses".to_string(), self.cache.misses()));
-            entries.push((
-                "evaluate-cache-evictions".to_string(),
-                self.cache.evictions(),
-            ));
-            let c = &self.counters;
-            entries.push(("whatif-dense".to_string(), read(&c.whatif_dense)));
-            entries.push(("whatif-exact".to_string(), read(&c.whatif_exact)));
-            entries.push(("mass-row-builds".to_string(), read(&c.mass_row_builds)));
-            for key in RETIRED_SWEEP_KEYS {
-                entries.push((key.to_string(), 0));
-            }
+        stats::answer(version, |stat| self.stat(stat))
+    }
+
+    /// One statistic of this shard. The store and evaluate-cache keys are
+    /// read from those modules, the rest from the engine's counters (the
+    /// retired `sweep-*` keys read 0). Every value is a plain sum of the
+    /// work this shard did, so a router sums them over its workers.
+    pub fn stat(&self, stat: Stat) -> u64 {
+        match stat {
+            Stat::Instances => self.store.len() as u64,
+            Stat::InstanceBytes => self.store.stats().bytes,
+            Stat::InstanceHits => self.store.stats().hits,
+            Stat::InstanceEvictions => self.store.stats().evictions,
+            Stat::EvaluateCacheHits => self.cache.hits(),
+            Stat::EvaluateCacheMisses => self.cache.misses(),
+            Stat::EvaluateCacheEvictions => self.cache.evictions(),
+            stat => self.counters.get(stat),
         }
-        if version >= ProtoVersion::V3 {
-            let read = |counter: &AtomicU64| counter.load(Ordering::Relaxed);
-            let c = &self.counters;
-            entries.push(("solves-anytime".to_string(), read(&c.solves_anytime)));
-            entries.push(("anytime-reports".to_string(), read(&c.anytime_reports)));
-            entries.push(("anytime-proven".to_string(), read(&c.anytime_proven)));
-            entries.push(("bnb-nodes".to_string(), read(&c.bnb_nodes)));
-            entries.push(("lp-solves".to_string(), read(&c.lp_solves)));
-            entries.push(("lp-reuses".to_string(), read(&c.lp_reuses)));
-        }
-        entries
+    }
+
+    /// Folds the evaluator-counter *delta* of one operation in.
+    fn add_eval_delta(&self, after: EvalCounters, before: EvalCounters) {
+        let c = &self.counters;
+        c.add(
+            Stat::WhatifDense,
+            after.dense_what_ifs - before.dense_what_ifs,
+        );
+        c.add(
+            Stat::WhatifExact,
+            after.exact_what_ifs - before.exact_what_ifs,
+        );
+        c.add(
+            Stat::MassRowBuilds,
+            after.mass_row_builds - before.mass_row_builds,
+        );
     }
 
     /// Snapshots the per-command request-latency histograms, in
@@ -814,37 +733,6 @@ impl Engine {
     /// router aggregates worker snapshots bucket-wise.
     pub fn histograms(&self) -> Vec<(String, mf_obs::HistogramSnapshot)> {
         self.obs.histograms()
-    }
-
-    /// The statistics counters, in fixed presentation order. Alongside the
-    /// request counters, the store's byte footprint and hit/eviction counts
-    /// and the session snapshot caches' hit/eviction counts make warm-cache
-    /// behavior of a long-running server observable.
-    pub fn stats(&self) -> Vec<(String, u64)> {
-        let c = &self.counters;
-        let store = self.store.stats();
-        let read = |counter: &AtomicU64| counter.load(Ordering::Relaxed);
-        vec![
-            ("instances".to_string(), self.store.len() as u64),
-            ("instance-bytes".to_string(), store.bytes),
-            ("instance-hits".to_string(), store.hits),
-            ("instance-evictions".to_string(), store.evictions),
-            ("loads".to_string(), read(&c.loads)),
-            ("unloads".to_string(), read(&c.unloads)),
-            ("evaluations".to_string(), read(&c.evaluations)),
-            ("whatifs".to_string(), read(&c.whatifs)),
-            ("evaluator-resumes".to_string(), read(&c.resumes)),
-            ("snapshot-hits".to_string(), read(&c.snapshot_hits)),
-            (
-                "snapshot-evictions".to_string(),
-                read(&c.snapshot_evictions),
-            ),
-            ("solves-heuristic".to_string(), read(&c.solves_heuristic)),
-            ("solves-portfolio".to_string(), read(&c.solves_portfolio)),
-            ("sessions".to_string(), read(&c.sessions)),
-            ("requests".to_string(), read(&c.requests)),
-            ("errors".to_string(), read(&c.errors)),
-        ]
     }
 }
 
@@ -871,6 +759,7 @@ mod tests {
     use super::*;
     use crate::proto::{text_payload, ErrorCode};
     use crate::router::{Router, RouterSession};
+    use crate::stats::STATS;
     use mf_heuristics::{H4wFastestMachine, Heuristic};
     use mf_sim::{GeneratorConfig, InstanceGenerator};
 
@@ -1593,47 +1482,11 @@ mod tests {
     }
 
     #[test]
-    fn v2_stats_extend_v1_stats_with_the_cache_counters() {
+    fn status_export_reports_v3_and_retired_sweep_keys_read_zero() {
         let router = Router::new(1, 1);
-        let engine = &router.engines()[0];
-        let v1 = engine.stats_for(ProtoVersion::V1);
-        let v2 = engine.stats_for(ProtoVersion::V2);
-        let v3 = engine.stats_for(ProtoVersion::V3);
-        assert_eq!(v1, engine.stats(), "v1 view is the legacy stats list");
-        assert_eq!(&v2[..v1.len()], &v1[..], "v2 must extend, not reorder");
-        let appended: Vec<&str> = v2[v1.len()..].iter().map(|(k, _)| k.as_str()).collect();
-        assert_eq!(
-            appended,
-            [
-                "evaluator-builds",
-                "evaluate-cache-hits",
-                "evaluate-cache-misses",
-                "evaluate-cache-evictions",
-                "whatif-dense",
-                "whatif-exact",
-                "mass-row-builds",
-                "sweep-probes",
-                "sweep-evaluations",
-                "sweep-skips",
-                "sweep-reuses",
-                "sweep-rescales"
-            ]
-        );
-        assert_eq!(&v3[..v2.len()], &v2[..], "v3 must extend, not reorder");
-        let appended: Vec<&str> = v3[v2.len()..].iter().map(|(k, _)| k.as_str()).collect();
-        assert_eq!(
-            appended,
-            [
-                "solves-anytime",
-                "anytime-reports",
-                "anytime-proven",
-                "bnb-nodes",
-                "lp-solves",
-                "lp-reuses"
-            ]
-        );
         // status-export reports the complete (v3) counter list as the
         // global block.
+        let v3 = router.engines()[0].stats_for(ProtoVersion::V3);
         let report = router.status_report();
         assert_eq!(report.global, v3);
         assert_eq!(report.workers, vec![v3]);
@@ -1654,8 +1507,8 @@ mod tests {
         assert!(matches!(solved, Response::Solved { .. }), "{solved:?}");
         let stats = v2_stats(&router, &mut session);
         assert!(stat_of(&stats, "whatif-dense") > 0, "SD must have searched");
-        for key in RETIRED_SWEEP_KEYS {
-            assert_eq!(stat_of(&stats, key), 0, "{key}");
+        for row in STATS.iter().filter(|row| row.key.starts_with("sweep-")) {
+            assert_eq!(stat_of(&stats, row.key), 0, "{}", row.key);
         }
     }
 }

@@ -69,5 +69,5 @@ pub use proto::{
 };
 pub use router::{Router, RouterSession};
 pub use server::{run_session, serve_stdio, Server, MAX_ACCEPT_FAILURES};
-pub use stats::{StatsReport, STATS_FORMAT};
+pub use stats::{Stat, StatRow, StatsReport, STATS, STATS_FORMAT};
 pub use store::{InstanceStore, StoredInstance};

@@ -22,8 +22,8 @@
 //!   name's requests always land on the same worker in order;
 //! * `list` is the name-sorted merge of the worker stores (one store's
 //!   `BTreeMap` order is the same sort);
-//! * `stats` keys are all plain sums of work done, so the index-aligned sum
-//!   of the worker lists does not depend on how names spread — with the
+//! * `stats` keys are all plain sums of work done, so each key's sum over
+//!   the workers does not depend on how names spread — with the
 //!   session-level counters (`sessions`, `requests`, `errors`) kept by the
 //!   router itself, since workers only see forwarded traffic;
 //! * `batch` items run inline, in request order, each on its own shard.
@@ -37,10 +37,9 @@ use crate::errors::EngineError;
 use crate::journal::{Journal, JournalError};
 use crate::obs::ObsConfig;
 use crate::proto::{InstanceInfo, ProtoVersion, Request, Response};
-use crate::stats::StatsReport;
+use crate::stats::{self, Counters, Stat, StatsReport};
 use mf_obs::HistogramSnapshot;
 use std::path::Path;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// Most workers a router will spin up (matches the workspace-wide thread
@@ -54,9 +53,8 @@ pub struct Router {
     /// (one journal for the whole tier — worker shards append through it and
     /// the router surfaces its recovery counters).
     journal: Option<Arc<Journal>>,
-    sessions: AtomicU64,
-    requests: AtomicU64,
-    errors: AtomicU64,
+    /// The session-level counters: `sessions`, `requests` and `errors`.
+    counters: Counters,
 }
 
 /// Per-connection router state: the negotiated version plus one lazily
@@ -128,9 +126,7 @@ impl Router {
                 .map(|_| Arc::new(Engine::with_journal(threads, journal.clone(), obs.clone())))
                 .collect(),
             journal,
-            sessions: AtomicU64::new(0),
-            requests: AtomicU64::new(0),
-            errors: AtomicU64::new(0),
+            counters: Counters::new(),
         }
     }
 
@@ -157,7 +153,7 @@ impl Router {
 
     /// Starts a session (counted in `stats`).
     pub fn begin_session(&self) -> RouterSession {
-        self.sessions.fetch_add(1, Ordering::Relaxed);
+        self.counters.bump(Stat::Sessions);
         RouterSession {
             version: ProtoVersion::default(),
             workers: self.workers.iter().map(|_| None).collect(),
@@ -168,10 +164,10 @@ impl Router {
     /// shard, aggregate commands (`list`, `stats`, `status-export`) merge
     /// over all workers, and `batch` forwards its items one by one.
     pub fn dispatch(&self, session: &mut RouterSession, request: Request) -> Response {
-        self.requests.fetch_add(1, Ordering::Relaxed);
+        self.counters.bump(Stat::Requests);
         let response = self.route(session, request);
         if matches!(response, Response::Error { .. }) {
-            self.errors.fetch_add(1, Ordering::Relaxed);
+            self.counters.bump(Stat::Errors);
         }
         response
     }
@@ -218,13 +214,12 @@ impl Router {
         // Counter parity with the same commands sent one per round trip:
         // every item is one request, every error answer one error (the
         // envelope itself was counted by `dispatch` and is never an error).
-        self.requests
-            .fetch_add(answers.len() as u64, Ordering::Relaxed);
+        self.counters.add(Stat::Requests, answers.len() as u64);
         let errors = answers
             .iter()
             .filter(|response| matches!(response, Response::Error { .. }))
             .count();
-        self.errors.fetch_add(errors as u64, Ordering::Relaxed);
+        self.counters.add(Stat::Errors, errors as u64);
         Response::Batch(answers)
     }
 
@@ -250,26 +245,14 @@ impl Router {
         Response::List(entries)
     }
 
-    /// The aggregated statistics: the index-aligned sum of the worker lists,
-    /// with the session-level counters replaced by the router's own (workers
+    /// The aggregated statistics: each key summed over the workers, except
+    /// the session-level counters, which are the router's own (workers
     /// only ever see forwarded traffic, the router sees the session).
     pub fn stats_for(&self, version: ProtoVersion) -> Vec<(String, u64)> {
-        let mut totals = self.workers[0].stats_for(version);
-        for worker in &self.workers[1..] {
-            for (total, (key, value)) in totals.iter_mut().zip(worker.stats_for(version)) {
-                debug_assert_eq!(total.0, key, "worker stats lists must align");
-                total.1 += value;
-            }
-        }
-        for (key, value) in totals.iter_mut() {
-            match key.as_str() {
-                "sessions" => *value = self.sessions.load(Ordering::Relaxed),
-                "requests" => *value = self.requests.load(Ordering::Relaxed),
-                "errors" => *value = self.errors.load(Ordering::Relaxed),
-                _ => {}
-            }
-        }
-        totals
+        stats::answer(version, |stat| match stat {
+            Stat::Sessions | Stat::Requests | Stat::Errors => self.counters.get(stat),
+            stat => self.workers.iter().map(|worker| worker.stat(stat)).sum(),
+        })
     }
 
     /// The full machine-readable report: aggregated counters plus the raw
@@ -292,17 +275,16 @@ impl Router {
         }
     }
 
-    /// The tier's per-command latency histograms: the bucket-wise sum of
-    /// every worker's snapshot (the lists are index-aligned by
-    /// construction — every engine tracks the same commands in the same
-    /// order). The router forwards without timing of its own, so this sum
-    /// is the tier's instance-command latency distribution; the commands
-    /// the router answers itself record no sample.
+    /// The tier's per-command latency histograms: for each
+    /// [`TRACKED_COMMANDS`](crate::obs::TRACKED_COMMANDS) entry, the
+    /// bucket-wise sum of every worker's snapshot. The router forwards
+    /// without timing of its own, so this sum is the tier's
+    /// instance-command latency distribution; the commands the router
+    /// answers itself record no sample.
     pub fn histograms(&self) -> Vec<(String, HistogramSnapshot)> {
         let mut totals = self.workers[0].histograms();
         for worker in &self.workers[1..] {
-            for (total, (key, snapshot)) in totals.iter_mut().zip(worker.histograms()) {
-                debug_assert_eq!(total.0, key, "worker histogram lists must align");
+            for (total, (_, snapshot)) in totals.iter_mut().zip(worker.histograms()) {
                 total.1.merge(&snapshot);
             }
         }
@@ -327,6 +309,7 @@ impl RouterSession {
 mod tests {
     use super::*;
     use crate::proto::text_payload;
+    use crate::stats::STATS;
     use mf_core::textio;
     use mf_sim::{GeneratorConfig, InstanceGenerator};
 
@@ -411,21 +394,53 @@ mod tests {
         assert_eq!(stats.len(), 16);
     }
 
+    /// Pins the aggregation rule of every key on a three-worker tier
+    /// whose traffic moves every live counter: `global` is the per-worker
+    /// sum, except the session-level keys, which are the router's own.
     #[test]
     fn status_report_lists_every_worker() {
-        let router = Router::new(2, 1);
-        let mut session = router.begin_session();
-        load(&router, &mut session, "a", &instance_text(1));
+        let router = Router::new(3, 1);
+        let instance = instance_text(1);
+        let lines = instance.lines().count();
+        let mapping = "machines 3\nassign 0 0\nassign 1 1\nassign 2 2\n\
+                       assign 3 0\nassign 4 1\nassign 5 2\n";
+        // Ten names per shard on average: evaluating them all overflows
+        // the snapshot cap of at least one worker session.
+        let mut script = String::from("hello mf-proto v3\n");
+        for k in 0..30 {
+            script += &format!("load inst{k} {lines}\n{instance}evaluate inst{k} 7\n{mapping}");
+        }
+        script += &format!(
+            "evaluate inst0 7\n{mapping}whatif inst0 move 0 1\nsolve inst1 heuristic SD\n\
+             solve inst2 portfolio\nsolve inst3 anytime\nunload missing\nunload inst4\n"
+        );
+        let mut output = Vec::new();
+        crate::server::serve_stdio(&router, script.as_bytes(), &mut output).unwrap();
+        let output = String::from_utf8(output).unwrap();
+        assert_eq!(output.matches("\nerr ").count(), 1, "{output}");
+
         let report = router.status_report();
-        assert_eq!(report.workers.len(), 2);
-        let get =
-            |list: &[(String, u64)], key: &str| list.iter().find(|(k, _)| k == key).unwrap().1;
-        assert_eq!(get(&report.global, "loads"), 1);
-        let worker_loads: u64 = report
-            .workers
-            .iter()
-            .map(|worker| get(worker, "loads"))
-            .sum();
-        assert_eq!(worker_loads, 1, "exactly one worker saw the load");
+        assert_eq!(report.workers.len(), 3);
+        assert_eq!(report.global.len(), STATS.len());
+        for (index, row) in STATS.iter().enumerate() {
+            let (key, global) = &report.global[index];
+            assert_eq!(key, row.key);
+            let summed: u64 = report.workers.iter().map(|worker| worker[index].1).sum();
+            let expected = match row.stat {
+                Stat::Sessions => 1,
+                Stat::Requests => 1 + 2 * 30 + 7,
+                Stat::Errors => 1,
+                _ => summed,
+            };
+            assert_eq!(*global, expected, "{key}");
+            // Only the byte-cap and cache-cap evictions and the exact
+            // what-if fallback are out of this traffic's reach.
+            let untouched = row.key.starts_with("sweep-")
+                || matches!(
+                    row.stat,
+                    Stat::InstanceEvictions | Stat::EvaluateCacheEvictions | Stat::WhatifExact
+                );
+            assert_eq!(*global == 0, untouched, "{key} = {global}");
+        }
     }
 }

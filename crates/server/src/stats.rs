@@ -1,17 +1,138 @@
-//! `mf-stats v1` — the machine-readable statistics report.
+//! The server's statistics: [`STATS`] declares every `stats` key once, in
+//! wire order, and `mf-stats v1` is the machine-readable report.
 //!
-//! The plain `stats` command answers a fixed-order key/value list; this
-//! module renders the same counters — plus the per-worker breakdown of a
-//! sharded server — as **one JSON document** for the `status-export`
-//! protocol command and the `microfactory stats --json` CLI. The document is
-//! written by hand (the build environment is offline; no serde) in a
-//! canonical form: fixed key order, two-space indentation, integers only —
-//! so two reports with equal counters are byte-identical and the CI can diff
-//! and archive them.
+//! The plain `stats` command answers a session of version v the table's
+//! prefix up to v; this module also renders the same counters — plus the
+//! per-worker breakdown of a sharded server — as **one JSON document** for
+//! the `status-export` protocol command and the `microfactory stats --json`
+//! CLI. The document is written by hand (the build environment is offline;
+//! no serde) in a canonical form: fixed key order, two-space indentation,
+//! integers only — so two reports with equal counters are byte-identical
+//! and the CI can diff and archive them.
 
 use std::fmt::Write as _;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 use mf_obs::HistogramSnapshot;
+
+use crate::proto::ProtoVersion;
+
+/// One row of [`STATS`]: a key, its wire name and the protocol version
+/// that first answers it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct StatRow {
+    /// The key.
+    pub stat: Stat,
+    /// Its name on the wire, in `stats` answers and `mf-stats v1`.
+    pub key: &'static str,
+    /// The first protocol version whose `stats` answer carries it.
+    pub since: ProtoVersion,
+}
+
+/// Declares [`Stat`] and [`STATS`] from one list in wire order, so a
+/// variant's discriminant is its row.
+macro_rules! declare_stats {
+    ($($stat:ident => $key:literal, $since:ident;)*) => {
+        /// One `stats` key; `stat as usize` is its row in [`STATS`].
+        #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+        pub enum Stat {
+            $(
+                #[doc = concat!("`", $key, "`")]
+                $stat,
+            )*
+        }
+
+        /// Every `stats` key, in wire order. README's `stats-keys` table
+        /// documents each row.
+        pub const STATS: &[StatRow] = &[
+            $(StatRow { stat: Stat::$stat, key: $key, since: ProtoVersion::$since },)*
+        ];
+    };
+}
+
+declare_stats! {
+    Instances => "instances", V1;
+    InstanceBytes => "instance-bytes", V1;
+    InstanceHits => "instance-hits", V1;
+    InstanceEvictions => "instance-evictions", V1;
+    Loads => "loads", V1;
+    Unloads => "unloads", V1;
+    Evaluations => "evaluations", V1;
+    Whatifs => "whatifs", V1;
+    EvaluatorResumes => "evaluator-resumes", V1;
+    SnapshotHits => "snapshot-hits", V1;
+    SnapshotEvictions => "snapshot-evictions", V1;
+    SolvesHeuristic => "solves-heuristic", V1;
+    SolvesPortfolio => "solves-portfolio", V1;
+    Sessions => "sessions", V1;
+    Requests => "requests", V1;
+    Errors => "errors", V1;
+    EvaluatorBuilds => "evaluator-builds", V2;
+    EvaluateCacheHits => "evaluate-cache-hits", V2;
+    EvaluateCacheMisses => "evaluate-cache-misses", V2;
+    EvaluateCacheEvictions => "evaluate-cache-evictions", V2;
+    WhatifDense => "whatif-dense", V2;
+    WhatifExact => "whatif-exact", V2;
+    MassRowBuilds => "mass-row-builds", V2;
+    // The deleted sweep cache's keys: they read 0 until a stats version
+    // retires them.
+    SweepProbes => "sweep-probes", V2;
+    SweepEvaluations => "sweep-evaluations", V2;
+    SweepSkips => "sweep-skips", V2;
+    SweepReuses => "sweep-reuses", V2;
+    SweepRescales => "sweep-rescales", V2;
+    SolvesAnytime => "solves-anytime", V3;
+    AnytimeReports => "anytime-reports", V3;
+    AnytimeProven => "anytime-proven", V3;
+    BnbNodes => "bnb-nodes", V3;
+    LpSolves => "lp-solves", V3;
+    LpReuses => "lp-reuses", V3;
+}
+
+// Versions never decrease down the table, so each version's answer is a
+// prefix of the next one's.
+const _: () = {
+    let mut row = 1;
+    while row < STATS.len() {
+        assert!(STATS[row - 1].since as u8 <= STATS[row].since as u8);
+        row += 1;
+    }
+};
+
+/// The `stats` answer of a session of `version`: the prefix of [`STATS`]
+/// up to that version, each key with its `value`.
+pub(crate) fn answer(version: ProtoVersion, value: impl Fn(Stat) -> u64) -> Vec<(String, u64)> {
+    STATS
+        .iter()
+        .take_while(|row| row.since <= version)
+        .map(|row| (row.key.to_string(), value(row.stat)))
+        .collect()
+}
+
+/// One relaxed counter per [`STATS`] row, indexed by [`Stat`]. Rows whose
+/// value lives elsewhere (the store's, the evaluate cache's, the retired
+/// ones) are never bumped.
+pub(crate) struct Counters([AtomicU64; STATS.len()]);
+
+impl Counters {
+    pub(crate) fn new() -> Self {
+        Counters(std::array::from_fn(|_| AtomicU64::new(0)))
+    }
+
+    pub(crate) fn add(&self, stat: Stat, n: u64) {
+        if n > 0 {
+            self.0[stat as usize].fetch_add(n, Ordering::Relaxed);
+        }
+    }
+
+    pub(crate) fn bump(&self, stat: Stat) {
+        self.add(stat, 1);
+    }
+
+    pub(crate) fn get(&self, stat: Stat) -> u64 {
+        self.0[stat as usize].load(Ordering::Relaxed)
+    }
+}
 
 /// The `format` tag every report carries, versioned independently of the
 /// wire protocol.
@@ -21,9 +142,9 @@ pub const STATS_FORMAT: &str = "mf-stats v1";
 /// one raw counter list per worker.
 ///
 /// For a single-engine server the report has one worker whose counters equal
-/// the global list; for a router, `global` is the key-wise sum over workers
-/// with the session-level counters (`sessions`, `requests`, `errors`)
-/// replaced by the router's own — exactly what its `stats` command answers.
+/// the global list; for a router, `global` sums each key over the workers,
+/// except the session-level counters (`sessions`, `requests`, `errors`),
+/// which are the router's own — exactly what its `stats` command answers.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct StatsReport {
     /// Journal-replay counters of a durable server (empty on in-memory
