@@ -58,6 +58,12 @@
 //!   out of range. A `tasks` or `types` header lays out at most
 //!   `PRESIZED_ROWS` (4 096) rows, and later rows are added as their
 //!   entries arrive, so a header count alone cannot exhaust memory.
+//! - **Bounded by the document.** A complete document holds a line per
+//!   task and per (row, machine) entry, so no row index, row count or
+//!   staged `rows × machines` size can exceed its length in bytes. An
+//!   entry that would grow past that length is out of range, the outcome
+//!   an allocator refusing the room gives, so a short hostile document
+//!   allocates little whatever its counts and indices ask.
 
 use crate::application::{Application, ApplicationBuilder};
 use crate::error::{ModelError, Result};
@@ -303,41 +309,40 @@ fn index_then_space(bytes: &[u8], at: &mut usize) -> Option<usize> {
 /// allocated at the first entry for at most [`PRESIZED_ROWS`] rows, grown
 /// as later rows' entries arrive, and re-laid out only if a later row is
 /// wider, which a document can only do on its way to a `missing` error.
+/// No buffer grows past `limit` entries, the document's length.
 struct Staging {
     /// The header's row count; rows past `widths` have no entry yet.
     rows: usize,
     widths: Vec<usize>,
     stride: usize,
+    /// The rows laid out so far, `stride` slots each; rows past them have
+    /// no entry yet.
     values: Vec<f64>,
     present: Vec<bool>,
+    limit: usize,
 }
 
 impl Staging {
-    /// Staging for a header count of `rows` rows.
-    fn new(rows: usize) -> Self {
+    /// Staging for a header count of `rows` rows in a document of `limit`
+    /// bytes.
+    fn new(rows: usize, limit: usize) -> Self {
         Staging {
             rows,
             widths: vec![0; rows.min(PRESIZED_ROWS)],
             stride: 0,
             values: Vec::new(),
             present: Vec::new(),
+            limit,
         }
     }
 
     /// Stores entry `(row, column)`, read while `machine_count` machines
     /// are declared, over any earlier one; `false` (nothing stored) when
     /// `column` lies beyond a row that started under a smaller count, or
-    /// when the rows at this width cannot be allocated.
+    /// when the rows at this width pass the limit or cannot be allocated.
     fn set(&mut self, row: usize, column: usize, machine_count: usize, value: f64) -> bool {
-        if row >= self.widths.len() {
-            let grown = (row + 1).checked_mul(self.stride).is_some_and(|len| {
-                grow_to(&mut self.widths, row + 1)
-                    && grow_to(&mut self.values, len)
-                    && grow_to(&mut self.present, len)
-            });
-            if !grown {
-                return false;
-            }
+        if row >= self.widths.len() && !grow_to(&mut self.widths, row + 1, self.limit) {
+            return false;
         }
         let width = &mut self.widths[row];
         if *width == 0 {
@@ -347,17 +352,30 @@ impl Staging {
         if column >= width || (width > self.stride && !self.widen(width)) {
             return false;
         }
+        // `column < width <= stride`, so the stride is positive here.
+        if row >= self.values.len() / self.stride {
+            let grown = (row + 1).checked_mul(self.stride).is_some_and(|len| {
+                grow_to(&mut self.values, len, self.limit)
+                    && grow_to(&mut self.present, len, self.limit)
+            });
+            if !grown {
+                return false;
+            }
+        }
         let slot = row * self.stride + column;
         self.values[slot] = value;
         self.present[slot] = true;
         true
     }
 
-    /// Re-lays the rows out `stride` slots apart, keeping every entry;
-    /// `false` (nothing changed) when that many slots overflow `usize` or
-    /// the allocator refuses them, as a document's header counts can ask.
+    /// Re-lays the rows out `stride` slots apart, keeping every entry: the
+    /// rows laid out so far and as many more of the presized rows as the
+    /// limit holds. `false` (nothing changed) when the laid rows at that
+    /// stride pass the limit or the allocator refuses them.
     fn widen(&mut self, stride: usize) -> bool {
-        let Some(len) = self.widths.len().checked_mul(stride) else {
+        let laid = self.values.len().checked_div(self.stride).unwrap_or(0);
+        let rows = laid.max(self.widths.len().min(self.limit / stride)).max(1);
+        let Some(len) = rows.checked_mul(stride).filter(|&len| len <= self.limit) else {
             return false;
         };
         let (mut values, mut present) = (Vec::new(), Vec::new());
@@ -420,11 +438,11 @@ impl Staging {
 const PRESIZED_ROWS: usize = 1 << 12;
 
 /// Grows `entries` with defaults to at least `len` entries; `false`
-/// (nothing changed) when the allocator refuses the room, as an index under
-/// a huge header count can ask.
-fn grow_to<T: Clone + Default>(entries: &mut Vec<T>, len: usize) -> bool {
+/// (nothing changed) when `len` passes `limit` or the allocator refuses the
+/// room, as an index under a huge header count can ask.
+fn grow_to<T: Clone + Default>(entries: &mut Vec<T>, len: usize, limit: usize) -> bool {
     let additional = len.saturating_sub(entries.len());
-    if entries.try_reserve(additional).is_err() {
+    if len > limit || entries.try_reserve(additional).is_err() {
         return false;
     }
     entries.resize(entries.len() + additional, T::default());
@@ -460,7 +478,14 @@ pub fn instance_from_text(text: &str) -> Result<Instance> {
 /// though an item may hold several. The items parse exactly as their join
 /// with `\n` does under [`instance_from_text`], line numbers in errors
 /// included, without building the joined copy.
-pub fn instance_from_lines<'a>(lines: impl IntoIterator<Item = &'a str>) -> Result<Instance> {
+pub fn instance_from_lines<'a, I>(lines: I) -> Result<Instance>
+where
+    I: IntoIterator<Item = &'a str>,
+    I::IntoIter: Clone,
+{
+    let lines = lines.into_iter();
+    // The document's length in bytes bounds every row and staging size.
+    let limit = lines.clone().map(|line| line.len() + 1).sum();
     let mut task_count: Option<usize> = None;
     let mut machine_count: Option<usize> = None;
     let mut type_count: Option<usize> = None;
@@ -468,10 +493,10 @@ pub fn instance_from_lines<'a>(lines: impl IntoIterator<Item = &'a str>) -> Resu
     // staging rows: at most `PRESIZED_ROWS` from the header, the rest as
     // `task` records arrive.
     let mut declared: Vec<(Option<usize>, Option<usize>)> = Vec::new();
-    let mut times = Staging::new(0);
-    let mut failures = Staging::new(0);
+    let mut times = Staging::new(0, limit);
+    let mut failures = Staging::new(0, limit);
 
-    let mut records = Records::new(lines.into_iter());
+    let mut records = Records::new(lines);
     while let Some(keyword) = records.next_record() {
         let line_number = records.line;
         match keyword {
@@ -479,7 +504,7 @@ pub fn instance_from_lines<'a>(lines: impl IntoIterator<Item = &'a str>) -> Resu
                 let n = parse_usize(records.token(), line_number, "task count")?;
                 task_count = Some(n);
                 declared = vec![(None, None); n.min(PRESIZED_ROWS)];
-                failures = Staging::new(n);
+                failures = Staging::new(n, limit);
             }
             "machines" => {
                 machine_count = Some(parse_usize(records.token(), line_number, "machine count")?);
@@ -487,13 +512,13 @@ pub fn instance_from_lines<'a>(lines: impl IntoIterator<Item = &'a str>) -> Resu
             "types" => {
                 let p = parse_usize(records.token(), line_number, "type count")?;
                 type_count = Some(p);
-                times = Staging::new(p);
+                times = Staging::new(p, limit);
             }
             "task" => {
                 let n = task_count
                     .ok_or_else(|| parse_error(line_number, "`tasks` must come first"))?;
                 let id = parse_usize(records.token(), line_number, "task index")?;
-                if id >= n || !grow_to(&mut declared, id + 1) {
+                if id >= n || !grow_to(&mut declared, id + 1, limit) {
                     return Err(parse_error(
                         line_number,
                         format!("task index {id} out of range"),
