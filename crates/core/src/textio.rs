@@ -59,8 +59,8 @@
 //!   `PRESIZED_ROWS` (4 096) rows, and later rows are added as their
 //!   entries arrive, so a header count alone cannot exhaust memory.
 //! - **Bounded by the document.** A complete document holds a line per
-//!   task and per (row, machine) entry, so no row index, row count or
-//!   staged `rows × machines` size can exceed its length in bytes. An
+//!   task and per (row, machine) entry, so no row index or staged
+//!   `rows × machines` size can exceed its length in bytes. An
 //!   entry that would grow past that length is out of range, the outcome
 //!   an allocator refusing the room gives, so a short hostile document
 //!   allocates little whatever its counts and indices ask.
@@ -477,7 +477,8 @@ pub fn instance_from_text(text: &str) -> Result<Instance> {
 /// one line per item, as a protocol payload or a journal record holds them,
 /// though an item may hold several. The items parse exactly as their join
 /// with `\n` does under [`instance_from_text`], line numbers in errors
-/// included, without building the joined copy.
+/// included, without building the joined copy. The items are walked once
+/// before parsing, to sum the document's length.
 pub fn instance_from_lines<'a, I>(lines: I) -> Result<Instance>
 where
     I: IntoIterator<Item = &'a str>,

@@ -21,7 +21,13 @@ median and quartiles, the change's median shift, the pairs the change won,
 whether the median gap exceeds the parent's interquartile spread, and
 `claim`: `yes` only when the change won at least nine tenths of all pairs
 run (a tie is a win for neither side) and the median gap exceeds that
-spread, the rule a claimed gain must meet.
+spread, the rule a claimed gain must meet. Each metric with a `bound` in
+BENCHMARK.json also gets a `bound` verdict, the rule every change must
+meet: `ok` when the change's median is worse than the parent's by no more
+than bound × the parent's median, `worse` when it is, and `unresolved`
+when the parent's own interquartile spread exceeds bound × its median,
+unless every change run beats every parent run. Last comes each side's
+total `failed` count.
 
 The default metrics are BENCHMARK.json's end-to-end list; `--metrics`
 picks any reported metric by name (for example the per-layer
@@ -100,6 +106,23 @@ def quartiles(values):
     return q1, median, q3
 
 
+def verdict(bound, direction, parent, change):
+    """The `bound` column: `ok`, `worse` or `unresolved` (`-` without a bound)."""
+    if bound is None:
+        return "-"
+    p1, pm, p3 = quartiles(parent)
+    cm = statistics.median(change)
+    if direction == "higher":
+        all_beat = min(change) > max(parent)
+        worse_by = pm - cm
+    else:
+        all_beat = max(change) < min(parent)
+        worse_by = cm - pm
+    if p3 - p1 > bound * pm and not all_beat:
+        return "unresolved"
+    return "worse" if worse_by > bound * pm else "ok"
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("parent")
@@ -118,6 +141,11 @@ def main():
         metric["name"]: metric["better"]
         for metric in benchmark["end_to_end"] + benchmark["per_layer"]
     }
+    bounds = {
+        metric["name"]: metric["bound"]
+        for metric in benchmark["end_to_end"] + benchmark["per_layer"]
+        if "bound" in metric
+    }
     if args.metrics:
         names = args.metrics.split(",")
     else:
@@ -128,6 +156,7 @@ def main():
         "change": (args.change, args.change_target_dir),
     }
     runs = {"parent": [], "change": []}
+    failed = {"parent": 0, "change": 0}
     for pair, seed in enumerate(parse_seeds(args.seeds)):
         order = ["parent", "change"] if pair % 2 == 0 else ["change", "parent"]
         for side in order:
@@ -135,6 +164,7 @@ def main():
             result = run_once(checkout, target_dir, args, seed)
             metrics = result["metrics"]
             runs[side].append(metrics)
+            failed[side] += result["failed"]
             values = " ".join(
                 f"{name}={value(metrics, name):.6g}"
                 for name in names
@@ -148,7 +178,7 @@ def main():
 
     print()
     print(f"{'metric':<28} {'parent median (q1-q3)':>32} {'change median (q1-q3)':>32} "
-          f"{'shift':>8} {'wins':>6}  {'gap > IQR':>9}  claim")
+          f"{'shift':>8} {'wins':>6}  {'gap > IQR':>9}  claim  bound")
     for name in names:
         parent = [value(metrics, name) for metrics in runs["parent"]]
         change = [value(metrics, name) for metrics in runs["change"]]
@@ -169,8 +199,10 @@ def main():
             f"{name:<28} {f'{pm:.6g} ({p1:.6g}-{p3:.6g})':>32} "
             f"{f'{cm:.6g} ({c1:.6g}-{c3:.6g})':>32} {shift:>+7.1f}% "
             f"{wins:>3}/{len(parent):<2}  {'yes' if beats_spread else 'no':>9}  "
-            f"{'yes' if claim else 'no'}"
+            f"{'yes' if claim else 'no':<5}  {verdict(bounds.get(name), direction, parent, change)}"
         )
+    print()
+    print(f"failed: parent {failed['parent']}, change {failed['change']}")
 
 
 if __name__ == "__main__":
