@@ -42,11 +42,9 @@ use mf_exact::{branch_and_bound, BnbConfig};
 use mf_experiments::portfolio::{run_portfolio, PortfolioConfig};
 use mf_experiments::runner::BatchRunner;
 use mf_heuristics::search::{
-    polish_with, SearchEngine, SearchStrategy, SteepestDescent, TabuSearch,
+    polish_with, AnnealedClimb, SearchEngine, SearchStrategy, SteepestDescent, TabuSearch,
 };
-use mf_heuristics::{
-    H4wFastestMachine, H6LocalSearch, Heuristic, LocalSearchConfig, DEFAULT_SEARCH_BUDGET,
-};
+use mf_heuristics::{H4wFastestMachine, Heuristic, DEFAULT_SEARCH_BUDGET, H6_BUDGET};
 use mf_server::{serve_stdio, Journal, Router, COMPACT_EVERY};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -221,29 +219,26 @@ fn main() {
     let seed = H4wFastestMachine
         .map(&instance)
         .expect("m >= p so H4w succeeds");
-    let h6_config = LocalSearchConfig {
-        seed: 7,
-        ..LocalSearchConfig::default()
-    };
+    let h6_climb = AnnealedClimb::new(7);
     let period_of = |mapping: &Mapping| instance.period(mapping).unwrap().value();
 
     let mut rows: Vec<Measurement> = Vec::new();
 
-    let h6 = H6LocalSearch::polish(&instance, &seed, &h6_config).unwrap();
+    let h6 = polish_with(&instance, &seed, &h6_climb, H6_BUDGET).unwrap();
     rows.push(Measurement {
         name: "strategy_polish/h6_annealed",
         timing: timing(time(iterations, || {
-            H6LocalSearch::polish(&instance, &seed, &h6_config).unwrap()
+            polish_with(&instance, &seed, &h6_climb, H6_BUDGET).unwrap()
         })),
         iterations,
         quality: Quality::PeriodMs(period_of(&h6)),
     });
 
-    let sd = polish_with(&instance, &seed, &SteepestDescent::default(), sweep_budget).unwrap();
+    let sd = polish_with(&instance, &seed, &SteepestDescent, sweep_budget).unwrap();
     rows.push(Measurement {
         name: "strategy_polish/steepest_descent",
         timing: timing(time(iterations, || {
-            polish_with(&instance, &seed, &SteepestDescent::default(), sweep_budget).unwrap()
+            polish_with(&instance, &seed, &SteepestDescent, sweep_budget).unwrap()
         })),
         iterations,
         quality: Quality::PeriodMs(period_of(&sd)),
@@ -417,7 +412,7 @@ fn main() {
             wide_budget,
         ),
     ] {
-        let strategy = SteepestDescent::default();
+        let strategy = SteepestDescent;
         let run = |record: bool| {
             let mut engine = SearchEngine::new(shape, shape_seed, budget).unwrap();
             strategy.run(&mut engine).unwrap();

@@ -241,7 +241,7 @@ impl<'a> IncrementalEvaluator<'a> {
         TaskState {
             task: i,
             machine: self.assignment[i].index(),
-            factor: self.factor[i],
+            factor: self.instance.factor(TaskId(i), self.assignment[i]),
             span: self.instance.topology().subtree_span(TaskId(i)),
         }
     }

@@ -8,8 +8,8 @@
 //! *upstream* of them (their subtree in the application in-forest) can see
 //! their demand `xᵢ` change — everything downstream is untouched.
 //!
-//! [`IncrementalEvaluator`] exploits this: it caches per-task demands,
-//! factors and load contributions plus per-machine loads, and re-evaluates a
+//! [`IncrementalEvaluator`] exploits this: it caches per-task demands and
+//! load contributions plus per-machine loads, and re-evaluates a
 //! single-task move or a two-task swap in `O(affected tasks + k·log m)` where
 //! `k` is the number of machines whose load actually changes. The system
 //! period and the critical machine are maintained in a **tournament tree**
@@ -147,10 +147,6 @@ pub struct IncrementalEvaluator<'a> {
     /// Start demand `xᵢ`, bit-identical to [`crate::demand::demands`] for the
     /// current assignment.
     demand: Vec<f64>,
-    /// Cached failure factor `F_{i,a(i)}`.
-    factor: Vec<f64>,
-    /// Cached processing time `w_{i,a(i)}`.
-    weight: Vec<f64>,
     /// Cached load contribution `xᵢ · w_{i,a(i)}`.
     contribution: Vec<f64>,
     /// Per-machine load (sum of contributions, maintained by deltas).
@@ -205,16 +201,12 @@ impl<'a> IncrementalEvaluator<'a> {
         let n = instance.task_count();
         let m = instance.machine_count();
         let assignment: Vec<MachineId> = mapping.as_slice().to_vec();
-        let mut factor = vec![0.0f64; n];
-        let mut weight = vec![0.0f64; n];
         let mut contribution = vec![0.0f64; n];
         let mut load = vec![0.0f64; m];
         for task in instance.application().tasks() {
             let i = task.id.index();
             let machine = assignment[i];
-            factor[i] = instance.factor(task.id, machine);
-            weight[i] = instance.time(task.id, machine);
-            contribution[i] = x.get(task.id) * weight[i];
+            contribution[i] = x.get(task.id) * instance.time(task.id, machine);
             load[machine.index()] += contribution[i];
         }
         let tree = TournamentTree::new(&load);
@@ -222,8 +214,6 @@ impl<'a> IncrementalEvaluator<'a> {
             instance,
             assignment,
             demand: x.as_slice().to_vec(),
-            factor,
-            weight,
             contribution,
             load,
             tree,
@@ -248,8 +238,6 @@ impl<'a> IncrementalEvaluator<'a> {
         EvaluatorSnapshot {
             assignment: self.assignment,
             demand: self.demand,
-            factor: self.factor,
-            weight: self.weight,
             contribution: self.contribution,
             load: self.load,
             tree: self.tree,
@@ -294,8 +282,6 @@ impl<'a> IncrementalEvaluator<'a> {
             instance,
             assignment: snapshot.assignment,
             demand: snapshot.demand,
-            factor: snapshot.factor,
-            weight: snapshot.weight,
             contribution: snapshot.contribution,
             load: snapshot.load,
             tree: snapshot.tree,
@@ -569,14 +555,9 @@ impl<'a> IncrementalEvaluator<'a> {
                 .iter()
                 .find(|&&(t, _)| t == task)
                 .map(|&(_, machine)| machine);
-            let (machine, factor, weight) = match moved {
-                Some(to) => (
-                    to,
-                    self.instance.factor(task, to),
-                    self.instance.time(task, to),
-                ),
-                None => (self.assignment[i], self.factor[i], self.weight[i]),
-            };
+            let machine = moved.unwrap_or(self.assignment[i]);
+            let factor = self.instance.factor(task, machine);
+            let weight = self.instance.time(task, machine);
             let downstream = match app.successor(task) {
                 None => 1.0,
                 Some(succ) if self.task_stamp[succ.index()] == self.epoch => {
@@ -598,11 +579,7 @@ impl<'a> IncrementalEvaluator<'a> {
             if commit {
                 self.demand[i] = x;
                 self.contribution[i] = contribution;
-                if moved.is_some() {
-                    self.assignment[i] = machine;
-                    self.factor[i] = factor;
-                    self.weight[i] = weight;
-                }
+                self.assignment[i] = machine;
             }
             self.stack.extend_from_slice(app.predecessors(task));
         }

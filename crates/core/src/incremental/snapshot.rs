@@ -13,15 +13,17 @@ use crate::mapping::Mapping;
 /// state warm *across* queries, but the evaluator borrows its instance, so it
 /// cannot be stored next to the instance it evaluates. A snapshot can:
 /// [`IncrementalEvaluator::into_snapshot`](super::IncrementalEvaluator::into_snapshot)
-/// moves every committed cache (assignment, demands, factors, contributions,
-/// loads, the tournament tree and the per-subtree mass rows) and the
+/// moves every committed cache (assignment, demands, contributions, loads,
+/// the tournament tree and the per-subtree mass rows) and the
 /// reusable scratch buffers out of the evaluator, and
 /// [`IncrementalEvaluator::resume`](super::IncrementalEvaluator::resume)
 /// re-attaches them to the instance in `O(1)` — no demand walk, no load
 /// rebuild. The snapshot holds only state that depends on the mapping: the
-/// Euler tour and the failure-factor table are the instance's own
+/// Euler tour, the failure factors and the processing times are the
+/// instance's own
 /// ([`Instance::topology`](crate::instance::Instance::topology),
-/// [`Instance::factor`](crate::instance::Instance::factor)), so resuming on
+/// [`Instance::factor`](crate::instance::Instance::factor),
+/// [`Instance::time`](crate::instance::Instance::time)), so resuming on
 /// the instance, or on any clone of it, reads the same ones. The resumed
 /// evaluator is **bit-identical** to the one the snapshot was taken from.
 ///
@@ -34,8 +36,6 @@ use crate::mapping::Mapping;
 pub struct EvaluatorSnapshot {
     pub(super) assignment: Vec<MachineId>,
     pub(super) demand: Vec<f64>,
-    pub(super) factor: Vec<f64>,
-    pub(super) weight: Vec<f64>,
     pub(super) contribution: Vec<f64>,
     pub(super) load: Vec<f64>,
     pub(super) tree: TournamentTree,

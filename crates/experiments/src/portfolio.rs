@@ -28,13 +28,12 @@ use crate::runner::BatchRunner;
 use mf_core::prelude::*;
 use mf_core::seed::splitmix64;
 use mf_heuristics::search::{
-    polish_with, polish_with_progress, SearchEngine, SearchStrategy, SteepestDescent, TabuSearch,
+    polish_with_progress, AnnealedClimb, SearchStrategy, SteepestDescent, TabuSearch,
 };
 use mf_heuristics::{
-    base_uses_seed, paper_heuristic, H6LocalSearch, HeuristicResult, LocalSearchConfig,
-    DEFAULT_SEARCH_BUDGET,
+    base_uses_seed, paper_heuristic, HeuristicResult, DEFAULT_SEARCH_BUDGET, H6_BUDGET,
 };
-use mf_obs::{ProgressEvent, TraceEvent};
+use mf_obs::{ProgressEvent, ProgressSink, TraceEvent};
 
 /// Tuning knobs of the portfolio runner.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -60,7 +59,7 @@ impl Default for PortfolioConfig {
         PortfolioConfig {
             base_seed: 0x90F0_0110,
             annealed_streams: 2,
-            round_steps: 4000,
+            round_steps: H6_BUDGET,
             sweep_budget: DEFAULT_SEARCH_BUDGET,
             max_rounds: 8,
             patience: 2,
@@ -99,6 +98,15 @@ struct CellState {
     period: Option<f64>,
     /// A converged cell is skipped in later rounds.
     done: bool,
+}
+
+impl CellState {
+    /// A cell whose seeding or search failed: no mapping, never run again.
+    const FAILED: CellState = CellState {
+        mapping: None,
+        period: None,
+        done: true,
+    };
 }
 
 /// Final report of one cell.
@@ -293,72 +301,34 @@ fn advance_cell(
             };
             match seeded {
                 Ok(mapping) => mapping,
-                Err(_) => {
-                    return CellState {
-                        mapping: None,
-                        period: None,
-                        done: true,
-                    }
-                }
+                Err(_) => return CellState::FAILED,
             }
         }
     };
 
-    // `converged` is the strategy's own verdict: steepest descent that
-    // stopped *before* exhausting its budget sits at a local optimum, and
+    let annealed = AnnealedClimb::new(seed);
+    let tabu = TabuSearch::default();
+    let (strategy, budget): (&dyn SearchStrategy, usize) = match spec.strategy {
+        CellStrategy::Annealed { .. } => (&annealed, config.round_steps),
+        CellStrategy::Steepest => (&SteepestDescent, config.sweep_budget),
+        CellStrategy::Tabu => (&tabu, config.sweep_budget),
+    };
+    let sink = progress.map(|sink| sink as &mut dyn ProgressSink);
+    let Ok((polished, telemetry)) =
+        polish_with_progress(instance, &mapping, strategy, budget, sink)
+    else {
+        return CellState::FAILED;
+    };
+    let Ok(period) = instance.period(&polished) else {
+        return CellState::FAILED;
+    };
+    let period = period.value();
+    // Steepest descent that stopped *before* exhausting its budget (or
+    // never started, on a degenerate shape) sits at a local optimum, and
     // re-running it from that optimum can never help — the cell is done in
     // the same round, sparing the redundant confirmation sweep.
-    let (polished, converged) = match spec.strategy {
-        CellStrategy::Annealed { .. } => {
-            let local = LocalSearchConfig {
-                max_steps: config.round_steps,
-                seed,
-                ..LocalSearchConfig::default()
-            };
-            let polished = match progress {
-                Some(sink) => H6LocalSearch::polish_progress(instance, &mapping, &local, sink),
-                None => H6LocalSearch::polish(instance, &mapping, &local),
-            };
-            (polished, false)
-        }
-        CellStrategy::Steepest => {
-            match sweep_to_optimum(instance, &mapping, config.sweep_budget, progress) {
-                Ok((polished, converged)) => (Ok(polished), converged),
-                Err(e) => (Err(e), false),
-            }
-        }
-        CellStrategy::Tabu => {
-            let strategy = TabuSearch::default();
-            let polished = match progress {
-                Some(sink) => {
-                    polish_with_progress(instance, &mapping, &strategy, config.sweep_budget, sink)
-                        .map(|(mapping, _)| mapping)
-                }
-                None => polish_with(instance, &mapping, &strategy, config.sweep_budget),
-            };
-            (polished, false)
-        }
-    };
-    let polished = match polished {
-        Ok(polished) => polished,
-        Err(_) => {
-            return CellState {
-                mapping: None,
-                period: None,
-                done: true,
-            }
-        }
-    };
-    let period = match instance.period(&polished) {
-        Ok(period) => period.value(),
-        Err(_) => {
-            return CellState {
-                mapping: None,
-                period: None,
-                done: true,
-            }
-        }
-    };
+    let converged = matches!(spec.strategy, CellStrategy::Steepest)
+        && !telemetry.is_some_and(|t| t.budget_exhausted);
     // A deterministic strategy (SD, TS) that failed to improve on its
     // previous round has also converged — re-running its walk from the same
     // mapping reproduces it. The annealed climb draws a fresh stream each
@@ -374,27 +344,6 @@ fn advance_cell(
         period: Some(period),
         done: converged || stalled,
     }
-}
-
-/// Steepest descent plus its termination verdict: `true` when the descent
-/// stopped on its own — at a local optimum or its sweep cap — rather than
-/// on the evaluation budget.
-fn sweep_to_optimum(
-    instance: &Instance,
-    mapping: &Mapping,
-    budget: usize,
-    progress: Option<&mut Vec<ProgressEvent>>,
-) -> mf_heuristics::HeuristicResult<(Mapping, bool)> {
-    if instance.task_count() == 0 || instance.machine_count() < 2 || budget == 0 {
-        return Ok((mapping.clone(), true));
-    }
-    let mut engine = SearchEngine::new(instance, mapping, budget)?;
-    if let Some(sink) = progress {
-        engine.set_progress_sink(sink);
-    }
-    SteepestDescent::default().run(&mut engine)?;
-    let converged = !engine.exhausted();
-    Ok((engine.into_best(), converged))
 }
 
 /// The incumbent over cell states: `(index, period)` of the minimum period,
@@ -628,7 +577,7 @@ mod tests {
 
     #[test]
     fn traced_commits_reconstruct_enable_commit_trace_exactly() {
-        use mf_heuristics::search::{CommitStep, SteepestDescent};
+        use mf_heuristics::search::{CommitStep, SearchEngine};
 
         let inst = instance(7);
         let config = quick_config();
@@ -657,7 +606,7 @@ mod tests {
             };
             let mut engine = SearchEngine::new(&inst, &mapping, config.sweep_budget).unwrap();
             engine.enable_commit_trace();
-            SteepestDescent::default().run(&mut engine).unwrap();
+            SteepestDescent.run(&mut engine).unwrap();
             let expected: Vec<CommitStep> = engine.commit_trace().to_vec();
             let converged = !engine.exhausted();
             let polished = engine.into_best();

@@ -9,6 +9,9 @@
 //! for the search strategies), so the list and the constructors cannot
 //! drift apart.
 
+use crate::search::{
+    AnnealedClimb, LnsConfig, SearchStrategy, SteepestDescent, SubtreeMoveLns, TabuSearch,
+};
 use mf_core::prelude::*;
 use mf_core::seed::splitmix64;
 use std::fmt;
@@ -72,7 +75,7 @@ pub trait Heuristic {
     }
 
     /// Like [`map`](Self::map), additionally streaming progress events
-    /// (committed steps, incumbent improvements, cache outcomes) into
+    /// (each committed step with its incumbent-improved verdict) into
     /// `sink` when the heuristic drives a
     /// [`SearchEngine`](crate::search::SearchEngine) under the hood. The
     /// default — every constructive heuristic — emits nothing; the
@@ -154,14 +157,16 @@ const BASE_TABLE: &[(&str, Constructor)] = &[
 ///   ([`crate::search::SubtreeMoveLns`]).
 pub const STRATEGY_PREFIXES: &[&str] = &["H6", "SD", "TS", "LNS"];
 
-/// The seed heuristic behind a bare strategy name (`"H6"`, `"SD"`, `"TS"`):
-/// H4w, the paper's best constructive heuristic.
+/// The seed heuristic behind a bare strategy name (`"H6"`, `"SD"`, `"TS"`,
+/// `"LNS"`): H4w, the paper's best constructive heuristic.
 pub const DEFAULT_SEED_BASE: &str = "H4w";
 
-/// Default candidate-evaluation budget of the sweep-based strategies (SD and
-/// TS registry names). H6 keeps its own proposal budget
-/// ([`crate::search::LocalSearchConfig::max_steps`]).
+/// Default candidate-evaluation budget of the SD, TS and LNS registry
+/// names.
 pub const DEFAULT_SEARCH_BUDGET: usize = 200_000;
+
+/// Engine budget of the H6 registry names: 4 000 annealed proposals.
+pub const H6_BUDGET: usize = 4000;
 
 /// Salt decorrelating a seed heuristic's RNG stream from the search
 /// strategy's own neighborhood stream.
@@ -240,39 +245,29 @@ pub fn paper_heuristic(name: &str, seed: u64) -> Option<BoxedHeuristic> {
         return Some(heuristic);
     }
     let (prefix, base) = parse_strategy_name(name)?;
+    let inner = strategy_inner_heuristic(base, seed)?;
+    let (strategy, budget) = search_strategy(prefix, seed);
+    Some(Box::new(crate::search::SearchHeuristic::new(
+        inner, strategy, budget, name,
+    )))
+}
+
+/// The strategy behind a prefix of [`STRATEGY_PREFIXES`], drawing any
+/// randomness of its own from `seed`, and the engine budget it runs under.
+pub(crate) fn search_strategy(
+    prefix: &str,
+    seed: u64,
+) -> (Box<dyn SearchStrategy + Send + Sync>, usize) {
     match prefix {
-        "H6" => crate::h6_local_search::H6LocalSearch::by_registry_name(name, seed)
-            .map(|h6| Box::new(h6) as BoxedHeuristic),
-        "SD" => {
-            let inner = strategy_inner_heuristic(base, seed)?;
-            Some(Box::new(crate::search::SearchHeuristic::new(
-                inner,
-                Box::new(crate::search::SteepestDescent::default()),
-                DEFAULT_SEARCH_BUDGET,
-                name,
-            )))
-        }
-        "TS" => {
-            let inner = strategy_inner_heuristic(base, seed)?;
-            Some(Box::new(crate::search::SearchHeuristic::new(
-                inner,
-                Box::new(crate::search::TabuSearch::default()),
-                DEFAULT_SEARCH_BUDGET,
-                name,
-            )))
-        }
+        "H6" => (Box::new(AnnealedClimb::new(seed)), H6_BUDGET),
+        "SD" => (Box::new(SteepestDescent), DEFAULT_SEARCH_BUDGET),
+        "TS" => (Box::new(TabuSearch::default()), DEFAULT_SEARCH_BUDGET),
         "LNS" => {
-            let inner = strategy_inner_heuristic(base, seed)?;
-            let config = crate::search::LnsConfig {
+            let config = LnsConfig {
                 seed: splitmix64(seed ^ LNS_SEED_SALT),
-                ..crate::search::LnsConfig::default()
+                ..LnsConfig::default()
             };
-            Some(Box::new(crate::search::SearchHeuristic::new(
-                inner,
-                Box::new(crate::search::SubtreeMoveLns::new(config)),
-                DEFAULT_SEARCH_BUDGET,
-                name,
-            )))
+            (Box::new(SubtreeMoveLns::new(config)), DEFAULT_SEARCH_BUDGET)
         }
         _ => unreachable!("every prefix in STRATEGY_PREFIXES is matched"),
     }

@@ -17,12 +17,14 @@
 //!
 //! plus a [`RandomMapping`] baseline that ignores load altogether, and the
 //! [`search`] subsystem — a strategy-driven neighborhood search (shared
-//! [`SearchEngine`] over the incremental evaluator of `mf-core`, plus the
-//! [`AnnealedClimb`] behind [`H6LocalSearch`], the full-sweep
-//! [`SteepestDescent`] and [`TabuSearch`] strategies) that polishes any of
-//! the six constructive mappings and never returns a worse period than its
-//! seed. Registry names (`"H6"`, `"SD-H2"`, `"TS"`, … — see
-//! [`registry_names`]) are driven from a single table in [`heuristic`].
+//! [`SearchEngine`] over the incremental evaluator of `mf-core`, driven by
+//! the H6 [`AnnealedClimb`], the full-sweep [`SteepestDescent`] and
+//! [`TabuSearch`] strategies and the subtree-move
+//! [`SubtreeMoveLns`](search::SubtreeMoveLns)) that polishes any of the six
+//! constructive mappings and never returns a worse period than its seed.
+//! Registry names (`"H6"`, `"SD-H2"`, `"TS"`, `"LNS"`, … — see
+//! [`registry_names`]) are driven from a single table in [`heuristic`]; each
+//! strategy name builds a [`SearchHeuristic`].
 //!
 //! All heuristics guarantee a *valid* specialized mapping whenever the
 //! platform has at least as many machines as the application has types, thanks
@@ -51,7 +53,6 @@ pub mod context;
 pub mod h1_random;
 pub mod h4_family;
 pub mod h5_split;
-pub mod h6_local_search;
 pub mod heuristic;
 pub mod search;
 
@@ -63,10 +64,9 @@ pub use h4_family::{
     GreedyHeuristic, H4BestPerformance, H4fReliableMachine, H4wFastestMachine, ScoringRule,
 };
 pub use h5_split::H5WorkloadSplit;
-pub use h6_local_search::{H6LocalSearch, LocalSearchConfig};
 pub use heuristic::{
     all_paper_heuristics, base_uses_seed, canonical_registry_name, paper_heuristic, registry_names,
-    BoxedHeuristic, Heuristic, HeuristicError, HeuristicResult, DEFAULT_SEARCH_BUDGET,
+    BoxedHeuristic, Heuristic, HeuristicError, HeuristicResult, DEFAULT_SEARCH_BUDGET, H6_BUDGET,
     STRATEGY_PREFIXES,
 };
 pub use search::{

@@ -1,12 +1,10 @@
 //! The annealed hill climb — the search policy behind H6.
 //!
 //! Seeded stochastic proposals over the move/swap neighborhoods with
-//! Metropolis acceptance and a geometrically cooling temperature. This is a
-//! behavior-preserving extraction of the loop that lived inside
-//! `H6LocalSearch::polish` before the search subsystem existed: for the same
-//! [`LocalSearchConfig`] (same seed, same knobs) it consumes the identical
-//! RNG stream and produces the **bit-identical** mapping, which the
-//! `h6_regression` test pins.
+//! Metropolis acceptance and a geometrically cooling temperature. For the
+//! same seed and engine budget it consumes the identical RNG stream and
+//! produces the **bit-identical** mapping the original monolithic H6 loop
+//! did, which the `h6_regression` test pins.
 
 use crate::search::engine::{metropolis, SearchEngine};
 use crate::search::strategy::SearchStrategy;
@@ -15,60 +13,33 @@ use mf_core::prelude::*;
 use mf_core::rng::StdRng;
 use mf_core::seed::splitmix64;
 
-/// Tuning knobs of the annealed hill climb (and therefore of H6).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct LocalSearchConfig {
-    /// Maximum number of neighborhood proposals.
-    pub max_steps: usize,
-    /// Stop after this many consecutive proposals without a new best period.
-    pub stale_limit: usize,
-    /// Initial annealing temperature as a fraction of the seed period
-    /// (`0.0` disables annealing: pure hill climbing).
-    pub initial_temperature: f64,
-    /// Multiplicative temperature decay per proposal.
-    pub cooling: f64,
-    /// Probability of proposing a swap instead of a move.
-    pub swap_probability: f64,
-    /// Seed of the neighborhood RNG stream (mixed through
-    /// [`splitmix64`], the same derivation the batch runner uses for its
-    /// per-cell streams).
-    pub seed: u64,
-}
+/// Stop after this many consecutive proposals without a new best period.
+const STALE_LIMIT: usize = 1000;
 
-impl Default for LocalSearchConfig {
-    fn default() -> Self {
-        LocalSearchConfig {
-            max_steps: 4000,
-            stale_limit: 1000,
-            initial_temperature: 0.02,
-            cooling: 0.995,
-            swap_probability: 0.4,
-            seed: 0x4853_6C0C,
-        }
-    }
-}
+/// Initial annealing temperature as a fraction of the seed period.
+const INITIAL_TEMPERATURE: f64 = 0.02;
+
+/// Multiplicative temperature decay per proposal.
+const COOLING: f64 = 0.995;
+
+/// Probability of proposing a swap instead of a move.
+const SWAP_PROBABILITY: f64 = 0.4;
 
 /// Seeded move/swap proposals with Metropolis acceptance and annealing.
-#[derive(Debug, Clone, Copy, PartialEq)]
+///
+/// One engine budget unit is one proposal, drawn or filtered, so the
+/// budget handed to the engine is the climb's proposal cap.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct AnnealedClimb {
-    config: LocalSearchConfig,
+    /// Seed of the neighborhood RNG stream (mixed through [`splitmix64`],
+    /// the same derivation the batch runner uses for its per-cell streams).
+    seed: u64,
 }
 
 impl AnnealedClimb {
-    /// A climb with explicit knobs.
-    pub fn new(config: LocalSearchConfig) -> Self {
-        AnnealedClimb { config }
-    }
-
-    /// The configuration in use.
-    pub fn config(&self) -> &LocalSearchConfig {
-        &self.config
-    }
-}
-
-impl Default for AnnealedClimb {
-    fn default() -> Self {
-        AnnealedClimb::new(LocalSearchConfig::default())
+    /// A climb drawing its proposals from the stream of `seed`.
+    pub fn new(seed: u64) -> Self {
+        AnnealedClimb { seed }
     }
 }
 
@@ -83,22 +54,19 @@ impl SearchStrategy for AnnealedClimb {
         if n == 0 || m < 2 {
             return Ok(());
         }
-        let config = &self.config;
-        let mut rng = StdRng::seed_from_u64(splitmix64(config.seed));
-        let mut temperature = config.initial_temperature.max(0.0) * engine.current_period();
+        let mut rng = StdRng::seed_from_u64(splitmix64(self.seed));
+        let mut temperature = INITIAL_TEMPERATURE * engine.current_period();
         let mut stale = 0usize;
 
-        // One budget unit per proposal, drawn or filtered — the same
-        // accounting the pre-refactor H6 loop used for `max_steps`.
         while !engine.exhausted() {
-            if stale >= config.stale_limit {
+            if stale >= STALE_LIMIT {
                 break;
             }
             engine.charge(1);
             stale += 1;
-            temperature *= config.cooling;
+            temperature *= COOLING;
 
-            let improved = if rng.gen_bool(config.swap_probability) {
+            let improved = if rng.gen_bool(SWAP_PROBABILITY) {
                 let a = TaskId(rng.gen_range(0..n));
                 let b = TaskId(rng.gen_range(0..n));
                 if !engine.allows_swap(a, b) {
@@ -126,5 +94,33 @@ impl SearchStrategy for AnnealedClimb {
             }
         }
         Ok(())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::heuristic::H6_BUDGET;
+    use crate::search::polish_with;
+
+    #[test]
+    fn polishing_finds_an_obvious_improvement() {
+        // Two same-type tasks stacked on a slow machine while a fast one
+        // idles: one move fixes it, and the climb must find that move.
+        let app = Application::linear_chain(&[0, 0]).unwrap();
+        let platform = Platform::from_type_times(2, vec![vec![1000.0, 100.0]]).unwrap();
+        let failures = FailureModel::uniform(2, 2, FailureRate::ZERO);
+        let inst = Instance::new(app, platform, failures).unwrap();
+        let bad = Mapping::from_indices(&[0, 0], 2).unwrap();
+        let polished =
+            polish_with(&inst, &bad, &AnnealedClimb::new(0x4853_6C0C), H6_BUDGET).unwrap();
+        let period = inst.period(&polished).unwrap().value();
+        // The seed stacks both tasks on the slow M0 (period 2·1000). The
+        // optimum stacks both on the fast M1 (period 2·100 = 200) — spreading
+        // them would leave the slow machine critical at 1000.
+        assert!(
+            period <= 200.0 + 1e-9,
+            "the climb missed the improvement: period {period}"
+        );
     }
 }

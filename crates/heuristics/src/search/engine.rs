@@ -773,14 +773,14 @@ mod tests {
 
         let mut reference = SearchEngine::new(&inst, &seed, 10_000).unwrap();
         reference.enable_commit_trace();
-        SteepestDescent::default().run(&mut reference).unwrap();
+        SteepestDescent.run(&mut reference).unwrap();
         let steps: Vec<CommitStep> = reference.commit_trace().to_vec();
         let reference_best = reference.into_best();
 
         let mut sink = Vec::new();
         let mut observed = SearchEngine::new(&inst, &seed, 10_000).unwrap();
         observed.set_progress_sink(&mut sink);
-        SteepestDescent::default().run(&mut observed).unwrap();
+        SteepestDescent.run(&mut observed).unwrap();
         let observed_best = observed.into_best();
 
         // The sink is write-only: identical result with or without it.

@@ -66,11 +66,6 @@ impl SubtreeMoveLns {
     pub fn new(config: LnsConfig) -> Self {
         SubtreeMoveLns { config }
     }
-
-    /// The configuration in use.
-    pub fn config(&self) -> &LnsConfig {
-        &self.config
-    }
 }
 
 impl Default for SubtreeMoveLns {

@@ -1,9 +1,7 @@
 //! Strategy-driven neighborhood search over mapping move/swap neighborhoods.
 //!
 //! The paper's best results pair a cheap constructive mapping with search;
-//! this module factors the search loop that used to live inside
-//! [`H6LocalSearch`](crate::h6_local_search::H6LocalSearch) into reusable
-//! parts:
+//! this module splits that search into reusable parts:
 //!
 //! * [`SearchEngine`] — the shared machinery every strategy drives: it owns
 //!   the [`IncrementalEvaluator`](mf_core::incremental::IncrementalEvaluator)
@@ -16,16 +14,18 @@
 //!   seed) and meters the evaluation budget;
 //! * [`SearchStrategy`] — the policy layer: which neighbors to look at, in
 //!   what order, and which one to take;
-//! * three strategies:
-//!   [`AnnealedClimb`] (the H6 hill climb with mild annealing, bit-identical
-//!   to the pre-refactor `H6` for the same seeds),
+//! * four strategies:
+//!   [`AnnealedClimb`] (H6: seeded random proposals with mild annealing),
 //!   [`SteepestDescent`] (full admissible move + swap sweep per iteration,
-//!   descending until a local optimum), and
+//!   descending until a local optimum),
 //!   [`TabuSearch`] (steepest admissible neighbor even when uphill, with a
-//!   recency-keyed tabu list and aspiration);
+//!   recency-keyed tabu list and aspiration), and
+//!   [`SubtreeMoveLns`] (tear out a producer subtree and restage it);
+//! * [`polish_with`] and its telemetry and progress variants — the one way
+//!   to run a strategy over a mapping, metered by the engine budget;
 //! * [`SearchHeuristic`] — an adapter that seeds the engine with a
 //!   constructive heuristic and registers the pair under a registry name
-//!   (`"SD"`, `"TS-H2"`, … — see
+//!   (`"H6"`, `"SD"`, `"TS-H2"`, … — see
 //!   [`registry_names`](crate::heuristic::registry_names)).
 //!
 //! ```
@@ -40,7 +40,7 @@
 //!
 //! let seed = H4wFastestMachine.map(&instance).unwrap();
 //! let mut engine = SearchEngine::new(&instance, &seed, 10_000).unwrap();
-//! SteepestDescent::default().run(&mut engine).unwrap();
+//! SteepestDescent.run(&mut engine).unwrap();
 //! let polished = engine.into_best();
 //! assert!(instance.period(&polished).unwrap() <= instance.period(&seed).unwrap());
 //! ```
@@ -54,12 +54,12 @@ pub mod strategy;
 mod sweep;
 pub mod tabu;
 
-pub use annealed::{AnnealedClimb, LocalSearchConfig};
+pub use annealed::AnnealedClimb;
 pub use engine::{
     metropolis, CommitOutcome, CommitStep, RestageProbe, SearchEngine, IMPROVEMENT_EPSILON,
 };
 pub use lns::{LnsConfig, SubtreeMoveLns};
-pub use steepest::{SteepestDescent, SteepestDescentConfig};
+pub use steepest::SteepestDescent;
 pub use strategy::{
     polish_with, polish_with_progress, polish_with_telemetry, SearchHeuristic, SearchStrategy,
     SearchTelemetry, SweepCounters,

@@ -1,8 +1,8 @@
 //! Steepest descent: full-neighborhood sweeps until a local optimum.
 //!
 //! Each iteration scores **every** admissible move (at most `n·m`
-//! candidates) and — optionally — every admissible swap (at most
-//! `n·(n−1)/2` candidates) through the engine's incremental evaluator, then
+//! candidates) and every admissible swap (at most `n·(n−1)/2`
+//! candidates) through the engine's incremental evaluator, then
 //! commits the single best improving neighbor. Only admissible candidates
 //! are visited: the sweep walks an index of the pairs the specialized rule
 //! allows, rebuilt from the committed state once per sweep, instead of
@@ -27,44 +27,15 @@ use crate::search::strategy::SearchStrategy;
 use crate::HeuristicResult;
 use mf_core::prelude::*;
 
-/// Tuning knobs of the steepest-descent sweep.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SteepestDescentConfig {
-    /// Maximum number of sweep-and-commit iterations (the search usually
-    /// stops earlier, at a local optimum).
-    pub max_sweeps: usize,
-    /// Also sweep the two-task swap neighborhood (at most `n·(n−1)/2` extra
-    /// candidates per iteration). Swaps escape the "both machines full"
-    /// plateaus that moves alone cannot.
-    pub include_swaps: bool,
-}
-
-impl Default for SteepestDescentConfig {
-    fn default() -> Self {
-        SteepestDescentConfig {
-            max_sweeps: 256,
-            include_swaps: true,
-        }
-    }
-}
+/// Maximum number of sweep-and-commit iterations (the search usually stops
+/// earlier, at a local optimum).
+const MAX_SWEEPS: usize = 256;
 
 /// Full-neighborhood steepest descent.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct SteepestDescent {
-    config: SteepestDescentConfig,
-}
+pub struct SteepestDescent;
 
 impl SteepestDescent {
-    /// A descent with explicit knobs.
-    pub fn new(config: SteepestDescentConfig) -> Self {
-        SteepestDescent { config }
-    }
-
-    /// The configuration in use.
-    pub fn config(&self) -> &SteepestDescentConfig {
-        &self.config
-    }
-
     /// Scores the full neighborhood and returns the best candidate with its
     /// what-if period (scan-order tie-break). `None` when no candidate is
     /// admissible. Once a candidate is chosen, its period bounds every later
@@ -95,21 +66,19 @@ impl SteepestDescent {
                     }
                 }
             }
-            if self.config.include_swaps {
-                for a in 0..n {
-                    let a = TaskId(a);
-                    let mut partners = index.swap_partners(a).peekable();
-                    if partners.peek().is_none() {
-                        continue;
-                    }
-                    let probe = engine.probe_task(a)?;
-                    for b in partners {
-                        engine.charge(1);
-                        let bound = best.map(|(period, _)| period);
-                        if let Some(period) = engine.probe_swap(&probe, b, bound)? {
-                            if better_than(period, &best) {
-                                best = Some((period, Candidate::Swap(a, b)));
-                            }
+            for a in 0..n {
+                let a = TaskId(a);
+                let mut partners = index.swap_partners(a).peekable();
+                if partners.peek().is_none() {
+                    continue;
+                }
+                let probe = engine.probe_task(a)?;
+                for b in partners {
+                    engine.charge(1);
+                    let bound = best.map(|(period, _)| period);
+                    if let Some(period) = engine.probe_swap(&probe, b, bound)? {
+                        if better_than(period, &best) {
+                            best = Some((period, Candidate::Swap(a, b)));
                         }
                     }
                 }
@@ -130,7 +99,7 @@ impl SearchStrategy for SteepestDescent {
         }
         // Sweeps are atomic: the budget is checked between sweeps, so the
         // last sweep may overrun it by one neighborhood.
-        for _ in 0..self.config.max_sweeps {
+        for _ in 0..MAX_SWEEPS {
             if engine.exhausted() {
                 break;
             }

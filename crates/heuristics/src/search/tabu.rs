@@ -44,8 +44,6 @@ pub struct TabuConfig {
     /// Stop after this many consecutive iterations without a new best
     /// period.
     pub stale_limit: usize,
-    /// Also sweep the two-task swap neighborhood each iteration.
-    pub include_swaps: bool,
 }
 
 impl Default for TabuConfig {
@@ -54,7 +52,6 @@ impl Default for TabuConfig {
             max_iterations: 128,
             tenure: 12,
             stale_limit: 32,
-            include_swaps: true,
         }
     }
 }
@@ -69,11 +66,6 @@ impl TabuSearch {
     /// A tabu search with explicit knobs.
     pub fn new(config: TabuConfig) -> Self {
         TabuSearch { config }
-    }
-
-    /// The configuration in use.
-    pub fn config(&self) -> &TabuConfig {
-        &self.config
     }
 }
 
@@ -162,32 +154,30 @@ impl SearchStrategy for TabuSearch {
                         }
                     }
                 }
-                if config.include_swaps {
-                    for a in 0..n {
-                        let a = TaskId(a);
-                        let mut partners = index.swap_partners(a).peekable();
-                        if partners.peek().is_none() {
+                for a in 0..n {
+                    let a = TaskId(a);
+                    let mut partners = index.swap_partners(a).peekable();
+                    if partners.peek().is_none() {
+                        continue;
+                    }
+                    let probe = engine.probe_task(a)?;
+                    let ua = engine.machine_of(a);
+                    for b in partners {
+                        // After the swap, `a` runs on `b`'s machine and
+                        // vice versa — both targets must be non-tabu.
+                        let ub = engine.machine_of(b);
+                        engine.charge(1);
+                        let forbidden =
+                            tabu.forbidden(a, ub, iteration) || tabu.forbidden(b, ua, iteration);
+                        let bound = bound(&chosen, forbidden);
+                        let Some(period) = engine.probe_swap(&probe, b, bound)? else {
+                            continue;
+                        };
+                        if forbidden && !aspired(period) {
                             continue;
                         }
-                        let probe = engine.probe_task(a)?;
-                        let ua = engine.machine_of(a);
-                        for b in partners {
-                            // After the swap, `a` runs on `b`'s machine and
-                            // vice versa — both targets must be non-tabu.
-                            let ub = engine.machine_of(b);
-                            engine.charge(1);
-                            let forbidden = tabu.forbidden(a, ub, iteration)
-                                || tabu.forbidden(b, ua, iteration);
-                            let bound = bound(&chosen, forbidden);
-                            let Some(period) = engine.probe_swap(&probe, b, bound)? else {
-                                continue;
-                            };
-                            if forbidden && !aspired(period) {
-                                continue;
-                            }
-                            if better_than(period, &chosen) {
-                                chosen = Some((period, Candidate::Swap(a, b)));
-                            }
+                        if better_than(period, &chosen) {
+                            chosen = Some((period, Candidate::Swap(a, b)));
                         }
                     }
                 }

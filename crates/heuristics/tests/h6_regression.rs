@@ -9,7 +9,8 @@
 //! downstream experiment table shifts with them.
 
 use mf_core::prelude::*;
-use mf_heuristics::{paper_heuristic, H6LocalSearch, LocalSearchConfig};
+use mf_heuristics::search::{polish_with, AnnealedClimb};
+use mf_heuristics::{paper_heuristic, H6_BUDGET};
 
 fn instance(types: &[usize], m: usize, seed: u64) -> Instance {
     let app = Application::linear_chain(types).unwrap();
@@ -98,11 +99,8 @@ fn polish_entry_point_is_bit_identical_to_the_pre_refactor_loop() {
     let seed_mapping =
         Mapping::from_indices(&(0..24).map(|i| i % 3).collect::<Vec<_>>(), 8).unwrap();
     for (seed, period_bits, assignment) in expected {
-        let config = LocalSearchConfig {
-            seed: *seed,
-            ..LocalSearchConfig::default()
-        };
-        let polished = H6LocalSearch::polish(&inst, &seed_mapping, &config).unwrap();
+        let polished =
+            polish_with(&inst, &seed_mapping, &AnnealedClimb::new(*seed), H6_BUDGET).unwrap();
         let period = inst.period(&polished).unwrap().value();
         assert_eq!(
             period.to_bits(),

@@ -24,12 +24,10 @@
 
 use mf_core::prelude::*;
 use mf_heuristics::search::{
-    polish_with, CommitStep, LnsConfig, SearchEngine, SearchStrategy, SteepestDescent,
-    SubtreeMoveLns, TabuConfig, TabuSearch,
+    polish_with, AnnealedClimb, CommitStep, LnsConfig, SearchEngine, SearchStrategy,
+    SteepestDescent, SubtreeMoveLns, TabuConfig, TabuSearch,
 };
-use mf_heuristics::{
-    paper_heuristic, H4wFastestMachine, H6LocalSearch, Heuristic, LocalSearchConfig,
-};
+use mf_heuristics::{paper_heuristic, H4wFastestMachine, Heuristic, H6_BUDGET};
 use mf_sim::{GeneratorConfig, InstanceGenerator};
 
 fn instance(n: usize, m: usize, p: usize, seed: u64) -> Instance {
@@ -67,18 +65,14 @@ fn steepest_descent_beats_h6_beats_the_seed() {
         let seeded = H4wFastestMachine.map(&inst).unwrap();
         let seed_period = inst.period(&seeded).unwrap().value();
 
-        let h6_config = LocalSearchConfig {
-            seed: case,
-            ..LocalSearchConfig::default()
-        };
-        let h6 = H6LocalSearch::polish(&inst, &seeded, &h6_config).unwrap();
+        let h6 = polish_with(&inst, &seeded, &AnnealedClimb::new(case), H6_BUDGET).unwrap();
         let h6_period = inst.period(&h6).unwrap().value();
 
         // The chain anchor: descend the full neighborhood from H6's result.
-        let sd = polish_with(&inst, &h6, &SteepestDescent::default(), BUDGET).unwrap();
+        let sd = polish_with(&inst, &h6, &SteepestDescent, BUDGET).unwrap();
         let sd_period = inst.period(&sd).unwrap().value();
         // And from the raw seed, SD still never degrades it.
-        let sd_raw = polish_with(&inst, &seeded, &SteepestDescent::default(), BUDGET).unwrap();
+        let sd_raw = polish_with(&inst, &seeded, &SteepestDescent, BUDGET).unwrap();
         let sd_raw_period = inst.period(&sd_raw).unwrap().value();
 
         assert!(
@@ -103,7 +97,7 @@ fn steepest_descent_halts_at_a_local_optimum() {
     for case in 0u64..6 {
         let inst = instance(16, 5, 2, 0xBEEF ^ (case * 104729));
         let seeded = H4wFastestMachine.map(&inst).unwrap();
-        let sd = polish_with(&inst, &seeded, &SteepestDescent::default(), BUDGET).unwrap();
+        let sd = polish_with(&inst, &seeded, &SteepestDescent, BUDGET).unwrap();
         let sd_period = inst.period(&sd).unwrap().value();
 
         // No admissible move or swap may improve the result.
@@ -149,7 +143,6 @@ fn tabu_search_never_returns_worse_than_its_seed() {
             max_iterations: 40,
             tenure: 5,
             stale_limit: 40,
-            include_swaps: true,
         });
         let polished = polish_with(&inst, &seeded, &tabu, BUDGET).unwrap();
         let period = inst.period(&polished).unwrap().value();
@@ -170,7 +163,7 @@ fn tabu_escapes_local_optima_that_stop_steepest_descent() {
     for case in 0u64..24 {
         let inst = instance(18, 5, 2, 0x5EED ^ (case * 31337));
         let seeded = H4wFastestMachine.map(&inst).unwrap();
-        let sd = polish_with(&inst, &seeded, &SteepestDescent::default(), BUDGET).unwrap();
+        let sd = polish_with(&inst, &seeded, &SteepestDescent, BUDGET).unwrap();
         let ts = polish_with(&inst, &seeded, &TabuSearch::default(), BUDGET).unwrap();
         let sd_period = inst.period(&sd).unwrap().value();
         let ts_period = inst.period(&ts).unwrap().value();
@@ -232,10 +225,8 @@ fn steepest_descent_and_tabu_commit_pinned_step_sequences() {
             generate(GeneratorConfig::paper_standard(30, 20, 4), 0x20C),
         ),
     ];
-    let strategies: [(&str, &dyn SearchStrategy); 2] = [
-        ("SD", &SteepestDescent::default()),
-        ("TS", &TabuSearch::default()),
-    ];
+    let strategies: [(&str, &dyn SearchStrategy); 2] =
+        [("SD", &SteepestDescent), ("TS", &TabuSearch::default())];
     // (commits, trace fingerprint, best period bits), in instance-major order.
     let expected: [(usize, u64, u64); 6] = [
         (24, 0xca19_52ba_4485_8401, 0x4072_1d8b_f85a_5aa3),
@@ -280,8 +271,7 @@ fn steepest_descent_and_tabu_evaluator_counts_are_pinned() {
         generate(GeneratorConfig::standard_in_forest(40, 64, 6), 0x64F),
         generate(GeneratorConfig::paper_standard(30, 20, 4), 0x20C),
     ];
-    let strategies: [&dyn SearchStrategy; 2] =
-        [&SteepestDescent::default(), &TabuSearch::default()];
+    let strategies: [&dyn SearchStrategy; 2] = [&SteepestDescent, &TabuSearch::default()];
     // (dense what-ifs, pruned what-ifs, mass-row builds, engine steps), in
     // instance-major order, SD before TS.
     let expected: [(u64, u64, u64, usize); 6] = [
@@ -348,8 +338,7 @@ fn steepest_descent_and_tabu_from_general_seeds_are_pinned() {
         generate(GeneratorConfig::paper_standard(30, 20, 4), 0x20C),
         generate(GeneratorConfig::standard_in_forest(40, 64, 6), 0x64F),
     ];
-    let strategies: [&dyn SearchStrategy; 2] =
-        [&SteepestDescent::default(), &TabuSearch::default()];
+    let strategies: [&dyn SearchStrategy; 2] = [&SteepestDescent, &TabuSearch::default()];
     // (dense, pruned, mass-row builds, steps, best period bits, trace
     // fingerprint), in instance-major order, SD before TS.
     let expected: [(u64, u64, u64, usize, u64, u64); 4] = [
@@ -464,7 +453,7 @@ fn steepest_descent_is_the_descent_prefix_of_tabu_search() {
                 .unwrap()
                 .map(instance)
                 .expect("every base maps the fixtures");
-            let sd = trace(instance, &seed, &SteepestDescent::default());
+            let sd = trace(instance, &seed, &SteepestDescent);
             let ts = trace(instance, &seed, &TabuSearch::default());
             let shared = sd.len().min(ts.len());
             assert_eq!(

@@ -401,6 +401,26 @@ impl Engine {
         })
     }
 
+    /// The committed state of `(instance, mapping)` — a keyed-cache hit, or
+    /// a fresh build — parked as the session's resident snapshot for
+    /// `name`. Returns its period, critical machine and loads, or the
+    /// build's one-line error, which each caller answers with its own code.
+    fn settle(
+        &self,
+        session: &mut Session,
+        name: &str,
+        stored: &StoredInstance,
+        mapping: &Mapping,
+    ) -> std::result::Result<(f64, usize, Vec<f64>), String> {
+        let fingerprint = mapping.fingerprint();
+        let evaluation = match self.cache.lookup(name, stored.generation, fingerprint) {
+            Some(hit) => hit,
+            None => self.build_evaluation(name, stored, mapping, fingerprint)?,
+        };
+        self.remember(session, name, stored.generation, evaluation.snapshot);
+        Ok((evaluation.period, evaluation.critical, evaluation.loads))
+    }
+
     /// Builds the evaluator for `(instance, mapping)` — the committed state
     /// `evaluate` answers from — and parks the full answer in the keyed
     /// cache under `(generation, fingerprint)`.
@@ -453,22 +473,16 @@ impl Engine {
         // doubles as this session's resident snapshot for `whatif` probes.
         // A keyed-cache hit serves the identical answer (and the identical
         // pristine snapshot) without building the evaluator at all.
-        let fingerprint = mapping.fingerprint();
-        let evaluation = match self.cache.lookup(name, stored.generation, fingerprint) {
-            Some(hit) => hit,
-            None => match self.build_evaluation(name, &stored, &mapping, fingerprint) {
-                Ok(built) => built,
-                Err(detail) => return EngineError::InvalidPayload { detail }.into_response(),
-            },
+        let (period, critical, loads) = match self.settle(session, name, &stored, &mapping) {
+            Ok(settled) => settled,
+            Err(detail) => return EngineError::InvalidPayload { detail }.into_response(),
         };
         self.counters.bump(Stat::Evaluations);
-        let response = Response::Evaluated {
-            period: evaluation.period,
-            critical: evaluation.critical,
-            loads: evaluation.loads,
-        };
-        self.remember(session, name, stored.generation, evaluation.snapshot);
-        response
+        Response::Evaluated {
+            period,
+            critical,
+            loads,
+        }
     }
 
     fn what_if(&self, session: &mut Session, name: &str, probe: Probe) -> Response {
@@ -596,16 +610,10 @@ impl Engine {
         // immediately probe `whatif` moves around the solution. The build is
         // keyed-cached too: re-solving to a mapping this engine has already
         // evaluated (or an `evaluate` of a solved mapping) is a cache hit.
-        let fingerprint = mapping.fingerprint();
-        let evaluation = match self.cache.lookup(name, stored.generation, fingerprint) {
-            Some(hit) => hit,
-            None => match self.build_evaluation(name, &stored, &mapping, fingerprint) {
-                Ok(built) => built,
-                Err(detail) => return EngineError::Infeasible { detail }.into_response(),
-            },
+        let period = match self.settle(session, name, &stored, &mapping) {
+            Ok((period, _, _)) => period,
+            Err(detail) => return EngineError::Infeasible { detail }.into_response(),
         };
-        let period = evaluation.period;
-        self.remember(session, name, stored.generation, evaluation.snapshot);
         Response::Solved {
             label,
             period,
@@ -669,16 +677,10 @@ impl Engine {
             })
             .collect();
         let mapping = outcome.mapping;
-        let fingerprint = mapping.fingerprint();
-        let evaluation = match self.cache.lookup(name, stored.generation, fingerprint) {
-            Some(hit) => hit,
-            None => match self.build_evaluation(name, stored, &mapping, fingerprint) {
-                Ok(built) => built,
-                Err(detail) => return EngineError::Infeasible { detail }.into_response(),
-            },
+        let period = match self.settle(session, name, stored, &mapping) {
+            Ok((period, _, _)) => period,
+            Err(detail) => return EngineError::Infeasible { detail }.into_response(),
         };
-        let period = evaluation.period;
-        self.remember(session, name, stored.generation, evaluation.snapshot);
         Response::SolvedAnytime {
             reports,
             period,
@@ -1358,6 +1360,56 @@ mod tests {
             0,
             "unload must purge the cache"
         );
+    }
+
+    /// A search-driven `solve … heuristic` adds its evaluator work to the
+    /// `whatif-dense`, `whatif-exact` and `mass-row-builds` keys: exactly
+    /// the telemetry of the same solve run directly, for every strategy
+    /// prefix. H6 used to bypass the shared search adapter and add nothing.
+    #[test]
+    fn search_solves_count_their_evaluator_work() {
+        let router = Router::new(1, 1);
+        let mut session = router.begin_session();
+        router.dispatch(&mut session, Request::Hello { requested: 2 });
+        let text = instance_text(12, 5, 3, 7);
+        load(&router, &mut session, "x", &text);
+        let instance = textio::instance_from_text(&text).unwrap();
+        let work = |stats: &[(String, u64)]| {
+            (
+                stat_of(stats, "whatif-dense") + stat_of(stats, "whatif-exact"),
+                stat_of(stats, "mass-row-builds"),
+            )
+        };
+        for prefix in mf_heuristics::STRATEGY_PREFIXES {
+            let before = work(&v2_stats(&router, &mut session));
+            let response = router.dispatch(
+                &mut session,
+                Request::Solve {
+                    name: "x".into(),
+                    method: SolveMethod::Heuristic(prefix.to_string()),
+                    seed: Some(1),
+                },
+            );
+            assert!(matches!(response, Response::Solved { .. }), "{response:?}");
+            let after = work(&v2_stats(&router, &mut session));
+            let (_, telemetry) = mf_heuristics::paper_heuristic(prefix, 1)
+                .unwrap()
+                .map_traced(&instance)
+                .unwrap();
+            let eval = telemetry.expect("a search solve reports telemetry").eval;
+            let expected = (
+                eval.dense_what_ifs + eval.exact_what_ifs,
+                eval.mass_row_builds,
+            );
+            assert_eq!(
+                (after.0 - before.0, after.1 - before.1),
+                expected,
+                "{prefix}"
+            );
+            if *prefix == "H6" {
+                assert!(expected.0 > 0 && expected.1 > 0, "{expected:?}");
+            }
+        }
     }
 
     /// A request that panicked with the evaluate cache locked leaves the

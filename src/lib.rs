@@ -9,7 +9,7 @@
 //! | Module | Crate | Contents |
 //! |--------|-------|----------|
 //! | [`model`] | `mf-core` | applications, platforms, failure models, mappings, periods |
-//! | [`heuristics`] | `mf-heuristics` | the six polynomial heuristics H1…H4f + the strategy-driven search engine (H6 annealed climb, steepest descent, tabu) |
+//! | [`heuristics`] | `mf-heuristics` | the six polynomial heuristics H1…H4f + the strategy-driven search engine (H6 annealed climb, steepest descent, tabu, subtree-move LNS) |
 //! | [`exact`] | `mf-exact` | MIP, branch-and-bound, brute force, optimal one-to-one |
 //! | [`lp`] | `mf-lp` | simplex + MIP branch-and-bound substrate |
 //! | [`matching`] | `mf-matching` | Hungarian, Hopcroft–Karp, bottleneck assignment |
@@ -87,9 +87,8 @@ pub mod prelude {
     };
     pub use mf_heuristics::{
         all_paper_heuristics, paper_heuristic, H1Random, H2BinaryPotential, H3BinaryHeterogeneity,
-        H4BestPerformance, H4fReliableMachine, H4wFastestMachine, H5WorkloadSplit, H6LocalSearch,
-        Heuristic, LocalSearchConfig, RandomMapping, SearchEngine, SearchHeuristic, SearchStrategy,
-        SteepestDescent, TabuSearch,
+        H4BestPerformance, H4fReliableMachine, H4wFastestMachine, H5WorkloadSplit, Heuristic,
+        RandomMapping, SearchEngine, SearchHeuristic, SearchStrategy, SteepestDescent, TabuSearch,
     };
     pub use mf_sim::{FactorySimulation, GeneratorConfig, InstanceGenerator, SimulationConfig};
 }

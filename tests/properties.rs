@@ -6,7 +6,8 @@
 //! invariants over the same instance distribution.
 
 use mf_core::rng::StdRng;
-use microfactory::heuristics::{H6LocalSearch, LocalSearchConfig};
+use microfactory::heuristics::search::{polish_with, AnnealedClimb};
+use microfactory::heuristics::H6_BUDGET;
 use microfactory::prelude::*;
 
 /// Number of random cases per property (proptest used 48).
@@ -163,11 +164,8 @@ fn h6_never_worse_than_its_seed_heuristic() {
         for heuristic in all_paper_heuristics(seed) {
             let seeded = heuristic.map(&instance).unwrap();
             let seed_period = instance.period(&seeded).unwrap().value();
-            let config = LocalSearchConfig {
-                seed: seed ^ case,
-                ..LocalSearchConfig::default()
-            };
-            let polished = H6LocalSearch::polish(&instance, &seeded, &config).unwrap();
+            let climb = AnnealedClimb::new(seed ^ case);
+            let polished = polish_with(&instance, &seeded, &climb, H6_BUDGET).unwrap();
             let polished_period = instance.period(&polished).unwrap().value();
             assert!(
                 polished_period <= seed_period + 1e-9,
@@ -285,10 +283,8 @@ fn search_strategies_never_degrade_their_seed_heuristic() {
         let instance = random_instance(&mut rng, 20, 7);
         let seeded = H4wFastestMachine.map(&instance).unwrap();
         let seed_period = instance.period(&seeded).unwrap().value();
-        let strategies: [(&str, &dyn microfactory::heuristics::SearchStrategy); 2] = [
-            ("SD", &SteepestDescent::default()),
-            ("TS", &TabuSearch::default()),
-        ];
+        let strategies: [(&str, &dyn microfactory::heuristics::SearchStrategy); 2] =
+            [("SD", &SteepestDescent), ("TS", &TabuSearch::default())];
         for (label, strategy) in strategies {
             let polished = polish_with(&instance, &seeded, strategy, 30_000).unwrap();
             let period = instance.period(&polished).unwrap().value();

@@ -12,7 +12,8 @@
 //! products, so it is `#[ignore]`d here and exercised by the dedicated CI
 //! step `cargo test --release -- --ignored`.
 
-use microfactory::heuristics::{H6LocalSearch, LocalSearchConfig};
+use microfactory::heuristics::search::{polish_with, AnnealedClimb};
+use microfactory::heuristics::H6_BUDGET;
 use microfactory::prelude::*;
 use microfactory::sim::validate_mapping;
 
@@ -20,11 +21,8 @@ fn h6_mapping(instance: &Instance, seed: u64) -> Mapping {
     let seeded = H4wFastestMachine
         .map(instance)
         .expect("m >= p so H4w succeeds");
-    let config = LocalSearchConfig {
-        seed,
-        ..LocalSearchConfig::default()
-    };
-    H6LocalSearch::polish(instance, &seeded, &config).expect("polishing cannot fail")
+    polish_with(instance, &seeded, &AnnealedClimb::new(seed), H6_BUDGET)
+        .expect("polishing cannot fail")
 }
 
 fn cross_validate(shapes: &[(usize, usize, usize)], products: u64, tolerance: f64) {
