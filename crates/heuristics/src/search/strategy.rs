@@ -84,12 +84,12 @@ pub fn polish_with_telemetry(
 /// write-only, it cannot steer the search. An empty instance, a platform of
 /// fewer than two machines or a zero budget short-circuits: the seed comes
 /// back unchanged, with no telemetry and no events.
-pub fn polish_with_progress<'a>(
-    instance: &'a Instance,
+pub fn polish_with_progress(
+    instance: &Instance,
     mapping: &Mapping,
     strategy: &dyn SearchStrategy,
     budget: usize,
-    sink: Option<&'a mut dyn ProgressSink>,
+    sink: Option<&mut dyn ProgressSink>,
 ) -> HeuristicResult<(Mapping, Option<SearchTelemetry>)> {
     if instance.task_count() == 0 || instance.machine_count() < 2 || budget == 0 {
         return Ok((mapping.clone(), None));

@@ -1365,7 +1365,7 @@ mod tests {
     /// A search-driven `solve … heuristic` adds its evaluator work to the
     /// `whatif-dense`, `whatif-exact` and `mass-row-builds` keys: exactly
     /// the telemetry of the same solve run directly, for every strategy
-    /// prefix. H6 used to bypass the shared search adapter and add nothing.
+    /// prefix, H6 included.
     #[test]
     fn search_solves_count_their_evaluator_work() {
         let router = Router::new(1, 1);
