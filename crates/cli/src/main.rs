@@ -234,9 +234,9 @@ fn solve(args: &Arguments) -> std::result::Result<(), String> {
         let runner = BatchRunner::new(threads);
         let config = PortfolioConfig::default();
         let outcome = if trace_path.is_some() {
-            let traced = run_portfolio_traced(&instance, &config, &runner);
-            trace_events.extend(traced.to_trace_events());
-            traced.outcome
+            let (outcome, events) = run_portfolio_traced(&instance, &config, &runner);
+            trace_events.extend(events);
+            outcome
         } else {
             run_portfolio(&instance, &config, &runner)
         };
@@ -283,27 +283,22 @@ fn solve(args: &Arguments) -> std::result::Result<(), String> {
             "{:<5} {:>10} {:>12} {:>12} {:>8}",
             "phase", "step", "period(ms)", "bound(ms)", "gap"
         );
-        let mut sink = Vec::new();
-        let outcome = solve_anytime_observed(
-            &instance,
-            &config,
-            &mut |event| {
-                eprintln!(
-                    "{:<5} {:>10} {:>12.1} {:>12.1} {:>7.2}%{}",
-                    event.phase.label(),
-                    event.steps,
-                    event.period,
-                    event.bound,
-                    100.0 * event.gap(),
-                    if event.proven { " (proven)" } else { "" }
-                );
-            },
-            &mut sink,
-        )
+        let traced = trace_path.is_some();
+        let outcome = solve_anytime_observed(&instance, &config, &mut |event| {
+            eprintln!(
+                "{:<5} {:>10} {:>12.1} {:>12.1} {:>7.2}%{}",
+                event.phase.label(),
+                event.steps,
+                event.period,
+                event.bound,
+                100.0 * event.gap(),
+                if event.proven { " (proven)" } else { "" }
+            );
+            if traced {
+                trace_events.push(event.to_trace());
+            }
+        })
         .map_err(|e| format!("anytime solve failed: {e}"))?;
-        if trace_path.is_some() {
-            trace_events.extend(sink.into_iter().map(|event| event.into_trace(0, 0)));
-        }
         let label = if outcome.proven_optimal {
             format!("anytime proven optimum in {} step(s)", outcome.steps)
         } else {
@@ -529,10 +524,6 @@ fn trace(args: &Arguments) -> std::result::Result<(), String> {
     let mut improved_commits = 0u64;
     let mut rounds = 0u64;
     let mut done_rounds = 0u64;
-    let mut cache_reports = 0u64;
-    let mut cache_evaluations = 0u64;
-    let mut cache_reuses = 0u64;
-    let mut dropped = 0u64;
     for event in &events {
         match event {
             TraceEvent::Span { duration_ns, .. } => {
@@ -548,16 +539,6 @@ fn trace(args: &Arguments) -> std::result::Result<(), String> {
                 rounds += 1;
                 done_rounds += u64::from(*done);
             }
-            TraceEvent::Cache {
-                evaluations,
-                reuses,
-                ..
-            } => {
-                cache_reports += 1;
-                cache_evaluations = cache_evaluations.saturating_add(*evaluations);
-                cache_reuses = cache_reuses.saturating_add(*reuses);
-            }
-            TraceEvent::Dropped { count, .. } => dropped = dropped.saturating_add(*count),
         }
     }
     println!("{path}: mf-trace v1, {} event(s), canonical", events.len());
@@ -565,8 +546,6 @@ fn trace(args: &Arguments) -> std::result::Result<(), String> {
     println!("  slow:    {slow}");
     println!("  commits: {commits} ({improved_commits} improved the incumbent)");
     println!("  rounds:  {rounds} ({done_rounds} finished a cell)");
-    println!("  cache:   {cache_reports} report(s), {cache_evaluations} evaluation(s), {cache_reuses} reuse(s)");
-    println!("  dropped: {dropped} event(s) past the sampling cap");
     Ok(())
 }
 

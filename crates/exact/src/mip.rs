@@ -24,26 +24,15 @@
 
 use mf_core::prelude::*;
 use mf_lp::{
-    BranchRule, ConstraintSense, LpProblem, MipProblem, MipStatus, Objective, SolverBudget,
-    VariableId,
+    ConstraintSense, LpProblem, MipProblem, MipStatus, Objective, SolverBudget, VariableId,
 };
 
 /// Configuration for the MIP solve.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct MipConfig {
-    /// Budget handed to the LP-based branch-and-bound.
+    /// Budget handed to the LP-based branch-and-bound (200 000 nodes by
+    /// default).
     pub budget: SolverBudget,
-    /// Branching rule for the LP-based branch-and-bound.
-    pub branch_rule: BranchRule,
-}
-
-impl Default for MipConfig {
-    fn default() -> Self {
-        MipConfig {
-            budget: SolverBudget::nodes(200_000),
-            branch_rule: BranchRule::MostFractional,
-        }
-    }
 }
 
 /// Outcome status of the MIP solve.
@@ -206,7 +195,7 @@ pub fn solve_specialized_mip(instance: &Instance, config: MipConfig) -> Result<M
     mip.set_all_integer(t.iter().flatten().copied());
 
     let solution = mip
-        .solve_with(config.budget, config.branch_rule)
+        .solve_with(config.budget)
         .map_err(|e| ModelError::RuleViolation {
             kind: MappingKind::Specialized,
             detail: format!("LP solver failed: {e}"),
@@ -313,7 +302,6 @@ mod tests {
         let inst = random_instance(6, 3, 2, 11);
         let config = MipConfig {
             budget: SolverBudget::nodes(1),
-            ..Default::default()
         };
         let outcome = solve_specialized_mip(&inst, config).unwrap();
         assert!(matches!(

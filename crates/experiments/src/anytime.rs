@@ -19,15 +19,15 @@
 //! across machines, thread counts and re-runs. Events are monotone by
 //! construction: incumbents never increase, bounds never decrease.
 //!
-//! Observability: each event is mirrored into an
-//! [`mf_obs::ProgressEvent::Incumbent`] on the caller's
-//! [`ProgressSink`], which the tracing layer records as `round` records.
+//! Observability: [`solve_anytime_observed`] hands each event to the
+//! caller's callback the moment it is found, and
+//! [`AnytimeEvent::to_trace`] maps it onto its `mf-trace` `round` record.
 
 use mf_core::prelude::*;
 use mf_exact::{branch_and_bound_seeded, lp_root_bound, BnbConfig, BnbOutcome};
 use mf_heuristics::search::{polish_with_telemetry, LnsConfig, SubtreeMoveLns};
 use mf_heuristics::{H4wFastestMachine, Heuristic, HeuristicError, HeuristicResult};
-use mf_obs::{NullSink, ProgressEvent, ProgressSink};
+use mf_obs::TraceEvent;
 
 /// Configuration of an anytime solve.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -110,6 +110,18 @@ impl AnytimeEvent {
         }
         ((self.period - self.bound) / self.period).clamp(0.0, 1.0)
     }
+
+    /// The event's `mf-trace v1` `round` record: cell 0, the steps consumed
+    /// as the round, the incumbent's period bits and the proven flag as
+    /// `done`.
+    pub fn to_trace(&self) -> TraceEvent {
+        TraceEvent::Round {
+            cell: 0,
+            round: self.steps,
+            period_bits: Some(self.period.to_bits()),
+            done: self.proven,
+        }
+    }
 }
 
 /// Result of an anytime solve.
@@ -149,31 +161,23 @@ pub fn solve_anytime(
     instance: &Instance,
     config: &AnytimeConfig,
 ) -> HeuristicResult<AnytimeOutcome> {
-    solve_anytime_observed(instance, config, &mut |_| {}, &mut NullSink)
+    solve_anytime_observed(instance, config, &mut |_| {})
 }
 
 /// [`solve_anytime`] with live observation: `on_event` fires as each event
-/// is produced (the serving tier streams them to the client), and every
-/// event is mirrored into `sink` as a [`ProgressEvent::Incumbent`]. The
-/// returned outcome is bit-identical to [`solve_anytime`]'s — observers
-/// cannot steer the run.
+/// is produced, before the run goes on, so a caller can report progress
+/// while the solve is still running. The returned outcome is bit-identical
+/// to [`solve_anytime`]'s — the callback cannot steer the run.
 pub fn solve_anytime_observed(
     instance: &Instance,
     config: &AnytimeConfig,
     on_event: &mut dyn FnMut(&AnytimeEvent),
-    sink: &mut dyn ProgressSink,
 ) -> HeuristicResult<AnytimeOutcome> {
     let mut events: Vec<AnytimeEvent> = Vec::new();
-    let mut emit =
-        |event: AnytimeEvent, events: &mut Vec<AnytimeEvent>, sink: &mut dyn ProgressSink| {
-            sink.emit(ProgressEvent::Incumbent {
-                period_bits: event.period.to_bits(),
-                steps: event.steps,
-                proven: event.proven,
-            });
-            on_event(&event);
-            events.push(event);
-        };
+    let mut emit = |event: AnytimeEvent| {
+        on_event(&event);
+        events.push(event);
+    };
 
     // Phase 1: constructive seed + root lower bound. The bound holds for
     // every mapping (LP relaxation / packing argument), so the incumbent can
@@ -183,17 +187,13 @@ pub fn solve_anytime_observed(
     let mut bound = root_lower_bound(instance)?.min(incumbent);
     let mut steps: u64 = 0;
     let mut proven = incumbent <= bound * (1.0 + config.tolerance);
-    emit(
-        AnytimeEvent {
-            period: incumbent,
-            bound,
-            steps,
-            phase: AnytimePhase::Seed,
-            proven,
-        },
-        &mut events,
-        sink,
-    );
+    emit(AnytimeEvent {
+        period: incumbent,
+        bound,
+        steps,
+        phase: AnytimePhase::Seed,
+        proven,
+    });
 
     // Phase 2: LNS slice.
     if !proven {
@@ -211,17 +211,13 @@ pub fn solve_anytime_observed(
                 mapping = polished;
                 incumbent = polished_period;
                 proven = incumbent <= bound * (1.0 + config.tolerance);
-                emit(
-                    AnytimeEvent {
-                        period: incumbent,
-                        bound,
-                        steps,
-                        phase: AnytimePhase::Heuristic,
-                        proven,
-                    },
-                    &mut events,
-                    sink,
-                );
+                emit(AnytimeEvent {
+                    period: incumbent,
+                    bound,
+                    steps,
+                    phase: AnytimePhase::Heuristic,
+                    proven,
+                });
             }
         }
     }
@@ -256,17 +252,13 @@ pub fn solve_anytime_observed(
             bound = incumbent;
         }
         if improved || proven {
-            emit(
-                AnytimeEvent {
-                    period: incumbent,
-                    bound,
-                    steps,
-                    phase: AnytimePhase::Exact,
-                    proven,
-                },
-                &mut events,
-                sink,
-            );
+            emit(AnytimeEvent {
+                period: incumbent,
+                bound,
+                steps,
+                phase: AnytimePhase::Exact,
+                proven,
+            });
         }
     }
 

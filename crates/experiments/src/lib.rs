@@ -38,8 +38,6 @@ pub use anytime::{
 };
 pub use config::ExperimentConfig;
 pub use persist::{batch_from_text, batch_to_text, figure_from_text, figure_to_text};
-pub use portfolio::{
-    CellRoundRecord, CellRoundSummary, PortfolioConfig, PortfolioOutcome, TracedPortfolio,
-};
+pub use portfolio::{PortfolioConfig, PortfolioOutcome};
 pub use report::{FigureReport, Series};
 pub use stats::Stats;

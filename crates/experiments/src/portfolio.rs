@@ -142,73 +142,6 @@ impl PortfolioOutcome {
     }
 }
 
-/// Progress events harvested from one (cell, round) execution.
-#[derive(Debug, Clone, PartialEq)]
-pub struct CellRoundRecord {
-    /// Cell index (into [`PortfolioOutcome::cells`]).
-    pub cell: usize,
-    /// Round index.
-    pub round: usize,
-    /// The events, in emission order.
-    pub events: Vec<ProgressEvent>,
-}
-
-/// One cell's state after one round, as the stopping rule saw it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CellRoundSummary {
-    /// Cell index.
-    pub cell: usize,
-    /// Round index.
-    pub round: usize,
-    /// `f64::to_bits` of the cell's period after the round (`None` when
-    /// the cell holds no mapping).
-    pub period_bits: Option<u64>,
-    /// Whether the cell was done after this round.
-    pub done: bool,
-}
-
-/// A portfolio run plus everything a trace consumer needs: per-(cell,
-/// round) progress records and per-round cell summaries, both in
-/// deterministic `(round, cell)` order regardless of thread count.
-#[derive(Debug, Clone, PartialEq)]
-pub struct TracedPortfolio {
-    /// The run's outcome — bit-identical to an untraced [`run_portfolio`]
-    /// of the same configuration.
-    pub outcome: PortfolioOutcome,
-    /// Progress records of every executed (cell, round), in `(round, cell)`
-    /// order; cell-rounds that emitted nothing (done cells, failed seeds)
-    /// are omitted.
-    pub records: Vec<CellRoundRecord>,
-    /// Every cell's state after every round, in `(round, cell)` order —
-    /// the data the stopping rule saw.
-    pub summaries: Vec<CellRoundSummary>,
-}
-
-impl TracedPortfolio {
-    /// Serializes the run as `mf-trace v1` events: for each round in
-    /// order, each cell's commit events followed by its `round` summary
-    /// record. Deterministic for a given (instance, config).
-    pub fn to_trace_events(&self) -> Vec<TraceEvent> {
-        let mut events = Vec::new();
-        let mut records = self.records.iter().peekable();
-        for summary in &self.summaries {
-            let key = (summary.round, summary.cell);
-            if let Some(record) = records.next_if(|r| (r.round, r.cell) == key) {
-                for event in &record.events {
-                    events.push(event.into_trace(record.cell as u64, record.round as u64));
-                }
-            }
-            events.push(TraceEvent::Round {
-                cell: summary.cell as u64,
-                round: summary.round as u64,
-                period_bits: summary.period_bits,
-                done: summary.done,
-            });
-        }
-        events
-    }
-}
-
 /// The six constructive seeds of the portfolio, in presentation order.
 const SEED_BASES: [&str; 6] = ["H1", "H2", "H3", "H4", "H4w", "H4f"];
 
@@ -373,33 +306,34 @@ pub fn run_portfolio(
     config: &PortfolioConfig,
     runner: &BatchRunner,
 ) -> PortfolioOutcome {
-    run_rounds(instance, config, runner, false).outcome
+    run_rounds(instance, config, runner, false).0
 }
 
-/// [`run_portfolio`], additionally harvesting solver progress: every
-/// committed step of every cell (with the incumbent-improved verdict) and
-/// per-round cell summaries. The outcome is **bit-identical** to the
-/// untraced run — progress sinks observe, they never steer — and the
-/// harvested records are deterministic at every thread count: each
-/// (cell, round)'s events are a pure function of its grid coordinates.
+/// [`run_portfolio`], additionally harvesting solver progress as
+/// `mf-trace v1` events: for each round in order, each cell's committed
+/// steps (with the incumbent-improved verdict) followed by its `round`
+/// record, the state the stopping rule saw. The outcome is
+/// **bit-identical** to the untraced run — progress sinks observe, they
+/// never steer — and the events are deterministic at every thread count:
+/// each (cell, round)'s events are a pure function of its grid coordinates.
 pub fn run_portfolio_traced(
     instance: &Instance,
     config: &PortfolioConfig,
     runner: &BatchRunner,
-) -> TracedPortfolio {
+) -> (PortfolioOutcome, Vec<TraceEvent>) {
     run_rounds(instance, config, runner, true)
 }
 
 /// The round loop behind [`run_portfolio`] and [`run_portfolio_traced`]:
 /// one `runner.map` over the cells per round, then the incumbent/patience
-/// bookkeeping. With `traced` off no progress sink is attached, so
-/// `records` stays empty.
+/// bookkeeping. With `traced` off no progress sink is attached and the
+/// returned events stay empty.
 fn run_rounds(
     instance: &Instance,
     config: &PortfolioConfig,
     runner: &BatchRunner,
     traced: bool,
-) -> TracedPortfolio {
+) -> (PortfolioOutcome, Vec<TraceEvent>) {
     let specs = cell_specs(config);
     let shared_seeds = shared_seed_mappings(instance, runner);
     let mut states: Vec<CellState> = vec![
@@ -410,8 +344,7 @@ fn run_rounds(
         };
         specs.len()
     ];
-    let mut records = Vec::new();
-    let mut summaries = Vec::new();
+    let mut trace = Vec::new();
     let mut best: Option<(usize, f64)> = None;
     let mut stagnant = 0usize;
     let mut rounds = 0usize;
@@ -432,19 +365,16 @@ fn run_rounds(
         });
         states.clear();
         for (cell, (state, events)) in advanced.into_iter().enumerate() {
-            if !events.is_empty() {
-                records.push(CellRoundRecord {
+            if traced {
+                let (cell, round) = (cell as u64, round as u64);
+                trace.extend(events.into_iter().map(|e| e.into_trace(cell, round)));
+                trace.push(TraceEvent::Round {
                     cell,
                     round,
-                    events,
+                    period_bits: state.period.map(f64::to_bits),
+                    done: state.done,
                 });
             }
-            summaries.push(CellRoundSummary {
-                cell,
-                round,
-                period_bits: state.period.map(f64::to_bits),
-                done: state.done,
-            });
             states.push(state);
         }
         rounds = round + 1;
@@ -485,11 +415,7 @@ fn run_rounds(
             })
             .collect(),
     };
-    TracedPortfolio {
-        outcome,
-        records,
-        summaries,
-    }
+    (outcome, trace)
 }
 
 #[cfg(test)]
@@ -561,42 +487,47 @@ mod tests {
         let traced_1 = run_portfolio_traced(&inst, &config, &BatchRunner::new(1));
         let traced_4 = run_portfolio_traced(&inst, &config, &BatchRunner::new(4));
         // Attaching progress sinks changes nothing about the result…
-        assert_eq!(traced_1.outcome, untraced);
+        assert_eq!(traced_1.0, untraced);
         // …and the harvested progress is scheduling-independent.
         assert_eq!(traced_1, traced_4);
-        assert_eq!(
-            traced_1.summaries.len(),
-            untraced.rounds * untraced.cells.len()
+        let events = traced_1.1;
+        let rounds = events
+            .iter()
+            .filter(|e| matches!(e, TraceEvent::Round { .. }))
+            .count();
+        assert_eq!(rounds, untraced.rounds * untraced.cells.len());
+        assert!(
+            events
+                .iter()
+                .any(|e| matches!(e, TraceEvent::Commit { .. })),
+            "some cell must commit steps"
         );
-        assert!(!traced_1.records.is_empty(), "some cell must commit steps");
         // The serialized form survives the mf-trace v1 round trip.
-        let events = traced_1.to_trace_events();
         let text = mf_obs::events_to_text(&events).unwrap();
         assert_eq!(mf_obs::events_from_text(&text).unwrap(), events);
     }
 
     #[test]
-    fn traced_commits_reconstruct_enable_commit_trace_exactly() {
-        use mf_heuristics::search::{CommitStep, SearchEngine};
+    fn traced_commits_reconstruct_a_standalone_sd_polish_exactly() {
+        use mf_heuristics::search::SearchEngine;
 
         let inst = instance(7);
         let config = quick_config();
-        let traced = run_portfolio_traced(&inst, &config, &BatchRunner::new(4));
-        let cell = traced
-            .outcome
+        let (outcome, trace) = run_portfolio_traced(&inst, &config, &BatchRunner::new(4));
+        let cell = outcome
             .cells
             .iter()
             .position(|c| c.label == "SD-H2")
             .expect("the portfolio always fields an SD-H2 cell");
 
-        // Replay the cell's rounds by hand through the engine's own commit
-        // trace — the pre-existing ground truth — and demand the traced
-        // run's progress events reproduce each round's step sequence
-        // exactly (same kinds, operands and period bits).
+        // Replay the cell's rounds by hand on an engine of its own, with a
+        // progress sink attached, and demand the traced run's commit records
+        // stamped with that cell and round reproduce each round's step
+        // sequence exactly (same kinds, operands, period bits and verdicts).
         let mut carried: Option<Mapping> = None;
         let mut previous_period: Option<f64> = None;
         let mut compared_rounds = 0usize;
-        for round in 0..traced.outcome.rounds {
+        for round in 0..outcome.rounds {
             let mapping = match &carried {
                 None => paper_heuristic("H2", cell_seed(&config, cell, round))
                     .unwrap()
@@ -604,43 +535,26 @@ mod tests {
                     .unwrap(),
                 Some(mapping) => mapping.clone(),
             };
+            let mut steps: Vec<ProgressEvent> = Vec::new();
             let mut engine = SearchEngine::new(&inst, &mapping, config.sweep_budget).unwrap();
-            engine.enable_commit_trace();
+            engine.set_progress_sink(&mut steps);
             SteepestDescent.run(&mut engine).unwrap();
-            let expected: Vec<CommitStep> = engine.commit_trace().to_vec();
             let converged = !engine.exhausted();
             let polished = engine.into_best();
             let period = inst.period(&polished).unwrap().value();
 
-            let observed: Vec<CommitStep> = traced
-                .records
+            let (c, r) = (cell as u64, round as u64);
+            let expected: Vec<TraceEvent> = steps.iter().map(|e| e.into_trace(c, r)).collect();
+            let observed: Vec<TraceEvent> = trace
                 .iter()
-                .filter(|r| r.cell == cell && r.round == round)
-                .flat_map(|r| r.events.iter())
-                .filter_map(|event| match *event {
-                    ProgressEvent::Commit {
-                        swap,
-                        a,
-                        b,
-                        period_bits,
-                        ..
-                    } => Some(if swap {
-                        CommitStep::Swap {
-                            a: a as usize,
-                            b: b as usize,
-                            period: period_bits,
-                        }
-                    } else {
-                        CommitStep::Move {
-                            task: a as usize,
-                            to: b as usize,
-                            period: period_bits,
-                        }
-                    }),
-                    _ => None,
-                })
+                .filter(|e| matches!(e, TraceEvent::Commit { cell, round, .. } if (*cell, *round) == (c, r)))
+                .cloned()
                 .collect();
             assert_eq!(observed, expected, "cell {cell} round {round}");
+            assert!(
+                round > 0 || !expected.is_empty(),
+                "round 0 of SD-H2 must commit at least one step"
+            );
             compared_rounds += 1;
 
             let stalled = round > 0
@@ -654,13 +568,6 @@ mod tests {
             carried = Some(polished);
         }
         assert!(compared_rounds > 0);
-        assert!(
-            traced
-                .records
-                .iter()
-                .any(|r| r.cell == cell && r.round == 0 && !r.events.is_empty()),
-            "round 0 of SD-H2 must commit at least one step"
-        );
     }
 
     /// The precondition of building the seeds once per run: every base

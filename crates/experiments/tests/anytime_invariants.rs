@@ -16,7 +16,7 @@
 use mf_exact::{branch_and_bound, BnbConfig};
 use mf_experiments::anytime::{solve_anytime, solve_anytime_observed, AnytimeConfig, AnytimePhase};
 use mf_experiments::runner::BatchRunner;
-use mf_obs::{ProgressEvent, TraceEvent};
+use mf_obs::TraceEvent;
 use mf_sim::{GeneratorConfig, InstanceGenerator};
 
 fn instance(tasks: usize, machines: usize, types: usize, seed: u64) -> mf_core::prelude::Instance {
@@ -149,40 +149,32 @@ fn observers_see_every_event_and_change_nothing() {
     let config = AnytimeConfig::default();
     let silent = solve_anytime(&inst, &config).unwrap();
 
+    // The callback is the one live observer; it maps each event onto its
+    // trace record as it fires.
     let mut seen = Vec::new();
-    let mut incumbents: Vec<ProgressEvent> = Vec::new();
-    let observed =
-        solve_anytime_observed(&inst, &config, &mut |e| seen.push(*e), &mut incumbents).unwrap();
+    let mut records = Vec::new();
+    let observed = solve_anytime_observed(&inst, &config, &mut |e| {
+        seen.push(*e);
+        records.push(e.to_trace());
+    })
+    .unwrap();
 
     assert_eq!(observed.events, silent.events, "observers steered the run");
     assert_eq!(seen, silent.events, "callback missed events");
 
-    // Every event is mirrored into the sink as an Incumbent record that
-    // traces as a Round.
-    assert_eq!(incumbents.len(), silent.events.len());
-    for (progress, event) in incumbents.iter().zip(&silent.events) {
-        match *progress {
-            ProgressEvent::Incumbent {
-                period_bits,
-                steps,
-                proven,
-            } => {
-                assert_eq!(period_bits, event.period.to_bits());
-                assert_eq!(steps, event.steps);
-                assert_eq!(proven, event.proven);
-                assert_eq!(
-                    progress.into_trace(0, 0),
-                    TraceEvent::Round {
-                        cell: 0,
-                        round: event.steps,
-                        period_bits: Some(event.period.to_bits()),
-                        done: event.proven,
-                    }
-                );
-            }
-            other => panic!("unexpected progress event {other:?}"),
-        }
-    }
+    // Each event traces losslessly as its `round` record: cell 0, the steps
+    // as the round, the incumbent's period bits, and `done` = proven.
+    let expected: Vec<TraceEvent> = silent
+        .events
+        .iter()
+        .map(|event| TraceEvent::Round {
+            cell: 0,
+            round: event.steps,
+            period_bits: Some(event.period.to_bits()),
+            done: event.proven,
+        })
+        .collect();
+    assert_eq!(records, expected);
 }
 
 /// One pinned `prove`-shaped anytime run: `shape` is (tasks, machines,

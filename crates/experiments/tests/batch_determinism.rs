@@ -272,16 +272,15 @@ fn portfolio_outcomes_and_traces_are_pinned_at_every_thread_count() {
         let reference = run_portfolio(&instance, &pin.config, &BatchRunner::new(1));
         for threads in [1usize, 2, 8] {
             let runner = BatchRunner::new(threads);
-            let traced = run_portfolio_traced(&instance, &pin.config, &runner);
-            let outcome = &traced.outcome;
+            let (outcome, events) = run_portfolio_traced(&instance, &pin.config, &runner);
             let name = pin.name;
             assert_eq!(
-                *outcome,
+                outcome,
                 run_portfolio(&instance, &pin.config, &runner),
                 "{name}: traced and untraced outcomes differ at {threads} threads"
             );
             assert_eq!(
-                *outcome, reference,
+                outcome, reference,
                 "{name}: outcome changed with {threads} threads"
             );
             assert_eq!(outcome.rounds, pin.rounds, "{name}: rounds");
@@ -291,7 +290,6 @@ fn portfolio_outcomes_and_traces_are_pinned_at_every_thread_count() {
                 pin.best_period_bits,
                 "{name}: best period bits"
             );
-            let events = traced.to_trace_events();
             assert_eq!(events.len(), pin.events, "{name}: trace events");
             let text = mf_obs::events_to_text(&events).unwrap();
             assert_eq!(

@@ -63,30 +63,6 @@ pub struct CommitOutcome {
     pub improved_best: bool,
 }
 
-/// One committed step, as recorded by the (opt-in) commit trace — the
-/// observable the search determinism tests pin.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CommitStep {
-    /// A committed single-task move and the bits of the resulting period.
-    Move {
-        /// Reassigned task.
-        task: usize,
-        /// Target machine.
-        to: usize,
-        /// `f64::to_bits` of the committed period.
-        period: u64,
-    },
-    /// A committed two-task swap and the bits of the resulting period.
-    Swap {
-        /// First task.
-        a: usize,
-        /// Second task.
-        b: usize,
-        /// `f64::to_bits` of the committed period.
-        period: u64,
-    },
-}
-
 /// Shared state of a neighborhood search over one instance.
 ///
 /// Built from a seed mapping, driven by a strategy, harvested with
@@ -110,8 +86,6 @@ pub struct SearchEngine<'a> {
     /// Evaluator commit count after the last commit attempt (no-op applies
     /// do not commit, so the count — not the call — is the commit signal).
     commit_count: u64,
-    /// Opt-in record of every committed step (for differential pinning).
-    trace: Option<Vec<CommitStep>>,
     /// Opt-in live observer of the run (see
     /// [`set_progress_sink`](Self::set_progress_sink)). Never consulted for
     /// decisions, so an attached sink cannot change search results.
@@ -173,7 +147,6 @@ impl<'a> SearchEngine<'a> {
             steps: 0,
             max_steps,
             commit_count: 0,
-            trace: None,
             progress: None,
             sweep: SweepIndex::default(),
             stage_load: Vec::new(),
@@ -366,23 +339,11 @@ impl<'a> SearchEngine<'a> {
         self.eval.counters()
     }
 
-    /// Starts recording every committed step (see [`CommitStep`]); used by
-    /// the tests that pin search determinism.
-    pub fn enable_commit_trace(&mut self) {
-        self.trace = Some(Vec::new());
-    }
-
-    /// The committed steps recorded since
-    /// [`enable_commit_trace`](Self::enable_commit_trace) (empty when
-    /// tracing is off).
-    pub fn commit_trace(&self) -> &[CommitStep] {
-        self.trace.as_deref().unwrap_or(&[])
-    }
-
-    /// Attaches a live progress observer: every real commit is reported as
-    /// a [`ProgressEvent::Commit`] (mirroring the commit trace, plus the
-    /// incumbent-improved verdict). The sink is write-only — search
-    /// decisions, budgets and results are bit-identical with or without it.
+    /// Attaches a live progress observer, the engine's only one: every real
+    /// commit is reported as a [`ProgressEvent::Commit`] (kind, operands,
+    /// committed period bits and the incumbent-improved verdict). The sink
+    /// is write-only — search decisions, budgets and results are
+    /// bit-identical with or without it.
     pub fn set_progress_sink(&mut self, sink: &'a mut dyn ProgressSink) {
         self.progress = Some(sink);
     }
@@ -582,18 +543,13 @@ impl<'a> SearchEngine<'a> {
         }
     }
 
-    /// Records a commit attempt in the opt-in trace; `step` builds the trace
-    /// record lazily. Returns whether a real commit happened (no-op applies
-    /// return `false`).
-    fn after_commit(&mut self, step: impl FnOnce() -> CommitStep) -> bool {
+    /// Whether the last apply really committed (no-op applies do not).
+    fn after_commit(&mut self) -> bool {
         let commits = self.eval.counters().commits;
         if commits == self.commit_count {
             return false;
         }
         self.commit_count = commits;
-        if let Some(trace) = &mut self.trace {
-            trace.push(step());
-        }
         true
     }
 
@@ -619,11 +575,7 @@ impl<'a> SearchEngine<'a> {
         let from = self.eval.machine_of(task);
         let ty = self.instance.application().task_type(task);
         let committed = self.eval.apply_move(task, to)?.period.value();
-        let real_commit = self.after_commit(|| CommitStep::Move {
-            task: task.index(),
-            to: to.index(),
-            period: committed.to_bits(),
-        });
+        let real_commit = self.after_commit();
         if from != to {
             self.tasks_on[from.index()] -= 1;
             if self.tasks_on[from.index()] == 0 {
@@ -645,11 +597,7 @@ impl<'a> SearchEngine<'a> {
         let app = self.instance.application();
         let (ta, tb) = (app.task_type(a), app.task_type(b));
         let committed = self.eval.apply_swap(a, b)?.period.value();
-        let real_commit = self.after_commit(|| CommitStep::Swap {
-            a: a.index(),
-            b: b.index(),
-            period: committed.to_bits(),
-        });
+        let real_commit = self.after_commit();
         if ua != ub && ta != tb {
             self.machine_type[ua.index()] = Some(tb);
             self.machine_type[ub.index()] = Some(ta);
@@ -763,52 +711,30 @@ mod tests {
     }
 
     #[test]
-    fn progress_sink_mirrors_the_commit_trace_and_changes_nothing() {
+    fn an_attached_sink_changes_nothing() {
         use crate::search::SearchStrategy;
         use crate::search::SteepestDescent;
-        use mf_obs::ProgressEvent;
 
         let inst = instance();
         let seed = H4wFastestMachine.map(&inst).unwrap();
 
         let mut reference = SearchEngine::new(&inst, &seed, 10_000).unwrap();
-        reference.enable_commit_trace();
         SteepestDescent.run(&mut reference).unwrap();
-        let steps: Vec<CommitStep> = reference.commit_trace().to_vec();
+        let (reference_steps, reference_period) = (reference.steps(), reference.best_period());
         let reference_best = reference.into_best();
 
         let mut sink = Vec::new();
         let mut observed = SearchEngine::new(&inst, &seed, 10_000).unwrap();
         observed.set_progress_sink(&mut sink);
         SteepestDescent.run(&mut observed).unwrap();
-        let observed_best = observed.into_best();
+        assert_eq!(observed.steps(), reference_steps);
+        assert_eq!(observed.best_period().to_bits(), reference_period.to_bits());
+        assert_eq!(observed.into_best(), reference_best);
 
-        // The sink is write-only: identical result with or without it.
-        assert_eq!(observed_best, reference_best);
-
-        // Every commit event mirrors the commit-trace step exactly.
-        let commits: Vec<(bool, u64, u64, u64)> = sink
-            .iter()
-            .filter_map(|event| match *event {
-                ProgressEvent::Commit {
-                    swap,
-                    a,
-                    b,
-                    period_bits,
-                    ..
-                } => Some((swap, a, b, period_bits)),
-                _ => None,
-            })
-            .collect();
-        let expected: Vec<(bool, u64, u64, u64)> = steps
-            .iter()
-            .map(|step| match *step {
-                CommitStep::Move { task, to, period } => (false, task as u64, to as u64, period),
-                CommitStep::Swap { a, b, period } => (true, a as u64, b as u64, period),
-            })
-            .collect();
-        assert!(!expected.is_empty(), "the fixture must commit something");
-        assert_eq!(commits, expected);
+        // The sink saw every real commit, the last one at the best period.
+        assert!(!sink.is_empty(), "the fixture must commit something");
+        let ProgressEvent::Commit { period_bits, .. } = *sink.last().unwrap();
+        assert_eq!(period_bits, reference_period.to_bits());
     }
 
     #[test]

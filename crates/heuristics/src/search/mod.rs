@@ -55,9 +55,7 @@ mod sweep;
 pub mod tabu;
 
 pub use annealed::AnnealedClimb;
-pub use engine::{
-    metropolis, CommitOutcome, CommitStep, RestageProbe, SearchEngine, IMPROVEMENT_EPSILON,
-};
+pub use engine::{metropolis, CommitOutcome, RestageProbe, SearchEngine, IMPROVEMENT_EPSILON};
 pub use lns::{LnsConfig, SubtreeMoveLns};
 pub use steepest::SteepestDescent;
 pub use strategy::{

@@ -19,15 +19,18 @@
 //!   steps each of those runs spends;
 //! * the same runs from non-specialized seeds, and subtree-move LNS runs,
 //!   are pinned the same way;
-//! * steepest descent's commit trace is a prefix of tabu search's from the
-//!   same seed (tabu search repeats the descent, then walks on).
+//! * steepest descent's committed steps are a prefix of tabu search's from
+//!   the same seed (tabu search repeats the descent, then walks on).
+//!
+//! Committed steps are read from the engine's progress sink.
 
 use mf_core::prelude::*;
 use mf_heuristics::search::{
-    polish_with, AnnealedClimb, CommitStep, LnsConfig, SearchEngine, SearchStrategy,
-    SteepestDescent, SubtreeMoveLns, TabuConfig, TabuSearch,
+    polish_with, AnnealedClimb, LnsConfig, SearchEngine, SearchStrategy, SteepestDescent,
+    SubtreeMoveLns, TabuConfig, TabuSearch,
 };
 use mf_heuristics::{paper_heuristic, H4wFastestMachine, Heuristic, H6_BUDGET};
+use mf_obs::ProgressEvent;
 use mf_sim::{GeneratorConfig, InstanceGenerator};
 
 fn instance(n: usize, m: usize, p: usize, seed: u64) -> Instance {
@@ -177,8 +180,9 @@ fn tabu_escapes_local_optima_that_stop_steepest_descent() {
     );
 }
 
-/// FNV-1a over a commit trace: step kind, indices and period bits, in order.
-fn trace_fingerprint(steps: &[CommitStep]) -> u64 {
+/// FNV-1a over committed steps: step kind, indices and period bits, in
+/// order.
+fn trace_fingerprint(steps: &[ProgressEvent]) -> u64 {
     let mut hash = 0xcbf2_9ce4_8422_2325u64;
     let mut eat = |word: u64| {
         for byte in word.to_le_bytes() {
@@ -186,22 +190,37 @@ fn trace_fingerprint(steps: &[CommitStep]) -> u64 {
         }
     };
     for step in steps {
-        match *step {
-            CommitStep::Move { task, to, period } => {
-                eat(0);
-                eat(task as u64);
-                eat(to as u64);
-                eat(period);
-            }
-            CommitStep::Swap { a, b, period } => {
-                eat(1);
-                eat(a as u64);
-                eat(b as u64);
-                eat(period);
-            }
-        }
+        let ProgressEvent::Commit {
+            swap,
+            a,
+            b,
+            period_bits,
+            ..
+        } = *step;
+        eat(swap as u64);
+        eat(a);
+        eat(b);
+        eat(period_bits);
     }
     hash
+}
+
+/// Runs `strategy` from `seed` under `budget` with a progress sink
+/// attached; returns every committed step and what `read` takes from the
+/// finished engine.
+fn run_observed<R>(
+    instance: &Instance,
+    seed: &Mapping,
+    budget: usize,
+    strategy: &dyn SearchStrategy,
+    read: impl FnOnce(&SearchEngine) -> R,
+) -> (Vec<ProgressEvent>, R) {
+    let mut steps = Vec::new();
+    let mut engine = SearchEngine::new(instance, seed, budget).unwrap();
+    engine.set_progress_sink(&mut steps);
+    strategy.run(&mut engine).unwrap();
+    let read = read(&engine);
+    (steps, read)
 }
 
 #[test]
@@ -240,16 +259,11 @@ fn steepest_descent_and_tabu_commit_pinned_step_sequences() {
     for (label, instance) in &instances {
         let seed = H4wFastestMachine.map(instance).unwrap();
         for (name, strategy) in strategies {
-            let mut engine = SearchEngine::new(instance, &seed, 200_000).unwrap();
-            engine.enable_commit_trace();
-            strategy.run(&mut engine).unwrap();
-            let trace = engine.commit_trace();
+            let (trace, best) = run_observed(instance, &seed, 200_000, strategy, |engine| {
+                engine.best_period().to_bits()
+            });
             assert!(!trace.is_empty(), "{name} on {label} committed nothing");
-            observed.push((
-                trace.len(),
-                trace_fingerprint(trace),
-                engine.best_period().to_bits(),
-            ));
+            observed.push((trace.len(), trace_fingerprint(&trace), best));
         }
     }
     assert_eq!(observed, expected, "observed: {observed:#x?}");
@@ -379,18 +393,25 @@ fn steepest_descent_and_tabu_from_general_seeds_are_pinned() {
     for (k, instance) in instances.iter().enumerate() {
         let seed = general_seed(instance, 0x6E4E_0000 + k as u64);
         for strategy in strategies {
-            let mut engine = SearchEngine::new(instance, &seed, 200_000).unwrap();
-            assert!(!engine.preserves_specialization());
-            engine.enable_commit_trace();
-            strategy.run(&mut engine).unwrap();
-            let counters = engine.evaluator_counters();
+            let (trace, run) = run_observed(instance, &seed, 200_000, strategy, |engine| {
+                assert!(!engine.preserves_specialization());
+                let counters = engine.evaluator_counters();
+                (
+                    counters.dense_what_ifs,
+                    counters.pruned_what_ifs,
+                    counters.mass_row_builds,
+                    engine.steps(),
+                    engine.best_period().to_bits(),
+                )
+            });
+            let (dense, pruned, builds, steps, best) = run;
             observed.push((
-                counters.dense_what_ifs,
-                counters.pruned_what_ifs,
-                counters.mass_row_builds,
-                engine.steps(),
-                engine.best_period().to_bits(),
-                trace_fingerprint(engine.commit_trace()),
+                dense,
+                pruned,
+                builds,
+                steps,
+                best,
+                trace_fingerprint(&trace),
             ));
         }
     }
@@ -400,7 +421,7 @@ fn steepest_descent_and_tabu_from_general_seeds_are_pinned() {
 /// Steepest descent is tabu search's descent prefix: from the same seed
 /// and budget, both score the same candidates while the walk descends and
 /// commit the same best one, until SD stops at a local optimum and TS goes
-/// on uphill. So the shorter commit trace is a prefix of the longer, and
+/// on uphill. So the shorter step sequence is a prefix of the longer, and
 /// SD's is the shorter unless SD committed at least TS's iteration cap.
 /// Seeds: the six constructive bases (H1 at three RNG seeds) on chains and
 /// forests at m = 20 and m = 64.
@@ -441,10 +462,7 @@ fn steepest_descent_is_the_descent_prefix_of_tabu_search() {
     ];
     let cap = TabuConfig::default().max_iterations;
     let trace = |instance: &Instance, seed: &Mapping, strategy: &dyn SearchStrategy| {
-        let mut engine = SearchEngine::new(instance, seed, 200_000).unwrap();
-        engine.enable_commit_trace();
-        strategy.run(&mut engine).unwrap();
-        engine.commit_trace().to_vec()
+        run_observed(instance, seed, 200_000, strategy, |_| ()).0
     };
     let mut ts_went_on = 0usize;
     for (label, instance) in &instances {
@@ -474,7 +492,7 @@ fn steepest_descent_is_the_descent_prefix_of_tabu_search() {
 }
 
 /// Subtree-move LNS runs on chains and forests at m = 20 and m = 64, two
-/// RNG seeds each: the commit trace fingerprint, the best period bits and
+/// RNG seeds each: the committed-step fingerprint, the best period bits and
 /// the budget steps.
 #[test]
 fn subtree_lns_runs_are_pinned() {
@@ -509,14 +527,10 @@ fn subtree_lns_runs_are_pinned() {
                 seed: rng_seed,
                 ..LnsConfig::default()
             });
-            let mut engine = SearchEngine::new(instance, &seed, 200_000).unwrap();
-            engine.enable_commit_trace();
-            lns.run(&mut engine).unwrap();
-            observed.push((
-                trace_fingerprint(engine.commit_trace()),
-                engine.best_period().to_bits(),
-                engine.steps(),
-            ));
+            let (trace, (best, steps)) = run_observed(instance, &seed, 200_000, &lns, |engine| {
+                (engine.best_period().to_bits(), engine.steps())
+            });
+            observed.push((trace_fingerprint(&trace), best, steps));
         }
     }
     assert_eq!(observed, expected, "observed: {observed:#x?}");

@@ -38,6 +38,6 @@ pub mod problem;
 pub mod simplex;
 
 pub use error::{LpError, LpResult};
-pub use mip::{BranchRule, MipProblem, MipSolution, MipStatus, SolverBudget};
+pub use mip::{MipProblem, MipSolution, MipStatus, SolverBudget};
 pub use problem::{ConstraintSense, LpProblem, Objective, VariableId};
 pub use simplex::{solve, LpSolution};

@@ -13,54 +13,28 @@ use crate::problem::{LpProblem, Objective, VariableId};
 use crate::simplex::{solve, LpSolution};
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
-use std::time::{Duration, Instant};
 
 /// Tolerance under which a value is considered integral.
 const INT_TOL: f64 = 1e-6;
 
-/// Which fractional variable to branch on.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum BranchRule {
-    /// Branch on the integer variable whose fractional part is closest to 0.5.
-    #[default]
-    MostFractional,
-    /// Branch on the first fractional integer variable (by index).
-    FirstFractional,
-}
-
-/// Resource budget for the branch-and-bound search.
-#[derive(Debug, Clone, Copy, PartialEq)]
+/// Resource budget for the branch-and-bound search, counted in nodes (never
+/// wall-clock, so a budget-capped answer is the same on every machine).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SolverBudget {
     /// Maximum number of branch-and-bound nodes to explore.
     pub max_nodes: usize,
-    /// Optional wall-clock limit.
-    pub time_limit: Option<Duration>,
 }
 
 impl Default for SolverBudget {
     fn default() -> Self {
-        SolverBudget {
-            max_nodes: 200_000,
-            time_limit: None,
-        }
+        SolverBudget::nodes(200_000)
     }
 }
 
 impl SolverBudget {
-    /// A budget bounded by a node count only.
+    /// A budget of `max_nodes` branch-and-bound nodes.
     pub fn nodes(max_nodes: usize) -> Self {
-        SolverBudget {
-            max_nodes,
-            time_limit: None,
-        }
-    }
-
-    /// A budget bounded by both nodes and wall-clock time.
-    pub fn with_time_limit(max_nodes: usize, time_limit: Duration) -> Self {
-        SolverBudget {
-            max_nodes,
-            time_limit: Some(time_limit),
-        }
+        SolverBudget { max_nodes }
     }
 }
 
@@ -129,26 +103,21 @@ impl MipProblem {
         &self.lp
     }
 
-    /// Mutable access to the underlying linear program (to add constraints).
-    pub fn lp_mut(&mut self) -> &mut LpProblem {
-        &mut self.lp
-    }
-
     /// Number of integer-constrained variables.
     pub fn integer_count(&self) -> usize {
         self.integer.iter().filter(|&&b| b).count()
     }
 
-    /// Solves the MIP with the default budget and branching rule.
+    /// Solves the MIP with the default budget.
     pub fn solve(&self) -> LpResult<MipSolution> {
-        self.solve_with(SolverBudget::default(), BranchRule::default())
+        self.solve_with(SolverBudget::default())
     }
 
-    /// Solves the MIP with an explicit budget and branching rule.
-    pub fn solve_with(&self, budget: SolverBudget, rule: BranchRule) -> LpResult<MipSolution> {
+    /// Solves the MIP with an explicit budget, branching on the most
+    /// fractional integer variable.
+    pub fn solve_with(&self, budget: SolverBudget) -> LpResult<MipSolution> {
         self.lp.validate()?;
         let maximise = self.lp.objective() == Objective::Maximize;
-        let start = Instant::now();
 
         // A node is a set of tightened bounds on integer variables.
         #[derive(Clone)]
@@ -213,11 +182,6 @@ impl MipProblem {
             if nodes >= budget.max_nodes {
                 return Ok(self.finish(incumbent, MipStatus::Feasible, nodes));
             }
-            if let Some(limit) = budget.time_limit {
-                if start.elapsed() > limit {
-                    return Ok(self.finish(incumbent, MipStatus::Feasible, nodes));
-                }
-            }
             nodes += 1;
 
             // Prune by bound before paying for the LP when possible.
@@ -244,7 +208,7 @@ impl MipProblem {
                 }
             }
 
-            match self.fractional_variable(&relaxation, rule) {
+            match self.fractional_variable(&relaxation) {
                 None => {
                     // Integral: candidate incumbent.
                     let accept = match &incumbent {
@@ -359,8 +323,9 @@ impl MipProblem {
         (lower, upper)
     }
 
-    /// Picks the integer variable to branch on, if any is fractional.
-    fn fractional_variable(&self, relaxation: &LpSolution, rule: BranchRule) -> Option<usize> {
+    /// Picks the integer variable to branch on, if any is fractional: the
+    /// one whose fractional part is closest to 0.5, lowest index on ties.
+    fn fractional_variable(&self, relaxation: &LpSolution) -> Option<usize> {
         let mut best: Option<(usize, f64)> = None;
         for (j, &is_int) in self.integer.iter().enumerate() {
             if !is_int {
@@ -369,14 +334,9 @@ impl MipProblem {
             let value = relaxation.values[j];
             let frac = (value - value.round()).abs();
             if frac > INT_TOL {
-                match rule {
-                    BranchRule::FirstFractional => return Some(j),
-                    BranchRule::MostFractional => {
-                        let distance = (value - value.floor() - 0.5).abs();
-                        if best.map_or(true, |(_, d)| distance < d) {
-                            best = Some((j, distance));
-                        }
-                    }
+                let distance = (value - value.floor() - 0.5).abs();
+                if best.map_or(true, |(_, d)| distance < d) {
+                    best = Some((j, distance));
                 }
             }
         }
@@ -480,9 +440,7 @@ mod tests {
         lp.add_constraint(vars.iter().map(|&v| (v, 2.0)).collect(), CS::LessEqual, 7.0);
         let mut mip = MipProblem::new(lp);
         mip.set_all_integer(vars.clone());
-        let sol = mip
-            .solve_with(SolverBudget::nodes(1), BranchRule::MostFractional)
-            .unwrap();
+        let sol = mip.solve_with(SolverBudget::nodes(1)).unwrap();
         assert!(matches!(
             sol.status,
             MipStatus::Unknown | MipStatus::Feasible
@@ -492,39 +450,6 @@ mod tests {
         let sol = mip.solve().unwrap();
         assert_eq!(sol.status, MipStatus::Optimal);
         assert_close(sol.objective.unwrap(), 6.0 + 5.0 + 4.0);
-    }
-
-    #[test]
-    fn branch_rules_agree_on_the_optimum() {
-        let mut lp = LpProblem::new(Objective::Maximize);
-        let vars: Vec<_> = (0..5)
-            .map(|i| lp.add_binary_variable(format!("x{i}")))
-            .collect();
-        let profits = [4.0, 2.0, 10.0, 1.0, 2.0];
-        let weights = [12.0, 1.0, 4.0, 1.0, 2.0];
-        for (i, &v) in vars.iter().enumerate() {
-            lp.set_objective_coefficient(v, profits[i]);
-        }
-        lp.add_constraint(
-            vars.iter()
-                .enumerate()
-                .map(|(i, &v)| (v, weights[i]))
-                .collect(),
-            CS::LessEqual,
-            15.0,
-        );
-        let mut mip = MipProblem::new(lp);
-        mip.set_all_integer(vars);
-        let a = mip
-            .solve_with(SolverBudget::default(), BranchRule::MostFractional)
-            .unwrap();
-        let b = mip
-            .solve_with(SolverBudget::default(), BranchRule::FirstFractional)
-            .unwrap();
-        assert_eq!(a.status, MipStatus::Optimal);
-        assert_eq!(b.status, MipStatus::Optimal);
-        assert_close(a.objective.unwrap(), b.objective.unwrap());
-        assert_close(a.objective.unwrap(), 15.0);
     }
 
     #[test]

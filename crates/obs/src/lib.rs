@@ -16,11 +16,14 @@
 //! * [`trace`] — the append-only `mf-trace v1` event log, styled after
 //!   `mf-report v1`: versioned header, one event per line, counted `end`
 //!   footer, write→parse→write byte-identity.
-//! * [`progress`] — solver progress events
-//!   ([`ProgressEvent`]) and the
-//!   [`ProgressSink`] the search engine and the
-//!   portfolio emit through, so a traced solve shows when each strategy
-//!   found each incumbent.
+//! * [`progress`] — search progress events ([`ProgressEvent`]) and the
+//!   [`ProgressSink`], the search engine's one observer, so a traced solve
+//!   shows when each strategy found each incumbent.
+//!
+//! Each solver reports through one channel, written straight to `mf-trace`:
+//! a search engine through its [`ProgressSink`], the portfolio by stamping
+//! its cells' sinks into `commit` and `round` records, and the anytime
+//! solver through its live event callback, one `round` record per event.
 
 pub mod clock;
 pub mod hist;
@@ -29,7 +32,7 @@ pub mod trace;
 
 pub use clock::{Clock, ManualClock, MonotonicClock};
 pub use hist::{Histogram, HistogramSnapshot, BUCKET_COUNT};
-pub use progress::{NullSink, ProgressEvent, ProgressSink};
+pub use progress::{ProgressEvent, ProgressSink};
 pub use trace::{
     events_from_text, events_to_text, SharedTraceWriter, TraceError, TraceEvent, TraceWriter,
     TRACE_FORMAT,

@@ -1,11 +1,10 @@
-//! Solver progress events and sinks.
+//! Search progress events and sinks.
 //!
-//! The search engine and the portfolio report what they are doing through
-//! a [`ProgressSink`]; events are context-free (no cell/round) so the
-//! emitting layer stays ignorant of who is listening, and the collector
-//! stamps portfolio coordinates when converting to
-//! [`TraceEvent`]s via
-//! [`ProgressEvent::into_trace`].
+//! The search engine reports every committed step through a
+//! [`ProgressSink`], its only observer; events are context-free (no
+//! cell/round) so the engine stays ignorant of who is listening, and the
+//! collector stamps portfolio coordinates when converting to
+//! [`TraceEvent`]s via [`ProgressEvent::into_trace`].
 //!
 //! A `Vec<ProgressEvent>` is the standard collector: it records every event
 //! in emission order, so a traced solve reconstructs the exact committed
@@ -16,8 +15,7 @@ use crate::trace::TraceEvent;
 /// One progress report from a running search.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum ProgressEvent {
-    /// A committed move/swap, mirroring the engine's `CommitStep` plus the
-    /// incumbent-improved verdict.
+    /// A committed move or swap, with the incumbent-improved verdict.
     Commit {
         /// `true` for a swap, `false` for a move.
         swap: bool,
@@ -30,50 +28,27 @@ pub enum ProgressEvent {
         /// Whether the commit improved the engine's best-so-far.
         improved: bool,
     },
-    /// An anytime-solve incumbent/bound improvement. Mapped onto the
-    /// `Round` trace record (the anytime driver's "rounds" are its stream
-    /// messages), with `done` carrying the optimality-proven flag.
-    Incumbent {
-        /// IEEE-754 bits of the incumbent period.
-        period_bits: u64,
-        /// Steps consumed when the incumbent was found (stamped into the
-        /// trace record's `round` coordinate by the collector).
-        steps: u64,
-        /// Whether the incumbent is proven optimal (gap closed).
-        proven: bool,
-    },
 }
 
 impl ProgressEvent {
     /// Stamps portfolio coordinates onto the event, yielding the
     /// `mf-trace v1` record.
     pub fn into_trace(self, cell: u64, round: u64) -> TraceEvent {
-        match self {
-            ProgressEvent::Commit {
-                swap,
-                a,
-                b,
-                period_bits,
-                improved,
-            } => TraceEvent::Commit {
-                cell,
-                round,
-                swap,
-                a,
-                b,
-                period_bits,
-                improved,
-            },
-            ProgressEvent::Incumbent {
-                period_bits,
-                steps,
-                proven,
-            } => TraceEvent::Round {
-                cell,
-                round: steps,
-                period_bits: Some(period_bits),
-                done: proven,
-            },
+        let ProgressEvent::Commit {
+            swap,
+            a,
+            b,
+            period_bits,
+            improved,
+        } = self;
+        TraceEvent::Commit {
+            cell,
+            round,
+            swap,
+            a,
+            b,
+            period_bits,
+            improved,
         }
     }
 }
@@ -84,15 +59,6 @@ impl ProgressEvent {
 pub trait ProgressSink {
     /// Called once per event, in the order the search produced them.
     fn emit(&mut self, event: ProgressEvent);
-}
-
-/// Discards everything; for call sites that need a sink value but no
-/// observation.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct NullSink;
-
-impl ProgressSink for NullSink {
-    fn emit(&mut self, _event: ProgressEvent) {}
 }
 
 /// Collects every event, in emission order.
@@ -123,27 +89,6 @@ mod tests {
             sink.emit(commit(i));
         }
         assert_eq!(sink, (0..5).map(commit).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn incumbents_are_lossless_and_map_to_round_records() {
-        let mut sink = Vec::new();
-        let event = ProgressEvent::Incumbent {
-            period_bits: 40.25_f64.to_bits(),
-            steps: 1234,
-            proven: true,
-        };
-        sink.emit(event);
-        assert_eq!(sink, [event]);
-        assert_eq!(
-            event.into_trace(5, 0),
-            crate::trace::TraceEvent::Round {
-                cell: 5,
-                round: 1234,
-                period_bits: Some(40.25_f64.to_bits()),
-                done: true,
-            }
-        );
     }
 
     #[test]

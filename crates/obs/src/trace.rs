@@ -11,21 +11,14 @@
 //! slow <command> <duration-ns> <threshold-ns>
 //! commit <cell> <round> move|swap <a> <b> <period-bits> <improved:0|1>
 //! round <cell> <round> <period-bits|-> <done:0|1>
-//! cache <cell> <round> <probes> <evaluations> <skips> <reuses> <rescales>
-//! dropped <class> <count>
 //! end <event-count>
 //! ```
 //!
-//! `cache` and `dropped` records are no longer written (the sweep cache and
-//! its sampling cap are gone) but still parse, so older traces read.
-//!
-//! `<name>`/`<command>`/`<class>` are single tokens (non-empty, no
-//! whitespace or control characters). Periods travel as the IEEE-754 bit
-//! pattern of the `f64` (`<period-bits>`), exactly like the search
-//! engine's commit trace, so a traced solve can be compared bit-for-bit
-//! against `enable_commit_trace`. Serialization is canonical:
-//! write→parse→write is byte-identical, pinned by tests here and used by
-//! the `microfactory trace` CLI verifier.
+//! `<name>`/`<command>` are single tokens (non-empty, no whitespace or
+//! control characters). Periods travel as the IEEE-754 bit pattern of the
+//! `f64` (`<period-bits>`), so a traced solve's periods are exact.
+//! Serialization is canonical: write→parse→write is byte-identical, pinned
+//! by tests here and used by the `microfactory trace` CLI verifier.
 
 use std::fmt;
 use std::fs::File;
@@ -74,7 +67,8 @@ pub enum TraceEvent {
         /// Whether this commit improved the engine's incumbent.
         improved: bool,
     },
-    /// A portfolio cell finishing a round.
+    /// A portfolio cell finishing a round, or an anytime solve's new
+    /// incumbent (cell 0, `round` = steps consumed, `done` = proven).
     Round {
         /// Portfolio cell.
         cell: u64,
@@ -86,38 +80,12 @@ pub enum TraceEvent {
         /// Whether the cell is done (seed failed or converged).
         done: bool,
     },
-    /// Sweep-cache outcome counters for one search run. Nothing writes
-    /// these any more; they still parse so older trace files read.
-    Cache {
-        /// Portfolio cell.
-        cell: u64,
-        /// Portfolio round.
-        round: u64,
-        /// Candidates considered by sweeps.
-        probes: u64,
-        /// Candidates re-evaluated.
-        evaluations: u64,
-        /// Candidates skipped via certified cached scores.
-        skips: u64,
-        /// Cached scores reused verbatim.
-        reuses: u64,
-        /// Cached deltas rescaled by the chain fast path.
-        rescales: u64,
-    },
-    /// Events withheld by a sampling cap. Nothing writes these any more;
-    /// they still parse so older trace files read.
-    Dropped {
-        /// Which event class was capped (single token).
-        class: String,
-        /// How many events were dropped.
-        count: u64,
-    },
 }
 
 /// Why a trace document could not be written or read back.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum TraceError {
-    /// A name/command/class token was empty or contained whitespace or
+    /// A name or command token was empty or contained whitespace or
     /// control characters, so it cannot survive the line format.
     UnencodableToken(String),
     /// The text being parsed is not a valid `mf-trace v1` document.
@@ -201,21 +169,6 @@ fn event_line(event: &TraceEvent) -> Result<String, TraceError> {
             };
             let done = u64::from(*done);
             format!("round {cell} {round} {period} {done}")
-        }
-        TraceEvent::Cache {
-            cell,
-            round,
-            probes,
-            evaluations,
-            skips,
-            reuses,
-            rescales,
-        } => {
-            format!("cache {cell} {round} {probes} {evaluations} {skips} {reuses} {rescales}")
-        }
-        TraceEvent::Dropped { class, count } => {
-            check_token(class)?;
-            format!("dropped {class} {count}")
         }
     })
 }
@@ -352,26 +305,6 @@ fn parse_event(line: usize, content: &str) -> Result<TraceEvent, TraceError> {
                 round: parse_u64(line, "round", fields[1])?,
                 period_bits,
                 done: parse_flag(line, "done", fields[3])?,
-            })
-        }
-        "cache" => {
-            expect_fields(line, "cache", &fields, 7)?;
-            Ok(TraceEvent::Cache {
-                cell: parse_u64(line, "cell", fields[0])?,
-                round: parse_u64(line, "round", fields[1])?,
-                probes: parse_u64(line, "probes", fields[2])?,
-                evaluations: parse_u64(line, "evaluations", fields[3])?,
-                skips: parse_u64(line, "skips", fields[4])?,
-                reuses: parse_u64(line, "reuses", fields[5])?,
-                rescales: parse_u64(line, "rescales", fields[6])?,
-            })
-        }
-        "dropped" => {
-            expect_fields(line, "dropped", &fields, 2)?;
-            check_token(fields[0])?;
-            Ok(TraceEvent::Dropped {
-                class: fields[0].to_string(),
-                count: parse_u64(line, "count", fields[1])?,
             })
         }
         other => Err(malformed(line, format!("unknown record tag {other:?}"))),
@@ -570,19 +503,6 @@ mod tests {
                 period_bits: None,
                 done: true,
             },
-            TraceEvent::Cache {
-                cell: 3,
-                round: 1,
-                probes: 100,
-                evaluations: 60,
-                skips: 40,
-                reuses: 30,
-                rescales: 10,
-            },
-            TraceEvent::Dropped {
-                class: "cache".to_string(),
-                count: 12,
-            },
         ]
     }
 
@@ -661,6 +581,9 @@ mod tests {
             ("mf-trace v1\nend 0\nspan solve 1 2\n", 3),
             ("mf-trace v1\ncommit 0 0 hop 1 2 3 1\nend 1\n", 2),
             ("mf-trace v1\nround 0 0 x 1\nend 1\n", 2),
+            // The retired sweep-cache records are unknown tags now.
+            ("mf-trace v1\ncache 0 0 1 1 0 0 0\nend 1\n", 2),
+            ("mf-trace v1\ndropped cache 3\nend 1\n", 2),
         ];
         for (text, expected_line) in cases {
             match events_from_text(text) {

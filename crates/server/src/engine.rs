@@ -34,7 +34,7 @@ use crate::stats::{self, Counters, Stat};
 use crate::store::{InstanceStore, StoredInstance};
 use mf_core::prelude::*;
 use mf_core::textio;
-use mf_experiments::anytime::{solve_anytime_observed, AnytimeConfig};
+use mf_experiments::anytime::{solve_anytime_observed, AnytimeConfig, AnytimeEvent};
 use mf_experiments::portfolio::{run_portfolio, PortfolioConfig};
 use mf_experiments::runner::BatchRunner;
 use std::collections::HashMap;
@@ -625,9 +625,10 @@ impl Engine {
     /// `solve … anytime` (v3): the deterministic incumbent/bound race of
     /// [`mf_experiments::anytime::solve_anytime`] under a step budget, its
     /// events answered as the `gap` lines of a streaming
-    /// [`Response::SolvedAnytime`] block and mirrored into the trace file
-    /// as `round` records. The solved mapping becomes this session's
-    /// resident evaluator state, exactly like the other solve methods.
+    /// [`Response::SolvedAnytime`] block and appended to the trace file as
+    /// `round` records while the solve runs. The solved mapping becomes
+    /// this session's resident evaluator state, exactly like the other
+    /// solve methods.
     fn solve_anytime(
         &self,
         session: &mut Session,
@@ -646,18 +647,17 @@ impl Engine {
         if let Some(seed) = seed {
             config.seed = seed;
         }
-        let mut sink = TraceIncumbentSink { obs: &self.obs };
-        let outcome =
-            match solve_anytime_observed(&stored.instance, &config, &mut |_| {}, &mut sink) {
-                Ok(outcome) => outcome,
-                Err(e) => {
-                    return EngineError::SolverFailed {
-                        label: "anytime".to_string(),
-                        detail: one_line(e),
-                    }
-                    .into_response()
+        let mut trace = |event: &AnytimeEvent| self.obs.trace_event(&event.to_trace());
+        let outcome = match solve_anytime_observed(&stored.instance, &config, &mut trace) {
+            Ok(outcome) => outcome,
+            Err(e) => {
+                return EngineError::SolverFailed {
+                    label: "anytime".to_string(),
+                    detail: one_line(e),
                 }
-            };
+                .into_response()
+            }
+        };
         let c = &self.counters;
         c.bump(Stat::SolvesAnytime);
         c.add(Stat::AnytimeReports, outcome.events.len() as u64);
@@ -741,19 +741,6 @@ impl Engine {
 /// Flattens an error's display onto one protocol line.
 fn one_line(e: impl std::fmt::Display) -> String {
     e.to_string().replace(['\n', '\r'], " ")
-}
-
-/// Mirrors anytime incumbent/bound improvements into the engine's trace
-/// file as `round` records. Tracing off makes this a no-op, and the trace
-/// never changes a response byte.
-struct TraceIncumbentSink<'a> {
-    obs: &'a ObsState,
-}
-
-impl mf_obs::ProgressSink for TraceIncumbentSink<'_> {
-    fn emit(&mut self, event: mf_obs::ProgressEvent) {
-        self.obs.trace_event(&event.into_trace(0, 0));
-    }
 }
 
 #[cfg(test)]

@@ -4,7 +4,8 @@
 //! to the committed transcript — observability is read-only on the wire —
 //! at every worker count. The trace files themselves must round-trip through
 //! the parser, with one span per instance command of the script (the
-//! commands the router answers itself record none).
+//! commands the router answers itself record none), and one `round` record
+//! per anytime `gap` line, written before its solve's span.
 
 use mf_obs::{events_from_text, events_to_text, SharedTraceWriter, TraceEvent};
 use mf_server::{serve_stdio, ObsConfig, ProtoReader, Request, Router};
@@ -49,6 +50,11 @@ fn golden_sessions() -> Vec<(&'static str, Vec<&'static str>, &'static str)> {
             include_str!("golden/batched_session.out"),
         ),
         (
+            "anytime_session",
+            vec![include_str!("golden/anytime_session.in")],
+            include_str!("golden/anytime_session.out"),
+        ),
+        (
             "restart_session",
             vec![
                 include_str!("golden/restart_session_a.in"),
@@ -88,10 +94,59 @@ fn instance_commands(scripts: &[&str]) -> usize {
     count
 }
 
+/// The `(steps, period bits, proven)` of every `gap` line of a transcript,
+/// grouped per `solve-anytime` answer, in order.
+fn gap_lines(transcript: &str) -> Vec<Vec<(u64, u64, bool)>> {
+    let mut solves: Vec<Vec<(u64, u64, bool)>> = Vec::new();
+    for line in transcript.lines() {
+        let fields: Vec<&str> = line.split_whitespace().collect();
+        match fields.as_slice() {
+            ["ok", "solve-anytime", ..] => solves.push(Vec::new()),
+            ["gap", _phase, steps, period, _bound, proven] => {
+                let period: f64 = period.parse().unwrap();
+                solves
+                    .last_mut()
+                    .expect("gap lines follow their answer")
+                    .push((steps.parse().unwrap(), period.to_bits(), *proven == "1"));
+            }
+            _ => {}
+        }
+    }
+    solves
+}
+
+/// The `(round, period bits, done)` of the `round` records a trace writes
+/// before each span, for the spans that have any; each such span must be
+/// a `solve`.
+fn rounds_before_spans(events: &[TraceEvent]) -> Vec<Vec<(u64, u64, bool)>> {
+    let mut groups = Vec::new();
+    let mut pending = Vec::new();
+    for event in events {
+        match event {
+            TraceEvent::Round {
+                cell,
+                round,
+                period_bits,
+                done,
+            } => {
+                assert_eq!(*cell, 0, "anytime rounds trace as cell 0");
+                pending.push((*round, period_bits.expect("incumbent bits"), *done));
+            }
+            TraceEvent::Span { name, .. } if !pending.is_empty() => {
+                assert_eq!(name, "solve", "round records precede a non-solve span");
+                groups.push(std::mem::take(&mut pending));
+            }
+            _ => {}
+        }
+    }
+    assert!(pending.is_empty(), "round records after the last span");
+    groups
+}
+
 #[test]
 fn golden_transcripts_are_byte_identical_with_tracing_on() {
     for (name, scripts, expected) in golden_sessions() {
-        for workers in [1usize, 2, 4] {
+        for workers in [1usize, 2, 3, 4] {
             // Tracing off: the committed transcript (guards against
             // environment skew before blaming tracing).
             let untraced = replay(&Router::new(workers, 1), &scripts);
@@ -140,6 +195,17 @@ fn golden_transcripts_are_byte_identical_with_tracing_on() {
                 "{name}: one span per instance command at {workers} workers"
             );
             assert_eq!(spans, slow, "{name}: threshold 0 makes every span slow");
+            // Each anytime `gap` line was traced as its `round` record while
+            // the solve ran, before the solve's span closed.
+            let gaps = gap_lines(expected);
+            if name == "anytime_session" {
+                assert_eq!(gaps.iter().map(Vec::len).sum::<usize>(), 4);
+            }
+            assert_eq!(
+                rounds_before_spans(&events),
+                gaps,
+                "{name}: anytime round records at {workers} workers"
+            );
         }
     }
 }
