@@ -40,11 +40,14 @@ impl ExperimentConfig {
         }
     }
 
-    /// Seed for repetition `rep` of point `point` of figure `figure`.
+    /// Seed for repetition `rep` of point `point` of figure `figure`: the
+    /// one instance-seed scheme of every sweep
+    /// ([`crate::figures::run_sweep`]), the extension sweeps included.
     ///
     /// The packed coordinates go through [`mf_core::seed::splitmix64`] — the
-    /// same mixer the batch runner and the H6 local search use — so the
-    /// derived seeds stay well spread and reproducible.
+    /// same mixer the per-method streams
+    /// ([`crate::figures::method_seed`]) and the H6 local search use — so
+    /// the derived seeds stay well spread and reproducible.
     pub fn seed_for(&self, figure: u32, point: usize, rep: usize) -> u64 {
         mf_core::seed::splitmix64(
             self.base_seed

@@ -15,170 +15,102 @@
 //! interesting number is *by how much* the portfolio usually wins and what
 //! it costs.
 //!
-//! Determinism: single heuristics are evaluated from per-(scenario, rep,
-//! method) SplitMix64 streams, and the portfolio inherits the batch runner's
-//! bit-identical-for-every-thread-count guarantee, so the whole sweep is
-//! pinned alongside the grids in `batch_determinism.rs`.
+//! Determinism: the sweep runs through [`run_sweep`], which draws each
+//! instance from [`ExperimentConfig::seed_for`] and parallelises across
+//! instances. Each single method draws its stream, and the portfolio its
+//! base seed, from [`method_seed`] of the instance seed; the portfolio runs
+//! its cells on one thread, and its outcome would be the same on any number.
+//! The whole sweep is therefore pinned alongside the other sweeps in
+//! `batch_determinism.rs`.
 
 use crate::config::ExperimentConfig;
-use crate::figures::{fig5, fig6, fig7, fig8, fig9};
+use crate::figures::{method_seed, registry_periods, run_sweep, scenario_families, SweepSpec};
 use crate::portfolio::{run_portfolio, PortfolioConfig};
-use crate::report::{FigureReport, Series};
-use crate::runner::{BatchRunner, ScenarioSpec};
-use crate::stats::Stats;
-use mf_core::seed::splitmix64;
-use mf_sim::{GeneratorConfig, InstanceGenerator};
+use crate::report::FigureReport;
+use crate::runner::BatchRunner;
+use mf_sim::GeneratorConfig;
 
 /// The single-method columns next to the portfolio, in presentation order.
 pub const METHODS: [&str; 4] = ["H4w", "H6", "SD", "TS"];
 
-/// Figure-index-style salt mixed into the base seed so this sweep draws
-/// instances independent of every paper figure and of `ext_localsearch`.
+/// Figure-index-style salt of [`ExperimentConfig::seed_for`], so this sweep
+/// draws instances independent of every paper figure and of
+/// `ext_localsearch`.
 pub const FIGURE_INDEX: u32 = 82;
 
-/// The five scenario families of the paper's evaluation, one representative
-/// instance shape each (task counts from the middle of each figure's sweep).
-pub fn scenarios() -> Vec<ScenarioSpec> {
-    vec![
-        ScenarioSpec::new(
-            "fig5",
-            GeneratorConfig::paper_standard(100, fig5::MACHINES, fig5::TYPES),
-        ),
-        ScenarioSpec::new(
-            "fig6",
-            GeneratorConfig::paper_standard(50, fig6::MACHINES, fig6::TYPES),
-        ),
-        ScenarioSpec::new(
-            "fig7",
-            GeneratorConfig::paper_standard(150, fig7::MACHINES, fig7::TYPES),
-        ),
-        ScenarioSpec::new(
-            "fig8",
-            GeneratorConfig::paper_high_failure(50, fig8::MACHINES, fig8::TYPES),
-        ),
-        ScenarioSpec::new(
-            "fig9",
-            GeneratorConfig::paper_task_failures(fig9::TASKS, fig9::MACHINES, 40),
-        ),
-    ]
-}
-
 /// A portfolio configuration scaled to a sweep (smaller budgets than the
-/// [`Default`] so five scenario families stay minutes, not hours).
-pub fn sweep_portfolio_config(config: &ExperimentConfig) -> PortfolioConfig {
+/// [`Default`] so five scenario families stay minutes, not hours). Its
+/// `base_seed` is replaced per instance by [`run_with`].
+pub fn sweep_portfolio_config() -> PortfolioConfig {
     PortfolioConfig {
-        base_seed: config.base_seed.wrapping_add(u64::from(FIGURE_INDEX) << 48),
         annealed_streams: 2,
         round_steps: 2000,
         sweep_budget: 50_000,
         max_rounds: 4,
         patience: 2,
+        ..PortfolioConfig::default()
     }
 }
 
-fn instance_seed(config: &ExperimentConfig, scenario: usize, rep: usize) -> u64 {
-    config.seed_for(FIGURE_INDEX, scenario, rep)
-}
-
-fn method_seed(config: &ExperimentConfig, scenario: usize, rep: usize, method: usize) -> u64 {
-    splitmix64(
-        instance_seed(config, scenario, rep)
-            .wrapping_add(0x6D_E7B0_D011_0CA1)
-            .wrapping_add(method as u64),
-    )
-}
-
-/// Runs the sweep over explicit scenarios (the entry point the determinism
-/// tests drive with reduced settings).
+/// Runs the sweep over explicit scenario families, one x value per family
+/// (its index). The portfolio of each instance runs with `portfolio`'s
+/// budgets and the base seed [`method_seed`]`(seed, METHODS.len())`.
 pub fn run_with(
     config: &ExperimentConfig,
-    scenarios: Vec<ScenarioSpec>,
+    scenarios: Vec<GeneratorConfig>,
     portfolio: &PortfolioConfig,
 ) -> FigureReport {
-    let reps = config.repetitions.max(1);
-    let runner = BatchRunner::from_config(config);
     let mut labels: Vec<String> = METHODS.iter().map(|m| m.to_string()).collect();
     labels.push("Portfolio".to_string());
-
-    let mut series: Vec<Series> = labels
-        .iter()
-        .map(|label| Series {
-            label: label.clone(),
-            points: Vec::with_capacity(scenarios.len()),
-        })
-        .collect();
-
-    for (s, spec) in scenarios.iter().enumerate() {
-        // One sample vector per method column, reps entries each.
-        let mut samples: Vec<Vec<f64>> = vec![Vec::with_capacity(reps); labels.len()];
-        for rep in 0..reps {
-            let Ok(instance) =
-                InstanceGenerator::new(spec.generator).generate(instance_seed(config, s, rep))
-            else {
-                continue;
-            };
-            for (k, name) in METHODS.iter().enumerate() {
-                let heuristic =
-                    mf_heuristics::paper_heuristic(name, method_seed(config, s, rep, k))
-                        .expect("METHODS only lists registry names");
-                if let Ok(period) = heuristic.period(&instance) {
-                    samples[k].push(period.value());
-                }
-            }
-            // The portfolio itself fans its cells out on the runner's pool.
-            let portfolio_seed = PortfolioConfig {
-                base_seed: splitmix64(
-                    portfolio
-                        .base_seed
-                        .wrapping_add((s as u64) << 40)
-                        .wrapping_add(rep as u64),
-                ),
-                ..*portfolio
-            };
-            let outcome = run_portfolio(&instance, &portfolio_seed, &runner);
-            if let Some(best) = outcome.best_period {
-                samples[METHODS.len()].push(best);
-            }
-        }
-        for (k, series) in series.iter_mut().enumerate() {
-            series
-                .points
-                .push((s as f64, Stats::from_samples(&samples[k])));
-        }
-    }
-
-    FigureReport {
-        id: "ext_portfolio".into(),
+    let spec = SweepSpec {
+        id: "ext_portfolio",
+        figure_index: FIGURE_INDEX,
         title: "portfolio search vs its strongest members across the fig5-fig9 families".into(),
         x_label: "scenario".into(),
         y_label: "period (ms)".into(),
-        series,
-    }
+        labels,
+        x_values: (0..scenarios.len()).collect(),
+    };
+    let runner = BatchRunner::new(1);
+    run_sweep(
+        config,
+        spec,
+        |s| scenarios[s],
+        |instance, seed| {
+            let mut values = registry_periods(&METHODS, instance, seed);
+            let portfolio = PortfolioConfig {
+                base_seed: method_seed(seed, METHODS.len()),
+                ..*portfolio
+            };
+            values.push(run_portfolio(instance, &portfolio, &runner).best_period);
+            values
+        },
+    )
 }
 
 /// Runs the full default sweep.
 pub fn run(config: &ExperimentConfig) -> FigureReport {
-    run_with(config, scenarios(), &sweep_portfolio_config(config))
+    run_with(config, scenario_families(), &sweep_portfolio_config())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn reduced_scenarios() -> Vec<ScenarioSpec> {
+    fn reduced_scenarios() -> Vec<GeneratorConfig> {
         vec![
-            ScenarioSpec::new("fig6", GeneratorConfig::paper_standard(20, 8, 2)),
-            ScenarioSpec::new("fig8", GeneratorConfig::paper_high_failure(16, 8, 4)),
+            GeneratorConfig::paper_standard(20, 8, 2),
+            GeneratorConfig::paper_high_failure(16, 8, 4),
         ]
     }
 
-    fn reduced_portfolio(config: &ExperimentConfig) -> PortfolioConfig {
+    fn reduced_portfolio() -> PortfolioConfig {
         PortfolioConfig {
             annealed_streams: 1,
             round_steps: 400,
             sweep_budget: 10_000,
             max_rounds: 2,
-            ..sweep_portfolio_config(config)
+            ..sweep_portfolio_config()
         }
     }
 
@@ -189,7 +121,7 @@ mod tests {
             threads: 1,
             ..ExperimentConfig::quick()
         };
-        let report = run_with(&config, reduced_scenarios(), &reduced_portfolio(&config));
+        let report = run_with(&config, reduced_scenarios(), &reduced_portfolio());
         assert_eq!(report.series.len(), METHODS.len() + 1);
         let portfolio = report.series("Portfolio").unwrap();
         let h4w = report.series("H4w").unwrap();

@@ -39,7 +39,7 @@ pub fn run_with_tasks(config: &ExperimentConfig, task_counts: Vec<usize>) -> Fig
         config,
         spec,
         |n| GeneratorConfig::paper_standard(n, MACHINES, TYPES),
-        |instance| {
+        |instance, _| {
             let base = match H4wFastestMachine.map(instance) {
                 Ok(mapping) => mapping,
                 Err(_) => return vec![None, None],

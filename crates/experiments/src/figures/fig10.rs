@@ -43,7 +43,7 @@ pub fn run_with_tasks(config: &ExperimentConfig, task_counts: Vec<usize>) -> Fig
         config,
         spec,
         |n| GeneratorConfig::paper_standard(n, MACHINES, TYPES.min(n.max(1))),
-        move |instance| {
+        move |instance, _| {
             // Keep the instance only when the exact solver proves optimality
             // ("MIP-compatible platform" in the paper's protocol).
             match branch_and_bound(instance, bnb_config) {
@@ -81,7 +81,7 @@ pub fn ratios_to_optimal(
         config,
         spec,
         |n| GeneratorConfig::paper_standard(n, MACHINES, TYPES.min(n.max(1))),
-        move |instance| match branch_and_bound(instance, bnb_config) {
+        move |instance, _| match branch_and_bound(instance, bnb_config) {
             Ok(outcome) if outcome.proven_optimal => {
                 let optimal = outcome.period.value();
                 heuristics

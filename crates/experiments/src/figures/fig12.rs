@@ -42,7 +42,7 @@ pub fn run_with_tasks(config: &ExperimentConfig, task_counts: Vec<usize>) -> Fig
         config,
         spec,
         |n| GeneratorConfig::paper_standard(n, MACHINES, TYPES.min(n.max(1))),
-        move |instance| {
+        move |instance, _| {
             let mut values = heuristic_periods(&heuristics, instance);
             let exact = match branch_and_bound(instance, bnb_config) {
                 Ok(outcome) if outcome.proven_optimal => Some(outcome.period.value()),

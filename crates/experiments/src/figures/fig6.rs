@@ -39,7 +39,7 @@ pub fn run_with_tasks(config: &ExperimentConfig, task_counts: Vec<usize>) -> Fig
         config,
         spec,
         |n| GeneratorConfig::paper_standard(n, MACHINES, TYPES),
-        |instance| heuristic_periods(&heuristics, instance),
+        |instance, _| heuristic_periods(&heuristics, instance),
     )
 }
 

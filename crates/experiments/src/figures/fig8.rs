@@ -38,7 +38,7 @@ pub fn run_with_tasks(config: &ExperimentConfig, task_counts: Vec<usize>) -> Fig
         config,
         spec,
         |n| GeneratorConfig::paper_high_failure(n, MACHINES, TYPES),
-        |instance| heuristic_periods(&heuristics, instance),
+        |instance, _| heuristic_periods(&heuristics, instance),
     )
 }
 

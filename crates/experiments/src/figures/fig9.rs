@@ -42,7 +42,7 @@ pub fn run_with_types(config: &ExperimentConfig, type_counts: Vec<usize>) -> Fig
         config,
         spec,
         |p| GeneratorConfig::paper_task_failures(TASKS, MACHINES, p),
-        |instance| {
+        |instance, _| {
             let mut values = heuristic_periods(&heuristics, instance);
             values.push(
                 optimal_one_to_one_bottleneck(instance)
@@ -80,7 +80,7 @@ mod tests {
             &config,
             spec,
             |p| GeneratorConfig::paper_task_failures(20, 20, p),
-            |instance| {
+            |instance, _| {
                 let mut values = heuristic_periods(&heuristics, instance);
                 values.push(
                     optimal_one_to_one_bottleneck(instance)

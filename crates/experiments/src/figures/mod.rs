@@ -1,5 +1,11 @@
 //! One module per figure of the paper's evaluation section, plus the shared
 //! sweep machinery and the summary ratios quoted in §7.2–§7.4.
+//!
+//! Every figure and both extension sweeps run through [`run_sweep`]: one
+//! instance per (x value, repetition), drawn from
+//! [`ExperimentConfig::seed_for`], evaluated on [`BatchRunner::map`] and
+//! folded into a [`FigureReport`] by item index, so every report is
+//! bit-identical for any thread count.
 
 pub mod ext_localsearch;
 pub mod ext_portfolio;
@@ -19,6 +25,7 @@ use crate::report::{FigureReport, Series};
 use crate::runner::BatchRunner;
 use crate::stats::Stats;
 use mf_core::prelude::*;
+use mf_core::seed::splitmix64;
 use mf_heuristics::Heuristic;
 use mf_sim::{GeneratorConfig, InstanceGenerator};
 
@@ -41,8 +48,11 @@ pub struct SweepSpec {
 }
 
 /// Runs a sweep: for every x value, `config.repetitions` instances are drawn
-/// from `generator_for(x)` and handed to `evaluate`, which returns one
-/// (optional) measurement per label of the spec.
+/// from `generator_for(x)` and handed to `evaluate` together with their
+/// instance seed; `evaluate` returns one (optional) measurement per label of
+/// the spec. A randomized method draws its stream from the seed (see
+/// [`method_seed`]), never from shared state, so the report does not depend
+/// on the thread count.
 pub fn run_sweep<G, E>(
     config: &ExperimentConfig,
     spec: SweepSpec,
@@ -51,7 +61,7 @@ pub fn run_sweep<G, E>(
 ) -> FigureReport
 where
     G: Fn(usize) -> GeneratorConfig + Sync,
-    E: Fn(&Instance) -> Vec<Option<f64>> + Sync,
+    E: Fn(&Instance, u64) -> Vec<Option<f64>> + Sync,
 {
     let reps = config.repetitions.max(1);
     let points = spec.x_values.len();
@@ -66,7 +76,7 @@ where
             let generator = InstanceGenerator::new(generator_for(x));
             match generator.generate(seed) {
                 Ok(instance) => {
-                    let mut values = evaluate(&instance);
+                    let mut values = evaluate(&instance, seed);
                     values.resize(labels, None);
                     values
                 }
@@ -99,6 +109,47 @@ where
         y_label: spec.y_label,
         series,
     }
+}
+
+/// The RNG stream seed of method `k` on the instance drawn from `seed`:
+/// distinct per method, and a pure function of the sweep item.
+pub fn method_seed(seed: u64, k: usize) -> u64 {
+    splitmix64(
+        seed.wrapping_add(0x6D_E7B0_D011_0CA1)
+            .wrapping_add(k as u64),
+    )
+}
+
+/// Periods of registry heuristics on one instance, method `k` seeded with
+/// [`method_seed`]`(seed, k)` (`None` when a heuristic fails).
+///
+/// # Panics
+///
+/// Panics if a name is not in [`mf_heuristics::registry_names`].
+pub(crate) fn registry_periods(names: &[&str], instance: &Instance, seed: u64) -> Vec<Option<f64>> {
+    names
+        .iter()
+        .enumerate()
+        .map(|(k, name)| {
+            let heuristic = mf_heuristics::paper_heuristic(name, method_seed(seed, k))
+                .unwrap_or_else(|| panic!("unknown heuristic `{name}`"));
+            heuristic.period(instance).ok().map(|p| p.value())
+        })
+        .collect()
+}
+
+/// The five scenario families of the paper's evaluation, in the order fig5,
+/// fig6, fig7, fig8, fig9: one representative instance shape each (task
+/// counts from the middle of each figure's sweep). The extension sweeps use
+/// the family's index as their x value.
+pub fn scenario_families() -> Vec<GeneratorConfig> {
+    vec![
+        GeneratorConfig::paper_standard(100, fig5::MACHINES, fig5::TYPES),
+        GeneratorConfig::paper_standard(50, fig6::MACHINES, fig6::TYPES),
+        GeneratorConfig::paper_standard(150, fig7::MACHINES, fig7::TYPES),
+        GeneratorConfig::paper_high_failure(50, fig8::MACHINES, fig8::TYPES),
+        GeneratorConfig::paper_task_failures(fig9::TASKS, fig9::MACHINES, 40),
+    ]
 }
 
 /// Periods achieved by a list of heuristics on one instance (`None` when a
@@ -171,7 +222,7 @@ mod tests {
             &config,
             spec,
             |n| GeneratorConfig::paper_standard(n, 3, 2),
-            |instance| heuristic_periods(&heuristics, instance),
+            |instance, _| heuristic_periods(&heuristics, instance),
         );
         assert_eq!(report.series.len(), 2);
         assert_eq!(report.x_values(), vec![4.0, 6.0]);
@@ -182,5 +233,91 @@ mod tests {
                 assert!(stats.mean > 0.0);
             }
         }
+    }
+
+    #[test]
+    fn run_sweep_hands_each_item_its_instance_seed() {
+        let config = ExperimentConfig {
+            repetitions: 3,
+            threads: 2,
+            ..ExperimentConfig::quick()
+        };
+        let x_values = vec![4, 6];
+        let spec = SweepSpec {
+            id: "seeds",
+            figure_index: 98,
+            title: "seeds".into(),
+            x_label: "tasks".into(),
+            y_label: "hit".into(),
+            labels: vec!["seed".into()],
+            x_values: x_values.clone(),
+        };
+        let report = run_sweep(
+            &config,
+            spec,
+            |n| GeneratorConfig::paper_standard(n, 3, 2),
+            |instance, seed| {
+                let point = x_values
+                    .iter()
+                    .position(|&n| n == instance.task_count())
+                    .unwrap();
+                let hit = (0..3).any(|rep| config.seed_for(98, point, rep) == seed);
+                vec![Some(if hit { 1.0 } else { 0.0 })]
+            },
+        );
+        for (x, stats) in &report.series[0].points {
+            let stats = stats.unwrap();
+            assert_eq!((stats.count, stats.min), (3, 1.0), "x = {x}");
+        }
+    }
+
+    #[test]
+    fn method_seeds_are_distinct_per_method_and_item() {
+        assert_ne!(method_seed(7, 0), method_seed(7, 1));
+        assert_ne!(method_seed(7, 0), method_seed(8, 0));
+        assert_ne!(method_seed(7, 0), 7);
+    }
+
+    #[test]
+    fn failing_methods_yield_empty_points() {
+        // 5 types on 3 machines: no specialized mapping exists (p > m).
+        let config = ExperimentConfig {
+            repetitions: 2,
+            ..ExperimentConfig::quick()
+        };
+        let spec = SweepSpec {
+            id: "infeasible",
+            figure_index: 97,
+            title: "p > m".into(),
+            x_label: "tasks".into(),
+            y_label: "period".into(),
+            labels: vec!["H2".into()],
+            x_values: vec![8],
+        };
+        let report = run_sweep(
+            &config,
+            spec,
+            |n| GeneratorConfig::paper_standard(n, 3, 5),
+            |instance, seed| registry_periods(&["H2"], instance, seed),
+        );
+        assert_eq!(report.series[0].points, vec![(8.0, None)]);
+    }
+
+    #[test]
+    fn scenario_families_follow_the_paper_figures() {
+        let shapes: Vec<(usize, usize, usize)> = scenario_families()
+            .iter()
+            .map(|g| (g.tasks, g.machines, g.types))
+            .collect();
+        assert_eq!(
+            shapes,
+            vec![
+                (100, fig5::MACHINES, fig5::TYPES),
+                (50, fig6::MACHINES, fig6::TYPES),
+                (150, fig7::MACHINES, fig7::TYPES),
+                (50, fig8::MACHINES, fig8::TYPES),
+                (fig9::TASKS, fig9::MACHINES, 40),
+            ]
+        );
     }
 }

@@ -37,7 +37,7 @@ pub use anytime::{
     AnytimePhase,
 };
 pub use config::ExperimentConfig;
-pub use persist::{batch_from_text, batch_to_text, figure_from_text, figure_to_text};
+pub use persist::{figure_from_text, figure_to_text};
 pub use portfolio::{PortfolioConfig, PortfolioOutcome};
 pub use report::{FigureReport, Series};
 pub use stats::Stats;

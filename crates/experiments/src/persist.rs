@@ -3,10 +3,11 @@
 //! CI wants to diff experiment numbers across commits, which needs a format
 //! that is (a) **stable** — field order and layout never depend on map
 //! iteration or scheduling — and (b) **lossless** — every `f64` survives a
-//! write→parse round trip bit-for-bit. This module serializes
-//! [`FigureReport`] and [`BatchReport`] to a line-oriented plain-text format
-//! using Rust's shortest-round-trip float formatting (`{}`), which guarantees
-//! `value.to_string().parse::<f64>() == value` exactly:
+//! write→parse round trip bit-for-bit. This module serializes a
+//! [`FigureReport`], the one report kind every sweep produces, to a
+//! line-oriented plain-text format using Rust's shortest-round-trip float
+//! formatting (`{}`), which guarantees `value.to_string().parse::<f64>() ==
+//! value` exactly:
 //!
 //! ```text
 //! mf-report v1 figure
@@ -21,24 +22,20 @@
 //! ```
 //!
 //! A `point` line is `x count mean std_dev min max`, or `x -` for a point
-//! where the method produced no result. Batch reports
-//! (`mf-report v1 batch`) persist the raw cells instead:
-//! `cell <scenario> <rep> <method> <period|->`.
+//! where the method produced no result.
 //!
 //! Labels and titles may contain spaces (they end the line); embedded
 //! newlines are rejected at write time rather than silently corrupting the
 //! format. All figure binaries take `--out <path>` to write this format, and
-//! the CI portfolio smoke sweep diffs two independently produced files.
+//! the CI smoke sweeps of `ext_portfolio` and `ext_localsearch` each diff two
+//! independently produced files.
 
 use crate::report::{FigureReport, Series};
-use crate::runner::{BatchReport, CellOutcome};
 use crate::stats::Stats;
 use std::fmt::Write as _;
 
 /// Format magic of figure reports.
 const FIGURE_HEADER: &str = "mf-report v1 figure";
-/// Format magic of batch reports.
-const BATCH_HEADER: &str = "mf-report v1 batch";
 
 /// Errors raised when writing or parsing a persisted report.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -113,35 +110,6 @@ pub fn figure_to_text(report: &FigureReport) -> PersistResult<String> {
     Ok(out)
 }
 
-/// Serializes a batch report (raw cells, scenario-major order preserved).
-pub fn batch_to_text(report: &BatchReport) -> PersistResult<String> {
-    let mut out = String::new();
-    let _ = writeln!(out, "{BATCH_HEADER}");
-    let _ = writeln!(out, "reps {}", report.reps);
-    for name in &report.scenario_names {
-        let _ = writeln!(out, "scenario {}", check_line(name)?);
-    }
-    for name in &report.method_names {
-        let _ = writeln!(out, "method {}", check_line(name)?);
-    }
-    for cell in &report.cells {
-        match cell.period {
-            Some(period) => {
-                let _ = writeln!(
-                    out,
-                    "cell {} {} {} {period}",
-                    cell.scenario, cell.rep, cell.method
-                );
-            }
-            None => {
-                let _ = writeln!(out, "cell {} {} {} -", cell.scenario, cell.rep, cell.method);
-            }
-        }
-    }
-    let _ = writeln!(out, "end");
-    Ok(out)
-}
-
 struct LineParser<'a> {
     lines: std::iter::Enumerate<std::str::Lines<'a>>,
 }
@@ -198,9 +166,8 @@ fn parse_usize(line: usize, token: &str) -> PersistResult<usize> {
 /// Parses a figure report written by [`figure_to_text`].
 pub fn figure_from_text(text: &str) -> PersistResult<FigureReport> {
     let mut parser = LineParser::new(text);
-    let (line, _) = expect_tag(parser.next(), FIGURE_HEADER)
+    expect_tag(parser.next(), FIGURE_HEADER)
         .map_err(|_| malformed(1, format!("missing `{FIGURE_HEADER}` header")))?;
-    let _ = line;
     let (_, id) = expect_tag(parser.next(), "id")?;
     let (_, x_label) = expect_tag(parser.next(), "x-label")?;
     let (_, y_label) = expect_tag(parser.next(), "y-label")?;
@@ -247,54 +214,6 @@ pub fn figure_from_text(text: &str) -> PersistResult<FigureReport> {
         x_label: x_label.to_string(),
         y_label: y_label.to_string(),
         series,
-    })
-}
-
-/// Parses a batch report written by [`batch_to_text`].
-pub fn batch_from_text(text: &str) -> PersistResult<BatchReport> {
-    let mut parser = LineParser::new(text);
-    expect_tag(parser.next(), BATCH_HEADER)
-        .map_err(|_| malformed(1, format!("missing `{BATCH_HEADER}` header")))?;
-    let (line, reps) = expect_tag(parser.next(), "reps")?;
-    let reps = parse_usize(line, reps)?;
-    let mut scenario_names = Vec::new();
-    let mut method_names = Vec::new();
-    let mut cells = Vec::new();
-    loop {
-        let (line, content) = parser
-            .next()
-            .ok_or_else(|| malformed(0, "missing `end` line"))?;
-        if content == "end" {
-            break;
-        }
-        if let Some(name) = content.strip_prefix("scenario ") {
-            scenario_names.push(name.to_string());
-        } else if let Some(name) = content.strip_prefix("method ") {
-            method_names.push(name.to_string());
-        } else if let Some(rest) = content.strip_prefix("cell ") {
-            let tokens: Vec<&str> = rest.split(' ').collect();
-            let [scenario, rep, method, period] = tokens.as_slice() else {
-                return Err(malformed(line, format!("bad cell line: `{content}`")));
-            };
-            cells.push(CellOutcome {
-                scenario: parse_usize(line, scenario)?,
-                rep: parse_usize(line, rep)?,
-                method: parse_usize(line, method)?,
-                period: if *period == "-" {
-                    None
-                } else {
-                    Some(parse_f64(line, period)?)
-                },
-            });
-        } else {
-            return Err(malformed(line, format!("unexpected line: `{content}`")));
-        }
-    }
-    Ok(BatchReport {
-        scenario_names,
-        method_names,
-        reps,
-        cells,
     })
 }
 
@@ -395,38 +314,5 @@ mod tests {
         // A report without its `end` marker is incomplete.
         let truncated = figure_to_text(&sample_figure()).unwrap().replace("end", "");
         assert!(figure_from_text(&truncated).is_err());
-    }
-
-    #[test]
-    fn batch_round_trip_is_exact() {
-        let report = BatchReport {
-            scenario_names: vec!["standard".into(), "high failure".into()],
-            method_names: vec!["H2".into(), "SD-H2".into()],
-            reps: 2,
-            cells: vec![
-                CellOutcome {
-                    scenario: 0,
-                    rep: 0,
-                    method: 0,
-                    period: Some(123.456789),
-                },
-                CellOutcome {
-                    scenario: 0,
-                    rep: 0,
-                    method: 1,
-                    period: Some(1.0 / 7.0),
-                },
-                CellOutcome {
-                    scenario: 1,
-                    rep: 1,
-                    method: 0,
-                    period: None,
-                },
-            ],
-        };
-        let text = batch_to_text(&report).unwrap();
-        let parsed = batch_from_text(&text).unwrap();
-        assert_eq!(parsed, report);
-        assert_eq!(batch_to_text(&parsed).unwrap(), text);
     }
 }

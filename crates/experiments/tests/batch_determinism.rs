@@ -1,15 +1,16 @@
 //! Thread-count invariance of the batch-evaluation engine.
 //!
 //! The acceptance bar for the batch runner: a fixed seed set must produce
-//! **bit-identical** aggregate statistics whether the grid is evaluated on 1
-//! thread or N. These tests exercise both entry points — the figure sweeps
-//! ([`mf_experiments::figures::run_sweep`] via a fig7-class workload) and the
-//! explicit [`BatchGrid`] API — and compare full reports with `==` on `f64`s:
-//! any scheduling-dependent reduction order would fail them.
+//! **bit-identical** aggregate statistics whether a sweep is evaluated on 1
+//! thread or N. These tests drive every sweep through
+//! [`mf_experiments::figures::run_sweep`] — paper figures and both extension
+//! sweeps, whose randomized methods draw per-item streams — plus the
+//! portfolio runner, and compare full reports with `==` on `f64`s: any
+//! scheduling-dependent reduction order would fail them.
 
 use mf_experiments::figures::{ext_localsearch, ext_portfolio, fig5, fig7, fig9};
 use mf_experiments::portfolio::{run_portfolio, run_portfolio_traced, PortfolioConfig};
-use mf_experiments::runner::{BatchGrid, BatchRunner, ScenarioSpec};
+use mf_experiments::runner::BatchRunner;
 use mf_experiments::ExperimentConfig;
 use mf_sim::{GeneratorConfig, InstanceGenerator};
 
@@ -53,76 +54,29 @@ fn fig5_and_fig9_sweeps_are_thread_count_invariant() {
 }
 
 #[test]
-fn batch_grid_aggregates_identically_for_one_and_many_threads() {
-    let grid = BatchGrid::new(
-        20100607,
-        8,
-        vec![
-            ScenarioSpec::new("standard", GeneratorConfig::paper_standard(40, 10, 3)),
-            ScenarioSpec::new(
-                "high-failure",
-                GeneratorConfig::paper_high_failure(40, 10, 3),
-            ),
-            ScenarioSpec::new(
-                "task-failures",
-                GeneratorConfig::paper_task_failures(40, 40, 3),
-            ),
-        ],
-        &["H1", "H2", "H3", "H4", "H4w", "H4f", "SD-H2", "TS-H4w"],
-    );
-    let reference = BatchRunner::new(1).run(&grid);
-    for threads in [2usize, 4] {
-        let report = BatchRunner::new(threads).run(&grid);
-        assert_eq!(
-            report, reference,
-            "grid results changed with {threads} threads"
-        );
-    }
-    // Aggregate stats (not just raw cells) are identical too.
-    let four = BatchRunner::new(4).run(&grid);
-    for scenario in 0..3 {
-        for method in 0..8 {
-            let a = reference.stats(scenario, method);
-            let b = four.stats(scenario, method);
-            assert_eq!(a, b, "stats ({scenario}, {method}) changed with threads");
-        }
-    }
-}
-
-#[test]
 fn ext_localsearch_sweep_is_thread_count_invariant() {
-    // The H6 local search is the first *stateful, randomized* method driven
-    // through the batch grid: its neighborhood stream must derive from the
-    // cell coordinates alone, so a reduced ext_localsearch grid must be
-    // bit-identical on 1 and N threads — the same bar batch_grid cells meet.
-    let config = ExperimentConfig {
-        repetitions: 3,
+    // The H6 local search and H1 are stateful, randomized methods: their
+    // streams must derive from the sweep item alone, so the sweep must be
+    // bit-identical on 1 and N threads.
+    let config = |threads| ExperimentConfig {
+        repetitions: 1,
+        threads,
         ..ExperimentConfig::quick()
     };
-    let scenarios = || {
-        vec![
-            ScenarioSpec::new("fig6", GeneratorConfig::paper_standard(30, 10, 2)),
-            ScenarioSpec::new("fig9", GeneratorConfig::paper_task_failures(24, 24, 3)),
-        ]
-    };
-    let methods = ["H4w", "H6-H4w", "H6-H1"];
-    let reference =
-        BatchRunner::new(1).run(&ext_localsearch::grid_with(&config, scenarios(), &methods));
+    let reference = ext_localsearch::run(&config(1));
     for threads in [2usize, 4] {
-        let report = BatchRunner::new(threads).run(&ext_localsearch::grid_with(
-            &config,
-            scenarios(),
-            &methods,
-        ));
         assert_eq!(
-            report, reference,
-            "ext_localsearch grid changed with {threads} threads"
+            ext_localsearch::run(&config(threads)),
+            reference,
+            "ext_localsearch sweep changed with {threads} threads"
         );
     }
-    // H6 cells actually produced numbers (the sweep is not vacuous).
-    for scenario in 0..2 {
-        for method in 0..methods.len() {
-            assert_eq!(reference.samples(scenario, method).len(), 3);
+    // Every method produced a number on every family (the sweep is not
+    // vacuous).
+    for series in &reference.series {
+        assert_eq!(series.points.len(), 5, "{}", series.label);
+        for (_, stats) in &series.points {
+            assert_eq!(stats.expect("cells succeed").count, 1, "{}", series.label);
         }
     }
 }
@@ -310,8 +264,8 @@ fn ext_portfolio_sweep_is_thread_count_invariant() {
     };
     let scenarios = || {
         vec![
-            ScenarioSpec::new("fig6", GeneratorConfig::paper_standard(20, 8, 2)),
-            ScenarioSpec::new("fig9", GeneratorConfig::paper_task_failures(16, 16, 3)),
+            GeneratorConfig::paper_standard(20, 8, 2),
+            GeneratorConfig::paper_task_failures(16, 16, 3),
         ]
     };
     let portfolio = PortfolioConfig {
@@ -319,7 +273,7 @@ fn ext_portfolio_sweep_is_thread_count_invariant() {
         round_steps: 300,
         sweep_budget: 5_000,
         max_rounds: 2,
-        ..ext_portfolio::sweep_portfolio_config(&config(1))
+        ..ext_portfolio::sweep_portfolio_config()
     };
     let reference = ext_portfolio::run_with(&config(1), scenarios(), &portfolio);
     for threads in [2usize, 4] {
@@ -335,53 +289,6 @@ fn ext_portfolio_sweep_is_thread_count_invariant() {
             assert_eq!(stats.expect("cells succeed").count, 2, "{}", series.label);
         }
     }
-}
-
-#[test]
-#[should_panic(expected = "unknown heuristic `H4W`")]
-fn unknown_method_names_are_rejected_up_front() {
-    // A typo'd heuristic name must fail loudly, not silently produce a series
-    // of empty statistics that looks like infeasibility.
-    let grid = BatchGrid::new(
-        1,
-        1,
-        vec![ScenarioSpec::new(
-            "standard",
-            GeneratorConfig::paper_standard(6, 3, 2),
-        )],
-        &["H4W"],
-    );
-    let _ = BatchRunner::new(1).run(&grid);
-}
-
-#[test]
-fn randomized_heuristic_streams_are_per_cell_deterministic() {
-    // H1 is randomized: its per-cell seed must depend only on the grid
-    // coordinates, never on scheduling. Two independent runs at different
-    // thread counts must agree cell-by-cell.
-    let grid = BatchGrid::new(
-        7,
-        12,
-        vec![ScenarioSpec::new(
-            "standard",
-            GeneratorConfig::paper_standard(30, 8, 3),
-        )],
-        &["H1"],
-    );
-    let a = BatchRunner::new(3).run(&grid);
-    let b = BatchRunner::new(7).run(&grid);
-    assert_eq!(a.cells, b.cells);
-    // ... and distinct cells draw distinct streams (astronomically unlikely
-    // to collide if seeds are well spread).
-    let values: Vec<f64> = a.cells.iter().filter_map(|c| c.period).collect();
-    assert_eq!(values.len(), 12);
-    let mut deduped = values.clone();
-    deduped.dedup();
-    assert_eq!(
-        values.len(),
-        deduped.len(),
-        "adjacent H1 cells repeated a value"
-    );
 }
 
 #[test]

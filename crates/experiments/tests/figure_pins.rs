@@ -14,7 +14,6 @@ use mf_experiments::figures::{
     summary,
 };
 use mf_experiments::portfolio::PortfolioConfig;
-use mf_experiments::runner::ScenarioSpec;
 use mf_experiments::{figure_to_text, ExperimentConfig, FigureReport};
 use mf_sim::GeneratorConfig;
 
@@ -130,25 +129,25 @@ fn ext_localsearch_bytes_are_pinned() {
         repetitions: 1,
         ..config()
     };
-    assert_pinned(&ext_localsearch::run(&config), 0x330f_e0b7_3de7_9e1a);
+    assert_pinned(&ext_localsearch::run(&config), 0xc76e_7f69_58cf_e6eb);
 }
 
 #[test]
 fn ext_portfolio_bytes_are_pinned() {
     let config = config();
     let scenarios = vec![
-        ScenarioSpec::new("fig6", GeneratorConfig::paper_standard(20, 8, 2)),
-        ScenarioSpec::new("fig8", GeneratorConfig::paper_high_failure(16, 8, 4)),
+        GeneratorConfig::paper_standard(20, 8, 2),
+        GeneratorConfig::paper_high_failure(16, 8, 4),
     ];
     let portfolio = PortfolioConfig {
         annealed_streams: 1,
         round_steps: 300,
         sweep_budget: 5_000,
         max_rounds: 2,
-        ..ext_portfolio::sweep_portfolio_config(&config)
+        ..ext_portfolio::sweep_portfolio_config()
     };
     assert_pinned(
         &ext_portfolio::run_with(&config, scenarios, &portfolio),
-        0x62fa_6ff7_0884_06ab,
+        0x9785_2048_24d1_3c63,
     );
 }

@@ -9,11 +9,9 @@
 //! To regenerate after an *intentional* format change:
 //! `UPDATE_GOLDEN=1 cargo test -p mf-experiments --test report_persist`.
 
-use mf_experiments::figures::ext_localsearch;
-use mf_experiments::persist::{batch_from_text, batch_to_text, figure_from_text, figure_to_text};
-use mf_experiments::runner::{BatchRunner, ScenarioSpec};
+use mf_experiments::figures::fig6;
+use mf_experiments::persist::{figure_from_text, figure_to_text};
 use mf_experiments::{ExperimentConfig, FigureReport, Series, Stats};
-use mf_sim::GeneratorConfig;
 use std::path::PathBuf;
 
 fn golden_path() -> PathBuf {
@@ -95,26 +93,16 @@ fn golden_file_bytes_are_pinned() {
 
 #[test]
 fn a_real_sweep_round_trips_losslessly() {
-    // A miniature ext_localsearch batch: deterministic methods only (H2,
-    // H4w, SD-H2 — no exp() in sight), so this is stable across platforms.
+    // A miniature Figure 6 sweep: deterministic heuristics only (H2, H3,
+    // H4, H4w — no exp() in sight), so this is stable across platforms.
     let config = ExperimentConfig {
         repetitions: 2,
         threads: 1,
         ..ExperimentConfig::quick()
     };
-    let scenarios = vec![
-        ScenarioSpec::new("fig6", GeneratorConfig::paper_standard(16, 6, 2)),
-        ScenarioSpec::new("infeasible", GeneratorConfig::paper_standard(8, 3, 5)),
-    ];
-    let grid = ext_localsearch::grid_with(&config, scenarios, &["H2", "H4w", "SD-H2"]);
-    let batch = BatchRunner::new(1).run(&grid);
-
-    let batch_text = batch_to_text(&batch).unwrap();
-    assert_eq!(batch_from_text(&batch_text).unwrap(), batch);
-    // Serialization is deterministic: a second pass yields identical bytes.
-    assert_eq!(batch_to_text(&batch).unwrap(), batch_text);
-
-    let figure = batch.to_figure_report("persist_smoke", "round-trip smoke");
+    let figure = fig6::run_with_tasks(&config, vec![16, 24]);
     let figure_text = figure_to_text(&figure).unwrap();
     assert_eq!(figure_from_text(&figure_text).unwrap(), figure);
+    // Serialization is deterministic: a second pass yields identical bytes.
+    assert_eq!(figure_to_text(&figure).unwrap(), figure_text);
 }
