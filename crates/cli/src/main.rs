@@ -545,7 +545,10 @@ fn trace(args: &Arguments) -> std::result::Result<(), String> {
     println!("  spans:   {spans} ({span_ns} ns total)");
     println!("  slow:    {slow}");
     println!("  commits: {commits} ({improved_commits} improved the incumbent)");
-    println!("  rounds:  {rounds} ({done_rounds} finished a cell)");
+    println!(
+        "  rounds:  {rounds} ({done_rounds} done: a converged portfolio cell or a proven \
+         anytime incumbent)"
+    );
     Ok(())
 }
 

@@ -6,8 +6,7 @@
 //! according to a *priority order*; the placement fails as soon as no
 //! admissible machine can take the task without exceeding the candidate
 //! period. A successful placement lowers the upper bound, a failure raises the
-//! lower bound, until the bounds are within the configured tolerance
-//! (1 ms in the paper's pseudo-code).
+//! lower bound, until the bounds are within 1 ms (the paper's pseudo-code).
 //!
 //! They differ only in the priority order:
 //!
@@ -23,25 +22,13 @@ use crate::context::AssignmentState;
 use crate::heuristic::{Heuristic, HeuristicResult};
 use mf_core::prelude::*;
 
-/// Configuration shared by the binary-search heuristics.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct BinarySearchConfig {
-    /// Stop once `maxPeriod − minPeriod` is below this value (the paper uses
-    /// 1 ms).
-    pub tolerance: f64,
-    /// Hard cap on the number of search iterations (safety net; the search
-    /// converges long before this for any sane tolerance).
-    pub max_iterations: usize,
-}
+/// Stop once `maxPeriod − minPeriod` is below this value (ms, as in the
+/// paper).
+const TOLERANCE: f64 = 1.0;
 
-impl Default for BinarySearchConfig {
-    fn default() -> Self {
-        BinarySearchConfig {
-            tolerance: 1.0,
-            max_iterations: 128,
-        }
-    }
-}
+/// Hard cap on the number of search iterations (a safety net: halving
+/// converges long before this at [`TOLERANCE`]).
+const MAX_ITERATIONS: usize = 128;
 
 /// How a binary-search heuristic orders candidate machines for a task.
 trait MachinePriority {
@@ -121,7 +108,6 @@ fn try_period<'a, P: MachinePriority>(
 fn binary_search_map<P: MachinePriority>(
     instance: &Instance,
     priority: &P,
-    config: BinarySearchConfig,
 ) -> HeuristicResult<Mapping> {
     let precomputed = Precomputed::new(instance);
     let mut min_period = 0.0f64;
@@ -155,7 +141,7 @@ fn binary_search_map<P: MachinePriority>(
     };
 
     let mut iterations = 0usize;
-    while max_period - min_period > config.tolerance && iterations < config.max_iterations {
+    while max_period - min_period > TOLERANCE && iterations < MAX_ITERATIONS {
         iterations += 1;
         let current = min_period + (max_period - min_period) / 2.0;
         match try_period(instance, priority, &precomputed, current) {
@@ -173,10 +159,7 @@ fn binary_search_map<P: MachinePriority>(
 
 /// H2: binary search with the *potential* (rank) priority order.
 #[derive(Debug, Clone, Copy, Default)]
-pub struct H2BinaryPotential {
-    /// Binary-search parameters.
-    pub config: BinarySearchConfig,
-}
+pub struct H2BinaryPotential;
 
 struct RankPriority;
 
@@ -209,16 +192,13 @@ impl Heuristic for H2BinaryPotential {
     }
 
     fn map(&self, instance: &Instance) -> HeuristicResult<Mapping> {
-        binary_search_map(instance, &RankPriority, self.config)
+        binary_search_map(instance, &RankPriority)
     }
 }
 
 /// H3: binary search with the *heterogeneity* priority order.
 #[derive(Debug, Clone, Copy, Default)]
-pub struct H3BinaryHeterogeneity {
-    /// Binary-search parameters.
-    pub config: BinarySearchConfig,
-}
+pub struct H3BinaryHeterogeneity;
 
 struct HeterogeneityPriority;
 
@@ -246,7 +226,7 @@ impl Heuristic for H3BinaryHeterogeneity {
     }
 
     fn map(&self, instance: &Instance) -> HeuristicResult<Mapping> {
-        binary_search_map(instance, &HeterogeneityPriority, self.config)
+        binary_search_map(instance, &HeterogeneityPriority)
     }
 }
 
@@ -285,10 +265,7 @@ mod tests {
     #[test]
     fn h2_and_h3_produce_valid_specialized_mappings() {
         let inst = heterogeneous_instance(&[0, 1, 2, 0, 1, 2, 0, 1, 2, 0], 6, 3);
-        for heuristic in [
-            &H2BinaryPotential::default() as &dyn Heuristic,
-            &H3BinaryHeterogeneity::default(),
-        ] {
+        for heuristic in [&H2BinaryPotential as &dyn Heuristic, &H3BinaryHeterogeneity] {
             let mapping = heuristic.map(&inst).unwrap();
             assert!(
                 inst.is_specialized(&mapping),
@@ -303,7 +280,7 @@ mod tests {
         let mut h2_wins = 0;
         for seed in 0..10 {
             let inst = heterogeneous_instance(&[0, 1, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1], 8, seed);
-            let h2 = H2BinaryPotential::default().period(&inst).unwrap().value();
+            let h2 = H2BinaryPotential.period(&inst).unwrap().value();
             let h1 = H1Random::new(seed).period(&inst).unwrap().value();
             if h2 <= h1 + 1e-9 {
                 h2_wins += 1;
@@ -316,29 +293,6 @@ mod tests {
     }
 
     #[test]
-    fn tighter_tolerance_never_hurts() {
-        let inst = heterogeneous_instance(&[0, 1, 2, 0, 1, 2, 0, 1], 5, 11);
-        let coarse = H2BinaryPotential {
-            config: BinarySearchConfig {
-                tolerance: 500.0,
-                max_iterations: 128,
-            },
-        };
-        let fine = H2BinaryPotential {
-            config: BinarySearchConfig {
-                tolerance: 0.01,
-                max_iterations: 256,
-            },
-        };
-        let pc = coarse.period(&inst).unwrap().value();
-        let pf = fine.period(&inst).unwrap().value();
-        assert!(
-            pf <= pc + 1e-6,
-            "finer search {pf} should not be worse than coarse {pc}"
-        );
-    }
-
-    #[test]
     fn homogeneous_platform_is_load_balanced() {
         // On a homogeneous failure-free platform with as many machines as
         // tasks of each type, the optimal period is one task per machine.
@@ -346,7 +300,7 @@ mod tests {
         let platform = Platform::homogeneous(4, 1, 100.0).unwrap();
         let failures = FailureModel::uniform(4, 4, FailureRate::ZERO);
         let inst = Instance::new(app, platform, failures).unwrap();
-        let mapping = H2BinaryPotential::default().map(&inst).unwrap();
+        let mapping = H2BinaryPotential.map(&inst).unwrap();
         let period = inst.period(&mapping).unwrap().value();
         assert!(
             (period - 100.0).abs() < 1.5,
@@ -363,14 +317,14 @@ mod tests {
             Platform::from_type_times(2, vec![vec![100.0, 300.0], vec![900.0, 300.0]]).unwrap();
         let failures = FailureModel::uniform(1, 2, FailureRate::ZERO);
         let inst = Instance::new(app, platform, failures).unwrap();
-        let mapping = H3BinaryHeterogeneity::default().map(&inst).unwrap();
+        let mapping = H3BinaryHeterogeneity.map(&inst).unwrap();
         assert_eq!(mapping.machine_of(TaskId(0)), MachineId(0));
     }
 
     #[test]
     fn more_types_than_machines_fails_cleanly() {
         let inst = heterogeneous_instance(&[0, 1, 2, 3], 2, 5);
-        assert!(H2BinaryPotential::default().map(&inst).is_err());
-        assert!(H3BinaryHeterogeneity::default().map(&inst).is_err());
+        assert!(H2BinaryPotential.map(&inst).is_err());
+        assert!(H3BinaryHeterogeneity.map(&inst).is_err());
     }
 }

@@ -125,11 +125,11 @@ const BASE_TABLE: &[(&str, Constructor)] = &[
     ),
     (
         "H2",
-        Constructor::Unseeded(|| Box::new(crate::binary_search::H2BinaryPotential::default())),
+        Constructor::Unseeded(|| Box::new(crate::binary_search::H2BinaryPotential)),
     ),
     (
         "H3",
-        Constructor::Unseeded(|| Box::new(crate::binary_search::H3BinaryHeterogeneity::default())),
+        Constructor::Unseeded(|| Box::new(crate::binary_search::H3BinaryHeterogeneity)),
     ),
     (
         "H4",

@@ -57,7 +57,7 @@ pub mod heuristic;
 pub mod search;
 
 pub use baseline::RandomMapping;
-pub use binary_search::{BinarySearchConfig, H2BinaryPotential, H3BinaryHeterogeneity};
+pub use binary_search::{H2BinaryPotential, H3BinaryHeterogeneity};
 pub use context::AssignmentState;
 pub use h1_random::H1Random;
 pub use h4_family::{

@@ -379,9 +379,11 @@ fn unexpected(expected: &'static str, got: Response) -> ClientError {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::router::Router;
     use crate::server::Server;
     use mf_core::textio;
     use mf_sim::{GeneratorConfig, InstanceGenerator};
+    use std::sync::Arc;
 
     #[test]
     fn connect_refuses_non_protocol_peers() {
@@ -399,7 +401,7 @@ mod tests {
 
     #[test]
     fn typed_round_trip_against_a_live_server() {
-        let server = Server::bind_router("127.0.0.1:0", 1, 1).unwrap();
+        let server = Server::with_handler("127.0.0.1:0", Arc::new(Router::new(1, 1))).unwrap();
         let addr = server.local_addr().unwrap();
         let handle = std::thread::spawn(move || server.run().unwrap());
         let mut client = Client::connect(addr).unwrap();

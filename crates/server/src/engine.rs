@@ -98,38 +98,18 @@ pub(crate) fn hello_response(requested: u32, slot: &mut ProtoVersion) -> Respons
     }
 }
 
-/// Rejects a v2-only command on a v1 session with the stable
-/// version-required error (the router's gate for `batch` and
-/// `status-export`).
-pub(crate) fn gate_v2(
+/// Rejects a command that `needs` a newer protocol than the session's
+/// `version` with the stable version-required error (the gate of `batch`,
+/// `status-export` and anytime `solve`).
+pub(crate) fn gate(
     version: ProtoVersion,
+    needs: ProtoVersion,
     command: &'static str,
 ) -> std::result::Result<(), Response> {
-    if version >= ProtoVersion::V2 {
+    if version >= needs {
         Ok(())
     } else {
-        Err(EngineError::VersionRequired {
-            command,
-            needs: ProtoVersion::V2,
-        }
-        .into_response())
-    }
-}
-
-/// Rejects a v3-only command on an older session with the stable
-/// version-required error.
-pub(crate) fn gate_v3(
-    version: ProtoVersion,
-    command: &'static str,
-) -> std::result::Result<(), Response> {
-    if version >= ProtoVersion::V3 {
-        Ok(())
-    } else {
-        Err(EngineError::VersionRequired {
-            command,
-            needs: ProtoVersion::V3,
-        }
-        .into_response())
+        Err(EngineError::VersionRequired { command, needs }.into_response())
     }
 }
 
@@ -637,7 +617,7 @@ impl Engine {
         budget: Option<u64>,
         seed: Option<u64>,
     ) -> Response {
-        if let Err(response) = gate_v3(session.version, "solve") {
+        if let Err(response) = gate(session.version, ProtoVersion::V3, "solve") {
             return response;
         }
         let mut config = AnytimeConfig::default();

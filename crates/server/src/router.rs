@@ -32,7 +32,7 @@
 //! under byte-cap pressure the *eviction* schedule (not any answer to a
 //! resident name) can differ between worker counts.
 
-use crate::engine::{gate_v2, hello_response, Engine, Session};
+use crate::engine::{gate, hello_response, Engine, Session};
 use crate::errors::EngineError;
 use crate::journal::{Journal, JournalError};
 use crate::obs::ObsConfig;
@@ -175,11 +175,12 @@ impl Router {
     fn route(&self, session: &mut RouterSession, request: Request) -> Response {
         match request {
             Request::Hello { requested } => hello_response(requested, &mut session.version),
-            Request::Batch(items) => match gate_v2(session.version, "batch") {
+            Request::Batch(items) => match gate(session.version, ProtoVersion::V2, "batch") {
                 Ok(()) => self.batch(session, items),
                 Err(response) => response,
             },
-            Request::StatusExport => match gate_v2(session.version, "status-export") {
+            Request::StatusExport => match gate(session.version, ProtoVersion::V2, "status-export")
+            {
                 Ok(()) => Response::StatusExport(self.status_report().json_lines()),
                 Err(response) => response,
             },

@@ -125,19 +125,9 @@ pub struct Server {
 }
 
 impl Server {
-    /// Binds a listener (`port 0` picks an ephemeral port) over a fresh
-    /// [`Router`] with `workers` shard engines of `threads` solver workers
-    /// each.
-    pub fn bind_router(
-        addr: impl ToSocketAddrs,
-        workers: usize,
-        threads: usize,
-    ) -> std::io::Result<Server> {
-        Server::with_handler(addr, Arc::new(Router::new(workers, threads)))
-    }
-
-    /// Binds a listener over an existing router (lets callers pre-load the
-    /// store or attach a data directory).
+    /// Binds a listener (`port 0` picks an ephemeral port) over a router
+    /// (`Router::new` for a fresh tier, or one with a data directory or a
+    /// pre-loaded store).
     pub fn with_handler(addr: impl ToSocketAddrs, router: Arc<Router>) -> std::io::Result<Server> {
         let listener = TcpListener::bind(addr)?;
         Ok(Server {

@@ -8,7 +8,7 @@
 
 use mf_core::textio;
 use mf_server::client::Solution;
-use mf_server::{Client, ClientError, ErrorCode, Probe, ProtoVersion, Server, SolveMethod};
+use mf_server::{Client, ClientError, ErrorCode, Probe, ProtoVersion, Router, Server, SolveMethod};
 use mf_sim::{GeneratorConfig, InstanceGenerator};
 use std::sync::Arc;
 
@@ -40,7 +40,7 @@ fn assert_bit_identical(left: &Solution, right: &Solution) {
 
 #[test]
 fn two_concurrent_sessions_share_the_pool_and_stay_bit_identical() {
-    let server = Server::bind_router("127.0.0.1:0", 1, 0).unwrap();
+    let server = Server::with_handler("127.0.0.1:0", Arc::new(Router::new(1, 0))).unwrap();
     let addr = server.local_addr().unwrap();
     let router = Arc::clone(server.router());
     let server_thread = std::thread::spawn(move || server.run().unwrap());
@@ -85,7 +85,7 @@ fn two_concurrent_sessions_share_the_pool_and_stay_bit_identical() {
 /// per-session, while the store is shared.
 #[test]
 fn whatif_state_is_session_scoped() {
-    let server = Server::bind_router("127.0.0.1:0", 1, 1).unwrap();
+    let server = Server::with_handler("127.0.0.1:0", Arc::new(Router::new(1, 1))).unwrap();
     let addr = server.local_addr().unwrap();
     let server_thread = std::thread::spawn(move || server.run().unwrap());
 

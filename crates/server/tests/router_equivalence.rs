@@ -109,7 +109,8 @@ fn routed_sessions_are_byte_identical_to_a_single_worker() {
 
 #[test]
 fn routed_tcp_sessions_serve_repeated_evaluates_from_the_keyed_cache() {
-    let server = Server::bind_router("127.0.0.1:0", 3, 1).unwrap();
+    let server =
+        Server::with_handler("127.0.0.1:0", std::sync::Arc::new(Router::new(3, 1))).unwrap();
     let addr = server.local_addr().unwrap();
     let router = std::sync::Arc::clone(server.router());
     let handle = std::thread::spawn(move || server.run().unwrap());

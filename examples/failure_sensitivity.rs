@@ -26,9 +26,7 @@ fn main() -> Result<()> {
         let reps = 20;
         for seed in 0..reps {
             let instance = generator.generate(1000 + seed)?;
-            let h2 = H2BinaryPotential::default()
-                .period(&instance)
-                .expect("valid instance");
+            let h2 = H2BinaryPotential.period(&instance).expect("valid instance");
             let h4 = H4BestPerformance.period(&instance).expect("valid instance");
             let h4w = H4wFastestMachine.period(&instance).expect("valid instance");
             sums[0] += h2.value();
