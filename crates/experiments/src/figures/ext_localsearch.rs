@@ -11,7 +11,6 @@
 use crate::config::ExperimentConfig;
 use crate::figures::{registry_periods, run_sweep, scenario_families, SweepSpec};
 use crate::report::FigureReport;
-use mf_core::prelude::*;
 
 /// Raw/polished method pairs of the sweep, in series order.
 pub const METHODS: [&str; 6] = ["H2", "H6-H2", "H4w", "H6-H4w", "H1", "H6-H1"];
@@ -33,13 +32,12 @@ pub fn run(config: &ExperimentConfig) -> FigureReport {
         labels: METHODS.iter().map(|m| m.to_string()).collect(),
         x_values: (0..families.len()).collect(),
     };
-    run_sweep(config, spec, |s| families[s], periods)
-}
-
-/// The evaluation of one sweep item: every method of [`METHODS`] on the
-/// instance drawn from `seed`.
-fn periods(instance: &Instance, seed: u64) -> Vec<Option<f64>> {
-    registry_periods(&METHODS, instance, seed)
+    run_sweep(
+        config,
+        spec,
+        |s| families[s],
+        |instance, seed| registry_periods(&METHODS, instance, seed),
+    )
 }
 
 #[cfg(test)]
@@ -49,9 +47,10 @@ mod tests {
 
     #[test]
     fn polishing_never_degrades_a_deterministic_seed_heuristic() {
-        // Two reduced scenario families. Both members of the H2 and H4w
-        // pairs see the same instance, and those seed heuristics are
-        // deterministic, so the comparison is exact per instance.
+        // The sweep's per-item evaluation on two reduced scenario families.
+        // Both members of the H2 and H4w pairs see the same instance, and
+        // those seed heuristics are deterministic, so the comparison is
+        // exact per instance.
         let config = ExperimentConfig::quick();
         let families = [
             GeneratorConfig::paper_standard(30, 10, 2),
@@ -61,7 +60,7 @@ mod tests {
             for rep in 0..3 {
                 let seed = config.seed_for(FIGURE_INDEX, scenario, rep);
                 let instance = InstanceGenerator::new(generator).generate(seed).unwrap();
-                let values = periods(&instance, seed);
+                let values = registry_periods(&METHODS, &instance, seed);
                 for pair in 0..2 {
                     let raw = values[2 * pair].expect("seed heuristic succeeds");
                     let polished = values[2 * pair + 1].expect("polishing succeeds");
