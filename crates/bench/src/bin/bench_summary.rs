@@ -244,11 +244,11 @@ fn main() {
         quality: Quality::PeriodMs(period_of(&sd)),
     });
 
-    let ts = polish_with(&instance, &seed, &TabuSearch::default(), sweep_budget).unwrap();
+    let ts = polish_with(&instance, &seed, &TabuSearch, sweep_budget).unwrap();
     rows.push(Measurement {
         name: "strategy_polish/tabu",
         timing: timing(time(iterations, || {
-            polish_with(&instance, &seed, &TabuSearch::default(), sweep_budget).unwrap()
+            polish_with(&instance, &seed, &TabuSearch, sweep_budget).unwrap()
         })),
         iterations,
         quality: Quality::PeriodMs(period_of(&ts)),

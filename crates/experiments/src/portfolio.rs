@@ -240,11 +240,10 @@ fn advance_cell(
     };
 
     let annealed = AnnealedClimb::new(seed);
-    let tabu = TabuSearch::default();
     let (strategy, budget): (&dyn SearchStrategy, usize) = match spec.strategy {
         CellStrategy::Annealed { .. } => (&annealed, config.round_steps),
         CellStrategy::Steepest => (&SteepestDescent, config.sweep_budget),
-        CellStrategy::Tabu => (&tabu, config.sweep_budget),
+        CellStrategy::Tabu => (&TabuSearch, config.sweep_budget),
     };
     let sink = progress.map(|sink| sink as &mut dyn ProgressSink);
     let Ok((polished, telemetry)) =

@@ -261,7 +261,7 @@ pub(crate) fn search_strategy(
     match prefix {
         "H6" => (Box::new(AnnealedClimb::new(seed)), H6_BUDGET),
         "SD" => (Box::new(SteepestDescent), DEFAULT_SEARCH_BUDGET),
-        "TS" => (Box::new(TabuSearch::default()), DEFAULT_SEARCH_BUDGET),
+        "TS" => (Box::new(TabuSearch), DEFAULT_SEARCH_BUDGET),
         "LNS" => {
             let config = LnsConfig {
                 seed: splitmix64(seed ^ LNS_SEED_SALT),

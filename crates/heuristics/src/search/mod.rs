@@ -62,4 +62,4 @@ pub use strategy::{
     polish_with, polish_with_progress, polish_with_telemetry, SearchHeuristic, SearchStrategy,
     SearchTelemetry, SweepCounters,
 };
-pub use tabu::{TabuConfig, TabuSearch};
+pub use tabu::TabuSearch;

@@ -6,7 +6,7 @@
 //! the best admissible neighbor *even when it degrades the period*, and a
 //! **recency-keyed tabu list** forbids undoing recent reassignments — after
 //! task `t` leaves machine `u`, the pair `(t, u)` is tabu for
-//! [`TabuConfig::tenure`] iterations, so the search cannot oscillate back
+//! 12 iterations (the tenure), so the search cannot oscillate back
 //! into the optimum it just escaped. The **aspiration** rule overrides the
 //! list for any candidate that would beat the best period seen so far (a
 //! tabu should never censor a new global best).
@@ -33,40 +33,21 @@ use crate::search::strategy::SearchStrategy;
 use crate::HeuristicResult;
 use mf_core::prelude::*;
 
-/// Tuning knobs of the tabu search.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TabuConfig {
-    /// Maximum number of commit iterations.
-    pub max_iterations: usize,
-    /// Iterations a reversed reassignment `(task, old machine)` stays
-    /// forbidden after a commit.
-    pub tenure: usize,
-    /// Stop after this many consecutive iterations without a new best
-    /// period.
-    pub stale_limit: usize,
-}
+/// Iterations a reversed reassignment `(task, old machine)` stays forbidden
+/// after a commit.
+const TENURE: usize = 12;
 
-impl Default for TabuConfig {
-    fn default() -> Self {
-        TabuConfig {
-            max_iterations: 128,
-            tenure: 12,
-            stale_limit: 32,
-        }
-    }
-}
+/// The walk stops after this many consecutive iterations without a new best
+/// period.
+const STALE_LIMIT: usize = 32;
 
 /// Recency-keyed tabu search over the move/swap neighborhoods.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct TabuSearch {
-    config: TabuConfig,
-}
+pub struct TabuSearch;
 
 impl TabuSearch {
-    /// A tabu search with explicit knobs.
-    pub fn new(config: TabuConfig) -> Self {
-        TabuSearch { config }
-    }
+    /// Most commit iterations one walk takes.
+    pub const MAX_ITERATIONS: usize = 128;
 }
 
 /// The recency list: per `(task, machine)` pair, the last iteration at which
@@ -106,12 +87,11 @@ impl SearchStrategy for TabuSearch {
         if n == 0 || m < 2 {
             return Ok(());
         }
-        let config = &self.config;
         let mut tabu = TabuList::new(n, m);
         let mut stale = 0usize;
 
-        for iteration in 1..=config.max_iterations {
-            if engine.exhausted() || stale >= config.stale_limit {
+        for iteration in 1..=Self::MAX_ITERATIONS {
+            if engine.exhausted() || stale >= STALE_LIMIT {
                 break;
             }
             // Aspiration: a candidate beating the global best is admissible
@@ -192,14 +172,14 @@ impl SearchStrategy for TabuSearch {
                 Candidate::Move(task, to) => {
                     let from = engine.machine_of(task);
                     let outcome = engine.commit_move(task, to)?;
-                    tabu.forbid(task, from, iteration + config.tenure);
+                    tabu.forbid(task, from, iteration + TENURE);
                     outcome.improved_best
                 }
                 Candidate::Swap(a, b) => {
                     let (ua, ub) = (engine.machine_of(a), engine.machine_of(b));
                     let outcome = engine.commit_swap(a, b)?;
-                    tabu.forbid(a, ua, iteration + config.tenure);
-                    tabu.forbid(b, ub, iteration + config.tenure);
+                    tabu.forbid(a, ua, iteration + TENURE);
+                    tabu.forbid(b, ub, iteration + TENURE);
                     outcome.improved_best
                 }
             };

@@ -27,7 +27,7 @@
 use mf_core::prelude::*;
 use mf_heuristics::search::{
     polish_with, AnnealedClimb, LnsConfig, SearchEngine, SearchStrategy, SteepestDescent,
-    SubtreeMoveLns, TabuConfig, TabuSearch,
+    SubtreeMoveLns, TabuSearch,
 };
 use mf_heuristics::{paper_heuristic, H4wFastestMachine, Heuristic, H6_BUDGET};
 use mf_obs::ProgressEvent;
@@ -141,13 +141,7 @@ fn tabu_search_never_returns_worse_than_its_seed() {
         let inst = instance(n, m, p, 0x7AB0 ^ (case * 6151));
         let seeded = H4wFastestMachine.map(&inst).unwrap();
         let seed_period = inst.period(&seeded).unwrap().value();
-        // A deliberately short, aggressive walk: plenty of uphill commits.
-        let tabu = TabuSearch::new(TabuConfig {
-            max_iterations: 40,
-            tenure: 5,
-            stale_limit: 40,
-        });
-        let polished = polish_with(&inst, &seeded, &tabu, BUDGET).unwrap();
+        let polished = polish_with(&inst, &seeded, &TabuSearch, BUDGET).unwrap();
         let period = inst.period(&polished).unwrap().value();
         assert!(
             period <= seed_period + 1e-9,
@@ -167,7 +161,7 @@ fn tabu_escapes_local_optima_that_stop_steepest_descent() {
         let inst = instance(18, 5, 2, 0x5EED ^ (case * 31337));
         let seeded = H4wFastestMachine.map(&inst).unwrap();
         let sd = polish_with(&inst, &seeded, &SteepestDescent, BUDGET).unwrap();
-        let ts = polish_with(&inst, &seeded, &TabuSearch::default(), BUDGET).unwrap();
+        let ts = polish_with(&inst, &seeded, &TabuSearch, BUDGET).unwrap();
         let sd_period = inst.period(&sd).unwrap().value();
         let ts_period = inst.period(&ts).unwrap().value();
         if ts_period < sd_period - 1e-9 {
@@ -245,7 +239,7 @@ fn steepest_descent_and_tabu_commit_pinned_step_sequences() {
         ),
     ];
     let strategies: [(&str, &dyn SearchStrategy); 2] =
-        [("SD", &SteepestDescent), ("TS", &TabuSearch::default())];
+        [("SD", &SteepestDescent), ("TS", &TabuSearch)];
     // (commits, trace fingerprint, best period bits), in instance-major order.
     let expected: [(usize, u64, u64); 6] = [
         (24, 0xca19_52ba_4485_8401, 0x4072_1d8b_f85a_5aa3),
@@ -285,7 +279,7 @@ fn steepest_descent_and_tabu_evaluator_counts_are_pinned() {
         generate(GeneratorConfig::standard_in_forest(40, 64, 6), 0x64F),
         generate(GeneratorConfig::paper_standard(30, 20, 4), 0x20C),
     ];
-    let strategies: [&dyn SearchStrategy; 2] = [&SteepestDescent, &TabuSearch::default()];
+    let strategies: [&dyn SearchStrategy; 2] = [&SteepestDescent, &TabuSearch];
     // (dense what-ifs, pruned what-ifs, mass-row builds, engine steps), in
     // instance-major order, SD before TS.
     let expected: [(u64, u64, u64, usize); 6] = [
@@ -352,7 +346,7 @@ fn steepest_descent_and_tabu_from_general_seeds_are_pinned() {
         generate(GeneratorConfig::paper_standard(30, 20, 4), 0x20C),
         generate(GeneratorConfig::standard_in_forest(40, 64, 6), 0x64F),
     ];
-    let strategies: [&dyn SearchStrategy; 2] = [&SteepestDescent, &TabuSearch::default()];
+    let strategies: [&dyn SearchStrategy; 2] = [&SteepestDescent, &TabuSearch];
     // (dense, pruned, mass-row builds, steps, best period bits, trace
     // fingerprint), in instance-major order, SD before TS.
     let expected: [(u64, u64, u64, usize, u64, u64); 4] = [
@@ -460,7 +454,7 @@ fn steepest_descent_is_the_descent_prefix_of_tabu_search() {
         ("H4w", 0),
         ("H4f", 0),
     ];
-    let cap = TabuConfig::default().max_iterations;
+    let cap = TabuSearch::MAX_ITERATIONS;
     let trace = |instance: &Instance, seed: &Mapping, strategy: &dyn SearchStrategy| {
         run_observed(instance, seed, 200_000, strategy, |_| ()).0
     };
@@ -472,7 +466,7 @@ fn steepest_descent_is_the_descent_prefix_of_tabu_search() {
                 .map(instance)
                 .expect("every base maps the fixtures");
             let sd = trace(instance, &seed, &SteepestDescent);
-            let ts = trace(instance, &seed, &TabuSearch::default());
+            let ts = trace(instance, &seed, &TabuSearch);
             let shared = sd.len().min(ts.len());
             assert_eq!(
                 sd[..shared],

@@ -5,16 +5,19 @@
 //! because the protocol itself is strictly request/response.
 //!
 //! The typed methods ([`Client::load`], [`Client::evaluate`],
-//! [`Client::solve`], …) build the [`Request`], send it, and destructure
-//! the matching [`Response`] — a server-side `err <code> <detail>` becomes
+//! [`Client::solve`], …) cover the requests the CLI and the tests send by
+//! name: they build the [`Request`], send it, and destructure the matching
+//! [`Response`] — a server-side `err <code> <detail>` becomes
 //! [`ClientError::Server`], an answer of the wrong shape
-//! [`ClientError::Unexpected`]. For raw scripting there are two escape
-//! hatches: [`Client::request`] sends any pre-built [`Request`], and
-//! [`Client::send_line`] ships one hand-written protocol line verbatim.
+//! [`ClientError::Unexpected`]. Everything else (`unload`, `solve …
+//! anytime`, `batch`) goes through one of the two escape hatches:
+//! [`Client::request`] sends any pre-built [`Request`] and returns the
+//! [`Response`] as is, and [`Client::send_line`] ships one hand-written
+//! protocol line verbatim.
 
 use crate::proto::{
-    request_to_text, ErrorCode, GapReport, InstanceInfo, Probe, ProtoError, ProtoReader,
-    ProtoVersion, Request, Response, SolveMethod, GREETING,
+    request_to_text, ErrorCode, InstanceInfo, Probe, ProtoError, ProtoReader, ProtoVersion,
+    Request, Response, SolveMethod, GREETING,
 };
 use mf_core::textio;
 use mf_core::Mapping;
@@ -101,18 +104,6 @@ pub struct Solution {
     /// Achieved system period (ms).
     pub period: f64,
     /// The computed mapping.
-    pub mapping: Mapping,
-}
-
-/// A finished `solve … anytime` answer: the streamed incumbent/bound
-/// reports (monotone, first one feasible) plus the final mapping.
-#[derive(Debug, Clone, PartialEq)]
-pub struct AnytimeSolution {
-    /// Every `gap` line the server streamed, in emission order.
-    pub reports: Vec<GapReport>,
-    /// Final period (ms) of the returned mapping.
-    pub period: f64,
-    /// The best mapping found within the budget.
     pub mapping: Mapping,
 }
 
@@ -210,16 +201,6 @@ impl Client {
         }
     }
 
-    /// Drops a named instance from the store.
-    pub fn unload(&mut self, name: &str) -> Result<(), ClientError> {
-        match self.expect(&Request::Unload {
-            name: name.to_string(),
-        })? {
-            Response::Unloaded { .. } => Ok(()),
-            other => Err(unexpected("unload", other)),
-        }
-    }
-
     /// The resident instances, sorted by name.
     pub fn list(&mut self) -> Result<Vec<InstanceInfo>, ClientError> {
         match self.expect(&Request::List)? {
@@ -293,41 +274,6 @@ impl Client {
         }
     }
 
-    /// Runs the anytime incumbent/bound race on a resident instance (v3
-    /// sessions only): the answer carries every streamed `gap` report plus
-    /// the final mapping. `None` budget/seed use the server defaults.
-    pub fn solve_anytime(
-        &mut self,
-        name: &str,
-        budget: Option<u64>,
-        seed: Option<u64>,
-    ) -> Result<AnytimeSolution, ClientError> {
-        match self.expect(&Request::Solve {
-            name: name.to_string(),
-            method: SolveMethod::Anytime { budget },
-            seed,
-        })? {
-            Response::SolvedAnytime {
-                reports,
-                period,
-                machines,
-                assignment,
-            } => {
-                let mapping = Mapping::from_indices(&assignment, machines).map_err(|e| {
-                    ClientError::Proto(ProtoError::Malformed {
-                        detail: format!("solve-anytime answer is not a mapping: {e}"),
-                    })
-                })?;
-                Ok(AnytimeSolution {
-                    reports,
-                    period,
-                    mapping,
-                })
-            }
-            other => Err(unexpected("solve-anytime", other)),
-        }
-    }
-
     /// The statistics counters, in the server's fixed presentation order
     /// (16 keys on v1 sessions, plus the cache counters after a v2
     /// `hello`).
@@ -348,15 +294,6 @@ impl Client {
                 Ok(document)
             }
             other => Err(unexpected("status-export", other)),
-        }
-    }
-
-    /// Ships a batch envelope (v2 sessions only); the answers come back in
-    /// request order, errors in place as [`Response::Error`] values.
-    pub fn batch(&mut self, items: Vec<Request>) -> Result<Vec<Response>, ClientError> {
-        match self.expect(&Request::Batch(items))? {
-            Response::Batch(answers) => Ok(answers),
-            other => Err(unexpected("batch", other)),
         }
     }
 
@@ -434,7 +371,7 @@ mod tests {
         assert!(probed.is_finite());
 
         // Typed errors surface as ClientError::Server with the wire code.
-        let err = client.unload("missing").unwrap_err();
+        let err = client.evaluate("missing", &solution.mapping).unwrap_err();
         assert!(
             matches!(
                 err,
@@ -446,22 +383,39 @@ mod tests {
             "{err}"
         );
 
-        // The raw escape hatch speaks the same session.
+        // The raw escape hatches speak the same session.
         let response = client.send_line("list").unwrap();
         assert!(matches!(response, Response::List(_)), "{response:?}");
 
         // A v3 upgrade unlocks the anytime race; the streamed reports are
         // monotone and the final mapping re-evaluates to the answer period.
         assert_eq!(client.hello(3).unwrap(), ProtoVersion::V3);
-        let anytime = client.solve_anytime("a", Some(50_000), None).unwrap();
-        assert!(!anytime.reports.is_empty());
-        assert_eq!(anytime.reports[0].phase, "seed");
-        for pair in anytime.reports.windows(2) {
+        let Response::SolvedAnytime {
+            reports,
+            period,
+            machines,
+            assignment,
+        } = client
+            .request(&Request::Solve {
+                name: "a".into(),
+                method: SolveMethod::Anytime {
+                    budget: Some(50_000),
+                },
+                seed: None,
+            })
+            .unwrap()
+        else {
+            panic!("anytime solve failed");
+        };
+        assert!(!reports.is_empty());
+        assert_eq!(reports[0].phase, "seed");
+        for pair in reports.windows(2) {
             assert!(pair[1].period <= pair[0].period);
             assert!(pair[1].bound >= pair[0].bound);
         }
-        let evaluation = client.evaluate("a", &anytime.mapping).unwrap();
-        assert_eq!(evaluation.period.to_bits(), anytime.period.to_bits());
+        let mapping = Mapping::from_indices(&assignment, machines).unwrap();
+        let evaluation = client.evaluate("a", &mapping).unwrap();
+        assert_eq!(evaluation.period.to_bits(), period.to_bits());
 
         let stats = client.stats().unwrap();
         assert!(
@@ -471,7 +425,13 @@ mod tests {
         let json = client.status_export().unwrap();
         assert!(json.contains("\"format\": \"mf-stats v1\""), "{json}");
 
-        client.unload("a").unwrap();
+        let response = client
+            .request(&Request::Unload { name: "a".into() })
+            .unwrap();
+        assert!(
+            matches!(response, Response::Unloaded { .. }),
+            "{response:?}"
+        );
         client.shutdown().unwrap();
         drop(client);
         handle.join().unwrap();

@@ -6,12 +6,17 @@
 //! resident [`InstanceStore`], the [`BatchRunner`] the portfolio races on,
 //! and the shard's statistics counters. It answers `hello` and the five
 //! instance commands (`load`, `unload`, `evaluate`, `whatif`, `solve`);
-//! the router answers everything else. Each connection gets one [`Session`]
-//! per touched shard, which carries the **resident evaluator state**: after an
+//! the router answers everything else.
+//!
+//! A connection is one [`Session`], which the router passes to whichever
+//! shard owns the instance a command names. It carries the negotiated
+//! protocol version and the **resident evaluator state**: after an
 //! `evaluate` or `solve` on an instance, the session keeps the committed
 //! [`EvaluatorSnapshot`] of that mapping, and later `whatif` probes resume it
 //! in `O(1)` — no demand walk, no load rebuild — answering move/swap
-//! questions in `O(affected tasks + log m)`.
+//! questions in `O(affected tasks + log m)`. A name always hashes to the
+//! same shard, so one map keyed by name holds every shard's snapshots, and
+//! [`SESSION_SNAPSHOT_CAP`] bounds it per connection at any worker count.
 //!
 //! # Equivalence with the one-shot CLI
 //!
@@ -67,22 +72,8 @@ struct ResidentState {
 pub struct Session {
     resident: HashMap<String, ResidentState>,
     clock: u64,
-    version: ProtoVersion,
-}
-
-impl Session {
-    /// The protocol version this session speaks (v1 until a `hello`
-    /// upgrades it).
-    pub fn version(&self) -> ProtoVersion {
-        self.version
-    }
-
-    /// Overwrites the version slot. The router negotiates `hello` itself
-    /// and copies the result onto its worker sessions, so engine-level
-    /// version gates see what the client negotiated.
-    pub(crate) fn sync_version(&mut self, version: ProtoVersion) {
-        self.version = version;
-    }
+    /// v1 until a `hello` upgrades it.
+    pub(crate) version: ProtoVersion,
 }
 
 /// Negotiates a `hello` against a session's version slot — the one
@@ -219,9 +210,11 @@ impl Engine {
         &self.cache
     }
 
-    /// Starts a session (counted in `stats`).
+    /// A fresh session for dispatching to this shard directly. Served
+    /// connections get theirs from
+    /// [`Router::begin_session`](crate::router::Router::begin_session),
+    /// which counts it in `stats`; a shard counts no sessions.
     pub fn begin_session(&self) -> Session {
-        self.counters.bump(Stat::Sessions);
         Session::default()
     }
 
@@ -727,7 +720,7 @@ fn one_line(e: impl std::fmt::Display) -> String {
 mod tests {
     use super::*;
     use crate::proto::{text_payload, ErrorCode};
-    use crate::router::{Router, RouterSession};
+    use crate::router::Router;
     use crate::stats::STATS;
     use mf_heuristics::{H4wFastestMachine, Heuristic};
     use mf_sim::{GeneratorConfig, InstanceGenerator};
@@ -740,7 +733,7 @@ mod tests {
         textio::instance_to_text(&instance)
     }
 
-    fn load(router: &Router, session: &mut RouterSession, name: &str, text: &str) {
+    fn load(router: &Router, session: &mut Session, name: &str, text: &str) {
         let response = router.dispatch(
             session,
             Request::Load {
@@ -971,70 +964,71 @@ mod tests {
         assert_eq!(stat_of(&stats, "lp-reuses"), direct.lp_reuses);
     }
 
+    /// The cap bounds the connection's one snapshot map, whichever shards
+    /// its instances hash to.
     #[test]
     fn session_snapshot_cache_is_capped_by_recency() {
-        let router = Router::new(1, 1);
-        let mut session = router.begin_session();
-        // One more instance than the cap; evaluating each in turn parks one
-        // snapshot per name.
-        let count = SESSION_SNAPSHOT_CAP + 1;
-        for k in 0..count {
-            let text = instance_text(6, 3, 2, k as u64 + 1);
-            let name = format!("inst{k}");
-            load(&router, &mut session, &name, &text);
-            let instance = textio::instance_from_text(&text).unwrap();
-            let mapping = H4wFastestMachine.map(&instance).unwrap();
-            let response = router.dispatch(
-                &mut session,
-                Request::Evaluate {
-                    name: name.clone(),
-                    payload: text_payload(&textio::mapping_to_text(&mapping)),
-                },
-            );
-            assert!(
-                matches!(response, Response::Evaluated { .. }),
-                "{response:?}"
-            );
-        }
-        // The first (coldest) snapshot was evicted: whatif has no resident
-        // state for it. The most recent one still answers.
-        let probe = |session: &mut RouterSession, name: &str| {
-            router.dispatch(
-                session,
-                Request::WhatIf {
-                    name: name.into(),
-                    probe: Probe::Move {
-                        task: 0,
-                        machine: 1,
+        for workers in [1, 2, 4, 16] {
+            let router = Router::new(workers, 1);
+            let mut session = router.begin_session();
+            // One more instance than the cap; evaluating each in turn parks
+            // one snapshot per name.
+            let count = SESSION_SNAPSHOT_CAP + 1;
+            for k in 0..count {
+                let text = instance_text(6, 3, 2, k as u64 + 1);
+                let name = format!("inst{k}");
+                load(&router, &mut session, &name, &text);
+                let instance = textio::instance_from_text(&text).unwrap();
+                let mapping = H4wFastestMachine.map(&instance).unwrap();
+                let response = router.dispatch(
+                    &mut session,
+                    Request::Evaluate {
+                        name: name.clone(),
+                        payload: text_payload(&textio::mapping_to_text(&mapping)),
                     },
-                },
-            )
-        };
-        let evicted = probe(&mut session, "inst0");
-        assert!(
-            matches!(
-                evicted,
-                Response::Error {
-                    code: ErrorCode::NoResidentState,
-                    ..
-                }
-            ),
-            "{evicted:?}"
-        );
-        let warm = probe(&mut session, &format!("inst{}", count - 1));
-        assert!(matches!(warm, Response::WhatIf { .. }), "{warm:?}");
-        let Response::Stats(stats) = router.dispatch(&mut session, Request::Stats) else {
-            panic!("stats failed");
-        };
-        let get = |key: &str| {
-            stats
-                .iter()
-                .find(|(k, _)| k == key)
-                .map(|(_, v)| *v)
-                .unwrap()
-        };
-        assert_eq!(get("snapshot-evictions"), 1);
-        assert_eq!(get("snapshot-hits"), 1);
+                );
+                assert!(
+                    matches!(response, Response::Evaluated { .. }),
+                    "{response:?}"
+                );
+            }
+            // The first (coldest) snapshot was evicted: whatif has no
+            // resident state for it. The most recent one still answers.
+            let probe = |session: &mut Session, name: &str| {
+                router.dispatch(
+                    session,
+                    Request::WhatIf {
+                        name: name.into(),
+                        probe: Probe::Move {
+                            task: 0,
+                            machine: 1,
+                        },
+                    },
+                )
+            };
+            let evicted = probe(&mut session, "inst0");
+            assert!(
+                matches!(
+                    evicted,
+                    Response::Error {
+                        code: ErrorCode::NoResidentState,
+                        ..
+                    }
+                ),
+                "{workers} workers: {evicted:?}"
+            );
+            let warm = probe(&mut session, &format!("inst{}", count - 1));
+            assert!(matches!(warm, Response::WhatIf { .. }), "{warm:?}");
+            let Response::Stats(stats) = router.dispatch(&mut session, Request::Stats) else {
+                panic!("stats failed");
+            };
+            assert_eq!(
+                stat_of(&stats, "snapshot-evictions"),
+                1,
+                "{workers} workers"
+            );
+            assert_eq!(stat_of(&stats, "snapshot-hits"), 1, "{workers} workers");
+        }
     }
 
     #[test]
@@ -1207,7 +1201,7 @@ mod tests {
         let router = Router::new(1, 1);
         let mut session = router.begin_session();
         load(&router, &mut session, "a", &instance_text(12, 5, 3, 7));
-        let solve = |session: &mut RouterSession, seed: Option<u64>| match router.dispatch(
+        let solve = |session: &mut Session, seed: Option<u64>| match router.dispatch(
             session,
             Request::Solve {
                 name: "a".into(),
@@ -1234,7 +1228,7 @@ mod tests {
             .1
     }
 
-    fn v2_stats(router: &Router, session: &mut RouterSession) -> Vec<(String, u64)> {
+    fn v2_stats(router: &Router, session: &mut Session) -> Vec<(String, u64)> {
         match router.dispatch(session, Request::Stats) {
             Response::Stats(stats) => stats,
             other => panic!("stats failed: {other:?}"),
@@ -1255,7 +1249,7 @@ mod tests {
         load(&router, &mut session, "a", &text);
         let instance = textio::instance_from_text(&text).unwrap();
         let mapping = H4wFastestMachine.map(&instance).unwrap();
-        let evaluate = |session: &mut RouterSession| match router.dispatch(
+        let evaluate = |session: &mut Session| match router.dispatch(
             session,
             Request::Evaluate {
                 name: "a".into(),
@@ -1391,7 +1385,7 @@ mod tests {
         load(&router, &mut session, "a", &text);
         let instance = textio::instance_from_text(&text).unwrap();
         let mapping = H4wFastestMachine.map(&instance).unwrap();
-        let evaluate = |session: &mut RouterSession| match router.dispatch(
+        let evaluate = |session: &mut Session| match router.dispatch(
             session,
             Request::Evaluate {
                 name: "a".into(),

@@ -5,8 +5,9 @@
 //! **resident**: a server process owns an
 //! [`InstanceStore`] of named instances, a shared
 //! [`BatchRunner`](mf_experiments::runner::BatchRunner) for the portfolio
-//! race, and per-session [`EvaluatorSnapshot`](mf_core::EvaluatorSnapshot)
-//! state that `whatif` probes resume in `O(1)` — and answers queries over a
+//! race, and one [`Session`] per connection holding the
+//! [`EvaluatorSnapshot`](mf_core::EvaluatorSnapshot) state that `whatif`
+//! probes resume in `O(1)` — and answers queries over a
 //! line-delimited text protocol, [`proto`], via TCP (thread per connection)
 //! or a stdio pipe.
 //!
@@ -54,7 +55,9 @@ pub mod stats;
 pub mod store;
 
 pub use cache::{CachedEvaluation, EvaluateCache, EVALUATE_CACHE_CAP};
-pub use client::{AnytimeSolution, Client, ClientError, Evaluation, Solution};
+pub use client::{Client, ClientError, Evaluation, Solution};
+/// The per-connection [`Session`] under the name `perfbench`'s replay uses.
+pub use engine::Session as RouterSession;
 pub use engine::{Engine, Session, DEFAULT_HEURISTIC_SEED};
 pub use errors::EngineError;
 pub use journal::{
@@ -67,7 +70,7 @@ pub use proto::{
     ErrorCode, GapReport, InstanceInfo, Probe, ProtoError, ProtoReader, ProtoResult, ProtoVersion,
     Request, Response, SolveMethod, CURRENT_VERSION, GREETING, PROTO_NAME,
 };
-pub use router::{Router, RouterSession};
+pub use router::Router;
 pub use server::{run_session, serve_stdio, Server, MAX_ACCEPT_FAILURES};
 pub use stats::{Stat, StatRow, StatsReport, STATS, STATS_FORMAT};
 pub use store::{InstanceStore, StoredInstance};

@@ -1261,26 +1261,7 @@ impl<R: BufRead> ProtoReader<R> {
                 let machines = parse_count(tokens.next(), "machine count")?;
                 let tasks = parse_count(tokens.next(), "task count")?;
                 reject_extra(tokens.next(), line)?;
-                let mut assignment = Vec::with_capacity(tasks.min(WIRE_CAPACITY_CAP));
-                for _ in 0..tasks {
-                    let entry = self.next_content_line()?.ok_or(ProtoError::UnexpectedEof {
-                        context: "solve assignment",
-                    })?;
-                    let mut t = entry.split_whitespace();
-                    match t.next() {
-                        Some("assign") => {}
-                        _ => return Err(malformed(format!("expected `assign …`: `{entry}`"))),
-                    }
-                    let task = parse_index(t.next(), "task index")?;
-                    if task != assignment.len() {
-                        return Err(malformed(format!(
-                            "assign lines out of order: expected task {}, found {task}",
-                            assignment.len()
-                        )));
-                    }
-                    assignment.push(parse_index(t.next(), "machine index")?);
-                    reject_extra(t.next(), &entry)?;
-                }
+                let assignment = self.read_assignment(tasks, "solve assignment")?;
                 self.expect_end("solve")?;
                 return Ok(Response::Solved {
                     label,
@@ -1328,26 +1309,7 @@ impl<R: BufRead> ProtoReader<R> {
                         proven,
                     });
                 }
-                let mut assignment = Vec::with_capacity(tasks.min(WIRE_CAPACITY_CAP));
-                for _ in 0..tasks {
-                    let entry = self.next_content_line()?.ok_or(ProtoError::UnexpectedEof {
-                        context: "solve-anytime assignment",
-                    })?;
-                    let mut t = entry.split_whitespace();
-                    match t.next() {
-                        Some("assign") => {}
-                        _ => return Err(malformed(format!("expected `assign …`: `{entry}`"))),
-                    }
-                    let task = parse_index(t.next(), "task index")?;
-                    if task != assignment.len() {
-                        return Err(malformed(format!(
-                            "assign lines out of order: expected task {}, found {task}",
-                            assignment.len()
-                        )));
-                    }
-                    assignment.push(parse_index(t.next(), "machine index")?);
-                    reject_extra(t.next(), &entry)?;
-                }
+                let assignment = self.read_assignment(tasks, "solve-anytime assignment")?;
                 self.expect_end("solve-anytime")?;
                 return Ok(Response::SolvedAnytime {
                     reports,
@@ -1385,6 +1347,32 @@ impl<R: BufRead> ProtoReader<R> {
         // the live iterator holds exactly the unconsumed tail of the line.
         reject_extra(tokens.next(), line)?;
         Ok(response)
+    }
+
+    /// Reads the `tasks` ordered `assign <task> <machine>` lines of a solve
+    /// answer into the task-indexed machine list.
+    fn read_assignment(&mut self, tasks: usize, context: &'static str) -> ProtoResult<Vec<usize>> {
+        let mut assignment = Vec::with_capacity(tasks.min(WIRE_CAPACITY_CAP));
+        for _ in 0..tasks {
+            let entry = self
+                .next_content_line()?
+                .ok_or(ProtoError::UnexpectedEof { context })?;
+            let mut t = entry.split_whitespace();
+            match t.next() {
+                Some("assign") => {}
+                _ => return Err(malformed(format!("expected `assign …`: `{entry}`"))),
+            }
+            let task = parse_index(t.next(), "task index")?;
+            if task != assignment.len() {
+                return Err(malformed(format!(
+                    "assign lines out of order: expected task {}, found {task}",
+                    assignment.len()
+                )));
+            }
+            assignment.push(parse_index(t.next(), "machine index")?);
+            reject_extra(t.next(), &entry)?;
+        }
+        Ok(assignment)
     }
 
     fn expect_end(&mut self, context: &'static str) -> ProtoResult<()> {

@@ -13,6 +13,11 @@
 //! and the `batch` envelope itself; the five instance commands go to the
 //! owning shard, which times each one as its own command.
 //!
+//! A connection owns exactly one [`Session`]: its negotiated version and
+//! its resident what-if snapshots. The router hands that same session to
+//! whichever shard a command lands on, so the snapshot cap and the version
+//! gates hold per connection, whatever the worker count.
+//!
 //! # Byte-identical across worker counts
 //!
 //! For the same session script, a router with **any** worker count
@@ -26,6 +31,8 @@
 //!   the workers does not depend on how names spread — with the
 //!   session-level counters (`sessions`, `requests`, `errors`) kept by the
 //!   router itself, since workers only see forwarded traffic;
+//! * a session's resident snapshots live in one recency-capped map, not
+//!   one per shard, so `whatif` finds (or misses) the same snapshots;
 //! * `batch` items run inline, in request order, each on its own shard.
 //!
 //! The one caveat: each worker bounds its store bytes independently, so
@@ -55,15 +62,6 @@ pub struct Router {
     journal: Option<Arc<Journal>>,
     /// The session-level counters: `sessions`, `requests` and `errors`.
     counters: Counters,
-}
-
-/// Per-connection router state: the negotiated version plus one lazily
-/// created worker [`Session`] per shard, so resident what-if state lives on
-/// the worker that owns the instance.
-#[derive(Default)]
-pub struct RouterSession {
-    version: ProtoVersion,
-    workers: Vec<Option<Session>>,
 }
 
 impl Router {
@@ -152,18 +150,15 @@ impl Router {
     }
 
     /// Starts a session (counted in `stats`).
-    pub fn begin_session(&self) -> RouterSession {
+    pub fn begin_session(&self) -> Session {
         self.counters.bump(Stat::Sessions);
-        RouterSession {
-            version: ProtoVersion::default(),
-            workers: self.workers.iter().map(|_| None).collect(),
-        }
+        Session::default()
     }
 
     /// Dispatches one request: instance commands forward to the owning
     /// shard, aggregate commands (`list`, `stats`, `status-export`) merge
     /// over all workers, and `batch` forwards its items one by one.
-    pub fn dispatch(&self, session: &mut RouterSession, request: Request) -> Response {
+    pub fn dispatch(&self, session: &mut Session, request: Request) -> Response {
         self.counters.bump(Stat::Requests);
         let response = self.route(session, request);
         if matches!(response, Response::Error { .. }) {
@@ -172,7 +167,7 @@ impl Router {
         response
     }
 
-    fn route(&self, session: &mut RouterSession, request: Request) -> Response {
+    fn route(&self, session: &mut Session, request: Request) -> Response {
         match request {
             Request::Hello { requested } => hello_response(requested, &mut session.version),
             Request::Batch(items) => match gate(session.version, ProtoVersion::V2, "batch") {
@@ -194,20 +189,19 @@ impl Router {
     /// Hands an instance command to the shard that owns its name. Anything
     /// else cannot ride a `batch` envelope and answers the stable
     /// not-batchable error.
-    fn forward(&self, session: &mut RouterSession, request: Request) -> Response {
+    fn forward(&self, session: &mut Session, request: Request) -> Response {
         let Some(shard) = request.instance_name().map(|name| self.shard_of(name)) else {
             return EngineError::NotBatchable {
                 command: request.keyword(),
             }
             .into_response();
         };
-        let worker = &self.workers[shard];
-        worker.dispatch(session.worker(shard, worker), request)
+        self.workers[shard].dispatch(session, request)
     }
 
     /// Runs a batch envelope: each item is forwarded inline, in request
     /// order, on this session's thread.
-    fn batch(&self, session: &mut RouterSession, items: Vec<Request>) -> Response {
+    fn batch(&self, session: &mut Session, items: Vec<Request>) -> Response {
         let answers: Vec<Response> = items
             .into_iter()
             .map(|item| self.forward(session, item))
@@ -293,19 +287,6 @@ impl Router {
     }
 }
 
-impl RouterSession {
-    /// The worker session of one shard, created on first touch. The
-    /// router's negotiated version is copied down on every touch: the
-    /// client's `hello` only ever reaches the router, yet version-gated
-    /// commands (`solve … anytime`) are gated again by the worker engine.
-    fn worker(&mut self, shard: usize, engine: &Engine) -> &mut Session {
-        let version = self.version;
-        let session = self.workers[shard].get_or_insert_with(|| engine.begin_session());
-        session.sync_version(version);
-        session
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -321,7 +302,7 @@ mod tests {
         textio::instance_to_text(&instance)
     }
 
-    fn load(router: &Router, session: &mut RouterSession, name: &str, text: &str) {
+    fn load(router: &Router, session: &mut Session, name: &str, text: &str) {
         let response = router.dispatch(
             session,
             Request::Load {
@@ -405,8 +386,7 @@ mod tests {
         let lines = instance.lines().count();
         let mapping = "machines 3\nassign 0 0\nassign 1 1\nassign 2 2\n\
                        assign 3 0\nassign 4 1\nassign 5 2\n";
-        // Ten names per shard on average: evaluating them all overflows
-        // the snapshot cap of at least one worker session.
+        // Thirty evaluated names overflow the session's snapshot cap.
         let mut script = String::from("hello mf-proto v3\n");
         for k in 0..30 {
             script += &format!("load inst{k} {lines}\n{instance}evaluate inst{k} 7\n{mapping}");
@@ -428,7 +408,10 @@ mod tests {
             assert_eq!(key, row.key);
             let summed: u64 = report.workers.iter().map(|worker| worker[index].1).sum();
             let expected = match row.stat {
-                Stat::Sessions => 1,
+                Stat::Sessions => {
+                    assert_eq!(summed, 0, "sessions are the router's, not a shard's");
+                    1
+                }
                 Stat::Requests => 1 + 2 * 30 + 7,
                 Stat::Errors => 1,
                 _ => summed,

@@ -168,7 +168,10 @@ fn hostile_session_matches_the_golden_transcript() {
 
 /// Every golden script produces its committed bytes from routers of 1, 2
 /// and 4 workers — the worker count is a pure deployment choice, never a
-/// protocol fork.
+/// protocol fork. `resident_session` solves `SESSION_SNAPSHOT_CAP + 2`
+/// instances in one session and then probes the two oldest: the cap bounds
+/// the connection's one snapshot map, so they answer `no-resident-state`
+/// however the names spread over shards.
 #[test]
 fn transcripts_are_worker_count_independent() {
     for (input, expected) in [
@@ -187,6 +190,10 @@ fn transcripts_are_worker_count_independent() {
         (
             include_str!("golden/hostile_session.in"),
             include_str!("golden/hostile_session.out"),
+        ),
+        (
+            include_str!("golden/resident_session.in"),
+            include_str!("golden/resident_session.out"),
         ),
     ] {
         for workers in [1usize, 2, 4] {

@@ -56,8 +56,9 @@ fn script() -> String {
             probe: mf_server::Probe::Swap { a: 0, b: 1 },
         });
     }
-    // Anytime solves are v3-gated: the router must hand its negotiated
-    // version down to the worker engines, or these would answer `err`.
+    // Anytime solves are v3-gated: the shard engine gates them on the
+    // version the connection's one session negotiated, or these would
+    // answer `err`.
     for name in &names[..2] {
         requests.push(Request::Solve {
             name: name.to_string(),

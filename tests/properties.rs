@@ -284,7 +284,7 @@ fn search_strategies_never_degrade_their_seed_heuristic() {
         let seeded = H4wFastestMachine.map(&instance).unwrap();
         let seed_period = instance.period(&seeded).unwrap().value();
         let strategies: [(&str, &dyn microfactory::heuristics::SearchStrategy); 2] =
-            [("SD", &SteepestDescent), ("TS", &TabuSearch::default())];
+            [("SD", &SteepestDescent), ("TS", &TabuSearch)];
         for (label, strategy) in strategies {
             let polished = polish_with(&instance, &seeded, strategy, 30_000).unwrap();
             let period = instance.period(&polished).unwrap().value();
