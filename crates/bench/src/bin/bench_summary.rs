@@ -5,8 +5,10 @@
 //! (H6 / steepest descent / tabu over the shared H4w seed), branch-and-bound
 //! node throughput (the staged evaluator under a node budget, plus the
 //! `bnb_prove/*` pair proving one m ≫ p fixture under the packing vs the
-//! LP bound, with simplex pivots per node and nanoseconds per pivot),
-//! what-if cost on a tree-shaped instance (the forest variant of the dense
+//! LP bound, with simplex pivots per node, nanoseconds per pivot and the
+//! heap allocations of one proof), the root LP bound of the repository
+//! benchmark's capped `prove` shape (`lp_root/20x24`, with its pivots and
+//! allocations), what-if cost on a tree-shaped instance (the forest variant of the dense
 //! fast path vs a full recompute), a resident what-if resumed from a fresh
 //! snapshot and from a warm one (with the heap allocations of one run of
 //! each), the steepest-descent sweep on both the forest and the chain
@@ -38,7 +40,7 @@
 
 use mf_bench::{forest_instance, standard_instance};
 use mf_core::prelude::*;
-use mf_exact::{branch_and_bound, BnbConfig};
+use mf_exact::{branch_and_bound, lp_root_bound, lp_root_relaxation, BnbConfig};
 use mf_experiments::portfolio::{run_portfolio, PortfolioConfig};
 use mf_experiments::runner::BatchRunner;
 use mf_heuristics::search::{
@@ -139,11 +141,13 @@ enum Quality {
         count: u64,
         per_second: f64,
     },
-    /// A full proof: its nodes plus the simplex pivots the LP bound spent.
+    /// A full proof: its nodes plus the simplex pivots the LP bound spent,
+    /// with the heap allocations of one run.
     Proof {
         nodes: u64,
         per_second: f64,
         lp_pivots: u64,
+        allocs: Vec<(&'static str, u64)>,
     },
     /// Probe throughput with the heap allocations of one run after the
     /// timed ones.
@@ -569,8 +573,9 @@ fn main() {
     // solve, reuse and pivot counts). The per-layer columns split the LP
     // row's price: `pivots_per_node` is the simplex work per node, and
     // `ns_per_pivot` divides the whole proof's median wall clock by its
-    // pivots (an upper bound on one pivot's cost). The wall-clock race
-    // between the two rows is the headline here.
+    // pivots (an upper bound on one pivot's cost), and `allocs` and
+    // `alloc_bytes` count the heap traffic of one proof. The wall-clock
+    // race between the two rows is the headline here.
     let lp_fixture = standard_instance(12, 16, 3, 7);
     for (name, lp) in [("bnb_prove/packing", false), ("bnb_prove/lp_bound", true)] {
         let config = || BnbConfig {
@@ -582,6 +587,7 @@ fn main() {
             outcome.proven_optimal,
             "{name} must prove optimality on the m >> p fixture"
         );
+        let allocs = allocation_counts(|| branch_and_bound(&lp_fixture, config()).unwrap());
         let measured = timing(time(iterations, || {
             branch_and_bound(&lp_fixture, config()).unwrap()
         }));
@@ -593,9 +599,25 @@ fn main() {
                 nodes: outcome.nodes,
                 per_second: outcome.nodes as f64 / (measured.median_ns as f64 / 1e9),
                 lp_pivots: outcome.lp_pivots,
+                allocs,
             },
         });
     }
+
+    // The root LP bound `solve … anytime` streams first, on the repository
+    // benchmark's capped `prove` shape (20 tasks, 24 machines, 3 types,
+    // seed 1): one compact relaxation of 461 columns and 44 rows, with its
+    // simplex pivots and the heap allocations of one call.
+    let root_fixture = standard_instance(20, 24, 3, 1);
+    let (_, lp_pivots) = lp_root_relaxation(&root_fixture).expect("feasible root relaxation");
+    let mut counts = vec![("lp_pivots", lp_pivots)];
+    counts.extend(allocation_counts(|| lp_root_bound(&root_fixture)));
+    rows.push(Measurement {
+        name: "lp_root/20x24",
+        timing: timing(time(iterations, || lp_root_bound(&root_fixture))),
+        iterations,
+        quality: Quality::Counts(counts),
+    });
 
     // The serving path of a `load`, layer by layer: parsing the instance
     // text of the bench fixture (with the heap allocations of one parse),
@@ -720,6 +742,7 @@ fn main() {
                 nodes,
                 per_second,
                 lp_pivots,
+                allocs,
             } => {
                 let ns_per_pivot = match *lp_pivots {
                     0 => "null".to_string(),
@@ -728,8 +751,9 @@ fn main() {
                 format!(
                     "\"nodes\": {nodes}, \"nodes_per_second\": {per_second}, \
                      \"lp_pivots\": {lp_pivots}, \"pivots_per_node\": {}, \
-                     \"ns_per_pivot\": {ns_per_pivot}",
-                    *lp_pivots as f64 / *nodes as f64
+                     \"ns_per_pivot\": {ns_per_pivot}, {}",
+                    *lp_pivots as f64 / *nodes as f64,
+                    columns(allocs)
                 )
             }
             Quality::Sweep {

@@ -25,7 +25,7 @@
 
 use mf_core::prelude::*;
 use mf_heuristics::{H4wFastestMachine, Heuristic};
-use mf_lp::{solve as lp_solve, ConstraintSense, LpProblem, Objective, VariableId};
+use mf_lp::SlackForm;
 
 /// Feasibility tolerance of the warm-reuse test on an ancestor's optimum.
 const REUSE_TOLERANCE: f64 = 1e-9;
@@ -45,7 +45,8 @@ pub struct BnbConfig {
     /// ancestor's optimum when that is still feasible. The explored tree
     /// shrinks (dramatically on `m ≫ p` instances); the optimum found is
     /// unchanged. Off by default — on small trees the packing bound alone
-    /// is cheaper.
+    /// is cheaper: in `BENCH_core.json` an LP-bounded node costs 0.88 µs
+    /// (`bnb_prove/lp_bound`) and a packing node 0.091 µs.
     pub lp_bounds: bool,
 }
 
@@ -134,6 +135,7 @@ pub struct BnbOutcome {
 /// an ancestor's optimum that still satisfies the current node's full
 /// problem is provably still optimal and costs no simplex work — which
 /// happens exactly when the branched placement was already integral in it.
+#[derive(Default)]
 struct LpBoundState {
     /// Lower-bound contribution `c[i][u]`, row-major `task · m + machine`.
     costs: Vec<f64>,
@@ -143,7 +145,14 @@ struct LpBoundState {
     filtered: Vec<bool>,
     /// Current correction `δ_u` per machine.
     corrections: Vec<f64>,
+    /// Placements filtered on the current search path, in filter order.
+    undo: Vec<usize>,
     machines: usize,
+    /// The workspace and buffers of [`bound`](Self::bound), kept across nodes.
+    lp: SlackForm,
+    columns: Vec<(usize, usize, usize)>,
+    ones: Vec<usize>,
+    loads: Vec<f64>,
     solves: u64,
     reuses: u64,
     pivots: u64,
@@ -188,9 +197,7 @@ impl LpBoundState {
             filtered: vec![false; n * m],
             corrections: vec![0.0; m],
             machines: m,
-            solves: 0,
-            reuses: 0,
-            pivots: 0,
+            ..LpBoundState::default()
         })
     }
 
@@ -226,19 +233,11 @@ impl LpBoundState {
     /// `(i, u)` that no specialized completion beating `threshold` can use —
     /// its machine is dedicated to another type, or its exact load floor
     /// `load_u + c[i][u]` already reaches the threshold — is fixed to zero.
-    /// Returns the placements newly filtered, for [`undo_filters`]
+    /// Each is pushed on the undo stack for [`undo_filters`](Self::undo_filters)
     /// (ancestor filters stay valid deeper: loads only grow and the
     /// threshold only drops, so they are left in place for the subtree).
-    ///
-    /// [`undo_filters`]: Self::undo_filters
-    fn apply_filters(
-        &mut self,
-        instance: &Instance,
-        state: &PartialState,
-        threshold: f64,
-    ) -> Vec<usize> {
+    fn apply_filters(&mut self, instance: &Instance, state: &PartialState, threshold: f64) {
         let app = instance.application();
-        let mut filtered = Vec::new();
         for i in 0..instance.task_count() {
             if state.assignment[i].is_some() {
                 continue;
@@ -254,16 +253,16 @@ impl LpBoundState {
                 let cannot_fit = state.loads.load_of(MachineId(u)) + self.costs[j] >= threshold;
                 if dedicated_elsewhere || cannot_fit {
                     self.filtered[j] = true;
-                    filtered.push(j);
+                    self.undo.push(j);
                 }
             }
         }
-        filtered
     }
 
-    /// Reverts one [`apply_filters`](Self::apply_filters).
-    fn undo_filters(&mut self, filtered: Vec<usize>) {
-        for j in filtered {
+    /// Reverts every [`apply_filters`](Self::apply_filters) since the undo
+    /// stack stood at `mark`.
+    fn undo_filters(&mut self, mark: usize) {
+        for j in self.undo.drain(mark..) {
             self.filtered[j] = false;
         }
     }
@@ -318,17 +317,17 @@ impl LpBoundState {
         }
         let (n, m) = (self.seats.len(), self.machines);
         // Non-reference free placements in row-major order, each with its
-        // task's reference placement; every machine starts from its seated
-        // and reference loads, and those placements start at 1 in the
-        // full-space optimum.
-        let mut columns: Vec<(usize, usize)> = Vec::new();
-        let mut task_ranges = Vec::new();
-        let mut ones = Vec::new();
-        let mut loads = self.corrections.clone();
+        // task's reference placement and task row; every machine starts
+        // from its seated and reference loads, and those placements start
+        // at 1 in the full-space optimum.
+        self.columns.clear();
+        self.ones.clear();
+        self.loads.clone_from(&self.corrections);
+        let mut task_rows = 0;
         for (i, seat) in self.seats.iter().enumerate() {
             if let Some((w, _)) = *seat {
-                loads[w] += self.costs[i * m + w];
-                ones.push(i * m + w);
+                self.loads[w] += self.costs[i * m + w];
+                self.ones.push(i * m + w);
                 continue;
             }
             let free = (i * m..(i + 1) * m).filter(|&j| !self.filtered[j]);
@@ -338,45 +337,42 @@ impl LpBoundState {
             let Some(r) = reference else {
                 return LpVerdict::Infeasible;
             };
-            loads[r % m] += self.costs[r];
-            ones.push(r);
-            let start = columns.len();
-            columns.extend(free.filter(|&j| j != r).map(|j| (j, r)));
-            if columns.len() > start {
-                task_ranges.push(start..columns.len());
-            }
+            self.loads[r % m] += self.costs[r];
+            self.ones.push(r);
+            let start = self.columns.len();
+            let row = m + task_rows;
+            self.columns
+                .extend(free.filter(|&j| j != r).map(|j| (j, r, row)));
+            task_rows += usize::from(self.columns.len() > start);
         }
-        let k_bar = loads.iter().copied().fold(0.0, f64::max);
+        let k_bar = self.loads.iter().copied().fold(0.0, f64::max);
 
-        let mut problem = LpProblem::new(Objective::Maximize);
-        for _ in 0..=columns.len() {
-            problem.add_variable("");
+        // Maximise `s`, the last column: machine rows first, then task rows.
+        let s = self.columns.len();
+        self.lp.reset(s + 1, m + task_rows);
+        self.lp.set_objective(s, 1.0);
+        for (c, &(j, r, row)) in self.columns.iter().enumerate() {
+            self.lp.add_coefficient(j % m, c, self.costs[j]);
+            self.lp.add_coefficient(r % m, c, -self.costs[r]);
+            self.lp.add_coefficient(row, c, 1.0);
         }
-        let s = VariableId(columns.len());
-        problem.set_objective_coefficient(s, 1.0);
-        let mut machine_terms = vec![Vec::new(); m];
-        for (c, &(j, r)) in columns.iter().enumerate() {
-            machine_terms[j % m].push((VariableId(c), self.costs[j]));
-            machine_terms[r % m].push((VariableId(c), -self.costs[r]));
+        for (u, &load) in self.loads.iter().enumerate() {
+            self.lp.add_coefficient(u, s, 1.0);
+            self.lp.set_rhs(u, k_bar - load);
         }
-        for (mut terms, load) in machine_terms.into_iter().zip(loads) {
-            terms.push((s, 1.0));
-            problem.add_constraint(terms, ConstraintSense::LessEqual, k_bar - load);
-        }
-        for range in task_ranges {
-            let terms = range.map(|c| (VariableId(c), 1.0)).collect();
-            problem.add_constraint(terms, ConstraintSense::LessEqual, 1.0);
+        for row in m..m + task_rows {
+            self.lp.set_rhs(row, 1.0);
         }
 
-        match lp_solve(&problem) {
+        match self.lp.solve() {
             Ok(solution) => {
                 self.solves += 1;
                 self.pivots += solution.iterations as u64;
                 let mut values = vec![0.0; n * m + 1];
-                for j in ones {
+                for &j in &self.ones {
                     values[j] = 1.0;
                 }
-                for (&(j, r), &x) in columns.iter().zip(&solution.values) {
+                for (&(j, r, _), &x) in self.columns.iter().zip(&solution.values) {
                     values[j] = x;
                     values[r] -= x;
                 }
@@ -535,10 +531,11 @@ impl<'a> SearchContext<'a> {
         // cheap bounds — pruning less is always sound.
         let mut node_values: Option<Vec<f64>> = None;
         let mut lp_bound = lp_inherited;
-        let mut node_filters: Option<Vec<usize>> = None;
+        let mut node_mark = None;
         if let Some(lp) = self.lp.as_mut() {
             let threshold = self.best_period * (1.0 - self.config.tolerance);
-            let filters = lp.apply_filters(self.instance, state, threshold);
+            let mark = lp.undo.len();
+            lp.apply_filters(self.instance, state, threshold);
             let pruned = match lp.bound(lp_hint) {
                 LpVerdict::Bound { objective, values } => {
                     lp_bound = lp_bound.max(objective);
@@ -549,10 +546,10 @@ impl<'a> SearchContext<'a> {
                 LpVerdict::Unavailable => false,
             };
             if pruned {
-                lp.undo_filters(filters);
+                lp.undo_filters(mark);
                 return;
             }
-            node_filters = Some(filters);
+            node_mark = Some(mark);
         }
 
         let task = self.order[depth];
@@ -617,11 +614,8 @@ impl<'a> SearchContext<'a> {
                 break;
             }
         }
-        if let Some(filters) = node_filters {
-            self.lp
-                .as_mut()
-                .expect("lp state outlives the recursion")
-                .undo_filters(filters);
+        if let (Some(lp), Some(mark)) = (self.lp.as_mut(), node_mark) {
+            lp.undo_filters(mark);
         }
         self.candidate_scratch[depth] = candidates;
     }
@@ -729,9 +723,14 @@ pub fn branch_and_bound_seeded(
 /// This is the bound the anytime solver streams before branch-and-bound
 /// tightens it, and the one [`BnbConfig::lp_bounds`] applies at every node.
 pub fn lp_root_bound(instance: &Instance) -> Option<f64> {
+    lp_root_relaxation(instance).map(|(bound, _)| bound)
+}
+
+/// [`lp_root_bound`] with the simplex pivots its solve took.
+pub fn lp_root_relaxation(instance: &Instance) -> Option<(f64, u64)> {
     let mut lp = LpBoundState::new(instance).ok()?;
     match lp.bound(None) {
-        LpVerdict::Bound { objective, .. } => Some(objective),
+        LpVerdict::Bound { objective, .. } => Some((objective, lp.pivots)),
         LpVerdict::Infeasible | LpVerdict::Unavailable => None,
     }
 }
@@ -740,7 +739,7 @@ pub fn lp_root_bound(instance: &Instance) -> Option<f64> {
 mod tests {
     use super::*;
     use crate::brute_force::brute_force_specialized;
-    use mf_lp::LpError;
+    use mf_lp::{solve as lp_solve, ConstraintSense, LpError, LpProblem, Objective, VariableId};
     use mf_sim::{GeneratorConfig, InstanceGenerator};
 
     fn random_instance(n: usize, m: usize, p: usize, seed: u64) -> Instance {
@@ -1065,7 +1064,7 @@ mod tests {
                 if !path.is_empty() && next(4) == 0 {
                     match path.pop().unwrap() {
                         Ok(task) => lp.unseat(task),
-                        Err(filters) => lp.undo_filters(filters),
+                        Err(filters) => filters.into_iter().for_each(|j| lp.filtered[j] = false),
                     }
                     hints.pop();
                     continue;

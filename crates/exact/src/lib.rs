@@ -22,7 +22,10 @@ pub mod brute_force;
 pub mod mip;
 pub mod one_to_one;
 
-pub use bnb::{branch_and_bound, branch_and_bound_seeded, lp_root_bound, BnbConfig, BnbOutcome};
+pub use bnb::{
+    branch_and_bound, branch_and_bound_seeded, lp_root_bound, lp_root_relaxation, BnbConfig,
+    BnbOutcome,
+};
 pub use brute_force::{
     brute_force_general, brute_force_one_to_one, brute_force_specialized, ExhaustiveOutcome,
 };

@@ -18,6 +18,15 @@ impl DenseMatrix {
         }
     }
 
+    /// Reshapes to a zero-filled `rows × cols` matrix, keeping the
+    /// allocation when it is large enough.
+    pub(crate) fn reset(&mut self, rows: usize, cols: usize) {
+        self.rows = rows;
+        self.cols = cols;
+        self.data.clear();
+        self.data.resize(rows * cols, 0.0);
+    }
+
     /// Number of rows.
     #[inline]
     pub fn rows(&self) -> usize {
@@ -116,6 +125,9 @@ mod tests {
         m.add(1, 2, 1.5);
         assert_eq!(m.get(1, 2), 6.5);
         assert_eq!(m.row(1), &[0.0, 0.0, 6.5]);
+        m.reset(3, 1);
+        assert_eq!((m.rows(), m.cols()), (3, 1));
+        assert_eq!(m.row(2), &[0.0]);
     }
 
     #[test]

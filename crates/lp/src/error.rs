@@ -26,6 +26,14 @@ pub enum LpError {
         /// The offending value.
         value: f64,
     },
+    /// A slack-form right-hand side is negative, so the all-slack basis
+    /// is not feasible.
+    NegativeRhs {
+        /// The offending row.
+        row: usize,
+        /// Its right-hand side.
+        value: f64,
+    },
     /// The problem has no variables or no constraints where they are required.
     EmptyProblem,
     /// The branch-and-bound search exhausted its node or time budget before
@@ -54,6 +62,9 @@ impl fmt::Display for LpError {
             }
             LpError::NotFinite { context, value } => {
                 write!(f, "{context}: value {value} is not finite")
+            }
+            LpError::NegativeRhs { row, value } => {
+                write!(f, "row {row}: right-hand side {value} is negative")
             }
             LpError::EmptyProblem => write!(f, "the problem has no variables"),
             LpError::BudgetExhausted { nodes } => {
@@ -91,6 +102,12 @@ mod tests {
         }
         .to_string()
         .contains("rhs"));
+        assert!(LpError::NegativeRhs {
+            row: 4,
+            value: -1.5
+        }
+        .to_string()
+        .contains("-1.5"));
     }
 
     #[test]

@@ -13,6 +13,12 @@
 //! rows are all `≤` with non-negative right-hand sides starts from the
 //! all-slack basis and skips phase 1.
 //!
+//! There are two ways into the one simplex: [`solve`] takes a general
+//! [`LpProblem`] (the §6.1 MIP builds those), and [`SlackForm`] is a reused
+//! workspace for problems already in slack form (maximise `c·x` subject to
+//! `A·x ≤ b`, `b ≥ 0`, `x ≥ 0`) that the caller writes straight into the
+//! tableau — the path of the branch-and-bound's per-node LP bound.
+//!
 //! ```
 //! use mf_lp::problem::{ConstraintSense, LpProblem, Objective};
 //!
@@ -40,4 +46,4 @@ pub mod simplex;
 pub use error::{LpError, LpResult};
 pub use mip::{MipProblem, MipSolution, MipStatus, SolverBudget};
 pub use problem::{ConstraintSense, LpProblem, Objective, VariableId};
-pub use simplex::{solve, LpSolution};
+pub use simplex::{solve, LpSolution, SlackForm};

@@ -13,6 +13,17 @@
 //! 4. **phase 2** minimises (or maximises) the user objective with artificial
 //!    columns barred from entering.
 //!
+//! A problem already in slack form — maximise `c·x` subject to `A·x ≤ b`
+//! with `b ≥ 0` and `x ≥ 0` — has a second way in: [`SlackForm`], a
+//! workspace the caller writes straight into a reused tableau buffer, with
+//! no [`LpProblem`] and no standardisation pass. It builds the tableau
+//! [`solve`] would build from the same problem, so both entries pivot
+//! identically and return the same bits. Branch-and-bound's per-node
+//! relaxation (`mf-exact`) goes through it: the `bnb_prove/lp_bound` row
+//! of `BENCH_core.json` proves its fixture in 12.4 ms over 14 076 nodes
+//! (0.88 µs a node, most of it in pivots), where the packing bound alone
+//! (`bnb_prove/packing`) pays 0.091 µs a node.
+//!
 //! The entering column is chosen by Dantzig's rule (the most negative reduced
 //! cost, lowest index on ties) and the leaving row by the ratio test with
 //! Bland's tie-break on the basic variable. Dantzig pricing can cycle on
@@ -53,6 +64,18 @@ struct Tableau {
 }
 
 impl Tableau {
+    /// An empty tableau, sized by [`SlackForm::reset`].
+    fn empty() -> Self {
+        Tableau {
+            matrix: DenseMatrix::zeros(0, 0),
+            rows: 0,
+            cols: 0,
+            basis: Vec::new(),
+            artificial_start: 0,
+            iterations: 0,
+        }
+    }
+
     fn rhs_col(&self) -> usize {
         self.cols
     }
@@ -144,13 +167,73 @@ impl Tableau {
             self.pivot(row, col);
         }
     }
+
+    /// Runs phase 1 when the tableau has artificial columns, then phase 2,
+    /// under the cap of `2000 + 200·(rows + cols)` pivots.
+    fn optimise(&mut self) -> LpResult<()> {
+        let max_iterations = 2000 + 200 * (self.rows + self.cols);
+
+        // Phase 1: drive the artificials to zero.
+        if self.artificial_start < self.cols {
+            let phase1 = self.phase1_row();
+            self.minimise(phase1, |_| true, max_iterations)?;
+            let infeasibility = -self.matrix.get(phase1, self.cols);
+            if infeasibility > 1e-6 {
+                return Err(LpError::Infeasible);
+            }
+            // Pivot remaining artificials (at zero level) out of the basis
+            // when possible so they cannot disturb phase 2.
+            for r in 0..self.rows {
+                if self.basis[r] >= self.artificial_start {
+                    if let Some(col) =
+                        (0..self.artificial_start).find(|&j| self.matrix.get(r, j).abs() > EPS)
+                    {
+                        self.pivot(r, col);
+                    }
+                }
+            }
+        }
+
+        // Phase 2: optimise the user objective, artificials barred.
+        let artificial_start = self.artificial_start;
+        self.minimise(self.phase2_row(), |j| j < artificial_start, max_iterations)
+    }
+
+    /// Reads the optimum of the user columns `0..values.len()` into
+    /// `values`, each plus its lower-bound `shift`, and returns the user
+    /// objective.
+    fn extract(
+        &self,
+        values: &mut [f64],
+        shift: impl Fn(usize) -> f64,
+        objective_shift: f64,
+        maximise: bool,
+    ) -> f64 {
+        values.fill(0.0);
+        for (r, &b) in self.basis.iter().enumerate() {
+            if b < values.len() {
+                values[b] = self.matrix.get(r, self.cols);
+            }
+        }
+        for (j, value) in values.iter_mut().enumerate() {
+            *value += shift(j);
+        }
+        let raw_objective = -self.matrix.get(self.phase2_row(), self.cols);
+        // raw_objective is the optimal value of the *shifted, sign-adjusted*
+        // objective; undo both transformations.
+        if maximise {
+            -raw_objective + objective_shift
+        } else {
+            raw_objective + objective_shift
+        }
+    }
 }
 
 /// Internal description of the standardised problem.
 struct Standardised {
     tableau: Tableau,
-    /// For each user variable: (column index, lower-bound shift).
-    user_columns: Vec<(usize, f64)>,
+    /// Lower-bound shift of each user variable (user columns come first).
+    shifts: Vec<f64>,
     /// Constant added to the objective by the lower-bound shifts.
     objective_shift: f64,
     /// `true` if the user problem is a maximisation.
@@ -296,7 +379,7 @@ fn standardise(problem: &LpProblem) -> LpResult<Standardised> {
             artificial_start,
             iterations: 0,
         },
-        user_columns: (0..n).map(|j| (j, shifts[j])).collect(),
+        shifts,
         objective_shift,
         maximise,
     })
@@ -306,62 +389,194 @@ fn standardise(problem: &LpProblem) -> LpResult<Standardised> {
 pub fn solve(problem: &LpProblem) -> LpResult<LpSolution> {
     let Standardised {
         mut tableau,
-        user_columns,
+        shifts,
         objective_shift,
         maximise,
     } = standardise(problem)?;
-    let max_iterations = 2000 + 200 * (tableau.rows + tableau.cols);
-
-    // Phase 1: drive the artificials to zero.
-    if tableau.artificial_start < tableau.cols {
-        let phase1 = tableau.phase1_row();
-        tableau.minimise(phase1, |_| true, max_iterations)?;
-        let infeasibility = -tableau.matrix.get(phase1, tableau.cols);
-        if infeasibility > 1e-6 {
-            return Err(LpError::Infeasible);
-        }
-        // Pivot remaining artificials (at zero level) out of the basis when
-        // possible so they cannot disturb phase 2.
-        for r in 0..tableau.rows {
-            if tableau.basis[r] >= tableau.artificial_start {
-                if let Some(col) =
-                    (0..tableau.artificial_start).find(|&j| tableau.matrix.get(r, j).abs() > EPS)
-                {
-                    tableau.pivot(r, col);
-                }
-            }
-        }
-    }
-
-    // Phase 2: optimise the user objective, artificials barred.
-    let phase2 = tableau.phase2_row();
-    let artificial_start = tableau.artificial_start;
-    tableau.minimise(phase2, |j| j < artificial_start, max_iterations)?;
-
-    // Extract the solution.
-    let mut values = vec![0.0; user_columns.len()];
-    for (r, &b) in tableau.basis.iter().enumerate() {
-        if b < user_columns.len() {
-            values[b] = tableau.matrix.get(r, tableau.cols);
-        }
-    }
-    for (j, &(_, shift)) in user_columns.iter().enumerate() {
-        values[j] += shift;
-    }
-    let raw_objective = -tableau.matrix.get(phase2, tableau.cols);
-    // raw_objective is the optimal value of the *shifted, sign-adjusted*
-    // objective; undo both transformations.
-    let objective = if maximise {
-        -raw_objective + objective_shift
-    } else {
-        raw_objective + objective_shift
-    };
-
+    tableau.optimise()?;
+    let mut values = vec![0.0; shifts.len()];
+    let objective = tableau.extract(&mut values, |j| shifts[j], objective_shift, maximise);
     Ok(LpSolution {
         objective,
         values,
         iterations: tableau.iterations,
     })
+}
+
+/// A reusable linear program in slack form: maximise `c·x` subject to
+/// `A·x ≤ b`, with `b ≥ 0` and `x ≥ 0`.
+///
+/// [`reset`](Self::reset) sizes the problem and zeroes it; the caller then
+/// writes the objective, the coefficients and the right-hand sides straight
+/// into the simplex tableau, and [`solve`](Self::solve)s it. The tableau
+/// buffer is kept across problems, so a caller solving many of them stops
+/// allocating once the largest has been seen.
+///
+/// The tableau is the one [`solve`] builds from the equivalent
+/// [`LpProblem`] — user columns first, then one slack per row in row order,
+/// every phase-2 entry written as the negated objective coefficient — and
+/// runs through the same pivots, iteration cap and solution extraction, so
+/// both entries give bit-identical answers. Every slack starts basic, so
+/// phase 1 never runs.
+///
+/// The checks of [`LpProblem::validate`] carry over: the first non-finite
+/// value written since the last reset, or a negative right-hand side, is
+/// what [`solve`](Self::solve) returns, and the simplex does not run.
+///
+/// ```
+/// use mf_lp::SlackForm;
+///
+/// // maximize 3x + 2y  s.t.  x + y <= 4, x + 3y <= 6, x,y >= 0
+/// let mut lp = SlackForm::new();
+/// lp.reset(2, 2);
+/// lp.set_objective(0, 3.0);
+/// lp.set_objective(1, 2.0);
+/// for (row, coefficients, rhs) in [(0, [1.0, 1.0], 4.0), (1, [1.0, 3.0], 6.0)] {
+///     for (column, coefficient) in coefficients.into_iter().enumerate() {
+///         lp.add_coefficient(row, column, coefficient);
+///     }
+///     lp.set_rhs(row, rhs);
+/// }
+/// let solution = lp.solve().unwrap();
+/// assert!((solution.objective - 12.0).abs() < 1e-6);
+/// ```
+pub struct SlackForm {
+    tableau: Tableau,
+    /// The first invalid value written since the last reset.
+    error: Option<LpError>,
+    /// The last optimum, its buffer reused by every solve.
+    solution: LpSolution,
+}
+
+impl Default for SlackForm {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+impl SlackForm {
+    /// An empty workspace; [`reset`](Self::reset) gives it a shape.
+    pub fn new() -> Self {
+        SlackForm {
+            tableau: Tableau::empty(),
+            error: None,
+            solution: LpSolution {
+                objective: 0.0,
+                values: Vec::new(),
+                iterations: 0,
+            },
+        }
+    }
+
+    /// Starts a problem over `columns` variables and `rows` constraints,
+    /// with every objective coefficient, constraint coefficient and
+    /// right-hand side zero.
+    pub fn reset(&mut self, columns: usize, rows: usize) {
+        let cols = columns + rows;
+        let tableau = &mut self.tableau;
+        // Constraint rows, then the phase-2 and (unused) phase-1 rows; the
+        // last column is the right-hand side.
+        tableau.matrix.reset(rows + 2, cols + 1);
+        for r in 0..rows {
+            tableau.matrix.set(r, columns + r, 1.0);
+        }
+        // The phase-2 row holds the negated objective, so an unset
+        // coefficient is `-0.0`, as `standardise` writes it.
+        for j in 0..columns {
+            tableau.matrix.set(rows, j, -0.0);
+        }
+        tableau.rows = rows;
+        tableau.cols = cols;
+        tableau.basis.clear();
+        tableau.basis.extend(columns..cols);
+        tableau.artificial_start = cols;
+        tableau.iterations = 0;
+        self.error = None;
+    }
+
+    fn columns(&self) -> usize {
+        self.tableau.cols - self.tableau.rows
+    }
+
+    /// Records the first invalid value written since the last reset.
+    fn reject(&mut self, error: LpError) {
+        self.error.get_or_insert(error);
+    }
+
+    /// Sets the objective coefficient of `column`.
+    ///
+    /// # Panics
+    ///
+    /// If `column` is outside the shape of the last reset.
+    pub fn set_objective(&mut self, column: usize, coefficient: f64) {
+        assert!(column < self.columns(), "column {column} out of range");
+        if !coefficient.is_finite() {
+            self.reject(LpError::NotFinite {
+                context: "objective coefficient",
+                value: coefficient,
+            });
+        }
+        let rows = self.tableau.rows;
+        self.tableau.matrix.set(rows, column, -coefficient);
+    }
+
+    /// Adds `coefficient` to the entry of `column` in constraint `row`
+    /// (repeated entries are summed, as in [`LpProblem::add_constraint`]).
+    ///
+    /// # Panics
+    ///
+    /// If `row` or `column` is outside the shape of the last reset.
+    pub fn add_coefficient(&mut self, row: usize, column: usize, coefficient: f64) {
+        assert!(
+            row < self.tableau.rows && column < self.columns(),
+            "entry ({row}, {column}) out of range"
+        );
+        if !coefficient.is_finite() {
+            self.reject(LpError::NotFinite {
+                context: "constraint coefficient",
+                value: coefficient,
+            });
+        }
+        self.tableau.matrix.add(row, column, coefficient);
+    }
+
+    /// Sets the right-hand side of constraint `row`, which must be finite
+    /// and non-negative.
+    ///
+    /// # Panics
+    ///
+    /// If `row` is outside the shape of the last reset.
+    pub fn set_rhs(&mut self, row: usize, rhs: f64) {
+        assert!(row < self.tableau.rows, "row {row} out of range");
+        if !rhs.is_finite() {
+            self.reject(LpError::NotFinite {
+                context: "constraint rhs",
+                value: rhs,
+            });
+        } else if rhs < 0.0 {
+            self.reject(LpError::NegativeRhs { row, value: rhs });
+        }
+        let cols = self.tableau.cols;
+        self.tableau.matrix.set(row, cols, rhs);
+    }
+
+    /// Solves the problem written since the last reset. The solution's
+    /// `values` are indexed by column.
+    pub fn solve(&mut self) -> LpResult<&LpSolution> {
+        if let Some(error) = &self.error {
+            return Err(error.clone());
+        }
+        if self.columns() == 0 {
+            return Err(LpError::EmptyProblem);
+        }
+        self.tableau.optimise()?;
+        let columns = self.columns();
+        let values = &mut self.solution.values;
+        values.resize(columns, 0.0);
+        self.solution.objective = self.tableau.extract(values, |_| 0.0, 0.0, true);
+        self.solution.iterations = self.tableau.iterations;
+        Ok(&self.solution)
+    }
 }
 
 #[cfg(test)]
