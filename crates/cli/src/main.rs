@@ -93,11 +93,11 @@ COMMANDS:
   evaluate   print the period, throughput and per-machine loads of a mapping
   simulate   run the discrete-event simulation of a mapping
   serve      run the long-lived mf-proto solve/evaluate server: resident
-             named instances, session whatif probes, per-shard solver pools,
-             keyed evaluate cache (--port 0 picks a free port; --stdio
-             serves one pipe session; --workers W shards the store across
-             W engines behind the router, default 1 — answers are
-             byte-identical for any W;
+             named instances, session whatif probes, one solver pool and
+             one keyed evaluate cache (--port 0 picks a free port; --stdio
+             serves one pipe session; --workers W hashes instance names
+             across W engines behind the router, default 1, all sharing
+             one store — answers are byte-identical for any W;
              --data-dir PATH journals loads/unloads to PATH/journal.mfj
              and replays them on boot, so instances — and their store
              generations — survive a restart or crash; --trace-dir PATH
@@ -463,10 +463,10 @@ fn serve_with(
     let addr = server.local_addr().map_err(|e| e.to_string())?;
     let router = server.router();
     eprintln!(
-        "mf-server listening on {addr} ({} worker shard(s), {} solver thread(s) each); \
+        "mf-server listening on {addr} ({} worker shard(s) sharing {} solver thread(s)); \
          send `shutdown` to stop",
         router.workers(),
-        router.engines()[0].runner().threads()
+        router.runner().threads()
     );
     server.run().map_err(|e| format!("server loop failed: {e}"))
 }

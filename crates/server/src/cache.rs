@@ -14,14 +14,16 @@
 //! still installs session-resident what-if state, exactly as a fresh build
 //! would, without running the evaluator.
 //!
-//! The name is part of the key because generations are only unique *per
-//! engine counter*: a shared multi-worker journal replayed at a different
-//! `--workers` count can legitimately pin two different instances at the
-//! same generation inside one engine, and `(generation, fingerprint)` alone
-//! would let one instance's evaluation answer for the other.
+//! A server keeps one cache, shared by every shard and every session, and
+//! issues generations from one counter. The name stays in the key for
+//! journals written by older servers, whose shards counted generations
+//! independently: replaying one can pin two different instances at the
+//! same generation, and `(generation, fingerprint)` alone would let one
+//! instance's evaluation answer for the other.
 //!
-//! Entries are evicted least-recently-used past [`EVALUATE_CACHE_CAP`], and
-//! hits/misses/evictions are counted for `stats` (v2) and `status-export`.
+//! Entries are evicted least-recently-used past [`EVALUATE_CACHE_CAP`]
+//! entries per server, and hits/misses/evictions are counted for `stats`
+//! (v2) and `status-export`.
 //!
 //! A request that panics while holding the cache lock does not take the
 //! cache down with it: the next caller recovers the lock and empties the
@@ -33,7 +35,7 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard};
 
-/// Most cached evaluations kept per engine; least-recently-used entries are
+/// Most cached evaluations kept per server; least-recently-used entries are
 /// dropped past this (an entry holds the instance-sized snapshot vectors, so
 /// the cap bounds memory at roughly `cap × instance bytes`).
 pub const EVALUATE_CACHE_CAP: usize = 128;
@@ -99,9 +101,9 @@ impl CacheInner {
     }
 }
 
-/// A keyed cache of finished evaluations, shared by all sessions of one
-/// engine. Interior mutability (one mutex around the map, atomics for the
-/// counters) keeps the engine's `&self` dispatch signature.
+/// A keyed cache of finished evaluations, shared by every shard and session
+/// of one server. Interior mutability (one mutex around the map, atomics
+/// for the counters) keeps the engine's `&self` dispatch signature.
 pub struct EvaluateCache {
     inner: Mutex<CacheInner>,
     cap: usize,
@@ -294,8 +296,8 @@ mod tests {
         assert_eq!(cache.len(), 2);
     }
 
-    /// Two names pinned at the same generation (a multi-worker journal
-    /// replayed into fewer engines does exactly this) must keep separate
+    /// Two names pinned at the same generation (replaying a journal an
+    /// older sharded server wrote does exactly this) must keep separate
     /// entries even for the same mapping fingerprint.
     #[test]
     fn same_generation_and_fingerprint_do_not_alias_across_names() {

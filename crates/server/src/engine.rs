@@ -2,11 +2,13 @@
 //! stack, one shard at a time.
 //!
 //! An [`Engine`] is one shard worker of a [`Router`](crate::router::Router),
-//! shared by every session the router forwards to it. It owns the shard's
-//! resident [`InstanceStore`], the [`BatchRunner`] the portfolio races on,
-//! and the shard's statistics counters. It answers `hello` and the five
-//! instance commands (`load`, `unload`, `evaluate`, `whatif`, `solve`);
-//! the router answers everything else.
+//! shared by every session the router forwards to it. It answers `hello`
+//! and the five instance commands (`load`, `unload`, `evaluate`, `whatif`,
+//! `solve`); the router answers everything else. A shard owns only its
+//! statistics counters and its latency histograms: the resident
+//! [`InstanceStore`], the keyed [`EvaluateCache`], the journal with its
+//! mutation-order guard and the [`BatchRunner`] the portfolio races on are
+//! one `Shared` state per server, so every cap bounds the whole server.
 //!
 //! A connection is one [`Session`], which the router passes to whichever
 //! shard owns the instance a command names. It carries the negotiated
@@ -14,9 +16,9 @@
 //! `evaluate` or `solve` on an instance, the session keeps the committed
 //! [`EvaluatorSnapshot`] of that mapping, and later `whatif` probes resume it
 //! in `O(1)` — no demand walk, no load rebuild — answering move/swap
-//! questions in `O(affected tasks + log m)`. A name always hashes to the
-//! same shard, so one map keyed by name holds every shard's snapshots, and
-//! [`SESSION_SNAPSHOT_CAP`] bounds it per connection at any worker count.
+//! questions in `O(affected tasks + log m)`. One map keyed by name holds the
+//! session's snapshots, and [`SESSION_SNAPSHOT_CAP`] bounds it per
+//! connection at any worker count.
 //!
 //! # Equivalence with the one-shot CLI
 //!
@@ -30,7 +32,7 @@
 
 use crate::cache::{CachedEvaluation, EvaluateCache};
 use crate::errors::EngineError;
-use crate::journal::{Journal, JournalResult, RecoveredInstance};
+use crate::journal::{Journal, JournalResult};
 use crate::obs::{ObsConfig, ObsState};
 use crate::proto::{
     recycle_payload, GapReport, Probe, ProtoVersion, Request, Response, SolveMethod,
@@ -43,7 +45,7 @@ use mf_experiments::anytime::{solve_anytime_observed, AnytimeConfig, AnytimeEven
 use mf_experiments::portfolio::{run_portfolio, PortfolioConfig};
 use mf_experiments::runner::BatchRunner;
 use std::collections::HashMap;
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 /// Default seed of `solve … heuristic` requests — the seed the CLI's
 /// `--heuristic` path hard-codes, so un-seeded requests match it exactly.
@@ -104,110 +106,126 @@ pub(crate) fn gate(
     }
 }
 
-/// One shard worker of the serving tier.
-pub struct Engine {
-    store: InstanceStore,
-    runner: BatchRunner,
-    counters: Counters,
-    cache: EvaluateCache,
+/// The state every shard of one server shares: the router builds it once
+/// and hands the same `Arc` to each [`Engine`].
+pub(crate) struct Shared {
+    pub(crate) store: InstanceStore,
+    pub(crate) cache: EvaluateCache,
+    pub(crate) runner: BatchRunner,
     /// The durable log of store mutations, when the server runs with a
-    /// data directory. `None` keeps the engine fully in-memory with zero
-    /// overhead on the load path.
-    journal: Option<Arc<Journal>>,
-    /// Serializes (apply in memory, append to journal) pairs so the journal
-    /// replays to exactly the store's mutation order. Only taken when a
-    /// journal is attached.
-    durable: Mutex<()>,
+    /// data directory (`None` keeps the server in-memory, its loads
+    /// lock-free). Its lock is the mutation-order guard: each store
+    /// mutation and its appends happen under it, so the journal replays to
+    /// exactly the store's order, even when a load on one shard evicts a
+    /// name another shard serves.
+    journal: Option<Mutex<Journal>>,
+}
+
+impl Shared {
+    pub(crate) fn new(store: InstanceStore, threads: usize, journal: Option<Journal>) -> Self {
+        Shared {
+            store,
+            cache: EvaluateCache::new(),
+            runner: BatchRunner::new(threads),
+            journal: journal.map(Mutex::new),
+        }
+    }
+
+    /// The journal of a durable server, locked.
+    pub(crate) fn journal(&self) -> Option<MutexGuard<'_, Journal>> {
+        let journal = self.journal.as_ref()?;
+        Some(journal.lock().unwrap_or_else(PoisonError::into_inner))
+    }
+
+    /// Replays the journal's live instances into the store, each pinned at
+    /// its journaled generation, then fast-forwards the generation counter
+    /// to the journal's high-water mark, so every generation issued after
+    /// the restart is strictly above every generation issued before it.
+    /// Payloads that no longer parse (a foreign edit of the journal file)
+    /// are dropped from the journal rather than resurrected; replay
+    /// evictions (recovered set larger than the byte cap) are journaled
+    /// like live evictions so the log stays exact.
+    pub(crate) fn replay(&self) -> JournalResult<()> {
+        let Some(journal) = self.journal() else {
+            return Ok(());
+        };
+        for recovered in journal.live_instances()? {
+            let lines = recovered.payload.iter().map(String::as_str);
+            let Ok(instance) = textio::instance_from_lines(lines) else {
+                journal.record_unload(&recovered.name)?;
+                continue;
+            };
+            let generation = recovered.generation;
+            let (_, evicted) = self
+                .store
+                .insert_pinned(&recovered.name, instance, generation);
+            for gone in &evicted {
+                journal.record_unload(gone)?;
+            }
+        }
+        self.store.reserve_generations(journal.mark());
+        Ok(())
+    }
+
+    /// Inserts (or replaces) `name` and journals the load with every name
+    /// the byte cap evicted for it. Cached evaluations of the name's older
+    /// generations can never hit again; purging just frees them eagerly.
+    fn insert(
+        &self,
+        name: &str,
+        instance: Instance,
+        payload: &[String],
+    ) -> (Arc<StoredInstance>, JournalResult<()>) {
+        let journal = self.journal();
+        let (stored, evicted) = self.store.insert_tracked(name, instance);
+        self.cache.purge(name);
+        let journaled = match &journal {
+            Some(journal) => journal
+                .record_load(name, stored.generation, payload)
+                .and_then(|()| {
+                    evicted
+                        .iter()
+                        .try_for_each(|gone| journal.record_unload(gone))
+                }),
+            None => Ok(()),
+        };
+        (stored, journaled)
+    }
+
+    /// Removes `name` and journals the unload; `false` when it was not
+    /// loaded.
+    fn remove(&self, name: &str) -> (bool, JournalResult<()>) {
+        let journal = self.journal();
+        let removed = self.store.remove(name);
+        if removed {
+            self.cache.purge(name);
+        }
+        let journaled = match &journal {
+            Some(journal) if removed => journal.record_unload(name),
+            _ => Ok(()),
+        };
+        (removed, journaled)
+    }
+}
+
+/// One shard worker of the serving tier: its counters and histograms over
+/// the state every shard of the server shares.
+pub struct Engine {
+    shared: Arc<Shared>,
+    counters: Counters,
     /// Request-latency histograms, span tracing, and the slow-request log.
     obs: ObsState,
 }
 
 impl Engine {
-    /// A shard engine wired to the tier's journal (when the tier is
-    /// durable) and observability config. The router is the only caller:
-    /// it builds one engine per shard and, on a durable tier, replays
-    /// [`Journal::live_instances`] via [`Engine::adopt`] and then calls
-    /// [`Engine::finish_replay`].
-    pub(crate) fn with_journal(
-        threads: usize,
-        journal: Option<Arc<Journal>>,
-        obs: ObsConfig,
-    ) -> Self {
+    /// A shard engine over the server's shared state. The router is the
+    /// only caller: it builds one engine per shard.
+    pub(crate) fn new(shared: Arc<Shared>, obs: ObsConfig) -> Self {
         Engine {
-            store: InstanceStore::new(),
-            runner: BatchRunner::new(threads),
+            shared,
             counters: Counters::new(),
-            cache: EvaluateCache::new(),
-            journal,
-            durable: Mutex::new(()),
             obs: ObsState::new(obs),
         }
-    }
-
-    /// Replays one journaled instance into the store, pinned at its
-    /// journaled generation. Payloads that no longer parse (a foreign edit
-    /// of the journal file) are dropped from the journal rather than
-    /// resurrected; replay evictions (recovered set larger than the byte
-    /// cap) are journaled like live evictions so the log stays exact.
-    pub(crate) fn adopt(&self, recovered: RecoveredInstance) -> JournalResult<()> {
-        let RecoveredInstance {
-            name,
-            generation,
-            payload,
-        } = recovered;
-        match textio::instance_from_lines(payload.iter().map(String::as_str)) {
-            Ok(instance) => {
-                let (_, evicted) = self.store.insert_pinned(&name, instance, generation);
-                if let Some(journal) = &self.journal {
-                    for gone in &evicted {
-                        journal.record_unload(gone)?;
-                    }
-                }
-            }
-            Err(_) => {
-                if let Some(journal) = &self.journal {
-                    journal.record_unload(&name)?;
-                }
-            }
-        }
-        Ok(())
-    }
-
-    /// Completes a replay: fast-forwards the store's generation counter to
-    /// the journal's high-water mark, so every generation issued after the
-    /// restart is strictly above every generation issued before it.
-    pub(crate) fn finish_replay(&self) {
-        if let Some(journal) = &self.journal {
-            self.store.reserve_generations(journal.mark());
-        }
-    }
-
-    /// The attached journal, when this engine is durable.
-    pub fn journal(&self) -> Option<&Arc<Journal>> {
-        self.journal.as_ref()
-    }
-
-    /// The mutation-order lock of a durable engine (`None` when there is no
-    /// journal: in-memory loads stay lock-free).
-    fn durable_guard(&self) -> Option<MutexGuard<'_, ()>> {
-        self.journal
-            .as_ref()
-            .map(|_| self.durable.lock().unwrap_or_else(|e| e.into_inner()))
-    }
-
-    /// The resident instance store.
-    pub fn store(&self) -> &InstanceStore {
-        &self.store
-    }
-
-    /// The shared solver pool.
-    pub fn runner(&self) -> &BatchRunner {
-        &self.runner
-    }
-
-    /// The keyed evaluate cache.
-    pub fn cache(&self) -> &EvaluateCache {
-        &self.cache
     }
 
     /// A fresh session for dispatching to this shard directly. Served
@@ -262,27 +280,10 @@ impl Engine {
                 .into_response()
             }
         };
-        let (stored, journaled) = {
-            let _guard = self.durable_guard();
-            let (stored, evicted) = self.store.insert_tracked(name, instance);
-            let journaled = match &self.journal {
-                Some(journal) => journal
-                    .record_load(name, stored.generation, payload)
-                    .and_then(|()| {
-                        evicted
-                            .iter()
-                            .try_for_each(|gone| journal.record_unload(gone))
-                    }),
-                None => Ok(()),
-            };
-            (stored, journaled)
-        };
+        let (stored, journaled) = self.shared.insert(name, instance, payload);
         // A replacement invalidates this session's snapshot immediately;
-        // other sessions' snapshots die lazily via the generation check, and
-        // cached evaluations of older generations can never hit again —
-        // purging just frees them eagerly.
+        // other sessions' snapshots die lazily via the generation check.
         session.resident.remove(name);
-        self.cache.purge(name);
         // The load counter tracks applied store mutations, so it moves even
         // when journaling the mutation fails (the load is live in memory —
         // only its durability is gone).
@@ -302,18 +303,9 @@ impl Engine {
     }
 
     fn unload(&self, session: &mut Session, name: &str) -> Response {
-        let (removed, journaled) = {
-            let _guard = self.durable_guard();
-            let removed = self.store.remove(name);
-            let journaled = match &self.journal {
-                Some(journal) if removed => journal.record_unload(name),
-                _ => Ok(()),
-            };
-            (removed, journaled)
-        };
+        let (removed, journaled) = self.shared.remove(name);
         if removed {
             session.resident.remove(name);
-            self.cache.purge(name);
             // Counted on apply, not on durability — see `load`.
             self.counters.bump(Stat::Unloads);
             if let Err(error) = journaled {
@@ -366,7 +358,7 @@ impl Engine {
     }
 
     fn fetch(&self, name: &str) -> std::result::Result<std::sync::Arc<StoredInstance>, Response> {
-        self.store.get(name).ok_or_else(|| {
+        self.shared.store.get(name).ok_or_else(|| {
             EngineError::UnknownInstance {
                 name: name.to_string(),
             }
@@ -386,7 +378,11 @@ impl Engine {
         mapping: &Mapping,
     ) -> std::result::Result<(f64, usize, Vec<f64>), String> {
         let fingerprint = mapping.fingerprint();
-        let evaluation = match self.cache.lookup(name, stored.generation, fingerprint) {
+        let evaluation = match self
+            .shared
+            .cache
+            .lookup(name, stored.generation, fingerprint)
+        {
             Some(hit) => hit,
             None => self.build_evaluation(name, stored, mapping, fingerprint)?,
         };
@@ -412,7 +408,8 @@ impl Engine {
             loads: evaluator.loads().to_vec(),
             snapshot: evaluator.into_snapshot(),
         };
-        self.cache
+        self.shared
+            .cache
             .insert(name, stored.generation, fingerprint, cached.clone());
         Ok(cached)
     }
@@ -566,7 +563,7 @@ impl Engine {
                     base_seed: seed.unwrap_or(PortfolioConfig::default().base_seed),
                     ..PortfolioConfig::default()
                 };
-                let outcome = run_portfolio(instance, &config, &self.runner);
+                let outcome = run_portfolio(instance, &config, &self.shared.runner);
                 let (Some(winner), Some(mapping)) =
                     (outcome.winner_label(), outcome.best_mapping.clone())
                 else {
@@ -668,21 +665,12 @@ impl Engine {
         stats::answer(version, |stat| self.stat(stat))
     }
 
-    /// One statistic of this shard. The store and evaluate-cache keys are
-    /// read from those modules, the rest from the engine's counters (the
-    /// retired `sweep-*` keys read 0). Every value is a plain sum of the
-    /// work this shard did, so a router sums them over its workers.
+    /// One statistic of this shard: a plain sum of the work it did, so a
+    /// router sums it over its workers. The store and evaluate-cache keys
+    /// read 0 here (the router reads them from the shared state), as do
+    /// `sessions` and the retired `sweep-*` keys.
     pub fn stat(&self, stat: Stat) -> u64 {
-        match stat {
-            Stat::Instances => self.store.len() as u64,
-            Stat::InstanceBytes => self.store.stats().bytes,
-            Stat::InstanceHits => self.store.stats().hits,
-            Stat::InstanceEvictions => self.store.stats().evictions,
-            Stat::EvaluateCacheHits => self.cache.hits(),
-            Stat::EvaluateCacheMisses => self.cache.misses(),
-            Stat::EvaluateCacheEvictions => self.cache.evictions(),
-            stat => self.counters.get(stat),
-        }
+        self.counters.get(stat)
     }
 
     /// Folds the evaluator-counter *delta* of one operation in.
@@ -1316,11 +1304,7 @@ mod tests {
             router.dispatch(&mut session, Request::Unload { name: "a".into() }),
             Response::Unloaded { .. }
         ));
-        assert_eq!(
-            router.engines()[0].cache().len(),
-            0,
-            "unload must purge the cache"
-        );
+        assert_eq!(router.shared.cache.len(), 0, "unload must purge the cache");
     }
 
     /// A search-driven `solve … heuristic` adds its evaluator work to the
@@ -1401,7 +1385,7 @@ mod tests {
         };
         let cold = evaluate(&mut session);
         assert_eq!(evaluate(&mut session), cold);
-        let cache = router.engines()[0].cache();
+        let cache = &router.shared.cache;
         let panicked = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             cache.panic_with_lock_held()
         }));

@@ -485,8 +485,8 @@ struct Inner {
     _lock: File,
     /// Shadow of the live instance set: what compactions snapshot, with
     /// each durable record's bytes read back from the file — deliberately
-    /// independent of the engine stores, so a shared multi-worker journal
-    /// needs no cross-shard coordination to compact.
+    /// independent of the server's store, so compaction never takes the
+    /// store's lock.
     live: Shadow,
     /// The next [`LiveEntry::seq`] stamp.
     next_seq: u64,
@@ -867,8 +867,8 @@ impl Journal {
     }
 
     /// The recovered live instances in original load order (oldest load
-    /// first; a same-name reload refreshes) — what a booting engine (or
-    /// each router shard, after hashing the names) re-inserts. Adopting
+    /// first; a same-name reload refreshes) — what a booting server
+    /// re-inserts into its store. Adopting
     /// them in this order stamps store recency the way the pre-crash loads
     /// did, so byte-cap eviction after a restart approximates the
     /// uninterrupted schedule. Reads each durable record back from the file

@@ -14,12 +14,13 @@
 //! Sessions start in `mf-proto v1`; a `hello mf-proto v2` handshake unlocks
 //! `batch N` envelopes (many requests, one round trip, answers in request
 //! order), the `status-export` JSON report, and the keyed-cache counters in
-//! `stats`. Each engine serves repeated `evaluate`s of an unchanged
-//! instance from a keyed [`EvaluateCache`] — (store name, load generation,
+//! `stats`. The server answers repeated `evaluate`s of an unchanged
+//! instance from one keyed [`EvaluateCache`] — (store name, load generation,
 //! mapping fingerprint) → full breakdown plus pristine evaluator snapshot.
 //! A [`Router`] serves every session: it hashes instance names across `N`
-//! worker engines (`mf serve --workers N`, one by default) and answers the
-//! aggregate commands itself.
+//! worker engines (`mf serve --workers N`, one by default), which share the
+//! one store, cache, journal and solver pool, and answers the aggregate
+//! commands itself.
 //!
 //! Answers are **bit-identical to the equivalent one-shot CLI run**: solve
 //! requests use the same default seeds as `microfactory solve`, and the

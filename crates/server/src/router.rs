@@ -1,17 +1,19 @@
 //! The serving tier: a router in front of a pool of worker engines.
 //!
 //! A [`Router`] is the one thing that serves a session, at any worker count
-//! (`--workers 1` is a router over one shard). It owns `N` independent
-//! [`Engine`]s — each with its **own**
-//! [`InstanceStore`](crate::store::InstanceStore), its own solver pool and
-//! its own keyed evaluate cache — and hashes every instance name onto one of
-//! them. Heavy `solve … portfolio` traffic on one shard therefore cannot
-//! stall cheap `evaluate` traffic on another, and each shard's caches stay
-//! private to the names it owns.
+//! (`--workers 1` is a router over one shard). It hashes every instance
+//! name onto one of `N` [`Engine`]s, which each count their own work and
+//! time their own commands. The state every shard needs is built once per
+//! server and shared by all of them: one [`InstanceStore`], one keyed
+//! evaluate cache, one journal with its mutation-order guard, and one
+//! solver pool. Every cap — the store's bytes, the evaluate cache's
+//! entries, each connection's snapshots — therefore holds per server,
+//! whatever the worker count.
 //!
 //! The router answers `hello`, `list`, `stats`, `status-export`, `shutdown`
 //! and the `batch` envelope itself; the five instance commands go to the
-//! owning shard, which times each one as its own command.
+//! owning shard, which times each one as its own command. Each connection
+//! runs on its own thread, and nothing in a shard queues work.
 //!
 //! A connection owns exactly one [`Session`]: its negotiated version and
 //! its resident what-if snapshots. The router hands that same session to
@@ -23,68 +25,67 @@
 //! For the same session script, a router with **any** worker count
 //! produces byte-identical responses —
 //!
-//! * every answer is a pure function of (instance, request, seed), and a
-//!   name's requests always land on the same worker in order;
-//! * `list` is the name-sorted merge of the worker stores (one store's
-//!   `BTreeMap` order is the same sort);
-//! * `stats` keys are all plain sums of work done, so each key's sum over
-//!   the workers does not depend on how names spread — with the
-//!   session-level counters (`sessions`, `requests`, `errors`) kept by the
-//!   router itself, since workers only see forwarded traffic;
+//! * every answer is a pure function of (instance, request, seed), and the
+//!   store, the evaluate cache and their LRU schedules are the server's,
+//!   not a shard's;
+//! * `stats` reads the store and cache keys and the session-level counters
+//!   (`sessions`, `requests`, `errors`) once, from the router, and sums
+//!   every other key over the workers: each is a plain sum of work done,
+//!   which does not depend on how names spread;
 //! * a session's resident snapshots live in one recency-capped map, not
 //!   one per shard, so `whatif` finds (or misses) the same snapshots;
 //! * `batch` items run inline, in request order, each on its own shard.
-//!
-//! The one caveat: each worker bounds its store bytes independently, so
-//! under byte-cap pressure the *eviction* schedule (not any answer to a
-//! resident name) can differ between worker counts.
 
-use crate::engine::{gate, hello_response, Engine, Session};
+use crate::engine::{gate, hello_response, Engine, Session, Shared};
 use crate::errors::EngineError;
 use crate::journal::{Journal, JournalError};
 use crate::obs::ObsConfig;
 use crate::proto::{InstanceInfo, ProtoVersion, Request, Response};
 use crate::stats::{self, Counters, Stat, StatsReport};
+use crate::store::InstanceStore;
+use mf_experiments::runner::BatchRunner;
 use mf_obs::HistogramSnapshot;
 use std::path::Path;
 use std::sync::Arc;
 
 /// Most workers a router will spin up (matches the workspace-wide thread
-/// cap; each worker owns a full store byte budget and a batch runner).
+/// cap). A worker owns only its counters and histograms; the store, the
+/// evaluate cache and the solver pool are one per server.
 pub const MAX_WORKERS: usize = 16;
 
 /// A shard router over a pool of worker [`Engine`]s.
 pub struct Router {
+    /// The store, evaluate cache, journal and solver pool of the server.
+    pub(crate) shared: Arc<Shared>,
     workers: Vec<Arc<Engine>>,
-    /// The shared durable journal, when the tier runs with a data directory
-    /// (one journal for the whole tier — worker shards append through it and
-    /// the router surfaces its recovery counters).
-    journal: Option<Arc<Journal>>,
     /// The session-level counters: `sessions`, `requests` and `errors`.
     counters: Counters,
 }
 
 impl Router {
-    /// A router over `workers` fresh engines (clamped to `1..=`
-    /// [`MAX_WORKERS`]), each with a `threads`-worker solver pool (`0` = one
-    /// per CPU, capped at 16).
+    /// A router over `workers` engines (clamped to `1..=` [`MAX_WORKERS`])
+    /// sharing one `threads`-worker solver pool (`0` = one per CPU, capped
+    /// at 16).
     pub fn new(workers: usize, threads: usize) -> Self {
-        Router::build(workers, threads, None, ObsConfig::default())
+        Router::with_observability(workers, threads, ObsConfig::default())
     }
 
     /// [`Router::new`] with explicit observability wiring. All workers
     /// share the config (one clock, one trace writer), so the tier's trace
     /// file interleaves every shard's spans on one timeline.
     pub fn with_observability(workers: usize, threads: usize, obs: ObsConfig) -> Self {
-        Router::build(workers, threads, None, obs)
+        Router::build(
+            workers,
+            Shared::new(InstanceStore::new(), threads, None),
+            obs,
+        )
     }
 
-    /// A durable router: one shared `mf-journal v1` under `data_dir`
-    /// serves the whole tier. On boot every journaled instance is replayed
-    /// into the worker shard its **name hashes to** — the same shard that
-    /// will serve its requests — and every worker's generation counter is
-    /// fast-forwarded past the journal's high-water mark, so no shard can
-    /// reissue a pre-restart generation.
+    /// A durable router: one `mf-journal v1` under `data_dir` serves the
+    /// whole server. On boot every journaled instance is replayed into the
+    /// store and the generation counter is fast-forwarded past the
+    /// journal's high-water mark, so no load can reissue a pre-restart
+    /// generation.
     pub fn with_data_dir(
         workers: usize,
         threads: usize,
@@ -100,30 +101,19 @@ impl Router {
         data_dir: impl AsRef<Path>,
         obs: ObsConfig,
     ) -> Result<Router, JournalError> {
-        let journal = Arc::new(Journal::open(data_dir)?);
-        let router = Router::build(workers, threads, Some(Arc::clone(&journal)), obs);
-        for recovered in journal.live_instances()? {
-            let shard = router.shard_of(&recovered.name);
-            router.workers[shard].adopt(recovered)?;
-        }
-        for worker in &router.workers {
-            worker.finish_replay();
-        }
-        Ok(router)
+        let journal = Journal::open(data_dir)?;
+        let shared = Shared::new(InstanceStore::new(), threads, Some(journal));
+        shared.replay()?;
+        Ok(Router::build(workers, shared, obs))
     }
 
-    fn build(
-        workers: usize,
-        threads: usize,
-        journal: Option<Arc<Journal>>,
-        obs: ObsConfig,
-    ) -> Self {
-        let workers = workers.clamp(1, MAX_WORKERS);
+    fn build(workers: usize, shared: Shared, obs: ObsConfig) -> Self {
+        let shared = Arc::new(shared);
         Router {
-            workers: (0..workers)
-                .map(|_| Arc::new(Engine::with_journal(threads, journal.clone(), obs.clone())))
+            workers: (0..workers.clamp(1, MAX_WORKERS))
+                .map(|_| Arc::new(Engine::new(Arc::clone(&shared), obs.clone())))
                 .collect(),
-            journal,
+            shared,
             counters: Counters::new(),
         }
     }
@@ -136,6 +126,16 @@ impl Router {
     /// The worker engines, indexed by shard.
     pub fn engines(&self) -> &[Arc<Engine>] {
         &self.workers
+    }
+
+    /// The resident instance store every shard shares.
+    pub fn store(&self) -> &InstanceStore {
+        &self.shared.store
+    }
+
+    /// The solver pool every shard shares.
+    pub fn runner(&self) -> &BatchRunner {
+        &self.shared.runner
     }
 
     /// The shard a store name lives on: a splitmix64 chain over the name
@@ -219,33 +219,35 @@ impl Router {
     }
 
     fn list(&self) -> Response {
-        let mut entries: Vec<InstanceInfo> = self
-            .workers
+        let entries = self
+            .shared
+            .store
+            .snapshot()
             .iter()
-            .flat_map(|worker| {
-                worker
-                    .store()
-                    .snapshot()
-                    .iter()
-                    .map(|stored| InstanceInfo {
-                        name: stored.name.clone(),
-                        tasks: stored.tasks(),
-                        machines: stored.machines(),
-                        types: stored.types(),
-                    })
-                    .collect::<Vec<_>>()
+            .map(|stored| InstanceInfo {
+                name: stored.name.clone(),
+                tasks: stored.tasks(),
+                machines: stored.machines(),
+                types: stored.types(),
             })
             .collect();
-        entries.sort_by(|a, b| a.name.cmp(&b.name));
         Response::List(entries)
     }
 
-    /// The aggregated statistics: each key summed over the workers, except
-    /// the session-level counters, which are the router's own (workers
-    /// only ever see forwarded traffic, the router sees the session).
+    /// The aggregated statistics: the session-level counters and the
+    /// store and evaluate-cache keys are the server's own, read once; every
+    /// other key is summed over the workers.
     pub fn stats_for(&self, version: ProtoVersion) -> Vec<(String, u64)> {
+        let Shared { store, cache, .. } = &*self.shared;
         stats::answer(version, |stat| match stat {
             Stat::Sessions | Stat::Requests | Stat::Errors => self.counters.get(stat),
+            Stat::Instances => store.len() as u64,
+            Stat::InstanceBytes => store.stats().bytes,
+            Stat::InstanceHits => store.stats().hits,
+            Stat::InstanceEvictions => store.stats().evictions,
+            Stat::EvaluateCacheHits => cache.hits(),
+            Stat::EvaluateCacheMisses => cache.misses(),
+            Stat::EvaluateCacheEvictions => cache.evictions(),
             stat => self.workers.iter().map(|worker| worker.stat(stat)).sum(),
         })
     }
@@ -256,8 +258,8 @@ impl Router {
     pub fn status_report(&self) -> StatsReport {
         StatsReport {
             recovery: self
-                .journal
-                .as_ref()
+                .shared
+                .journal()
                 .map(|journal| journal.status_counters())
                 .unwrap_or_default(),
             global: self.stats_for(ProtoVersion::V3),
@@ -294,12 +296,30 @@ mod tests {
     use crate::stats::STATS;
     use mf_core::textio;
     use mf_sim::{GeneratorConfig, InstanceGenerator};
+    use std::collections::HashSet;
 
     fn instance_text(seed: u64) -> String {
         let instance = InstanceGenerator::new(GeneratorConfig::paper_standard(6, 3, 2))
             .generate(seed)
             .unwrap();
         textio::instance_to_text(&instance)
+    }
+
+    /// The store footprint of one instance.
+    fn store_bytes(text: &str) -> u64 {
+        let instance = textio::instance_from_text(text).unwrap();
+        InstanceStore::new()
+            .insert("probe", instance)
+            .approx_bytes()
+    }
+
+    /// A router whose store holds at most ~`max_bytes`, durable when a
+    /// `data_dir` is given: the test-only way to cross the store's cap.
+    fn capped_router(workers: usize, max_bytes: u64, data_dir: Option<&Path>) -> Router {
+        let journal = data_dir.map(|dir| Journal::open(dir).expect("the journal opens"));
+        let shared = Shared::new(InstanceStore::with_capacity(max_bytes), 1, journal);
+        shared.replay().expect("the journal replays");
+        Router::build(workers, shared, ObsConfig::default())
     }
 
     fn load(router: &Router, session: &mut Session, name: &str, text: &str) {
@@ -316,7 +336,7 @@ mod tests {
     #[test]
     fn sharding_is_stable_and_spreads_names() {
         let router = Router::new(4, 1);
-        let mut used = std::collections::HashSet::new();
+        let mut used = HashSet::new();
         for k in 0..64 {
             let name = format!("inst{k}");
             let shard = router.shard_of(&name);
@@ -331,7 +351,7 @@ mod tests {
     }
 
     #[test]
-    fn list_merges_worker_stores_sorted_by_name() {
+    fn list_answers_the_shared_store_sorted_by_name() {
         let router = Router::new(3, 1);
         let mut session = router.begin_session();
         for name in ["zeta", "alpha", "mid"] {
@@ -342,6 +362,124 @@ mod tests {
         };
         let names: Vec<&str> = entries.iter().map(|e| e.name.as_str()).collect();
         assert_eq!(names, ["alpha", "mid", "zeta"]);
+    }
+
+    /// The store's byte cap bounds the server, not a shard: crossing it
+    /// evicts the same names, counts the same evictions and answers the
+    /// same `err` for an evicted name at every worker count.
+    #[test]
+    fn the_store_byte_cap_holds_per_server_at_any_worker_count() {
+        let instance = instance_text(1);
+        let unit = store_bytes(&instance);
+        let lines = instance.lines().count();
+        let names: Vec<String> = (0..6).map(|k| format!("inst{k}")).collect();
+        let mut script = String::new();
+        for name in &names[..3] {
+            script += &format!("load {name} {lines}\n{instance}");
+        }
+        script += "solve inst0 heuristic H4w\n";
+        for name in &names[3..] {
+            script += &format!("load {name} {lines}\n{instance}");
+        }
+        script += "list\nsolve inst1 heuristic H4w\nstats\n";
+        let transcript = |workers: usize| {
+            let router = capped_router(workers, 3 * unit, None);
+            let shards: HashSet<usize> = names.iter().map(|name| router.shard_of(name)).collect();
+            assert!(shards.len() > 1 || workers == 1, "{workers} workers");
+            let mut output = Vec::new();
+            crate::server::serve_stdio(&router, script.as_bytes(), &mut output).unwrap();
+            String::from_utf8(output).unwrap()
+        };
+        let one = transcript(1);
+        for expected in [
+            "ok list 3\ninstance inst3 6 3 2\ninstance inst4 6 3 2\ninstance inst5 6 3 2\nend\n",
+            "err unknown-instance no instance named `inst1` is loaded\n",
+            "stat instance-evictions 3\n",
+        ] {
+            assert!(one.contains(expected), "{expected}: {one}");
+        }
+        for workers in [2, 4] {
+            assert_eq!(transcript(workers), one, "{workers} workers");
+        }
+    }
+
+    /// Loads on different shards evict each other's names from the one
+    /// store, and the journal records every mutation in the store's order:
+    /// after each round of concurrent loads the journal's live names are
+    /// the store's, and a router reopened from the journal lists exactly
+    /// what the live one held.
+    #[test]
+    fn cross_shard_evictions_replay_to_the_same_list() {
+        let dir = std::env::temp_dir().join(format!("mf-router-evictions-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let instance = instance_text(1);
+        let unit = store_bytes(&instance);
+        let router = capped_router(2, 3 * unit, Some(&dir));
+        // Two names per shard: each round, each thread reloads the name the
+        // other thread's load most likely just evicted.
+        let pools: Vec<Vec<String>> = (0..2)
+            .map(|shard| {
+                (0..)
+                    .map(|k| format!("inst{k}"))
+                    .filter(|name| router.shard_of(name) == shard)
+                    .take(2)
+                    .collect()
+            })
+            .collect();
+        let journal_names_vs_store = |router: &Router| {
+            let journal = router.shared.journal().expect("durable");
+            let mut journaled: Vec<String> = journal
+                .live_instances()
+                .unwrap()
+                .into_iter()
+                .map(|recovered| recovered.name)
+                .collect();
+            journaled.sort();
+            let stored: Vec<String> = router
+                .store()
+                .snapshot()
+                .iter()
+                .map(|stored| stored.name.clone())
+                .collect();
+            (journaled, stored)
+        };
+        // The first round whose journal disagreed with the store. Recorded,
+        // not asserted, so that no thread is left waiting at the barrier.
+        let mismatch = std::sync::Mutex::new(None);
+        let barrier = std::sync::Barrier::new(pools.len());
+        std::thread::scope(|scope| {
+            for (t, pool) in pools.iter().enumerate() {
+                let (router, instance, barrier) = (&router, &instance, &barrier);
+                let mismatch = &mismatch;
+                scope.spawn(move || {
+                    let mut session = router.begin_session();
+                    for round in 0..400 {
+                        load(router, &mut session, &pool[round % 2], instance);
+                        barrier.wait();
+                        if t == 0 {
+                            let (journaled, stored) = journal_names_vs_store(router);
+                            if journaled != stored {
+                                let mut first = mismatch.lock().unwrap();
+                                first.get_or_insert((round, journaled, stored));
+                            }
+                        }
+                        barrier.wait();
+                    }
+                });
+            }
+        });
+        assert_eq!(mismatch.into_inner().unwrap(), None);
+        assert!(
+            router.store().stats().evictions > 0,
+            "the cap must be crossed"
+        );
+        let list = |router: &Router| router.dispatch(&mut router.begin_session(), Request::List);
+        let live = list(&router);
+        drop(router);
+        let reopened = Router::with_data_dir(2, 1, &dir).unwrap();
+        assert_eq!(list(&reopened), live);
+        drop(reopened);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
@@ -378,7 +516,8 @@ mod tests {
 
     /// Pins the aggregation rule of every key on a three-worker tier
     /// whose traffic moves every live counter: `global` is the per-worker
-    /// sum, except the session-level keys, which are the router's own.
+    /// sum, except the session-level keys and the store and evaluate-cache
+    /// keys, which are the router's own and read 0 in every worker row.
     #[test]
     fn status_report_lists_every_worker() {
         let router = Router::new(3, 1);
@@ -414,6 +553,16 @@ mod tests {
                 }
                 Stat::Requests => 1 + 2 * 30 + 7,
                 Stat::Errors => 1,
+                Stat::Instances
+                | Stat::InstanceBytes
+                | Stat::InstanceHits
+                | Stat::InstanceEvictions
+                | Stat::EvaluateCacheHits
+                | Stat::EvaluateCacheMisses
+                | Stat::EvaluateCacheEvictions => {
+                    assert_eq!(summed, 0, "{key} is the server's, not a shard's");
+                    *global
+                }
                 _ => summed,
             };
             assert_eq!(*global, expected, "{key}");

@@ -1,12 +1,12 @@
 //! The resident instance store shared by every session.
 //!
-//! Instances are loaded once (via `mf_core::textio`) and stay resident;
-//! every session sees the same store. Each load gets a process-unique
-//! **generation** number so session-scoped caches (resident evaluator
-//! snapshots) can tell a reloaded instance from the one they were built
-//! against without comparing instance contents.
+//! Instances are loaded once (via `mf_core::textio`) and stay resident; a
+//! server keeps one store, which every shard and every session sees. Each
+//! load gets a process-unique **generation** number so session-scoped
+//! caches (resident evaluator snapshots) can tell a reloaded instance from
+//! the one they were built against without comparing instance contents.
 //!
-//! The store is **capped**: resident instances are charged their approximate
+//! The store is **capped** per server: resident instances are charged their approximate
 //! byte footprint, and when a load pushes the total past the cap the
 //! least-recently-used instances are evicted (never the one just loaded).
 //! Hits, misses and evictions are counted for the `stats` command, so a
@@ -17,8 +17,9 @@ use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, RwLock};
 
-/// Default byte budget of a store: 256 MiB of instance matrices — far more
-/// than any paper-scale workload, low enough to bound a churn-heavy server.
+/// Default byte budget of a store, and so of a server: 256 MiB of instance
+/// matrices — far more than any paper-scale workload, low enough to bound a
+/// churn-heavy server.
 pub const DEFAULT_STORE_BYTES: u64 = 256 << 20;
 
 /// One resident instance.
@@ -153,7 +154,7 @@ impl InstanceStore {
     }
 
     /// [`InstanceStore::insert`], additionally reporting the names the byte
-    /// cap evicted — a durable engine journals each as an `unload`, so a
+    /// cap evicted — a durable server journals each as an `unload`, so a
     /// replayed store converges to the same live set.
     pub fn insert_tracked(
         &self,

@@ -171,7 +171,11 @@ fn hostile_session_matches_the_golden_transcript() {
 /// protocol fork. `resident_session` solves `SESSION_SNAPSHOT_CAP + 2`
 /// instances in one session and then probes the two oldest: the cap bounds
 /// the connection's one snapshot map, so they answer `no-resident-state`
-/// however the names spread over shards.
+/// however the names spread over shards. `evaluate_cache_session`
+/// evaluates 60 mappings on each of four names, passing the evaluate
+/// cache's 128 entries, then evaluates each name's first mapping again:
+/// the server's one cache evicts the same entries at every worker count,
+/// so its `stats` bytes match too.
 #[test]
 fn transcripts_are_worker_count_independent() {
     for (input, expected) in [
@@ -194,6 +198,10 @@ fn transcripts_are_worker_count_independent() {
         (
             include_str!("golden/resident_session.in"),
             include_str!("golden/resident_session.out"),
+        ),
+        (
+            include_str!("golden/evaluate_cache_session.in"),
+            include_str!("golden/evaluate_cache_session.out"),
         ),
     ] {
         for workers in [1usize, 2, 4] {

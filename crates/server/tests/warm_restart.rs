@@ -19,7 +19,7 @@
 use mf_core::textio;
 use mf_heuristics::{H4wFastestMachine, Heuristic};
 use mf_server::proto::{text_payload, Request, Response};
-use mf_server::{serve_stdio, Router};
+use mf_server::{serve_stdio, Journal, Router};
 use mf_sim::{GeneratorConfig, InstanceGenerator};
 use std::path::{Path, PathBuf};
 
@@ -168,9 +168,9 @@ fn kill_and_resume_matches_the_uninterrupted_run() {
     }
 }
 
-/// One shared journal serves any worker count: a session served by one
-/// worker count can be resumed by another (each shard replays only the
-/// names that hash to it), in both directions.
+/// One journal serves any worker count: a session served by one worker
+/// count can be resumed by another (the journal replays into the server's
+/// one store), in both directions.
 #[test]
 fn restarts_recover_across_worker_counts() {
     let reference = uninterrupted_reference();
@@ -198,7 +198,6 @@ fn restart_resumes_generations_strictly_above_the_journal_mark() {
     let dir = TempDir::new("generations");
     {
         let router = Router::with_data_dir(1, 1, dir.path()).unwrap();
-        let engine = &router.engines()[0];
         let mut session = router.begin_session();
         for (name, text) in [("alpha", alpha_text()), ("beta", beta_text())] {
             let response = router.dispatch(
@@ -221,13 +220,12 @@ fn restart_resumes_generations_strictly_above_the_journal_mark() {
             matches!(response, Response::Unloaded { .. }),
             "{response:?}"
         );
-        assert_eq!(engine.store().get("alpha").unwrap().generation, 0);
+        assert_eq!(router.store().get("alpha").unwrap().generation, 0);
     }
     let router = Router::with_data_dir(1, 1, dir.path()).unwrap();
-    let engine = &router.engines()[0];
     let mut session = router.begin_session();
     assert_eq!(
-        engine.store().get("alpha").unwrap().generation,
+        router.store().get("alpha").unwrap().generation,
         0,
         "replay must pin the journaled generation"
     );
@@ -240,16 +238,16 @@ fn restart_resumes_generations_strictly_above_the_journal_mark() {
     );
     assert!(matches!(response, Response::Loaded { .. }), "{response:?}");
     assert_eq!(
-        engine.store().get("gamma").unwrap().generation,
+        router.store().get("gamma").unwrap().generation,
         2,
         "the first post-restart generation must be strictly above beta's 1"
     );
 }
 
-/// The high-severity restart-aliasing regression: shard engines issue
-/// generations from independent counters, so a shared journal written at
-/// `--workers 2` pins both shards' first loads at generation 0. Restarting
-/// at `--workers 1` replays both into ONE shard, in front of ONE evaluate
+/// The restart-aliasing regression. A server issues generations from one
+/// counter, but a journal written by an older server, whose shards counted
+/// generations independently, can pin two instances at generation 0. A
+/// router replaying it holds both in one store, in front of one evaluate
 /// cache — and evaluating both with the same mapping bytes (same
 /// fingerprint) must answer each instance's own period, which only holds
 /// because the cache key carries the instance name.
@@ -270,49 +268,22 @@ fn same_generation_instances_replayed_into_one_engine_do_not_alias_the_cache() {
         let instance = textio::instance_from_text(&text_a).unwrap();
         textio::mapping_to_text(&H4wFastestMachine.map(&instance).unwrap())
     };
-    // Two names that land on different shards of a 2-worker router.
-    let probe = Router::new(2, 1);
-    let candidates: Vec<String> = (0..64).map(|k| format!("inst{k}")).collect();
-    let name_a = candidates
-        .iter()
-        .find(|name| probe.shard_of(name) == 0)
-        .expect("64 names must touch shard 0")
-        .clone();
-    let name_b = candidates
-        .iter()
-        .find(|name| probe.shard_of(name) == 1)
-        .expect("64 names must touch shard 1")
-        .clone();
+    let (name_a, name_b) = ("inst0", "inst1");
 
+    // The colliding journal an older two-shard server wrote.
     let dir = TempDir::new("alias");
     {
-        let router = Router::with_data_dir(2, 1, dir.path()).unwrap();
-        let mut session = router.begin_session();
-        for (name, text) in [(&name_a, &text_a), (&name_b, &text_b)] {
-            let response = router.dispatch(
-                &mut session,
-                Request::Load {
-                    name: name.to_string(),
-                    payload: text_payload(text),
-                },
-            );
-            assert!(matches!(response, Response::Loaded { .. }), "{response:?}");
+        let journal = Journal::open(dir.path()).unwrap();
+        for (name, text) in [(name_a, &text_a), (name_b, &text_b)] {
+            journal.record_load(name, 0, &text_payload(text)).unwrap();
         }
-        // The collision ingredient: both shards issued generation 0.
-        let generation_of = |name: &str| {
-            let shard = router.shard_of(name);
-            router.engines()[shard]
-                .store()
-                .get(name)
-                .unwrap()
-                .generation
-        };
-        assert_eq!(generation_of(&name_a), 0);
-        assert_eq!(generation_of(&name_b), 0);
     }
 
-    // Restart with a single worker: both live in one store at generation 0.
-    let router = Router::with_data_dir(1, 1, dir.path()).unwrap();
+    // Both replay into the one store at generation 0.
+    let router = Router::with_data_dir(2, 1, dir.path()).unwrap();
+    for name in [name_a, name_b] {
+        assert_eq!(router.store().get(name).unwrap().generation, 0, "{name}");
+    }
     let mut session = router.begin_session();
     let mut evaluate = |name: &str| match router.dispatch(
         &mut session,
@@ -330,8 +301,8 @@ fn same_generation_instances_replayed_into_one_engine_do_not_alias_the_cache() {
         instance.period(&mapping).unwrap().value()
     };
     // Warm the cache with `name_a`'s entry, then `name_b` must miss it.
-    let got_a = evaluate(&name_a);
-    let got_b = evaluate(&name_b);
+    let got_a = evaluate(name_a);
+    let got_b = evaluate(name_b);
     assert_eq!(got_a.to_bits(), expected(&text_a).to_bits());
     assert_eq!(
         got_b.to_bits(),
