@@ -40,9 +40,9 @@
 
 use mf_bench::{forest_instance, standard_instance};
 use mf_core::prelude::*;
+use mf_exact::solve::portfolio::{run_portfolio, PortfolioConfig};
+use mf_exact::solve::runner::BatchRunner;
 use mf_exact::{branch_and_bound, lp_root_bound, lp_root_relaxation, BnbConfig};
-use mf_experiments::portfolio::{run_portfolio, PortfolioConfig};
-use mf_experiments::runner::BatchRunner;
 use mf_heuristics::search::{
     polish_with, AnnealedClimb, SearchEngine, SearchStrategy, SteepestDescent, TabuSearch,
 };

@@ -12,11 +12,10 @@
 
 use mf_core::prelude::*;
 use mf_core::textio;
-use mf_exact::{branch_and_bound, BnbConfig};
-use mf_experiments::anytime::{solve_anytime_observed, AnytimeConfig};
-use mf_experiments::portfolio::{run_portfolio, run_portfolio_traced, PortfolioConfig};
-use mf_experiments::runner::BatchRunner;
-use mf_heuristics::{all_paper_heuristics, Heuristic};
+use mf_exact::solve::anytime::AnytimeEvent;
+use mf_exact::solve::runner::BatchRunner;
+use mf_exact::solve::{Method, Observer, Telemetry, DEFAULT_HEURISTIC_SEED};
+use mf_heuristics::all_paper_heuristics;
 use mf_obs::{
     events_from_text, events_to_text, Clock, MonotonicClock, SharedTraceWriter, TraceEvent,
 };
@@ -184,20 +183,6 @@ fn load_mapping(path: &str) -> std::result::Result<Mapping, String> {
     textio::mapping_from_text(&text).map_err(|e| format!("cannot parse `{path}`: {e}"))
 }
 
-fn heuristic_by_name(name: &str) -> std::result::Result<Box<dyn Heuristic + Send + Sync>, String> {
-    // Normalize the user's casing to the registry's canonical names
-    // (H1…H4f, H6, H6-…), then delegate to the single source of truth —
-    // the same helper the server's `solve … heuristic` path resolves with.
-    mf_heuristics::canonical_registry_name(name)
-        .and_then(|canonical| mf_heuristics::paper_heuristic(&canonical, 1))
-        .ok_or_else(|| {
-            format!(
-                "unknown heuristic `{name}` (expected one of {})",
-                mf_heuristics::registry_names().join(", ")
-            )
-        })
-}
-
 fn solve(args: &Arguments) -> std::result::Result<(), String> {
     let path = args.positional(0).ok_or("missing INSTANCE file")?;
     let instance = load_instance(path)?;
@@ -216,8 +201,11 @@ fn solve(args: &Arguments) -> std::result::Result<(), String> {
         // strategy (over the default H4w seed).
         let strategies = mf_heuristics::STRATEGY_PREFIXES
             .iter()
-            .filter_map(|prefix| mf_heuristics::paper_heuristic(prefix, 1));
-        for heuristic in all_paper_heuristics(1).into_iter().chain(strategies) {
+            .filter_map(|prefix| mf_heuristics::paper_heuristic(prefix, DEFAULT_HEURISTIC_SEED));
+        for heuristic in all_paper_heuristics(DEFAULT_HEURISTIC_SEED)
+            .into_iter()
+            .chain(strategies)
+        {
             match heuristic.period(&instance) {
                 Ok(period) => eprintln!(
                     "{:<6} {:>12.1} {:>16.4}",
@@ -229,107 +217,68 @@ fn solve(args: &Arguments) -> std::result::Result<(), String> {
             }
         }
     }
-    let (label, mapping) = if args.has_flag("portfolio") {
-        let threads = args.usize_flag("threads").unwrap_or(0);
-        let runner = BatchRunner::new(threads);
-        let config = PortfolioConfig::default();
-        let outcome = if trace_path.is_some() {
-            let (outcome, events) = run_portfolio_traced(&instance, &config, &runner);
-            trace_events.extend(events);
-            outcome
-        } else {
-            run_portfolio(&instance, &config, &runner)
-        };
-        eprintln!(
-            "{:<10} {:>12} {:>16}",
-            "cell", "period(ms)", "throughput(/s)"
-        );
-        for cell in &outcome.cells {
-            match cell.period {
-                Some(period) => eprintln!(
-                    "{:<10} {:>12.1} {:>16.4}",
-                    cell.label,
-                    period,
-                    1000.0 / period
-                ),
-                None => eprintln!("{:<10} seed infeasible", cell.label),
-            }
-        }
-        let label = format!(
-            "portfolio winner {} after {} round(s) on {} thread(s)",
-            outcome.winner_label().unwrap_or("?"),
-            outcome.rounds,
-            runner.threads()
-        );
-        let mapping = outcome
-            .best_mapping
-            .ok_or("no portfolio cell produced a mapping (more task types than machines?)")?;
-        (label, mapping)
+    let heuristic = args.string_flag("heuristic");
+    let method = if args.has_flag("portfolio") {
+        Method::Portfolio
     } else if args.has_flag("exact") {
-        let outcome = branch_and_bound(&instance, BnbConfig::default())
-            .map_err(|e| format!("exact solver failed: {e}"))?;
-        let label = if outcome.proven_optimal {
-            "exact optimum"
-        } else {
-            "best found (budget hit)"
-        };
-        (label.to_string(), outcome.mapping)
+        Method::Exact
     } else if args.has_flag("anytime") {
-        let mut config = AnytimeConfig::default();
-        if let Some(budget) = args.u64_flag("budget") {
-            config.step_budget = budget;
-        }
         eprintln!(
             "{:<5} {:>10} {:>12} {:>12} {:>8}",
             "phase", "step", "period(ms)", "bound(ms)", "gap"
         );
-        let traced = trace_path.is_some();
-        let outcome = solve_anytime_observed(&instance, &config, &mut |event| {
-            eprintln!(
-                "{:<5} {:>10} {:>12.1} {:>12.1} {:>7.2}%{}",
-                event.phase.label(),
-                event.steps,
-                event.period,
-                event.bound,
-                100.0 * event.gap(),
-                if event.proven { " (proven)" } else { "" }
-            );
-            if traced {
-                trace_events.push(event.to_trace());
-            }
-        })
-        .map_err(|e| format!("anytime solve failed: {e}"))?;
-        let label = if outcome.proven_optimal {
-            format!("anytime proven optimum in {} step(s)", outcome.steps)
-        } else {
-            format!(
-                "anytime best (gap {:.2}%) after {} step(s)",
-                100.0 * outcome.gap(),
-                outcome.steps
-            )
-        };
-        (label, outcome.mapping)
+        Method::Anytime {
+            budget: args.u64_flag("budget"),
+        }
     } else {
-        let name = args
-            .string_flag("heuristic")
-            .unwrap_or_else(|| "h4w".to_string());
-        let heuristic = heuristic_by_name(&name)?;
-        let mapping = if trace_path.is_some() {
-            // A one-shot heuristic has no portfolio grid: its search steps
-            // are traced as cell 0, round 0.
-            let mut sink = Vec::new();
-            let mapping = heuristic
-                .map_with_progress(&instance, &mut sink)
-                .map_err(|e| format!("{} failed: {e}", heuristic.name()))?;
-            trace_events.extend(sink.into_iter().map(|event| event.into_trace(0, 0)));
-            mapping
-        } else {
-            heuristic
-                .map(&instance)
-                .map_err(|e| format!("{} failed: {e}", heuristic.name()))?
-        };
-        (heuristic.name().to_string(), mapping)
+        Method::Heuristic(heuristic.as_deref().unwrap_or("h4w"))
     };
+    let runner = BatchRunner::new(args.usize_flag("threads").unwrap_or(0));
+    let mut print_event = |event: &AnytimeEvent| {
+        eprintln!(
+            "{:<5} {:>10} {:>12.1} {:>12.1} {:>7.2}%{}",
+            event.phase.label(),
+            event.steps,
+            event.period,
+            event.bound,
+            100.0 * event.gap(),
+            if event.proven { " (proven)" } else { "" }
+        );
+    };
+    let observer = Observer {
+        on_event: &mut print_event,
+        trace: trace_path.is_some().then_some(&mut trace_events),
+    };
+    let solved = mf_exact::solve::solve(&instance, method, None, &runner, observer)
+        .map_err(|e| e.to_string())?;
+    let label = match &solved.telemetry {
+        Telemetry::Portfolio(outcome) => {
+            eprintln!(
+                "{:<10} {:>12} {:>16}",
+                "cell", "period(ms)", "throughput(/s)"
+            );
+            for cell in &outcome.cells {
+                match cell.period {
+                    Some(ms) => eprintln!("{:<10} {ms:>12.1} {:>16.4}", cell.label, 1000.0 / ms),
+                    None => eprintln!("{:<10} seed infeasible", cell.label),
+                }
+            }
+            let (rounds, threads) = (outcome.rounds, runner.threads());
+            let winner = &solved.label;
+            format!("portfolio winner {winner} after {rounds} round(s) on {threads} thread(s)")
+        }
+        Telemetry::Exact(_) if solved.proven => "exact optimum".to_string(),
+        Telemetry::Exact(_) => "best found (budget hit)".to_string(),
+        Telemetry::Anytime(_) if solved.proven => {
+            format!("anytime proven optimum in {} step(s)", solved.steps)
+        }
+        Telemetry::Anytime(outcome) => {
+            let (gap, steps) = (100.0 * outcome.gap(), solved.steps);
+            format!("anytime best (gap {gap:.2}%) after {steps} step(s)")
+        }
+        Telemetry::Heuristic(_) => solved.label.clone(),
+    };
+    let mapping = solved.mapping;
     let period = instance.period(&mapping).map_err(|e| e.to_string())?;
     eprintln!(
         "{label}: period {:.1} ms ({:.4} products/s)",

@@ -1,7 +1,9 @@
 //! Server/CLI equivalence: for a fixed instance and seed, `solve` through
 //! the real `microfactory serve --stdio` binary returns the **same mapping
 //! and the bit-identical period** as the one-shot `microfactory solve` path
-//! — for a seeded search strategy and for `--portfolio`.
+//! — for a seeded search strategy, for `--portfolio` and for `--anytime`.
+//! The CLI's `--exact` path, which the server does not serve, is pinned
+//! against brute force.
 //!
 //! This is the acceptance pin for the serve mode: a resident server is a
 //! performance upgrade, never a numerical fork.
@@ -9,6 +11,7 @@
 use mf_core::textio;
 use mf_server::{Response, GREETING};
 use std::io::Write as _;
+use std::path::PathBuf;
 use std::process::{Command, Stdio};
 
 const BIN: &str = env!("CARGO_BIN_EXE_microfactory");
@@ -163,6 +166,75 @@ fn server_solve_matches_the_one_shot_cli_bit_for_bit() {
         "the batched evaluate of the solved mapping must hit the cache:\n{single}"
     );
 
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Writes a CLI-generated instance (`generate` with the flags in `args`)
+/// into a fresh temporary directory: its text, its path and the directory.
+fn generated_instance(tag: &str, args: &str) -> (String, PathBuf, PathBuf) {
+    let args: Vec<&str> = std::iter::once("generate")
+        .chain(args.split_whitespace())
+        .collect();
+    let (text, _) = run(&args, None);
+    let dir = std::env::temp_dir().join(format!("mf-{tag}-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("instance.mf");
+    std::fs::write(&path, &text).unwrap();
+    (text, path, dir)
+}
+
+#[test]
+fn anytime_solve_matches_the_one_shot_cli_bit_for_bit() {
+    let generate = "--tasks 10 --machines 4 --types 2 --seed 9";
+    let (instance_text, path, dir) = generated_instance("anytime-equivalence", generate);
+    let instance = textio::instance_from_text(&instance_text).unwrap();
+    let path = path.to_str().unwrap();
+    let (cli_text, _) = run(&["solve", "--anytime", "--budget", "2000", path], None);
+    let cli_mapping = textio::mapping_from_text(&cli_text).unwrap();
+
+    let payload_lines = instance_text.lines().count();
+    let script = format!(
+        "hello mf-proto v3\nload inst {payload_lines}\n{instance_text}\
+         solve inst anytime budget 2000\nshutdown\n"
+    );
+    let (transcript, _) = run(&["serve", "--stdio"], Some(&script));
+    let responses = session_responses(&transcript);
+    let Response::SolvedAnytime {
+        period,
+        machines,
+        assignment,
+        ..
+    } = &responses[2]
+    else {
+        panic!("expected an anytime solve response, got {responses:?}");
+    };
+    let cli_assignment: Vec<usize> = cli_mapping.as_slice().iter().map(|u| u.index()).collect();
+    assert_eq!(assignment, &cli_assignment);
+    assert_eq!(*machines, cli_mapping.machine_count());
+    let cli_period = instance.period(&cli_mapping).unwrap().value();
+    assert_eq!(period.to_bits(), cli_period.to_bits());
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// `solve --exact` prints a proven optimum: the brute-force optimum's
+/// period, labelled `exact optimum` on stderr.
+#[test]
+fn exact_solve_prints_the_brute_force_optimum() {
+    let generate = "--tasks 6 --machines 4 --types 2 --seed 5";
+    let (instance_text, path, dir) = generated_instance("exact-solve", generate);
+    let instance = textio::instance_from_text(&instance_text).unwrap();
+    let (mapping_text, stderr) = run(&["solve", "--exact", path.to_str().unwrap()], None);
+    assert!(stderr.starts_with("exact optimum"), "{stderr}");
+    let mapping = textio::mapping_from_text(&mapping_text).unwrap();
+    let period = instance.period(&mapping).unwrap().value();
+    let optimum = mf_exact::brute_force_specialized(&instance)
+        .unwrap()
+        .period
+        .value();
+    assert!(
+        (period - optimum).abs() <= 1e-9 * optimum,
+        "--exact printed period {period}, brute force finds {optimum}"
+    );
     std::fs::remove_dir_all(&dir).ok();
 }
 

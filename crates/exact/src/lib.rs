@@ -13,6 +13,11 @@
 //!   Hungarian reduction for linear chains on homogeneous machines, and the
 //!   bottleneck-assignment optimum used as the reference of Figure 9 when
 //!   failures are attached to tasks only.
+//!
+//! On top of them, [`solve`] is the one solve entry point every front end
+//! calls: a registry heuristic, the parallel portfolio, the anytime
+//! incumbent/bound race or branch-and-bound, picked by a
+//! [`solve::Method`].
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
@@ -21,6 +26,7 @@ pub mod bnb;
 pub mod brute_force;
 pub mod mip;
 pub mod one_to_one;
+pub mod solve;
 
 pub use bnb::{
     branch_and_bound, branch_and_bound_seeded, lp_root_bound, lp_root_relaxation, BnbConfig,

@@ -23,8 +23,8 @@
 //! caller's callback the moment it is found, and
 //! [`AnytimeEvent::to_trace`] maps it onto its `mf-trace` `round` record.
 
+use crate::{branch_and_bound_seeded, lp_root_bound, BnbConfig, BnbOutcome};
 use mf_core::prelude::*;
-use mf_exact::{branch_and_bound_seeded, lp_root_bound, BnbConfig, BnbOutcome};
 use mf_heuristics::search::{polish_with_telemetry, LnsConfig, SubtreeMoveLns};
 use mf_heuristics::{H4wFastestMachine, Heuristic, HeuristicError, HeuristicResult};
 use mf_obs::TraceEvent;

@@ -24,7 +24,7 @@
 //! at every thread count** — the same guarantee the batch grid gives,
 //! pinned in `batch_determinism.rs`.
 
-use crate::runner::BatchRunner;
+use super::runner::BatchRunner;
 use mf_core::prelude::*;
 use mf_core::seed::splitmix64;
 use mf_heuristics::search::{

@@ -1,9 +1,9 @@
 //! The parallel batch-evaluation engine.
 //!
 //! [`BatchRunner::map`] fans independent work items out on scoped worker
-//! threads and collects the results by item index. Every experiment sweep
-//! ([`crate::figures::run_sweep`]), the summary tables, the portfolio rounds
-//! and the server's portfolio solves run on it.
+//! threads and collects the results by item index. The portfolio rounds,
+//! every experiment sweep and the summary tables of `mf-experiments`, and
+//! the server's portfolio solves run on it.
 //!
 //! # Determinism
 //!
@@ -13,8 +13,21 @@
 //! shared mutable state), and the runner assembles results **by item
 //! index**, not by completion order.
 
-use crate::config::ExperimentConfig;
 use std::sync::atomic::{AtomicUsize, Ordering};
+
+/// The workspace-wide thread policy: an explicit count is used as-is, `0`
+/// means one thread per logical CPU, capped at 16 (fallback 4 when the CPU
+/// count is unknown). [`BatchRunner::new`] and the experiment harness's
+/// thread count both resolve through it, so the two can never diverge.
+pub fn resolve_threads(requested: usize) -> usize {
+    if requested > 0 {
+        requested
+    } else {
+        std::thread::available_parallelism()
+            .map(|n| n.get().min(16))
+            .unwrap_or(4)
+    }
+}
 
 /// Fans independent work items out across scoped worker threads and collects
 /// the results in item order.
@@ -25,17 +38,11 @@ pub struct BatchRunner {
 
 impl BatchRunner {
     /// A runner with an explicit thread count (`0` = one per logical CPU,
-    /// capped at 16 — the same convention as
-    /// [`ExperimentConfig::effective_threads`]).
+    /// capped at 16; see [`resolve_threads`]).
     pub fn new(threads: usize) -> Self {
         BatchRunner {
-            threads: crate::config::resolve_threads(threads),
+            threads: resolve_threads(threads),
         }
-    }
-
-    /// A runner using the thread count of an experiment configuration.
-    pub fn from_config(config: &ExperimentConfig) -> Self {
-        BatchRunner::new(config.effective_threads())
     }
 
     /// The effective number of worker threads.

@@ -57,23 +57,10 @@ impl ExperimentConfig {
         )
     }
 
-    /// Effective number of worker threads.
+    /// Effective number of worker threads (see
+    /// [`resolve_threads`](crate::runner::resolve_threads)).
     pub fn effective_threads(&self) -> usize {
-        resolve_threads(self.threads)
-    }
-}
-
-/// The workspace-wide thread policy: an explicit count is used as-is, `0`
-/// means one thread per logical CPU, capped at 16 (fallback 4 when the CPU
-/// count is unknown). Shared by [`ExperimentConfig::effective_threads`] and
-/// [`crate::runner::BatchRunner::new`] so the two can never diverge.
-pub fn resolve_threads(requested: usize) -> usize {
-    if requested > 0 {
-        requested
-    } else {
-        std::thread::available_parallelism()
-            .map(|n| n.get().min(16))
-            .unwrap_or(4)
+        crate::runner::resolve_threads(self.threads)
     }
 }
 

@@ -68,7 +68,7 @@ where
     let labels = spec.labels.len();
 
     let per_item: Vec<Vec<Option<f64>>> =
-        BatchRunner::from_config(config).map(points * reps, |item| {
+        BatchRunner::new(config.effective_threads()).map(points * reps, |item| {
             let point = item / reps;
             let rep = item % reps;
             let x = spec.x_values[point];

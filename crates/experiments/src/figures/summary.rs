@@ -73,7 +73,7 @@ pub fn run_with(
     exact_task_counts: Vec<usize>,
 ) -> SummaryRatios {
     let heuristics = heuristics_by_name(&LABELS);
-    let runner = BatchRunner::from_config(config);
+    let runner = BatchRunner::new(config.effective_threads());
 
     // --- Ratios against the optimal one-to-one mapping (Figure 9 setting). ---
     let reps = config.repetitions.max(1);

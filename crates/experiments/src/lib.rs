@@ -10,6 +10,11 @@
 //! derived from the experiment configuration, so two runs of the same binary
 //! produce identical numbers.
 //!
+//! The scoped-thread batch runner the sweeps run on, the portfolio and the
+//! anytime solver are solver code, not harness code: they live in
+//! [`mf_exact::solve`], and [`runner`], [`portfolio`] and [`anytime`] are
+//! their paths here.
+//!
 //! ```
 //! use mf_experiments::config::ExperimentConfig;
 //! use mf_experiments::figures::fig6;
@@ -23,14 +28,13 @@
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
-pub mod anytime;
 pub mod config;
 pub mod figures;
 pub mod persist;
-pub mod portfolio;
 pub mod report;
-pub mod runner;
 pub mod stats;
+
+pub use mf_exact::solve::{anytime, portfolio, runner};
 
 pub use anytime::{
     solve_anytime, solve_anytime_observed, AnytimeConfig, AnytimeEvent, AnytimeOutcome,

@@ -74,9 +74,9 @@ pub trait Heuristic {
         Ok((self.map(instance)?, None))
     }
 
-    /// Like [`map`](Self::map), additionally streaming progress events
-    /// (each committed step with its incumbent-improved verdict) into
-    /// `sink` when the heuristic drives a
+    /// Like [`map_traced`](Self::map_traced), additionally streaming
+    /// progress events (each committed step with its incumbent-improved
+    /// verdict) into `sink` when the heuristic drives a
     /// [`SearchEngine`](crate::search::SearchEngine) under the hood. The
     /// default — every constructive heuristic — emits nothing; the
     /// returned mapping is always bit-identical to [`map`](Self::map)'s.
@@ -84,9 +84,9 @@ pub trait Heuristic {
         &self,
         instance: &Instance,
         sink: &mut dyn mf_obs::ProgressSink,
-    ) -> HeuristicResult<Mapping> {
+    ) -> HeuristicResult<(Mapping, Option<crate::search::SearchTelemetry>)> {
         let _ = sink;
-        self.map(instance)
+        self.map_traced(instance)
     }
 
     /// Convenience: the period achieved by this heuristic on the instance.

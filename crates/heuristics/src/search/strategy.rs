@@ -157,10 +157,10 @@ impl Heuristic for SearchHeuristic {
         &self,
         instance: &Instance,
         sink: &mut dyn ProgressSink,
-    ) -> HeuristicResult<Mapping> {
+    ) -> HeuristicResult<(Mapping, Option<SearchTelemetry>)> {
         let seeded = self.inner.map(instance)?;
         let strategy = self.strategy.as_ref();
-        Ok(polish_with_progress(instance, &seeded, strategy, self.budget, Some(sink))?.0)
+        polish_with_progress(instance, &seeded, strategy, self.budget, Some(sink))
     }
 }
 

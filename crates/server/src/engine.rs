@@ -22,16 +22,16 @@
 //!
 //! # Equivalence with the one-shot CLI
 //!
-//! Every answer is a pure function of (instance, request, seed) and uses the
-//! same defaults as the `microfactory` CLI — `solve … heuristic` seeds its
-//! heuristic with `1`, `solve … portfolio` runs `PortfolioConfig::default()`
-//! (whose outcome is bit-identical for every thread count) — so server
-//! responses are **bit-identical** to the equivalent one-shot run. The
-//! `serve_equivalence` integration test pins this against the real CLI
-//! binary.
+//! Every answer is a pure function of (instance, request, seed). `solve`
+//! is one call of [`mf_exact::solve::solve`], the entry point the
+//! `microfactory` CLI's `solve` calls too, so both apply the same default
+//! seeds and configs (and the portfolio's outcome is bit-identical for
+//! every thread count): server responses are **bit-identical** to the
+//! equivalent one-shot run. The `serve_equivalence` integration test pins
+//! this against the real CLI binary.
 
 use crate::cache::{CachedEvaluation, EvaluateCache};
-use crate::errors::EngineError;
+use crate::errors::{one_line, EngineError};
 use crate::journal::{Journal, JournalResult};
 use crate::obs::{ObsConfig, ObsState};
 use crate::proto::{
@@ -41,15 +41,11 @@ use crate::stats::{self, Counters, Stat};
 use crate::store::{InstanceStore, StoredInstance};
 use mf_core::prelude::*;
 use mf_core::textio;
-use mf_experiments::anytime::{solve_anytime_observed, AnytimeConfig, AnytimeEvent};
-use mf_experiments::portfolio::{run_portfolio, PortfolioConfig};
-use mf_experiments::runner::BatchRunner;
+use mf_exact::solve::anytime::AnytimeEvent;
+use mf_exact::solve::runner::BatchRunner;
+use mf_exact::solve::{self, Method, Observer, Telemetry};
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
-
-/// Default seed of `solve … heuristic` requests — the seed the CLI's
-/// `--heuristic` path hard-codes, so un-seeded requests match it exactly.
-pub const DEFAULT_HEURISTIC_SEED: u64 = 1;
 
 /// Most resident evaluator snapshots one session keeps; the
 /// least-recently-used snapshot is dropped past this (a snapshot is ~the
@@ -169,7 +165,8 @@ impl Shared {
 
     /// Inserts (or replaces) `name` and journals the load with every name
     /// the byte cap evicted for it. Cached evaluations of the name's older
-    /// generations can never hit again; purging just frees them eagerly.
+    /// generations and of every evicted name can never hit again; purging
+    /// just frees them eagerly.
     fn insert(
         &self,
         name: &str,
@@ -178,7 +175,9 @@ impl Shared {
     ) -> (Arc<StoredInstance>, JournalResult<()>) {
         let journal = self.journal();
         let (stored, evicted) = self.store.insert_tracked(name, instance);
-        self.cache.purge(name);
+        for purged in std::iter::once(name).chain(evicted.iter().map(String::as_str)) {
+            self.cache.purge(purged);
+        }
         let journaled = match &journal {
             Some(journal) => journal
                 .record_load(name, stored.generation, payload)
@@ -511,6 +510,12 @@ impl Engine {
         response
     }
 
+    /// `solve`: one [`mf_exact::solve::solve`] call, the same entry point
+    /// the CLI's `solve` makes. `anytime` needs a v3 session; its events
+    /// are appended to the trace file as `round` records while the solve
+    /// runs and answered as the `gap` lines of a
+    /// [`Response::SolvedAnytime`] block. The solved mapping becomes this
+    /// session's resident evaluator state.
     fn solve(
         &self,
         session: &mut Session,
@@ -522,119 +527,65 @@ impl Engine {
             Ok(stored) => stored,
             Err(response) => return response,
         };
-        if let SolveMethod::Anytime { budget } = method {
-            return self.solve_anytime(session, name, &stored, *budget, seed);
-        }
-        let instance = &stored.instance;
-        let (label, mapping) = match method {
-            SolveMethod::Heuristic(requested) => {
-                let Some(canonical) = mf_heuristics::canonical_registry_name(requested) else {
-                    return EngineError::UnknownHeuristic {
-                        requested: requested.clone(),
-                    }
-                    .into_response();
-                };
-                let heuristic = mf_heuristics::paper_heuristic(
-                    &canonical,
-                    seed.unwrap_or(DEFAULT_HEURISTIC_SEED),
-                )
-                .expect("canonical names are constructible");
-                match heuristic.map_traced(instance) {
-                    Ok((mapping, telemetry)) => {
-                        self.counters.bump(Stat::SolvesHeuristic);
-                        if let Some(telemetry) = telemetry {
-                            // Search-driven solve: fold its evaluator
-                            // counters into the server totals.
-                            self.add_eval_delta(telemetry.eval, EvalCounters::default());
-                        }
-                        (canonical, mapping)
-                    }
-                    Err(e) => {
-                        return EngineError::SolverFailed {
-                            label: canonical,
-                            detail: one_line(e),
-                        }
-                        .into_response()
-                    }
+        let method = match method {
+            SolveMethod::Heuristic(requested) => Method::Heuristic(requested),
+            SolveMethod::Portfolio => Method::Portfolio,
+            SolveMethod::Anytime { budget } => {
+                if let Err(response) = gate(session.version, ProtoVersion::V3, "solve") {
+                    return response;
                 }
+                Method::Anytime { budget: *budget }
             }
-            SolveMethod::Portfolio => {
-                let config = PortfolioConfig {
-                    base_seed: seed.unwrap_or(PortfolioConfig::default().base_seed),
-                    ..PortfolioConfig::default()
-                };
-                let outcome = run_portfolio(instance, &config, &self.shared.runner);
-                let (Some(winner), Some(mapping)) =
-                    (outcome.winner_label(), outcome.best_mapping.clone())
-                else {
-                    return EngineError::PortfolioEmpty.into_response();
-                };
-                self.counters.bump(Stat::SolvesPortfolio);
-                (winner.to_string(), mapping)
-            }
-            SolveMethod::Anytime { .. } => unreachable!("handled above"),
         };
+        let mut trace = |event: &AnytimeEvent| self.obs.trace_event(&event.to_trace());
+        let observer = Observer {
+            on_event: &mut trace,
+            trace: None,
+        };
+        let runner = &self.shared.runner;
+        let solved = match solve::solve(&stored.instance, method, seed, runner, observer) {
+            Ok(solved) => solved,
+            Err(error) => return EngineError::Solve(error).into_response(),
+        };
+        let c = &self.counters;
+        match &solved.telemetry {
+            Telemetry::Heuristic(search) => {
+                c.bump(Stat::SolvesHeuristic);
+                let eval = search.map(|search| search.eval).unwrap_or_default();
+                self.add_eval_delta(eval, EvalCounters::default());
+            }
+            Telemetry::Portfolio(_) => c.bump(Stat::SolvesPortfolio),
+            Telemetry::Anytime(outcome) => {
+                c.bump(Stat::SolvesAnytime);
+                c.add(Stat::AnytimeReports, outcome.events.len() as u64);
+                c.add(Stat::AnytimeProven, u64::from(outcome.proven_optimal));
+                c.add(Stat::BnbNodes, outcome.nodes);
+                c.add(Stat::LpSolves, outcome.lp_solves);
+                c.add(Stat::LpReuses, outcome.lp_reuses);
+            }
+            Telemetry::Exact(_) => {}
+        }
         // One evaluator build serves both the response period (its initial
         // state is bit-identical to the full `machine_periods` walk the CLI
         // does) and this session's resident state, so a client can
         // immediately probe `whatif` moves around the solution. The build is
         // keyed-cached too: re-solving to a mapping this engine has already
         // evaluated (or an `evaluate` of a solved mapping) is a cache hit.
-        let period = match self.settle(session, name, &stored, &mapping) {
+        let mapping = &solved.mapping;
+        let period = match self.settle(session, name, &stored, mapping) {
             Ok((period, _, _)) => period,
             Err(detail) => return EngineError::Infeasible { detail }.into_response(),
         };
-        Response::Solved {
-            label,
-            period,
-            machines: mapping.machine_count(),
-            assignment: mapping.as_slice().iter().map(|u| u.index()).collect(),
-        }
-    }
-
-    /// `solve … anytime` (v3): the deterministic incumbent/bound race of
-    /// [`mf_experiments::anytime::solve_anytime`] under a step budget, its
-    /// events answered as the `gap` lines of a streaming
-    /// [`Response::SolvedAnytime`] block and appended to the trace file as
-    /// `round` records while the solve runs. The solved mapping becomes
-    /// this session's resident evaluator state, exactly like the other
-    /// solve methods.
-    fn solve_anytime(
-        &self,
-        session: &mut Session,
-        name: &str,
-        stored: &StoredInstance,
-        budget: Option<u64>,
-        seed: Option<u64>,
-    ) -> Response {
-        if let Err(response) = gate(session.version, ProtoVersion::V3, "solve") {
-            return response;
-        }
-        let mut config = AnytimeConfig::default();
-        if let Some(budget) = budget {
-            config.step_budget = budget;
-        }
-        if let Some(seed) = seed {
-            config.seed = seed;
-        }
-        let mut trace = |event: &AnytimeEvent| self.obs.trace_event(&event.to_trace());
-        let outcome = match solve_anytime_observed(&stored.instance, &config, &mut trace) {
-            Ok(outcome) => outcome,
-            Err(e) => {
-                return EngineError::SolverFailed {
-                    label: "anytime".to_string(),
-                    detail: one_line(e),
-                }
-                .into_response()
-            }
+        let machines = mapping.machine_count();
+        let assignment = mapping.as_slice().iter().map(|u| u.index()).collect();
+        let Telemetry::Anytime(outcome) = solved.telemetry else {
+            return Response::Solved {
+                label: solved.label,
+                period,
+                machines,
+                assignment,
+            };
         };
-        let c = &self.counters;
-        c.bump(Stat::SolvesAnytime);
-        c.add(Stat::AnytimeReports, outcome.events.len() as u64);
-        c.add(Stat::AnytimeProven, u64::from(outcome.proven_optimal));
-        c.add(Stat::BnbNodes, outcome.nodes);
-        c.add(Stat::LpSolves, outcome.lp_solves);
-        c.add(Stat::LpReuses, outcome.lp_reuses);
         let reports = outcome
             .events
             .iter()
@@ -646,16 +597,11 @@ impl Engine {
                 proven: event.proven,
             })
             .collect();
-        let mapping = outcome.mapping;
-        let period = match self.settle(session, name, stored, &mapping) {
-            Ok((period, _, _)) => period,
-            Err(detail) => return EngineError::Infeasible { detail }.into_response(),
-        };
         Response::SolvedAnytime {
             reports,
             period,
-            machines: mapping.machine_count(),
-            assignment: mapping.as_slice().iter().map(|u| u.index()).collect(),
+            machines,
+            assignment,
         }
     }
 
@@ -697,11 +643,6 @@ impl Engine {
     pub fn histograms(&self) -> Vec<(String, mf_obs::HistogramSnapshot)> {
         self.obs.histograms()
     }
-}
-
-/// Flattens an error's display onto one protocol line.
-fn one_line(e: impl std::fmt::Display) -> String {
-    e.to_string().replace(['\n', '\r'], " ")
 }
 
 #[cfg(test)]
@@ -913,8 +854,7 @@ mod tests {
 
         // The answer is the anytime library outcome, bit for bit.
         let instance = textio::instance_from_text(&text).unwrap();
-        let direct =
-            mf_experiments::anytime::solve_anytime(&instance, &AnytimeConfig::default()).unwrap();
+        let direct = solve::anytime::solve_anytime(&instance, &Default::default()).unwrap();
         assert_eq!(machines, 5);
         assert_eq!(
             assignment,
@@ -1201,7 +1141,7 @@ mod tests {
             other => panic!("solve failed: {other:?}"),
         };
         let default_seed = solve(&mut session, None);
-        let explicit_default = solve(&mut session, Some(DEFAULT_HEURISTIC_SEED));
+        let explicit_default = solve(&mut session, Some(crate::DEFAULT_HEURISTIC_SEED));
         let reseeded = solve(&mut session, Some(99));
         let reseeded_again = solve(&mut session, Some(99));
         assert_eq!(default_seed, explicit_default);

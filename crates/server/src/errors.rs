@@ -8,6 +8,7 @@
 //! strings are part of the protocol contract, not incidental formatting.
 
 use crate::proto::{ErrorCode, ProtoVersion, Response};
+use mf_exact::solve::SolveError;
 
 /// A dispatch-layer failure. Converts losslessly to (and is the single
 /// source of) the `err <code> <detail>` wire form via
@@ -31,20 +32,10 @@ pub enum EngineError {
         /// The validator's one-line explanation.
         detail: String,
     },
-    /// `solve … heuristic` with a name outside the registry.
-    UnknownHeuristic {
-        /// The requested (unrecognized) heuristic name.
-        requested: String,
-    },
-    /// A named solver ran and failed on this instance.
-    SolverFailed {
-        /// Canonical solver label.
-        label: String,
-        /// The solver's one-line failure description.
-        detail: String,
-    },
-    /// The portfolio produced no mapping at all.
-    PortfolioEmpty,
+    /// `solve` returned no mapping: an unknown heuristic name, a failed
+    /// solver or an empty portfolio. Its detail is the solve error's
+    /// `Display`, flattened to one line.
+    Solve(SolveError),
     /// A solver's mapping could not be evaluated (defensive: solver
     /// mappings are valid by construction).
     Infeasible {
@@ -97,12 +88,10 @@ impl EngineError {
             EngineError::InvalidPayload { .. } | EngineError::MappingMismatch { .. } => {
                 ErrorCode::InvalidPayload
             }
-            EngineError::SolverFailed { .. }
-            | EngineError::PortfolioEmpty
-            | EngineError::Infeasible { .. } => ErrorCode::Infeasible,
+            EngineError::Solve(SolveError::UnknownHeuristic { .. }) => ErrorCode::BadRequest,
+            EngineError::Solve(_) | EngineError::Infeasible { .. } => ErrorCode::Infeasible,
             EngineError::NoResidentState { .. } => ErrorCode::NoResidentState,
-            EngineError::UnknownHeuristic { .. }
-            | EngineError::BadRequest { .. }
+            EngineError::BadRequest { .. }
             | EngineError::VersionRequired { .. }
             | EngineError::UnsupportedVersion { .. }
             | EngineError::NotBatchable { .. } => ErrorCode::BadRequest,
@@ -130,16 +119,7 @@ impl std::fmt::Display for EngineError {
             EngineError::MappingMismatch { detail } => {
                 write!(f, "mapping does not fit the instance: {detail}")
             }
-            EngineError::UnknownHeuristic { requested } => write!(
-                f,
-                "unknown heuristic `{requested}` (expected one of {})",
-                mf_heuristics::registry_names().join(", ")
-            ),
-            EngineError::SolverFailed { label, detail } => write!(f, "{label} failed: {detail}"),
-            EngineError::PortfolioEmpty => write!(
-                f,
-                "no portfolio cell produced a mapping (more task types than machines?)"
-            ),
+            EngineError::Solve(error) => f.write_str(&one_line(error)),
             EngineError::Infeasible { detail } => write!(f, "{detail}"),
             EngineError::NoResidentState { name } => write!(
                 f,
@@ -167,6 +147,11 @@ impl std::fmt::Display for EngineError {
 }
 
 impl std::error::Error for EngineError {}
+
+/// Flattens an error's display onto one protocol line.
+pub(crate) fn one_line(e: impl std::fmt::Display) -> String {
+    e.to_string().replace(['\n', '\r'], " ")
+}
 
 impl From<EngineError> for Response {
     fn from(error: EngineError) -> Response {
@@ -198,9 +183,9 @@ mod tests {
                 "mapping does not fit the instance: 5 tasks, mapping has 4".into(),
             ),
             (
-                EngineError::UnknownHeuristic {
+                EngineError::Solve(SolveError::UnknownHeuristic {
                     requested: "H9".into(),
-                },
+                }),
                 ErrorCode::BadRequest,
                 format!(
                     "unknown heuristic `H9` (expected one of {})",
@@ -208,15 +193,15 @@ mod tests {
                 ),
             ),
             (
-                EngineError::SolverFailed {
+                EngineError::Solve(SolveError::Failed {
                     label: "H4w".into(),
-                    detail: "4 task types but only 3 machines".into(),
-                },
+                    detail: "4 task types\nbut only 3 machines".into(),
+                }),
                 ErrorCode::Infeasible,
                 "H4w failed: 4 task types but only 3 machines".into(),
             ),
             (
-                EngineError::PortfolioEmpty,
+                EngineError::Solve(SolveError::PortfolioEmpty),
                 ErrorCode::Infeasible,
                 "no portfolio cell produced a mapping (more task types than machines?)".into(),
             ),

@@ -4,7 +4,7 @@
 //! construction on every invocation. This crate keeps the last two
 //! **resident**: a server process owns an
 //! [`InstanceStore`] of named instances, a shared
-//! [`BatchRunner`](mf_experiments::runner::BatchRunner) for the portfolio
+//! [`BatchRunner`](mf_exact::solve::runner::BatchRunner) for the portfolio
 //! race, and one [`Session`] per connection holding the
 //! [`EvaluatorSnapshot`](mf_core::EvaluatorSnapshot) state that `whatif`
 //! probes resume in `O(1)` — and answers queries over a
@@ -23,7 +23,8 @@
 //! commands itself.
 //!
 //! Answers are **bit-identical to the equivalent one-shot CLI run**: solve
-//! requests use the same default seeds as `microfactory solve`, and the
+//! requests go through the same entry point as `microfactory solve`
+//! ([`mf_exact::solve::solve`]), and the
 //! portfolio outcome is bit-identical for every thread count, so a resident
 //! server is a pure performance upgrade, never a numerical fork — and the
 //! router's answers are pinned byte-identical across worker counts.
@@ -59,12 +60,13 @@ pub use cache::{CachedEvaluation, EvaluateCache, EVALUATE_CACHE_CAP};
 pub use client::{Client, ClientError, Evaluation, Solution};
 /// The per-connection [`Session`] under the name `perfbench`'s replay uses.
 pub use engine::Session as RouterSession;
-pub use engine::{Engine, Session, DEFAULT_HEURISTIC_SEED};
+pub use engine::{Engine, Session};
 pub use errors::EngineError;
 pub use journal::{
     records_from_text, records_to_text, Journal, JournalError, JournalRecord, JournalResult,
     RecoveredInstance, COMPACT_EVERY, JOURNAL_FILE, JOURNAL_FORMAT, LOCK_FILE,
 };
+pub use mf_exact::solve::DEFAULT_HEURISTIC_SEED;
 pub use obs::{ObsConfig, DEFAULT_SLOW_THRESHOLD_NS, TRACKED_COMMANDS};
 pub use proto::{
     request_from_text, request_to_text, response_from_text, response_to_text, text_payload,

@@ -43,7 +43,7 @@ use crate::obs::ObsConfig;
 use crate::proto::{InstanceInfo, ProtoVersion, Request, Response};
 use crate::stats::{self, Counters, Stat, StatsReport};
 use crate::store::InstanceStore;
-use mf_experiments::runner::BatchRunner;
+use mf_exact::solve::runner::BatchRunner;
 use mf_obs::HistogramSnapshot;
 use std::path::Path;
 use std::sync::Arc;
@@ -400,6 +400,40 @@ mod tests {
         }
         for workers in [2, 4] {
             assert_eq!(transcript(workers), one, "{workers} workers");
+        }
+    }
+
+    /// A load that crosses the byte cap purges the cached evaluations of
+    /// the names it evicted along with its own: six loads, each evaluated
+    /// once, under a three-instance cap leave three instances and three
+    /// cache entries (six before the evicted names were purged).
+    #[test]
+    fn byte_cap_evictions_purge_the_evicted_names_cached_evaluations() {
+        use mf_heuristics::{H4wFastestMachine, Heuristic};
+        let instance = instance_text(1);
+        let unit = store_bytes(&instance);
+        let parsed = textio::instance_from_text(&instance).unwrap();
+        let mapping = textio::mapping_to_text(&H4wFastestMachine.map(&parsed).unwrap());
+        for workers in [1, 2] {
+            let router = capped_router(workers, 3 * unit, None);
+            let mut session = router.begin_session();
+            for k in 0..6 {
+                let name = format!("inst{k}");
+                load(&router, &mut session, &name, &instance);
+                let response = router.dispatch(
+                    &mut session,
+                    Request::Evaluate {
+                        name,
+                        payload: text_payload(&mapping),
+                    },
+                );
+                assert!(
+                    matches!(response, Response::Evaluated { .. }),
+                    "{response:?}"
+                );
+            }
+            assert_eq!(router.store().len(), 3, "{workers} workers");
+            assert_eq!(router.shared.cache.len(), 3, "{workers} workers");
         }
     }
 

@@ -10,11 +10,11 @@
 //! |--------|-------|----------|
 //! | [`model`] | `mf-core` | applications, platforms, failure models, mappings, periods |
 //! | [`heuristics`] | `mf-heuristics` | the six polynomial heuristics H1…H4f + the strategy-driven search engine (H6 annealed climb, steepest descent, tabu, subtree-move LNS) |
-//! | [`exact`] | `mf-exact` | MIP, branch-and-bound, brute force, optimal one-to-one |
+//! | [`exact`] | `mf-exact` | MIP, branch-and-bound, brute force, optimal one-to-one + the one solve entry point (`exact::solve`: heuristic, portfolio, anytime, exact) and the batch runner |
 //! | [`lp`] | `mf-lp` | simplex + MIP branch-and-bound substrate |
 //! | [`matching`] | `mf-matching` | Hungarian, Hopcroft–Karp, bottleneck assignment |
 //! | [`sim`] | `mf-sim` | instance generators + discrete-event factory simulation |
-//! | [`experiments`] | `mf-experiments` | reproduction harness for every figure of §7 |
+//! | [`experiments`] | `mf-experiments` | reproduction harness for every figure of §7 (figure sweeps, reports) |
 //!
 //! ## Quickstart
 //!
