@@ -175,7 +175,9 @@ fn hostile_session_matches_the_golden_transcript() {
 /// evaluates 60 mappings on each of four names, passing the evaluate
 /// cache's 128 entries, then evaluates each name's first mapping again:
 /// the server's one cache evicts the same entries at every worker count,
-/// so its `stats` bytes match too.
+/// so its `stats` bytes match too. `anytime_reload_session` solves `line6`
+/// anytime twice, reloads the name with a different instance and solves
+/// again: the third solve's seed bound must be the new instance's.
 #[test]
 fn transcripts_are_worker_count_independent() {
     for (input, expected) in [
@@ -202,6 +204,10 @@ fn transcripts_are_worker_count_independent() {
         (
             include_str!("golden/evaluate_cache_session.in"),
             include_str!("golden/evaluate_cache_session.out"),
+        ),
+        (
+            include_str!("golden/anytime_reload_session.in"),
+            include_str!("golden/anytime_reload_session.out"),
         ),
     ] {
         for workers in [1usize, 2, 4] {
