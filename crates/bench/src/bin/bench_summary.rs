@@ -8,7 +8,9 @@
 //! LP bound, with simplex pivots per node, nanoseconds per pivot and the
 //! heap allocations of one proof), the root LP bound of the repository
 //! benchmark's capped `prove` shape (`lp_root/20x24`, with its pivots and
-//! allocations), what-if cost on a tree-shaped instance (the forest variant of the dense
+//! allocations) and a budget-capped anytime solve of that shape with a
+//! fresh and with a filled seed-bound memo (`anytime/20x24_cold` and
+//! `_warm`), what-if cost on a tree-shaped instance (the forest variant of the dense
 //! fast path vs a full recompute), a resident what-if resumed from a fresh
 //! snapshot and from a warm one (with the heap allocations of one run of
 //! each), the steepest-descent sweep on both the forest and the chain
@@ -40,8 +42,10 @@
 
 use mf_bench::{forest_instance, standard_instance};
 use mf_core::prelude::*;
+use mf_exact::solve::anytime::AnytimeEvent;
 use mf_exact::solve::portfolio::{run_portfolio, PortfolioConfig};
 use mf_exact::solve::runner::BatchRunner;
+use mf_exact::solve::{solve, Method, Observer, RootBound, Telemetry};
 use mf_exact::{branch_and_bound, lp_root_bound, lp_root_relaxation, BnbConfig};
 use mf_heuristics::search::{
     polish_with, AnnealedClimb, SearchEngine, SearchStrategy, SteepestDescent, TabuSearch,
@@ -618,6 +622,50 @@ fn main() {
         iterations,
         quality: Quality::Counts(counts),
     });
+
+    // `solve … anytime` on the same fixture under the `prove` workload's
+    // capped budget of 100 steps, through the one solve entry point. `cold`
+    // hands every run a fresh seed-bound memo (a one-shot CLI solve, or a
+    // resident instance's first anytime solve) and so pays the root
+    // relaxation each time; `warm` shares one filled memo across runs (every
+    // later solve of a resident instance). `lp_pivots` counts one run's
+    // simplex pivots: the root relaxation's on `cold`, plus the exact
+    // phase's on both.
+    {
+        let runner = BatchRunner::new(1);
+        let anytime = |root: &RootBound| {
+            let observer = Observer {
+                on_event: &mut |_: &AnytimeEvent| {},
+                trace: None,
+            };
+            let method = Method::Anytime {
+                budget: Some(100),
+                root,
+            };
+            solve(&root_fixture, method, None, &runner, observer).expect("m >= p")
+        };
+        let warm = RootBound::new();
+        let Telemetry::Anytime(outcome) = anytime(&warm).telemetry else {
+            unreachable!("an anytime solve reports anytime telemetry");
+        };
+        for (name, shared, root_pivots) in [
+            ("anytime/20x24_cold", None, lp_pivots),
+            ("anytime/20x24_warm", Some(&warm), 0),
+        ] {
+            let run = || match shared {
+                Some(root) => anytime(root),
+                None => anytime(&RootBound::new()),
+            };
+            let mut counts = vec![("lp_pivots", root_pivots + outcome.lp_pivots)];
+            counts.extend(allocation_counts(run));
+            rows.push(Measurement {
+                name,
+                timing: timing(time(iterations, run)),
+                iterations,
+                quality: Quality::Counts(counts),
+            });
+        }
+    }
 
     // The serving path of a `load`, layer by layer: parsing the instance
     // text of the bench fixture (with the heap allocations of one parse),

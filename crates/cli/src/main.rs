@@ -9,17 +9,21 @@
 //! ```
 //!
 //! Instances and mappings use the plain-text format of `mf_core::textio`.
+//! Every subcommand writes through one locked stdout handle; a reader that
+//! closes the pipe early (`microfactory generate … | head -1`) ends the run
+//! quietly with success.
 
 use mf_core::prelude::*;
 use mf_core::textio;
 use mf_exact::solve::anytime::AnytimeEvent;
 use mf_exact::solve::runner::BatchRunner;
-use mf_exact::solve::{Method, Observer, Telemetry, DEFAULT_HEURISTIC_SEED};
+use mf_exact::solve::{Method, Observer, RootBound, Telemetry, DEFAULT_HEURISTIC_SEED};
 use mf_heuristics::all_paper_heuristics;
 use mf_obs::{
     events_from_text, events_to_text, Clock, MonotonicClock, SharedTraceWriter, TraceEvent,
 };
 use mf_sim::{FactorySimulation, GeneratorConfig, InstanceGenerator, SimulationConfig};
+use std::io::Write;
 use std::process::ExitCode;
 use std::sync::Arc;
 
@@ -34,29 +38,67 @@ fn main() -> ExitCode {
     }
     let command = raw.remove(0);
     let args = Arguments::parse(&raw);
+    let stdout = std::io::stdout();
+    let mut out = stdout.lock();
+    let mut run = |allowed, run| checked(&command, &args, allowed, run, &mut out);
     let result = match command.as_str() {
-        "generate" => checked(&command, &args, FLAGS_GENERATE, generate),
-        "solve" => checked(&command, &args, FLAGS_SOLVE, solve),
-        "evaluate" => checked(&command, &args, FLAGS_EVALUATE, evaluate),
-        "simulate" => checked(&command, &args, FLAGS_SIMULATE, simulate),
-        "serve" => checked(&command, &args, FLAGS_SERVE, serve),
-        "client" => checked(&command, &args, FLAGS_CLIENT, client),
-        "stats" => checked(&command, &args, FLAGS_STATS, stats),
-        "trace" => checked(&command, &args, FLAGS_TRACE, trace),
-        "help" | "--help" | "-h" => {
-            println!("{USAGE}");
-            Ok(())
-        }
-        other => Err(format!("unknown command `{other}`\n{USAGE}")),
+        "generate" => run(FLAGS_GENERATE, generate),
+        "solve" => run(FLAGS_SOLVE, solve),
+        "evaluate" => run(FLAGS_EVALUATE, evaluate),
+        "simulate" => run(FLAGS_SIMULATE, simulate),
+        "serve" => run(FLAGS_SERVE, serve),
+        "client" => run(FLAGS_CLIENT, client),
+        "stats" => run(FLAGS_STATS, stats),
+        "trace" => run(FLAGS_TRACE, trace),
+        "help" | "--help" | "-h" => writeln!(out, "{USAGE}").map_err(Failure::from),
+        other => Err(format!("unknown command `{other}`\n{USAGE}").into()),
     };
-    match result {
+    match result.and_then(|()| out.flush().map_err(Failure::from)) {
         Ok(()) => ExitCode::SUCCESS,
-        Err(message) => {
+        // The reader has all it wanted: `… | head -1` is not an error.
+        Err(Failure::Output(e)) if e.kind() == std::io::ErrorKind::BrokenPipe => ExitCode::SUCCESS,
+        Err(Failure::Output(e)) => {
+            eprintln!("error: cannot write to stdout: {e}");
+            ExitCode::FAILURE
+        }
+        Err(Failure::Message(message)) => {
             eprintln!("error: {message}");
             ExitCode::FAILURE
         }
     }
 }
+
+/// Why a subcommand stopped early.
+enum Failure {
+    /// A diagnostic for stderr.
+    Message(String),
+    /// Writing to stdout failed.
+    Output(std::io::Error),
+}
+
+impl From<String> for Failure {
+    fn from(message: String) -> Self {
+        Failure::Message(message)
+    }
+}
+
+impl From<&str> for Failure {
+    fn from(message: &str) -> Self {
+        Failure::Message(message.to_string())
+    }
+}
+
+impl From<std::io::Error> for Failure {
+    fn from(error: std::io::Error) -> Self {
+        Failure::Output(error)
+    }
+}
+
+/// A subcommand's outcome.
+type Outcome = std::result::Result<(), Failure>;
+
+/// A subcommand: its arguments and the locked stdout it writes to.
+type Subcommand = fn(&Arguments, &mut dyn Write) -> Outcome;
 
 const USAGE: &str = "\
 microfactory — throughput optimization for micro-factories subject to failures
@@ -150,13 +192,14 @@ fn checked(
     command: &str,
     args: &Arguments,
     allowed: &[&str],
-    run: fn(&Arguments) -> std::result::Result<(), String>,
-) -> std::result::Result<(), String> {
+    run: Subcommand,
+    out: &mut dyn Write,
+) -> Outcome {
     args.reject_unknown_flags(command, allowed)?;
-    run(args)
+    run(args, out)
 }
 
-fn generate(args: &Arguments) -> std::result::Result<(), String> {
+fn generate(args: &Arguments, out: &mut dyn Write) -> Outcome {
     let tasks = args.usize_flag("tasks").ok_or("missing --tasks")?;
     let machines = args.usize_flag("machines").ok_or("missing --machines")?;
     let types = args.usize_flag("types").ok_or("missing --types")?;
@@ -169,7 +212,7 @@ fn generate(args: &Arguments) -> std::result::Result<(), String> {
     let instance = InstanceGenerator::new(config)
         .generate(seed)
         .map_err(|e| format!("cannot generate instance: {e}"))?;
-    print!("{}", textio::instance_to_text(&instance));
+    out.write_all(textio::instance_to_text(&instance).as_bytes())?;
     Ok(())
 }
 
@@ -183,7 +226,7 @@ fn load_mapping(path: &str) -> std::result::Result<Mapping, String> {
     textio::mapping_from_text(&text).map_err(|e| format!("cannot parse `{path}`: {e}"))
 }
 
-fn solve(args: &Arguments) -> std::result::Result<(), String> {
+fn solve(args: &Arguments, out: &mut dyn Write) -> Outcome {
     let path = args.positional(0).ok_or("missing INSTANCE file")?;
     let instance = load_instance(path)?;
     // Tracing is pure observation: the mapping printed (and every stderr
@@ -218,6 +261,7 @@ fn solve(args: &Arguments) -> std::result::Result<(), String> {
         }
     }
     let heuristic = args.string_flag("heuristic");
+    let root = RootBound::new();
     let method = if args.has_flag("portfolio") {
         Method::Portfolio
     } else if args.has_flag("exact") {
@@ -229,6 +273,7 @@ fn solve(args: &Arguments) -> std::result::Result<(), String> {
         );
         Method::Anytime {
             budget: args.u64_flag("budget"),
+            root: &root,
         }
     } else {
         Method::Heuristic(heuristic.as_deref().unwrap_or("h4w"))
@@ -297,11 +342,11 @@ fn solve(args: &Arguments) -> std::result::Result<(), String> {
             .map_err(|e| format!("cannot write `{trace_path}`: {e}"))?;
         eprintln!("trace: {} event(s) -> {trace_path}", trace_events.len());
     }
-    print!("{}", textio::mapping_to_text(&mapping));
+    out.write_all(textio::mapping_to_text(&mapping).as_bytes())?;
     Ok(())
 }
 
-fn evaluate(args: &Arguments) -> std::result::Result<(), String> {
+fn evaluate(args: &Arguments, out: &mut dyn Write) -> Outcome {
     let instance = load_instance(args.positional(0).ok_or("missing INSTANCE file")?)?;
     let mapping = load_mapping(args.positional(1).ok_or("missing MAPPING file")?)?;
     instance
@@ -311,10 +356,14 @@ fn evaluate(args: &Arguments) -> std::result::Result<(), String> {
         .machine_periods(&mapping)
         .map_err(|e| e.to_string())?;
     let period = breakdown.system_period();
-    println!("rule:        {}", mapping.kind(instance.application()));
-    println!("period:      {:.1} ms", period.value());
-    println!("throughput:  {:.4} products/s", 1000.0 / period.value());
-    println!("machine loads:");
+    writeln!(out, "rule:        {}", mapping.kind(instance.application()))?;
+    writeln!(out, "period:      {:.1} ms", period.value())?;
+    writeln!(
+        out,
+        "throughput:  {:.4} products/s",
+        1000.0 / period.value()
+    )?;
+    writeln!(out, "machine loads:")?;
     for u in instance.platform().machines() {
         let load = breakdown.of(u).value();
         let marker = if breakdown.critical_machines(1e-9).contains(&u) {
@@ -322,12 +371,12 @@ fn evaluate(args: &Arguments) -> std::result::Result<(), String> {
         } else {
             ""
         };
-        println!("  {u}: {load:.1} ms{marker}");
+        writeln!(out, "  {u}: {load:.1} ms{marker}")?;
     }
     let demands = instance.demands(&mapping).map_err(|e| e.to_string())?;
-    println!("raw products per finished product:");
+    writeln!(out, "raw products per finished product:")?;
     for (task, demand) in demands.source_demands(instance.application()) {
-        println!("  {task}: {demand:.3}");
+        writeln!(out, "  {task}: {demand:.3}")?;
     }
     Ok(())
 }
@@ -371,13 +420,13 @@ fn serve_observability(
     Ok((obs, trace))
 }
 
-fn serve(args: &Arguments) -> std::result::Result<(), String> {
+fn serve(args: &Arguments, out: &mut dyn Write) -> Outcome {
     let threads = args.usize_flag("threads").unwrap_or(0);
     let workers = args.usize_flag("workers").unwrap_or(1);
     let data_dir = args.string_flag("data-dir");
     let data_dir = data_dir.as_deref();
     let (obs, trace) = serve_observability(args)?;
-    let result = serve_with(args, threads, workers, data_dir, obs);
+    let result = serve_with(args, out, threads, workers, data_dir, obs);
     if let Some(writer) = trace {
         writer
             .finish()
@@ -388,17 +437,17 @@ fn serve(args: &Arguments) -> std::result::Result<(), String> {
 
 fn serve_with(
     args: &Arguments,
+    out: &mut dyn Write,
     threads: usize,
     workers: usize,
     data_dir: Option<&str>,
     obs: mf_server::ObsConfig,
-) -> std::result::Result<(), String> {
+) -> Outcome {
     if args.has_flag("stdio") {
         let router = build_serve_router(workers, threads, data_dir, obs)?;
         let stdin = std::io::stdin();
-        let stdout = std::io::stdout();
-        return mf_server::serve_stdio(&router, stdin.lock(), stdout.lock())
-            .map_err(|e| format!("stdio session failed: {e}"));
+        return mf_server::serve_stdio(&router, stdin.lock(), out)
+            .map_err(|e| format!("stdio session failed: {e}").into());
     }
     let port = match args.string_flag("port") {
         Some(raw) => raw
@@ -417,7 +466,9 @@ fn serve_with(
         router.workers(),
         router.runner().threads()
     );
-    server.run().map_err(|e| format!("server loop failed: {e}"))
+    server
+        .run()
+        .map_err(|e| format!("server loop failed: {e}").into())
 }
 
 fn connect_client(args: &Arguments) -> std::result::Result<mf_server::Client, String> {
@@ -430,7 +481,7 @@ fn connect_client(args: &Arguments) -> std::result::Result<mf_server::Client, St
         .map_err(|e| format!("cannot connect to {host}:{port}: {e}"))
 }
 
-fn stats(args: &Arguments) -> std::result::Result<(), String> {
+fn stats(args: &Arguments, out: &mut dyn Write) -> Outcome {
     let mut client = connect_client(args)?;
     client
         .hello(mf_server::CURRENT_VERSION)
@@ -439,11 +490,11 @@ fn stats(args: &Arguments) -> std::result::Result<(), String> {
         let report = client
             .status_export()
             .map_err(|e| format!("status-export failed: {e}"))?;
-        print!("{report}");
+        out.write_all(report.as_bytes())?;
     } else {
         let stats = client.stats().map_err(|e| format!("stats failed: {e}"))?;
         for (key, value) in stats {
-            println!("{key} {value}");
+            writeln!(out, "{key} {value}")?;
         }
     }
     Ok(())
@@ -454,7 +505,7 @@ fn stats(args: &Arguments) -> std::result::Result<(), String> {
 /// "Verify" means the full canonical-form contract: the file parses, and
 /// re-serializing the parsed events reproduces the input **byte for byte**
 /// (the same write→parse→write identity the format's tests pin).
-fn trace(args: &Arguments) -> std::result::Result<(), String> {
+fn trace(args: &Arguments, out: &mut dyn Write) -> Outcome {
     let path = args.positional(0).ok_or("missing TRACE file")?;
     let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read `{path}`: {e}"))?;
     let events = events_from_text(&text)
@@ -462,9 +513,9 @@ fn trace(args: &Arguments) -> std::result::Result<(), String> {
     let round_trip =
         events_to_text(&events).map_err(|e| format!("cannot re-serialize `{path}`: {e}"))?;
     if round_trip != text {
-        return Err(format!(
-            "`{path}` parses but is not in canonical form (round-trip differs)"
-        ));
+        return Err(
+            format!("`{path}` parses but is not in canonical form (round-trip differs)").into(),
+        );
     }
     let mut spans = 0u64;
     let mut span_ns = 0u64;
@@ -490,14 +541,22 @@ fn trace(args: &Arguments) -> std::result::Result<(), String> {
             }
         }
     }
-    println!("{path}: mf-trace v1, {} event(s), canonical", events.len());
-    println!("  spans:   {spans} ({span_ns} ns total)");
-    println!("  slow:    {slow}");
-    println!("  commits: {commits} ({improved_commits} improved the incumbent)");
-    println!(
+    writeln!(
+        out,
+        "{path}: mf-trace v1, {} event(s), canonical",
+        events.len()
+    )?;
+    writeln!(out, "  spans:   {spans} ({span_ns} ns total)")?;
+    writeln!(out, "  slow:    {slow}")?;
+    writeln!(
+        out,
+        "  commits: {commits} ({improved_commits} improved the incumbent)"
+    )?;
+    writeln!(
+        out,
         "  rounds:  {rounds} ({done_rounds} done: a converged portfolio cell or a proven \
          anytime incumbent)"
-    );
+    )?;
     Ok(())
 }
 
@@ -555,7 +614,7 @@ fn script_request(
     }
 }
 
-fn client(args: &Arguments) -> std::result::Result<(), String> {
+fn client(args: &Arguments, out: &mut dyn Write) -> Outcome {
     let mut client = connect_client(args)?;
     let stdin = std::io::stdin();
     let mut script = String::new();
@@ -574,10 +633,8 @@ fn client(args: &Arguments) -> std::result::Result<(), String> {
             None => client.send_line(line),
         }
         .map_err(|e| format!("request failed: {e}"))?;
-        print!(
-            "{}",
-            mf_server::response_to_text(&response).map_err(|e| e.to_string())?
-        );
+        let text = mf_server::response_to_text(&response).map_err(|e| e.to_string())?;
+        out.write_all(text.as_bytes())?;
         if matches!(response, mf_server::Response::Shutdown) {
             break;
         }
@@ -585,7 +642,7 @@ fn client(args: &Arguments) -> std::result::Result<(), String> {
     Ok(())
 }
 
-fn simulate(args: &Arguments) -> std::result::Result<(), String> {
+fn simulate(args: &Arguments, out: &mut dyn Write) -> Outcome {
     let instance = load_instance(args.positional(0).ok_or("missing INSTANCE file")?)?;
     let mapping = load_mapping(args.positional(1).ok_or("missing MAPPING file")?)?;
     let products = args.u64_flag("products").unwrap_or(5_000);
@@ -603,17 +660,19 @@ fn simulate(args: &Arguments) -> std::result::Result<(), String> {
         .period(&mapping)
         .map_err(|e| e.to_string())?
         .value();
-    println!("products out:      {}", report.produced);
-    println!("simulated period:  {:.1} ms", report.measured_period);
-    println!("analytic period:   {analytic:.1} ms");
-    println!(
+    writeln!(out, "products out:      {}", report.produced)?;
+    writeln!(out, "simulated period:  {:.1} ms", report.measured_period)?;
+    writeln!(out, "analytic period:   {analytic:.1} ms")?;
+    writeln!(
+        out,
         "relative error:    {:.2}%",
         100.0 * (report.measured_period - analytic).abs() / analytic
-    );
-    println!("losses per task:");
+    )?;
+    writeln!(out, "losses per task:")?;
     for task in instance.application().tasks() {
         if let Some(observed) = report.observed_failure_rate(task.id) {
-            println!(
+            writeln!(
+                out,
                 "  {}: {:.2}% observed ({:.2}% modelled)",
                 task.id,
                 100.0 * observed,
@@ -621,7 +680,7 @@ fn simulate(args: &Arguments) -> std::result::Result<(), String> {
                     * instance
                         .failure(task.id, mapping.machine_of(task.id))
                         .value()
-            );
+            )?;
         }
     }
     Ok(())

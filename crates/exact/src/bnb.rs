@@ -161,12 +161,10 @@ struct LpBoundState {
 /// Verdict of one [`LpBoundState::bound`] call.
 enum LpVerdict {
     /// The relaxation's optimum lower-bounds every completion beating the
-    /// threshold the filters were applied at. `values` is the full-space
-    /// optimum of a fresh solve, `None` when the ancestor's was reused.
-    Bound {
-        objective: f64,
-        values: Option<Vec<f64>>,
-    },
+    /// threshold the filters were applied at. `solved` is true when a fresh
+    /// solve wrote its full-space optimum into the caller's buffer, false
+    /// when the ancestor's optimum was reused.
+    Bound { objective: f64, solved: bool },
     /// The filtered relaxation is infeasible: no completion can beat the
     /// incumbent threshold. Prune.
     Infeasible,
@@ -294,7 +292,8 @@ impl LpBoundState {
 
     /// Bounds the current node: reuses `hint` — the nearest ancestor's
     /// full-space optimum — when it is still feasible, otherwise solves the
-    /// compact relaxation over the free placements from scratch.
+    /// compact relaxation over the free placements from scratch, writing
+    /// its full-space optimum into `values`.
     ///
     /// The compact relaxation is stated so that every row is a `≤` with a
     /// non-negative right-hand side, which lets the simplex start from the
@@ -307,12 +306,12 @@ impl LpBoundState {
     /// `K` there loses nothing — `K = K̄ − s` turns machine row `u` into
     /// `Σ_j (c_j on u) x_j − Σ_j (c_r(i) on u) x_j + s ≤ K̄ − L_u`, and the
     /// bound is `K̄` minus the largest feasible `s`.
-    fn bound(&mut self, hint: Option<&[f64]>) -> LpVerdict {
-        if let Some(values) = hint.filter(|values| self.admits(values)) {
+    fn bound(&mut self, hint: Option<&[f64]>, values: &mut Vec<f64>) -> LpVerdict {
+        if let Some(hint) = hint.filter(|hint| self.admits(hint)) {
             self.reuses += 1;
             return LpVerdict::Bound {
-                objective: values[values.len() - 1],
-                values: None,
+                objective: hint[hint.len() - 1],
+                solved: false,
             };
         }
         let (n, m) = (self.seats.len(), self.machines);
@@ -368,7 +367,8 @@ impl LpBoundState {
             Ok(solution) => {
                 self.solves += 1;
                 self.pivots += solution.iterations as u64;
-                let mut values = vec![0.0; n * m + 1];
+                values.clear();
+                values.resize(n * m + 1, 0.0);
                 for &j in &self.ones {
                     values[j] = 1.0;
                 }
@@ -380,7 +380,7 @@ impl LpBoundState {
                 values[n * m] = objective;
                 LpVerdict::Bound {
                     objective,
-                    values: Some(values),
+                    solved: true,
                 }
             }
             // Every row starts feasible at the all-slack basis, so the only
@@ -400,6 +400,10 @@ struct SearchContext<'a> {
     /// One reusable candidate buffer per depth — the recursion at depth `d`
     /// only ever touches buffer `d`, so nodes allocate nothing.
     candidate_scratch: Vec<Vec<(MachineId, f64)>>,
+    /// One reusable LP optimum buffer per depth (none without the LP
+    /// bound): a fresh solve at depth `d` writes buffer `d`, which then
+    /// serves as the hint of `d`'s subtree.
+    lp_scratch: Vec<Vec<f64>>,
     config: BnbConfig,
     best_period: f64,
     best_mapping: Option<Vec<MachineId>>,
@@ -529,17 +533,22 @@ impl<'a> SearchContext<'a> {
         // applied for the whole subtree (they only get more valid deeper)
         // and are undone on backtrack. A simplex failure falls back to the
         // cheap bounds — pruning less is always sound.
-        let mut node_values: Option<Vec<f64>> = None;
+        let mut node_values = self
+            .lp_scratch
+            .get_mut(depth)
+            .map(std::mem::take)
+            .unwrap_or_default();
+        let mut node_solved = false;
         let mut lp_bound = lp_inherited;
         let mut node_mark = None;
         if let Some(lp) = self.lp.as_mut() {
             let threshold = self.best_period * (1.0 - self.config.tolerance);
             let mark = lp.undo.len();
             lp.apply_filters(self.instance, state, threshold);
-            let pruned = match lp.bound(lp_hint) {
-                LpVerdict::Bound { objective, values } => {
+            let pruned = match lp.bound(lp_hint, &mut node_values) {
+                LpVerdict::Bound { objective, solved } => {
                     lp_bound = lp_bound.max(objective);
-                    node_values = values;
+                    node_solved = solved;
                     lp_bound >= threshold
                 }
                 LpVerdict::Infeasible => true,
@@ -547,10 +556,16 @@ impl<'a> SearchContext<'a> {
             };
             if pruned {
                 lp.undo_filters(mark);
+                self.lp_scratch[depth] = node_values;
                 return;
             }
             node_mark = Some(mark);
         }
+        let child_hint = if node_solved {
+            Some(node_values.as_slice())
+        } else {
+            lp_hint
+        };
 
         let task = self.order[depth];
         let ty = self.instance.application().task_type(task);
@@ -589,13 +604,7 @@ impl<'a> SearchContext<'a> {
                 lp.seat(task, machine, increment);
             }
 
-            self.search(
-                depth + 1,
-                state,
-                next_remaining_min,
-                lp_bound,
-                node_values.as_deref().or(lp_hint),
-            );
+            self.search(depth + 1, state, next_remaining_min, lp_bound, child_hint);
 
             // Undo.
             if let Some(lp) = self.lp.as_mut() {
@@ -618,6 +627,9 @@ impl<'a> SearchContext<'a> {
             lp.undo_filters(mark);
         }
         self.candidate_scratch[depth] = candidates;
+        if let Some(slot) = self.lp_scratch.get_mut(depth) {
+            *slot = node_values;
+        }
     }
 }
 
@@ -680,6 +692,7 @@ pub fn branch_and_bound_seeded(
         order,
         min_contribution,
         candidate_scratch: vec![Vec::with_capacity(instance.machine_count()); depths],
+        lp_scratch: vec![Vec::new(); if config.lp_bounds { depths } else { 0 }],
         config,
         best_period: seed_period,
         best_mapping: Some(seed.as_slice().to_vec()),
@@ -729,7 +742,7 @@ pub fn lp_root_bound(instance: &Instance) -> Option<f64> {
 /// [`lp_root_bound`] with the simplex pivots its solve took.
 pub fn lp_root_relaxation(instance: &Instance) -> Option<(f64, u64)> {
     let mut lp = LpBoundState::new(instance).ok()?;
-    match lp.bound(None) {
+    match lp.bound(None, &mut Vec::new()) {
         LpVerdict::Bound { objective, .. } => Some((objective, lp.pivots)),
         LpVerdict::Infeasible | LpVerdict::Unavailable => None,
     }
@@ -1027,15 +1040,20 @@ mod tests {
         ) -> Option<Vec<f64>> {
             self.record_shape(lp);
             let reuses = lp.reuses;
-            match (lp.bound(hint.as_deref()), full_formulation(lp)) {
-                (LpVerdict::Bound { objective, values }, Ok(full)) => {
+            let mut values = Vec::new();
+            match (lp.bound(hint.as_deref(), &mut values), full_formulation(lp)) {
+                (LpVerdict::Bound { objective, solved }, Ok(full)) => {
                     assert!(
                         (objective - full).abs() <= 1e-9 * full.abs(),
                         "{at}: compact {objective} != full {full}"
                     );
-                    self.solved += u64::from(values.is_some());
+                    self.solved += u64::from(solved);
                     self.reused += lp.reuses - reuses;
-                    values.or(hint)
+                    if solved {
+                        Some(values)
+                    } else {
+                        hint
+                    }
                 }
                 (LpVerdict::Infeasible, Err(LpError::Infeasible)) => {
                     self.infeasible += 1;

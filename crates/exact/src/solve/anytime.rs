@@ -8,6 +8,10 @@
 //!    feasible incumbent immediately, and the root LP relaxation (falling
 //!    back to the packing bound when the simplex is unavailable) provides a
 //!    lower bound valid for *every* mapping. The first event carries both.
+//!    The bound depends on the instance alone, so a [`RootBound`] memo
+//!    keeps it: the server holds one per resident instance and computes
+//!    the bound once, on the instance's first anytime solve, not once per
+//!    request.
 //! 2. **Heuristic slice** — a configurable share of the budget goes to the
 //!    subtree-move LNS polishing the seed; every improvement is an event.
 //! 3. **Exact phase** — the remaining budget drives LP-bounded
@@ -28,6 +32,7 @@ use mf_core::prelude::*;
 use mf_heuristics::search::{polish_with_telemetry, LnsConfig, SubtreeMoveLns};
 use mf_heuristics::{H4wFastestMachine, Heuristic, HeuristicError, HeuristicResult};
 use mf_obs::TraceEvent;
+use std::sync::OnceLock;
 
 /// Configuration of an anytime solve.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -156,6 +161,36 @@ impl AnytimeOutcome {
     }
 }
 
+/// The anytime seed bound of one instance — the root LP bound maxed with
+/// the packing bound — computed on first use and kept. A memo belongs to
+/// one instance: hand it only to solves of the instance it was first used
+/// with. Racing first uses each compute the bound outside the cell and the
+/// first to finish stores it; the value is a pure function of the
+/// instance, so every caller sees the same bits.
+#[derive(Debug, Default)]
+pub struct RootBound(OnceLock<f64>);
+
+impl RootBound {
+    /// An empty memo.
+    pub fn new() -> Self {
+        RootBound::default()
+    }
+
+    /// The memoized bound, if a solve has computed it.
+    pub fn get(&self) -> Option<f64> {
+        self.0.get().copied()
+    }
+
+    /// The seed bound of `instance`, computed on the first call.
+    pub fn get_or_compute(&self, instance: &Instance) -> HeuristicResult<f64> {
+        if let Some(bound) = self.get() {
+            return Ok(bound);
+        }
+        let bound = root_lower_bound(instance)?;
+        Ok(*self.0.get_or_init(|| bound))
+    }
+}
+
 /// Runs the anytime pipeline, collecting events into the outcome.
 pub fn solve_anytime(
     instance: &Instance,
@@ -173,6 +208,18 @@ pub fn solve_anytime_observed(
     config: &AnytimeConfig,
     on_event: &mut dyn FnMut(&AnytimeEvent),
 ) -> HeuristicResult<AnytimeOutcome> {
+    solve_anytime_memoized(instance, config, &RootBound::new(), on_event)
+}
+
+/// [`solve_anytime_observed`] taking its seed bound from `root`, the
+/// instance's memo: the outcome is bit-identical whether `root` is empty or
+/// already holds the bound.
+pub(crate) fn solve_anytime_memoized(
+    instance: &Instance,
+    config: &AnytimeConfig,
+    root: &RootBound,
+    on_event: &mut dyn FnMut(&AnytimeEvent),
+) -> HeuristicResult<AnytimeOutcome> {
     let mut events: Vec<AnytimeEvent> = Vec::new();
     let mut emit = |event: AnytimeEvent| {
         on_event(&event);
@@ -184,7 +231,7 @@ pub fn solve_anytime_observed(
     // only sit above it; clamp to guard against last-ulp rounding.
     let mut mapping = H4wFastestMachine.map(instance)?;
     let mut incumbent = instance.period(&mapping)?.value();
-    let mut bound = root_lower_bound(instance)?.min(incumbent);
+    let mut bound = root.get_or_compute(instance)?.min(incumbent);
     let mut steps: u64 = 0;
     let mut proven = incumbent <= bound * (1.0 + config.tolerance);
     emit(AnytimeEvent {

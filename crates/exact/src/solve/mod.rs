@@ -11,7 +11,8 @@ pub mod portfolio;
 pub mod runner;
 
 use crate::{branch_and_bound, BnbConfig, BnbOutcome};
-use anytime::{solve_anytime_observed, AnytimeConfig, AnytimeEvent, AnytimeOutcome};
+pub use anytime::RootBound;
+use anytime::{solve_anytime_memoized, AnytimeConfig, AnytimeEvent, AnytimeOutcome};
 use mf_core::prelude::*;
 use mf_heuristics::search::SearchTelemetry;
 use mf_obs::TraceEvent;
@@ -22,7 +23,7 @@ use runner::BatchRunner;
 pub const DEFAULT_HEURISTIC_SEED: u64 = 1;
 
 /// What [`solve`] runs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy)]
 pub enum Method<'a> {
     /// A registry heuristic by name, in any casing (`h4w`, `sd-h2`, …).
     Heuristic(&'a str),
@@ -32,6 +33,9 @@ pub enum Method<'a> {
     Anytime {
         /// Step budget (`None`: the [`AnytimeConfig`] default).
         budget: Option<u64>,
+        /// The solved instance's seed-bound memo: a fresh one for a one-shot
+        /// solve, the resident instance's own in the server.
+        root: &'a RootBound,
     },
     /// Branch-and-bound under [`BnbConfig::default`]; ignores the seed.
     Exact,
@@ -175,7 +179,7 @@ pub fn solve(
                 Telemetry::Portfolio(outcome),
             )
         }
-        Method::Anytime { budget } => {
+        Method::Anytime { budget, root } => {
             let defaults = AnytimeConfig::default();
             let step_budget = budget.unwrap_or(defaults.step_budget);
             let seed = seed.unwrap_or(defaults.seed);
@@ -184,7 +188,7 @@ pub fn solve(
                 seed,
                 ..defaults
             };
-            let outcome = solve_anytime_observed(instance, &config, on_event)
+            let outcome = solve_anytime_memoized(instance, &config, root, on_event)
                 .map_err(|e| failed("anytime", e))?;
             if let Some(trace) = trace {
                 trace.extend(outcome.events.iter().map(AnytimeEvent::to_trace));
@@ -288,10 +292,14 @@ mod tests {
     #[test]
     fn observers_never_change_the_solution() {
         let inst = instance(10, 4, 2);
+        let root = RootBound::new();
         let methods = [
             Method::Heuristic("sd-h2"),
             Method::Portfolio,
-            Method::Anytime { budget: Some(2000) },
+            Method::Anytime {
+                budget: Some(2000),
+                root: &root,
+            },
         ];
         for method in methods {
             let (plain, plain_seen, untraced) = observed(&inst, method, None, false);
@@ -313,6 +321,82 @@ mod tests {
                 }
                 _ => assert!(seen.is_empty()),
             }
+        }
+    }
+
+    /// The repository benchmark's `prove` pool: 64 instances of three
+    /// shapes (chain and in-forest alternating), each with its step budget
+    /// and drawn LNS seed, from the benchmark's fixed fixture stream.
+    fn prove_pool() -> Vec<(Instance, u64, u64)> {
+        let mut state = 0x6D66_6669_7874_u64 ^ 3u64.wrapping_mul(0xA076_1D64_78BD_642F);
+        let mut next = || {
+            let draw = mf_core::seed::splitmix64(state);
+            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            draw
+        };
+        let mut instances = Vec::new();
+        for (tasks, machines, count, budget) in
+            [(8, 10, 44, 2000), (9, 12, 12, 2000), (20, 24, 8, 100)]
+        {
+            let shapes = [
+                GeneratorConfig::paper_standard(tasks, machines, 3),
+                GeneratorConfig::standard_in_forest(tasks, machines, 3),
+            ];
+            for k in 0..count {
+                let generator = InstanceGenerator::new(shapes[k % 2]);
+                instances.push((generator.generate(next()).unwrap(), budget));
+            }
+        }
+        instances
+            .into_iter()
+            .map(|(instance, budget)| (instance, budget, next() >> 32))
+            .collect()
+    }
+
+    /// The bits of everything an anytime solve answers, flattened: each
+    /// event's period, bound, steps and verdict, then `steps`, `proven`,
+    /// the LP counters and the mapping.
+    fn anytime_bits(solution: &Solution) -> Vec<u64> {
+        let Telemetry::Anytime(outcome) = &solution.telemetry else {
+            panic!("an anytime solve reports anytime telemetry");
+        };
+        let events = outcome.events.iter().flat_map(|e| {
+            [
+                e.period.to_bits(),
+                e.bound.to_bits(),
+                e.steps,
+                u64::from(e.proven),
+            ]
+        });
+        let counts = [
+            solution.steps,
+            u64::from(solution.proven),
+            outcome.lp_solves,
+            outcome.lp_reuses,
+            outcome.lp_pivots,
+        ];
+        let mapping = solution.mapping.as_slice().iter().map(|u| u.index() as u64);
+        events.chain(counts).chain(mapping).collect()
+    }
+
+    /// A memo that already holds the seed bound answers every `prove`
+    /// request bit for bit like a fresh one: the same events, mapping,
+    /// steps, verdict and LP counters.
+    #[test]
+    fn a_warm_root_bound_memo_changes_no_anytime_answer() {
+        let pool = prove_pool();
+        assert_eq!(pool.len(), 64);
+        for (index, (inst, budget, seed)) in pool.iter().enumerate() {
+            let root = RootBound::new();
+            let method = Method::Anytime {
+                budget: Some(*budget),
+                root: &root,
+            };
+            let cold = solved(inst, method, Some(*seed));
+            let bound = root.get().expect("the solve fills the memo");
+            let warm = solved(inst, method, Some(*seed));
+            assert_eq!(root.get().map(f64::to_bits), Some(bound.to_bits()));
+            assert_eq!(anytime_bits(&warm), anytime_bits(&cold), "request {index}");
         }
     }
 }

@@ -514,8 +514,10 @@ impl Engine {
     /// the CLI's `solve` makes. `anytime` needs a v3 session; its events
     /// are appended to the trace file as `round` records while the solve
     /// runs and answered as the `gap` lines of a
-    /// [`Response::SolvedAnytime`] block. The solved mapping becomes this
-    /// session's resident evaluator state.
+    /// [`Response::SolvedAnytime`] block, and its seed bound comes from the
+    /// stored instance's memo, so the root relaxation runs once per resident
+    /// instance. The solved mapping becomes this session's resident
+    /// evaluator state.
     fn solve(
         &self,
         session: &mut Session,
@@ -534,7 +536,10 @@ impl Engine {
                 if let Err(response) = gate(session.version, ProtoVersion::V3, "solve") {
                     return response;
                 }
-                Method::Anytime { budget: *budget }
+                Method::Anytime {
+                    budget: *budget,
+                    root: &stored.root_bound,
+                }
             }
         };
         let mut trace = |event: &AnytimeEvent| self.obs.trace_event(&event.to_trace());

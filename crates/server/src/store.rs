@@ -11,8 +11,14 @@
 //! least-recently-used instances are evicted (never the one just loaded).
 //! Hits, misses and evictions are counted for the `stats` command, so a
 //! long-running server's cache behavior is observable.
+//!
+//! Each stored instance also carries its anytime seed-bound memo
+//! ([`RootBound`]): empty at load, filled by the first anytime solve, and
+//! gone with the instance, so a reload, an eviction or a journal replay
+//! starts from an empty one.
 
 use mf_core::prelude::*;
+use mf_exact::solve::RootBound;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, RwLock};
@@ -32,6 +38,10 @@ pub struct StoredInstance {
     pub generation: u64,
     /// The parsed instance.
     pub instance: Instance,
+    /// The instance's anytime seed bound, computed by its first anytime
+    /// solve (never at load) and not charged to
+    /// [`approx_bytes`](Self::approx_bytes).
+    pub root_bound: RootBound,
 }
 
 impl StoredInstance {
@@ -200,6 +210,7 @@ impl InstanceStore {
             name: name.to_string(),
             generation,
             instance,
+            root_bound: RootBound::new(),
         });
         let added = stored.approx_bytes();
         let mut evicted = Vec::new();
@@ -329,6 +340,21 @@ mod tests {
         assert!(!store.remove("a"));
         assert!(store.get("a").is_none());
         assert_eq!(store.len(), 1);
+    }
+
+    /// A load leaves the seed-bound memo empty, and a reload under the same
+    /// name starts a new one: the old instance's bound never leaks into it.
+    #[test]
+    fn each_load_starts_an_empty_root_bound_memo() {
+        let store = InstanceStore::new();
+        let first = store.insert("a", tiny_instance());
+        assert_eq!(first.root_bound.get(), None, "load computes no bound");
+        let bound = first.root_bound.get_or_compute(&first.instance).unwrap();
+        assert_eq!(store.get("a").unwrap().root_bound.get(), Some(bound));
+        let reloaded = store.insert("a", tiny_instance());
+        assert_eq!(reloaded.root_bound.get(), None);
+        assert_eq!(store.get("a").unwrap().root_bound.get(), None);
+        assert_eq!(first.root_bound.get(), Some(bound));
     }
 
     #[test]

@@ -163,3 +163,44 @@ fn routed_tcp_sessions_serve_repeated_evaluates_from_the_keyed_cache() {
     drop(client);
     handle.join().unwrap();
 }
+
+/// Two sessions' first anytime solves of one freshly loaded instance answer
+/// the same bytes, whether they race for the instance's seed-bound memo or
+/// the second finds it filled by the first.
+#[test]
+fn sessions_share_a_resident_instances_seed_bound_bit_for_bit() {
+    let instance = InstanceGenerator::new(GeneratorConfig::paper_standard(20, 24, 3))
+        .generate(5)
+        .unwrap();
+    let load = Request::Load {
+        name: "fresh".into(),
+        payload: mf_server::text_payload(&textio::instance_to_text(&instance)),
+    };
+    let solve = Request::Solve {
+        name: "fresh".into(),
+        method: SolveMethod::Anytime { budget: Some(100) },
+        seed: Some(9),
+    };
+    let answer = |router: &Router| {
+        let mut session = router.begin_session();
+        router.dispatch(&mut session, Request::Hello { requested: 3 });
+        let response = router.dispatch(&mut session, solve.clone());
+        mf_server::response_to_text(&response).unwrap()
+    };
+    for workers in [1usize, 3] {
+        let router = Router::new(workers, 1);
+        let mut loader = router.begin_session();
+        router.dispatch(&mut loader, load.clone());
+        let memo = || router.store().get("fresh").unwrap().root_bound.get();
+        assert_eq!(memo(), None, "load computes no seed bound");
+        let (first, second) = std::thread::scope(|scope| {
+            let first = scope.spawn(|| answer(&router));
+            let second = scope.spawn(|| answer(&router));
+            (first.join().unwrap(), second.join().unwrap())
+        });
+        assert!(first.starts_with("ok solve-anytime "), "{first}");
+        assert_eq!(first, second, "racing first solves, {workers} workers");
+        assert!(memo().is_some(), "the first anytime solve fills the memo");
+        assert_eq!(answer(&router), first, "a warm memo, {workers} workers");
+    }
+}
