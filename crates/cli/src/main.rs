@@ -40,7 +40,7 @@ fn main() -> ExitCode {
     let args = Arguments::parse(&raw);
     let stdout = std::io::stdout();
     let mut out = stdout.lock();
-    let mut run = |allowed, run| checked(&command, &args, allowed, run, &mut out);
+    let mut run = |allowed, subcommand| checked(&command, &args, allowed, subcommand, &mut out);
     let result = match command.as_str() {
         "generate" => run(FLAGS_GENERATE, generate),
         "solve" => run(FLAGS_SOLVE, solve),
